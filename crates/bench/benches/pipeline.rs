@@ -8,9 +8,11 @@
 //! fan-out, ACP prepare, group-commit apply). Every client owns a distinct
 //! item, so the burst measures the pipeline, not 2PL contention.
 //!
-//! The threads mode pays one spawned OS thread and one blocking reply
-//! channel per transaction; the reactor mode runs the same protocol steps
-//! on a fixed shard pool with per-tick message batching. The committed
+//! The threads mode lends one of the home site's workers and one blocking
+//! reply channel to each transaction; the reactor mode runs the same
+//! protocol steps on a fixed shard pool with per-tick message batching.
+//! Both share the participant side (copy accesses answered on the site
+//! dispatcher unless they must wait). The committed
 //! `BENCH_pipeline.json` numbers are the performance contract the
 //! `bench-regression` CI job enforces.
 //!

@@ -2,8 +2,8 @@
 //! behind the `bench-regression` CI gate.
 //!
 //! The committed `BENCH_*.json` files at the repo root are the performance
-//! contract of this tree: they hold the throughput and speedup numbers the
-//! current implementation is known to reach. The gate re-measures a fresh
+//! contract of this tree: they hold the throughput numbers the current
+//! implementation is known to reach. The gate re-measures a fresh
 //! JSON on the PR head (`cargo bench --bench pipeline -- --quick --out …`)
 //! and fails the build when any **higher-is-better** metric dropped by
 //! more than the tolerance (20% by default — wide enough to absorb CI
@@ -11,10 +11,13 @@
 //!
 //! Metric selection is by key shape, so new benchmarks join the gate by
 //! just writing JSON: any numeric leaf whose dotted path ends in
-//! `*_per_sec` (absolute throughput) or `speedup` (a within-run ratio,
-//! machine-independent by construction) is compared; latency-style leaves
-//! (`*_us_per_txn`, `*_ns_per_op`) are reported but never gated, since
-//! lower is better there and they are implied by the throughputs anyway.
+//! `*_per_sec` (absolute throughput) is compared. A `speedup` leaf — the
+//! ratio between two in-tree variants measured in one run — is never
+//! gated: a change that speeds both variants by different factors moves the
+//! ratio either way without anything getting slower, and each side's own
+//! `*_per_sec` is already gated. Latency-style leaves (`*_us_per_txn`,
+//! `*_ns_per_op`) are not gated either, since lower is better there and
+//! they are implied by the throughputs anyway.
 //! A metric present in the baseline but missing from the current run fails
 //! the gate too — a rename must not silently disable its check.
 
@@ -82,7 +85,7 @@ impl RegressionReport {
 /// True for dotted paths whose value is gated (higher is better).
 fn is_gated(path: &str) -> bool {
     let leaf = path.rsplit('.').next().unwrap_or(path);
-    leaf.ends_with("per_sec") || leaf == "speedup"
+    leaf.ends_with("per_sec")
 }
 
 fn flatten(content: &Content, prefix: &str, out: &mut BTreeMap<String, f64>) {
@@ -172,10 +175,10 @@ mod tests {
     }"#;
 
     #[test]
-    fn gates_per_sec_and_speedup_leaves_only() {
+    fn gates_per_sec_leaves_only() {
         assert!(is_gated("lock.baseline_ops_per_sec"));
         assert!(is_gated("levels.0.reactor_txn_per_sec"));
-        assert!(is_gated("quorum.speedup"));
+        assert!(!is_gated("quorum.speedup"));
         assert!(!is_gated("levels.0.us_per_txn"));
         assert!(!is_gated("config.threads"));
         assert!(!is_gated("micro.ns_per_op"));
@@ -185,8 +188,8 @@ mod tests {
     fn identical_files_pass() {
         let report = compare(BASELINE, BASELINE, 0.2).unwrap();
         assert!(report.passed());
-        assert_eq!(report.compared.len(), 3);
-        // Config counters and latency leaves are not gated.
+        assert_eq!(report.compared.len(), 2);
+        // Config counters, ratios and latency leaves are not gated.
         assert!(report.compared.iter().all(|d| is_gated(&d.metric)));
     }
 
@@ -211,6 +214,17 @@ mod tests {
         let current = BASELINE.replace("2000.0", "9000.0");
         let report = compare(BASELINE, &current, 0.2).unwrap();
         assert!(report.passed());
+    }
+
+    #[test]
+    fn a_ratio_between_two_variants_is_never_gated() {
+        // Both sides got faster, the faster one by less: the ratio halves,
+        // nothing regressed.
+        let current = BASELINE
+            .replace("1000.0", "4000.0")
+            .replace("\"speedup\": 2.0", "\"speedup\": 1.0");
+        let report = compare(BASELINE, &current, 0.2).unwrap();
+        assert!(report.passed(), "regressions: {:?}", report.regressions);
     }
 
     #[test]

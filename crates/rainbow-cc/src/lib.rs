@@ -31,6 +31,8 @@
 
 pub mod lock;
 pub mod mvto;
+#[cfg(test)]
+mod non_waiting_tests;
 pub mod tso;
 pub mod two_phase_locking;
 pub mod types;

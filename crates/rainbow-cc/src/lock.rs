@@ -413,6 +413,51 @@ impl LockManager {
         }
     }
 
+    /// Grants `mode` on `item` to `txn` right now if it is compatible with
+    /// the current holders, with the bookkeeping of a grant. Called with the
+    /// item's shard locked.
+    fn grant_now(
+        &self,
+        table: &mut ShardTable,
+        txn: TxnId,
+        ts: Timestamp,
+        item: &ItemId,
+        mode: LockMode,
+    ) -> bool {
+        match table.try_grant(item, txn, mode) {
+            GrantOutcome::Refused => return false,
+            // Record the grant while still inside the shard critical
+            // section, so it is visible to the next `release_all` even if a
+            // racing release already ran.
+            GrantOutcome::GrantedNew => self.note_held(txn, ts, item),
+            GrantOutcome::GrantedAgain => {}
+        }
+        self.stats.grants.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// The non-waiting form of [`LockManager::acquire`]: answers at once
+    /// when the request can be decided without waiting — granted, or
+    /// refused because the transaction was wounded — and `None` when it
+    /// would have to wait for a holder. `None` leaves no trace: no waiter
+    /// entry, no wait-for edge, no wound, no statistic moves, and the
+    /// deadlock policy has not run; the caller decides by calling
+    /// [`LockManager::acquire`] from a thread that may block.
+    pub fn try_acquire(
+        &self,
+        txn: TxnId,
+        ts: Timestamp,
+        item: &ItemId,
+        mode: LockMode,
+    ) -> Option<Result<(), LockError>> {
+        let mut table = self.shards[self.shard_index(item)].table.lock();
+        if self.wounded_now(txn) {
+            return Some(Err(LockError::Wounded));
+        }
+        self.grant_now(&mut table, txn, ts, item, mode)
+            .then_some(Ok(()))
+    }
+
     /// Acquires `mode` on `item` for `txn` (timestamp `ts`), blocking up to
     /// the configured timeout.
     pub fn acquire(
@@ -434,22 +479,12 @@ impl LockManager {
                 self.clear_wait_edges(txn);
                 return Err(LockError::Wounded);
             }
-            match table.try_grant(item, txn, mode) {
-                GrantOutcome::Refused => {}
-                outcome => {
-                    if outcome == GrantOutcome::GrantedNew {
-                        // Record the grant while still inside the shard
-                        // critical section, so it is visible to the next
-                        // `release_all` even if a racing release already ran.
-                        self.note_held(txn, ts, item);
-                    }
-                    if waited {
-                        table.remove_waiter(item, txn);
-                        self.clear_wait_edges(txn);
-                    }
-                    self.stats.grants.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
+            if self.grant_now(&mut table, txn, ts, item, mode) {
+                if waited {
+                    table.remove_waiter(item, txn);
+                    self.clear_wait_edges(txn);
                 }
+                return Ok(());
             }
 
             let conflicts = table.conflicting_holders(item, txn, mode);
@@ -545,17 +580,8 @@ impl LockManager {
                 self.clear_wait_edges(txn);
                 // One last chance: the lock may have been released exactly at
                 // the deadline.
-                if !self.wounded_now(txn) {
-                    match table.try_grant(item, txn, mode) {
-                        GrantOutcome::Refused => {}
-                        outcome => {
-                            if outcome == GrantOutcome::GrantedNew {
-                                self.note_held(txn, ts, item);
-                            }
-                            self.stats.grants.fetch_add(1, Ordering::Relaxed);
-                            return Ok(());
-                        }
-                    }
+                if !self.wounded_now(txn) && self.grant_now(&mut table, txn, ts, item, mode) {
+                    return Ok(());
                 }
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 return Err(LockError::Timeout);
@@ -632,6 +658,49 @@ impl LockManager {
             .sum()
     }
 }
+
+#[cfg(test)]
+impl LockManager {
+    /// Everything the manager remembers — holders, waiters, per-transaction
+    /// bookkeeping, wounds, wait-for edges and statistics — in a canonical
+    /// order, so tests can compare two managers (or one before and after).
+    pub(crate) fn fingerprint(&self) -> String {
+        use crate::non_waiting_tests::canonical;
+        let debug = |txn: &TxnId| format!("{txn:?}");
+        let mut items = Vec::new();
+        for shard in self.shards.iter() {
+            for (item, state) in &shard.table.lock().items {
+                // Cached idle entries are an allocation, not a memory.
+                if !(state.holders.is_empty() && state.waiters.is_empty()) {
+                    let holders = canonical(state.holders.iter().map(|h| format!("{h:?}")));
+                    items.push(format!("{item}: [{holders}] waiting {:?}", state.waiters));
+                }
+            }
+        }
+        let mut meta = Vec::new();
+        for shard in self.txn_meta.iter() {
+            for (txn, entry) in shard.lock().iter() {
+                let held = canonical(entry.held.iter().map(|item| item.to_string()));
+                meta.push(format!("{txn:?} at {:?} holds [{held}]", entry.ts));
+            }
+        }
+        let edges = canonical(
+            self.wait_graph
+                .lock()
+                .edges
+                .iter()
+                .map(|(from, to)| format!("{from:?}->[{}]", canonical(to.iter().map(debug)))),
+        );
+        format!(
+            "items {}\nmeta {}\nwounded {}\nedges {edges}\nstats {:?}",
+            canonical(items),
+            canonical(meta),
+            canonical(self.wounded.read().iter().map(debug)),
+            self.stats
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

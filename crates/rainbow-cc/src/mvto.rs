@@ -130,53 +130,13 @@ impl MultiversionTimestampOrdering {
 
 impl CcProtocol for MultiversionTimestampOrdering {
     fn read(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision {
-        if txn.ts < *self.floor.lock() {
-            return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                item: item.clone(),
-                rejected: txn.ts,
-            });
-        }
-        // A pending pre-write by a smaller-timestamped *other* transaction
-        // would insert a version between the one this read would pick and
-        // the reader — serving the read now silently skips that version
-        // (lost update once both commit). Wait, bounded by the wait budget,
-        // for the pending write to resolve; reject when the budget runs
-        // out so the protocol stays non-blocking overall. The grant happens
-        // under the same lock acquisition as the final pending check, so no
-        // new pre-write can slip in between.
+        // A read racing an older pending pre-write waits, bounded by the
+        // wait budget, for it to resolve; it is rejected when the budget
+        // runs out so the protocol stays non-blocking overall.
         let deadline = std::time::Instant::now() + self.wait_budget;
         loop {
-            {
-                let mut items = self.items.lock();
-                let entry = items.entry(item.clone()).or_default();
-                entry.seed_if_empty(&current);
-                let blocked = entry
-                    .pending_writes
-                    .iter()
-                    .filter(|(id, _)| **id != txn.id)
-                    .map(|(_, ts)| *ts)
-                    .min()
-                    .is_some_and(|pending| txn.ts > pending);
-                if !blocked {
-                    let Some(index) = entry.visible_index(txn.ts) else {
-                        // Nothing is visible below this timestamp — can only
-                        // happen if the initial version is younger than the
-                        // reader, which the ZERO-seed prevents; treat as a
-                        // violation defensively.
-                        return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                            item: item.clone(),
-                            rejected: txn.ts,
-                        });
-                    };
-                    let version = &mut entry.versions[index];
-                    version.rts = version.rts.max(txn.ts);
-                    let override_pair = (version.value.clone(), version.version);
-                    drop(items);
-                    self.track(txn.id, item);
-                    return CcDecision::Granted {
-                        value_override: Some(override_pair),
-                    };
-                }
+            if let Some(decision) = self.try_read(txn, item, current.clone()) {
+                return decision;
             }
             if std::time::Instant::now() >= deadline {
                 return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
@@ -186,6 +146,56 @@ impl CcProtocol for MultiversionTimestampOrdering {
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+    }
+
+    fn try_read(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        current: (Value, Version),
+    ) -> Option<CcDecision> {
+        if txn.ts < *self.floor.lock() {
+            return Some(CcDecision::Rejected(AbortCause::CcpTimestampViolation {
+                item: item.clone(),
+                rejected: txn.ts,
+            }));
+        }
+        let mut items = self.items.lock();
+        let entry = items.entry(item.clone()).or_default();
+        entry.seed_if_empty(&current);
+        // A pending pre-write by a smaller-timestamped *other* transaction
+        // would insert a version between the one this read would pick and
+        // the reader — serving the read now silently skips that version
+        // (lost update once both commit), so the read has to wait for it to
+        // resolve. The grant happens under the same lock acquisition as the
+        // pending check, so no new pre-write can slip in between.
+        let blocked = entry
+            .pending_writes
+            .iter()
+            .filter(|(id, _)| **id != txn.id)
+            .map(|(_, ts)| *ts)
+            .min()
+            .is_some_and(|pending| txn.ts > pending);
+        if blocked {
+            return None;
+        }
+        let Some(index) = entry.visible_index(txn.ts) else {
+            // Nothing is visible below this timestamp — can only happen if
+            // the initial version is younger than the reader, which the
+            // ZERO-seed prevents; treat as a violation defensively.
+            return Some(CcDecision::Rejected(AbortCause::CcpTimestampViolation {
+                item: item.clone(),
+                rejected: txn.ts,
+            }));
+        };
+        let version = &mut entry.versions[index];
+        version.rts = version.rts.max(txn.ts);
+        let override_pair = (version.value.clone(), version.version);
+        drop(items);
+        self.track(txn.id, item);
+        Some(CcDecision::Granted {
+            value_override: Some(override_pair),
+        })
     }
 
     fn prewrite(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision {
@@ -222,6 +232,16 @@ impl CcProtocol for MultiversionTimestampOrdering {
         drop(items);
         self.track(txn.id, item);
         CcDecision::granted()
+    }
+
+    fn try_prewrite(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        current: (Value, Version),
+    ) -> Option<CcDecision> {
+        // An MVTO pre-write never waits.
+        Some(self.prewrite(txn, item, current))
     }
 
     fn validate(&self, _txn: &TxnContext) -> CcDecision {
@@ -280,6 +300,24 @@ impl CcProtocol for MultiversionTimestampOrdering {
 
     fn active_transactions(&self) -> usize {
         self.touched.lock().len()
+    }
+}
+
+#[cfg(test)]
+impl MultiversionTimestampOrdering {
+    /// Everything the protocol remembers, in a canonical order, so tests can
+    /// compare two instances (or one before and after).
+    pub(crate) fn fingerprint(&self) -> String {
+        use crate::non_waiting_tests::{canonical, canonical_touched};
+        let items = canonical(self.items.lock().iter().map(|(item, entry)| {
+            let pending = canonical(entry.pending_writes.iter().map(|p| format!("{p:?}")));
+            format!("{item}: {:?} pending [{pending}]", entry.versions)
+        }));
+        format!(
+            "items {items}\ntouched {}\nfloor {:?}",
+            canonical_touched(&self.touched.lock()),
+            *self.floor.lock()
+        )
     }
 }
 

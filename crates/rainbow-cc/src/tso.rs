@@ -99,51 +99,15 @@ impl TimestampOrdering {
 }
 
 impl CcProtocol for TimestampOrdering {
-    fn read(&self, txn: &TxnContext, item: &ItemId, _current: (Value, Version)) -> CcDecision {
-        if txn.ts < *self.floor.lock() {
-            return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                item: item.clone(),
-                rejected: txn.ts,
-            });
-        }
-        // A read must not slip past a pending pre-write staged by a
-        // smaller-timestamped *other* transaction: it would observe the
-        // value that write is about to supersede while being ordered after
-        // the writer — the lost-update the chaos harness reproduces when
-        // two read-modify-writes race. (The transaction's own pending
-        // pre-write never blocks its own read: read-for-update issues the
-        // pre-write first.) Such a read waits, bounded by the wait budget,
-        // for the pending write to resolve — the prewrite-queue behaviour
-        // of textbook TSO — and is rejected when the budget runs out.
+    fn read(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision {
+        // A read blocked behind an earlier pending pre-write waits, bounded
+        // by the wait budget, for it to resolve — the prewrite-queue
+        // behaviour of textbook TSO — and is rejected when the budget runs
+        // out.
         let deadline = Instant::now() + self.wait_budget;
         loop {
-            {
-                let mut items = self.items.lock();
-                let entry = items.entry(item.clone()).or_default();
-                // Reading behind a committed write is too late no matter
-                // what the pending writes resolve to (wts never decreases),
-                // so reject before deciding to wait.
-                if txn.ts < entry.wts {
-                    return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                        item: item.clone(),
-                        rejected: txn.ts,
-                    });
-                }
-                let earliest_other_pending = entry
-                    .pending_writes
-                    .iter()
-                    .filter(|(id, _)| **id != txn.id)
-                    .map(|(_, ts)| *ts)
-                    .min();
-                match earliest_other_pending {
-                    Some(pending) if txn.ts > pending => {} // wait below
-                    _ => {
-                        entry.rts = entry.rts.max(txn.ts);
-                        drop(items);
-                        self.track(txn.id, item);
-                        return CcDecision::granted();
-                    }
-                }
+            if let Some(decision) = self.try_read(txn, item, current.clone()) {
+                return decision;
             }
             if Instant::now() >= deadline {
                 return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
@@ -153,6 +117,52 @@ impl CcProtocol for TimestampOrdering {
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+    }
+
+    fn try_read(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        _current: (Value, Version),
+    ) -> Option<CcDecision> {
+        if txn.ts < *self.floor.lock() {
+            return Some(CcDecision::Rejected(AbortCause::CcpTimestampViolation {
+                item: item.clone(),
+                rejected: txn.ts,
+            }));
+        }
+        let mut items = self.items.lock();
+        let entry = items.entry(item.clone()).or_default();
+        // Reading behind a committed write is too late no matter what the
+        // pending writes resolve to (wts never decreases), so reject before
+        // deciding to wait.
+        if txn.ts < entry.wts {
+            return Some(CcDecision::Rejected(AbortCause::CcpTimestampViolation {
+                item: item.clone(),
+                rejected: txn.ts,
+            }));
+        }
+        // A read must not slip past a pending pre-write staged by a
+        // smaller-timestamped *other* transaction: it would observe the
+        // value that write is about to supersede while being ordered after
+        // the writer — the lost-update the chaos harness reproduces when
+        // two read-modify-writes race. (The transaction's own pending
+        // pre-write never blocks its own read: read-for-update issues the
+        // pre-write first.) Such a read has to wait for the pending write
+        // to resolve; nothing is recorded for it.
+        let earliest_other_pending = entry
+            .pending_writes
+            .iter()
+            .filter(|(id, _)| **id != txn.id)
+            .map(|(_, ts)| *ts)
+            .min();
+        if earliest_other_pending.is_some_and(|pending| txn.ts > pending) {
+            return None;
+        }
+        entry.rts = entry.rts.max(txn.ts);
+        drop(items);
+        self.track(txn.id, item);
+        Some(CcDecision::granted())
     }
 
     fn prewrite(&self, txn: &TxnContext, item: &ItemId, _current: (Value, Version)) -> CcDecision {
@@ -174,6 +184,16 @@ impl CcProtocol for TimestampOrdering {
         drop(items);
         self.track(txn.id, item);
         CcDecision::granted()
+    }
+
+    fn try_prewrite(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        current: (Value, Version),
+    ) -> Option<CcDecision> {
+        // A TSO pre-write never waits.
+        Some(self.prewrite(txn, item, current))
     }
 
     fn validate(&self, _txn: &TxnContext) -> CcDecision {
@@ -222,6 +242,21 @@ impl CcProtocol for TimestampOrdering {
 
     fn active_transactions(&self) -> usize {
         self.touched.lock().len()
+    }
+}
+
+#[cfg(test)]
+impl TimestampOrdering {
+    /// Everything the protocol remembers, in a canonical order, so tests can
+    /// compare two instances (or one before and after).
+    pub(crate) fn fingerprint(&self) -> String {
+        use crate::non_waiting_tests::{canonical, canonical_touched};
+        format!(
+            "items {}\ntouched {}\nfloor {:?}",
+            canonical(self.items.lock().iter().map(|e| format!("{e:?}"))),
+            canonical_touched(&self.touched.lock()),
+            *self.floor.lock()
+        )
     }
 }
 

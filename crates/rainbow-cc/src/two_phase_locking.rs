@@ -43,11 +43,21 @@ impl TwoPhaseLocking {
         }
     }
 
-    fn acquire(&self, txn: &TxnContext, item: &ItemId, mode: LockMode) -> CcDecision {
-        match self.locks.acquire(txn.id, txn.ts, item, mode) {
+    fn decision(result: Result<(), LockError>, item: &ItemId) -> CcDecision {
+        match result {
             Ok(()) => CcDecision::granted(),
             Err(error) => CcDecision::Rejected(Self::map_error(error, item)),
         }
+    }
+
+    fn acquire(&self, txn: &TxnContext, item: &ItemId, mode: LockMode) -> CcDecision {
+        Self::decision(self.locks.acquire(txn.id, txn.ts, item, mode), item)
+    }
+
+    fn try_acquire(&self, txn: &TxnContext, item: &ItemId, mode: LockMode) -> Option<CcDecision> {
+        self.locks
+            .try_acquire(txn.id, txn.ts, item, mode)
+            .map(|result| Self::decision(result, item))
     }
 }
 
@@ -58,6 +68,24 @@ impl CcProtocol for TwoPhaseLocking {
 
     fn prewrite(&self, txn: &TxnContext, item: &ItemId, _current: (Value, Version)) -> CcDecision {
         self.acquire(txn, item, LockMode::Exclusive)
+    }
+
+    fn try_read(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        _current: (Value, Version),
+    ) -> Option<CcDecision> {
+        self.try_acquire(txn, item, LockMode::Shared)
+    }
+
+    fn try_prewrite(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        _current: (Value, Version),
+    ) -> Option<CcDecision> {
+        self.try_acquire(txn, item, LockMode::Exclusive)
     }
 
     fn validate(&self, txn: &TxnContext) -> CcDecision {
@@ -97,6 +125,14 @@ impl CcProtocol for TwoPhaseLocking {
 
     fn active_transactions(&self) -> usize {
         self.locks.active_transactions()
+    }
+}
+
+#[cfg(test)]
+impl TwoPhaseLocking {
+    /// The lock manager's [`LockManager::fingerprint`].
+    pub(crate) fn fingerprint(&self) -> String {
+        self.locks.fingerprint()
     }
 }
 

@@ -85,6 +85,38 @@ pub trait CcProtocol: Send + Sync {
     /// staged in storage by the caller; the CCP only arbitrates access.
     fn prewrite(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision;
 
+    /// The non-waiting form of [`CcProtocol::read`], for callers that must
+    /// never block (a site's dispatcher): `Some(decision)` when the request
+    /// can be granted or rejected right now, `None` when deciding it means
+    /// waiting. `None` leaves the protocol's state exactly as if the question
+    /// had never been asked — no waiter, no wait-for edge, no wound, no
+    /// statistic, no timestamp moves — and the caller then issues
+    /// [`CcProtocol::read`] from a thread that may wait. The default never
+    /// decides, which is correct for any protocol and only costs the
+    /// hand-off.
+    fn try_read(
+        &self,
+        _txn: &TxnContext,
+        _item: &ItemId,
+        _current: (Value, Version),
+    ) -> Option<CcDecision> {
+        None
+    }
+
+    /// The non-waiting form of [`CcProtocol::prewrite`]; same contract as
+    /// [`CcProtocol::try_read`]. A pre-write granted here may be issued
+    /// again through [`CcProtocol::prewrite`] (a read-for-update whose read
+    /// half must wait is re-issued whole), so granting one twice must
+    /// equal granting it once.
+    fn try_prewrite(
+        &self,
+        _txn: &TxnContext,
+        _item: &ItemId,
+        _current: (Value, Version),
+    ) -> Option<CcDecision> {
+        None
+    }
+
     /// Called by the commit participant just before voting YES. Protocols
     /// that can invalidate a transaction after its accesses were granted
     /// (wound-wait) reject here.

@@ -288,13 +288,32 @@ impl Cluster {
     /// means some coordinator abandoned resources that only the janitor
     /// recovered — a leak indicator for tests.
     pub fn janitor_cleanups(&self) -> u64 {
+        self.sum_over_sites(|metrics| &metrics.janitor_cleanups)
+    }
+
+    /// Worker threads started by all sites so far. Constant once the
+    /// cluster is warm: the transaction path reuses threads instead of
+    /// creating them.
+    pub fn workers_started(&self) -> u64 {
+        self.sum_over_sites(|metrics| &metrics.workers_started)
+    }
+
+    /// Copy accesses answered on a site's dispatcher because the CCP could
+    /// decide them without waiting, summed over all sites.
+    pub fn copy_accesses_inline(&self) -> u64 {
+        self.sum_over_sites(|metrics| &metrics.copy_accesses_inline)
+    }
+
+    /// Copy accesses that had to wait (for a lock, or behind an earlier
+    /// pending pre-write) and were handed to a worker, summed over all sites.
+    pub fn copy_accesses_handed_off(&self) -> u64 {
+        self.sum_over_sites(|metrics| &metrics.copy_accesses_handed_off)
+    }
+
+    fn sum_over_sites(&self, counter: impl Fn(&SiteMetrics) -> &AtomicU64) -> u64 {
         self.sites
             .values()
-            .map(|site| {
-                site.metrics()
-                    .janitor_cleanups
-                    .load(std::sync::atomic::Ordering::Relaxed)
-            })
+            .map(|site| counter(&site.metrics()).load(Ordering::Relaxed))
             .sum()
     }
 

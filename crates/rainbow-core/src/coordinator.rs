@@ -1,10 +1,11 @@
 //! The home-site transaction manager (coordinator worker).
 //!
-//! One worker thread per transaction drives the flow of Section 2.1 of the
-//! paper — but as an **op-driven state machine**: the coordinator learns the
-//! transaction one command at a time from the client's interactive handle
-//! (begin → read/write/increment → commit/abort) instead of iterating a
-//! pre-declared operation list. Each command flows through the layers:
+//! One of the home site's reused workers drives each transaction through
+//! the flow of Section 2.1 of the paper — but as an **op-driven state
+//! machine**: the coordinator learns the transaction one command at a time
+//! from the client's interactive handle (begin → read/write/increment →
+//! commit/abort) instead of iterating a pre-declared operation list. Each
+//! command flows through the layers:
 //!
 //! 1. the RCP builds a read or write quorum **per operation**, contacting
 //!    copy-holder sites whose CCP arbitrates each copy access — reads run
@@ -204,7 +205,7 @@ fn finish_quorum_span(
     });
 }
 
-/// Entry point of the coordinator worker thread: opens the conversation for
+/// The job a site worker runs for one transaction: opens the conversation for
 /// `client`, executes commands until the client commits or aborts (or the
 /// conversation idles out), and reports the final result.
 pub(crate) fn run_interactive(

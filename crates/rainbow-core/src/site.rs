@@ -3,12 +3,17 @@
 //! A site is one node of the distributed database. It runs:
 //!
 //! * a **dispatcher thread** that drains the site's network mailbox and
-//!   routes messages — responses go to the transaction-coordinator worker
-//!   waiting for them, requests are handled (inline when non-blocking,
-//!   on a short-lived handler thread when they may block on a lock);
-//! * **one worker thread per in-flight transaction** whose home is this
-//!   site, exactly as in the paper ("When a new transaction arrives at a
-//!   Rainbow site, the site dedicates one thread to process it");
+//!   routes messages — responses go to the transaction coordinator waiting
+//!   for them, requests are handled. The dispatcher never waits: a request
+//!   that can be answered now is answered now, on the dispatcher; only a
+//!   request that must wait gets a thread, and the thread is reused. A copy
+//!   access asks the CCP's non-waiting form first and is handed to a worker
+//!   only when the answer is *would wait*;
+//! * a set of **reused workers** (`workers.rs`) running what may wait:
+//!   the conversation of each in-flight transaction whose home is this site
+//!   and the copy accesses that found their lock held. (The paper's site
+//!   "dedicates one thread to process" each transaction; here the thread is
+//!   lent for the transaction's duration instead of created for it.)
 //! * the **participant side** of the commit protocol for transactions
 //!   coordinated elsewhere, including a janitor that cleans up transactions
 //!   whose coordinator disappeared and the recovery path that resolves
@@ -18,6 +23,7 @@ use crate::coordinator::reactor::{ReactorEvent, ReactorPool};
 use crate::coordinator::run_interactive;
 use crate::messages::{CopyAccessResult, Msg, OpReply};
 use crate::metrics::SiteMetrics;
+use crate::workers::Workers;
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 use rainbow_cc::{make_ccp, CcDecision, CcProtocol, TxnContext};
@@ -25,6 +31,7 @@ use rainbow_commit::{Decision, Participant, ParticipantAction, ParticipantState,
 use rainbow_common::config::DatabaseSchema;
 use rainbow_common::history::HistorySink;
 use rainbow_common::protocol::{CoordinatorMode, ProtocolStack};
+use rainbow_common::txn::AbortCause;
 use rainbow_common::{
     ItemId, RainbowError, RainbowResult, SiteId, Timestamp, TimestampGenerator, TxnId, Value,
     Version,
@@ -33,7 +40,7 @@ use rainbow_net::{Envelope, NetHandle, NodeId};
 use rainbow_replication::{make_rcp, ReplicationControl};
 use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig};
 use rainbow_trace::{Phase, TraceEvent, Tracer, Track};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -50,8 +57,60 @@ pub(crate) struct ParticipantEntry {
     pub last_activity: Instant,
 }
 
-/// State shared between the dispatcher, handler threads and transaction
-/// workers of one site.
+/// The in-doubt transactions found during crash recovery, waiting for a
+/// status reply from their coordinator, with a per-item index so a copy
+/// access finds out in O(1) whether its item is in one of their write sets.
+#[derive(Default)]
+pub(crate) struct InDoubt {
+    writes: HashMap<TxnId, WriteSet>,
+    /// Item → the in-doubt transactions whose prepared write set holds it
+    /// (more than one is possible under the timestamp protocols).
+    holders: HashMap<ItemId, Vec<TxnId>>,
+}
+
+impl InDoubt {
+    fn insert(&mut self, txn: TxnId, writes: WriteSet) {
+        self.remove(txn);
+        for (item, _, _) in &writes {
+            self.holders.entry(item.clone()).or_default().push(txn);
+        }
+        self.writes.insert(txn, writes);
+    }
+
+    fn remove(&mut self, txn: TxnId) -> Option<WriteSet> {
+        let writes = self.writes.remove(&txn)?;
+        for (item, _, _) in &writes {
+            if let Some(holders) = self.holders.get_mut(item) {
+                holders.retain(|holder| *holder != txn);
+                if holders.is_empty() {
+                    self.holders.remove(item);
+                }
+            }
+        }
+        Some(writes)
+    }
+
+    fn clear(&mut self) {
+        self.writes.clear();
+        self.holders.clear();
+    }
+
+    /// An in-doubt transaction other than `txn` with `item` in its prepared
+    /// write set, if there is one.
+    fn holder_blocking(&self, item: &ItemId, txn: TxnId) -> Option<TxnId> {
+        self.holders
+            .get(item)?
+            .iter()
+            .copied()
+            .find(|holder| *holder != txn)
+    }
+
+    fn txns(&self) -> Vec<TxnId> {
+        self.writes.keys().copied().collect()
+    }
+}
+
+/// State shared between the dispatcher and the workers of one site.
 pub(crate) struct SiteShared {
     pub id: SiteId,
     pub node: NodeId,
@@ -69,10 +128,10 @@ pub(crate) struct SiteShared {
     /// site *as a participant*. Late copy-access requests and late lock
     /// grants for these transactions are refused so they cannot resurrect a
     /// participant entry that nobody will ever release.
-    pub finished: Mutex<std::collections::HashSet<TxnId>>,
-    /// In-doubt transactions found during crash recovery, waiting for a
-    /// status reply from their coordinator.
-    pub in_doubt: Mutex<HashMap<TxnId, WriteSet>>,
+    pub finished: Mutex<HashSet<TxnId>>,
+    pub in_doubt: Mutex<InDoubt>,
+    /// The threads everything that may wait runs on.
+    pub workers: Arc<Workers>,
     pub txn_seq: AtomicU64,
     pub clock: TimestampGenerator,
     pub shutdown: Arc<AtomicBool>,
@@ -260,12 +319,13 @@ impl SiteHandle {
             rcp,
             schema: RwLock::new(schema),
             net,
-            metrics,
+            metrics: Arc::clone(&metrics),
             participants: Mutex::new(HashMap::new()),
             pending_replies: Mutex::new(HashMap::new()),
             decided: Mutex::new(HashMap::new()),
-            finished: Mutex::new(std::collections::HashSet::new()),
-            in_doubt: Mutex::new(HashMap::new()),
+            finished: Mutex::new(HashSet::new()),
+            in_doubt: Mutex::new(InDoubt::default()),
+            workers: Workers::new(format!("rainbow-worker-{}", id.0), Arc::clone(&metrics)),
             txn_seq: AtomicU64::new(0),
             clock: TimestampGenerator::new(id),
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -285,7 +345,7 @@ impl SiteHandle {
         {
             let mut in_doubt = shared.in_doubt.lock();
             for txn in outcome.in_doubt {
-                in_doubt.insert(txn.txn, txn.writes.clone());
+                in_doubt.insert(txn.txn, txn.writes);
                 shared.send(
                     NodeId::Site(txn.txn.home),
                     Msg::AcpStatusQuery { txn: txn.txn },
@@ -395,7 +455,18 @@ impl SiteHandle {
         );
         ccp.install_recovery_floor(Timestamp::new(shared.clock.now(), shared.id.0));
         *shared.ccp.write() = ccp;
-        shared.participants.lock().clear();
+        // Every transaction with grants here just lost them. Refuse those
+        // transactions from now on: one that came back could take a *new*
+        // lock, and holding something is all `validate` asks before this
+        // site vouches for accesses it no longer protects (the chaos lab
+        // caught the resulting non-repeatable read under load).
+        let lost: Vec<TxnId> = shared
+            .participants
+            .lock()
+            .drain()
+            .map(|(txn, _)| txn)
+            .collect();
+        shared.finished.lock().extend(lost);
         // Ask each in-doubt transaction's coordinator for the decision.
         let mut in_doubt = shared.in_doubt.lock();
         in_doubt.clear();
@@ -447,13 +518,16 @@ impl SiteHandle {
         ));
     }
 
-    /// Stops the dispatcher thread. Outstanding transaction workers finish
-    /// on their own (bounded by the protocol timeouts).
+    /// Stops the dispatcher thread and retires the workers: idle ones exit
+    /// at once, a busy one when its job returns (a conversation sees the
+    /// shutdown flag within its poll interval; a lock wait is bounded by the
+    /// protocol timeouts). Every thread the site started is joined.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(thread) = self.dispatcher.take() {
             let _ = thread.join();
         }
+        self.shared.workers.retire();
         // Reactor mode: the event loops observe the flag within one tick,
         // fail their in-flight conversations and drain their outboxes.
         if let Some(pool) = self.shared.reactor.get() {
@@ -508,10 +582,15 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
         return;
     }
 
-    match envelope.payload.clone() {
+    let Envelope {
+        id,
+        from,
+        to,
+        payload,
+    } = envelope;
+    match payload {
         Msg::TxnBegin { request, label } => {
             SiteMetrics::bump(&shared.metrics.home_transactions);
-            let client = envelope.from;
             if let Some(pool) = shared.reactor.get() {
                 // Reactor mode: allocate the id here (its sequence number
                 // pins the transaction to a reactor) and hand the
@@ -524,31 +603,34 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
                         txn,
                         ts,
                         label,
-                        client,
+                        client: from,
                         request,
                     },
                 );
             } else {
+                // A worker is lent to the conversation until it ends.
                 let worker_shared = Arc::clone(shared);
-                // "The site dedicates one thread to process it." The thread
-                // now drives an interactive conversation instead of a fixed
-                // op list.
-                let _ = std::thread::Builder::new()
-                    .name(format!("rainbow-txn-{}", shared.id.0))
-                    .spawn(move || run_interactive(worker_shared, label, client, request));
+                shared
+                    .workers
+                    .run(move || run_interactive(worker_shared, label, from, request));
             }
         }
-        Msg::TxnOp { txn, .. } => {
+        Msg::TxnOp { txn, op } => {
             // Route the client command to the coordinator driving the
             // conversation. When no worker is registered any more (the
             // conversation idled out and was aborted, or the site crashed
             // and recovered), tell the client instead of leaving it to its
             // timeout; the reactor path answers `Gone` itself.
+            let envelope = Envelope {
+                id,
+                from,
+                to,
+                payload: Msg::TxnOp { txn, op },
+            };
             if let Some(pool) = shared.reactor.get() {
                 pool.route(txn.seq, ReactorEvent::Deliver(envelope));
                 return;
             }
-            let client = envelope.from;
             let routed = {
                 let pending = shared.pending_replies.lock();
                 match pending.get(&txn) {
@@ -558,7 +640,7 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
             };
             if !routed {
                 shared.send(
-                    client,
+                    from,
                     Msg::TxnOpReply {
                         txn,
                         reply: OpReply::Gone,
@@ -573,50 +655,25 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
             for_update,
         } => {
             SiteMetrics::bump(&shared.metrics.served_requests);
-            // Register the participant entry *inline* so a decision that is
-            // already queued behind this request finds the entry and cleans
-            // it up; the (possibly blocking) lock work happens off-thread.
-            shared.ensure_participant(txn, ts, envelope.from);
-            let handler_shared = Arc::clone(shared);
-            let from = envelope.from;
-            // May block on a lock: never handle on the dispatcher thread.
-            let _ = std::thread::Builder::new()
-                .name("rainbow-copy-read".into())
-                .spawn(move || {
-                    handle_copy_access(
-                        handler_shared,
-                        from,
-                        txn,
-                        ts,
-                        item,
-                        CopyAccess::Read { for_update },
-                    )
-                });
+            handle_copy_access(shared, from, txn, ts, item, CopyAccess::Read { for_update });
         }
         Msg::CopyPrewrite { txn, ts, item } => {
             SiteMetrics::bump(&shared.metrics.served_requests);
-            shared.ensure_participant(txn, ts, envelope.from);
-            let handler_shared = Arc::clone(shared);
-            let from = envelope.from;
-            let _ = std::thread::Builder::new()
-                .name("rainbow-copy-prewrite".into())
-                .spawn(move || {
-                    handle_copy_access(handler_shared, from, txn, ts, item, CopyAccess::Prewrite)
-                });
+            handle_copy_access(shared, from, txn, ts, item, CopyAccess::Prewrite);
         }
         Msg::AcpPrepare { txn, ts, writes } => {
             SiteMetrics::bump(&shared.metrics.served_requests);
-            handle_prepare(shared, envelope.from, txn, ts, writes);
+            handle_prepare(shared, from, txn, ts, writes);
         }
         Msg::AcpPreCommit { txn } => {
-            handle_precommit(shared, envelope.from, txn);
+            handle_precommit(shared, from, txn);
         }
         Msg::AcpDecision { txn, decision } => {
-            handle_decision(shared, envelope.from, txn, decision);
+            handle_decision(shared, from, txn, decision);
         }
         Msg::AcpStatusQuery { txn } => {
             let decision = shared.decided.lock().get(&txn).copied();
-            shared.send(envelope.from, Msg::AcpStatusReply { txn, decision });
+            shared.send(from, Msg::AcpStatusReply { txn, decision });
         }
         Msg::AcpStatusReply { txn, decision } => {
             handle_status_reply(shared, txn, decision);
@@ -645,19 +702,19 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
                 }
             }
             if !prepares.is_empty() {
-                handle_prepare_batch(shared, envelope.from, prepares);
+                handle_prepare_batch(shared, from, prepares);
             }
             if !commits.is_empty() {
-                handle_decision_commit_batch(shared, envelope.from, commits);
+                handle_decision_commit_batch(shared, from, commits);
             }
-            for msg in rest {
+            for payload in rest {
                 dispatch(
                     shared,
                     Envelope {
-                        id: envelope.id,
-                        from: envelope.from,
-                        to: envelope.to,
-                        payload: msg,
+                        id,
+                        from,
+                        to,
+                        payload,
                     },
                 );
             }
@@ -688,9 +745,88 @@ enum CopyAccess {
     Prewrite,
 }
 
-/// Handles a copy read or pre-write request through the CCP.
+/// A copy access the CCP is being asked about.
+struct CopyRequest {
+    from: NodeId,
+    ctx: TxnContext,
+    item: ItemId,
+    access: CopyAccess,
+    /// The committed copy when the request arrived.
+    current: (Value, Version),
+    /// Tracer time when the CCP was first asked.
+    lock_start: u64,
+}
+
+impl CopyRequest {
+    /// Asks the CCP without waiting; `None` means the answer would have to
+    /// wait and nothing was recorded for the part that would.
+    fn attempt(&self, ccp: &dyn CcProtocol) -> Option<CcDecision> {
+        let (ctx, item, current) = (&self.ctx, &self.item, || self.current.clone());
+        match self.access {
+            CopyAccess::Prewrite => ccp.try_prewrite(ctx, item, current()),
+            CopyAccess::Read { for_update: false } => ccp.try_read(ctx, item, current()),
+            // If the read half would wait after the pre-write was granted,
+            // the whole access is issued again by `wait`; granting a
+            // pre-write twice equals granting it once in every CCP.
+            CopyAccess::Read { for_update: true } => {
+                match ccp.try_prewrite(ctx, item, current())? {
+                    CcDecision::Granted { .. } => ccp.try_read(ctx, item, current()),
+                    rejected => Some(rejected),
+                }
+            }
+        }
+    }
+
+    /// Asks the CCP and waits for the answer (a held lock, an earlier
+    /// pending pre-write), bounded by the protocol's wait budget.
+    fn wait(&self, ccp: &dyn CcProtocol) -> CcDecision {
+        let (ctx, item, current) = (&self.ctx, &self.item, || self.current.clone());
+        match self.access {
+            CopyAccess::Prewrite => ccp.prewrite(ctx, item, current()),
+            CopyAccess::Read { for_update: false } => ccp.read(ctx, item, current()),
+            // Write access first (exclusive lock / pre-write validation),
+            // then the read; this avoids the classic shared→exclusive
+            // upgrade deadlock for read-modify-write operations.
+            CopyAccess::Read { for_update: true } => match ccp.prewrite(ctx, item, current()) {
+                CcDecision::Granted { .. } => ccp.read(ctx, item, current()),
+                rejected => rejected,
+            },
+        }
+    }
+}
+
+fn send_copy_reply(
+    shared: &SiteShared,
+    from: NodeId,
+    txn: TxnId,
+    item: ItemId,
+    access: CopyAccess,
+    result: CopyAccessResult,
+) {
+    shared.send(
+        from,
+        Msg::CopyReply {
+            txn,
+            item,
+            prewrite: access == CopyAccess::Prewrite,
+            for_update: access == CopyAccess::Read { for_update: true },
+            result,
+        },
+    );
+}
+
+fn lock_conflict(item: &ItemId, holder: Option<TxnId>) -> CopyAccessResult {
+    CopyAccessResult::Denied(AbortCause::CcpLockConflict {
+        item: item.clone(),
+        holder,
+    })
+}
+
+/// Handles a copy read or pre-write request, on the dispatcher: the request
+/// is refused, or answered from the CCP's non-waiting form, or — only when
+/// the CCP would have to wait — handed to a worker that waits for it.
 fn handle_copy_access(
-    shared: Arc<SiteShared>,
+    shared: &Arc<SiteShared>,
     from: NodeId,
     txn: TxnId,
     ts: Timestamp,
@@ -698,26 +834,13 @@ fn handle_copy_access(
     access: CopyAccess,
 ) {
     shared.clock.observe(ts);
+    let refuse = |item: ItemId, result| send_copy_reply(shared, from, txn, item, access, result);
     // Refuse accesses for transactions that already finished at this site
     // (their decision raced ahead of this request); granting would leak a
     // lock nobody releases.
     if shared.finished.lock().contains(&txn) {
-        shared.send(
-            from,
-            Msg::CopyReply {
-                txn,
-                item: item.clone(),
-                prewrite: access == CopyAccess::Prewrite,
-                for_update: access == CopyAccess::Read { for_update: true },
-                result: CopyAccessResult::Denied(
-                    rainbow_common::txn::AbortCause::CcpLockConflict {
-                        item: item.clone(),
-                        holder: None,
-                    },
-                ),
-            },
-        );
-        return;
+        let denied = lock_conflict(&item, None);
+        return refuse(item, denied);
     }
     // Items in an in-doubt transaction's prepared write set are
     // untouchable: the crash destroyed the locks that protected them, the
@@ -726,118 +849,105 @@ fn handle_copy_access(
     // access here lets a reader serialize against state that may be about
     // to change — the write-skew anomaly the chaos lab convicts — so deny
     // and let the client retry after the in-doubt window closes.
-    {
-        let in_doubt = shared.in_doubt.lock();
-        let blocked = in_doubt
-            .iter()
-            .any(|(holder, writes)| *holder != txn && writes.iter().any(|(i, _, _)| *i == item));
-        if blocked {
-            shared.send(
-                from,
-                Msg::CopyReply {
-                    txn,
-                    item: item.clone(),
-                    prewrite: access == CopyAccess::Prewrite,
-                    for_update: access == CopyAccess::Read { for_update: true },
-                    result: CopyAccessResult::Denied(
-                        rainbow_common::txn::AbortCause::CcpLockConflict {
-                            item: item.clone(),
-                            holder: None,
-                        },
-                    ),
-                },
-            );
-            return;
+    let in_doubt_holder = shared.in_doubt.lock().holder_blocking(&item, txn);
+    if in_doubt_holder.is_some() {
+        let denied = lock_conflict(&item, in_doubt_holder);
+        return refuse(item, denied);
+    }
+    // Register the participant entry before any hand-off, so a decision
+    // that is already queued behind this request finds the entry and cleans
+    // it up.
+    let ctx = shared.ensure_participant(txn, ts, from);
+    let Ok(current) = shared.storage.read(&item) else {
+        return refuse(item, CopyAccessResult::NoSuchCopy);
+    };
+    let request = CopyRequest {
+        from,
+        ctx,
+        item,
+        access,
+        current,
+        lock_start: shared.trace_now(),
+    };
+    match request.attempt(&*shared.ccp()) {
+        Some(decision) => {
+            SiteMetrics::bump(&shared.metrics.copy_accesses_inline);
+            finish_copy_access(shared, request, decision);
+        }
+        None => {
+            SiteMetrics::bump(&shared.metrics.copy_accesses_handed_off);
+            let worker_shared = Arc::clone(shared);
+            shared.workers.run(move || {
+                let decision = request.wait(&*worker_shared.ccp());
+                finish_copy_access(&worker_shared, request, decision);
+            });
         }
     }
-    let ctx = shared.ensure_participant(txn, ts, from);
-    let is_prewrite_reply = access == CopyAccess::Prewrite;
-    let result = match shared.storage.read(&item) {
-        Err(_) => CopyAccessResult::NoSuchCopy,
-        Ok(current) => {
-            let ccp = shared.ccp();
-            let lock_start = shared.trace_now();
-            let decision = match access {
-                CopyAccess::Prewrite => ccp.prewrite(&ctx, &item, current.clone()),
-                CopyAccess::Read { for_update: false } => ccp.read(&ctx, &item, current.clone()),
-                CopyAccess::Read { for_update: true } => {
-                    // Write access first (exclusive lock / pre-write
-                    // validation), then the read; this avoids the classic
-                    // shared→exclusive upgrade deadlock for read-modify-write
-                    // operations.
-                    match ccp.prewrite(&ctx, &item, current.clone()) {
-                        CcDecision::Granted { .. } => ccp.read(&ctx, &item, current.clone()),
-                        rejected => rejected,
+}
+
+/// Turns the CCP's decision on a copy access into the reply, on whichever
+/// thread obtained it.
+fn finish_copy_access(shared: &SiteShared, request: CopyRequest, decision: CcDecision) {
+    let CopyRequest {
+        from,
+        ctx,
+        item,
+        access,
+        current,
+        lock_start,
+    } = request;
+    // The CCP call is where lock waits happen: its latency *is* the
+    // lock-acquisition phase, granted or not.
+    shared.trace_site_span(
+        ctx.id,
+        Some(Phase::LockWait),
+        if decision.is_granted() {
+            "ccp:grant"
+        } else {
+            "ccp:deny"
+        },
+        lock_start,
+        || format!("{item} {access:?}"),
+    );
+    let result = match decision {
+        CcDecision::Granted { value_override } => {
+            // The CCP call may have waited (2PL lock wait). Two things
+            // follow. First, the transaction may have been decided
+            // (committed or aborted) in the meantime — its participant
+            // entry is gone and nobody will ever release what we just
+            // acquired, so release it right now and refuse the access.
+            // Second, re-read the committed state *after* the grant so the
+            // value reflects every transaction serialized before us.
+            let still_active = {
+                let mut participants = shared.participants.lock();
+                match participants.get_mut(&ctx.id) {
+                    Some(entry) => {
+                        entry.last_activity = Instant::now();
+                        true
                     }
+                    None => false,
                 }
             };
-            // The CCP call is where lock waits happen: its latency *is* the
-            // lock-acquisition phase, granted or not.
-            shared.trace_site_span(
-                txn,
-                Some(Phase::LockWait),
-                if decision.is_granted() {
-                    "ccp:grant"
-                } else {
-                    "ccp:deny"
-                },
-                lock_start,
-                || format!("{item} {access:?}"),
-            );
-            match decision {
-                CcDecision::Granted { value_override } => {
-                    // The CCP call may have blocked (2PL lock wait). Two
-                    // things follow. First, the transaction may have been
-                    // decided (committed or aborted) while we were waiting —
-                    // its participant entry is gone and nobody will ever
-                    // release what we just acquired, so release it right now
-                    // and refuse the access. Second, re-read the committed
-                    // state *after* the grant so the value reflects every
-                    // transaction serialized before us.
-                    let still_active = {
-                        let mut participants = shared.participants.lock();
-                        match participants.get_mut(&txn) {
-                            Some(entry) => {
-                                entry.last_activity = Instant::now();
-                                true
-                            }
-                            None => false,
-                        }
-                    };
-                    if !still_active {
-                        shared.ccp().abort(&ctx);
-                        CopyAccessResult::Denied(rainbow_common::txn::AbortCause::CcpLockConflict {
-                            item: item.clone(),
-                            holder: None,
-                        })
-                    } else {
-                        let (value, version) = match value_override {
-                            Some(pair) => pair,
-                            None => shared.storage.read(&item).unwrap_or(current),
-                        };
-                        CopyAccessResult::Granted {
-                            value: if is_prewrite_reply { None } else { Some(value) },
-                            version,
-                        }
-                    }
-                }
-                CcDecision::Rejected(cause) => {
-                    SiteMetrics::bump(&shared.metrics.ccp_rejections);
-                    CopyAccessResult::Denied(cause)
+            if !still_active {
+                shared.ccp().abort(&ctx);
+                lock_conflict(&item, None)
+            } else {
+                let (value, version) = match value_override {
+                    Some(pair) => pair,
+                    None => shared.storage.read(&item).unwrap_or(current),
+                };
+                CopyAccessResult::Granted {
+                    value: (access != CopyAccess::Prewrite).then_some(value),
+                    version,
                 }
             }
         }
+        CcDecision::Rejected(cause) => {
+            SiteMetrics::bump(&shared.metrics.ccp_rejections);
+            CopyAccessResult::Denied(cause)
+        }
     };
-    shared.send(
-        from,
-        Msg::CopyReply {
-            txn,
-            item,
-            prewrite: is_prewrite_reply,
-            for_update: access == CopyAccess::Read { for_update: true },
-            result,
-        },
-    );
+    send_copy_reply(shared, from, ctx.id, item, access, result);
 }
 
 /// Handles the PREPARE request of the commit protocol.
@@ -1043,7 +1153,7 @@ fn handle_status_reply(shared: &Arc<SiteShared>, txn: TxnId, decision: Option<De
     let decision = decision.unwrap_or(Decision::Abort);
 
     // Case 1: an in-doubt transaction from crash recovery.
-    if let Some(writes) = shared.in_doubt.lock().remove(&txn) {
+    if let Some(writes) = shared.in_doubt.lock().remove(txn) {
         match decision {
             Decision::Commit => shared.storage.commit_writes(txn, writes),
             Decision::Abort => shared.storage.abort(txn),
@@ -1130,7 +1240,7 @@ fn run_janitor(shared: &Arc<SiteShared>) {
     // `recover_from_crash`) is dropped whenever the fault controller still
     // marks this site crashed — the normal recovery order — so without this
     // retry an in-doubt commit could stay uninstalled forever.
-    let in_doubt: Vec<TxnId> = shared.in_doubt.lock().keys().copied().collect();
+    let in_doubt = shared.in_doubt.lock().txns();
     for txn in in_doubt {
         shared.send(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
     }
@@ -1407,6 +1517,62 @@ mod tests {
             reply.payload,
             Msg::AcpStatusReply { decision: None, .. }
         ));
+    }
+
+    #[test]
+    fn a_transaction_that_lost_its_grants_in_a_crash_is_refused_afterwards() {
+        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+        let sites = vec![SiteId(0)];
+        let schema = schema_for(&sites);
+        let site = build_site(&net, 0, &schema, quick_stack());
+        let client = NodeId::Client(0);
+        let client_mailbox = net.register(client);
+        let txn = TxnId::new(SiteId(9), 1);
+        let ts = Timestamp::new(5, 9);
+        let send = |msg| net.handle().send(client, NodeId::site(0), msg).unwrap();
+        let reply = || {
+            client_mailbox
+                .recv_timeout(Duration::from_millis(1000))
+                .expect("no reply")
+                .payload
+        };
+
+        // Granted a read lock on x0 before the crash …
+        let read = |item: &str| Msg::CopyRead {
+            txn,
+            ts,
+            item: ItemId::new(item),
+            for_update: false,
+        };
+        send(read("x0"));
+        assert!(matches!(
+            reply(),
+            Msg::CopyReply {
+                result: CopyAccessResult::Granted { .. },
+                ..
+            }
+        ));
+        // … which the crash takes away: x0 is free for anybody now.
+        site.recover_from_crash().unwrap();
+        assert_eq!(site.active_transactions(), 0);
+
+        // Coming back for x1 must not succeed: holding *a* lock again would
+        // let the site vote YES on a read of x0 it no longer protects.
+        send(read("x1"));
+        assert!(matches!(
+            reply(),
+            Msg::CopyReply {
+                result: CopyAccessResult::Denied(AbortCause::CcpLockConflict { .. }),
+                ..
+            }
+        ));
+        send(Msg::AcpPrepare {
+            txn,
+            ts,
+            writes: Vec::new(),
+        });
+        assert!(matches!(reply(), Msg::AcpVote { vote: Vote::No, .. }));
+        assert_eq!(site.active_transactions(), 0);
     }
 
     #[test]

@@ -1,0 +1,199 @@
+//! The site runtime's threading rule, observed from outside: *a request that
+//! can be answered now is answered now, on the dispatcher; only a request
+//! that must wait gets a thread, and the thread is reused.*
+//!
+//! * **no thread creation in steady state** — once a cluster is warm, neither
+//!   update nor read transactions start a worker or change the process's
+//!   thread count;
+//! * **the dispatcher never waits**, under each CCP — while one access waits
+//!   for a lock (2PL) or behind an earlier pending pre-write (TSO, MVTO),
+//!   traffic for other items at the same sites is served at full speed;
+//! * **workers retire at shutdown**, not at their keep-alive — starting and
+//!   stopping clusters leaves no thread behind.
+//!
+//! This file is its own test binary (so its own process), and its tests take
+//! turns: they read the process-wide thread count.
+
+use rainbow_common::protocol::{CcpKind, CoordinatorMode, ProtocolStack};
+use rainbow_common::{SiteId, Value};
+use rainbow_core::{Client, Cluster, ClusterConfig};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+static TAKING_TURNS: Mutex<()> = Mutex::new(());
+
+fn take_turn() -> std::sync::MutexGuard<'static, ()> {
+    TAKING_TURNS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The `Threads:` line of `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn process_threads() -> usize {
+    std::fs::read_to_string("/proc/self/status")
+        .expect("/proc/self/status is readable")
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|count| count.trim().parse().ok())
+        .expect("a Threads: line")
+}
+
+fn cluster(stack: ProtocolStack) -> Cluster {
+    let config = ClusterConfig::quick(3, 8, 3)
+        .unwrap()
+        .with_stack(stack.with_coordinator_from_env());
+    Cluster::start(config).unwrap()
+}
+
+fn increment(client: &mut Client, item: usize) {
+    let mut txn = client.begin("increment").unwrap();
+    txn.increment(format!("x{}", item % 8), 1).unwrap();
+    txn.commit().unwrap();
+}
+
+fn read_four(client: &mut Client, first: usize) {
+    let mut txn = client.begin("read-many").unwrap();
+    let values = txn
+        .read_many((0..4).map(|k| format!("x{}", (first + k) % 8)))
+        .unwrap();
+    assert_eq!(values.len(), 4);
+    txn.commit().unwrap();
+}
+
+#[test]
+fn a_warm_cluster_creates_no_thread_per_transaction() {
+    let _turn = take_turn();
+    let cluster = cluster(ProtocolStack::rainbow_default());
+    let mut client = cluster.client();
+    // Warm-up: every home site lends its first worker.
+    for i in 0..12 {
+        increment(&mut client, i);
+        read_four(&mut client, i);
+    }
+    let workers_before = cluster.workers_started();
+    let inline_before = cluster.copy_accesses_inline();
+    #[cfg(target_os = "linux")]
+    let threads_before = process_threads();
+
+    for i in 0..300 {
+        increment(&mut client, i);
+    }
+    for i in 0..300 {
+        read_four(&mut client, i);
+    }
+
+    assert_eq!(
+        cluster.workers_started(),
+        workers_before,
+        "600 uncontended transactions started a worker"
+    );
+    #[cfg(target_os = "linux")]
+    assert_eq!(process_threads(), threads_before);
+    // Nothing contended, so nothing was handed off: every copy access (at
+    // least a majority of 3 per item touched) was answered on a dispatcher.
+    assert_eq!(cluster.copy_accesses_handed_off(), 0);
+    assert!(cluster.copy_accesses_inline() - inline_before >= 2 * (300 + 4 * 300));
+}
+
+/// T1 holds write access to `x0`; T2's read of `x0` has to wait for it; T3,
+/// touching only `x1` at the same sites, must not notice.
+fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
+    let lock_wait = Duration::from_secs(4);
+    let cluster = cluster(
+        ProtocolStack::rainbow_default()
+            .with_ccp(ccp)
+            .with_lock_wait_timeout(lock_wait)
+            .with_quorum_timeout(Duration::from_secs(8))
+            .with_commit_timeout(Duration::from_secs(8)),
+    );
+    // All three begin at one home site, so their timestamps are ordered
+    // T1 < T2 < T3 whatever the sites' clocks have seen.
+    let home = SiteId(0);
+    let mut client1 = cluster.client();
+    let mut t1 = client1.begin_at("t1", home).unwrap();
+    t1.increment("x0", 5).unwrap();
+
+    let handed_off_before = cluster.copy_accesses_handed_off();
+    let (t2_tx, t2_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut client2 = cluster.client();
+            let mut t2 = client2.begin_at("t2", home).unwrap();
+            let seen = t2.read("x0");
+            t2_tx.send(seen.clone()).unwrap();
+            if seen.is_ok() {
+                t2.commit().unwrap();
+            }
+        });
+        // T2's access is waiting once a site has handed it to a worker.
+        let deadline = Instant::now() + lock_wait / 2;
+        while cluster.copy_accesses_handed_off() == handed_off_before {
+            assert!(Instant::now() < deadline, "{ccp}: T2 never had to wait");
+            std::thread::yield_now();
+        }
+
+        let started = Instant::now();
+        let mut client3 = cluster.client();
+        let mut t3 = client3.begin_at("t3", home).unwrap();
+        t3.increment("x1", 1).unwrap();
+        t3.commit().unwrap();
+        let t3_took = started.elapsed();
+        assert!(
+            t3_took < lock_wait / 8,
+            "{ccp}: T3 took {t3_took:?} while T2 waited — a dispatcher was waiting too"
+        );
+        assert!(t2_rx.try_recv().is_err(), "{ccp}: T2 did not wait for T1");
+
+        t1.commit().unwrap();
+        let seen = t2_rx
+            .recv_timeout(lock_wait)
+            .expect("T2 is answered once T1 commits");
+        assert_eq!(seen, Ok(Value::Int(105)), "{ccp}: T2 must read T1's value");
+    });
+}
+
+#[test]
+fn the_dispatcher_never_waits_under_two_phase_locking() {
+    let _turn = take_turn();
+    dispatcher_serves_others_while_an_access_waits(CcpKind::TwoPhaseLocking);
+}
+
+#[test]
+fn the_dispatcher_never_waits_under_timestamp_ordering() {
+    let _turn = take_turn();
+    dispatcher_serves_others_while_an_access_waits(CcpKind::TimestampOrdering);
+}
+
+#[test]
+fn the_dispatcher_never_waits_under_multiversion_timestamp_ordering() {
+    let _turn = take_turn();
+    dispatcher_serves_others_while_an_access_waits(CcpKind::MultiversionTimestampOrdering);
+}
+
+#[test]
+fn shutdown_retires_every_worker() {
+    let _turn = take_turn();
+    // One full cycle first, so one-time process state (allocator arenas do
+    // not count, lazily started helpers would) is behind us.
+    let cycle = || {
+        let mut cluster = cluster(ProtocolStack::rainbow_default());
+        increment(&mut cluster.client(), 0);
+        let lent = cluster.workers_started();
+        // A worker had to be lent to the conversation (reactor mode runs
+        // conversations on its event loops instead).
+        if cluster.config().stack.coordinator == CoordinatorMode::Threads {
+            assert_eq!(lent, 1);
+        }
+        cluster.shutdown();
+    };
+    cycle();
+    #[cfg(target_os = "linux")]
+    let threads_before = process_threads();
+    for _ in 0..50 {
+        cycle();
+    }
+    // Far inside the workers' keep-alive: they were retired by shutdown.
+    #[cfg(target_os = "linux")]
+    assert_eq!(process_threads(), threads_before);
+}
