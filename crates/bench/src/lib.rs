@@ -1,7 +1,6 @@
 //! Experiment harness shared by every benchmark target.
 //!
-//! Each experiment row in DESIGN.md / EXPERIMENTS.md is regenerated by one
-//! bench target under `benches/`. Those targets all follow the same shape:
+//! Each experiment is regenerated by one bench target under `benches/`. Those targets all follow the same shape:
 //! build a Rainbow instance from a [`RunSpec`], drive a generated workload
 //! through it, and summarize the outcome as an [`ExperimentPoint`]. This
 //! library holds that shared machinery (plus its own unit tests) so the

@@ -79,8 +79,10 @@ struct ItemLockState {
     /// Current holders. Invariant: either any number of `Shared` holders or
     /// exactly one `Exclusive` holder.
     holders: Vec<(TxnId, LockMode)>,
-    /// Transactions currently waiting on this item (used for fairness-free
-    /// bookkeeping and diagnostics).
+    /// Transactions currently blocked waiting for this item. No order is
+    /// enforced among them, but a request that has not waited yet does not
+    /// overtake them from the non-waiting path (see
+    /// [`LockManager::try_acquire`]).
     waiters: VecDeque<TxnId>,
 }
 
@@ -179,6 +181,16 @@ impl ShardTable {
             .filter(|(holder, held)| *holder != txn && !held.compatible(mode))
             .map(|(holder, _)| *holder)
             .collect()
+    }
+
+    /// True when `txn` holds nothing on `item` while other transactions are
+    /// blocked waiting for it: granting `txn` on the spot would take the lock
+    /// from under them.
+    fn would_overtake(&self, item: &ItemId, txn: TxnId) -> bool {
+        self.items.get(item).is_some_and(|state| {
+            state.waiters.iter().any(|waiter| *waiter != txn)
+                && !state.holders.iter().any(|(holder, _)| *holder == txn)
+        })
     }
 
     /// Removes `txn` from the waiter list of `item`, marking the entry idle
@@ -439,9 +451,14 @@ impl LockManager {
     /// The non-waiting form of [`LockManager::acquire`]: answers at once
     /// when the request can be decided without waiting — granted, or
     /// refused because the transaction was wounded — and `None` when it
-    /// would have to wait for a holder. `None` leaves no trace: no waiter
-    /// entry, no wait-for edge, no wound, no statistic moves, and the
-    /// deadlock policy has not run; the caller decides by calling
+    /// would have to wait for a holder, or would take a free lock from under
+    /// transactions already blocked waiting for it. (A releasing
+    /// transaction's next request can reach the lock table before the waiter
+    /// it just woke has run; answered here, on the caller's thread, it would
+    /// win every time and starve the waiter. Sent to [`LockManager::acquire`]
+    /// instead, it meets the waiter on equal terms.) `None` leaves no trace:
+    /// no waiter entry, no wait-for edge, no wound, no statistic moves, and
+    /// the deadlock policy has not run; the caller decides by calling
     /// [`LockManager::acquire`] from a thread that may block.
     pub fn try_acquire(
         &self,
@@ -453,6 +470,9 @@ impl LockManager {
         let mut table = self.shards[self.shard_index(item)].table.lock();
         if self.wounded_now(txn) {
             return Some(Err(LockError::Wounded));
+        }
+        if table.would_overtake(item, txn) {
+            return None;
         }
         self.grant_now(&mut table, txn, ts, item, mode)
             .then_some(Ok(()))
@@ -907,6 +927,42 @@ mod tests {
         );
         lm.release_all(txn(2));
         assert_eq!(older.join().unwrap(), Ok(()));
+    }
+
+    #[test]
+    fn try_acquire_does_not_overtake_a_blocked_waiter() {
+        let lm = Arc::new(LockManager::new(
+            DeadlockPolicy::WaitForGraph,
+            Duration::from_secs(5),
+        ));
+        let x = item("x");
+        lm.acquire(txn(1), ts(1), &x, LockMode::Exclusive).unwrap();
+        let lm2 = Arc::clone(&lm);
+        let waiter =
+            thread::spawn(move || lm2.acquire(txn(2), ts(2), &item("x"), LockMode::Exclusive));
+        let queued = |lm: &LockManager| {
+            let table = lm.shards[lm.shard_index(&x)].table.lock();
+            table.items.get(&x).map_or(0, |state| state.waiters.len())
+        };
+        while queued(&lm) == 0 {
+            thread::yield_now();
+        }
+        // The releaser's next request arrives before the woken waiter has
+        // run (or after it took the lock): either way it must not be
+        // granted on the spot.
+        lm.release_all(txn(1));
+        assert_eq!(lm.try_acquire(txn(3), ts(3), &x, LockMode::Exclusive), None);
+        assert_eq!(waiter.join().unwrap(), Ok(()));
+        // A holder re-asking is not overtaking anybody.
+        assert_eq!(
+            lm.try_acquire(txn(2), ts(2), &x, LockMode::Exclusive),
+            Some(Ok(()))
+        );
+        lm.release_all(txn(2));
+        assert_eq!(
+            lm.try_acquire(txn(3), ts(3), &x, LockMode::Exclusive),
+            Some(Ok(()))
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! renders the same information as plain text so examples, benches and test
 //! logs can show it, and provides a small fixed-width table builder used by
 //! every experiment binary so their output is uniform and easy to diff
-//! against EXPERIMENTS.md.
+//! between runs.
 
 use crate::runners::SweepReport;
 use rainbow_common::stats::StatsSnapshot;

@@ -678,7 +678,7 @@ mod tests {
     fn interactive_client_conversation_through_the_session() {
         let session = quick_session(3, 6);
         let mut client = session.client().unwrap();
-        let mut txn = client.begin("conversation").unwrap();
+        let mut txn = client.begin("conversation");
         let before = txn.read("x0").unwrap();
         assert_eq!(before.as_int(), Some(100));
         // Decide from the observed value — impossible with a TxnSpec.

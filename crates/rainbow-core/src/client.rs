@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! let mut client = cluster.client();
-//! let mut txn = client.begin("transfer")?;
-//! let balance = txn.read("checking")?;        // read quorum runs NOW
+//! let mut txn = client.begin("transfer");     // local: nothing is sent
+//! let balance = txn.read("checking")?;        // opens the conversation; read quorum runs NOW
 //! if balance.as_int().unwrap_or(0) >= 100 {
 //!     txn.increment("checking", -100)?;       // read-for-update quorum
 //!     txn.increment("savings", 100)?;
@@ -22,6 +22,20 @@
 //! abort-and-retry loop (fresh transaction, seeded exponential backoff,
 //! rotating home site) that conversational workloads need under contention
 //! and faults.
+//!
+//! On the wire a conversation is named by a client-chosen request id. `begin`
+//! only picks the home site and that id; the **first command opens the
+//! conversation** (`TxnBegin { request, label, op }`), and its answer brings
+//! the transaction id the home site assigned. Later commands travel as
+//! `TxnOp`; each is answered by a `TxnOpReply`, or by the `TxnDone` that ends
+//! the transaction. So `begin` cannot fail — an unreachable home surfaces on
+//! the first command as [`TxnError::Orphaned`], which [`Client::run`] retries
+//! — and a handle dropped before its first command has told no site anything.
+//! `commit` returns when the coordinator has **decided**: the decision is on
+//! its record and on its way to participants that are all prepared. It does
+//! not wait for their acknowledgements; they hold every lock until the
+//! decision reaches them, so a later transaction sees the write or waits for
+//! it.
 //!
 //! One-shot [`TxnSpec`] submission (`Cluster::submit`, the Session API, the
 //! workload runners) is a thin adapter that replays the spec through one of
@@ -40,23 +54,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The sentinel transaction id reported for conversations that never got an
-/// id assigned (the home site never acknowledged the begin).
-pub(crate) fn orphan_txn_id() -> TxnId {
+/// id assigned (no command was sent, or the home site never answered the
+/// first one).
+fn orphan_txn_id() -> TxnId {
     TxnId::new(SiteId(u32::MAX), 0)
-}
-
-/// The synthetic result recorded for a conversation whose fate stayed
-/// unknown to the client (the paper's "orphan transactions" statistic).
-pub(crate) fn orphan_result(id: TxnId, label: &str, elapsed: Duration) -> TxnResult {
-    TxnResult {
-        id,
-        label: label.to_string(),
-        outcome: TxnOutcome::Orphaned,
-        reads: BTreeMap::new(),
-        response_time: elapsed,
-        restarts: 0,
-        messages: 0,
-    }
 }
 
 /// A client endpoint registered on the simulated network: its node identity,
@@ -88,69 +89,22 @@ impl ClientCore {
         self.sites[index]
     }
 
-    /// Opens a conversation: sends `TxnBegin` and waits for the home site to
-    /// acknowledge with the assigned transaction id. Records the submission
-    /// (and, on failure, the orphan) with the progress monitor.
-    pub(crate) fn begin_conversation(
-        &mut self,
-        label: &str,
-        home: Option<SiteId>,
-    ) -> Result<Txn<'_>, TxnError> {
+    /// Starts a conversation *on the client only*: picks the home site and
+    /// the request id, counts the submission, and sends nothing. The home
+    /// site first hears of the transaction when the first command arrives,
+    /// inside the opening `TxnBegin`.
+    pub(crate) fn begin_conversation(&mut self, label: &str, home: Option<SiteId>) -> Txn<'_> {
         let home = home.unwrap_or_else(|| self.pick_home());
         let request = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
         self.monitor.record_submitted();
-
-        let send = self.net.send(
-            self.node,
-            NodeId::Site(home),
-            Msg::TxnBegin {
-                request,
-                label: label.to_string(),
-            },
-        );
-        if send.is_err() {
-            // The network is already torn down: nobody will ever answer.
-            self.monitor
-                .record_result(&orphan_result(orphan_txn_id(), label, started.elapsed()));
-            return Err(TxnError::Orphaned { home });
-        }
-
-        let deadline = started + self.timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                self.monitor.record_result(&orphan_result(
-                    orphan_txn_id(),
-                    label,
-                    started.elapsed(),
-                ));
-                return Err(TxnError::Orphaned { home });
-            }
-            let Ok(envelope) = self.mailbox.recv_timeout(remaining) else {
-                self.monitor.record_result(&orphan_result(
-                    orphan_txn_id(),
-                    label,
-                    started.elapsed(),
-                ));
-                return Err(TxnError::Orphaned { home });
-            };
-            match envelope.payload {
-                Msg::TxnBegan { request: r, txn } if r == request => {
-                    return Ok(Txn {
-                        core: self,
-                        request,
-                        id: txn,
-                        home,
-                        label: label.to_string(),
-                        started,
-                        finished: None,
-                    });
-                }
-                // Anything else is a leftover of an earlier conversation on
-                // this core (e.g. the TxnDone of a dropped handle): skip.
-                _ => continue,
-            }
+        Txn {
+            core: self,
+            request,
+            id: None,
+            home,
+            label: label.to_string(),
+            started: Instant::now(),
+            finished: None,
         }
     }
 
@@ -161,12 +115,7 @@ impl ClientCore {
     /// commit, increments read-for-update; the first failing operation
     /// aborts the transaction.
     pub(crate) fn replay(&mut self, spec: &TxnSpec) -> TxnResult {
-        let timeout = self.timeout;
-        let mut txn = match self.begin_conversation(&spec.label, spec.home) {
-            Ok(txn) => txn,
-            // Already recorded as an orphan by `begin_conversation`.
-            Err(_) => return orphan_result(orphan_txn_id(), &spec.label, timeout),
-        };
+        let mut txn = self.begin_conversation(&spec.label, spec.home);
         let ops = &spec.operations;
         let mut index = 0;
         while index < ops.len() {
@@ -308,18 +257,18 @@ impl<'a> Client<'a> {
     }
 
     /// Begins an interactive transaction at a round-robin-chosen home site.
-    pub fn begin(&mut self, label: impl Into<String>) -> Result<Txn<'_>, TxnError> {
+    ///
+    /// Nothing is sent yet, so this cannot fail: the home site is contacted
+    /// by the first command, and an unreachable home surfaces there, as
+    /// [`TxnError::Orphaned`].
+    pub fn begin(&mut self, label: impl Into<String>) -> Txn<'_> {
         let label = label.into();
         self.core_mut().begin_conversation(&label, None)
     }
 
     /// Begins an interactive transaction pinned to a home site, like the
-    /// manual workload panel does.
-    pub fn begin_at(
-        &mut self,
-        label: impl Into<String>,
-        home: SiteId,
-    ) -> Result<Txn<'_>, TxnError> {
+    /// manual workload panel does. Sends nothing, like [`Client::begin`].
+    pub fn begin_at(&mut self, label: impl Into<String>, home: SiteId) -> Txn<'_> {
         let label = label.into();
         self.core_mut().begin_conversation(&label, Some(home))
     }
@@ -345,14 +294,7 @@ impl<'a> Client<'a> {
             if attempt > 0 {
                 std::thread::sleep(retry.backoff(attempt));
             }
-            let mut txn = match self.begin(label.clone()) {
-                Ok(txn) => txn,
-                Err(error) if error.is_retryable() => {
-                    last_error = Some(error);
-                    continue;
-                }
-                Err(error) => return Err(error),
-            };
+            let mut txn = self.core_mut().begin_conversation(&label, None);
             match body(&mut txn) {
                 Ok(value) => match txn.commit() {
                     Ok(mut receipt) => {
@@ -403,7 +345,8 @@ impl Drop for Client<'_> {
 pub struct Txn<'c> {
     core: &'c mut ClientCore,
     request: u64,
-    id: TxnId,
+    /// Assigned by the home site; learned from the first answer.
+    id: Option<TxnId>,
     home: SiteId,
     label: String,
     started: Instant,
@@ -426,8 +369,9 @@ enum ConversationEvent {
 }
 
 impl Txn<'_> {
-    /// The transaction id the home site assigned.
-    pub fn id(&self) -> TxnId {
+    /// The transaction id the home site assigned: `None` until the first
+    /// command has been answered.
+    pub fn id(&self) -> Option<TxnId> {
         self.id
     }
 
@@ -453,7 +397,7 @@ impl Txn<'_> {
     /// Terminates with a client-synthesized outcome (orphan, drop-abort).
     fn finish_synthetic(&mut self, outcome: TxnOutcome) {
         let result = TxnResult {
-            id: self.id,
+            id: self.id.unwrap_or_else(orphan_txn_id),
             label: self.label.clone(),
             outcome,
             reads: BTreeMap::new(),
@@ -468,13 +412,22 @@ impl Txn<'_> {
     /// event: the coordinator's reply, the terminal `TxnDone`, a `Gone`
     /// notice, or no answer within the client timeout. This is the single
     /// send/receive loop every operation shares; callers differ only in how
-    /// they map the event to their outcome.
+    /// they map the event to their outcome. The first command of a
+    /// conversation travels as the `TxnBegin` that opens it.
     fn send_and_await(&mut self, op: NextOp) -> ConversationEvent {
-        let send = self.core.net.send(
-            self.core.node,
-            NodeId::Site(self.home),
-            Msg::TxnOp { txn: self.id, op },
-        );
+        let request = self.request;
+        let msg = match self.id {
+            Some(txn) => Msg::TxnOp { request, txn, op },
+            None => Msg::TxnBegin {
+                request,
+                label: self.label.clone(),
+                op,
+            },
+        };
+        let send = self
+            .core
+            .net
+            .send(self.core.node, NodeId::Site(self.home), msg);
         if send.is_err() {
             return ConversationEvent::NoAnswer;
         }
@@ -489,16 +442,23 @@ impl Txn<'_> {
             };
             match envelope.payload {
                 Msg::TxnOpReply {
-                    txn,
+                    request: r,
                     reply: OpReply::Gone,
-                } if txn == self.id => return ConversationEvent::Gone,
-                Msg::TxnOpReply { txn, reply } if txn == self.id => {
-                    return ConversationEvent::Reply(reply)
+                    ..
+                } if r == request => return ConversationEvent::Gone,
+                Msg::TxnOpReply {
+                    request: r,
+                    txn,
+                    reply,
+                } if r == request => {
+                    self.id = Some(txn);
+                    return ConversationEvent::Reply(reply);
                 }
-                Msg::TxnDone { request, result } if request == self.request => {
+                Msg::TxnDone { request: r, result } if r == request => {
                     return ConversationEvent::Done(result)
                 }
-                // Leftovers of earlier conversations on this core: skip.
+                // Leftovers of earlier conversations on this core (e.g. the
+                // TxnDone of a dropped handle): skip.
                 _ => continue,
             }
         }
@@ -646,6 +606,10 @@ impl Txn<'_> {
         if self.finished.is_some() {
             return;
         }
+        if self.id.is_none() {
+            // No command was ever sent: there is no confirmation to wait for.
+            return self.abandon();
+        }
         match self.send_and_await(NextOp::Abort) {
             ConversationEvent::Done(result) => self.finish(result),
             // No confirmation: the abort was still initiated (or the
@@ -672,16 +636,20 @@ impl Txn<'_> {
 
     /// Fire-and-forget abort used by drop paths: the coordinator releases
     /// CCP resources as soon as the command arrives; nobody waits on a
-    /// dropped handle.
+    /// dropped handle. A handle that never sent a command has nothing to
+    /// release anywhere and sends nothing.
     fn abandon(&mut self) {
-        let _ = self.core.net.send(
-            self.core.node,
-            NodeId::Site(self.home),
-            Msg::TxnOp {
-                txn: self.id,
-                op: NextOp::Abort,
-            },
-        );
+        if let Some(txn) = self.id {
+            let _ = self.core.net.send(
+                self.core.node,
+                NodeId::Site(self.home),
+                Msg::TxnOp {
+                    request: self.request,
+                    txn,
+                    op: NextOp::Abort,
+                },
+            );
+        }
         self.finish_synthetic(TxnOutcome::Aborted(AbortCause::UserAbort));
     }
 }
@@ -722,14 +690,5 @@ mod tests {
         let b = splitmix64(2);
         assert_ne!(a, b);
         assert_ne!(a & 0xffff, b & 0xffff, "low bits differ too");
-    }
-
-    #[test]
-    fn orphan_result_shape() {
-        let r = orphan_result(orphan_txn_id(), "t", Duration::from_millis(3));
-        assert!(r.outcome.is_orphaned());
-        assert_eq!(r.id.home, SiteId(u32::MAX));
-        assert_eq!(r.label, "t");
-        assert_eq!(r.messages, 0);
     }
 }

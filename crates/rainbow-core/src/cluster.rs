@@ -338,6 +338,18 @@ impl Cluster {
             .collect()
     }
 
+    /// Conversations the coordinators are still driving, summed over all
+    /// sites (see [`SiteHandle::open_conversations`]): zero once every
+    /// transaction has been answered *and* its acknowledgements collected.
+    /// For tests of the coordinator's clean-up.
+    #[doc(hidden)]
+    pub fn open_conversations(&self) -> usize {
+        self.sites
+            .values()
+            .map(|site| site.open_conversations())
+            .sum()
+    }
+
     /// The committed database state stored at one site.
     pub fn database_snapshot(&self, site: SiteId) -> RainbowResult<Vec<(ItemId, Value, Version)>> {
         self.sites

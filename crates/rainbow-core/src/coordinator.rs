@@ -3,9 +3,9 @@
 //! One of the home site's reused workers drives each transaction through
 //! the flow of Section 2.1 of the paper — but as an **op-driven state
 //! machine**: the coordinator learns the transaction one command at a time
-//! from the client's interactive handle (begin → read/write/increment →
-//! commit/abort) instead of iterating a pre-declared operation list. Each
-//! command flows through the layers:
+//! from the client's interactive handle (first command → read/write/
+//! increment → commit/abort) instead of iterating a pre-declared operation
+//! list. Each command flows through the layers:
 //!
 //! 1. the RCP builds a read or write quorum **per operation**, contacting
 //!    copy-holder sites whose CCP arbitrates each copy access — reads run
@@ -18,6 +18,20 @@
 //!    values read, the response time and the number of messages the
 //!    transaction generated.
 //!
+//! A one-increment transaction is **eight sequential hops**:
+//! `TxnBegin(op)` → `CopyRead` → `CopyReply` → `TxnOpReply`,
+//! `TxnOp(Commit)` → `AcpPrepare` → `AcpVote` → (`AcpDecision` ∥ `TxnDone`).
+//! The conversation opens with its first command (the site allocates the id
+//! and runs the command in one trip), and the client is answered **at the
+//! decision**: once the decision is on the coordinator's record
+//! (`SiteShared::record_decision`) and the `AcpDecision`s are on their
+//! way, no acknowledgement can change the outcome, so `TxnDone` leaves right
+//! behind them. Participants still hold every lock and pre-write until the
+//! decision reaches them; the coordinator keeps collecting `AcpAck`s only to
+//! retire its own state. The steps every outcome goes through —
+//! `perform_action` at the decision, `abort_everywhere` before one,
+//! `answer_client`, `retire` — are shared with the reactor coordinator.
+//!
 //! One-shot `TxnSpec` submission is a *client-side* adapter replaying the
 //! spec through this same conversation; there is no second execution path.
 
@@ -26,7 +40,7 @@ pub(crate) mod reactor;
 use crate::messages::{CopyAccessResult, Msg, NextOp, OpReply};
 use crate::site::SiteShared;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError};
-use rainbow_commit::{Coordinator, CoordinatorAction, Decision, Vote};
+use rainbow_commit::{Coordinator, CoordinatorAction, CoordinatorState, Decision, Vote};
 use rainbow_common::history::{ReadObservation, TxnRecord, WriteRecord};
 use rainbow_common::txn::{AbortCause, TxnOutcome, TxnResult};
 use rainbow_common::{ItemId, SiteId, Timestamp, TxnId, Value, Version};
@@ -67,6 +81,18 @@ enum StagedWrite {
 struct TxnExecution {
     txn: TxnId,
     ts: Timestamp,
+    /// The client-chosen label, for reports.
+    label: String,
+    /// The driving client and the request id it named the conversation by.
+    client: NodeId,
+    request: u64,
+    started: Instant,
+    /// Tracer time the conversation opened at (start of the root span).
+    trace_start: u64,
+    /// Detail of the root span — label and outcome — noted when the client
+    /// is answered; the span itself closes when the coordinator retires.
+    /// Stays `None` without a tracer.
+    root_detail: Option<String>,
     /// Values observed by read operations.
     reads: BTreeMap<ItemId, Value>,
     /// Updates staged by the conversation, in client order.
@@ -104,17 +130,35 @@ struct TxnExecution {
 }
 
 impl TxnExecution {
-    fn new(txn: TxnId, ts: Timestamp, record_history: bool) -> Self {
+    /// Opens a conversation's state at its home site (and counts it with
+    /// the history sink, which expects one record per conversation begun).
+    fn open(
+        shared: &SiteShared,
+        txn: TxnId,
+        ts: Timestamp,
+        label: String,
+        client: NodeId,
+        request: u64,
+    ) -> Self {
+        if let Some(sink) = shared.history.as_ref() {
+            sink.begin();
+        }
         TxnExecution {
             txn,
             ts,
+            label,
+            client,
+            request,
+            started: Instant::now(),
+            trace_start: trace_now(shared),
+            root_detail: None,
             reads: BTreeMap::new(),
             staged: Vec::new(),
             writes_per_site: BTreeMap::new(),
             touched: BTreeSet::new(),
             contacted: BTreeSet::new(),
             messages: 0,
-            record_history,
+            record_history: shared.history.is_some(),
             observed: Vec::new(),
             installed: Vec::new(),
             spans: Vec::new(),
@@ -205,14 +249,23 @@ fn finish_quorum_span(
     });
 }
 
-/// The job a site worker runs for one transaction: opens the conversation for
-/// `client`, executes commands until the client commits or aborts (or the
-/// conversation idles out), and reports the final result.
+/// A `send` for the steps shared with the reactor: straight onto the
+/// network, as the threads coordinator sends everything.
+fn direct(shared: &SiteShared) -> impl FnMut(NodeId, Msg) + '_ {
+    |to, msg| shared.send(to, msg)
+}
+
+/// The job a site worker runs for one transaction: names it, executes the
+/// first command (which arrived with the begin) and then every further one
+/// until the client commits or aborts (or the conversation idles out). The
+/// client is answered from inside — at the decision, or when an abort is
+/// distributed; what follows here is only the coordinator retiring.
 pub(crate) fn run_interactive(
     shared: Arc<SiteShared>,
     label: String,
     client: NodeId,
     request: u64,
+    first: NextOp,
 ) {
     let txn = TxnId::new(
         shared.id,
@@ -221,230 +274,149 @@ pub(crate) fn run_interactive(
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
     );
     let ts = shared.clock.next();
-    let started = Instant::now();
-    let trace_start = trace_now(&shared);
-
     let (reply_tx, reply_rx) = unbounded();
-    // Register before acknowledging, so the client's first command cannot
-    // outrun the routing entry.
+    // Register before the first reply names the transaction to the client,
+    // so its next command cannot outrun the routing entry.
     shared.register_reply_channel(txn, reply_tx);
-    shared.send(client, Msg::TxnBegan { request, txn });
-
-    if let Some(sink) = shared.history.as_ref() {
-        sink.begin();
-    }
-    let mut exec = TxnExecution::new(txn, ts, shared.history.is_some());
-    let outcome = drive_conversation(&shared, &mut exec, &reply_rx);
-    release_stragglers(&shared, &mut exec);
-
+    let mut exec = TxnExecution::open(&shared, txn, ts, label, client, request);
+    drive_conversation(&shared, &mut exec, &reply_rx, first);
     shared.unregister_reply_channel(txn);
-
-    if outcome.is_committed() {
-        shared.decided.lock().insert(txn, Decision::Commit);
-    }
-
-    // The coordinator is the authoritative observer: it records the real
-    // outcome even when the driving client timed out and reported an
-    // orphan. Spec replay and interactive conversations both run through
-    // this single path, so their histories are identical by construction.
-    if let Some(sink) = shared.history.as_ref() {
-        sink.record(TxnRecord {
-            txn,
-            label: label.clone(),
-            reads: std::mem::take(&mut exec.observed),
-            writes: std::mem::take(&mut exec.installed),
-            outcome: outcome.clone(),
-            completion_seq: 0,
-        });
-    }
-
-    if let Some(tracer) = shared.tracer.as_ref() {
-        let mut spans = std::mem::take(&mut exec.spans);
-        spans.push(TraceEvent {
-            txn,
-            track: Track::Coordinator,
-            label: "txn".to_string(),
-            start_us: trace_start,
-            dur_us: tracer.now_us().saturating_sub(trace_start),
-            detail: format!("{label}: {outcome:?}"),
-        });
-        tracer.finish_txn(txn, started.elapsed(), spans);
-    }
-
-    let result = TxnResult {
-        id: txn,
-        label,
-        outcome,
-        reads: exec.reads.clone(),
-        response_time: started.elapsed(),
-        restarts: 0,
-        messages: exec.messages,
-    };
-    shared.send(client, Msg::TxnDone { request, result });
+    retire(&shared, &mut exec);
 }
 
-/// The conversation loop: waits for the client's next command, executes it,
-/// and answers — until a terminal command (commit/abort), an operation
-/// failure, or the idle horizon ends the transaction.
+/// The conversation loop: executes the command in hand, then waits for the
+/// client's next one — until a terminal command (commit/abort), an operation
+/// failure, or the idle horizon ends the transaction. Returns once the
+/// client has been answered and, after a commit protocol, the
+/// acknowledgements are in (or timed out).
 fn drive_conversation(
     shared: &Arc<SiteShared>,
     exec: &mut TxnExecution,
     replies: &Receiver<Envelope<Msg>>,
-) -> TxnOutcome {
+    first: NextOp,
+) {
     // How long the coordinator lets an open conversation sit idle before
     // presuming the client gone and aborting. Deliberately the same horizon
     // the participant janitor uses, so a vanished client frees resources
     // everywhere on the same clock.
     let horizon = shared.stack.janitor_horizon();
-    let mut last_activity = Instant::now();
+    let mut op = first;
     loop {
-        if shared.shutdown.load(std::sync::atomic::Ordering::Relaxed) {
-            abort_everywhere(shared, exec);
-            return TxnOutcome::Aborted(AbortCause::SiteFailure { site: shared.id });
+        if execute_op(shared, exec, replies, op) {
+            return;
         }
-        if last_activity.elapsed() >= horizon {
-            abort_everywhere(shared, exec);
-            return TxnOutcome::Aborted(AbortCause::ClientTimeout);
-        }
-        let envelope = match replies.recv_timeout(Duration::from_millis(50)) {
-            Ok(envelope) => envelope,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                abort_everywhere(shared, exec);
-                return TxnOutcome::Aborted(AbortCause::SiteFailure { site: shared.id });
+        let last_activity = Instant::now();
+        op = loop {
+            let site_down = AbortCause::SiteFailure { site: shared.id };
+            if shared.shutdown.load(std::sync::atomic::Ordering::Relaxed) {
+                return abort_everywhere(shared, exec, site_down, &mut direct(shared));
+            }
+            if last_activity.elapsed() >= horizon {
+                let cause = AbortCause::ClientTimeout;
+                return abort_everywhere(shared, exec, cause, &mut direct(shared));
+            }
+            match replies.recv_timeout(Duration::from_millis(50)) {
+                Ok(Envelope {
+                    payload: Msg::TxnOp { op, .. },
+                    ..
+                }) => break op,
+                // Stale quorum replies / votes from an earlier operation.
+                Ok(_) | Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
+                    return abort_everywhere(shared, exec, site_down, &mut direct(shared));
+                }
             }
         };
-        let client = envelope.from;
-        let Msg::TxnOp { op, .. } = envelope.payload else {
-            // Stale quorum replies / votes from an earlier operation.
-            continue;
-        };
-        last_activity = Instant::now();
-        match op {
-            NextOp::Read { item } => {
-                let op_start = trace_now(shared);
-                let res = single_quorum(shared, exec, replies, &item, QuorumAccess::Read).and_then(
-                    |collector| {
-                        collector
-                            .latest_value()
-                            .ok_or_else(|| AbortCause::RcpTimeout { item: item.clone() })
-                    },
-                );
-                push_span(
-                    shared,
-                    exec,
-                    Track::Coordinator,
-                    "op:read",
-                    op_start,
-                    || item.to_string(),
-                );
-                match res {
-                    Ok((value, version)) => {
-                        exec.observe_read(&item, &value, version);
-                        exec.reads.insert(item.clone(), value.clone());
-                        shared.send(
-                            client,
-                            Msg::TxnOpReply {
-                                txn: exec.txn,
-                                reply: OpReply::Value { item, value },
-                            },
-                        );
-                    }
-                    Err(cause) => {
-                        abort_everywhere(shared, exec);
-                        return TxnOutcome::Aborted(cause);
-                    }
+    }
+}
+
+/// Answers a command that leaves the transaction open. Always sent
+/// directly, by both coordinators: the client is waiting for exactly this.
+fn reply_to_client(shared: &SiteShared, exec: &TxnExecution, reply: OpReply) {
+    shared.send(
+        exec.client,
+        Msg::TxnOpReply {
+            request: exec.request,
+            txn: exec.txn,
+            reply,
+        },
+    );
+}
+
+/// Executes one client command. Returns true when it ended the transaction
+/// (the client has then been answered with its `TxnDone`).
+fn execute_op(
+    shared: &Arc<SiteShared>,
+    exec: &mut TxnExecution,
+    replies: &Receiver<Envelope<Msg>>,
+    op: NextOp,
+) -> bool {
+    let op_start = trace_now(shared);
+    // Span details are only worth formatting when somebody records them.
+    let traced = |detail: &dyn Fn() -> String| shared.tracer.as_ref().map(|_| detail());
+    // The three quorum-driven operations differ in what they run and what
+    // their span says; success replies, failure aborts everywhere.
+    let (span, detail, result) = match op {
+        NextOp::Read { item } => {
+            let res = single_quorum(shared, exec, replies, &item, QuorumAccess::Read).and_then(
+                |collector| {
+                    collector
+                        .latest_value()
+                        .ok_or_else(|| AbortCause::RcpTimeout { item: item.clone() })
+                },
+            );
+            let detail = traced(&|| item.to_string());
+            let reply = res.map(|(value, version)| {
+                exec.observe_read(&item, &value, version);
+                exec.reads.insert(item.clone(), value.clone());
+                OpReply::Value { item, value }
+            });
+            ("op:read", detail, reply)
+        }
+        NextOp::ReadMany { items } => {
+            let reply =
+                read_many(shared, exec, replies, &items).map(|values| OpReply::Values { values });
+            let detail = traced(&|| format!("{} items", items.len()));
+            ("op:read-many", detail, reply)
+        }
+        NextOp::Increment { item, delta } => {
+            let res = interactive_increment(shared, exec, replies, &item, delta);
+            let detail = traced(&|| item.to_string());
+            let reply = res.map(|value| OpReply::Value { item, value });
+            ("op:increment", detail, reply)
+        }
+        NextOp::BufferWrite { item, value } => {
+            exec.staged.push(StagedWrite::Deferred { item, value });
+            reply_to_client(shared, exec, OpReply::Buffered);
+            return false;
+        }
+        NextOp::Commit => {
+            let committed = match install_staged_writes(shared, exec, replies) {
+                Ok(()) => run_commit_protocol(shared, exec, replies),
+                Err(cause) => {
+                    abort_everywhere(shared, exec, cause, &mut direct(shared));
+                    false
                 }
-            }
-            NextOp::ReadMany { items } => {
-                let op_start = trace_now(shared);
-                let res = read_many(shared, exec, replies, &items);
-                push_span(
-                    shared,
-                    exec,
-                    Track::Coordinator,
-                    "op:read-many",
-                    op_start,
-                    || format!("{} items", items.len()),
-                );
-                match res {
-                    Ok(values) => shared.send(
-                        client,
-                        Msg::TxnOpReply {
-                            txn: exec.txn,
-                            reply: OpReply::Values { values },
-                        },
-                    ),
-                    Err(cause) => {
-                        abort_everywhere(shared, exec);
-                        return TxnOutcome::Aborted(cause);
-                    }
-                }
-            }
-            NextOp::BufferWrite { item, value } => {
-                exec.staged.push(StagedWrite::Deferred { item, value });
-                shared.send(
-                    client,
-                    Msg::TxnOpReply {
-                        txn: exec.txn,
-                        reply: OpReply::Buffered,
-                    },
-                );
-            }
-            NextOp::Increment { item, delta } => {
-                let op_start = trace_now(shared);
-                let res = interactive_increment(shared, exec, replies, &item, delta);
-                push_span(
-                    shared,
-                    exec,
-                    Track::Coordinator,
-                    "op:increment",
-                    op_start,
-                    || item.to_string(),
-                );
-                match res {
-                    Ok(value) => shared.send(
-                        client,
-                        Msg::TxnOpReply {
-                            txn: exec.txn,
-                            reply: OpReply::Value { item, value },
-                        },
-                    ),
-                    Err(cause) => {
-                        abort_everywhere(shared, exec);
-                        return TxnOutcome::Aborted(cause);
-                    }
-                }
-            }
-            NextOp::Commit => {
-                let op_start = trace_now(shared);
-                let outcome = match install_staged_writes(shared, exec, replies) {
-                    Ok(()) => run_commit_protocol(shared, exec, replies),
-                    Err(cause) => {
-                        abort_everywhere(shared, exec);
-                        TxnOutcome::Aborted(cause)
-                    }
-                };
-                push_span(
-                    shared,
-                    exec,
-                    Track::Coordinator,
-                    "op:commit",
-                    op_start,
-                    || {
-                        if outcome.is_committed() {
-                            "committed".to_string()
-                        } else {
-                            "aborted".to_string()
-                        }
-                    },
-                );
-                return outcome;
-            }
-            NextOp::Abort => {
-                abort_everywhere(shared, exec);
-                return TxnOutcome::Aborted(AbortCause::UserAbort);
-            }
+            };
+            push_commit_span(shared, exec, op_start, committed);
+            return true;
+        }
+        NextOp::Abort => {
+            abort_everywhere(shared, exec, AbortCause::UserAbort, &mut direct(shared));
+            return true;
+        }
+    };
+    push_span(shared, exec, Track::Coordinator, span, op_start, || {
+        detail.unwrap_or_default()
+    });
+    match result {
+        Ok(reply) => {
+            reply_to_client(shared, exec, reply);
+            false
+        }
+        Err(cause) => {
+            abort_everywhere(shared, exec, cause, &mut direct(shared));
+            true
         }
     }
 }
@@ -986,46 +958,76 @@ fn single_quorum(
     }
 }
 
-/// Runs the atomic commit protocol over every touched site and returns the
-/// final transaction outcome.
+/// Buffers the `op:commit` span.
+fn push_commit_span(shared: &SiteShared, exec: &mut TxnExecution, op_start: u64, committed: bool) {
+    push_span(
+        shared,
+        exec,
+        Track::Coordinator,
+        "op:commit",
+        op_start,
+        || if committed { "committed" } else { "aborted" }.to_string(),
+    );
+}
+
+/// Creates the ACP coordinator over every touched site and starts it,
+/// returning it with its first action. `None` when there is nobody to run
+/// the protocol with: a transaction that touched nothing commits trivially,
+/// and the client has been answered.
+fn start_acp(
+    shared: &SiteShared,
+    exec: &mut TxnExecution,
+    send: &mut dyn FnMut(NodeId, Msg),
+) -> Option<(Coordinator, CoordinatorAction)> {
+    let mut coordinator =
+        Coordinator::new(exec.txn, shared.stack.acp, exec.touched.iter().copied());
+    match coordinator.start() {
+        CoordinatorAction::Complete(decision) => {
+            shared.record_decision(exec.txn, decision);
+            answer_client(shared, exec, decided_outcome(decision, &mut None), send);
+            None
+        }
+        action => Some((coordinator, action)),
+    }
+}
+
+/// What the ACP phase that just timed out is called in an abort cause.
+fn timed_out_phase(state: CoordinatorState) -> String {
+    match state {
+        CoordinatorState::CollectingVotes => "prepare",
+        CoordinatorState::CollectingPreCommitAcks => "pre-commit",
+        _ => "ack",
+    }
+    .into()
+}
+
+/// Runs the atomic commit protocol over every touched site: the client is
+/// answered the moment the decision is made, and the function returns —
+/// whether that decision was commit — once every acknowledgement is in or
+/// has timed out.
 fn run_commit_protocol(
     shared: &Arc<SiteShared>,
     exec: &mut TxnExecution,
     replies: &Receiver<Envelope<Msg>>,
-) -> TxnOutcome {
-    let participants: Vec<SiteId> = exec.touched.iter().copied().collect();
-    let mut coordinator = Coordinator::new(exec.txn, shared.stack.acp, participants.clone());
-    let mut abort_cause: Option<AbortCause> = None;
+) -> bool {
     let acp_start = trace_now(shared);
+    let send = &mut direct(shared);
+    let Some((mut coordinator, action)) = start_acp(shared, exec, send) else {
+        return true;
+    };
+    let mut abort_cause: Option<AbortCause> = None;
     // Set when the decision goes out: closes the voting span, opens the
     // decision-distribution span.
     let mut decision_start: Option<u64> = None;
-
-    let action = coordinator.start();
-    if let CoordinatorAction::Complete(decision) = action {
-        // No participants: a transaction that touched nothing commits
-        // trivially.
-        return match decision {
-            Decision::Commit => TxnOutcome::Committed,
-            Decision::Abort => TxnOutcome::Aborted(AbortCause::UserAbort),
-        };
-    }
-    perform_action(shared, exec, action, &mut abort_cause);
+    perform_action(shared, exec, action, &mut abort_cause, send);
 
     let mut deadline = Instant::now() + shared.stack.commit_timeout;
-    loop {
-        if coordinator.state() == rainbow_commit::CoordinatorState::Completed {
-            break;
-        }
+    while coordinator.state() != CoordinatorState::Completed {
         let remaining = deadline.saturating_duration_since(Instant::now());
         let event = if remaining.is_zero() {
             None
         } else {
-            match replies.recv_timeout(remaining) {
-                Ok(envelope) => Some(envelope),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => None,
-            }
+            replies.recv_timeout(remaining).ok()
         };
         let action = match event {
             Some(envelope) => {
@@ -1045,13 +1047,7 @@ fn run_commit_protocol(
             None => {
                 if abort_cause.is_none() {
                     abort_cause = Some(AbortCause::AcpTimeout {
-                        phase: match coordinator.state() {
-                            rainbow_commit::CoordinatorState::CollectingVotes => "prepare".into(),
-                            rainbow_commit::CoordinatorState::CollectingPreCommitAcks => {
-                                "pre-commit".into()
-                            }
-                            _ => "ack".into(),
-                        },
+                        phase: timed_out_phase(coordinator.state()),
                     });
                 }
                 coordinator.on_timeout()
@@ -1064,20 +1060,19 @@ fn run_commit_protocol(
             }
             _ => {}
         }
-        if matches!(action, CoordinatorAction::SendDecision(..)) && decision_start.is_none() {
+        if matches!(action, CoordinatorAction::SendDecision(..)) {
+            let n = coordinator.participants().len();
             push_span(
                 shared,
                 exec,
                 Track::Coordinator,
                 "acp:prepare",
                 acp_start,
-                || format!("{} participants", participants.len()),
+                || format!("{n} participants"),
             );
             decision_start = Some(trace_now(shared));
         }
-        if perform_action(shared, exec, action, &mut abort_cause) {
-            break;
-        }
+        perform_action(shared, exec, action, &mut abort_cause, send);
     }
 
     if let Some(start) = decision_start {
@@ -1090,76 +1085,83 @@ fn run_commit_protocol(
             || format!("{:?}", coordinator.decision()),
         );
     }
+    coordinator.decision() == Some(Decision::Commit)
+}
 
-    match coordinator.decision() {
-        Some(Decision::Commit) => TxnOutcome::Committed,
-        Some(Decision::Abort) => {
-            TxnOutcome::Aborted(abort_cause.unwrap_or(AbortCause::AcpTimeout {
+/// The outcome a decision means for the client; an abort carries the cause
+/// the protocol run noted (a NO vote, the phase that timed out).
+fn decided_outcome(decision: Decision, abort_cause: &mut Option<AbortCause>) -> TxnOutcome {
+    match decision {
+        Decision::Commit => TxnOutcome::Committed,
+        Decision::Abort => {
+            TxnOutcome::Aborted(abort_cause.take().unwrap_or(AbortCause::AcpTimeout {
                 phase: "prepare".into(),
             }))
         }
-        None => TxnOutcome::Orphaned,
     }
 }
 
-/// Performs one coordinator action (sending the corresponding messages).
-/// Returns true when the protocol is complete.
+/// Performs one coordinator action, shared by both coordinators (`send` is
+/// the network for the threads coordinator and the tick's outbox for the
+/// reactor).
+///
+/// `SendDecision` is the **decision point**, in this order and no other:
+/// the decision goes on the coordinator's record, the `AcpDecision`s (and
+/// the release notices for sites that are not participants) leave, the
+/// history entry is written, and only then is the client told, through the
+/// same `send` so its `TxnDone` cannot overtake them. Acknowledgements
+/// arriving afterwards change nothing the client was told.
 fn perform_action(
-    shared: &Arc<SiteShared>,
+    shared: &SiteShared,
     exec: &mut TxnExecution,
     action: CoordinatorAction,
-    _abort_cause: &mut Option<AbortCause>,
-) -> bool {
+    abort_cause: &mut Option<AbortCause>,
+    send: &mut dyn FnMut(NodeId, Msg),
+) {
+    let (txn, ts) = (exec.txn, exec.ts);
     match action {
         CoordinatorAction::SendPrepare(targets) => {
-            for target in targets {
-                let writes = exec
-                    .writes_per_site
-                    .get(&target)
-                    .cloned()
-                    .unwrap_or_default();
-                shared.send(
-                    NodeId::Site(target),
-                    Msg::AcpPrepare {
-                        txn: exec.txn,
-                        ts: exec.ts,
-                        writes,
-                    },
-                );
-                if target != shared.id {
-                    exec.messages += 1;
-                }
-            }
-            false
+            // Each participant's write set is sent once; move it out.
+            let mut writes = std::mem::take(&mut exec.writes_per_site);
+            send_to_sites(shared, exec, targets, send, |target| Msg::AcpPrepare {
+                txn,
+                ts,
+                writes: writes.remove(&target).unwrap_or_default(),
+            });
         }
         CoordinatorAction::SendPreCommit(targets) => {
-            for target in targets {
-                shared.send(NodeId::Site(target), Msg::AcpPreCommit { txn: exec.txn });
-                if target != shared.id {
-                    exec.messages += 1;
-                }
-            }
-            false
+            send_to_sites(shared, exec, targets, send, |_| Msg::AcpPreCommit { txn });
         }
         CoordinatorAction::SendDecision(decision, targets) => {
-            // Force the decision at the coordinator before telling anyone.
-            shared.decided.lock().insert(exec.txn, decision);
-            for target in targets {
-                shared.send(
-                    NodeId::Site(target),
-                    Msg::AcpDecision {
-                        txn: exec.txn,
-                        decision,
-                    },
-                );
-                if target != shared.id {
-                    exec.messages += 1;
-                }
-            }
-            false
+            shared.record_decision(txn, decision);
+            send_to_sites(shared, exec, targets, send, |_| Msg::AcpDecision {
+                txn,
+                decision,
+            });
+            release_stragglers(shared, exec, send);
+            answer_client(shared, exec, decided_outcome(decision, abort_cause), send);
         }
-        CoordinatorAction::Complete(_) => true,
-        CoordinatorAction::Wait => false,
+        // All acknowledgements are in (the trivial commit without
+        // participants never gets here, see `start_acp`).
+        CoordinatorAction::Complete(_) | CoordinatorAction::Wait => {}
+    }
+}
+
+/// Sends one protocol message to each of `targets`, counting the remote
+/// ones towards the transaction's message cost (loopback is free, as in the
+/// paper's accounting).
+fn send_to_sites(
+    shared: &SiteShared,
+    exec: &mut TxnExecution,
+    targets: impl IntoIterator<Item = SiteId>,
+    send: &mut dyn FnMut(NodeId, Msg),
+    mut msg: impl FnMut(SiteId) -> Msg,
+) {
+    for target in targets {
+        send(NodeId::Site(target), msg(target));
+        if target != shared.id {
+            exec.messages += 1;
+        }
     }
 }
 
@@ -1167,45 +1169,104 @@ fn perform_action(
 /// contacted but is not a commit-protocol participant. Such a site may have
 /// granted a copy access *after* the quorum was already assembled (or after
 /// it became impossible); it holds locks for this transaction but will never
-/// hear from the commit protocol, so it is told to drop them now instead of
-/// waiting for the janitor. Aborting at a non-participant is always safe:
-/// the site has no staged writes for this transaction.
-fn release_stragglers(shared: &Arc<SiteShared>, exec: &mut TxnExecution) {
-    let stragglers: Vec<SiteId> = exec
-        .contacted
-        .iter()
-        .filter(|site| !exec.touched.contains(site))
-        .copied()
-        .collect();
-    for site in stragglers {
-        shared.send(
-            NodeId::Site(site),
-            Msg::AcpDecision {
-                txn: exec.txn,
-                decision: Decision::Abort,
-            },
-        );
-        if site != shared.id {
-            exec.messages += 1;
-        }
-    }
+/// hear from the commit protocol, so it is told to drop them — together with
+/// the decision, before the client is answered, so that the client's next
+/// transaction finds them released. Aborting at a non-participant is always
+/// safe: the site has no staged writes for this transaction.
+fn release_stragglers(
+    shared: &SiteShared,
+    exec: &mut TxnExecution,
+    send: &mut dyn FnMut(NodeId, Msg),
+) {
+    let txn = exec.txn;
+    let stragglers: Vec<SiteId> = exec.contacted.difference(&exec.touched).copied().collect();
+    send_to_sites(shared, exec, stragglers, send, |_| Msg::AcpDecision {
+        txn,
+        decision: Decision::Abort,
+    });
 }
 
-/// Fire-and-forget abort distribution used when the transaction fails before
-/// the commit protocol starts: every touched site must release the
-/// transaction's CCP resources and discard staged state.
-fn abort_everywhere(shared: &Arc<SiteShared>, exec: &mut TxnExecution) {
-    shared.decided.lock().insert(exec.txn, Decision::Abort);
-    for site in exec.touched.clone() {
-        shared.send(
-            NodeId::Site(site),
-            Msg::AcpDecision {
-                txn: exec.txn,
-                decision: Decision::Abort,
-            },
-        );
-        if site != shared.id {
-            exec.messages += 1;
-        }
+/// Ends a transaction that fails before the commit protocol decides (a
+/// failed operation, a user abort, a vanished client, a site going down):
+/// the abort goes on the coordinator's record, every site holding anything
+/// for the transaction is told to release it and discard staged state —
+/// fire and forget — and the client is answered.
+fn abort_everywhere(
+    shared: &SiteShared,
+    exec: &mut TxnExecution,
+    cause: AbortCause,
+    send: &mut dyn FnMut(NodeId, Msg),
+) {
+    let txn = exec.txn;
+    shared.record_decision(txn, Decision::Abort);
+    let touched: Vec<SiteId> = exec.touched.iter().copied().collect();
+    send_to_sites(shared, exec, touched, send, |_| Msg::AcpDecision {
+        txn,
+        decision: Decision::Abort,
+    });
+    release_stragglers(shared, exec, send);
+    answer_client(shared, exec, TxnOutcome::Aborted(cause), send);
+}
+
+/// Tells the client how its transaction ended — after writing the history
+/// entry, and through `send`, behind whatever decisions were sent through
+/// it. Every outcome passes through here exactly once, always after
+/// [`SiteShared::record_decision`].
+fn answer_client(
+    shared: &SiteShared,
+    exec: &mut TxnExecution,
+    outcome: TxnOutcome,
+    send: &mut dyn FnMut(NodeId, Msg),
+) {
+    // The coordinator is the authoritative observer: it records the real
+    // outcome even when the driving client timed out and reported an
+    // orphan. Spec replay and interactive conversations both run through
+    // this single path, so their histories are identical by construction.
+    if let Some(sink) = shared.history.as_ref() {
+        sink.record(TxnRecord {
+            txn: exec.txn,
+            label: exec.label.clone(),
+            reads: std::mem::take(&mut exec.observed),
+            writes: std::mem::take(&mut exec.installed),
+            outcome: outcome.clone(),
+            completion_seq: 0,
+        });
+    }
+    if shared.tracer.is_some() {
+        exec.root_detail = Some(format!("{}: {:?}", exec.label, outcome));
+    }
+    let result = TxnResult {
+        id: exec.txn,
+        label: std::mem::take(&mut exec.label),
+        outcome,
+        reads: std::mem::take(&mut exec.reads),
+        response_time: exec.started.elapsed(),
+        restarts: 0,
+        messages: exec.messages,
+    };
+    send(
+        exec.client,
+        Msg::TxnDone {
+            request: exec.request,
+            result,
+        },
+    );
+}
+
+/// The coordinator is done with the transaction — the client was answered
+/// and no acknowledgement is awaited any more: closes the root span and
+/// hands the buffered spans to the tracer.
+fn retire(shared: &SiteShared, exec: &mut TxnExecution) {
+    if let Some(tracer) = shared.tracer.as_ref() {
+        let mut spans = std::mem::take(&mut exec.spans);
+        spans.push(TraceEvent {
+            txn: exec.txn,
+            track: Track::Coordinator,
+            label: "txn".to_string(),
+            start_us: exec.trace_start,
+            dur_us: tracer.now_us().saturating_sub(exec.trace_start),
+            detail: exec.root_detail.take().unwrap_or_default(),
+        });
+        tracer.finish_txn(exec.txn, exec.started.elapsed(), spans);
     }
 }

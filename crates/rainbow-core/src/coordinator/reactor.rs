@@ -11,11 +11,14 @@
 //! (or [`rainbow_common::CoordinatorMode::Reactor`]) selects: **N reactor
 //! event-loop threads**, each owning the transactions pinned to it by
 //! `txn.seq % N`. Each reactor drains one MPSC queue of
-//! [`ReactorEvent`]s — new conversations and routed protocol messages —
-//! and drives a [`TxnMachine`] state machine per transaction through the
-//! *same* protocol steps as `run_interactive`: the two paths share the
-//! quorum planner, version rules, straggler release and abort fan-out, so
-//! the spec-vs-handle differential holds under either coordinator.
+//! [`ReactorEvent`]s — new conversations (with their first command) and
+//! routed protocol messages — and drives a [`TxnMachine`] state machine per
+//! transaction through the *same* protocol steps as `run_interactive`: the
+//! two paths share the quorum planner, version rules, the decision point
+//! (`perform_action`), the abort fan-out, the answer to the client and the
+//! retirement, so the spec-vs-handle differential holds under either
+//! coordinator. A machine answers its client at the decision and lives on
+//! in `Committing` only until the acknowledgements are in.
 //!
 //! Batching falls out of the tick structure: every site-bound message a
 //! tick produces is staged in a per-reactor [`Outbox`] and flushed once at
@@ -23,26 +26,29 @@
 //! `Msg::Batch` envelope. The receiving site unpacks the batch and groups
 //! the prepare/commit WAL forces (`SiteStorage::prepare_many` /
 //! `commit_many`), so commit-time appends from different transactions ride
-//! one fsync. Client-bound replies are latency-sensitive one-offs and are
-//! always sent directly, never batched.
+//! one fsync. Replies to client commands are latency-sensitive one-offs and
+//! are always sent directly; the final `TxnDone` queues in the outbox behind
+//! the decisions it reports, so it cannot overtake them. The outbox wraps
+//! only site-bound messages — a client does not unpack a batch — and sends
+//! each client-bound one as itself once the site envelopes have left.
 
 use super::{
-    abort_everywhere, finish_quorum_span, new_write_version, push_span, release_stragglers,
-    start_quorum, trace_now, QuorumAccess, QuorumRound, StagedWrite, TxnExecution,
+    abort_everywhere, finish_quorum_span, new_write_version, perform_action, push_commit_span,
+    push_span, reply_to_client, retire, start_acp, start_quorum, timed_out_phase, trace_now,
+    QuorumAccess, QuorumRound, StagedWrite, TxnExecution,
 };
 use crate::messages::{CopyAccessResult, Msg, NextOp, OpReply};
 use crate::site::SiteShared;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rainbow_commit::{Coordinator, CoordinatorAction, CoordinatorState, Decision, Vote};
-use rainbow_common::history::TxnRecord;
-use rainbow_common::txn::{AbortCause, TxnOutcome, TxnResult};
-use rainbow_common::{ItemId, SiteId, Timestamp, TxnId};
+use rainbow_common::txn::AbortCause;
+use rainbow_common::{ItemId, Timestamp, TxnId};
 use rainbow_net::{Envelope, NodeId, Outbox};
 use rainbow_replication::{QuorumCollector, QuorumOutcome, QuorumResponse};
-use rainbow_trace::{Meter, TraceEvent, Track};
+use rainbow_trace::{Meter, Track};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -58,8 +64,9 @@ const MAX_EVENTS_PER_TICK: u64 = 512;
 
 /// One unit of work routed to a reactor.
 pub(crate) enum ReactorEvent {
-    /// A new conversation: the dispatcher already allocated the id and
-    /// timestamp (it needs `txn.seq` to pick the reactor).
+    /// A new conversation and its first command: the dispatcher already
+    /// allocated the id and timestamp (it needs `txn.seq` to pick the
+    /// reactor).
     Begin {
         /// The new transaction's id.
         txn: TxnId,
@@ -71,6 +78,8 @@ pub(crate) enum ReactorEvent {
         client: NodeId,
         /// The client's request correlation number.
         request: u64,
+        /// The first command, which arrived with the begin.
+        op: NextOp,
     },
     /// A protocol message for a transaction pinned to this reactor
     /// (client ops, quorum replies, votes, acks).
@@ -81,6 +90,8 @@ pub(crate) enum ReactorEvent {
 /// stack selects [`rainbow_common::CoordinatorMode::Reactor`].
 pub(crate) struct ReactorPool {
     queues: Vec<Sender<ReactorEvent>>,
+    /// Per reactor, the machines it held at the end of its last tick.
+    open: Vec<Arc<AtomicUsize>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -89,22 +100,36 @@ impl ReactorPool {
     pub(crate) fn spawn(shared: &Arc<SiteShared>) -> ReactorPool {
         let n = reactor_count();
         let mut queues = Vec::with_capacity(n);
+        let mut open = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for index in 0..n {
             let (tx, rx) = unbounded();
             queues.push(tx);
+            let count = Arc::new(AtomicUsize::new(0));
+            open.push(Arc::clone(&count));
             let reactor_shared = Arc::clone(shared);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("rainbow-reactor-{}-{index}", shared.id.0))
-                    .spawn(move || reactor_loop(reactor_shared, rx))
+                    .spawn(move || reactor_loop(reactor_shared, rx, count))
                     .expect("failed to spawn reactor"),
             );
         }
         ReactorPool {
             queues,
+            open,
             handles: Mutex::new(handles),
         }
+    }
+
+    /// Transaction machines the reactors held when each last finished a
+    /// tick: open conversations, and answered ones still collecting
+    /// acknowledgements.
+    pub(crate) fn open_machines(&self) -> usize {
+        self.open
+            .iter()
+            .map(|count| count.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Routes an event to the reactor owning transaction sequence `seq`.
@@ -143,15 +168,16 @@ fn reactor_count() -> usize {
 
 /// One reactor's event loop: drain the queue, advance machines, scan
 /// deadlines, flush the outbox — once per tick.
-fn reactor_loop(shared: Arc<SiteShared>, mailbox: Receiver<ReactorEvent>) {
+fn reactor_loop(shared: Arc<SiteShared>, mailbox: Receiver<ReactorEvent>, open: Arc<AtomicUsize>) {
     let mut machines: HashMap<TxnId, TxnMachine> = HashMap::new();
     let mut outbox: Outbox<Msg> = Outbox::new();
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             for (_, mut machine) in machines.drain() {
-                machine.fail_site_down(&shared);
+                machine.fail_site_down(&shared, &mut outbox);
             }
             let _ = outbox.flush(&shared.net, shared.node, Msg::Batch);
+            open.store(0, Ordering::Relaxed);
             return;
         }
         let mut drained: u64 = 0;
@@ -188,6 +214,7 @@ fn reactor_loop(shared: Arc<SiteShared>, mailbox: Receiver<ReactorEvent>) {
             }
         }
         machines.retain(|_, machine| !machine.done);
+        open.store(machines.len(), Ordering::Relaxed);
     }
 }
 
@@ -205,14 +232,14 @@ fn handle_event(
             label,
             client,
             request,
+            op,
         } => {
-            let machine = TxnMachine::new(shared, txn, ts, label, client, request);
-            // Insert before acknowledging, so the client's first command
-            // (queued behind this event) finds the machine.
-            machines.insert(txn, machine);
-            shared.send(client, Msg::TxnBegan { request, txn });
-            if let Some(sink) = shared.history.as_ref() {
-                sink.begin();
+            let mut machine = TxnMachine::new(shared, txn, ts, label, client, request);
+            machine.on_client_op(shared, outbox, op);
+            // A first command that ended the transaction (a lone commit, an
+            // unsatisfiable quorum) leaves nothing to keep.
+            if !machine.done {
+                machines.insert(txn, machine);
             }
         }
         ReactorEvent::Deliver(envelope) => {
@@ -226,10 +253,11 @@ fn handle_event(
                     // site recovered). Tell a waiting client instead of
                     // leaving it to its timeout; drop stale protocol
                     // messages, exactly like the threads path.
-                    if let Msg::TxnOp { .. } = envelope.payload {
+                    if let Msg::TxnOp { request, .. } = envelope.payload {
                         shared.send(
                             envelope.from,
                             Msg::TxnOpReply {
+                                request,
                                 txn,
                                 reply: OpReply::Gone,
                             },
@@ -279,8 +307,6 @@ struct QuorumOp {
 /// `run_commit_protocol`'s loop state.
 struct AcpRun {
     coordinator: Coordinator,
-    /// Participant count (span detail only).
-    participants: usize,
     abort_cause: Option<AbortCause>,
     deadline: Instant,
     acp_start: u64,
@@ -324,11 +350,6 @@ enum Due {
 /// `drive_conversation`, re-expressed event-driven.
 struct TxnMachine {
     exec: TxnExecution,
-    label: String,
-    client: NodeId,
-    request: u64,
-    started: Instant,
-    trace_start: u64,
     last_activity: Instant,
     horizon: Duration,
     state: MachineState,
@@ -347,12 +368,7 @@ impl TxnMachine {
         request: u64,
     ) -> TxnMachine {
         TxnMachine {
-            exec: TxnExecution::new(txn, ts, shared.history.is_some()),
-            label,
-            client,
-            request,
-            started: Instant::now(),
-            trace_start: trace_now(shared),
+            exec: TxnExecution::open(shared, txn, ts, label, client, request),
             last_activity: Instant::now(),
             horizon: shared.stack.janitor_horizon(),
             state: MachineState::Idle,
@@ -407,7 +423,7 @@ impl TxnMachine {
             }
             NextOp::BufferWrite { item, value } => {
                 self.exec.staged.push(StagedWrite::Deferred { item, value });
-                self.reply(shared, OpReply::Buffered);
+                reply_to_client(shared, &self.exec, OpReply::Buffered);
             }
             NextOp::Increment { item, delta } => self.begin_quorum_op(
                 shared,
@@ -441,10 +457,7 @@ impl TxnMachine {
                     );
                 }
             }
-            NextOp::Abort => {
-                abort_everywhere(shared, &mut self.exec);
-                self.finish(shared, TxnOutcome::Aborted(AbortCause::UserAbort));
-            }
+            NextOp::Abort => self.abort(shared, outbox, AbortCause::UserAbort),
         }
     }
 
@@ -491,7 +504,7 @@ impl TxnMachine {
             self.start_rounds_sequentially(shared, outbox, &mut op)
         };
         match result {
-            Err(cause) => self.quorum_op_failed(shared, op, cause),
+            Err(cause) => self.quorum_op_failed(shared, outbox, op, cause),
             Ok(true) => self.quorum_op_complete(shared, outbox, op),
             Ok(false) => self.state = MachineState::Quorums(op),
         }
@@ -737,7 +750,7 @@ impl TxnMachine {
                     match self.start_rounds_sequentially(shared, outbox, &mut op) {
                         Ok(true) => self.quorum_op_complete(shared, outbox, op),
                         Ok(false) => self.state = MachineState::Quorums(op),
-                        Err(cause) => self.quorum_op_failed(shared, op, cause),
+                        Err(cause) => self.quorum_op_failed(shared, outbox, op, cause),
                     }
                 }
             }
@@ -751,7 +764,7 @@ impl TxnMachine {
                     .ccp_cause
                     .clone()
                     .unwrap_or_else(|| op.rounds[round_index].collector.abort_cause());
-                self.quorum_op_failed(shared, op, cause);
+                self.quorum_op_failed(shared, outbox, op, cause);
             }
             QuorumOutcome::Pending => {
                 self.state = MachineState::Quorums(op);
@@ -760,7 +773,12 @@ impl TxnMachine {
     }
 
     /// The quorum deadline fired before assembly completed.
-    fn quorum_deadline_expired(&mut self, shared: &Arc<SiteShared>, op: QuorumOp) {
+    fn quorum_deadline_expired(
+        &mut self,
+        shared: &Arc<SiteShared>,
+        outbox: &mut Outbox<Msg>,
+        op: QuorumOp,
+    ) {
         let cause = if op.parallel {
             let slowest = op
                 .rounds
@@ -779,26 +797,25 @@ impl TxnMachine {
                 item: round.item.clone(),
             })
         };
-        self.quorum_op_failed(shared, op, cause);
+        self.quorum_op_failed(shared, outbox, op, cause);
     }
 
-    /// Aborts the transaction because a quorum failed: op span, abort
-    /// fan-out, final report — in the threads path's order (the commit op
-    /// aborts everywhere *before* its span; the others after).
-    fn quorum_op_failed(&mut self, shared: &Arc<SiteShared>, op: QuorumOp, cause: AbortCause) {
-        if matches!(op.kind, OpKind::CommitInstall) {
-            abort_everywhere(shared, &mut self.exec);
-            self.push_op_span(shared, &op, false);
-        } else {
-            self.push_op_span(shared, &op, false);
-            abort_everywhere(shared, &mut self.exec);
-        }
-        self.finish(shared, TxnOutcome::Aborted(cause));
+    /// Aborts the transaction because a quorum failed: the operation's
+    /// span, then the abort fan-out and the answer to the client.
+    fn quorum_op_failed(
+        &mut self,
+        shared: &Arc<SiteShared>,
+        outbox: &mut Outbox<Msg>,
+        op: QuorumOp,
+        cause: AbortCause,
+    ) {
+        self.push_op_span(shared, &op);
+        self.abort(shared, outbox, cause);
     }
 
     /// Buffers the operation's coordinator span (`op:read`, `op:read-many`,
-    /// `op:increment`, or `op:commit` on the failure path).
-    fn push_op_span(&mut self, shared: &Arc<SiteShared>, op: &QuorumOp, committed: bool) {
+    /// `op:increment`, or `op:commit` when its write quorums failed).
+    fn push_op_span(&mut self, shared: &Arc<SiteShared>, op: &QuorumOp) {
         if shared.tracer.is_none() {
             return;
         }
@@ -806,10 +823,7 @@ impl TxnMachine {
             OpKind::Read => ("op:read", op.items[0].to_string()),
             OpKind::ReadMany => ("op:read-many", format!("{} items", op.items.len())),
             OpKind::Increment { .. } => ("op:increment", op.items[0].to_string()),
-            OpKind::CommitInstall => (
-                "op:commit",
-                if committed { "committed" } else { "aborted" }.to_string(),
-            ),
+            OpKind::CommitInstall => ("op:commit", "aborted".to_string()),
         };
         push_span(
             shared,
@@ -837,18 +851,15 @@ impl TxnMachine {
                     .collector
                     .latest_value()
                     .ok_or_else(|| AbortCause::RcpTimeout { item: item.clone() });
-                self.push_op_span(shared, &op, false);
+                self.push_op_span(shared, &op);
                 match res {
                     Ok((value, version)) => {
                         self.exec.observe_read(&item, &value, version);
                         self.exec.reads.insert(item.clone(), value.clone());
-                        self.reply(shared, OpReply::Value { item, value });
+                        reply_to_client(shared, &self.exec, OpReply::Value { item, value });
                         self.state = MachineState::Idle;
                     }
-                    Err(cause) => {
-                        abort_everywhere(shared, &mut self.exec);
-                        self.finish(shared, TxnOutcome::Aborted(cause));
-                    }
+                    Err(cause) => self.abort(shared, outbox, cause),
                 }
             }
             OpKind::ReadMany => {
@@ -869,16 +880,13 @@ impl TxnMachine {
                         }
                     }
                 }
-                self.push_op_span(shared, &op, false);
+                self.push_op_span(shared, &op);
                 match failure {
                     None => {
-                        self.reply(shared, OpReply::Values { values });
+                        reply_to_client(shared, &self.exec, OpReply::Values { values });
                         self.state = MachineState::Idle;
                     }
-                    Some(cause) => {
-                        abort_everywhere(shared, &mut self.exec);
-                        self.finish(shared, TxnOutcome::Aborted(cause));
-                    }
+                    Some(cause) => self.abort(shared, outbox, cause),
                 }
             }
             OpKind::Increment { delta } => {
@@ -903,16 +911,13 @@ impl TxnMachine {
                         }
                     },
                 };
-                self.push_op_span(shared, &op, false);
+                self.push_op_span(shared, &op);
                 match res {
                     Ok(value) => {
-                        self.reply(shared, OpReply::Value { item, value });
+                        reply_to_client(shared, &self.exec, OpReply::Value { item, value });
                         self.state = MachineState::Idle;
                     }
-                    Err(cause) => {
-                        abort_everywhere(shared, &mut self.exec);
-                        self.finish(shared, TxnOutcome::Aborted(cause));
-                    }
+                    Err(cause) => self.abort(shared, outbox, cause),
                 }
             }
             OpKind::CommitInstall => {
@@ -967,25 +972,15 @@ impl TxnMachine {
 
     /// Starts the atomic commit protocol over every touched site.
     fn start_acp(&mut self, shared: &Arc<SiteShared>, outbox: &mut Outbox<Msg>, op_start: u64) {
-        let participants: Vec<SiteId> = self.exec.touched.iter().copied().collect();
-        let n_participants = participants.len();
-        let mut coordinator = Coordinator::new(self.exec.txn, shared.stack.acp, participants);
         let acp_start = trace_now(shared);
-        let action = coordinator.start();
-        if let CoordinatorAction::Complete(decision) = action {
-            // No participants: a transaction that touched nothing commits
-            // trivially.
-            let outcome = match decision {
-                Decision::Commit => TxnOutcome::Committed,
-                Decision::Abort => TxnOutcome::Aborted(AbortCause::UserAbort),
-            };
-            self.push_commit_span(shared, op_start, &outcome);
-            self.finish(shared, outcome);
-            return;
-        }
+        let started = start_acp(shared, &mut self.exec, &mut |to, msg| outbox.push(to, msg));
+        let Some((coordinator, action)) = started else {
+            // Nothing was touched: committed trivially, client answered.
+            push_commit_span(shared, &mut self.exec, op_start, true);
+            return self.retire(shared);
+        };
         let run = AcpRun {
             coordinator,
-            participants: n_participants,
             abort_cause: None,
             deadline: Instant::now() + shared.stack.commit_timeout,
             acp_start,
@@ -1042,8 +1037,8 @@ impl TxnMachine {
             }
             _ => {}
         }
-        if matches!(action, CoordinatorAction::SendDecision(..)) && run.decision_start.is_none() {
-            let n = run.participants;
+        if matches!(action, CoordinatorAction::SendDecision(..)) {
+            let n = run.coordinator.participants().len();
             push_span(
                 shared,
                 &mut self.exec,
@@ -1054,87 +1049,27 @@ impl TxnMachine {
             );
             run.decision_start = Some(trace_now(shared));
         }
-        let complete = self.perform_acp_action(shared, outbox, action);
-        if complete || run.coordinator.state() == CoordinatorState::Completed {
+        // Site-bound messages and the client's `TxnDone` queue in the
+        // outbox, in that order, and leave together at the tick flush.
+        perform_action(
+            shared,
+            &mut self.exec,
+            action,
+            &mut run.abort_cause,
+            &mut |to, msg| outbox.push(to, msg),
+        );
+        if run.coordinator.state() == CoordinatorState::Completed {
             self.finish_acp(shared, run);
         } else {
             self.state = MachineState::Committing(run);
         }
     }
 
-    /// Performs one coordinator action, queueing site-bound messages in
-    /// the outbox (they coalesce per destination at the tick flush).
-    /// Returns true when the protocol is complete — the reactor analogue
-    /// of `perform_action`.
-    fn perform_acp_action(
-        &mut self,
-        shared: &Arc<SiteShared>,
-        outbox: &mut Outbox<Msg>,
-        action: CoordinatorAction,
-    ) -> bool {
-        match action {
-            CoordinatorAction::SendPrepare(targets) => {
-                for target in targets {
-                    let writes = self
-                        .exec
-                        .writes_per_site
-                        .get(&target)
-                        .cloned()
-                        .unwrap_or_default();
-                    outbox.push(
-                        NodeId::Site(target),
-                        Msg::AcpPrepare {
-                            txn: self.exec.txn,
-                            ts: self.exec.ts,
-                            writes,
-                        },
-                    );
-                    if target != shared.id {
-                        self.exec.messages += 1;
-                    }
-                }
-                false
-            }
-            CoordinatorAction::SendPreCommit(targets) => {
-                for target in targets {
-                    outbox.push(
-                        NodeId::Site(target),
-                        Msg::AcpPreCommit { txn: self.exec.txn },
-                    );
-                    if target != shared.id {
-                        self.exec.messages += 1;
-                    }
-                }
-                false
-            }
-            CoordinatorAction::SendDecision(decision, targets) => {
-                // Force the decision at the coordinator before telling
-                // anyone (queued sends leave strictly after the insert).
-                shared.decided.lock().insert(self.exec.txn, decision);
-                for target in targets {
-                    outbox.push(
-                        NodeId::Site(target),
-                        Msg::AcpDecision {
-                            txn: self.exec.txn,
-                            decision,
-                        },
-                    );
-                    if target != shared.id {
-                        self.exec.messages += 1;
-                    }
-                }
-                false
-            }
-            CoordinatorAction::Complete(_) => true,
-            CoordinatorAction::Wait => false,
-        }
-    }
-
-    /// The commit protocol finished (decision distributed and acked, or
-    /// timed out into an orphan): report the outcome.
-    fn finish_acp(&mut self, shared: &Arc<SiteShared>, mut run: AcpRun) {
+    /// Every acknowledgement is in (or timed out); the client was answered
+    /// at the decision. Close the spans and retire.
+    fn finish_acp(&mut self, shared: &Arc<SiteShared>, run: AcpRun) {
+        let decision = run.coordinator.decision();
         if let Some(start) = run.decision_start {
-            let decision = run.coordinator.decision();
             push_span(
                 shared,
                 &mut self.exec,
@@ -1144,36 +1079,9 @@ impl TxnMachine {
                 || format!("{decision:?}"),
             );
         }
-        let outcome = match run.coordinator.decision() {
-            Some(Decision::Commit) => TxnOutcome::Committed,
-            Some(Decision::Abort) => {
-                TxnOutcome::Aborted(run.abort_cause.take().unwrap_or(AbortCause::AcpTimeout {
-                    phase: "prepare".into(),
-                }))
-            }
-            None => TxnOutcome::Orphaned,
-        };
-        self.push_commit_span(shared, run.op_start, &outcome);
-        self.finish(shared, outcome);
-    }
-
-    /// Buffers the `op:commit` span.
-    fn push_commit_span(&mut self, shared: &Arc<SiteShared>, op_start: u64, outcome: &TxnOutcome) {
-        let committed = outcome.is_committed();
-        push_span(
-            shared,
-            &mut self.exec,
-            Track::Coordinator,
-            "op:commit",
-            op_start,
-            || {
-                if committed {
-                    "committed".to_string()
-                } else {
-                    "aborted".to_string()
-                }
-            },
-        );
+        let committed = decision == Some(Decision::Commit);
+        push_commit_span(shared, &mut self.exec, run.op_start, committed);
+        self.retire(shared);
     }
 
     /// Deadline scan, run once per tick.
@@ -1210,8 +1118,7 @@ impl TxnMachine {
                 // The client went quiet past the janitor horizon: presume
                 // it gone and free resources everywhere on the same clock
                 // the participant janitor uses.
-                abort_everywhere(shared, &mut self.exec);
-                self.finish(shared, TxnOutcome::Aborted(AbortCause::ClientTimeout));
+                self.abort(shared, outbox, AbortCause::ClientTimeout);
             }
             Due::Quorum => {
                 let MachineState::Quorums(op) =
@@ -1219,7 +1126,7 @@ impl TxnMachine {
                 else {
                     unreachable!("state checked above")
                 };
-                self.quorum_deadline_expired(shared, op);
+                self.quorum_deadline_expired(shared, outbox, op);
             }
             Due::Acp => {
                 let MachineState::Committing(mut run) =
@@ -1229,11 +1136,7 @@ impl TxnMachine {
                 };
                 if run.abort_cause.is_none() {
                     run.abort_cause = Some(AbortCause::AcpTimeout {
-                        phase: match run.coordinator.state() {
-                            CoordinatorState::CollectingVotes => "prepare".into(),
-                            CoordinatorState::CollectingPreCommitAcks => "pre-commit".into(),
-                            _ => "ack".into(),
-                        },
+                        phase: timed_out_phase(run.coordinator.state()),
                     });
                 }
                 let action = run.coordinator.on_timeout();
@@ -1242,81 +1145,36 @@ impl TxnMachine {
         }
     }
 
-    /// Site shutdown with the conversation still open: abort everywhere
-    /// and report a site failure, like a thread-per-conversation worker
-    /// observing the shutdown flag.
-    fn fail_site_down(&mut self, shared: &Arc<SiteShared>) {
+    /// Site shutdown with the machine still alive: an open conversation is
+    /// aborted everywhere and told of the site failure, like a
+    /// thread-per-conversation worker observing the shutdown flag; one that
+    /// was already answered and only collecting acknowledgements retires.
+    fn fail_site_down(&mut self, shared: &Arc<SiteShared>, outbox: &mut Outbox<Msg>) {
         if self.done {
             return;
         }
-        abort_everywhere(shared, &mut self.exec);
-        self.finish(
-            shared,
-            TxnOutcome::Aborted(AbortCause::SiteFailure { site: shared.id }),
-        );
+        let answered = matches!(&self.state, MachineState::Committing(run) if run.coordinator.decision().is_some());
+        if answered {
+            self.retire(shared);
+        } else {
+            self.abort(shared, outbox, AbortCause::SiteFailure { site: shared.id });
+        }
     }
 
-    /// Sends an operation reply to the driving client (direct, never
-    /// batched: client replies are latency-sensitive one-offs).
-    fn reply(&self, shared: &Arc<SiteShared>, reply: OpReply) {
-        shared.send(
-            self.client,
-            Msg::TxnOpReply {
-                txn: self.exec.txn,
-                reply,
-            },
-        );
+    /// Ends the transaction before any decision: abort fan-out and the
+    /// answer to the client through the outbox, then nothing is left to
+    /// wait for.
+    fn abort(&mut self, shared: &Arc<SiteShared>, outbox: &mut Outbox<Msg>, cause: AbortCause) {
+        abort_everywhere(shared, &mut self.exec, cause, &mut |to, msg| {
+            outbox.push(to, msg)
+        });
+        self.retire(shared);
     }
 
-    /// The common epilogue of every outcome — the reactor analogue of
-    /// `run_interactive`'s tail: release stragglers, record the decision
-    /// and history, close the trace, and report to the client.
-    fn finish(&mut self, shared: &Arc<SiteShared>, outcome: TxnOutcome) {
-        release_stragglers(shared, &mut self.exec);
-        if outcome.is_committed() {
-            shared
-                .decided
-                .lock()
-                .insert(self.exec.txn, Decision::Commit);
-        }
-        if let Some(sink) = shared.history.as_ref() {
-            sink.record(TxnRecord {
-                txn: self.exec.txn,
-                label: self.label.clone(),
-                reads: std::mem::take(&mut self.exec.observed),
-                writes: std::mem::take(&mut self.exec.installed),
-                outcome: outcome.clone(),
-                completion_seq: 0,
-            });
-        }
-        if let Some(tracer) = shared.tracer.as_ref() {
-            let mut spans = std::mem::take(&mut self.exec.spans);
-            spans.push(TraceEvent {
-                txn: self.exec.txn,
-                track: Track::Coordinator,
-                label: "txn".to_string(),
-                start_us: self.trace_start,
-                dur_us: tracer.now_us().saturating_sub(self.trace_start),
-                detail: format!("{}: {:?}", self.label, outcome),
-            });
-            tracer.finish_txn(self.exec.txn, self.started.elapsed(), spans);
-        }
-        let result = TxnResult {
-            id: self.exec.txn,
-            label: self.label.clone(),
-            outcome,
-            reads: self.exec.reads.clone(),
-            response_time: self.started.elapsed(),
-            restarts: 0,
-            messages: self.exec.messages,
-        };
-        shared.send(
-            self.client,
-            Msg::TxnDone {
-                request: self.request,
-                result,
-            },
-        );
+    /// The machine has nothing left to do: close the trace; the reactor
+    /// reaps it at the end of the tick.
+    fn retire(&mut self, shared: &Arc<SiteShared>) {
+        retire(shared, &mut self.exec);
         self.done = true;
         self.state = MachineState::Idle;
     }

@@ -5,6 +5,15 @@
 //! "total number of messages generated per time unit" statistic and the
 //! quorum message-traffic experiment count exactly what the protocols
 //! exchange.
+//!
+//! The client conversation is four kinds of message, each with a reason a
+//! student can be told: [`Msg::TxnBegin`] carries the first command (the
+//! home site cannot start work without one, so opening and commanding are
+//! one trip), [`Msg::TxnOp`] carries each later command, [`Msg::TxnOpReply`]
+//! answers a command that left the transaction open (the first answer also
+//! names the transaction), and [`Msg::TxnDone`] reports the end — for a
+//! commit, the moment the decision is recorded and sent, because nothing a
+//! participant's acknowledgement says could change it.
 
 use rainbow_commit::{Decision, Vote};
 use rainbow_common::config::{DatabaseSchema, DistributionSchema};
@@ -77,6 +86,18 @@ pub enum NextOp {
     Abort,
 }
 
+impl NextOp {
+    /// Payload bytes of the command in the wire-size model.
+    fn payload_size(&self) -> usize {
+        match self {
+            NextOp::Read { item } | NextOp::Increment { item, .. } => item.name().len() + 8,
+            NextOp::ReadMany { items } => items.iter().map(|item| item.name().len() + 8).sum(),
+            NextOp::BufferWrite { item, value } => item.name().len() + value.payload_size(),
+            NextOp::Commit | NextOp::Abort => 0,
+        }
+    }
+}
+
 /// Reply to a [`NextOp`] that did *not* end the conversation (terminal
 /// commands and op failures are answered with [`Msg::TxnDone`] instead).
 #[derive(Debug, Clone)]
@@ -110,37 +131,45 @@ pub enum Msg {
     // is a client-side adapter replaying the spec through this same
     // conversation, so there is exactly one execution path.
     // ------------------------------------------------------------------
-    /// A client opens an interactive transaction at its home site.
+    /// A client opens an interactive transaction at its home site *with its
+    /// first command*: the home site allocates the transaction id, runs the
+    /// command and answers it like any other ([`Msg::TxnOpReply`], or
+    /// [`Msg::TxnDone`] when the command ends the transaction). There is no
+    /// acknowledgement of the begin on its own.
     TxnBegin {
-        /// Client-chosen request id, echoed back in [`Msg::TxnBegan`] and
-        /// [`Msg::TxnDone`].
+        /// Client-chosen request id naming the conversation; every later
+        /// message of the conversation, in either direction, carries it.
         request: u64,
         /// Human-readable label used in reports.
         label: String,
-    },
-    /// The home site acknowledges an open transaction and names it.
-    TxnBegan {
-        /// The client request id from [`Msg::TxnBegin`].
-        request: u64,
-        /// The transaction id the home site assigned.
-        txn: TxnId,
+        /// The first command.
+        op: NextOp,
     },
     /// The client's next command for an open transaction.
     TxnOp {
-        /// The transaction (from [`Msg::TxnBegan`]).
+        /// The client request id from [`Msg::TxnBegin`].
+        request: u64,
+        /// The transaction (learned from the first [`Msg::TxnOpReply`]).
         txn: TxnId,
         /// The command.
         op: NextOp,
     },
-    /// The coordinator's answer to a non-terminal [`Msg::TxnOp`].
+    /// The coordinator's answer to a command that did not end the
+    /// transaction. The answer to the first command is how the client learns
+    /// the transaction id the home site assigned.
     TxnOpReply {
+        /// The client request id from [`Msg::TxnBegin`].
+        request: u64,
         /// The transaction.
         txn: TxnId,
         /// The outcome of the command.
         reply: OpReply,
     },
-    /// A site reports the final result of a transaction back to the client
-    /// that drove it (after commit, abort, or a failed operation).
+    /// The home site reports the final result of a transaction back to the
+    /// client that drove it: after an abort or a failed operation, or — for
+    /// a commit — as soon as the decision is on the coordinator's record and
+    /// on its way to the participants, not when their acknowledgements are
+    /// in.
     TxnDone {
         /// The client request id from [`Msg::TxnBegin`].
         request: u64,
@@ -280,8 +309,7 @@ impl Msg {
     /// The transaction a message refers to, for response routing.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
-            Msg::TxnBegan { txn, .. }
-            | Msg::TxnOp { txn, .. }
+            Msg::TxnOp { txn, .. }
             | Msg::TxnOpReply { txn, .. }
             | Msg::CopyRead { txn, .. }
             | Msg::CopyPrewrite { txn, .. }
@@ -317,7 +345,6 @@ impl NetMessage for Msg {
     fn kind(&self) -> &'static str {
         match self {
             Msg::TxnBegin { .. } => "TXN_BEGIN",
-            Msg::TxnBegan { .. } => "TXN_BEGAN",
             Msg::TxnOp { .. } => "TXN_OP",
             Msg::TxnOpReply { .. } => "TXN_OP_REPLY",
             Msg::TxnDone { .. } => "TXN_DONE",
@@ -342,22 +369,8 @@ impl NetMessage for Msg {
         // A rough wire-size model: fixed header plus payload-dependent parts.
         const HEADER: usize = 48;
         match self {
-            Msg::TxnBegin { label, .. } => HEADER + label.len(),
-            Msg::TxnOp { op, .. } => {
-                HEADER
-                    + match op {
-                        NextOp::Read { item } | NextOp::Increment { item, .. } => {
-                            item.name().len() + 8
-                        }
-                        NextOp::ReadMany { items } => {
-                            items.iter().map(|item| item.name().len() + 8).sum()
-                        }
-                        NextOp::BufferWrite { item, value } => {
-                            item.name().len() + value.payload_size()
-                        }
-                        NextOp::Commit | NextOp::Abort => 0,
-                    }
-            }
+            Msg::TxnBegin { label, op, .. } => HEADER + label.len() + op.payload_size(),
+            Msg::TxnOp { op, .. } => HEADER + op.payload_size(),
             Msg::TxnOpReply { reply, .. } => {
                 HEADER
                     + match reply {
@@ -429,6 +442,7 @@ mod tests {
         assert_eq!(Msg::AcpAck { txn: txn() }.txn(), Some(txn()));
         assert_eq!(
             Msg::TxnOp {
+                request: 1,
                 txn: txn(),
                 op: NextOp::Commit,
             }
@@ -437,6 +451,7 @@ mod tests {
         );
         assert_eq!(
             Msg::TxnOpReply {
+                request: 1,
                 txn: txn(),
                 reply: OpReply::Buffered,
             }
@@ -444,10 +459,12 @@ mod tests {
             Some(txn())
         );
         assert_eq!(Msg::NsGetSchema.txn(), None);
+        // The opening message is sent before the transaction has an id.
         assert_eq!(
             Msg::TxnBegin {
                 request: 1,
                 label: "t".into(),
+                op: NextOp::Commit,
             }
             .txn(),
             None
@@ -489,6 +506,7 @@ mod tests {
         // dispatcher, not through the coordinator-response fast path, and
         // client-bound replies are never routed by a site at all.
         assert!(!Msg::TxnOp {
+            request: 1,
             txn: txn(),
             op: NextOp::Read {
                 item: ItemId::new("x"),
@@ -496,13 +514,9 @@ mod tests {
         }
         .is_coordinator_response());
         assert!(!Msg::TxnOpReply {
-            txn: txn(),
-            reply: OpReply::Gone,
-        }
-        .is_coordinator_response());
-        assert!(!Msg::TxnBegan {
             request: 1,
             txn: txn(),
+            reply: OpReply::Gone,
         }
         .is_coordinator_response());
     }
@@ -514,14 +528,17 @@ mod tests {
             Msg::TxnBegin {
                 request: 1,
                 label: "t".into(),
+                op: NextOp::Abort,
             }
             .kind(),
             Msg::TxnOp {
+                request: 1,
                 txn: txn(),
                 op: NextOp::Abort,
             }
             .kind(),
             Msg::TxnOpReply {
+                request: 1,
                 txn: txn(),
                 reply: OpReply::Buffered,
             }
@@ -595,5 +612,15 @@ mod tests {
         };
         assert!(large.size_hint() > small.size_hint());
         assert!(Msg::NsGetSchema.size_hint() > 0);
+        // The opening message pays for the command it carries.
+        let begin = |op| Msg::TxnBegin {
+            request: 1,
+            label: "t".into(),
+            op,
+        };
+        let read = NextOp::Read {
+            item: ItemId::new("x"),
+        };
+        assert!(begin(read).size_hint() > begin(NextOp::Commit).size_hint());
     }
 }

@@ -3,8 +3,8 @@
 //! The progress monitor is the PM role of the paper's middle tier (the
 //! "PMlet"): it aggregates per-site counters, transaction results and
 //! network-simulator counters into the [`StatsSnapshot`] that drives the
-//! transaction-processing output panel (Figure 5) and every experiment in
-//! EXPERIMENTS.md.
+//! transaction-processing output panel (Figure 5), every experiment under
+//! `crates/bench/benches/` and the benchmark's per-layer metrics.
 
 use parking_lot::Mutex;
 use rainbow_common::stats::{AbortBreakdown, LoadBalance, StatsSnapshot};

@@ -165,6 +165,20 @@ impl SiteShared {
         self.pending_replies.lock().remove(&txn);
     }
 
+    /// The coordinator's **forced decision record**: notes the fate of a
+    /// transaction whose home is this site, where `AcpStatusQuery` answers
+    /// from. Both coordinators call it at the decision point (and the abort
+    /// fan-out calls it for transactions that never reached one), and
+    /// nothing that tells anybody the outcome — no `AcpDecision`, no
+    /// `TxnDone` — may leave before it returns: the client is answered at
+    /// the decision, so a path that skipped this would promise a commit
+    /// that a recovering participant, asking later, is told was aborted.
+    /// Today the record is an in-memory map; this is the single place
+    /// ROADMAP 5(a) turns into a forced WAL append.
+    pub fn record_decision(&self, txn: TxnId, decision: Decision) {
+        self.decided.lock().insert(txn, decision);
+    }
+
     /// Sends a message from this site, ignoring network shutdown errors
     /// (which only occur while the whole instance is being torn down).
     pub fn send(&self, to: NodeId, msg: Msg) {
@@ -405,6 +419,21 @@ impl SiteHandle {
             .collect()
     }
 
+    /// Number of conversations this site's coordinator is still driving
+    /// (open, or answered and collecting acknowledgements): reply channels
+    /// of the threads coordinator, transaction machines of the reactors (as
+    /// of each reactor's last finished tick). For tests of the coordinator's
+    /// clean-up.
+    #[doc(hidden)]
+    pub fn open_conversations(&self) -> usize {
+        let machines = self
+            .shared
+            .reactor
+            .get()
+            .map_or(0, |pool| pool.open_machines());
+        self.shared.pending_replies.lock().len() + machines
+    }
+
     /// Simulates the volatile-state loss of a crash and immediately runs
     /// recovery: the committed state is rebuilt from the write-ahead log,
     /// concurrency-control state is reset, and status queries are sent to
@@ -589,12 +618,13 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
         payload,
     } = envelope;
     match payload {
-        Msg::TxnBegin { request, label } => {
+        Msg::TxnBegin { request, label, op } => {
             SiteMetrics::bump(&shared.metrics.home_transactions);
             if let Some(pool) = shared.reactor.get() {
                 // Reactor mode: allocate the id here (its sequence number
                 // pins the transaction to a reactor) and hand the
-                // conversation to the owning event loop.
+                // conversation, first command included, to the owning event
+                // loop.
                 let txn = TxnId::new(shared.id, shared.txn_seq.fetch_add(1, Ordering::Relaxed));
                 let ts = shared.clock.next();
                 pool.route(
@@ -605,6 +635,7 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
                         label,
                         client: from,
                         request,
+                        op,
                     },
                 );
             } else {
@@ -612,10 +643,10 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
                 let worker_shared = Arc::clone(shared);
                 shared
                     .workers
-                    .run(move || run_interactive(worker_shared, label, from, request));
+                    .run(move || run_interactive(worker_shared, label, from, request, op));
             }
         }
-        Msg::TxnOp { txn, op } => {
+        Msg::TxnOp { request, txn, op } => {
             // Route the client command to the coordinator driving the
             // conversation. When no worker is registered any more (the
             // conversation idled out and was aborted, or the site crashed
@@ -625,7 +656,7 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
                 id,
                 from,
                 to,
-                payload: Msg::TxnOp { txn, op },
+                payload: Msg::TxnOp { request, txn, op },
             };
             if let Some(pool) = shared.reactor.get() {
                 pool.route(txn.seq, ReactorEvent::Deliver(envelope));
@@ -642,6 +673,7 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
                 shared.send(
                     from,
                     Msg::TxnOpReply {
+                        request,
                         txn,
                         reply: OpReply::Gone,
                     },
@@ -721,8 +753,7 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
         }
         // Messages a site never receives (or that only matter to clients /
         // the name server) are ignored.
-        Msg::TxnBegan { .. }
-        | Msg::TxnOpReply { .. }
+        Msg::TxnOpReply { .. }
         | Msg::TxnDone { .. }
         | Msg::NsGetSchema
         | Msg::CopyReply { .. }
@@ -1084,6 +1115,8 @@ fn handle_decision_commit_batch(shared: &Arc<SiteShared>, from: NodeId, txns: Ve
                 }
                 _ => {}
             }
+        } else {
+            resolve_in_doubt(shared, txn, Decision::Commit);
         }
         // Ack even without a participant entry (already applied, cleaned
         // up, or crashed and recovered), exactly like the single path.
@@ -1140,10 +1173,26 @@ fn handle_decision(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId, decision:
         }
         None => {
             // We have no record (already applied, cleaned up, or we crashed
-            // and recovered): acknowledge so the coordinator can finish.
+            // and recovered — then the decision may be the answer an
+            // in-doubt transaction is waiting for): acknowledge so the
+            // coordinator can finish.
+            resolve_in_doubt(shared, txn, decision);
             shared.send(from, Msg::AcpAck { txn });
         }
     }
+}
+
+/// Settles a transaction crash recovery found in doubt, now that its
+/// decision is known; false when `txn` is not one.
+fn resolve_in_doubt(shared: &SiteShared, txn: TxnId, decision: Decision) -> bool {
+    let Some(writes) = shared.in_doubt.lock().remove(txn) else {
+        return false;
+    };
+    match decision {
+        Decision::Commit => shared.storage.commit_writes(txn, writes),
+        Decision::Abort => shared.storage.abort(txn),
+    }
+    true
 }
 
 /// Handles the reply to a status query sent for an in-doubt transaction (or
@@ -1153,11 +1202,7 @@ fn handle_status_reply(shared: &Arc<SiteShared>, txn: TxnId, decision: Option<De
     let decision = decision.unwrap_or(Decision::Abort);
 
     // Case 1: an in-doubt transaction from crash recovery.
-    if let Some(writes) = shared.in_doubt.lock().remove(txn) {
-        match decision {
-            Decision::Commit => shared.storage.commit_writes(txn, writes),
-            Decision::Abort => shared.storage.abort(txn),
-        }
+    if resolve_in_doubt(shared, txn, decision) {
         return;
     }
 
@@ -1482,7 +1527,7 @@ mod tests {
         let schema = schema_for(&sites);
         let site = build_site(&net, 0, &schema, quick_stack());
         let txn = TxnId::new(SiteId(0), 7);
-        site.shared.decided.lock().insert(txn, Decision::Commit);
+        site.shared.record_decision(txn, Decision::Commit);
 
         let client = NodeId::Client(0);
         let client_mailbox = net.register(client);

@@ -6,13 +6,17 @@
 //! full trip through the network simulator (scheduling, latency draw,
 //! counter bookkeeping) per message. An [`Outbox`] instead queues messages
 //! per destination during the tick and flushes once at the end: a lone
-//! message is sent as itself, while two or more for one destination are
+//! message is sent as itself, while two or more for one *site* are
 //! wrapped into a single batch envelope by a caller-supplied constructor
 //! (the core's `Msg::Batch`).
 //!
+//! Only sites unpack a batch. Messages queued for any other node (a
+//! client's `TxnDone`) are never wrapped: they leave one by one, after every
+//! site-bound envelope of the same flush, so an answer queued behind the
+//! decisions it reports still cannot overtake them.
+//!
 //! The outbox is deliberately generic over the message type — this crate
-//! knows nothing about the Rainbow protocol — and deliberately *not* used
-//! for client-bound replies, which are latency-sensitive one-offs.
+//! knows nothing about the Rainbow protocol.
 
 use crate::network::{NetHandle, NetMessage};
 use crate::node::NodeId;
@@ -67,12 +71,14 @@ impl<M: NetMessage> Outbox<M> {
         self.queued.is_empty()
     }
 
-    /// Sends everything queued: one envelope per destination, wrapping
-    /// multi-message groups with `wrap` (single messages travel as
-    /// themselves — a batch of one would only add header bytes). Send
-    /// errors are ignored, matching the sites' fire-and-forget semantics:
-    /// an unreachable destination is indistinguishable from a lost
-    /// message, and the protocols' timeouts handle both.
+    /// Sends everything queued. First one envelope per destination site,
+    /// wrapping multi-message groups with `wrap` (single messages travel as
+    /// themselves — a batch of one would only add header bytes); then the
+    /// messages for every other node, each as itself, because only a site
+    /// knows how to unpack a batch. Send errors are ignored, matching the
+    /// sites' fire-and-forget semantics: an unreachable destination is
+    /// indistinguishable from a lost message, and the protocols' timeouts
+    /// handle both.
     pub fn flush(
         &mut self,
         net: &NetHandle<M>,
@@ -80,7 +86,12 @@ impl<M: NetMessage> Outbox<M> {
         wrap: impl Fn(Vec<M>) -> M,
     ) -> FlushStats {
         let mut stats = FlushStats::default();
+        let mut others = Vec::new();
         for (to, msgs) in self.queued.drain(..) {
+            if !matches!(to, NodeId::Site(_)) {
+                others.push((to, msgs));
+                continue;
+            }
             stats.envelopes += 1;
             stats.messages += msgs.len();
             stats.largest_batch = stats.largest_batch.max(msgs.len());
@@ -90,6 +101,14 @@ impl<M: NetMessage> Outbox<M> {
                 wrap(msgs)
             };
             let _ = net.send(from, to, payload);
+        }
+        for (to, msgs) in others {
+            stats.envelopes += msgs.len();
+            stats.messages += msgs.len();
+            stats.largest_batch = stats.largest_batch.max(1);
+            for msg in msgs {
+                let _ = net.send(from, to, msg);
+            }
         }
         stats
     }
@@ -154,6 +173,37 @@ mod tests {
         // An empty flush sends nothing.
         let stats = outbox.flush(&handle, from, TestMsg::Many);
         assert_eq!(stats, FlushStats::default());
+        network.shutdown();
+    }
+
+    #[test]
+    fn messages_for_a_client_are_never_wrapped_and_leave_after_the_sites() {
+        let mut network: SimNetwork<TestMsg> = SimNetwork::new(NetworkConfig::perfect());
+        let site = network.register(NodeId::Site(rainbow_common::SiteId(1)));
+        let client = network.register(NodeId::Client(7));
+        let from = NodeId::Site(rainbow_common::SiteId(0));
+        network.register(from);
+        let handle = network.handle();
+
+        // The client's group is opened first and still goes out last.
+        let mut outbox = Outbox::new();
+        outbox.push(NodeId::Client(7), TestMsg::One(1));
+        outbox.push(NodeId::Site(rainbow_common::SiteId(1)), TestMsg::One(2));
+        outbox.push(NodeId::Client(7), TestMsg::One(3));
+        let stats = outbox.flush(&handle, from, TestMsg::Many);
+        assert_eq!(stats.envelopes, 3);
+        assert_eq!(stats.messages, 3);
+        assert_eq!(stats.largest_batch, 1);
+
+        let to_site = site.recv_timeout(Duration::from_secs(2)).unwrap();
+        let first = client.recv_timeout(Duration::from_secs(2)).unwrap();
+        let second = client.recv_timeout(Duration::from_secs(2)).unwrap();
+        assert_eq!(first.payload, TestMsg::One(1));
+        assert_eq!(second.payload, TestMsg::One(3));
+        assert!(
+            to_site.id.0 < first.id.0,
+            "site-bound envelopes are handed to the network first"
+        );
         network.shutdown();
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Every message that enters the simulator is counted here: totals, per
 //! message kind (e.g. `"2PC_PREPARE"`, `"QC_READ_REQ"`), per directed link,
-//! plus drop counts. The quorum message-traffic experiment (DESIGN.md E-QC)
-//! and the paper's "total number of messages generated per time unit"
+//! plus drop counts. The quorum message-traffic experiment
+//! (`crates/bench/benches/e_quorum_traffic.rs`), the benchmark's
+//! `*_msgs_per_commit` metrics and the paper's "total number of messages generated per time unit"
 //! statistic read these counters.
 
 use crate::node::NodeId;

@@ -13,7 +13,8 @@
 //!   crash;
 //! * quorum consensus needs per-copy **version numbers** that survive site
 //!   recovery;
-//! * the failure-injection experiments (DESIGN.md E-FAIL) crash sites in the
+//! * the failure-injection experiments (`tests/failures_and_recovery.rs`, the
+//!   chaos laboratory) crash sites in the
 //!   middle of transactions and expect committed data to survive and
 //!   uncommitted data to disappear.
 //!

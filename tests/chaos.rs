@@ -9,10 +9,13 @@
 use rainbow_check::{check_history, fixtures};
 use rainbow_common::protocol::{CcpKind, ProtocolStack, RcpKind};
 use rainbow_common::txn::TxnSpec;
-use rainbow_common::Operation;
+use rainbow_common::{ItemId, Operation, SiteId, Value};
 use rainbow_control::{generate_schedule, run_nemesis, NemesisConfig};
 use rainbow_core::{Cluster, ClusterConfig};
-use std::time::Duration;
+use rainbow_net::{LatencyModel, LinkConfig, NetworkConfig};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// A nemesis shape small enough for PR-test latency but still exercising
 /// every event kind with real concurrency.
@@ -115,7 +118,7 @@ fn spec_replay_and_interactive_conversations_emit_identical_history_shapes() {
 
     // ...and conversationally.
     let mut client = cluster.client();
-    let mut txn = client.begin("conversation").unwrap();
+    let mut txn = client.begin("conversation");
     txn.read("x0").unwrap();
     txn.write("x1", 5i64).unwrap();
     txn.increment("x2", 3).unwrap();
@@ -141,4 +144,114 @@ fn spec_replay_and_interactive_conversations_emit_identical_history_shapes() {
     // And the combined history is, of course, serializable.
     let report = check_history(&history);
     assert!(report.is_serializable(), "{:?}", report.violations);
+}
+
+/// A nemesis schedule keyed to the protocol instead of the clock: each time
+/// a commit decision leaves a coordinator — the moment its client is
+/// answered — a site is crashed while the decision is still on the wire, so
+/// participants that voted YES miss it, recover in doubt and must learn the
+/// outcome from the coordinator's decision record. (The seeded nemesis runs
+/// on a perfect network, where that window has no width.) Whatever the
+/// clients were told must hold: the history is serializable, and every item
+/// ends at the last committed write the history knows of.
+#[test]
+fn crashes_inside_the_decision_window_lose_no_committed_write() {
+    let items: Vec<ItemId> = (0..4).map(|i| ItemId::new(format!("x{i}"))).collect();
+    for ccp in [
+        CcpKind::TwoPhaseLocking,
+        CcpKind::TimestampOrdering,
+        CcpKind::MultiversionTimestampOrdering,
+    ] {
+        let stack = ProtocolStack::rainbow_default()
+            .with_ccp(ccp)
+            .with_lock_wait_timeout(Duration::from_millis(150))
+            .with_quorum_timeout(Duration::from_millis(400))
+            .with_commit_timeout(Duration::from_millis(400))
+            .with_parallel_quorums_from_env()
+            .with_coordinator_from_env();
+        let link = LinkConfig::with_latency(LatencyModel::constant(Duration::from_millis(10)));
+        let cluster = Cluster::start(ClusterConfig {
+            stack,
+            network: NetworkConfig::default().with_default_link(link),
+            client_timeout: Duration::from_millis(800),
+            record_history: true,
+            ..ClusterConfig::quick(3, items.len(), 3).unwrap()
+        })
+        .unwrap();
+        let counters = cluster.network_counters();
+        let clients_done = AtomicBool::new(false);
+
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..3usize)
+                .map(|worker| {
+                    let (cluster, items) = (&cluster, &items);
+                    scope.spawn(move || {
+                        let mut client = cluster.client();
+                        for i in 0..8 {
+                            let item = items[(worker + i) % items.len()].clone();
+                            // Orphans and exhausted retries are fine: the
+                            // history records what actually happened.
+                            let _ = client.run("increment", |txn| txn.increment(item.clone(), 1));
+                        }
+                    })
+                })
+                .collect();
+            scope.spawn(|| {
+                for victim in [0, 1, 2, 0, 1, 2] {
+                    let seen = counters.kind("ACP_DECISION");
+                    while counters.kind("ACP_DECISION") == seen {
+                        if clients_done.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        std::thread::yield_now();
+                    }
+                    cluster.crash_site(SiteId(victim)).unwrap();
+                    std::thread::sleep(Duration::from_millis(30));
+                    cluster.recover_site(SiteId(victim)).unwrap();
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            });
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            clients_done.store(true, Ordering::Relaxed);
+        });
+
+        // Fault-free from here on. In-doubt participants resolve through
+        // their janitor's status queries; until then their items refuse
+        // access, so the closing read retries.
+        let mut client = cluster.client();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let final_values = loop {
+            match client.run("final-read", |txn| txn.read_many(items.clone())) {
+                Ok((values, _)) => break values,
+                Err(error) => assert!(Instant::now() < deadline, "{ccp}: {error:?}"),
+            }
+        };
+        drop(client);
+        let horizon = cluster.config().stack.janitor_horizon() + Duration::from_secs(2);
+        assert!(cluster.await_history_quiescence(horizon), "{ccp}");
+        let history = cluster.history().expect("recording on");
+        let report = check_history(&history);
+        assert!(report.is_serializable(), "{ccp}: {}", report.summary());
+
+        let mut last_committed: BTreeMap<&ItemId, (u64, &Value)> = BTreeMap::new();
+        for write in history.committed().flat_map(|record| &record.writes) {
+            let latest = last_committed
+                .entry(&write.item)
+                .or_insert((write.version.0, &write.value));
+            if write.version.0 > latest.0 {
+                *latest = (write.version.0, &write.value);
+            }
+        }
+        assert!(
+            counters.kind("ACP_STATUS_QUERY") > 0,
+            "{ccp}: no participant ever had to ask for a decision — the crashes missed the window"
+        );
+        assert!(!last_committed.is_empty(), "{ccp}: nothing committed");
+        for (item, value) in &final_values {
+            let expected = last_committed.get(item).map_or(&Value::Int(100), |w| w.1);
+            assert_eq!(value, expected, "{ccp}: {item} lost a committed write");
+        }
+    }
 }

@@ -10,15 +10,22 @@
 //!   silently vanishes is idled out by the coordinator), releasing every
 //!   CCP resource at every site;
 //! * the **retry combinator** under faults: conversations homed at a
-//!   crashed site orphan, retry elsewhere, and commit.
+//!   crashed site orphan, retry elsewhere, and commit;
+//! * the **hop count** of the conversation: the first command opens it and
+//!   the client is answered at the decision, so one increment is four
+//!   client messages and eight sequential link delays, under both
+//!   coordinators;
+//! * **no lost answer**: two terminal answers a reactor produces for one
+//!   client in one tick both reach it.
 
-use rainbow_common::protocol::{ProtocolStack, RcpKind};
+use rainbow_common::protocol::{CoordinatorMode, ProtocolStack, RcpKind};
 use rainbow_common::txn::{TxnError, TxnSpec};
-use rainbow_common::{ItemId, Operation, Value};
+use rainbow_common::{ItemId, Operation, SiteId, Value};
 use rainbow_core::{Cluster, ClusterConfig};
+use rainbow_net::{LatencyModel, LinkConfig, NetworkConfig};
 use rainbow_wlg::{WorkloadGenerator, WorkloadParams};
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn stack(rcp: RcpKind, parallel: bool) -> ProtocolStack {
     ProtocolStack::rainbow_default()
@@ -76,11 +83,10 @@ fn mixed_specs() -> Vec<TxnSpec> {
 /// what the adapter does internally — but through the *public* handle API.
 fn replay_by_hand(cluster: &Cluster, spec: &TxnSpec) -> (bool, BTreeMap<ItemId, Value>) {
     let mut client = cluster.client();
-    let begin = match spec.home {
+    let mut txn = match spec.home {
         Some(site) => client.begin_at(spec.label.clone(), site),
         None => client.begin(spec.label.clone()),
     };
-    let mut txn = begin.expect("healthy cluster must accept begin");
     let mut observed = BTreeMap::new();
     for op in &spec.operations {
         let step: Result<(), TxnError> = match op {
@@ -167,7 +173,7 @@ fn dropped_txn_aborts_and_releases_locks() {
     let cluster = cluster(RcpKind::QuorumConsensus, true);
     let mut client = cluster.client();
     {
-        let mut txn = client.begin("doomed").unwrap();
+        let mut txn = client.begin("doomed");
         // Shared locks on x0's quorum, exclusive locks on x1's.
         txn.read("x0").unwrap();
         txn.increment("x1", 5).unwrap();
@@ -210,7 +216,7 @@ fn vanished_client_is_idled_out_by_the_coordinator() {
         .with_client_timeout(Duration::from_secs(2));
     let cluster = Cluster::start(config).unwrap();
     let mut client = cluster.client();
-    let mut txn = client.begin("vanishing").unwrap();
+    let mut txn = client.begin("vanishing");
     txn.increment("x0", 1).unwrap();
     // The client vanishes without even a drop-abort (process death): the
     // coordinator must abort the conversation at its idle horizon.
@@ -255,7 +261,7 @@ fn interactive_conversation_reads_its_own_commits_across_txns() {
     let mut client = cluster.client();
 
     // A conditional transfer driven by observed values.
-    let mut txn = client.begin("transfer").unwrap();
+    let mut txn = client.begin("transfer");
     let balance = txn.read("x0").unwrap().as_int().unwrap();
     assert_eq!(balance, 100);
     txn.increment("x0", -40).unwrap();
@@ -266,7 +272,7 @@ fn interactive_conversation_reads_its_own_commits_across_txns() {
     // The next conversation observes the committed effects; the batched
     // multi-get returns values in request order and agrees with single
     // reads.
-    let mut txn = client.begin("audit").unwrap();
+    let mut txn = client.begin("audit");
     assert_eq!(txn.read("x0").unwrap(), Value::Int(60));
     assert_eq!(txn.read("x1").unwrap(), Value::Int(140));
     let batch = txn.read_many(["x1", "x0", "x2"]).unwrap();
@@ -281,10 +287,132 @@ fn interactive_conversation_reads_its_own_commits_across_txns() {
     txn.commit().unwrap();
 
     // Explicit abort leaves no trace.
-    let mut txn = client.begin("undone").unwrap();
+    let mut txn = client.begin("undone");
     txn.increment("x0", -1000).unwrap();
     txn.abort();
-    let mut txn = client.begin("after-abort").unwrap();
+    let mut txn = client.begin("after-abort");
     assert_eq!(txn.read("x0").unwrap(), Value::Int(60));
+    txn.commit().unwrap();
+}
+
+const COORDINATORS: [CoordinatorMode; 2] = [CoordinatorMode::Threads, CoordinatorMode::Reactor];
+
+#[test]
+fn one_increment_is_four_client_messages() {
+    for coordinator in COORDINATORS {
+        let config = ClusterConfig::quick(3, 8, 3)
+            .unwrap()
+            .with_stack(ProtocolStack::rainbow_default().with_coordinator(coordinator));
+        let cluster = Cluster::start(config).unwrap();
+        let counters = cluster.network_counters();
+        let mut client = cluster.client();
+
+        let mut txn = client.begin("increment");
+        assert_eq!(
+            txn.id(),
+            None,
+            "{coordinator:?}: no id before the first answer"
+        );
+        assert_eq!(counters.kind("TXN_BEGIN"), 0, "{coordinator:?}: begin sent");
+        txn.increment("x0", 1).unwrap();
+        let id = txn.id().expect("the first answer names the transaction");
+        assert_eq!(id.home, txn.home());
+        txn.commit().unwrap();
+
+        let sent = |kind| counters.kind(kind);
+        assert_eq!(sent("TXN_BEGIN"), 1, "{coordinator:?}");
+        assert_eq!(sent("TXN_OP_REPLY"), 1, "{coordinator:?}");
+        assert_eq!(sent("TXN_OP"), 1, "{coordinator:?}");
+        assert_eq!(sent("TXN_DONE"), 1, "{coordinator:?}");
+        assert_eq!(sent("TXN_BEGAN"), 0, "{coordinator:?}");
+        let client_messages: u64 = counters
+            .snapshot()
+            .by_kind
+            .iter()
+            .filter(|(kind, _)| kind.starts_with("TXN_"))
+            .map(|(_, count)| count)
+            .sum();
+        assert_eq!(client_messages, 4, "{coordinator:?}");
+    }
+}
+
+#[test]
+fn one_increment_is_eight_sequential_link_delays() {
+    // TxnBegin(op), CopyRead, CopyReply, TxnOpReply, TxnOp(Commit),
+    // AcpPrepare, AcpVote, TxnDone (beside the decisions): 8 delays. With a
+    // begin handshake and an answer after the last ack it was 12. (A hop
+    // also costs the simulator's timer ~0.25 ms in a debug build, which is
+    // why the link is not shorter.)
+    let link = Duration::from_millis(4);
+    for coordinator in COORDINATORS {
+        let config = ClusterConfig::quick(3, 8, 3)
+            .unwrap()
+            .with_stack(ProtocolStack::rainbow_default().with_coordinator(coordinator))
+            .with_network(
+                NetworkConfig::default()
+                    .with_default_link(LinkConfig::with_latency(LatencyModel::constant(link))),
+            );
+        let cluster = Cluster::start(config).unwrap();
+        let mut client = cluster.client();
+        // Scheduling noise only ever adds time: the best of a few
+        // transactions is the one that shows the hop count.
+        let mut best = Duration::MAX;
+        for i in 0..6 {
+            let started = Instant::now();
+            let mut txn = client.begin("timed");
+            let begin_took = started.elapsed();
+            assert!(
+                begin_took < link,
+                "{coordinator:?}: begin took {begin_took:?}, it must not touch the network"
+            );
+            txn.increment(format!("x{i}"), 1).unwrap();
+            txn.commit().unwrap();
+            best = best.min(started.elapsed());
+        }
+        assert!(
+            best >= link * 8,
+            "{coordinator:?}: {best:?} is under 8 link delays — are the links delayed?"
+        );
+        assert!(
+            best < link * 19 / 2,
+            "{coordinator:?}: begin → increment → commit took {best:?}, over 9.5 link delays"
+        );
+    }
+}
+
+#[test]
+fn two_answers_for_one_client_in_one_reactor_tick_both_arrive() {
+    // With a single reactor, the abort a dropped handle fires and the lone
+    // commit that follows it are drained in one tick, so the reactor flushes
+    // two `TxnDone`s for the same client together. Only sites unpack a
+    // batch: both must travel as themselves, or the commit's answer is lost
+    // and the client, told `Orphaned`, would run a committed transaction
+    // again. (Clusters other tests start meanwhile may get one reactor too;
+    // nothing in this file depends on the count.)
+    std::env::set_var("RAINBOW_REACTORS", "1");
+    let config = ClusterConfig::quick(3, 8, 3)
+        .unwrap()
+        .with_stack(ProtocolStack::rainbow_default().with_coordinator(CoordinatorMode::Reactor))
+        .with_client_timeout(Duration::from_secs(2));
+    let cluster = Cluster::start(config).unwrap();
+    std::env::remove_var("RAINBOW_REACTORS");
+    let counters = cluster.network_counters();
+    let mut client = cluster.client();
+    for round in 0..100 {
+        let mut txn = client.begin_at("dropped", SiteId(0));
+        txn.increment("x0", 1).unwrap();
+        drop(txn);
+        let lone = client.begin_at("lone-commit", SiteId(0));
+        if let Err(error) = lone.commit() {
+            panic!("round {round}: the commit's answer never arrived: {error:?}");
+        }
+    }
+    assert_eq!(counters.kind("TXN_DONE"), 200, "one answer per transaction");
+    let mut txn = client.begin("audit");
+    assert_eq!(
+        txn.read("x0").unwrap(),
+        Value::Int(100),
+        "every drop aborted"
+    );
     txn.commit().unwrap();
 }

@@ -126,7 +126,7 @@ fn dropped_txn_on_the_reactor_path_releases_every_lock() {
     let cluster = reactor_cluster(3, 8);
     let mut client = cluster.client();
     {
-        let mut txn = client.begin("doomed").unwrap();
+        let mut txn = client.begin("doomed");
         txn.read("x0").unwrap();
         txn.increment("x1", 5).unwrap();
         assert!(
@@ -164,7 +164,7 @@ fn vanished_client_is_idled_out_by_its_reactor() {
         .with_client_timeout(Duration::from_secs(2));
     let cluster = Cluster::start(config).unwrap();
     let mut client = cluster.client();
-    let mut txn = client.begin("vanishing").unwrap();
+    let mut txn = client.begin("vanishing");
     txn.increment("x0", 1).unwrap();
     // The client vanishes without even a drop-abort (process death): the
     // owning reactor's tick janitor must abort the machine at its idle
@@ -188,7 +188,7 @@ fn shutdown_with_in_flight_conversations_joins_every_reactor() {
     {
         let mut client = cluster.client();
         for i in 0..4 {
-            let mut txn = client.begin(format!("in-flight-{i}")).unwrap();
+            let mut txn = client.begin(format!("in-flight-{i}"));
             txn.increment(format!("x{i}"), 1).unwrap();
             // Forgotten, not dropped: the conversations are still open (and
             // hold locks) when shutdown begins.

@@ -68,3 +68,55 @@ fn no_leaked_state_after_a_tso_workload() {
 fn no_leaked_state_after_an_mvto_workload() {
     run_and_check(CcpKind::MultiversionTimestampOrdering, 40, 8);
 }
+
+/// `begin` is lazy: a handle dropped (or aborted) before its first command
+/// never reached any site, so there is nothing to clean up anywhere.
+#[test]
+fn a_txn_dropped_before_its_first_command_leaves_nothing_behind() {
+    let config = ClusterConfig::quick(3, 8, 3)
+        .unwrap()
+        .with_stack(ProtocolStack::rainbow_default().with_coordinator_from_env());
+    let cluster = Cluster::start(config).unwrap();
+    let counters = cluster.network_counters();
+    let sent_before = counters.sent();
+    let mut client = cluster.client();
+
+    drop(client.begin("dropped"));
+    client.begin("aborted").abort();
+
+    assert_eq!(
+        counters.sent(),
+        sent_before,
+        "an unopened handle sent a message"
+    );
+    assert_eq!(cluster.workers_started(), 0, "a worker was lent to nobody");
+    assert_eq!(
+        cluster.open_conversations(),
+        0,
+        "a reply channel was registered"
+    );
+    let lingering = cluster.lingering_participants();
+    assert!(lingering.values().all(Vec::is_empty), "{lingering:?}");
+    assert!(cluster.active_cc_transactions().values().all(|n| *n == 0));
+    // Both are accounted as aborts the client asked for, not as orphans.
+    let stats = cluster.stats();
+    assert_eq!((stats.submitted, stats.aborted, stats.orphans), (2, 2, 0));
+
+    // The endpoint is as good as new afterwards — and the coordinator of a
+    // real transaction, answered at the decision, retires once the
+    // acknowledgements are in.
+    let wait_for_open = |expected: usize, what: &str| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while cluster.open_conversations() != expected {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    };
+    let mut txn = client.begin("real");
+    txn.increment("x0", 1).unwrap();
+    // (A reactor publishes its count at the end of the tick, just after the
+    // reply left.)
+    wait_for_open(1, "the open conversation is not counted");
+    txn.commit().unwrap();
+    wait_for_open(0, "the coordinator never retired");
+}

@@ -47,13 +47,13 @@ fn cluster(stack: ProtocolStack) -> Cluster {
 }
 
 fn increment(client: &mut Client, item: usize) {
-    let mut txn = client.begin("increment").unwrap();
+    let mut txn = client.begin("increment");
     txn.increment(format!("x{}", item % 8), 1).unwrap();
     txn.commit().unwrap();
 }
 
 fn read_four(client: &mut Client, first: usize) {
-    let mut txn = client.begin("read-many").unwrap();
+    let mut txn = client.begin("read-many");
     let values = txn
         .read_many((0..4).map(|k| format!("x{}", (first + k) % 8)))
         .unwrap();
@@ -66,10 +66,20 @@ fn a_warm_cluster_creates_no_thread_per_transaction() {
     let _turn = take_turn();
     let cluster = cluster(ProtocolStack::rainbow_default());
     let mut client = cluster.client();
-    // Warm-up: every home site lends its first worker.
+    // Warm-up: every home site lends its first worker — and its second: the
+    // client is answered at the decision, so a conversation can open while
+    // the previous one's worker is still collecting acknowledgements. Going
+    // back to the same home at once provokes exactly that.
     for i in 0..12 {
         increment(&mut client, i);
         read_four(&mut client, i);
+    }
+    for home in cluster.site_ids() {
+        for i in 0..8 {
+            let mut txn = client.begin_at("warm-up", home);
+            txn.increment(format!("x{i}"), 1).unwrap();
+            txn.commit().unwrap();
+        }
     }
     let workers_before = cluster.workers_started();
     let inline_before = cluster.copy_accesses_inline();
@@ -111,7 +121,7 @@ fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
     // T1 < T2 < T3 whatever the sites' clocks have seen.
     let home = SiteId(0);
     let mut client1 = cluster.client();
-    let mut t1 = client1.begin_at("t1", home).unwrap();
+    let mut t1 = client1.begin_at("t1", home);
     t1.increment("x0", 5).unwrap();
 
     let handed_off_before = cluster.copy_accesses_handed_off();
@@ -119,7 +129,7 @@ fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let mut client2 = cluster.client();
-            let mut t2 = client2.begin_at("t2", home).unwrap();
+            let mut t2 = client2.begin_at("t2", home);
             let seen = t2.read("x0");
             t2_tx.send(seen.clone()).unwrap();
             if seen.is_ok() {
@@ -135,7 +145,7 @@ fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
 
         let started = Instant::now();
         let mut client3 = cluster.client();
-        let mut t3 = client3.begin_at("t3", home).unwrap();
+        let mut t3 = client3.begin_at("t3", home);
         t3.increment("x1", 1).unwrap();
         t3.commit().unwrap();
         let t3_took = started.elapsed();
