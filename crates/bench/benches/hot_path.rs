@@ -1,11 +1,12 @@
-//! Hot-path microbenchmarks for the data-plane overhaul: interned item ids,
-//! the sharded lock table, and the parallel quorum fan-out.
+//! Hot-path microbenchmarks for the data-plane overhaul: interned item ids
+//! and the sharded lock table.
 //!
 //! Each measurement compares the current implementation against an embedded
 //! **baseline** reproducing the seed design: `String`-keyed maps behind one
-//! global mutex (lock table) / one `RwLock`-guarded `BTreeMap` (store), and
-//! the strictly sequential one-quorum-at-a-time RCP loop. Results are
-//! printed as a table and written to `BENCH_hotpath.json` at the repo root.
+//! global mutex (lock table) / one `RwLock`-guarded `BTreeMap` (store).
+//! Results are printed as a table and written to `BENCH_hotpath.json` at the
+//! repo root. (What a quorum costs end to end is measured in absolute terms
+//! by the repository benchmark's `read_mostly` and `update_lan` workloads.)
 //!
 //! Run with: `cargo bench --bench hot_path` (add `-- --quick` for a smoke
 //! run, as CI does; `--out PATH` writes JSON to PATH even in quick mode,
@@ -13,10 +14,8 @@
 
 use criterion::black_box;
 use rainbow_cc::{LockManager, LockMode};
-use rainbow_common::protocol::{DeadlockPolicy, ProtocolStack};
-use rainbow_common::txn::TxnSpec;
-use rainbow_common::{ItemId, Operation, SiteId, Timestamp, TxnId, Value, Version};
-use rainbow_control::{Session, WorkloadRunner};
+use rainbow_common::protocol::DeadlockPolicy;
+use rainbow_common::{ItemId, SiteId, Timestamp, TxnId, Value, Version};
 use rainbow_storage::SiteStorage;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Condvar, Mutex, RwLock};
@@ -331,48 +330,6 @@ fn bench_store_writes(iters: u64) -> (Throughput, Throughput) {
     (baseline_result, interned_result)
 }
 
-fn quorum_latency(parallel: bool, txns: usize, ops_per_txn: usize) -> f64 {
-    let stack = ProtocolStack::rainbow_default()
-        .with_lock_wait_timeout(Duration::from_millis(400))
-        .with_quorum_timeout(Duration::from_millis(1500))
-        .with_commit_timeout(Duration::from_millis(1500))
-        .with_parallel_quorums(parallel);
-    let mut session = Session::new();
-    session.configure_sites(3).unwrap();
-    // A realistic LAN link: quorum fan-out exists to overlap *network*
-    // latency, so the end-to-end comparison models one.
-    session
-        .configure_network(rainbow_net::NetworkConfig::lan(
-            Duration::from_micros(150),
-            Duration::from_micros(400),
-        ))
-        .unwrap();
-    session.configure_protocols(stack).unwrap();
-    session
-        .configure_uniform_database(ops_per_txn.max(8), 100, 3)
-        .unwrap();
-    session.start().unwrap();
-    let wlg = WorkloadRunner::new(&session);
-
-    let mut total = Duration::ZERO;
-    let mut committed = 0usize;
-    for round in 0..txns {
-        let spec = TxnSpec::new(
-            format!("bench-{round}"),
-            (0..ops_per_txn)
-                .map(|i| Operation::read(format!("x{i}")))
-                .collect(),
-        );
-        let result = wlg.submit(spec).unwrap();
-        if result.committed() {
-            total += result.response_time;
-            committed += 1;
-        }
-    }
-    assert!(committed > 0, "quorum bench: no transaction committed");
-    (total.as_secs_f64() * 1e6) / committed as f64
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -381,10 +338,10 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let (lock_iters, store_iters, txns) = if quick {
-        (20_000, 50_000, 8)
+    let (lock_iters, store_iters) = if quick {
+        (20_000, 50_000)
     } else {
-        (200_000, 500_000, 40)
+        (200_000, 500_000)
     };
 
     println!("hot-path benchmarks ({THREADS} threads; baseline = String keys + global mutex)\n");
@@ -422,16 +379,8 @@ fn main() {
         write_interned.ops_per_sec, write_interned.ns_per_op
     );
 
-    let sequential_us = quorum_latency(false, txns, 8);
-    let parallel_us = quorum_latency(true, txns, 8);
-    let quorum_speedup = sequential_us / parallel_us;
-    println!("quorum e2e (8 reads)   sequential {sequential_us:>10.0} µs/txn");
-    println!(
-        "                       parallel   {parallel_us:>10.0} µs/txn      {quorum_speedup:.2}x"
-    );
-
     let json = format!(
-        "{{\n  \"config\": {{\"threads\": {THREADS}, \"lock_iters_per_thread\": {lock_iters}, \"store_iters_per_thread\": {store_iters}, \"quorum_txns\": {txns}, \"quick\": {quick}}},\n  \"lock_acquire_release\": {{\"baseline_ops_per_sec\": {:.0}, \"sharded_ops_per_sec\": {:.0}, \"speedup\": {:.2}}},\n  \"store_read\": {{\"baseline_ops_per_sec\": {:.0}, \"interned_ops_per_sec\": {:.0}, \"speedup\": {:.2}}},\n  \"store_write\": {{\"baseline_ops_per_sec\": {:.0}, \"interned_ops_per_sec\": {:.0}, \"speedup\": {:.2}}},\n  \"quorum_end_to_end\": {{\"sequential_us_per_txn\": {:.1}, \"parallel_us_per_txn\": {:.1}, \"speedup\": {:.2}}}\n}}\n",
+        "{{\n  \"config\": {{\"threads\": {THREADS}, \"lock_iters_per_thread\": {lock_iters}, \"store_iters_per_thread\": {store_iters}, \"quick\": {quick}}},\n  \"lock_acquire_release\": {{\"baseline_ops_per_sec\": {:.0}, \"sharded_ops_per_sec\": {:.0}, \"speedup\": {:.2}}},\n  \"store_read\": {{\"baseline_ops_per_sec\": {:.0}, \"interned_ops_per_sec\": {:.0}, \"speedup\": {:.2}}},\n  \"store_write\": {{\"baseline_ops_per_sec\": {:.0}, \"interned_ops_per_sec\": {:.0}, \"speedup\": {:.2}}}\n}}\n",
         lock_base.ops_per_sec,
         lock_sharded.ops_per_sec,
         lock_speedup,
@@ -441,9 +390,6 @@ fn main() {
         write_base.ops_per_sec,
         write_interned.ops_per_sec,
         write_speedup,
-        sequential_us,
-        parallel_us,
-        quorum_speedup,
     );
     if let Some(path) = out_override {
         match std::fs::write(&path, &json) {

@@ -1,5 +1,4 @@
-//! End-to-end commit-pipeline throughput: thread-per-conversation vs the
-//! sharded reactor coordinator, at rising multiprogramming levels.
+//! End-to-end commit-pipeline throughput at rising multiprogramming levels.
 //!
 //! Each measurement starts an in-process cluster (3 sites, memory engine,
 //! perfect network — so coordination overhead, not I/O or link latency, is
@@ -8,29 +7,24 @@
 //! fan-out, ACP prepare, group-commit apply). Every client owns a distinct
 //! item, so the burst measures the pipeline, not 2PL contention.
 //!
-//! The threads mode lends one of the home site's workers and one blocking
-//! reply channel to each transaction; the reactor mode runs the same
-//! protocol steps on a fixed shard pool with per-tick message batching.
-//! Both share the participant side (copy accesses answered on the site
-//! dispatcher unless they must wait). The committed
-//! `BENCH_pipeline.json` numbers are the performance contract the
-//! `bench-regression` CI job enforces.
+//! The figures are absolute — transactions per second at each client count
+//! — and the committed `BENCH_pipeline.json` numbers are the performance
+//! contract the `bench-regression` CI job enforces.
 //!
 //! Run with: `cargo bench --bench pipeline` (add `-- --quick` for a smoke
 //! run, as CI does; `--out PATH` writes JSON to PATH even in quick mode).
 
-use rainbow_common::protocol::{CoordinatorMode, ProtocolStack};
+use rainbow_common::protocol::ProtocolStack;
 use rainbow_common::txn::TxnSpec;
 use rainbow_common::Operation;
 use rainbow_core::{Cluster, ClusterConfig};
 use std::time::{Duration, Instant};
 
-fn pipeline_stack(mode: CoordinatorMode) -> ProtocolStack {
+fn pipeline_stack() -> ProtocolStack {
     ProtocolStack::rainbow_default()
         .with_lock_wait_timeout(Duration::from_millis(400))
         .with_quorum_timeout(Duration::from_millis(1500))
         .with_commit_timeout(Duration::from_millis(1500))
-        .with_coordinator(mode)
 }
 
 struct LevelResult {
@@ -40,13 +34,13 @@ struct LevelResult {
     committed: usize,
 }
 
-/// Runs one mode at one multiprogramming level: `clients` concurrent
-/// client threads, each committing `txns_per_client` single-increment
-/// transactions against its own item.
-fn run_level(mode: CoordinatorMode, clients: usize, txns_per_client: usize) -> LevelResult {
+/// Runs one multiprogramming level: `clients` concurrent client threads,
+/// each committing `txns_per_client` single-increment transactions against
+/// its own item.
+fn run_level(clients: usize, txns_per_client: usize) -> LevelResult {
     let config = ClusterConfig::quick(3, clients, 3)
         .expect("cluster config")
-        .with_stack(pipeline_stack(mode))
+        .with_stack(pipeline_stack())
         .with_client_timeout(Duration::from_secs(20));
     let cluster = Cluster::start(config).expect("start cluster");
 
@@ -82,7 +76,7 @@ fn run_level(mode: CoordinatorMode, clients: usize, txns_per_client: usize) -> L
     let transactions = clients * txns_per_client;
     assert!(
         committed * 10 >= transactions * 9,
-        "{mode:?} at {clients} clients: only {committed}/{transactions} committed"
+        "at {clients} clients: only {committed}/{transactions} committed"
     );
     LevelResult {
         clients,
@@ -112,38 +106,20 @@ fn main() {
     };
 
     println!("commit-pipeline throughput (3 sites, memory engine, one increment+commit per txn)\n");
-    println!(
-        "{:>8} {:>8} {:>22} {:>22} {:>9}",
-        "clients", "txns", "threads txn/s", "reactor txn/s", "speedup"
-    );
+    println!("{:>8} {:>8} {:>14}", "clients", "txns", "txn/s");
 
-    let mut rows = Vec::new();
+    let mut level_json = Vec::new();
     for &(clients, txns_per_client) in levels {
-        let threads = run_level(CoordinatorMode::Threads, clients, txns_per_client);
-        let reactor = run_level(CoordinatorMode::Reactor, clients, txns_per_client);
-        let speedup = reactor.txn_per_sec / threads.txn_per_sec;
+        let level = run_level(clients, txns_per_client);
         println!(
-            "{:>8} {:>8} {:>14.0} ({:>4}c) {:>14.0} ({:>4}c) {:>8.2}x",
-            clients,
-            threads.transactions,
-            threads.txn_per_sec,
-            threads.committed,
-            reactor.txn_per_sec,
-            reactor.committed,
-            speedup
+            "{:>8} {:>8} {:>14.0} ({:>4}c)",
+            level.clients, level.transactions, level.txn_per_sec, level.committed
         );
-        rows.push((threads, reactor, speedup));
+        level_json.push(format!(
+            "    {{\"clients\": {}, \"transactions\": {}, \"txn_per_sec\": {:.0}}}",
+            level.clients, level.transactions, level.txn_per_sec
+        ));
     }
-
-    let level_json: Vec<String> = rows
-        .iter()
-        .map(|(threads, reactor, speedup)| {
-            format!(
-                "    {{\"clients\": {}, \"transactions\": {}, \"threads_txn_per_sec\": {:.0}, \"reactor_txn_per_sec\": {:.0}, \"speedup\": {:.2}}}",
-                threads.clients, threads.transactions, threads.txn_per_sec, reactor.txn_per_sec, speedup
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"config\": {{\"sites\": 3, \"replication_degree\": 3, \"engine\": \"memory\", \"ops_per_txn\": 1, \"quick\": {quick}}},\n  \"levels\": [\n{}\n  ]\n}}\n",
         level_json.join(",\n")

@@ -60,7 +60,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use history::{History, HistorySink, ReadObservation, TxnRecord, WriteRecord};
 pub use ids::{CopyId, HostId, ItemId, MessageId, SiteId, Timestamp, TxnId, Version};
 pub use op::{Operation, OperationKind};
-pub use protocol::{AcpKind, CcpKind, CoordinatorMode, ProtocolStack, RcpKind};
+pub use protocol::{AcpKind, CcpKind, ProtocolStack, RcpKind};
 pub use stats::{AbortBreakdown, LatencyStats, StatsSnapshot};
 pub use txn::{AbortCause, TxnError, TxnOutcome, TxnReceipt, TxnResult, TxnSpec};
 pub use value::Value;

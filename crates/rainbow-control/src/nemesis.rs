@@ -167,9 +167,7 @@ impl Default for NemesisConfig {
             stack: ProtocolStack::rainbow_default()
                 .with_lock_wait_timeout(Duration::from_millis(150))
                 .with_quorum_timeout(Duration::from_millis(400))
-                .with_commit_timeout(Duration::from_millis(400))
-                .with_parallel_quorums_from_env()
-                .with_coordinator_from_env(),
+                .with_commit_timeout(Duration::from_millis(400)),
             client_timeout: Duration::from_millis(800),
             storage: StorageConfig::from_env(),
             power_loss: true,

@@ -291,9 +291,9 @@ impl Cluster {
         self.sum_over_sites(|metrics| &metrics.janitor_cleanups)
     }
 
-    /// Worker threads started by all sites so far. Constant once the
-    /// cluster is warm: the transaction path reuses threads instead of
-    /// creating them.
+    /// Worker threads started by all sites so far: zero until a copy access
+    /// has to wait, and constant once the cluster is warm — the transaction
+    /// path reuses threads instead of creating them.
     pub fn workers_started(&self) -> u64 {
         self.sum_over_sites(|metrics| &metrics.workers_started)
     }
@@ -595,8 +595,8 @@ impl Cluster {
     }
 
     /// Stops every component: sites, the name server, the network.
-    /// Transactions still in flight are abandoned (their coordinator
-    /// workers drain on their own, bounded by the protocol timeouts).
+    /// Transactions still in flight are abandoned (each site's event loops
+    /// fail theirs with a site failure on the way out).
     ///
     /// Idempotent: the first call tears everything down, later calls (and
     /// the [`Drop`] impl, which delegates here) are no-ops — so examples

@@ -14,13 +14,13 @@
 //!   waits, a set of reused worker threads for what may (a request that can
 //!   be answered now is answered on the dispatcher; only one that must wait
 //!   gets a thread, and the thread is reused), copy-access handling through
-//!   the configured CCP, and 2PC/3PC participant handling. The paper's site
-//!   "dedicates one thread to process" each transaction; this one lends an
-//!   existing thread for the transaction's duration and creates none in
-//!   steady state;
-//! * [`coordinator`] — the home-site transaction manager: drives the RCP
-//!   (quorum building per operation), then the ACP, and classifies aborts by
-//!   the layer that caused them;
+//!   the configured CCP, and 2PC/3PC participant handling;
+//! * [`coordinator`] — the home-site transaction manager: one state machine
+//!   per transaction that drives the RCP (quorum building per operation),
+//!   then the ACP, and classifies aborts by the layer that caused them, and
+//!   the event loops the machines run on. The paper's site "dedicates one
+//!   thread to process" each transaction; this one pins the transaction to
+//!   an event loop and creates no thread for it;
 //! * [`cluster`] — builds a complete Rainbow instance (network + name
 //!   server + sites) from configuration and offers the client API used by
 //!   the workload generator, the Session layer, the examples and the

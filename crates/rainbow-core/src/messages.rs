@@ -41,8 +41,8 @@ pub enum CopyAccessResult {
 }
 
 /// One step of an interactive transaction conversation, sent by a client
-/// handle (`Txn`) to the coordinator worker driving the transaction at its
-/// home site. The coordinator is an op-driven state machine: it learns the
+/// handle (`Txn`) to the coordinator driving the transaction at its home
+/// site. The coordinator is an op-driven state machine: it learns the
 /// transaction one command at a time instead of receiving a pre-declared
 /// operation list.
 #[derive(Debug, Clone)]
@@ -53,8 +53,8 @@ pub enum NextOp {
         /// The item to read.
         item: ItemId,
     },
-    /// Run the read quorums of several items as one batch (parallel fan-out
-    /// when enabled) and return every observed value. The multi-get of the
+    /// Run the read quorums of several items as one batch (all fanned out
+    /// at once, under one deadline) and return every observed value. The multi-get of the
     /// interactive API; also how the spec adapter replays consecutive
     /// reads without giving up the fan-out optimization.
     ReadMany {
@@ -295,13 +295,16 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // Batching
     // ------------------------------------------------------------------
-    /// Several protocol messages for the same destination coalesced into
-    /// one envelope. The reactor coordinator flushes its per-tick outbox
-    /// this way (and a site answers a batch of prepares with a batch of
-    /// votes), so N messages to one site pay one trip through the network
+    /// Several protocol messages for the same destination site coalesced
+    /// into one envelope. A coordinator event loop flushes its per-tick
+    /// outbox this way (and a site answers a batch of prepares with a batch
+    /// of votes), so N messages to one site pay one trip through the network
     /// simulator instead of N. The receiving dispatcher unpacks the batch
-    /// and handles each message exactly as if it had arrived alone;
-    /// message-count statistics still count the logical messages.
+    /// and handles each message exactly as if it had arrived alone — except
+    /// that the prepares and the commit decisions of one batch share a
+    /// forced log append each. The network's counters count the messages
+    /// carried, each under its own kind and size, and the envelope only as
+    /// an envelope, never as a kind.
     Batch(Vec<Msg>),
 }
 
@@ -416,6 +419,13 @@ impl NetMessage for Msg {
         // queue-delay spans to the right transaction.
         Msg::txn(self)
     }
+
+    fn carried(&self) -> &[Self] {
+        match self {
+            Msg::Batch(msgs) => msgs,
+            _ => &[],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -502,7 +512,7 @@ mod tests {
 
     #[test]
     fn conversation_ops_are_not_coordinator_responses() {
-        // Client commands are routed to the worker explicitly by the site
+        // Client commands are routed to the reactor explicitly by the site
         // dispatcher, not through the coordinator-response fast path, and
         // client-bound replies are never routed by a site at all.
         assert!(!Msg::TxnOp {
@@ -588,6 +598,7 @@ mod tests {
         let summed: usize = inner.iter().map(|m| m.size_hint()).sum();
         let batch = Msg::Batch(inner);
         assert_eq!(batch.kind(), "BATCH");
+        assert_eq!(batch.carried().len(), 2, "counted message by message");
         assert!(batch.size_hint() > summed, "envelope header is extra");
         // A batch spans transactions; the dispatcher unpacks it before any
         // per-transaction routing happens.

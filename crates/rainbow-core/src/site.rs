@@ -3,34 +3,38 @@
 //! A site is one node of the distributed database. It runs:
 //!
 //! * a **dispatcher thread** that drains the site's network mailbox and
-//!   routes messages — responses go to the transaction coordinator waiting
-//!   for them, requests are handled. The dispatcher never waits: a request
-//!   that can be answered now is answered now, on the dispatcher; only a
-//!   request that must wait gets a thread, and the thread is reused. A copy
-//!   access asks the CCP's non-waiting form first and is handed to a worker
-//!   only when the answer is *would wait*;
-//! * a set of **reused workers** (`workers.rs`) running what may wait:
-//!   the conversation of each in-flight transaction whose home is this site
-//!   and the copy accesses that found their lock held. (The paper's site
-//!   "dedicates one thread to process" each transaction; here the thread is
-//!   lent for the transaction's duration instead of created for it.)
+//!   routes messages — whatever belongs to a transaction whose home is this
+//!   site (the client's commands, copy replies, votes, acknowledgements) goes
+//!   to the event loop driving it, requests from other coordinators are
+//!   handled. The dispatcher never waits: a request that can be answered now
+//!   is answered now, on the dispatcher; only a request that must wait gets
+//!   a thread, and the thread is reused. A copy access asks the CCP's
+//!   non-waiting form first and is handed to a worker only when the answer
+//!   is *would wait*;
+//! * the **coordinator** of every transaction whose home is this site: a
+//!   state machine per transaction (`coordinator.rs`) on a small set of
+//!   event loops (`coordinator/reactor.rs`). (The paper's site "dedicates
+//!   one thread to process" each transaction; here a transaction is pinned
+//!   to an event loop instead, and no thread is ever created for it.)
+//! * a set of **reused workers** (`workers.rs`) for the one thing that still
+//!   waits: a copy access that found its lock held (or, under the timestamp
+//!   protocols, an earlier pre-write pending);
 //! * the **participant side** of the commit protocol for transactions
 //!   coordinated elsewhere, including a janitor that cleans up transactions
 //!   whose coordinator disappeared and the recovery path that resolves
 //!   in-doubt transactions after a crash.
 
 use crate::coordinator::reactor::{ReactorEvent, ReactorPool};
-use crate::coordinator::run_interactive;
-use crate::messages::{CopyAccessResult, Msg, OpReply};
+use crate::messages::{CopyAccessResult, Msg};
 use crate::metrics::SiteMetrics;
 use crate::workers::Workers;
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{Receiver, RecvTimeoutError};
 use parking_lot::{Mutex, RwLock};
 use rainbow_cc::{make_ccp, CcDecision, CcProtocol, TxnContext};
 use rainbow_commit::{Decision, Participant, ParticipantAction, ParticipantState, Vote};
 use rainbow_common::config::DatabaseSchema;
 use rainbow_common::history::HistorySink;
-use rainbow_common::protocol::{CoordinatorMode, ProtocolStack};
+use rainbow_common::protocol::ProtocolStack;
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{
     ItemId, RainbowError, RainbowResult, SiteId, Timestamp, TimestampGenerator, TxnId, Value,
@@ -42,7 +46,7 @@ use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig};
 use rainbow_trace::{Phase, TraceEvent, Tracer, Track};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -110,7 +114,8 @@ impl InDoubt {
     }
 }
 
-/// State shared between the dispatcher and the workers of one site.
+/// State shared between the dispatcher, the reactors and the workers of one
+/// site.
 pub(crate) struct SiteShared {
     pub id: SiteId,
     pub node: NodeId,
@@ -122,7 +127,6 @@ pub(crate) struct SiteShared {
     pub net: NetHandle<Msg>,
     pub metrics: Arc<SiteMetrics>,
     pub participants: Mutex<HashMap<TxnId, ParticipantEntry>>,
-    pub pending_replies: Mutex<HashMap<TxnId, Sender<Envelope<Msg>>>>,
     pub decided: Mutex<HashMap<TxnId, Decision>>,
     /// Transactions that have already been decided (or cleaned up) at this
     /// site *as a participant*. Late copy-access requests and late lock
@@ -130,7 +134,7 @@ pub(crate) struct SiteShared {
     /// participant entry that nobody will ever release.
     pub finished: Mutex<HashSet<TxnId>>,
     pub in_doubt: Mutex<InDoubt>,
-    /// The threads everything that may wait runs on.
+    /// The threads a copy access that has to wait runs on.
     pub workers: Arc<Workers>,
     pub txn_seq: AtomicU64,
     pub clock: TimestampGenerator,
@@ -143,10 +147,8 @@ pub(crate) struct SiteShared {
     /// The cluster-wide trace sink, `None` when tracing is disabled (the
     /// default) — same dead-branch pattern as `history`.
     pub tracer: Option<Arc<Tracer>>,
-    /// The sharded reactor pool, populated at spawn when the stack selects
-    /// [`CoordinatorMode::Reactor`]. Empty in thread-per-conversation mode,
-    /// so the dispatcher's `get()` check is the only cost there.
-    pub reactor: OnceLock<ReactorPool>,
+    /// The event loops driving the transactions whose home is this site.
+    pub reactors: ReactorPool,
 }
 
 impl SiteShared {
@@ -155,19 +157,9 @@ impl SiteShared {
         self.ccp.read().clone()
     }
 
-    /// Registers a reply channel for a coordinator worker.
-    pub fn register_reply_channel(&self, txn: TxnId, tx: Sender<Envelope<Msg>>) {
-        self.pending_replies.lock().insert(txn, tx);
-    }
-
-    /// Removes the reply channel when the coordinator worker finishes.
-    pub fn unregister_reply_channel(&self, txn: TxnId) {
-        self.pending_replies.lock().remove(&txn);
-    }
-
     /// The coordinator's **forced decision record**: notes the fate of a
     /// transaction whose home is this site, where `AcpStatusQuery` answers
-    /// from. Both coordinators call it at the decision point (and the abort
+    /// from. The coordinator calls it at the decision point (and the abort
     /// fan-out calls it for transactions that never reached one), and
     /// nothing that tells anybody the outcome — no `AcpDecision`, no
     /// `TxnDone` — may leave before it returns: the client is answered at
@@ -324,6 +316,7 @@ impl SiteHandle {
 
         let ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
         let rcp = make_rcp(stack.rcp);
+        let (reactors, reactor_mailboxes) = ReactorPool::new();
         let shared = Arc::new(SiteShared {
             id,
             node: NodeId::Site(id),
@@ -335,7 +328,6 @@ impl SiteHandle {
             net,
             metrics: Arc::clone(&metrics),
             participants: Mutex::new(HashMap::new()),
-            pending_replies: Mutex::new(HashMap::new()),
             decided: Mutex::new(HashMap::new()),
             finished: Mutex::new(HashSet::new()),
             in_doubt: Mutex::new(InDoubt::default()),
@@ -345,12 +337,9 @@ impl SiteHandle {
             shutdown: Arc::new(AtomicBool::new(false)),
             history,
             tracer,
-            reactor: OnceLock::new(),
+            reactors,
         });
-
-        if shared.stack.coordinator == CoordinatorMode::Reactor {
-            let _ = shared.reactor.set(ReactorPool::spawn(&shared));
-        }
+        shared.reactors.start(&shared, reactor_mailboxes);
 
         // A restart from an existing durable log may come back with in-doubt
         // transactions (prepared, never decided before the previous process
@@ -420,18 +409,12 @@ impl SiteHandle {
     }
 
     /// Number of conversations this site's coordinator is still driving
-    /// (open, or answered and collecting acknowledgements): reply channels
-    /// of the threads coordinator, transaction machines of the reactors (as
-    /// of each reactor's last finished tick). For tests of the coordinator's
-    /// clean-up.
+    /// (open, or answered and collecting acknowledgements): the reactors'
+    /// transaction machines, as of each reactor's last finished tick. For
+    /// tests of the coordinator's clean-up.
     #[doc(hidden)]
     pub fn open_conversations(&self) -> usize {
-        let machines = self
-            .shared
-            .reactor
-            .get()
-            .map_or(0, |pool| pool.open_machines());
-        self.shared.pending_replies.lock().len() + machines
+        self.shared.reactors.open_machines()
     }
 
     /// Simulates the volatile-state loss of a crash and immediately runs
@@ -547,21 +530,19 @@ impl SiteHandle {
         ));
     }
 
-    /// Stops the dispatcher thread and retires the workers: idle ones exit
-    /// at once, a busy one when its job returns (a conversation sees the
-    /// shutdown flag within its poll interval; a lock wait is bounded by the
-    /// protocol timeouts). Every thread the site started is joined.
+    /// Stops the dispatcher thread, retires the workers — idle ones exit at
+    /// once, a busy one when its job returns (a lock wait is bounded by the
+    /// protocol timeouts) — and stops the reactors. Every thread the site
+    /// started is joined.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(thread) = self.dispatcher.take() {
             let _ = thread.join();
         }
         self.shared.workers.retire();
-        // Reactor mode: the event loops observe the flag within one tick,
-        // fail their in-flight conversations and drain their outboxes.
-        if let Some(pool) = self.shared.reactor.get() {
-            pool.join();
-        }
+        // The event loops observe the flag within one tick, fail their
+        // in-flight conversations and drain their outboxes.
+        self.shared.reactors.join();
         // Stop the background compaction thread (a no-op on the memory
         // engine, which never spawns one).
         self.shared.storage.shutdown_compactor();
@@ -594,19 +575,13 @@ fn dispatcher_loop(shared: Arc<SiteShared>, mailbox: Receiver<Envelope<Msg>>) {
 }
 
 fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
-    // Responses go straight to the coordinator waiting for them: the
-    // owning reactor in reactor mode, the conversation worker's reply
-    // channel otherwise.
+    // Responses go straight to the reactor driving the transaction they
+    // answer.
     if envelope.payload.is_coordinator_response() {
         if let Some(txn) = envelope.payload.txn() {
-            if let Some(pool) = shared.reactor.get() {
-                pool.route(txn.seq, ReactorEvent::Deliver(envelope));
-                return;
-            }
-            let pending = shared.pending_replies.lock();
-            if let Some(tx) = pending.get(&txn) {
-                let _ = tx.send(envelope);
-            }
+            shared
+                .reactors
+                .route(txn.seq, ReactorEvent::Deliver(envelope));
         }
         return;
     }
@@ -620,65 +595,37 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
     match payload {
         Msg::TxnBegin { request, label, op } => {
             SiteMetrics::bump(&shared.metrics.home_transactions);
-            if let Some(pool) = shared.reactor.get() {
-                // Reactor mode: allocate the id here (its sequence number
-                // pins the transaction to a reactor) and hand the
-                // conversation, first command included, to the owning event
-                // loop.
-                let txn = TxnId::new(shared.id, shared.txn_seq.fetch_add(1, Ordering::Relaxed));
-                let ts = shared.clock.next();
-                pool.route(
-                    txn.seq,
-                    ReactorEvent::Begin {
-                        txn,
-                        ts,
-                        label,
-                        client: from,
-                        request,
-                        op,
-                    },
-                );
-            } else {
-                // A worker is lent to the conversation until it ends.
-                let worker_shared = Arc::clone(shared);
-                shared
-                    .workers
-                    .run(move || run_interactive(worker_shared, label, from, request, op));
-            }
+            // Allocate the id here (its sequence number pins the
+            // transaction to a reactor) and hand the conversation, first
+            // command included, to the owning event loop.
+            let txn = TxnId::new(shared.id, shared.txn_seq.fetch_add(1, Ordering::Relaxed));
+            let ts = shared.clock.next();
+            shared.reactors.route(
+                txn.seq,
+                ReactorEvent::Begin {
+                    txn,
+                    ts,
+                    label,
+                    client: from,
+                    request,
+                    op,
+                },
+            );
         }
         Msg::TxnOp { request, txn, op } => {
-            // Route the client command to the coordinator driving the
-            // conversation. When no worker is registered any more (the
+            // Route the client command to the reactor driving the
+            // conversation (which answers `Gone` when it no longer is: the
             // conversation idled out and was aborted, or the site crashed
-            // and recovered), tell the client instead of leaving it to its
-            // timeout; the reactor path answers `Gone` itself.
+            // and recovered).
             let envelope = Envelope {
                 id,
                 from,
                 to,
                 payload: Msg::TxnOp { request, txn, op },
             };
-            if let Some(pool) = shared.reactor.get() {
-                pool.route(txn.seq, ReactorEvent::Deliver(envelope));
-                return;
-            }
-            let routed = {
-                let pending = shared.pending_replies.lock();
-                match pending.get(&txn) {
-                    Some(tx) => tx.send(envelope).is_ok(),
-                    None => false,
-                }
-            };
-            if !routed {
-                shared.send(
-                    from,
-                    Msg::TxnOpReply {
-                        request,
-                        txn,
-                        reply: OpReply::Gone,
-                    },
-                );
-            }
+            shared
+                .reactors
+                .route(txn.seq, ReactorEvent::Deliver(envelope));
         }
         Msg::CopyRead {
             txn,

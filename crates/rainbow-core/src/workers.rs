@@ -1,8 +1,7 @@
 //! A site's reused worker threads.
 //!
-//! Work that may wait — a coordinator conversation, a copy access whose lock
-//! is held — must not run on the dispatcher, and must not queue behind other
-//! work that waits either. So a job goes to an idle worker when there is one
+//! Work that may wait — a copy access whose lock is held — must not run on
+//! the dispatcher, and must not queue behind other work that waits either. So a job goes to an idle worker when there is one
 //! and to a newly started worker otherwise, never into a queue behind a busy
 //! one: the set is as unbounded as thread-per-request was, but in steady
 //! state every job finds a parked thread and none is created. Idle workers

@@ -2,7 +2,11 @@
 //!
 //! Every message that enters the simulator is counted here: totals, per
 //! message kind (e.g. `"2PC_PREPARE"`, `"QC_READ_REQ"`), per directed link,
-//! plus drop counts. The quorum message-traffic experiment
+//! plus drop counts. All of them count *logical* messages: what a batch
+//! envelope carries is counted message by message, under each message's own
+//! kind and size, and the envelopes themselves — the trips through the
+//! simulator — have a counter of their own, never a kind, so summing the
+//! kinds gives the total. The quorum message-traffic experiment
 //! (`crates/bench/benches/e_quorum_traffic.rs`), the benchmark's
 //! `*_msgs_per_commit` metrics and the paper's "total number of messages generated per time unit"
 //! statistic read these counters.
@@ -18,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct NetworkCounters {
     sent: AtomicU64,
+    envelopes: AtomicU64,
     delivered: AtomicU64,
     dropped_loss: AtomicU64,
     dropped_partition: AtomicU64,
@@ -34,33 +39,49 @@ impl NetworkCounters {
         NetworkCounters::default()
     }
 
-    /// Records a message handed to the simulator.
+    /// Records a message handed to the simulator (on its own, or carried by
+    /// a batch envelope).
     pub fn record_sent(&self, from: NodeId, to: NodeId, kind: &str, bytes: usize) {
         self.sent.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        *self.by_kind.lock().entry(kind.to_owned()).or_insert(0) += 1;
+        {
+            // Only the first message of a kind pays for the owned key.
+            let mut by_kind = self.by_kind.lock();
+            match by_kind.get_mut(kind) {
+                Some(count) => *count += 1,
+                None => _ = by_kind.insert(kind.to_owned(), 1),
+            }
+        }
         *self.by_link.lock().entry((from, to)).or_insert(0) += 1;
     }
 
-    /// Records a successful delivery.
-    pub fn record_delivered(&self) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
+    /// Records one envelope handed to the simulator, whatever it carries.
+    pub fn record_envelope(&self) {
+        self.envelopes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a message dropped by random loss.
-    pub fn record_dropped_loss(&self) {
-        self.dropped_loss.fetch_add(1, Ordering::Relaxed);
+    /// Records the successful delivery of an envelope carrying `messages`
+    /// messages.
+    pub fn record_delivered(&self, messages: u64) {
+        self.delivered.fetch_add(messages, Ordering::Relaxed);
     }
 
-    /// Records a message dropped because sender and receiver are in
-    /// different partitions.
-    pub fn record_dropped_partition(&self) {
-        self.dropped_partition.fetch_add(1, Ordering::Relaxed);
+    /// Records `messages` messages dropped by random loss.
+    pub fn record_dropped_loss(&self, messages: u64) {
+        self.dropped_loss.fetch_add(messages, Ordering::Relaxed);
     }
 
-    /// Records a message dropped because the sender or receiver is crashed.
-    pub fn record_dropped_crash(&self) {
-        self.dropped_crash.fetch_add(1, Ordering::Relaxed);
+    /// Records `messages` messages dropped because sender and receiver are
+    /// in different partitions.
+    pub fn record_dropped_partition(&self, messages: u64) {
+        self.dropped_partition
+            .fetch_add(messages, Ordering::Relaxed);
+    }
+
+    /// Records `messages` messages dropped because the sender or receiver is
+    /// crashed.
+    pub fn record_dropped_crash(&self, messages: u64) {
+        self.dropped_crash.fetch_add(messages, Ordering::Relaxed);
     }
 
     /// Records one completed request/response round trip (reported by the
@@ -72,6 +93,12 @@ impl NetworkCounters {
     /// Total messages sent so far.
     pub fn sent(&self) -> u64 {
         self.sent.load(Ordering::Relaxed)
+    }
+
+    /// Total envelopes sent so far: the trips through the simulator the
+    /// messages of [`NetworkCounters::sent`] made (fewer, when batched).
+    pub fn envelopes(&self) -> u64 {
+        self.envelopes.load(Ordering::Relaxed)
     }
 
     /// Total messages delivered so far.
@@ -138,6 +165,7 @@ impl NetworkCounters {
     /// Resets everything to zero (used between experiment repetitions).
     pub fn reset(&self) {
         self.sent.store(0, Ordering::Relaxed);
+        self.envelopes.store(0, Ordering::Relaxed);
         self.delivered.store(0, Ordering::Relaxed);
         self.dropped_loss.store(0, Ordering::Relaxed);
         self.dropped_partition.store(0, Ordering::Relaxed);
@@ -161,9 +189,8 @@ mod tests {
         c.record_sent(a, b, "2PC_PREPARE", 100);
         c.record_sent(a, b, "2PC_PREPARE", 100);
         c.record_sent(b, a, "2PC_VOTE", 20);
-        c.record_delivered();
-        c.record_delivered();
-        c.record_dropped_loss();
+        c.record_delivered(2);
+        c.record_dropped_loss(1);
         c.record_round_trip();
 
         assert_eq!(c.sent(), 3);
@@ -185,9 +212,9 @@ mod tests {
     #[test]
     fn drop_reasons_all_count_toward_dropped() {
         let c = NetworkCounters::new();
-        c.record_dropped_loss();
-        c.record_dropped_partition();
-        c.record_dropped_crash();
+        c.record_dropped_loss(1);
+        c.record_dropped_partition(1);
+        c.record_dropped_crash(1);
         assert_eq!(c.dropped(), 3);
     }
 
@@ -200,7 +227,7 @@ mod tests {
         let before = c.snapshot();
         c.record_sent(a, b, "QC_READ", 10);
         c.record_sent(a, b, "QC_WRITE", 10);
-        c.record_delivered();
+        c.record_delivered(1);
         let delta = c.delta_since(&before);
         assert_eq!(delta.sent, 2);
         assert_eq!(delta.delivered, 1);
@@ -212,9 +239,11 @@ mod tests {
     fn reset_zeroes_everything() {
         let c = NetworkCounters::new();
         c.record_sent(NodeId::site(0), NodeId::site(1), "X", 5);
-        c.record_delivered();
+        c.record_envelope();
+        c.record_delivered(1);
         c.reset();
         assert_eq!(c.sent(), 0);
+        assert_eq!(c.envelopes(), 0);
         assert_eq!(c.delivered(), 0);
         assert_eq!(c.kind("X"), 0);
         assert_eq!(c.snapshot().bytes, 0);

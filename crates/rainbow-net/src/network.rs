@@ -47,6 +47,23 @@ pub trait NetMessage: Send + Clone + 'static {
     fn txn(&self) -> Option<TxnId> {
         None
     }
+
+    /// The messages this one carries, when it is a batch envelope (see
+    /// [`crate::Outbox`]); empty (the default) for a message that is only
+    /// itself. Envelopes do not nest. The counters count what is carried,
+    /// not the envelope.
+    fn carried(&self) -> &[Self] {
+        &[]
+    }
+}
+
+/// The logical messages `payload` stands for: what it carries when it is a
+/// batch envelope, itself otherwise.
+fn logical<M: NetMessage>(payload: &M) -> &[M] {
+    match payload.carried() {
+        [] => std::slice::from_ref(payload),
+        carried => carried,
+    }
 }
 
 /// A message in flight: payload plus addressing metadata.
@@ -132,20 +149,21 @@ impl<M: NetMessage> Shared<M> {
     /// Hands the envelope to the receiver's channel if the receiver is still
     /// registered and reachable.
     fn deliver_now(&self, envelope: Envelope<M>) {
+        let messages = logical(&envelope.payload).len() as u64;
         // Re-check faults at delivery time: the receiver may have crashed or
         // been partitioned away while the message was "on the wire".
         if self.faults.is_crashed(envelope.to) || self.faults.is_crashed(envelope.from) {
-            self.counters.record_dropped_crash();
+            self.counters.record_dropped_crash(messages);
             return;
         }
         if self.faults.is_partitioned(envelope.from, envelope.to) {
-            self.counters.record_dropped_partition();
+            self.counters.record_dropped_partition(messages);
             return;
         }
         let registry = self.registry.read();
         if let Some(tx) = registry.get(&envelope.to) {
             if tx.send(envelope).is_ok() {
-                self.counters.record_delivered();
+                self.counters.record_delivered(messages);
             }
         }
         // Unregistered destination: silently dropped (not counted as a fault
@@ -196,20 +214,23 @@ impl<M: NetMessage> NetHandle<M> {
             return Ok(id);
         }
 
-        shared.counters.record_sent(
-            from,
-            to,
-            envelope.payload.kind(),
-            envelope.payload.size_hint(),
-        );
+        // One envelope; each message it carries under its own kind and size.
+        shared.counters.record_envelope();
+        let messages = logical(&envelope.payload);
+        for message in messages {
+            shared
+                .counters
+                .record_sent(from, to, message.kind(), message.size_hint());
+        }
+        let messages = messages.len() as u64;
 
         // Crash / partition checks at send time.
         if shared.faults.is_crashed(from) || shared.faults.is_crashed(to) {
-            shared.counters.record_dropped_crash();
+            shared.counters.record_dropped_crash(messages);
             return Ok(id);
         }
         if shared.faults.is_partitioned(from, to) {
-            shared.counters.record_dropped_partition();
+            shared.counters.record_dropped_partition(messages);
             return Ok(id);
         }
 
@@ -221,7 +242,7 @@ impl<M: NetMessage> NetHandle<M> {
             (lost, latency)
         };
         if lost {
-            shared.counters.record_dropped_loss();
+            shared.counters.record_dropped_loss(messages);
             return Ok(id);
         }
 
@@ -448,6 +469,7 @@ mod tests {
     enum TestMsg {
         Ping(u32),
         Pong(u32),
+        Batch(Vec<TestMsg>),
     }
 
     impl NetMessage for TestMsg {
@@ -455,6 +477,13 @@ mod tests {
             match self {
                 TestMsg::Ping(_) => "PING",
                 TestMsg::Pong(_) => "PONG",
+                TestMsg::Batch(_) => "BATCH",
+            }
+        }
+        fn carried(&self) -> &[Self] {
+            match self {
+                TestMsg::Batch(msgs) => msgs,
+                _ => &[],
             }
         }
         fn size_hint(&self) -> usize {
@@ -463,7 +492,7 @@ mod tests {
         fn txn(&self) -> Option<TxnId> {
             match self {
                 TestMsg::Ping(n) => Some(TxnId::new(rainbow_common::SiteId(0), *n as u64)),
-                TestMsg::Pong(_) => None,
+                TestMsg::Pong(_) | TestMsg::Batch(_) => None,
             }
         }
     }
@@ -489,6 +518,34 @@ mod tests {
         assert_eq!(net.counters().sent(), 1);
         assert_eq!(net.counters().delivered(), 1);
         assert_eq!(net.counters().kind("PING"), 1);
+    }
+
+    #[test]
+    fn a_batch_is_counted_message_by_message_and_as_one_envelope() {
+        let net = SimNetwork::<TestMsg>::new(NetworkConfig::perfect());
+        let a = NodeId::site(0);
+        let b = NodeId::site(1);
+        net.register(a);
+        let rx_b = net.register(b);
+        let batch = TestMsg::Batch(vec![TestMsg::Ping(1), TestMsg::Pong(2)]);
+        net.handle().send(a, b, batch.clone()).unwrap();
+        assert_eq!(recv_with_timeout(&rx_b, 500).unwrap().payload, batch);
+
+        let counters = net.counters();
+        assert_eq!(counters.sent(), 2);
+        assert_eq!(counters.envelopes(), 1);
+        assert_eq!(counters.kind("PING"), 1);
+        assert_eq!(counters.kind("PONG"), 1);
+        assert_eq!(counters.kind("BATCH"), 0, "an envelope is not a kind");
+        assert_eq!(counters.link(a, b), 2);
+        assert_eq!(counters.delivered(), 2);
+        assert_eq!(counters.snapshot().bytes, 32, "each under its own size");
+
+        // Dropped, it is two messages lost.
+        net.faults().crash(b);
+        net.handle().send(a, b, batch).unwrap();
+        assert_eq!((counters.sent(), counters.dropped()), (4, 2));
+        assert_eq!(counters.envelopes(), 2);
     }
 
     #[test]

@@ -96,16 +96,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// The coordinator design every run in this invocation uses — NemesisConfig
-/// resolves it from the same environment variable, so recording the env
-/// value (with the same default) records what actually ran.
-fn coordinator_mode() -> String {
-    match std::env::var("RAINBOW_COORDINATOR") {
-        Ok(raw) if raw.trim().eq_ignore_ascii_case("reactor") => "reactor".into(),
-        _ => "threads".into(),
-    }
-}
-
 /// The span trees of every transaction a violation implicates, rendered
 /// next to the verdict so the artifact shows *where* each anomalous
 /// transaction spent its time.
@@ -128,14 +118,11 @@ fn write_artifacts(dir: &Path, report: &NemesisReport, args: &Args) {
     let rcp = layers.next().unwrap_or("QC");
     let ccp = layers.next().unwrap_or("2PL");
     // The replay command must pin *everything* the schedule and workload
-    // derive from — seed, event budget, workload volume, the quorum
-    // fan-out path and the coordinator design — or the local run would
-    // rebuild a different scenario than the one that failed.
-    let quorum_path = std::env::var("RAINBOW_PARALLEL_QUORUMS").unwrap_or_else(|_| "1".into());
-    let coordinator = coordinator_mode();
+    // derive from — seed, event budget, workload volume, engine — or the
+    // local run would rebuild a different scenario than the one that
+    // failed. No environment variable takes part.
     let replay = format!(
-        "{}\ncoordinator: {coordinator}\n\nreplay locally:\n  \
-         RAINBOW_PARALLEL_QUORUMS={quorum_path} RAINBOW_COORDINATOR={coordinator} \
+        "{}\n\nreplay locally:\n  \
          cargo run --release --example chaos -- \
          --rcps {rcp} --ccps {ccp} --seed-start {} --seeds 1 \
          --events {} --txns {} --conversations {} --engine {}\n\nschedule:\n{}\n\nverdict:\n{}\n{}",
@@ -209,8 +196,7 @@ fn main() {
     }
 
     println!(
-        "chaos matrix: {runs} runs, {failures} failure(s) ({} coordinator, {} engine)",
-        coordinator_mode(),
+        "chaos matrix: {runs} runs, {failures} failure(s) ({} engine)",
         args.engine
     );
     if failures > 0 {

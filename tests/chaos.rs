@@ -94,9 +94,7 @@ fn spec_replay_and_interactive_conversations_emit_identical_history_shapes() {
     let stack = ProtocolStack::rainbow_default()
         .with_lock_wait_timeout(Duration::from_millis(200))
         .with_quorum_timeout(Duration::from_millis(500))
-        .with_commit_timeout(Duration::from_millis(500))
-        .with_parallel_quorums_from_env()
-        .with_coordinator_from_env();
+        .with_commit_timeout(Duration::from_millis(500));
     let base = ClusterConfig::quick(3, 4, 3).unwrap();
     let cluster = Cluster::start(ClusterConfig {
         stack,
@@ -166,9 +164,7 @@ fn crashes_inside_the_decision_window_lose_no_committed_write() {
             .with_ccp(ccp)
             .with_lock_wait_timeout(Duration::from_millis(150))
             .with_quorum_timeout(Duration::from_millis(400))
-            .with_commit_timeout(Duration::from_millis(400))
-            .with_parallel_quorums_from_env()
-            .with_coordinator_from_env();
+            .with_commit_timeout(Duration::from_millis(400));
         let link = LinkConfig::with_latency(LatencyModel::constant(Duration::from_millis(10)));
         let cluster = Cluster::start(ClusterConfig {
             stack,

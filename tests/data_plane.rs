@@ -1,5 +1,5 @@
 //! Property and differential tests for the data-plane hot path: interned
-//! item ids, the sharded lock table, and the parallel quorum fan-out.
+//! item ids, the sharded lock table, and the quorum fan-out.
 
 use proptest::prelude::*;
 use rainbow_cc::{LockManager, LockMode, DEFAULT_LOCK_SHARDS};
@@ -158,29 +158,31 @@ fn deadlock_is_detected_across_shards() {
     lm.release_all(txn(1));
 }
 
-fn stack(parallel: bool) -> ProtocolStack {
+fn stack() -> ProtocolStack {
     ProtocolStack::rainbow_default()
         .with_lock_wait_timeout(Duration::from_millis(300))
         .with_quorum_timeout(Duration::from_millis(900))
         .with_commit_timeout(Duration::from_millis(900))
-        .with_parallel_quorums(parallel)
-        .with_coordinator_from_env()
 }
 
-type WorkloadObservation = (Vec<BTreeMap<ItemId, Value>>, Vec<(ItemId, Value)>);
-
-fn run_workload(parallel: bool) -> WorkloadObservation {
+/// A deterministic multi-operation workload submitted serially (no
+/// concurrency): every read and the final state are known exactly.
+#[test]
+fn parallel_fanout_of_a_serial_workload_reads_exact_values() {
     let mut session = Session::new();
     session.configure_sites(3).unwrap();
-    session.configure_protocols(stack(parallel)).unwrap();
+    session.configure_protocols(stack()).unwrap();
     session.configure_uniform_database(6, 100, 3).unwrap();
     session.start().unwrap();
     let wlg = WorkloadRunner::new(&session);
+    // `x0..` with these values.
+    let items = |values: &[i64]| -> BTreeMap<ItemId, Value> {
+        let numbered = values.iter().enumerate();
+        numbered
+            .map(|(i, value)| (ItemId::new(format!("x{i}")), Value::Int(*value)))
+            .collect()
+    };
 
-    // A deterministic multi-operation workload submitted serially (no
-    // concurrency), so both fan-out strategies must produce identical reads
-    // and identical final states.
-    let mut reads = Vec::new();
     for round in 0..4i64 {
         let write = wlg
             .submit(TxnSpec::new(
@@ -206,7 +208,12 @@ fn run_workload(parallel: bool) -> WorkloadObservation {
             ))
             .unwrap();
         assert!(read.committed(), "serial read txn must commit");
-        reads.push(read.reads.clone());
+        let r = round + 1;
+        assert_eq!(
+            read.reads,
+            items(&[10 * r, 20 * r, 100 + 5 * r, 100]),
+            "round {round}"
+        );
     }
 
     // Final committed state, from a read-everything audit transaction.
@@ -217,25 +224,7 @@ fn run_workload(parallel: bool) -> WorkloadObservation {
         ))
         .unwrap();
     assert!(audit.committed());
-    let state: Vec<(ItemId, Value)> = audit
-        .reads
-        .iter()
-        .map(|(item, value)| (item.clone(), value.clone()))
-        .collect();
-    (reads, state)
-}
-
-/// Differential test: the parallel fan-out returns exactly the values and
-/// final state the sequential RCP loop produces.
-#[test]
-fn parallel_fanout_matches_sequential_quorums() {
-    let (sequential_reads, sequential_state) = run_workload(false);
-    let (parallel_reads, parallel_state) = run_workload(true);
-    assert_eq!(
-        sequential_reads, parallel_reads,
-        "per-txn read values differ"
-    );
-    assert_eq!(sequential_state, parallel_state, "final states differ");
+    assert_eq!(audit.reads, items(&[40, 80, 120, 100, 100, 100]));
 }
 
 /// Mixed access kinds on the *same* item in one transaction: a plain read's
@@ -248,9 +237,7 @@ fn parallel_fanout_separates_mixed_access_kinds_on_one_item() {
     for rcp in [RcpKind::Rowa, RcpKind::QuorumConsensus] {
         let mut session = Session::new();
         session.configure_sites(3).unwrap();
-        session
-            .configure_protocols(stack(true).with_rcp(rcp))
-            .unwrap();
+        session.configure_protocols(stack().with_rcp(rcp)).unwrap();
         session.configure_uniform_database(4, 7, 3).unwrap();
         session.start().unwrap();
         let wlg = WorkloadRunner::new(&session);
@@ -288,7 +275,7 @@ fn parallel_fanout_separates_mixed_access_kinds_on_one_item() {
 fn parallel_fanout_handles_duplicate_items_in_one_txn() {
     let mut session = Session::new();
     session.configure_sites(3).unwrap();
-    session.configure_protocols(stack(true)).unwrap();
+    session.configure_protocols(stack()).unwrap();
     session.configure_uniform_database(4, 7, 3).unwrap();
     session.start().unwrap();
     let wlg = WorkloadRunner::new(&session);

@@ -29,8 +29,6 @@ fn quick_stack() -> ProtocolStack {
         .with_lock_wait_timeout(Duration::from_millis(150))
         .with_quorum_timeout(Duration::from_millis(300))
         .with_commit_timeout(Duration::from_millis(300))
-        .with_parallel_quorums_from_env()
-        .with_coordinator_from_env()
 }
 
 fn disk_cluster(dir: &Path) -> Cluster {

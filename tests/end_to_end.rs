@@ -14,8 +14,6 @@ fn quick_stack() -> ProtocolStack {
         .with_lock_wait_timeout(Duration::from_millis(200))
         .with_quorum_timeout(Duration::from_millis(600))
         .with_commit_timeout(Duration::from_millis(600))
-        .with_parallel_quorums_from_env()
-        .with_coordinator_from_env()
 }
 
 fn started_session(sites: usize, items: usize, degree: usize) -> Session {

@@ -3,9 +3,8 @@
 //! * a **differential** property: any `TxnSpec` replayed by hand through a
 //!   `Client`/`Txn` conversation yields exactly the outcome, read values and
 //!   final database state the one-shot adapter path (`Cluster::submit`)
-//!   produces — looped across all five replication protocols and both
-//!   quorum fan-out modes, since the adapter *is* a conversation and the
-//!   two must never diverge;
+//!   produces — looped across all five replication protocols, since the
+//!   adapter *is* a conversation and the two must never diverge;
 //! * **drop safety**: an unfinished `Txn` aborts on drop (and a client that
 //!   silently vanishes is idled out by the coordinator), releasing every
 //!   CCP resource at every site;
@@ -13,36 +12,47 @@
 //!   crashed site orphan, retry elsewhere, and commit;
 //! * the **hop count** of the conversation: the first command opens it and
 //!   the client is answered at the decision, so one increment is four
-//!   client messages and eight sequential link delays, under both
-//!   coordinators;
+//!   client messages and eight sequential link delays;
 //! * **no lost answer**: two terminal answers a reactor produces for one
-//!   client in one tick both reach it.
+//!   client in one tick both reach it;
+//! * the **coordinator's lifecycle**: a thousand concurrent conversations —
+//!   all pinned to a handful of reactors by `txn.seq` — each complete with
+//!   exactly one terminal result and the committed increments are exactly
+//!   reflected in the final state; tearing the cluster down with
+//!   conversations still in flight joins every reactor without hanging.
 
-use rainbow_common::protocol::{CoordinatorMode, ProtocolStack, RcpKind};
+use rainbow_common::protocol::{ProtocolStack, RcpKind};
 use rainbow_common::txn::{TxnError, TxnSpec};
 use rainbow_common::{ItemId, Operation, SiteId, Value};
 use rainbow_core::{Cluster, ClusterConfig};
 use rainbow_net::{LatencyModel, LinkConfig, NetworkConfig};
 use rainbow_wlg::{WorkloadGenerator, WorkloadParams};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-fn stack(rcp: RcpKind, parallel: bool) -> ProtocolStack {
+/// The link-delay timing and the thousand-conversation burst take turns:
+/// a thousand client threads would drown the other test's clock.
+static TAKING_TURNS: Mutex<()> = Mutex::new(());
+
+fn stack(rcp: RcpKind) -> ProtocolStack {
     ProtocolStack::rainbow_default()
         .with_rcp(rcp)
         .with_lock_wait_timeout(Duration::from_millis(200))
         .with_quorum_timeout(Duration::from_millis(600))
         .with_commit_timeout(Duration::from_millis(600))
-        .with_parallel_quorums(parallel)
-        .with_coordinator_from_env()
 }
 
-fn cluster(rcp: RcpKind, parallel: bool) -> Cluster {
-    let config = ClusterConfig::quick(3, 8, 3)
+fn cluster_of(items: usize, rcp: RcpKind, client_timeout: Duration) -> Cluster {
+    let config = ClusterConfig::quick(3, items, 3)
         .unwrap()
-        .with_stack(stack(rcp, parallel))
-        .with_client_timeout(Duration::from_secs(5));
+        .with_stack(stack(rcp))
+        .with_client_timeout(client_timeout);
     Cluster::start(config).unwrap()
+}
+
+fn cluster(rcp: RcpKind) -> Cluster {
+    cluster_of(8, rcp, Duration::from_secs(5))
 }
 
 /// A deterministic mixed workload (reads, writes, increments) over the
@@ -120,37 +130,35 @@ fn audit_state(cluster: &Cluster) -> BTreeMap<ItemId, Value> {
 }
 
 /// The acceptance-criteria differential: spec-adapter vs hand-driven
-/// conversation, across the full RCP matrix and both fan-out modes.
+/// conversation, across the full RCP matrix.
 #[test]
-fn spec_replay_matches_adapter_across_rcps_and_fanout_modes() {
+fn spec_replay_matches_adapter_across_rcps() {
     for rcp in RcpKind::ALL {
-        for parallel in [false, true] {
-            let adapter_side = cluster(rcp, parallel);
-            let handle_side = cluster(rcp, parallel);
-            for spec in mixed_specs() {
-                let adapter = adapter_side.submit(spec.clone());
-                let (hand_committed, hand_reads) = replay_by_hand(&handle_side, &spec);
-                assert_eq!(
-                    adapter.committed(),
-                    hand_committed,
-                    "{rcp:?} parallel={parallel} '{}': outcome diverged (adapter: {:?})",
-                    spec.label,
-                    adapter.outcome
-                );
-                if adapter.committed() {
-                    assert_eq!(
-                        adapter.reads, hand_reads,
-                        "{rcp:?} parallel={parallel} '{}': reads diverged",
-                        spec.label
-                    );
-                }
-            }
+        let adapter_side = cluster(rcp);
+        let handle_side = cluster(rcp);
+        for spec in mixed_specs() {
+            let adapter = adapter_side.submit(spec.clone());
+            let (hand_committed, hand_reads) = replay_by_hand(&handle_side, &spec);
             assert_eq!(
-                audit_state(&adapter_side),
-                audit_state(&handle_side),
-                "{rcp:?} parallel={parallel}: final states diverged"
+                adapter.committed(),
+                hand_committed,
+                "{rcp:?} '{}': outcome diverged (adapter: {:?})",
+                spec.label,
+                adapter.outcome
             );
+            if adapter.committed() {
+                assert_eq!(
+                    adapter.reads, hand_reads,
+                    "{rcp:?} '{}': reads diverged",
+                    spec.label
+                );
+            }
         }
+        assert_eq!(
+            audit_state(&adapter_side),
+            audit_state(&handle_side),
+            "{rcp:?}: final states diverged"
+        );
     }
 }
 
@@ -170,7 +178,7 @@ fn drain_cc_entries(cluster: &Cluster) -> bool {
 
 #[test]
 fn dropped_txn_aborts_and_releases_locks() {
-    let cluster = cluster(RcpKind::QuorumConsensus, true);
+    let cluster = cluster(RcpKind::QuorumConsensus);
     let mut client = cluster.client();
     {
         let mut txn = client.begin("doomed");
@@ -257,7 +265,7 @@ fn retry_combinator_reroutes_around_a_crashed_home_site() {
 
 #[test]
 fn interactive_conversation_reads_its_own_commits_across_txns() {
-    let cluster = cluster(RcpKind::Rowa, true);
+    let cluster = cluster(RcpKind::Rowa);
     let mut client = cluster.client();
 
     // A conditional transfer driven by observed values.
@@ -295,45 +303,34 @@ fn interactive_conversation_reads_its_own_commits_across_txns() {
     txn.commit().unwrap();
 }
 
-const COORDINATORS: [CoordinatorMode; 2] = [CoordinatorMode::Threads, CoordinatorMode::Reactor];
-
 #[test]
 fn one_increment_is_four_client_messages() {
-    for coordinator in COORDINATORS {
-        let config = ClusterConfig::quick(3, 8, 3)
-            .unwrap()
-            .with_stack(ProtocolStack::rainbow_default().with_coordinator(coordinator));
-        let cluster = Cluster::start(config).unwrap();
-        let counters = cluster.network_counters();
-        let mut client = cluster.client();
+    let cluster = Cluster::start(ClusterConfig::quick(3, 8, 3).unwrap()).unwrap();
+    let counters = cluster.network_counters();
+    let mut client = cluster.client();
 
-        let mut txn = client.begin("increment");
-        assert_eq!(
-            txn.id(),
-            None,
-            "{coordinator:?}: no id before the first answer"
-        );
-        assert_eq!(counters.kind("TXN_BEGIN"), 0, "{coordinator:?}: begin sent");
-        txn.increment("x0", 1).unwrap();
-        let id = txn.id().expect("the first answer names the transaction");
-        assert_eq!(id.home, txn.home());
-        txn.commit().unwrap();
+    let mut txn = client.begin("increment");
+    assert_eq!(txn.id(), None, "no id before the first answer");
+    assert_eq!(counters.kind("TXN_BEGIN"), 0, "begin sent");
+    txn.increment("x0", 1).unwrap();
+    let id = txn.id().expect("the first answer names the transaction");
+    assert_eq!(id.home, txn.home());
+    txn.commit().unwrap();
 
-        let sent = |kind| counters.kind(kind);
-        assert_eq!(sent("TXN_BEGIN"), 1, "{coordinator:?}");
-        assert_eq!(sent("TXN_OP_REPLY"), 1, "{coordinator:?}");
-        assert_eq!(sent("TXN_OP"), 1, "{coordinator:?}");
-        assert_eq!(sent("TXN_DONE"), 1, "{coordinator:?}");
-        assert_eq!(sent("TXN_BEGAN"), 0, "{coordinator:?}");
-        let client_messages: u64 = counters
-            .snapshot()
-            .by_kind
-            .iter()
-            .filter(|(kind, _)| kind.starts_with("TXN_"))
-            .map(|(_, count)| count)
-            .sum();
-        assert_eq!(client_messages, 4, "{coordinator:?}");
-    }
+    let sent = |kind| counters.kind(kind);
+    assert_eq!(sent("TXN_BEGIN"), 1);
+    assert_eq!(sent("TXN_OP_REPLY"), 1);
+    assert_eq!(sent("TXN_OP"), 1);
+    assert_eq!(sent("TXN_DONE"), 1);
+    assert_eq!(sent("TXN_BEGAN"), 0);
+    let client_messages: u64 = counters
+        .snapshot()
+        .by_kind
+        .iter()
+        .filter(|(kind, _)| kind.starts_with("TXN_"))
+        .map(|(_, count)| count)
+        .sum();
+    assert_eq!(client_messages, 4);
 }
 
 #[test]
@@ -343,41 +340,37 @@ fn one_increment_is_eight_sequential_link_delays() {
     // begin handshake and an answer after the last ack it was 12. (A hop
     // also costs the simulator's timer ~0.25 ms in a debug build, which is
     // why the link is not shorter.)
+    let _turn = TAKING_TURNS.lock().unwrap_or_else(PoisonError::into_inner);
     let link = Duration::from_millis(4);
-    for coordinator in COORDINATORS {
-        let config = ClusterConfig::quick(3, 8, 3)
-            .unwrap()
-            .with_stack(ProtocolStack::rainbow_default().with_coordinator(coordinator))
-            .with_network(
-                NetworkConfig::default()
-                    .with_default_link(LinkConfig::with_latency(LatencyModel::constant(link))),
-            );
-        let cluster = Cluster::start(config).unwrap();
-        let mut client = cluster.client();
-        // Scheduling noise only ever adds time: the best of a few
-        // transactions is the one that shows the hop count.
-        let mut best = Duration::MAX;
-        for i in 0..6 {
-            let started = Instant::now();
-            let mut txn = client.begin("timed");
-            let begin_took = started.elapsed();
-            assert!(
-                begin_took < link,
-                "{coordinator:?}: begin took {begin_took:?}, it must not touch the network"
-            );
-            txn.increment(format!("x{i}"), 1).unwrap();
-            txn.commit().unwrap();
-            best = best.min(started.elapsed());
-        }
+    let config = ClusterConfig::quick(3, 8, 3).unwrap().with_network(
+        NetworkConfig::default()
+            .with_default_link(LinkConfig::with_latency(LatencyModel::constant(link))),
+    );
+    let cluster = Cluster::start(config).unwrap();
+    let mut client = cluster.client();
+    // Scheduling noise only ever adds time: the best of a few transactions
+    // is the one that shows the hop count.
+    let mut best = Duration::MAX;
+    for i in 0..6 {
+        let started = Instant::now();
+        let mut txn = client.begin("timed");
+        let begin_took = started.elapsed();
         assert!(
-            best >= link * 8,
-            "{coordinator:?}: {best:?} is under 8 link delays — are the links delayed?"
+            begin_took < link,
+            "begin took {begin_took:?}, it must not touch the network"
         );
-        assert!(
-            best < link * 19 / 2,
-            "{coordinator:?}: begin → increment → commit took {best:?}, over 9.5 link delays"
-        );
+        txn.increment(format!("x{i}"), 1).unwrap();
+        txn.commit().unwrap();
+        best = best.min(started.elapsed());
     }
+    assert!(
+        best >= link * 8,
+        "{best:?} is under 8 link delays — are the links delayed?"
+    );
+    assert!(
+        best < link * 19 / 2,
+        "begin → increment → commit took {best:?}, over 9.5 link delays"
+    );
 }
 
 #[test]
@@ -392,7 +385,6 @@ fn two_answers_for_one_client_in_one_reactor_tick_both_arrive() {
     std::env::set_var("RAINBOW_REACTORS", "1");
     let config = ClusterConfig::quick(3, 8, 3)
         .unwrap()
-        .with_stack(ProtocolStack::rainbow_default().with_coordinator(CoordinatorMode::Reactor))
         .with_client_timeout(Duration::from_secs(2));
     let cluster = Cluster::start(config).unwrap();
     std::env::remove_var("RAINBOW_REACTORS");
@@ -415,4 +407,105 @@ fn two_answers_for_one_client_in_one_reactor_tick_both_arrive() {
         "every drop aborted"
     );
     txn.commit().unwrap();
+}
+
+/// A thousand concurrent conversations, spread over the item universe so
+/// most commit: every one must come back with exactly one terminal
+/// outcome, and the final state must reflect exactly the committed
+/// increments — the observable form of "each transaction is owned by
+/// exactly one reactor".
+#[test]
+fn a_thousand_concurrent_conversations_complete() {
+    const CLIENTS: usize = 1000;
+    // One item per client: the burst measures conversation lifecycle and
+    // reactor ownership, not 2PL contention (the chaos suite covers that).
+    const ITEMS: usize = CLIENTS;
+    let _turn = TAKING_TURNS.lock().unwrap_or_else(PoisonError::into_inner);
+    let cluster = cluster_of(ITEMS, RcpKind::QuorumConsensus, Duration::from_secs(10));
+
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|i| {
+                let cluster = &cluster;
+                scope.spawn(move || {
+                    cluster.submit(TxnSpec::new(
+                        format!("load-{i}"),
+                        vec![Operation::increment(format!("x{}", i % ITEMS), 1)],
+                    ))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    assert_eq!(results.len(), CLIENTS, "every conversation must terminate");
+    let commits = results.iter().filter(|r| r.committed()).count() as i64;
+    assert!(
+        commits >= (CLIENTS as i64) * 9 / 10,
+        "conflict-free increments must nearly all commit, got {commits}/{CLIENTS}"
+    );
+    assert!(
+        drain_cc_entries(&cluster),
+        "the burst must leave no CCP entries behind: {:?}",
+        cluster.active_cc_transactions()
+    );
+
+    // The audit read may briefly collide with straggler releases; retry.
+    let audit_spec = TxnSpec::new(
+        "audit",
+        (0..ITEMS)
+            .map(|i| Operation::read(format!("x{i}")))
+            .collect(),
+    );
+    let mut audit = cluster.submit(audit_spec.clone());
+    for _ in 0..5 {
+        if audit.committed() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        audit = cluster.submit(audit_spec.clone());
+    }
+    assert!(
+        audit.committed(),
+        "audit kept aborting: {:?}",
+        audit.outcome
+    );
+    let total: i64 = audit
+        .reads
+        .values()
+        .map(|v| v.as_int().expect("integer items"))
+        .sum();
+    assert_eq!(
+        total,
+        (ITEMS as i64) * 100 + commits,
+        "final state must reflect exactly the committed increments"
+    );
+}
+
+/// Shutdown with conversations still open must fail them site-down and
+/// join every reactor thread — bounded, never hanging on an in-flight
+/// machine.
+#[test]
+fn shutdown_with_in_flight_conversations_joins_every_reactor() {
+    let mut cluster = cluster_of(8, RcpKind::QuorumConsensus, Duration::from_secs(10));
+    {
+        let mut client = cluster.client();
+        for i in 0..4 {
+            let mut txn = client.begin(format!("in-flight-{i}"));
+            txn.increment(format!("x{i}"), 1).unwrap();
+            // Forgotten, not dropped: the conversations are still open (and
+            // hold locks) when shutdown begins.
+            std::mem::forget(txn);
+        }
+    }
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let teardown = std::thread::spawn(move || {
+        cluster.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+        "shutdown must join all reactor threads despite in-flight conversations"
+    );
+    teardown.join().unwrap();
 }

@@ -15,8 +15,6 @@ fn base_stack() -> ProtocolStack {
         .with_lock_wait_timeout(Duration::from_millis(150))
         .with_quorum_timeout(Duration::from_millis(500))
         .with_commit_timeout(Duration::from_millis(500))
-        .with_parallel_quorums_from_env()
-        .with_coordinator_from_env()
 }
 
 fn run_stack(stack: ProtocolStack) -> (usize, usize) {

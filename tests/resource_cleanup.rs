@@ -13,9 +13,7 @@ fn run_and_check(ccp: CcpKind, transactions: usize, mpl: usize) {
         .with_ccp(ccp)
         .with_lock_wait_timeout(Duration::from_millis(150))
         .with_quorum_timeout(Duration::from_millis(500))
-        .with_commit_timeout(Duration::from_millis(500))
-        .with_parallel_quorums_from_env()
-        .with_coordinator_from_env();
+        .with_commit_timeout(Duration::from_millis(500));
     let config = ClusterConfig::quick(3, 8, 3).unwrap().with_stack(stack);
     let cluster = Cluster::start(config).unwrap();
     let params = WorkloadProfile::WriteHeavy.params(
@@ -30,7 +28,7 @@ fn run_and_check(ccp: CcpKind, transactions: usize, mpl: usize) {
     assert!(results.iter().any(|r| r.committed()));
 
     // Give in-flight decision messages a moment to land, then insist that no
-    // CCP resources remain held anywhere. Coordinator workers of timed-out
+    // CCP resources remain held anywhere. Coordinators of timed-out
     // transactions may still be distributing aborts when `run_workload`
     // returns (slowly, on a loaded single-CPU CI machine), and rare
     // decision-vs-access races are resolved by the janitor (by design, past
@@ -73,10 +71,7 @@ fn no_leaked_state_after_an_mvto_workload() {
 /// never reached any site, so there is nothing to clean up anywhere.
 #[test]
 fn a_txn_dropped_before_its_first_command_leaves_nothing_behind() {
-    let config = ClusterConfig::quick(3, 8, 3)
-        .unwrap()
-        .with_stack(ProtocolStack::rainbow_default().with_coordinator_from_env());
-    let cluster = Cluster::start(config).unwrap();
+    let cluster = Cluster::start(ClusterConfig::quick(3, 8, 3).unwrap()).unwrap();
     let counters = cluster.network_counters();
     let sent_before = counters.sent();
     let mut client = cluster.client();
@@ -90,11 +85,7 @@ fn a_txn_dropped_before_its_first_command_leaves_nothing_behind() {
         "an unopened handle sent a message"
     );
     assert_eq!(cluster.workers_started(), 0, "a worker was lent to nobody");
-    assert_eq!(
-        cluster.open_conversations(),
-        0,
-        "a reply channel was registered"
-    );
+    assert_eq!(cluster.open_conversations(), 0, "a machine was opened");
     let lingering = cluster.lingering_participants();
     assert!(lingering.values().all(Vec::is_empty), "{lingering:?}");
     assert!(cluster.active_cc_transactions().values().all(|n| *n == 0));

@@ -2,9 +2,9 @@
 //! can be answered now is answered now, on the dispatcher; only a request
 //! that must wait gets a thread, and the thread is reused.*
 //!
-//! * **no thread creation in steady state** — once a cluster is warm, neither
-//!   update nor read transactions start a worker or change the process's
-//!   thread count;
+//! * **no thread per transaction** — uncontended update and read
+//!   transactions start no worker at all, from a cold start, and leave the
+//!   process's thread count where it was;
 //! * **the dispatcher never waits**, under each CCP — while one access waits
 //!   for a lock (2PL) or behind an earlier pending pre-write (TSO, MVTO),
 //!   traffic for other items at the same sites is served at full speed;
@@ -14,7 +14,7 @@
 //! This file is its own test binary (so its own process), and its tests take
 //! turns: they read the process-wide thread count.
 
-use rainbow_common::protocol::{CcpKind, CoordinatorMode, ProtocolStack};
+use rainbow_common::protocol::{CcpKind, ProtocolStack};
 use rainbow_common::{SiteId, Value};
 use rainbow_core::{Client, Cluster, ClusterConfig};
 use std::sync::Mutex;
@@ -40,9 +40,7 @@ fn process_threads() -> usize {
 }
 
 fn cluster(stack: ProtocolStack) -> Cluster {
-    let config = ClusterConfig::quick(3, 8, 3)
-        .unwrap()
-        .with_stack(stack.with_coordinator_from_env());
+    let config = ClusterConfig::quick(3, 8, 3).unwrap().with_stack(stack);
     Cluster::start(config).unwrap()
 }
 
@@ -66,22 +64,12 @@ fn a_warm_cluster_creates_no_thread_per_transaction() {
     let _turn = take_turn();
     let cluster = cluster(ProtocolStack::rainbow_default());
     let mut client = cluster.client();
-    // Warm-up: every home site lends its first worker — and its second: the
-    // client is answered at the decision, so a conversation can open while
-    // the previous one's worker is still collecting acknowledgements. Going
-    // back to the same home at once provokes exactly that.
+    // Warm-up for the process's thread count only (the client endpoint); the
+    // sites started every thread they will use when the cluster started.
     for i in 0..12 {
         increment(&mut client, i);
         read_four(&mut client, i);
     }
-    for home in cluster.site_ids() {
-        for i in 0..8 {
-            let mut txn = client.begin_at("warm-up", home);
-            txn.increment(format!("x{i}"), 1).unwrap();
-            txn.commit().unwrap();
-        }
-    }
-    let workers_before = cluster.workers_started();
     let inline_before = cluster.copy_accesses_inline();
     #[cfg(target_os = "linux")]
     let threads_before = process_threads();
@@ -95,8 +83,8 @@ fn a_warm_cluster_creates_no_thread_per_transaction() {
 
     assert_eq!(
         cluster.workers_started(),
-        workers_before,
-        "600 uncontended transactions started a worker"
+        0,
+        "uncontended transactions started a worker"
     );
     #[cfg(target_os = "linux")]
     assert_eq!(process_threads(), threads_before);
@@ -189,12 +177,9 @@ fn shutdown_retires_every_worker() {
     let cycle = || {
         let mut cluster = cluster(ProtocolStack::rainbow_default());
         increment(&mut cluster.client(), 0);
-        let lent = cluster.workers_started();
-        // A worker had to be lent to the conversation (reactor mode runs
-        // conversations on its event loops instead).
-        if cluster.config().stack.coordinator == CoordinatorMode::Threads {
-            assert_eq!(lent, 1);
-        }
+        // A conversation runs on its home site's event loops and its copy
+        // accesses found nothing to wait for: no worker was lent.
+        assert_eq!(cluster.workers_started(), 0);
         cluster.shutdown();
     };
     cycle();

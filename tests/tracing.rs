@@ -26,9 +26,7 @@ fn run_workload(rcp: RcpKind, tracing: TraceConfig) -> Vec<Observation> {
         .configure_protocols(
             ProtocolStack::rainbow_default()
                 .with_rcp(rcp)
-                .with_lock_wait_timeout(Duration::from_millis(150))
-                .with_parallel_quorums_from_env()
-                .with_coordinator_from_env(),
+                .with_lock_wait_timeout(Duration::from_millis(150)),
         )
         .unwrap();
     session.configure_uniform_database(8, 100, 3).unwrap();
