@@ -5,7 +5,7 @@
 //! regressions that would distort the experiment results.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rainbow_cc::{CcProtocol, LockManager, LockMode, TimestampOrdering, TxnContext};
+use rainbow_cc::{CcDecision, CcProtocol, LockManager, LockMode, TimestampOrdering, TxnContext};
 use rainbow_common::config::ItemPlacement;
 use rainbow_common::protocol::DeadlockPolicy;
 use rainbow_common::{ItemId, SiteId, Timestamp, TxnId, Value, Version};
@@ -53,8 +53,9 @@ fn bench_tso(c: &mut Criterion) {
             seq += 1;
             let ctx = TxnContext::new(TxnId::new(SiteId(0), seq), Timestamp::new(seq, 0));
             let current = (Value::Int(0), Version(0));
-            assert!(tso.read(&ctx, &item, current.clone()).is_granted());
-            assert!(tso.prewrite(&ctx, &item, current).is_granted());
+            let granted = Some(CcDecision::granted());
+            assert_eq!(tso.read(&ctx, &item, current.clone()), granted);
+            assert_eq!(tso.prewrite(&ctx, &item, current), granted);
             tso.commit(
                 &ctx,
                 &[(item.clone(), Value::Int(seq as i64), Version(seq))],

@@ -12,15 +12,18 @@
 //! modifications".
 //!
 //! * [`lock`] — the strict two-phase-locking lock manager: shared/exclusive
-//!   locks, upgrades, wait queues with timeouts, and the deadlock handling
-//!   policies (wait-for-graph victim selection, wait-die, wound-wait,
-//!   timeout-only);
+//!   locks, upgrades, first-come-first-served wait queues (no call ever
+//!   blocks: a queued request is asked again by its caller), and the
+//!   deadlock handling policies (wait-for-graph victim selection, wait-die,
+//!   wound-wait, timeout-only);
 //! * [`two_phase_locking`] — the 2PL [`CcProtocol`] built on the lock
 //!   manager;
 //! * [`tso`] — basic timestamp ordering;
 //! * [`mvto`] — multi-version timestamp ordering;
-//! * [`types`] — the protocol trait, grant/decision types and the factory
-//!   that builds a CCP from a [`rainbow_common::protocol::CcpKind`].
+//! * [`types`] — the protocol trait (two access methods that answer
+//!   granted, rejected or *must wait*, a give-up, `validate`, `commit` /
+//!   `abort`), grant/decision types and the factory that builds a CCP from a
+//!   [`rainbow_common::protocol::CcpKind`].
 //!
 //! The CCP instance lives *per site* and manages that site's local copies,
 //! exactly as in Rainbow where remote copies are "read ... or pre-written
@@ -37,7 +40,7 @@ pub mod tso;
 pub mod two_phase_locking;
 pub mod types;
 
-pub use lock::{LockError, LockManager, LockMode, DEFAULT_LOCK_SHARDS};
+pub use lock::{Acquired, LockError, LockManager, LockMode, DEFAULT_LOCK_SHARDS};
 pub use mvto::MultiversionTimestampOrdering;
 pub use tso::TimestampOrdering;
 pub use two_phase_locking::TwoPhaseLocking;

@@ -4,9 +4,11 @@
 //! multi-versioning TSO" as a term-project extension; this module implements
 //! it. Each item keeps a chain of committed versions tagged with the writing
 //! transaction's timestamp; reads are served by the youngest version older
-//! than the reader and never block. A read is rejected only when an *older*
-//! transaction's pre-write is still pending on the item (serving it would
-//! skip the version that write is about to insert). Writes are rejected
+//! than the reader and are never rejected for arriving late. A read must
+//! wait (answers `None`; the site asks again, bounded by the wait budget)
+//! only while an *older* transaction's pre-write is still pending on the
+//! item — serving it would skip the version that write is about to insert —
+//! and nothing is remembered of a read that waits. Writes are rejected
 //! only when they would invalidate a read that has already been granted
 //! (i.e. a version older than the writer has been read by a transaction
 //! younger than the writer).
@@ -16,6 +18,7 @@ use parking_lot::Mutex;
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
 use std::collections::{HashMap, HashSet};
+use std::time::Duration;
 
 #[derive(Debug, Clone)]
 struct VersionEntry {
@@ -74,15 +77,15 @@ pub struct MultiversionTimestampOrdering {
     /// would mistake young data for old, and below-floor writers could
     /// invalidate reads whose `rts` marks vanished.
     floor: Mutex<Timestamp>,
-    /// How long a read may wait for an older transaction's pending
-    /// pre-write to resolve before being rejected. Zero (the [`Default`])
-    /// rejects immediately.
-    wait_budget: std::time::Duration,
+    /// How long a read that must wait for an older transaction's pending
+    /// pre-write to resolve is worth asking again for. Zero (the
+    /// [`Default`]): not at all.
+    wait_budget: Duration,
 }
 
 impl MultiversionTimestampOrdering {
-    /// Creates an MVTO instance (with a zero wait budget: reads racing an
-    /// older pending pre-write are rejected immediately; see
+    /// Creates an MVTO instance (with a zero wait budget: a read racing an
+    /// older pending pre-write is given up at once; see
     /// [`MultiversionTimestampOrdering::with_wait_budget`]).
     pub fn new() -> Self {
         MultiversionTimestampOrdering::default()
@@ -91,7 +94,7 @@ impl MultiversionTimestampOrdering {
     /// Lets reads racing an older pending pre-write wait up to `budget` for
     /// it to resolve, preserving MVTO's readers-(almost)-never-abort
     /// property under contention while staying bounded.
-    pub fn with_wait_budget(mut self, budget: std::time::Duration) -> Self {
+    pub fn with_wait_budget(mut self, budget: Duration) -> Self {
         self.wait_budget = budget;
         self
     }
@@ -129,36 +132,14 @@ impl MultiversionTimestampOrdering {
 }
 
 impl CcProtocol for MultiversionTimestampOrdering {
-    fn read(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision {
-        // A read racing an older pending pre-write waits, bounded by the
-        // wait budget, for it to resolve; it is rejected when the budget
-        // runs out so the protocol stays non-blocking overall.
-        let deadline = std::time::Instant::now() + self.wait_budget;
-        loop {
-            if let Some(decision) = self.try_read(txn, item, current.clone()) {
-                return decision;
-            }
-            if std::time::Instant::now() >= deadline {
-                return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                    item: item.clone(),
-                    rejected: txn.ts,
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    fn try_read(
+    fn read(
         &self,
         txn: &TxnContext,
         item: &ItemId,
         current: (Value, Version),
     ) -> Option<CcDecision> {
         if txn.ts < *self.floor.lock() {
-            return Some(CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                item: item.clone(),
-                rejected: txn.ts,
-            }));
+            return Some(CcDecision::Rejected(txn.too_late(item)));
         }
         let mut items = self.items.lock();
         let entry = items.entry(item.clone()).or_default();
@@ -183,10 +164,7 @@ impl CcProtocol for MultiversionTimestampOrdering {
             // Nothing is visible below this timestamp — can only happen if
             // the initial version is younger than the reader, which the
             // ZERO-seed prevents; treat as a violation defensively.
-            return Some(CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                item: item.clone(),
-                rejected: txn.ts,
-            }));
+            return Some(CcDecision::Rejected(txn.too_late(item)));
         };
         let version = &mut entry.versions[index];
         version.rts = version.rts.max(txn.ts);
@@ -198,12 +176,15 @@ impl CcProtocol for MultiversionTimestampOrdering {
         })
     }
 
-    fn prewrite(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision {
+    /// An MVTO pre-write never waits.
+    fn prewrite(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        current: (Value, Version),
+    ) -> Option<CcDecision> {
         if txn.ts < *self.floor.lock() {
-            return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                item: item.clone(),
-                rejected: txn.ts,
-            });
+            return Some(CcDecision::Rejected(txn.too_late(item)));
         }
         let mut items = self.items.lock();
         let entry = items.entry(item.clone()).or_default();
@@ -215,33 +196,25 @@ impl CcProtocol for MultiversionTimestampOrdering {
                     // A younger transaction already read the version this
                     // write would supersede: granting the write would make
                     // that read incorrect.
-                    return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                        item: item.clone(),
-                        rejected: txn.ts,
-                    });
+                    return Some(CcDecision::Rejected(txn.too_late(item)));
                 }
             }
-            None => {
-                return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                    item: item.clone(),
-                    rejected: txn.ts,
-                })
-            }
+            None => return Some(CcDecision::Rejected(txn.too_late(item))),
         }
         entry.pending_writes.insert(txn.id, txn.ts);
         drop(items);
         self.track(txn.id, item);
-        CcDecision::granted()
+        Some(CcDecision::granted())
     }
 
-    fn try_prewrite(
-        &self,
-        txn: &TxnContext,
-        item: &ItemId,
-        current: (Value, Version),
-    ) -> Option<CcDecision> {
-        // An MVTO pre-write never waits.
-        Some(self.prewrite(txn, item, current))
+    fn wait_budget(&self) -> Duration {
+        self.wait_budget
+    }
+
+    /// Nothing is remembered of a read that must wait, so there is nothing
+    /// to forget; out of budget it is rejected like any late operation.
+    fn give_up(&self, txn: &TxnContext, item: &ItemId) -> AbortCause {
+        txn.too_late(item)
     }
 
     fn validate(&self, _txn: &TxnContext) -> CcDecision {
@@ -324,6 +297,7 @@ impl MultiversionTimestampOrdering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::non_waiting_tests::{granted, rejected};
     use rainbow_common::SiteId;
 
     fn ctx(seq: u64, ts: u64) -> TxnContext {
@@ -340,9 +314,9 @@ mod tests {
 
     fn read_value(cc: &MultiversionTimestampOrdering, ctx: &TxnContext, name: &str) -> Value {
         match cc.read(ctx, &item(name), current()) {
-            CcDecision::Granted {
+            Some(CcDecision::Granted {
                 value_override: Some((value, _)),
-            } => value,
+            }) => value,
             other => panic!("expected granted read with override, got {other:?}"),
         }
     }
@@ -351,13 +325,21 @@ mod tests {
     fn read_cannot_skip_an_older_pending_write() {
         let cc = MultiversionTimestampOrdering::new();
         let w = ctx(1, 10);
-        assert!(cc.prewrite(&w, &item("x"), current()).is_granted());
-        // A younger reader would skip the version T10 is about to insert.
-        assert!(!cc.read(&ctx(2, 20), &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&w, &item("x"), current())));
+        // A younger reader would skip the version T10 is about to insert:
+        // it must wait, and out of budget it is rejected.
+        assert_eq!(cc.read(&ctx(2, 20), &item("x"), current()), None);
+        assert_eq!(
+            cc.give_up(&ctx(2, 20), &item("x")),
+            AbortCause::CcpTimestampViolation {
+                item: item("x"),
+                rejected: Timestamp::new(20, 0),
+            }
+        );
         // An older reader is ordered before the pending write: fine.
-        assert!(cc.read(&ctx(3, 5), &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&ctx(3, 5), &item("x"), current())));
         // The writer's own read-for-update is never blocked by itself.
-        assert!(cc.read(&w, &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&w, &item("x"), current())));
         cc.commit(&w, &[(item("x"), Value::Int(7), Version(1))]);
         let reader = ctx(4, 30);
         assert_eq!(read_value(&cc, &reader, "x"), Value::Int(7));
@@ -365,33 +347,32 @@ mod tests {
 
     #[test]
     fn blocked_read_waits_and_then_sees_the_new_version() {
-        use std::sync::Arc;
-        use std::time::Duration;
-        let cc = Arc::new(
-            MultiversionTimestampOrdering::new().with_wait_budget(Duration::from_millis(500)),
-        );
-        assert!(cc.prewrite(&ctx(1, 10), &item("x"), current()).is_granted());
-        let cc2 = Arc::clone(&cc);
-        let resolver = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            cc2.commit(&ctx(1, 10), &[(item("x"), Value::Int(7), Version(1))]);
-        });
-        // The ts-20 reader waits out the ts-10 pending write and then reads
-        // the version it inserted instead of silently skipping it.
+        let budget = Duration::from_millis(500);
+        let cc = MultiversionTimestampOrdering::new().with_wait_budget(budget);
+        assert_eq!(cc.wait_budget(), budget);
+        assert!(granted(cc.prewrite(&ctx(1, 10), &item("x"), current())));
+        // The ts-20 reader waits out the ts-10 pending write, however often
+        // it asks and with nothing remembered of it …
         let reader = ctx(2, 20);
+        let before = cc.fingerprint();
+        assert_eq!(cc.read(&reader, &item("x"), current()), None);
+        assert_eq!(cc.read(&reader, &item("x"), current()), None);
+        assert_eq!(cc.fingerprint(), before);
+        // … and then reads the version it inserted instead of silently
+        // skipping it.
+        cc.commit(&ctx(1, 10), &[(item("x"), Value::Int(7), Version(1))]);
         assert_eq!(read_value(&cc, &reader, "x"), Value::Int(7));
-        resolver.join().unwrap();
     }
 
     #[test]
     fn recovery_floor_fences_pre_crash_timestamps() {
         let cc = MultiversionTimestampOrdering::new();
         cc.install_recovery_floor(Timestamp::new(50, 0));
-        assert!(!cc.read(&ctx(1, 20), &item("x"), current()).is_granted());
-        assert!(!cc.prewrite(&ctx(2, 49), &item("x"), current()).is_granted());
+        assert!(rejected(cc.read(&ctx(1, 20), &item("x"), current())));
+        assert!(rejected(cc.prewrite(&ctx(2, 49), &item("x"), current())));
         // At and above the floor, normal multi-version rules apply.
-        assert!(cc.read(&ctx(3, 60), &item("x"), current()).is_granted());
-        assert!(cc.prewrite(&ctx(4, 70), &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&ctx(3, 60), &item("x"), current())));
+        assert!(granted(cc.prewrite(&ctx(4, 70), &item("x"), current())));
     }
 
     #[test]
@@ -399,10 +380,10 @@ mod tests {
         let cc = MultiversionTimestampOrdering::new();
         // T10 writes 100, T30 writes 300.
         let w10 = ctx(1, 10);
-        assert!(cc.prewrite(&w10, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&w10, &item("x"), current())));
         cc.commit(&w10, &[(item("x"), Value::Int(100), Version(1))]);
         let w30 = ctx(2, 30);
-        assert!(cc.prewrite(&w30, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&w30, &item("x"), current())));
         cc.commit(&w30, &[(item("x"), Value::Int(300), Version(2))]);
 
         // A reader at ts=20 sees 100; a reader at ts=40 sees 300; a reader at
@@ -417,7 +398,7 @@ mod tests {
     fn old_readers_never_abort() {
         let cc = MultiversionTimestampOrdering::new();
         let writer = ctx(1, 100);
-        assert!(cc.prewrite(&writer, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&writer, &item("x"), current())));
         cc.commit(&writer, &[(item("x"), Value::Int(7), Version(1))]);
         // Under basic TSO this read (ts 50 < wts 100) would abort; under MVTO
         // it reads the older version.
@@ -428,23 +409,25 @@ mod tests {
     fn write_invalidating_a_later_read_is_rejected() {
         let cc = MultiversionTimestampOrdering::new();
         // A reader at ts=50 reads the initial version.
-        assert!(cc.read(&ctx(1, 50), &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&ctx(1, 50), &item("x"), current())));
         // A writer at ts=20 would create a version that the ts=50 reader
         // should have seen: rejected.
-        let d = cc.prewrite(&ctx(2, 20), &item("x"), current());
+        let d = cc
+            .prewrite(&ctx(2, 20), &item("x"), current())
+            .expect("decided");
         assert!(matches!(
             d.rejection(),
             Some(AbortCause::CcpTimestampViolation { .. })
         ));
         // A writer younger than the reader is fine.
-        assert!(cc.prewrite(&ctx(3, 60), &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&ctx(3, 60), &item("x"), current())));
     }
 
     #[test]
     fn aborted_writes_leave_no_version() {
         let cc = MultiversionTimestampOrdering::new();
         let w = ctx(1, 10);
-        assert!(cc.prewrite(&w, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&w, &item("x"), current())));
         cc.abort(&w);
         assert_eq!(cc.active_transactions(), 0);
         assert_eq!(read_value(&cc, &ctx(2, 20), "x"), Value::Int(0));
@@ -456,11 +439,11 @@ mod tests {
         let cc = MultiversionTimestampOrdering::new();
         let w30 = ctx(1, 30);
         let w10 = ctx(2, 10);
-        assert!(cc.prewrite(&w30, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&w30, &item("x"), current())));
         cc.commit(&w30, &[(item("x"), Value::Int(300), Version(2))]);
         // The older writer commits after the newer one (possible with
         // distributed commit ordering); its version must slot in before.
-        assert!(cc.prewrite(&w10, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&w10, &item("x"), current())));
         cc.commit(&w10, &[(item("x"), Value::Int(100), Version(1))]);
         assert_eq!(read_value(&cc, &ctx(3, 20), "x"), Value::Int(100));
         assert_eq!(read_value(&cc, &ctx(4, 40), "x"), Value::Int(300));
@@ -471,7 +454,7 @@ mod tests {
         let cc = MultiversionTimestampOrdering::new();
         for (i, ts) in [10u64, 20, 30, 40].iter().enumerate() {
             let w = ctx(i as u64 + 1, *ts);
-            assert!(cc.prewrite(&w, &item("x"), current()).is_granted());
+            assert!(granted(cc.prewrite(&w, &item("x"), current())));
             cc.commit(
                 &w,
                 &[(item("x"), Value::Int(*ts as i64), Version(i as u64 + 1))],
@@ -499,7 +482,7 @@ mod tests {
         assert_eq!(read_value(&cc, &t, "x"), Value::Int(0));
         // Writing after having read the same item at the same timestamp is
         // fine (rts == ts, not > ts).
-        assert!(cc.prewrite(&t, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&t, &item("x"), current())));
         cc.commit(&t, &[(item("x"), Value::Int(1), Version(1))]);
         assert_eq!(read_value(&cc, &ctx(2, 20), "x"), Value::Int(1));
     }

@@ -1,6 +1,8 @@
-//! The non-waiting forms of `read` / `prewrite`, checked the same way for
-//! every protocol: a *would wait* answer leaves no trace, and asking without
-//! waiting first and then waiting decides exactly what waiting alone decides.
+//! What the site relies on when it asks `read` / `prewrite` again instead of
+//! waiting inside them, checked the same way for every protocol: asking
+//! again with nothing committed or aborted in between changes nothing, a
+//! pre-write granted twice equals one granted once, and whoever ends —
+//! decided, aborted or given up — leaves nothing behind.
 
 use crate::types::{CcDecision, CcProtocol, TxnContext};
 use crate::{MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking};
@@ -26,9 +28,17 @@ pub(crate) fn canonical_touched(touched: &HashMap<TxnId, HashSet<ItemId>>) -> St
     }))
 }
 
-/// Long enough that a waiting call really waits, short enough that the
-/// single-threaded runs below (where nobody ever releases during a wait)
-/// time out quickly.
+/// The access was decided, and granted.
+pub(crate) fn granted(answer: Option<CcDecision>) -> bool {
+    answer.is_some_and(|decision| decision.is_granted())
+}
+
+/// The access was decided, and rejected.
+pub(crate) fn rejected(answer: Option<CcDecision>) -> bool {
+    answer.is_some_and(|decision| !decision.is_granted())
+}
+
+/// The budget is the caller's to apply; nothing here ever sleeps.
 const WAIT: Duration = Duration::from_millis(1);
 
 /// A protocol under test together with the way to look inside it.
@@ -87,78 +97,16 @@ enum Access {
 }
 
 impl Access {
-    fn wait(self, cc: &dyn CcProtocol, txn: &TxnContext, item: &ItemId) -> CcDecision {
+    fn ask(self, cc: &dyn CcProtocol, txn: &TxnContext, item: &ItemId) -> Option<CcDecision> {
         match self {
             Access::Read => cc.read(txn, item, current()),
             Access::Prewrite => cc.prewrite(txn, item, current()),
-            Access::ReadForUpdate => match cc.prewrite(txn, item, current()) {
+            Access::ReadForUpdate => match cc.prewrite(txn, item, current())? {
                 CcDecision::Granted { .. } => cc.read(txn, item, current()),
-                rejected => rejected,
-            },
-        }
-    }
-
-    fn attempt(self, cc: &dyn CcProtocol, txn: &TxnContext, item: &ItemId) -> Option<CcDecision> {
-        match self {
-            Access::Read => cc.try_read(txn, item, current()),
-            Access::Prewrite => cc.try_prewrite(txn, item, current()),
-            Access::ReadForUpdate => match cc.try_prewrite(txn, item, current())? {
-                CcDecision::Granted { .. } => cc.try_read(txn, item, current()),
                 rejected => Some(rejected),
             },
         }
     }
-}
-
-/// An older and a younger transaction each find `x` write-held by the other
-/// generation: whatever the deadlock policy would do about it, asking
-/// without waiting does none of it.
-fn would_wait_leaves_no_trace<P: CcProtocol>(subject: Subject<P>) {
-    let x = ItemId::new("x");
-    for (holder_ts, asker_ts) in [(10, 20), (20, 10)] {
-        let cc = (subject.make)();
-        let holder = ctx(1, holder_ts);
-        let asker = ctx(2, asker_ts);
-        assert!(cc.prewrite(&holder, &x, current()).is_granted());
-        let before = (subject.fingerprint)(&cc);
-        let mut would_wait = 0;
-        for access in [Access::Read, Access::Prewrite, Access::ReadForUpdate] {
-            match access.attempt(&cc, &asker, &x) {
-                None => {
-                    would_wait += 1;
-                    assert_eq!(
-                        (subject.fingerprint)(&cc),
-                        before,
-                        "{}: {access:?} answered would-wait and left a trace",
-                        subject.name
-                    );
-                }
-                // Decided at once (a timestamp pre-write never waits; a read
-                // ordered before the pending write is simply granted).
-                Some(_) => break,
-            }
-        }
-        if asker_ts > holder_ts {
-            assert!(
-                would_wait > 0,
-                "{}: a read behind an earlier pending write must have to wait",
-                subject.name
-            );
-        }
-        // The transaction that was told to wait can still be granted once
-        // the holder is gone — nothing of the refusal stuck to it.
-        cc.abort(&holder);
-        assert!(cc.prewrite(&asker, &x, current()).is_granted());
-    }
-}
-
-#[test]
-fn would_wait_leaves_no_trace_in_any_protocol() {
-    for policy in POLICIES {
-        would_wait_leaves_no_trace(two_phase_locking(policy));
-    }
-    would_wait_leaves_no_trace(timestamp_ordering());
-    would_wait_leaves_no_trace(multiversion());
 }
 
 /// One step of a random single-threaded history.
@@ -188,132 +136,114 @@ fn random_steps(seed: u64, len: usize, txns: usize, items: usize) -> Vec<Step> {
         .collect()
 }
 
-/// Plays `steps` against a fresh protocol instance and returns every
-/// decision, the final state and how many accesses had to wait. `try_first`
-/// plays them the way a site's dispatcher does — the non-waiting attempt,
-/// and the waiting call only when the attempt would wait (re-issuing a
-/// read-for-update whole).
-fn play<P: CcProtocol>(
-    subject: &Subject<P>,
-    steps: &[Step],
-    try_first: bool,
-) -> (Vec<String>, String, usize) {
+/// Plays random histories the way a site does — an access answered `None`
+/// is kept and asked again, oldest first, after every step, and given up
+/// when its transaction ends first — asking twice wherever the site asks
+/// once: the second answer must be the same `None` and change nothing. When
+/// everybody has ended, nothing may be held, queued or remembered.
+fn asking_again_changes_nothing<P: CcProtocol>(subject: Subject<P>) {
     const TXNS: usize = 4;
-    let cc = (subject.make)();
+    let name = &subject.name;
     let items: Vec<ItemId> = (0..3).map(|i| ItemId::new(format!("i{i}"))).collect();
-    // Slot → its current incarnation; a finished slot restarts younger.
-    let mut next_seq = TXNS as u64;
-    let mut slots: Vec<TxnContext> = (0..TXNS as u64).map(|i| ctx(i, 10 * (i + 1))).collect();
-    let mut writes: Vec<Vec<ItemId>> = vec![Vec::new(); TXNS];
-    let mut decisions = Vec::new();
-    let mut waited = 0;
-    for step in steps {
-        let slot = match *step {
-            Step::Access(slot, item, access) => {
-                let (txn, item) = (slots[slot], &items[item]);
-                let decision = if try_first {
-                    let before = (subject.fingerprint)(&cc);
-                    access.attempt(&cc, &txn, item).unwrap_or_else(|| {
-                        waited += 1;
-                        // A read-for-update may keep its granted pre-write;
-                        // anything else that would wait changed nothing.
-                        if !matches!(access, Access::ReadForUpdate) {
-                            assert_eq!((subject.fingerprint)(&cc), before, "{}", subject.name);
-                        }
-                        access.wait(&cc, &txn, item)
-                    })
-                } else {
-                    access.wait(&cc, &txn, item)
-                };
-                decisions.push(format!("{step:?}: {decision:?}"));
-                if decision.is_granted() {
-                    if !matches!(access, Access::Read) && !writes[slot].contains(item) {
-                        writes[slot].push(item.clone());
-                    }
-                    continue;
-                }
-                // A rejected transaction aborts, as its coordinator would.
-                cc.abort(&txn);
-                slot
-            }
-            Step::Commit(slot) => {
-                let txn = slots[slot];
-                if cc.validate(&txn).is_granted() {
-                    let installed: Vec<_> = writes[slot]
-                        .iter()
-                        .map(|item| {
-                            (
-                                item.clone(),
-                                Value::Int(txn.ts.counter as i64),
-                                Version(txn.ts.counter),
-                            )
-                        })
-                        .collect();
-                    cc.commit(&txn, &installed);
-                } else {
-                    cc.abort(&txn);
-                }
-                slot
-            }
-            Step::Abort(slot) => {
-                cc.abort(&slots[slot]);
-                slot
-            }
-        };
-        writes[slot].clear();
-        slots[slot] = ctx(next_seq, 10 * (next_seq + 1));
-        next_seq += 1;
-    }
-    (decisions, (subject.fingerprint)(&cc), waited)
-}
-
-fn attempt_then_wait_equals_wait<P: CcProtocol>(subject: Subject<P>) {
-    let mut handed_off = 0;
+    let (mut waited, mut granted_after_waiting) = (0, 0);
     for seed in 0..8 {
-        let steps = random_steps(seed, 80, 4, 3);
-        let (waited, waited_state, _) = play(&subject, &steps, false);
-        let (tried, tried_state, would_wait) = play(&subject, &steps, true);
+        let cc = (subject.make)();
+        // Slot → its current incarnation (a finished slot restarts younger)
+        // and the items it was granted write access to.
+        let mut incarnations = (0..).map(|seq| (ctx(seq, 10 * (seq + 1)), Vec::new()));
+        let mut slots: Vec<(TxnContext, Vec<ItemId>)> = incarnations.by_ref().take(TXNS).collect();
+        let mut waiting: Vec<(usize, ItemId, Access)> = Vec::new();
+        let everybody_ends = (0..TXNS).map(Step::Abort);
+        for step in random_steps(seed, 80, TXNS, items.len())
+            .into_iter()
+            .chain(everybody_ends)
+        {
+            let mut asked = std::mem::take(&mut waiting);
+            let asked_before = asked.len();
+            match step {
+                Step::Access(slot, item, access) => {
+                    // A transaction waiting for an answer does not ask for more.
+                    if !asked.iter().any(|(waiter, ..)| *waiter == slot) {
+                        asked.push((slot, items[item].clone(), access));
+                    }
+                }
+                Step::Commit(slot) | Step::Abort(slot) => {
+                    let (txn, writes) =
+                        std::mem::replace(&mut slots[slot], incarnations.next().unwrap());
+                    if matches!(step, Step::Commit(_)) && cc.validate(&txn).is_granted() {
+                        let install = |item: ItemId| (item, Value::Int(1), Version(txn.ts.counter));
+                        cc.commit(&txn, &writes.into_iter().map(install).collect::<Vec<_>>());
+                    } else {
+                        cc.abort(&txn);
+                    }
+                    // What it was still waiting for is given up, after the fact.
+                    if let Some(at) = asked.iter().position(|(waiter, ..)| *waiter == slot) {
+                        cc.give_up(&txn, &asked.remove(at).1);
+                    }
+                }
+            }
+            for (nth, (slot, item, access)) in asked.into_iter().enumerate() {
+                let txn = slots[slot].0;
+                match access.ask(&cc, &txn, &item) {
+                    None => {
+                        let queued = (subject.fingerprint)(&cc);
+                        assert_eq!(access.ask(&cc, &txn, &item), None, "{name} seed {seed}");
+                        assert_eq!((subject.fingerprint)(&cc), queued, "{name} seed {seed}");
+                        waited += usize::from(nth >= asked_before);
+                        waiting.push((slot, item, access));
+                    }
+                    Some(decision) if decision.is_granted() => {
+                        granted_after_waiting += usize::from(nth < asked_before);
+                        if !matches!(access, Access::Read) {
+                            slots[slot].1.push(item);
+                        }
+                    }
+                    // A rejected transaction aborts, as its coordinator would
+                    // make it.
+                    Some(_) => {
+                        cc.abort(&txn);
+                        slots[slot] = incarnations.next().unwrap();
+                    }
+                }
+            }
+        }
+        let left = (subject.fingerprint)(&cc);
         assert_eq!(
-            tried, waited,
-            "{} seed {seed}: decisions differ",
-            subject.name
+            (waiting.len(), cc.active_transactions()),
+            (0, 0),
+            "{name}: {left}"
         );
-        assert_eq!(
-            tried_state, waited_state,
-            "{} seed {seed}: final states differ",
-            subject.name
-        );
-        handed_off += would_wait;
+        for item in &items {
+            let free = granted(cc.prewrite(&ctx(999, 9990), item, current()));
+            assert!(free, "{name} seed {seed}: {item} is not free");
+        }
     }
+    assert!(waited > 0, "{name}: no history ever had to wait");
     assert!(
-        handed_off > 0,
-        "{}: no history ever had to wait",
-        subject.name
+        granted_after_waiting > 0,
+        "{name}: no wait ever ended in a grant"
     );
 }
 
 #[test]
-fn attempt_then_wait_decides_what_waiting_alone_decides() {
+fn asking_again_with_nothing_released_changes_nothing() {
     for policy in POLICIES {
-        attempt_then_wait_equals_wait(two_phase_locking(policy));
+        asking_again_changes_nothing(two_phase_locking(policy));
     }
-    attempt_then_wait_equals_wait(timestamp_ordering());
-    attempt_then_wait_equals_wait(multiversion());
+    asking_again_changes_nothing(timestamp_ordering());
+    asking_again_changes_nothing(multiversion());
 }
 
-/// The site re-issues a whole read-for-update when its read half would wait
-/// after the pre-write half was granted on the dispatcher, so a pre-write
-/// granted twice must equal one granted once.
+/// The site asks for a whole read-for-update again when its read half must
+/// wait after the pre-write half was granted, so a pre-write granted twice
+/// must equal one granted once.
 fn granting_a_prewrite_twice_equals_once<P: CcProtocol>(subject: Subject<P>) {
     let x = ItemId::new("x");
     let (once, twice) = ((subject.make)(), (subject.make)());
     let txn = ctx(1, 10);
-    assert!(once.prewrite(&txn, &x, current()).is_granted());
-    assert_eq!(
-        twice.try_prewrite(&txn, &x, current()),
-        Some(CcDecision::granted())
-    );
-    assert!(twice.prewrite(&txn, &x, current()).is_granted());
+    assert!(granted(once.prewrite(&txn, &x, current())));
+    assert!(granted(twice.prewrite(&txn, &x, current())));
+    assert!(granted(twice.prewrite(&txn, &x, current())));
     // Grant counters aside (2PL counts the re-grant as a grant), the two
     // instances remember the same thing, and one release frees both.
     let strip = |fingerprint: String| fingerprint.split("\nstats").next().unwrap().to_string();
@@ -325,7 +255,7 @@ fn granting_a_prewrite_twice_equals_once<P: CcProtocol>(subject: Subject<P>) {
     );
     twice.abort(&txn);
     assert_eq!(twice.active_transactions(), 0);
-    assert!(twice.prewrite(&ctx(2, 20), &x, current()).is_granted());
+    assert!(granted(twice.prewrite(&ctx(2, 20), &x, current())));
 }
 
 #[test]

@@ -12,11 +12,11 @@
 //! deferred writes through 2PC):
 //!
 //! * `read(x, ts)`  : rejected if `ts < wts(x)`. While another transaction
-//!   holds a pending pre-write with a smaller timestamp, the read *waits*
-//!   (bounded by the wait budget) for it to resolve — serving it early
-//!   would observe the value that write is about to supersede while being
-//!   ordered after it, a lost update. Granted reads set
-//!   `rts(x) = max(rts(x), ts)`;
+//!   holds a pending pre-write with a smaller timestamp, the read *must
+//!   wait* (answers `None`; the site asks again, bounded by the wait
+//!   budget) for it to resolve — serving it early would observe the value
+//!   that write is about to supersede while being ordered after it, a lost
+//!   update. Granted reads set `rts(x) = max(rts(x), ts)`;
 //! * `write(x, ts)` : rejected if `ts < rts(x)` or `ts < wts(x)`; otherwise a
 //!   pending pre-write is recorded;
 //! * `commit`       : pending writes become committed, `wts(x) = max(wts(x), ts)`;
@@ -26,15 +26,17 @@
 //! prewrite/read queue: a reader ordered after a pending write waits for
 //! that write's decision instead of either observing the superseded value
 //! (a lost update — found by the chaos harness) or aborting immediately.
-//! The wait budget keeps the protocol bounded, and the implementation
-//! simple enough for students to replace (a Rainbow design goal).
+//! Nothing is remembered of a read that must wait — whether it still must
+//! is decided afresh each time the site asks — which keeps the
+//! implementation simple enough for students to replace (a Rainbow design
+//! goal); the wait budget keeps the protocol bounded.
 
 use crate::types::{CcDecision, CcProtocol, TxnContext};
 use parking_lot::Mutex;
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Instant;
+use std::time::Duration;
 
 #[derive(Debug, Default, Clone)]
 struct ItemTimestamps {
@@ -58,23 +60,23 @@ pub struct TimestampOrdering {
     /// rejected because the pre-crash `rts`/`wts` they might conflict with
     /// were lost with the volatile tables.
     floor: Mutex<Timestamp>,
-    /// How long a read blocked behind an earlier transaction's pending
-    /// pre-write may wait for that write to resolve before being rejected.
-    /// Zero (the [`Default`]) rejects immediately.
-    wait_budget: std::time::Duration,
+    /// How long a read that must wait behind an earlier transaction's
+    /// pending pre-write is worth asking again for. Zero (the [`Default`]):
+    /// not at all.
+    wait_budget: Duration,
 }
 
 impl TimestampOrdering {
-    /// Creates a TSO instance (with a zero wait budget: blocked reads are
-    /// rejected immediately; see [`TimestampOrdering::with_wait_budget`]).
+    /// Creates a TSO instance (with a zero wait budget: a read that must
+    /// wait is given up at once; see [`TimestampOrdering::with_wait_budget`]).
     pub fn new() -> Self {
         TimestampOrdering::default()
     }
 
-    /// Lets reads blocked behind an earlier pending pre-write wait up to
-    /// `budget` for it to resolve (the prewrite-queue behaviour of textbook
-    /// TSO, bounded so the protocol stays non-blocking overall).
-    pub fn with_wait_budget(mut self, budget: std::time::Duration) -> Self {
+    /// Lets reads behind an earlier pending pre-write wait up to `budget`
+    /// for it to resolve (the prewrite-queue behaviour of textbook TSO,
+    /// bounded so the protocol stays non-blocking overall).
+    pub fn with_wait_budget(mut self, budget: Duration) -> Self {
         self.wait_budget = budget;
         self
     }
@@ -99,37 +101,14 @@ impl TimestampOrdering {
 }
 
 impl CcProtocol for TimestampOrdering {
-    fn read(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision {
-        // A read blocked behind an earlier pending pre-write waits, bounded
-        // by the wait budget, for it to resolve — the prewrite-queue
-        // behaviour of textbook TSO — and is rejected when the budget runs
-        // out.
-        let deadline = Instant::now() + self.wait_budget;
-        loop {
-            if let Some(decision) = self.try_read(txn, item, current.clone()) {
-                return decision;
-            }
-            if Instant::now() >= deadline {
-                return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                    item: item.clone(),
-                    rejected: txn.ts,
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    fn try_read(
+    fn read(
         &self,
         txn: &TxnContext,
         item: &ItemId,
         _current: (Value, Version),
     ) -> Option<CcDecision> {
         if txn.ts < *self.floor.lock() {
-            return Some(CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                item: item.clone(),
-                rejected: txn.ts,
-            }));
+            return Some(CcDecision::Rejected(txn.too_late(item)));
         }
         let mut items = self.items.lock();
         let entry = items.entry(item.clone()).or_default();
@@ -137,10 +116,7 @@ impl CcProtocol for TimestampOrdering {
         // pending writes resolve to (wts never decreases), so reject before
         // deciding to wait.
         if txn.ts < entry.wts {
-            return Some(CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                item: item.clone(),
-                rejected: txn.ts,
-            }));
+            return Some(CcDecision::Rejected(txn.too_late(item)));
         }
         // A read must not slip past a pending pre-write staged by a
         // smaller-timestamped *other* transaction: it would observe the
@@ -149,7 +125,8 @@ impl CcProtocol for TimestampOrdering {
         // two read-modify-writes race. (The transaction's own pending
         // pre-write never blocks its own read: read-for-update issues the
         // pre-write first.) Such a read has to wait for the pending write
-        // to resolve; nothing is recorded for it.
+        // to resolve — the prewrite-queue behaviour of textbook TSO —
+        // and nothing is recorded for it.
         let earliest_other_pending = entry
             .pending_writes
             .iter()
@@ -165,35 +142,35 @@ impl CcProtocol for TimestampOrdering {
         Some(CcDecision::granted())
     }
 
-    fn prewrite(&self, txn: &TxnContext, item: &ItemId, _current: (Value, Version)) -> CcDecision {
+    /// A TSO pre-write never waits.
+    fn prewrite(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        _current: (Value, Version),
+    ) -> Option<CcDecision> {
         if txn.ts < *self.floor.lock() {
-            return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                item: item.clone(),
-                rejected: txn.ts,
-            });
+            return Some(CcDecision::Rejected(txn.too_late(item)));
         }
         let mut items = self.items.lock();
         let entry = items.entry(item.clone()).or_default();
         if txn.ts < entry.rts || txn.ts < entry.wts {
-            return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                item: item.clone(),
-                rejected: txn.ts,
-            });
+            return Some(CcDecision::Rejected(txn.too_late(item)));
         }
         entry.pending_writes.insert(txn.id, txn.ts);
         drop(items);
         self.track(txn.id, item);
-        CcDecision::granted()
+        Some(CcDecision::granted())
     }
 
-    fn try_prewrite(
-        &self,
-        txn: &TxnContext,
-        item: &ItemId,
-        current: (Value, Version),
-    ) -> Option<CcDecision> {
-        // A TSO pre-write never waits.
-        Some(self.prewrite(txn, item, current))
+    fn wait_budget(&self) -> Duration {
+        self.wait_budget
+    }
+
+    /// Nothing is remembered of a read that must wait, so there is nothing
+    /// to forget; out of budget it is simply too late.
+    fn give_up(&self, txn: &TxnContext, item: &ItemId) -> AbortCause {
+        txn.too_late(item)
     }
 
     fn validate(&self, _txn: &TxnContext) -> CcDecision {
@@ -263,6 +240,7 @@ impl TimestampOrdering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::non_waiting_tests::{granted, rejected};
     use rainbow_common::SiteId;
 
     fn ctx(seq: u64, ts: u64) -> TxnContext {
@@ -282,8 +260,8 @@ mod tests {
         let cc = TimestampOrdering::new();
         let t1 = ctx(1, 10);
         let t2 = ctx(2, 20);
-        assert!(cc.read(&t1, &item("x"), current()).is_granted());
-        assert!(cc.prewrite(&t2, &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&t1, &item("x"), current())));
+        assert!(granted(cc.prewrite(&t2, &item("x"), current())));
         cc.commit(&t2, &[(item("x"), Value::Int(1), Version(1))]);
         let (rts, wts) = cc.item_timestamps(&item("x"));
         assert_eq!(rts, Timestamp::new(10, 0));
@@ -294,11 +272,13 @@ mod tests {
     fn late_read_behind_committed_write_is_rejected() {
         let cc = TimestampOrdering::new();
         let writer = ctx(1, 50);
-        assert!(cc.prewrite(&writer, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&writer, &item("x"), current())));
         cc.commit(&writer, &[(item("x"), Value::Int(1), Version(1))]);
         // A reader with an older timestamp arrives afterwards: too late.
         let late_reader = ctx(2, 10);
-        let d = cc.read(&late_reader, &item("x"), current());
+        let d = cc
+            .read(&late_reader, &item("x"), current())
+            .expect("decided");
         assert!(matches!(
             d.rejection(),
             Some(AbortCause::CcpTimestampViolation { .. })
@@ -309,20 +289,19 @@ mod tests {
     fn late_write_behind_read_is_rejected() {
         let cc = TimestampOrdering::new();
         let reader = ctx(1, 50);
-        assert!(cc.read(&reader, &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&reader, &item("x"), current())));
         let late_writer = ctx(2, 10);
-        let d = cc.prewrite(&late_writer, &item("x"), current());
-        assert!(!d.is_granted());
+        assert!(rejected(cc.prewrite(&late_writer, &item("x"), current())));
     }
 
     #[test]
     fn late_write_behind_committed_write_is_rejected() {
         let cc = TimestampOrdering::new();
         let w1 = ctx(1, 50);
-        assert!(cc.prewrite(&w1, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&w1, &item("x"), current())));
         cc.commit(&w1, &[(item("x"), Value::Int(1), Version(1))]);
         let w2 = ctx(2, 20);
-        assert!(!cc.prewrite(&w2, &item("x"), current()).is_granted());
+        assert!(rejected(cc.prewrite(&w2, &item("x"), current())));
     }
 
     #[test]
@@ -335,81 +314,89 @@ mod tests {
         let cc = TimestampOrdering::new();
         let t1 = ctx(1, 10);
         let t2 = ctx(2, 20);
-        assert!(cc.prewrite(&t1, &item("x"), current()).is_granted());
-        assert!(cc.prewrite(&t2, &item("x"), current()).is_granted());
-        assert!(!cc.read(&t2, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&t1, &item("x"), current())));
+        assert!(granted(cc.prewrite(&t2, &item("x"), current())));
+        assert_eq!(cc.read(&t2, &item("x"), current()), None);
         // Once T1 is decided (here: aborted), T2's own pending write alone
         // never blocks its read.
         cc.abort(&t1);
-        assert!(cc.read(&t2, &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&t2, &item("x"), current())));
     }
 
     #[test]
     fn blocked_read_waits_for_the_pending_write_to_resolve() {
-        use std::sync::Arc;
-        use std::time::Duration;
-        let cc = Arc::new(TimestampOrdering::new().with_wait_budget(Duration::from_millis(500)));
+        let budget = Duration::from_millis(500);
+        let cc = TimestampOrdering::new().with_wait_budget(budget);
+        assert_eq!(cc.wait_budget(), budget);
         let writer = ctx(1, 10);
-        assert!(cc.prewrite(&writer, &item("x"), current()).is_granted());
-        let cc2 = Arc::clone(&cc);
-        let resolver = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            cc2.commit(&ctx(1, 10), &[(item("x"), Value::Int(1), Version(1))]);
-        });
-        // The ts-20 reader blocks behind the ts-10 pending write, then
-        // proceeds once it commits (20 > wts 10).
-        assert!(cc.read(&ctx(2, 20), &item("x"), current()).is_granted());
-        resolver.join().unwrap();
+        assert!(granted(cc.prewrite(&writer, &item("x"), current())));
+        // The ts-20 reader must wait behind the ts-10 pending write, however
+        // often it asks, and nothing is remembered of it …
+        let before = cc.fingerprint();
+        assert_eq!(cc.read(&ctx(2, 20), &item("x"), current()), None);
+        assert_eq!(cc.read(&ctx(2, 20), &item("x"), current()), None);
+        assert_eq!(cc.fingerprint(), before);
+        // … and proceeds once it commits (20 > wts 10).
+        cc.commit(&writer, &[(item("x"), Value::Int(1), Version(1))]);
+        assert!(granted(cc.read(&ctx(2, 20), &item("x"), current())));
     }
 
     #[test]
     fn read_past_pending_write_of_earlier_txn_is_rejected() {
         let cc = TimestampOrdering::new();
         let writer = ctx(1, 10);
-        assert!(cc.prewrite(&writer, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&writer, &item("x"), current())));
         // A later reader must not read the (still old) committed value and
         // thereby miss the pending earlier write.
         let reader = ctx(2, 20);
-        assert!(!cc.read(&reader, &item("x"), current()).is_granted());
+        assert_eq!(cc.read(&reader, &item("x"), current()), None);
+        // Out of budget, it is rejected as a timestamp violation.
+        assert_eq!(
+            cc.give_up(&reader, &item("x")),
+            AbortCause::CcpTimestampViolation {
+                item: item("x"),
+                rejected: reader.ts,
+            }
+        );
         // The writer itself may still read its own item.
-        assert!(cc.read(&writer, &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&writer, &item("x"), current())));
         // Once the writer commits, the later reader would be behind wts and
         // still rejected; a fresh, even later reader after commit succeeds.
         cc.commit(&writer, &[(item("x"), Value::Int(1), Version(1))]);
         let reader3 = ctx(3, 30);
-        assert!(cc.read(&reader3, &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&reader3, &item("x"), current())));
     }
 
     #[test]
     fn recovery_floor_fences_pre_crash_timestamps() {
         let cc = TimestampOrdering::new();
-        assert!(cc.read(&ctx(1, 10), &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&ctx(1, 10), &item("x"), current())));
         cc.install_recovery_floor(Timestamp::new(40, 0));
         // Below the floor: rejected even though the (rebuilt, empty) tables
         // would have granted them — the pre-crash rts/wts they might
         // conflict with are gone.
-        assert!(!cc.prewrite(&ctx(2, 30), &item("x"), current()).is_granted());
-        assert!(!cc.read(&ctx(3, 39), &item("y"), current()).is_granted());
+        assert!(rejected(cc.prewrite(&ctx(2, 30), &item("x"), current())));
+        assert!(rejected(cc.read(&ctx(3, 39), &item("y"), current())));
         // At and above the floor, normal rules apply.
-        assert!(cc.read(&ctx(4, 40), &item("y"), current()).is_granted());
-        assert!(cc.prewrite(&ctx(5, 41), &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&ctx(4, 40), &item("y"), current())));
+        assert!(granted(cc.prewrite(&ctx(5, 41), &item("x"), current())));
         // The floor never moves backwards.
         cc.install_recovery_floor(Timestamp::new(5, 0));
-        assert!(!cc.read(&ctx(6, 20), &item("z"), current()).is_granted());
+        assert!(rejected(cc.read(&ctx(6, 20), &item("z"), current())));
     }
 
     #[test]
     fn abort_discards_pending_writes() {
         let cc = TimestampOrdering::new();
         let writer = ctx(1, 10);
-        assert!(cc.prewrite(&writer, &item("x"), current()).is_granted());
+        assert!(granted(cc.prewrite(&writer, &item("x"), current())));
         assert_eq!(cc.active_transactions(), 1);
         cc.abort(&writer);
         assert_eq!(cc.active_transactions(), 0);
         // After the abort, a later reader is no longer blocked by the pending
         // write.
         let reader = ctx(2, 20);
-        assert!(cc.read(&reader, &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&reader, &item("x"), current())));
         // wts is unchanged by the aborted write.
         let (_, wts) = cc.item_timestamps(&item("x"));
         assert_eq!(wts, Timestamp::ZERO);
@@ -425,8 +412,8 @@ mod tests {
     #[test]
     fn rts_advances_monotonically() {
         let cc = TimestampOrdering::new();
-        assert!(cc.read(&ctx(1, 30), &item("x"), current()).is_granted());
-        assert!(cc.read(&ctx(2, 10), &item("x"), current()).is_granted());
+        assert!(granted(cc.read(&ctx(1, 30), &item("x"), current())));
+        assert!(granted(cc.read(&ctx(2, 10), &item("x"), current())));
         let (rts, _) = cc.item_timestamps(&item("x"));
         assert_eq!(rts, Timestamp::new(30, 0), "rts must not move backwards");
     }
@@ -435,8 +422,8 @@ mod tests {
     fn blind_write_then_commit_updates_wts_per_item() {
         let cc = TimestampOrdering::new();
         let t = ctx(1, 5);
-        assert!(cc.prewrite(&t, &item("a"), current()).is_granted());
-        assert!(cc.prewrite(&t, &item("b"), current()).is_granted());
+        assert!(granted(cc.prewrite(&t, &item("a"), current())));
+        assert!(granted(cc.prewrite(&t, &item("b"), current())));
         cc.commit(
             &t,
             &[

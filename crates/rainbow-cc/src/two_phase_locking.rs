@@ -3,9 +3,10 @@
 //! Reads take shared locks, pre-writes take exclusive locks, and every lock
 //! is held until the transaction's commit or abort reaches this site (strict
 //! 2PL), which is exactly what two-phase commit needs: data written by a
-//! prepared transaction stays locked until the decision arrives.
+//! prepared transaction stays locked until the decision arrives. An access
+//! that finds its lock held is queued for it and answers `None`.
 
-use crate::lock::{LockError, LockManager, LockMode};
+use crate::lock::{Acquired, LockError, LockManager, LockMode};
 use crate::types::{CcDecision, CcProtocol, TxnContext};
 use rainbow_common::protocol::DeadlockPolicy;
 use rainbow_common::txn::AbortCause;
@@ -31,61 +32,47 @@ impl TwoPhaseLocking {
         &self.locks
     }
 
-    fn map_error(error: LockError, item: &ItemId) -> AbortCause {
-        match error {
-            LockError::Deadlock | LockError::Wounded => {
-                AbortCause::CcpDeadlock { item: item.clone() }
+    fn acquire(&self, txn: &TxnContext, item: &ItemId, mode: LockMode) -> Option<CcDecision> {
+        match self.locks.acquire(txn.id, txn.ts, item, mode) {
+            Ok(Acquired::Granted) => Some(CcDecision::granted()),
+            Ok(Acquired::Queued) => None,
+            Err(LockError::Deadlock | LockError::Wounded) => {
+                Some(CcDecision::Rejected(AbortCause::CcpDeadlock {
+                    item: item.clone(),
+                }))
             }
-            LockError::Timeout => AbortCause::CcpLockConflict {
-                item: item.clone(),
-                holder: None,
-            },
         }
-    }
-
-    fn decision(result: Result<(), LockError>, item: &ItemId) -> CcDecision {
-        match result {
-            Ok(()) => CcDecision::granted(),
-            Err(error) => CcDecision::Rejected(Self::map_error(error, item)),
-        }
-    }
-
-    fn acquire(&self, txn: &TxnContext, item: &ItemId, mode: LockMode) -> CcDecision {
-        Self::decision(self.locks.acquire(txn.id, txn.ts, item, mode), item)
-    }
-
-    fn try_acquire(&self, txn: &TxnContext, item: &ItemId, mode: LockMode) -> Option<CcDecision> {
-        self.locks
-            .try_acquire(txn.id, txn.ts, item, mode)
-            .map(|result| Self::decision(result, item))
     }
 }
 
 impl CcProtocol for TwoPhaseLocking {
-    fn read(&self, txn: &TxnContext, item: &ItemId, _current: (Value, Version)) -> CcDecision {
+    fn read(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        _current: (Value, Version),
+    ) -> Option<CcDecision> {
         self.acquire(txn, item, LockMode::Shared)
     }
 
-    fn prewrite(&self, txn: &TxnContext, item: &ItemId, _current: (Value, Version)) -> CcDecision {
+    fn prewrite(
+        &self,
+        txn: &TxnContext,
+        item: &ItemId,
+        _current: (Value, Version),
+    ) -> Option<CcDecision> {
         self.acquire(txn, item, LockMode::Exclusive)
     }
 
-    fn try_read(
-        &self,
-        txn: &TxnContext,
-        item: &ItemId,
-        _current: (Value, Version),
-    ) -> Option<CcDecision> {
-        self.try_acquire(txn, item, LockMode::Shared)
+    fn wait_budget(&self) -> Duration {
+        self.locks.wait_timeout()
     }
 
-    fn try_prewrite(
-        &self,
-        txn: &TxnContext,
-        item: &ItemId,
-        _current: (Value, Version),
-    ) -> Option<CcDecision> {
-        self.try_acquire(txn, item, LockMode::Exclusive)
+    fn give_up(&self, txn: &TxnContext, item: &ItemId) -> AbortCause {
+        AbortCause::CcpLockConflict {
+            item: item.clone(),
+            holder: self.locks.give_up(txn.id, item),
+        }
     }
 
     fn validate(&self, txn: &TxnContext) -> CcDecision {
@@ -140,8 +127,6 @@ impl TwoPhaseLocking {
 mod tests {
     use super::*;
     use rainbow_common::{SiteId, Timestamp, TxnId};
-    use std::sync::Arc;
-    use std::thread;
 
     fn ctx(seq: u64, ts: u64) -> TxnContext {
         TxnContext::new(TxnId::new(SiteId(0), seq), Timestamp::new(ts, 0))
@@ -159,87 +144,82 @@ mod tests {
         TwoPhaseLocking::new(policy, Duration::from_millis(80))
     }
 
+    const GRANTED: Option<CcDecision> = Some(CcDecision::Granted {
+        value_override: None,
+    });
+
     #[test]
     fn readers_share_writers_exclude() {
         let cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
         let t2 = ctx(2, 2);
-        assert!(cc.read(&t1, &item("x"), current()).is_granted());
-        assert!(cc.read(&t2, &item("x"), current()).is_granted());
-        // A writer cannot get in while readers hold the item.
+        assert_eq!(cc.read(&t1, &item("x"), current()), GRANTED);
+        assert_eq!(cc.read(&t2, &item("x"), current()), GRANTED);
+        // A writer cannot get in while readers hold the item: it waits, and
+        // when it gives up it names a reader that stood in its way.
         let t3 = ctx(3, 3);
-        let decision = cc.prewrite(&t3, &item("x"), current());
-        assert!(!decision.is_granted());
-        assert!(matches!(
-            decision.rejection(),
-            Some(AbortCause::CcpLockConflict { .. })
-        ));
+        assert_eq!(cc.prewrite(&t3, &item("x"), current()), None);
+        assert_eq!(
+            cc.give_up(&t3, &item("x")),
+            AbortCause::CcpLockConflict {
+                item: item("x"),
+                holder: Some(t1.id),
+            }
+        );
+        assert_eq!(cc.wait_budget(), Duration::from_millis(80));
     }
 
     #[test]
     fn commit_releases_locks_for_waiting_writers() {
-        let cc = Arc::new(tpl(DeadlockPolicy::TimeoutOnly));
+        let cc = tpl(DeadlockPolicy::TimeoutOnly);
         let t1 = ctx(1, 1);
-        assert!(cc.prewrite(&t1, &item("x"), current()).is_granted());
-
-        let cc2 = Arc::clone(&cc);
-        let writer = thread::spawn(move || {
-            let t2 = ctx(2, 2);
-            cc2.prewrite(&t2, &item("x"), current())
-        });
-        thread::sleep(Duration::from_millis(20));
+        let t2 = ctx(2, 2);
+        assert_eq!(cc.prewrite(&t1, &item("x"), current()), GRANTED);
+        assert_eq!(cc.prewrite(&t2, &item("x"), current()), None);
         cc.commit(&t1, &[(item("x"), Value::Int(1), Version(1))]);
-        assert!(writer.join().unwrap().is_granted());
+        assert_eq!(cc.prewrite(&t2, &item("x"), current()), GRANTED);
     }
 
     #[test]
     fn abort_also_releases_locks() {
         let cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
-        assert!(cc.prewrite(&t1, &item("x"), current()).is_granted());
+        assert_eq!(cc.prewrite(&t1, &item("x"), current()), GRANTED);
         assert_eq!(cc.active_transactions(), 1);
         cc.abort(&t1);
         assert_eq!(cc.active_transactions(), 0);
         let t2 = ctx(2, 2);
-        assert!(cc.prewrite(&t2, &item("x"), current()).is_granted());
+        assert_eq!(cc.prewrite(&t2, &item("x"), current()), GRANTED);
     }
 
     #[test]
     fn deadlock_is_reported_as_ccp_deadlock() {
-        let cc = Arc::new(TwoPhaseLocking::new(
-            DeadlockPolicy::WaitForGraph,
-            Duration::from_millis(300),
-        ));
+        let cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
         let t2 = ctx(2, 2);
-        assert!(cc.prewrite(&t1, &item("x"), current()).is_granted());
-        assert!(cc.prewrite(&t2, &item("y"), current()).is_granted());
-        let cc1 = Arc::clone(&cc);
-        let h = thread::spawn(move || cc1.prewrite(&ctx(1, 1), &item("y"), current()));
-        thread::sleep(Duration::from_millis(30));
-        let d = cc.prewrite(&t2, &item("x"), current());
+        assert_eq!(cc.prewrite(&t1, &item("x"), current()), GRANTED);
+        assert_eq!(cc.prewrite(&t2, &item("y"), current()), GRANTED);
+        assert_eq!(cc.prewrite(&t1, &item("y"), current()), None);
+        let d = cc.prewrite(&t2, &item("x"), current()).expect("decided");
         assert!(matches!(
             d.rejection(),
             Some(AbortCause::CcpDeadlock { .. })
         ));
         cc.abort(&t2);
-        assert!(h.join().unwrap().is_granted());
+        assert_eq!(cc.prewrite(&t1, &item("y"), current()), GRANTED);
     }
 
     #[test]
     fn wounded_transaction_fails_validation() {
-        let cc = Arc::new(tpl(DeadlockPolicy::WoundWait));
+        let cc = tpl(DeadlockPolicy::WoundWait);
         let young = ctx(2, 10);
         let old = ctx(1, 1);
-        assert!(cc.prewrite(&young, &item("x"), current()).is_granted());
-        // Older transaction wounds the younger holder (it will wait/timeout in
-        // a background thread; we only care about the wound side-effect).
-        let cc2 = Arc::clone(&cc);
-        let h = thread::spawn(move || cc2.prewrite(&ctx(1, 1), &item("x"), current()));
-        thread::sleep(Duration::from_millis(20));
+        assert_eq!(cc.prewrite(&young, &item("x"), current()), GRANTED);
+        // The older transaction wounds the younger holder and waits.
+        assert_eq!(cc.prewrite(&old, &item("x"), current()), None);
         assert!(!cc.validate(&young).is_granted());
         cc.abort(&young);
-        assert!(h.join().unwrap().is_granted());
+        assert_eq!(cc.prewrite(&old, &item("x"), current()), GRANTED);
         // The winning older transaction — now actually holding the lock,
         // as any prepared participant does — validates cleanly.
         assert!(cc.validate(&old).is_granted());
@@ -249,7 +229,7 @@ mod tests {
     fn validate_passes_for_unwounded_transactions() {
         let cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
-        assert!(cc.read(&t1, &item("x"), current()).is_granted());
+        assert_eq!(cc.read(&t1, &item("x"), current()), GRANTED);
         assert!(cc.validate(&t1).is_granted());
         assert_eq!(cc.name(), "2PL");
     }
@@ -262,7 +242,7 @@ mod tests {
         // the janitor): the site must not vouch for the old accesses.
         assert!(!cc.validate(&t1).is_granted());
         // Once an access is granted (and still held), validation passes.
-        assert!(cc.read(&t1, &item("x"), current()).is_granted());
+        assert_eq!(cc.read(&t1, &item("x"), current()), GRANTED);
         assert!(cc.validate(&t1).is_granted());
         // After release (decision applied), a late re-validation fails again.
         cc.commit(&t1, &[]);
@@ -273,8 +253,8 @@ mod tests {
     fn read_then_upgrade_to_write_on_same_item() {
         let cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
-        assert!(cc.read(&t1, &item("x"), current()).is_granted());
-        assert!(cc.prewrite(&t1, &item("x"), current()).is_granted());
+        assert_eq!(cc.read(&t1, &item("x"), current()), GRANTED);
+        assert_eq!(cc.prewrite(&t1, &item("x"), current()), GRANTED);
         cc.commit(&t1, &[(item("x"), Value::Int(5), Version(1))]);
         assert_eq!(cc.active_transactions(), 0);
     }

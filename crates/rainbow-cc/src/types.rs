@@ -1,6 +1,7 @@
 //! The concurrency-control protocol trait and its supporting types.
 
 use rainbow_common::protocol::{CcpKind, DeadlockPolicy};
+use rainbow_common::txn::AbortCause;
 use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,6 +25,15 @@ impl TxnContext {
     pub fn new(id: TxnId, ts: Timestamp) -> Self {
         TxnContext { id, ts }
     }
+
+    /// The rejection of an operation of this transaction on `item` that
+    /// arrived too late in timestamp order.
+    pub(crate) fn too_late(&self, item: &ItemId) -> AbortCause {
+        AbortCause::CcpTimestampViolation {
+            item: item.clone(),
+            rejected: self.ts,
+        }
+    }
 }
 
 /// Outcome of a CCP access request.
@@ -39,7 +49,7 @@ pub enum CcDecision {
         value_override: Option<(Value, Version)>,
     },
     /// Access rejected; the transaction must abort with the given cause.
-    Rejected(rainbow_common::txn::AbortCause),
+    Rejected(AbortCause),
 }
 
 impl CcDecision {
@@ -56,7 +66,7 @@ impl CcDecision {
     }
 
     /// The abort cause when rejected.
-    pub fn rejection(&self) -> Option<&rainbow_common::txn::AbortCause> {
+    pub fn rejection(&self) -> Option<&AbortCause> {
         match self {
             CcDecision::Rejected(cause) => Some(cause),
             _ => None,
@@ -64,58 +74,58 @@ impl CcDecision {
     }
 }
 
-/// The concurrency control protocol interface, one instance per site.
+/// The concurrency control protocol interface, one instance per site — what
+/// a student replacing a protocol implements.
 ///
 /// Call sequence for a transaction at a copy-holder site:
 ///
 /// 1. zero or more [`CcProtocol::read`] / [`CcProtocol::prewrite`] calls as
-///    the RCP touches local copies;
+///    the RCP touches local copies. Neither ever blocks: each answers
+///    `Some(decision)`, or `None` — *the access must wait; ask again after
+///    something commits or aborts here*. The site keeps the request and
+///    repeats the same call after every message it handled, until it is
+///    decided or [`CcProtocol::wait_budget`] has passed, and then calls
+///    [`CcProtocol::give_up`];
 /// 2. [`CcProtocol::validate`] when the 2PC participant is about to vote;
 /// 3. exactly one of [`CcProtocol::commit`] or [`CcProtocol::abort`], which
 ///    releases every resource the transaction holds at this site.
 pub trait CcProtocol: Send + Sync {
-    /// Requests read access to `item`. May block (2PL waits for a lock) up
-    /// to the protocol's configured timeout.
+    /// Requests read access to `item`: granted, rejected, or `None` when it
+    /// must wait (2PL: the lock is held; TSO/MVTO: an earlier pre-write is
+    /// pending). A protocol may remember a waiting request (2PL gives it a
+    /// place in the lock's queue), but being asked again with nothing
+    /// committed or aborted in between must change nothing.
     ///
     /// `current` is the committed `(value, version)` of the local copy, which
     /// multi-version protocols use to maintain their version chains.
-    fn read(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision;
-
-    /// Requests write (pre-write) access to `item`. The actual new value is
-    /// staged in storage by the caller; the CCP only arbitrates access.
-    fn prewrite(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision;
-
-    /// The non-waiting form of [`CcProtocol::read`], for callers that must
-    /// never block (a site's dispatcher): `Some(decision)` when the request
-    /// can be granted or rejected right now, `None` when deciding it means
-    /// waiting. `None` leaves the protocol's state exactly as if the question
-    /// had never been asked — no waiter, no wait-for edge, no wound, no
-    /// statistic, no timestamp moves — and the caller then issues
-    /// [`CcProtocol::read`] from a thread that may wait. The default never
-    /// decides, which is correct for any protocol and only costs the
-    /// hand-off.
-    fn try_read(
+    fn read(
         &self,
-        _txn: &TxnContext,
-        _item: &ItemId,
-        _current: (Value, Version),
-    ) -> Option<CcDecision> {
-        None
-    }
+        txn: &TxnContext,
+        item: &ItemId,
+        current: (Value, Version),
+    ) -> Option<CcDecision>;
 
-    /// The non-waiting form of [`CcProtocol::prewrite`]; same contract as
-    /// [`CcProtocol::try_read`]. A pre-write granted here may be issued
-    /// again through [`CcProtocol::prewrite`] (a read-for-update whose read
-    /// half must wait is re-issued whole), so granting one twice must
-    /// equal granting it once.
-    fn try_prewrite(
+    /// Requests write (pre-write) access to `item`; same answers as
+    /// [`CcProtocol::read`]. The actual new value is staged in storage by
+    /// the caller; the CCP only arbitrates access. A granted pre-write may
+    /// be asked for again (a read-for-update whose read half must wait is
+    /// asked again whole), so granting one twice must equal granting it
+    /// once.
+    fn prewrite(
         &self,
-        _txn: &TxnContext,
-        _item: &ItemId,
-        _current: (Value, Version),
-    ) -> Option<CcDecision> {
-        None
-    }
+        txn: &TxnContext,
+        item: &ItemId,
+        current: (Value, Version),
+    ) -> Option<CcDecision>;
+
+    /// How long an access answered `None` is worth asking again for.
+    fn wait_budget(&self) -> Duration;
+
+    /// The caller stops asking for an access to `item` that was answered
+    /// `None` (the wait budget ran out, or the transaction ended meanwhile):
+    /// whatever the protocol remembers of the waiting request is forgotten,
+    /// and the cause to reject it with is returned.
+    fn give_up(&self, txn: &TxnContext, item: &ItemId) -> AbortCause;
 
     /// Called by the commit participant just before voting YES. Protocols
     /// that can invalidate a transaction after its accesses were granted
@@ -163,9 +173,9 @@ pub fn make_ccp(
             deadlock,
             lock_wait_timeout,
         )),
-        // The lock-wait timeout doubles as the wait budget of reads blocked
-        // behind an earlier transaction's pending pre-write (the bounded
-        // prewrite-queue of textbook TSO/MVTO).
+        // The lock-wait timeout doubles as the wait budget of reads that
+        // must wait behind an earlier transaction's pending pre-write (the
+        // bounded prewrite-queue of textbook TSO/MVTO).
         CcpKind::TimestampOrdering => {
             Arc::new(crate::tso::TimestampOrdering::new().with_wait_budget(lock_wait_timeout))
         }
@@ -178,7 +188,6 @@ pub fn make_ccp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainbow_common::txn::AbortCause;
     use rainbow_common::SiteId;
 
     #[test]
@@ -205,6 +214,7 @@ mod tests {
         ] {
             let ccp = make_ccp(kind, DeadlockPolicy::WaitDie, timeout);
             assert_eq!(ccp.name(), name);
+            assert_eq!(ccp.wait_budget(), timeout);
             assert_eq!(ccp.active_transactions(), 0);
         }
     }

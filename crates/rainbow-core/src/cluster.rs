@@ -291,23 +291,17 @@ impl Cluster {
         self.sum_over_sites(|metrics| &metrics.janitor_cleanups)
     }
 
-    /// Worker threads started by all sites so far: zero until a copy access
-    /// has to wait, and constant once the cluster is warm — the transaction
-    /// path reuses threads instead of creating them.
-    pub fn workers_started(&self) -> u64 {
-        self.sum_over_sites(|metrics| &metrics.workers_started)
-    }
-
-    /// Copy accesses answered on a site's dispatcher because the CCP could
-    /// decide them without waiting, summed over all sites.
+    /// Copy accesses the CCP decided the first time it was asked, summed
+    /// over all sites.
     pub fn copy_accesses_inline(&self) -> u64 {
         self.sum_over_sites(|metrics| &metrics.copy_accesses_inline)
     }
 
     /// Copy accesses that had to wait (for a lock, or behind an earlier
-    /// pending pre-write) and were handed to a worker, summed over all sites.
-    pub fn copy_accesses_handed_off(&self) -> u64 {
-        self.sum_over_sites(|metrics| &metrics.copy_accesses_handed_off)
+    /// pending pre-write) and were parked at their site, summed over all
+    /// sites.
+    pub fn copy_accesses_parked(&self) -> u64 {
+        self.sum_over_sites(|metrics| &metrics.copy_accesses_parked)
     }
 
     fn sum_over_sites(&self, counter: impl Fn(&SiteMetrics) -> &AtomicU64) -> u64 {

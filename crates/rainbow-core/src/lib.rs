@@ -11,10 +11,9 @@
 //!   distribution, fragmentation and replication schema and answering
 //!   lookups from sites;
 //! * [`site`] — the Rainbow site runtime: a dispatcher thread that never
-//!   waits, a set of reused worker threads for what may (a request that can
-//!   be answered now is answered on the dispatcher; only one that must wait
-//!   gets a thread, and the thread is reused), copy-access handling through
-//!   the configured CCP, and 2PC/3PC participant handling;
+//!   waits (a copy access the configured CCP can decide is answered at once;
+//!   one that must wait is parked and asked again after every message
+//!   handled — no thread is lent to it), and 2PC/3PC participant handling;
 //! * [`coordinator`] — the home-site transaction manager: one state machine
 //!   per transaction that drives the RCP (quorum building per operation),
 //!   then the ACP, and classifies aborts by the layer that caused them, and
@@ -42,7 +41,6 @@ pub mod messages;
 pub mod metrics;
 pub mod name_server;
 pub mod site;
-mod workers;
 
 pub use client::{Client, RetryPolicy, Txn};
 pub use cluster::{Cluster, ClusterConfig};

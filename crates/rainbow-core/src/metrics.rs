@@ -34,14 +34,11 @@ pub struct SiteMetrics {
     /// Stale transactions the janitor cleaned up (coordinator never came
     /// back with a decision).
     pub janitor_cleanups: AtomicU64,
-    /// Worker threads the site started (a job found every worker busy).
-    /// Flat in steady state: threads are reused, not created per request.
-    pub workers_started: AtomicU64,
-    /// Copy accesses the CCP decided without waiting, answered on the
-    /// dispatcher.
+    /// Copy accesses the CCP decided the first time it was asked.
     pub copy_accesses_inline: AtomicU64,
-    /// Copy accesses that would have had to wait, handed to a worker.
-    pub copy_accesses_handed_off: AtomicU64,
+    /// Copy accesses the CCP said must wait, parked at the site and asked
+    /// again.
+    pub copy_accesses_parked: AtomicU64,
 }
 
 impl SiteMetrics {

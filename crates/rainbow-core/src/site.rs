@@ -1,24 +1,26 @@
 //! The Rainbow site runtime.
 //!
-//! A site is one node of the distributed database. It runs:
+//! A site is one node of the distributed database. Its threads are its
+//! dispatcher and its reactors, started with the site and joined at
+//! shutdown; nothing else is ever created or lent. It runs:
 //!
 //! * a **dispatcher thread** that drains the site's network mailbox and
 //!   routes messages — whatever belongs to a transaction whose home is this
 //!   site (the client's commands, copy replies, votes, acknowledgements) goes
 //!   to the event loop driving it, requests from other coordinators are
-//!   handled. The dispatcher never waits: a request that can be answered now
-//!   is answered now, on the dispatcher; only a request that must wait gets
-//!   a thread, and the thread is reused. A copy access asks the CCP's
-//!   non-waiting form first and is handed to a worker only when the answer
-//!   is *would wait*;
+//!   handled. The dispatcher never waits: a copy access asks the CCP, which
+//!   never blocks, and is answered at once when the CCP decides it. When the
+//!   CCP says the access must wait (its lock is held or, under the timestamp
+//!   protocols, an earlier pre-write is pending), the request is **parked**:
+//!   kept with a deadline, asked again — oldest first — after every message
+//!   the dispatcher handled (a commit or an abort among them is what ends a
+//!   wait), and given up when the deadline passes or its transaction ends
+//!   first;
 //! * the **coordinator** of every transaction whose home is this site: a
 //!   state machine per transaction (`coordinator.rs`) on a small set of
 //!   event loops (`coordinator/reactor.rs`). (The paper's site "dedicates
 //!   one thread to process" each transaction; here a transaction is pinned
 //!   to an event loop instead, and no thread is ever created for it.)
-//! * a set of **reused workers** (`workers.rs`) for the one thing that still
-//!   waits: a copy access that found its lock held (or, under the timestamp
-//!   protocols, an earlier pre-write pending);
 //! * the **participant side** of the commit protocol for transactions
 //!   coordinated elsewhere, including a janitor that cleans up transactions
 //!   whose coordinator disappeared and the recovery path that resolves
@@ -27,7 +29,6 @@
 use crate::coordinator::reactor::{ReactorEvent, ReactorPool};
 use crate::messages::{CopyAccessResult, Msg};
 use crate::metrics::SiteMetrics;
-use crate::workers::Workers;
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use parking_lot::{Mutex, RwLock};
 use rainbow_cc::{make_ccp, CcDecision, CcProtocol, TxnContext};
@@ -114,8 +115,7 @@ impl InDoubt {
     }
 }
 
-/// State shared between the dispatcher, the reactors and the workers of one
-/// site.
+/// State shared between the dispatcher and the reactors of one site.
 pub(crate) struct SiteShared {
     pub id: SiteId,
     pub node: NodeId,
@@ -134,8 +134,10 @@ pub(crate) struct SiteShared {
     /// participant entry that nobody will ever release.
     pub finished: Mutex<HashSet<TxnId>>,
     pub in_doubt: Mutex<InDoubt>,
-    /// The threads a copy access that has to wait runs on.
-    pub workers: Arc<Workers>,
+    /// The copy accesses waiting at this site, in arrival order: the CCP
+    /// said they must wait, so the dispatcher asks again after every message
+    /// it handled. They die with the CCP they were waiting in.
+    parked: Mutex<Vec<Parked>>,
     pub txn_seq: AtomicU64,
     pub clock: TimestampGenerator,
     pub shutdown: Arc<AtomicBool>,
@@ -326,12 +328,12 @@ impl SiteHandle {
             rcp,
             schema: RwLock::new(schema),
             net,
-            metrics: Arc::clone(&metrics),
+            metrics,
             participants: Mutex::new(HashMap::new()),
             decided: Mutex::new(HashMap::new()),
             finished: Mutex::new(HashSet::new()),
             in_doubt: Mutex::new(InDoubt::default()),
-            workers: Workers::new(format!("rainbow-worker-{}", id.0), Arc::clone(&metrics)),
+            parked: Mutex::new(Vec::new()),
             txn_seq: AtomicU64::new(0),
             clock: TimestampGenerator::new(id),
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -466,6 +468,11 @@ impl SiteHandle {
             shared.stack.lock_wait_timeout,
         );
         ccp.install_recovery_floor(Timestamp::new(shared.clock.now(), shared.id.0));
+        // The accesses parked in the old CCP go with it (their transactions
+        // are refused below like everybody else's). Holding `parked` keeps
+        // the dispatcher from asking them again half-way through the swap.
+        let mut parked = shared.parked.lock();
+        parked.clear();
         *shared.ccp.write() = ccp;
         // Every transaction with grants here just lost them. Refuse those
         // transactions from now on: one that came back could take a *new*
@@ -479,6 +486,7 @@ impl SiteHandle {
             .map(|(txn, _)| txn)
             .collect();
         shared.finished.lock().extend(lost);
+        drop(parked);
         // Ask each in-doubt transaction's coordinator for the decision.
         let mut in_doubt = shared.in_doubt.lock();
         in_doubt.clear();
@@ -530,16 +538,14 @@ impl SiteHandle {
         ));
     }
 
-    /// Stops the dispatcher thread, retires the workers — idle ones exit at
-    /// once, a busy one when its job returns (a lock wait is bounded by the
-    /// protocol timeouts) — and stops the reactors. Every thread the site
-    /// started is joined.
+    /// Stops the dispatcher thread (what is still parked is dropped
+    /// unanswered, like everything else in flight) and the reactors. Every
+    /// thread the site started is joined.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(thread) = self.dispatcher.take() {
             let _ = thread.join();
         }
-        self.shared.workers.retire();
         // The event loops observe the flag within one tick, fail their
         // in-flight conversations and drain their outboxes.
         self.shared.reactors.join();
@@ -558,11 +564,17 @@ impl Drop for SiteHandle {
 fn dispatcher_loop(shared: Arc<SiteShared>, mailbox: Receiver<Envelope<Msg>>) {
     let mut last_janitor = Instant::now();
     let janitor_every = Duration::from_millis(200);
+    // When the first parked copy access runs out of time, if any is parked.
+    let mut next_deadline: Option<Instant> = None;
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        match mailbox.recv_timeout(Duration::from_millis(25)) {
+        let idle = Duration::from_millis(25);
+        let wait = next_deadline.map_or(idle, |deadline| {
+            idle.min(deadline.saturating_duration_since(Instant::now()))
+        });
+        match mailbox.recv_timeout(wait) {
             Ok(envelope) => dispatch(&shared, envelope),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
@@ -571,6 +583,9 @@ fn dispatcher_loop(shared: Arc<SiteShared>, mailbox: Receiver<Envelope<Msg>>) {
             last_janitor = Instant::now();
             run_janitor(&shared);
         }
+        // Whatever was just handled may have ended a wait (a commit or an
+        // abort released something), and time may have ended one.
+        next_deadline = ask_parked_again(&shared);
     }
 }
 
@@ -640,16 +655,21 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
             SiteMetrics::bump(&shared.metrics.served_requests);
             handle_copy_access(shared, from, txn, ts, item, CopyAccess::Prewrite);
         }
+        // A lone prepare or commit decision is a group of one.
         Msg::AcpPrepare { txn, ts, writes } => {
-            SiteMetrics::bump(&shared.metrics.served_requests);
-            handle_prepare(shared, from, txn, ts, writes);
+            handle_prepare_batch(shared, from, vec![(txn, ts, writes)]);
         }
         Msg::AcpPreCommit { txn } => {
             handle_precommit(shared, from, txn);
         }
-        Msg::AcpDecision { txn, decision } => {
-            handle_decision(shared, from, txn, decision);
-        }
+        Msg::AcpDecision {
+            txn,
+            decision: Decision::Commit,
+        } => handle_decision_commit_batch(shared, from, vec![txn]),
+        Msg::AcpDecision {
+            txn,
+            decision: Decision::Abort,
+        } => handle_abort_decision(shared, from, txn),
         Msg::AcpStatusQuery { txn } => {
             let decision = shared.decided.lock().get(&txn).copied();
             shared.send(from, Msg::AcpStatusReply { txn, decision });
@@ -736,41 +756,32 @@ struct CopyRequest {
 }
 
 impl CopyRequest {
-    /// Asks the CCP without waiting; `None` means the answer would have to
-    /// wait and nothing was recorded for the part that would.
-    fn attempt(&self, ccp: &dyn CcProtocol) -> Option<CcDecision> {
-        let (ctx, item, current) = (&self.ctx, &self.item, || self.current.clone());
-        match self.access {
-            CopyAccess::Prewrite => ccp.try_prewrite(ctx, item, current()),
-            CopyAccess::Read { for_update: false } => ccp.try_read(ctx, item, current()),
-            // If the read half would wait after the pre-write was granted,
-            // the whole access is issued again by `wait`; granting a
-            // pre-write twice equals granting it once in every CCP.
-            CopyAccess::Read { for_update: true } => {
-                match ccp.try_prewrite(ctx, item, current())? {
-                    CcDecision::Granted { .. } => ccp.try_read(ctx, item, current()),
-                    rejected => Some(rejected),
-                }
-            }
-        }
-    }
-
-    /// Asks the CCP and waits for the answer (a held lock, an earlier
-    /// pending pre-write), bounded by the protocol's wait budget.
-    fn wait(&self, ccp: &dyn CcProtocol) -> CcDecision {
+    /// Asks the CCP, which never blocks; `None` means the access must wait
+    /// and is to be asked again.
+    fn ask(&self, ccp: &dyn CcProtocol) -> Option<CcDecision> {
         let (ctx, item, current) = (&self.ctx, &self.item, || self.current.clone());
         match self.access {
             CopyAccess::Prewrite => ccp.prewrite(ctx, item, current()),
             CopyAccess::Read { for_update: false } => ccp.read(ctx, item, current()),
             // Write access first (exclusive lock / pre-write validation),
             // then the read; this avoids the classic shared→exclusive
-            // upgrade deadlock for read-modify-write operations.
-            CopyAccess::Read { for_update: true } => match ccp.prewrite(ctx, item, current()) {
+            // upgrade deadlock for read-modify-write operations. If the read
+            // half must wait after the pre-write was granted, the whole
+            // access is asked again; granting a pre-write twice equals
+            // granting it once in every CCP.
+            CopyAccess::Read { for_update: true } => match ccp.prewrite(ctx, item, current())? {
                 CcDecision::Granted { .. } => ccp.read(ctx, item, current()),
-                rejected => rejected,
+                rejected => Some(rejected),
             },
         }
     }
+}
+
+/// A copy access the CCP said must wait, and until when the site keeps
+/// asking.
+struct Parked {
+    request: CopyRequest,
+    deadline: Instant,
 }
 
 fn send_copy_reply(
@@ -800,9 +811,9 @@ fn lock_conflict(item: &ItemId, holder: Option<TxnId>) -> CopyAccessResult {
     })
 }
 
-/// Handles a copy read or pre-write request, on the dispatcher: the request
-/// is refused, or answered from the CCP's non-waiting form, or — only when
-/// the CCP would have to wait — handed to a worker that waits for it.
+/// Handles a copy read or pre-write request: the request is refused, or
+/// answered with what the CCP decided, or — when the CCP says it must wait —
+/// parked.
 fn handle_copy_access(
     shared: &Arc<SiteShared>,
     from: NodeId,
@@ -832,9 +843,8 @@ fn handle_copy_access(
         let denied = lock_conflict(&item, in_doubt_holder);
         return refuse(item, denied);
     }
-    // Register the participant entry before any hand-off, so a decision
-    // that is already queued behind this request finds the entry and cleans
-    // it up.
+    // Register the participant entry before asking, so a decision that is
+    // already queued behind this request finds the entry and cleans it up.
     let ctx = shared.ensure_participant(txn, ts, from);
     let Ok(current) = shared.storage.read(&item) else {
         return refuse(item, CopyAccessResult::NoSuchCopy);
@@ -847,24 +857,49 @@ fn handle_copy_access(
         current,
         lock_start: shared.trace_now(),
     };
-    match request.attempt(&*shared.ccp()) {
+    let ccp = shared.ccp();
+    match request.ask(&*ccp) {
         Some(decision) => {
             SiteMetrics::bump(&shared.metrics.copy_accesses_inline);
             finish_copy_access(shared, request, decision);
         }
         None => {
-            SiteMetrics::bump(&shared.metrics.copy_accesses_handed_off);
-            let worker_shared = Arc::clone(shared);
-            shared.workers.run(move || {
-                let decision = request.wait(&*worker_shared.ccp());
-                finish_copy_access(&worker_shared, request, decision);
-            });
+            SiteMetrics::bump(&shared.metrics.copy_accesses_parked);
+            let deadline = Instant::now() + ccp.wait_budget();
+            shared.parked.lock().push(Parked { request, deadline });
         }
     }
 }
 
-/// Turns the CCP's decision on a copy access into the reply, on whichever
-/// thread obtained it.
+/// Asks the CCP again about every parked copy access, oldest first: the
+/// ones it now decides are answered, and the ones that ran out of time, or
+/// whose transaction was decided or cleaned up while they waited, give up
+/// and are denied. Returns the earliest deadline among those still parked.
+fn ask_parked_again(shared: &SiteShared) -> Option<Instant> {
+    let mut parked = shared.parked.lock();
+    if parked.is_empty() {
+        return None;
+    }
+    let ccp = shared.ccp();
+    let now = Instant::now();
+    let mut still_parked = Vec::with_capacity(parked.len());
+    for Parked { request, deadline } in parked.drain(..) {
+        let abandoned = !shared.participants.lock().contains_key(&request.ctx.id);
+        let answer = if abandoned { None } else { request.ask(&*ccp) };
+        match answer {
+            Some(decision) => finish_copy_access(shared, request, decision),
+            None if abandoned || now >= deadline => {
+                let cause = ccp.give_up(&request.ctx, &request.item);
+                finish_copy_access(shared, request, CcDecision::Rejected(cause));
+            }
+            None => still_parked.push(Parked { request, deadline }),
+        }
+    }
+    *parked = still_parked;
+    parked.iter().map(|waiting| waiting.deadline).min()
+}
+
+/// Turns the CCP's decision on a copy access into the reply.
 fn finish_copy_access(shared: &SiteShared, request: CopyRequest, decision: CcDecision) {
     let CopyRequest {
         from,
@@ -874,8 +909,9 @@ fn finish_copy_access(shared: &SiteShared, request: CopyRequest, decision: CcDec
         current,
         lock_start,
     } = request;
-    // The CCP call is where lock waits happen: its latency *is* the
-    // lock-acquisition phase, granted or not.
+    // From the first time the CCP was asked to its decision is where lock
+    // waits happen (parked time included): that *is* the lock-acquisition
+    // phase, granted or not.
     shared.trace_site_span(
         ctx.id,
         Some(Phase::LockWait),
@@ -889,8 +925,8 @@ fn finish_copy_access(shared: &SiteShared, request: CopyRequest, decision: CcDec
     );
     let result = match decision {
         CcDecision::Granted { value_override } => {
-            // The CCP call may have waited (2PL lock wait). Two things
-            // follow. First, the transaction may have been decided
+            // The access may have waited (parked behind a lock). Two
+            // things follow. First, the transaction may have been decided
             // (committed or aborted) in the meantime — its participant
             // entry is gone and nobody will ever release what we just
             // acquired, so release it right now and refuse the access.
@@ -928,57 +964,13 @@ fn finish_copy_access(shared: &SiteShared, request: CopyRequest, decision: CcDec
     send_copy_reply(shared, from, ctx.id, item, access, result);
 }
 
-/// Handles the PREPARE request of the commit protocol.
-fn handle_prepare(
-    shared: &Arc<SiteShared>,
-    from: NodeId,
-    txn: TxnId,
-    ts: Timestamp,
-    writes: Vec<(ItemId, Value, Version)>,
-) {
-    shared.clock.observe(ts);
-    let prepare_start = shared.trace_now();
-    let ctx = shared.ensure_participant(txn, ts, from);
-    let ccp = shared.ccp();
-    let can_commit = ccp.validate(&ctx).is_granted();
-    if can_commit {
-        for (item, value, version) in &writes {
-            shared
-                .storage
-                .stage_write(txn, item.clone(), value.clone(), *version);
-        }
-        // Force the prepare record before voting YES.
-        shared.storage.prepare(txn);
-    }
-
-    let action = {
-        let mut participants = shared.participants.lock();
-        let entry = participants.get_mut(&txn).expect("entry ensured above");
-        entry.last_activity = Instant::now();
-        entry.machine.on_prepare(can_commit)
-    };
-    if let ParticipantAction::SendVote(vote) = action {
-        if vote == Vote::Yes {
-            SiteMetrics::bump(&shared.metrics.votes_yes);
-        } else {
-            SiteMetrics::bump(&shared.metrics.votes_no);
-            // Voting NO releases local resources immediately.
-            shared.storage.abort(txn);
-            ccp.abort(&ctx);
-        }
-        shared.trace_site_span(txn, Some(Phase::Prepare), "acp:vote", prepare_start, || {
-            format!("{vote:?} ({} writes)", writes.len())
-        });
-        shared.send(from, Msg::AcpVote { txn, vote });
-    }
-}
-
-/// Handles a batch of PREPARE requests that arrived in one coalesced
-/// envelope: each transaction is validated and staged individually, but the
-/// prepare records of every YES-voter are forced with a **single**
-/// [`rainbow_storage::SiteStorage::prepare_many`] group append — the
-/// group-commit half of the reactor pipeline. Votes travel back to the
-/// coordinator node in one batch envelope when there is more than one.
+/// Handles the PREPARE requests of the commit protocol that arrived in one
+/// envelope (one, or a coalesced batch): each transaction is validated and
+/// staged individually, but the prepare records of every YES-voter are
+/// forced with a **single** [`rainbow_storage::SiteStorage::prepare_many`]
+/// group append — the group-commit half of the reactor pipeline. Votes
+/// travel back to the coordinator node in one batch envelope when there is
+/// more than one.
 fn handle_prepare_batch(
     shared: &Arc<SiteShared>,
     from: NodeId,
@@ -1039,11 +1031,12 @@ fn handle_prepare_batch(
     }
 }
 
-/// Handles a batch of COMMIT decisions from one coalesced envelope: every
-/// participant machine advances individually, then all the commit records
-/// are forced with a single [`rainbow_storage::SiteStorage::commit_many`]
-/// group append and the writes installed under one store lock. Acks travel
-/// back in one batch envelope when there is more than one.
+/// Handles the COMMIT decisions that arrived in one envelope (one, or a
+/// coalesced batch): every participant machine advances individually, then
+/// all the commit records are forced with a single
+/// [`rainbow_storage::SiteStorage::commit_many`] group append and the writes
+/// installed under one store lock. Acks travel back in one batch envelope
+/// when there is more than one.
 fn handle_decision_commit_batch(shared: &Arc<SiteShared>, from: NodeId, txns: Vec<TxnId>) {
     let apply_start = shared.trace_now();
     let group = txns.len();
@@ -1066,7 +1059,9 @@ fn handle_decision_commit_batch(shared: &Arc<SiteShared>, from: NodeId, txns: Ve
             resolve_in_doubt(shared, txn, Decision::Commit);
         }
         // Ack even without a participant entry (already applied, cleaned
-        // up, or crashed and recovered), exactly like the single path.
+        // up, or crashed and recovered — then the decision may be the answer
+        // an in-doubt transaction is waiting for), so the coordinator can
+        // finish.
         acks.push(Msg::AcpAck { txn });
     }
     let apply_ids: Vec<TxnId> = to_apply.iter().map(|(txn, _)| *txn).collect();
@@ -1106,27 +1101,24 @@ fn handle_precommit(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId) {
     }
 }
 
-/// Handles the coordinator's decision.
-fn handle_decision(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId, decision: Decision) {
+/// Handles the coordinator's ABORT decision (or release notice).
+fn handle_abort_decision(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId) {
     shared.finished.lock().insert(txn);
     let entry = shared.participants.lock().remove(&txn);
     match entry {
         Some(mut entry) => {
-            let action = entry.machine.on_decision(decision);
+            let action = entry.machine.on_decision(Decision::Abort);
             if let ParticipantAction::ApplyAndAck(applied) = action {
                 apply_decision(shared, &entry.ctx, applied);
             }
-            shared.send(from, Msg::AcpAck { txn });
         }
+        // We have no record (already applied, cleaned up, or we crashed
+        // and recovered): acknowledge all the same.
         None => {
-            // We have no record (already applied, cleaned up, or we crashed
-            // and recovered — then the decision may be the answer an
-            // in-doubt transaction is waiting for): acknowledge so the
-            // coordinator can finish.
-            resolve_in_doubt(shared, txn, decision);
-            shared.send(from, Msg::AcpAck { txn });
+            resolve_in_doubt(shared, txn, Decision::Abort);
         }
     }
+    shared.send(from, Msg::AcpAck { txn });
 }
 
 /// Settles a transaction crash recovery found in doubt, now that its
@@ -1275,6 +1267,88 @@ mod tests {
         DatabaseSchema::uniform(4, 100, sites, sites.len()).unwrap()
     }
 
+    /// One site holding `x0`..`x3` (100 each), and a node playing the
+    /// coordinators of transactions `(9, n)` with timestamp `n`.
+    struct OneSite {
+        net: SimNetwork<Msg>,
+        site: SiteHandle,
+        replies: Receiver<Envelope<Msg>>,
+    }
+
+    impl OneSite {
+        fn new(stack: ProtocolStack) -> Self {
+            let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+            let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), stack);
+            let replies = net.register(NodeId::Client(0));
+            OneSite { net, site, replies }
+        }
+
+        fn txn(n: u64) -> (TxnId, Timestamp) {
+            (TxnId::new(SiteId(9), n), Timestamp::new(n, 9))
+        }
+
+        fn send(&self, msg: Msg) {
+            let net = self.net.handle();
+            net.send(NodeId::Client(0), NodeId::site(0), msg).unwrap();
+        }
+
+        fn read(&self, n: u64, item: &str) {
+            let ((txn, ts), item) = (Self::txn(n), ItemId::new(item));
+            self.send(Msg::CopyRead {
+                txn,
+                ts,
+                item,
+                for_update: false,
+            });
+        }
+
+        fn prewrite(&self, n: u64, item: &str) {
+            let ((txn, ts), item) = (Self::txn(n), ItemId::new(item));
+            self.send(Msg::CopyPrewrite { txn, ts, item });
+        }
+
+        fn decide(&self, n: u64, decision: Decision) {
+            let txn = Self::txn(n).0;
+            self.send(Msg::AcpDecision { txn, decision });
+        }
+
+        fn abort(&self, n: u64) {
+            self.decide(n, Decision::Abort);
+        }
+
+        /// The site's next message.
+        fn next(&self) -> Msg {
+            let next = self.replies.recv_timeout(Duration::from_secs(5));
+            next.expect("the site answers").payload
+        }
+
+        /// The site's next message: which transaction it is about, and
+        /// whether access was granted when it answers a copy access.
+        fn reply(&self) -> (u64, Option<Result<(), AbortCause>>) {
+            match self.next() {
+                Msg::CopyReply { txn, result, .. } => match result {
+                    CopyAccessResult::Granted { .. } => (txn.seq, Some(Ok(()))),
+                    CopyAccessResult::Denied(cause) => (txn.seq, Some(Err(cause))),
+                    CopyAccessResult::NoSuchCopy => panic!("no such copy"),
+                },
+                other => (other.txn().expect("about a transaction").seq, None),
+            }
+        }
+
+        fn granted(&self, n: u64) {
+            assert_eq!(self.reply(), (n, Some(Ok(()))));
+        }
+
+        fn acked(&self, n: u64) {
+            assert!(matches!(self.next(), Msg::AcpAck { txn } if txn == Self::txn(n).0));
+        }
+
+        fn silent_for(&self, quiet: Duration) {
+            let reply = self.replies.recv_timeout(quiet);
+            assert!(reply.is_err(), "unexpected {reply:?}");
+        }
+    }
+
     #[test]
     fn site_initializes_only_its_own_copies() {
         let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
@@ -1301,37 +1375,16 @@ mod tests {
 
     #[test]
     fn copy_read_request_is_served_through_ccp() {
-        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
-        let sites = vec![SiteId(0)];
-        let schema = schema_for(&sites);
-        let _site = build_site(&net, 0, &schema, quick_stack());
-
-        let client = NodeId::Client(0);
-        let client_mailbox = net.register(client);
-        let txn = TxnId::new(SiteId(9), 1);
-        net.handle()
-            .send(
-                client,
-                NodeId::site(0),
-                Msg::CopyRead {
-                    txn,
-                    ts: Timestamp::new(1, 9),
-                    item: ItemId::new("x0"),
-                    for_update: false,
-                },
-            )
-            .unwrap();
-        let reply = client_mailbox
-            .recv_timeout(Duration::from_millis(1000))
-            .expect("no copy reply");
-        match reply.payload {
+        let one = OneSite::new(quick_stack());
+        one.read(1, "x0");
+        match one.next() {
             Msg::CopyReply {
-                txn: t,
+                txn,
                 prewrite,
                 result: CopyAccessResult::Granted { value, version },
                 ..
             } => {
-                assert_eq!(t, txn);
+                assert_eq!(txn, OneSite::txn(1).0);
                 assert!(!prewrite);
                 assert_eq!(value, Some(Value::Int(100)));
                 assert_eq!(version, Version(0));
@@ -1342,28 +1395,10 @@ mod tests {
 
     #[test]
     fn copy_access_to_unknown_item_reports_no_such_copy() {
-        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
-        let sites = vec![SiteId(0)];
-        let schema = schema_for(&sites);
-        let _site = build_site(&net, 0, &schema, quick_stack());
-        let client = NodeId::Client(0);
-        let client_mailbox = net.register(client);
-        net.handle()
-            .send(
-                client,
-                NodeId::site(0),
-                Msg::CopyPrewrite {
-                    txn: TxnId::new(SiteId(9), 1),
-                    ts: Timestamp::new(1, 9),
-                    item: ItemId::new("missing"),
-                },
-            )
-            .unwrap();
-        let reply = client_mailbox
-            .recv_timeout(Duration::from_millis(1000))
-            .expect("no reply");
+        let one = OneSite::new(quick_stack());
+        one.prewrite(1, "missing");
         assert!(matches!(
-            reply.payload,
+            one.next(),
             Msg::CopyReply {
                 result: CopyAccessResult::NoSuchCopy,
                 prewrite: true,
@@ -1374,197 +1409,194 @@ mod tests {
 
     #[test]
     fn prepare_and_commit_install_writes() {
-        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
-        let sites = vec![SiteId(0)];
-        let schema = schema_for(&sites);
-        let site = build_site(&net, 0, &schema, quick_stack());
-        let client = NodeId::Client(0);
-        let client_mailbox = net.register(client);
-        let txn = TxnId::new(SiteId(9), 1);
-        let ts = Timestamp::new(5, 9);
-
+        let one = OneSite::new(quick_stack());
         // Pre-write through the CCP first (as the RCP would).
-        net.handle()
-            .send(
-                client,
-                NodeId::site(0),
-                Msg::CopyPrewrite {
-                    txn,
-                    ts,
-                    item: ItemId::new("x1"),
-                },
-            )
-            .unwrap();
-        let _ = client_mailbox
-            .recv_timeout(Duration::from_millis(1000))
-            .unwrap();
-
+        one.prewrite(1, "x1");
+        one.granted(1);
         // Prepare with the write payload.
-        net.handle()
-            .send(
-                client,
-                NodeId::site(0),
-                Msg::AcpPrepare {
-                    txn,
-                    ts,
-                    writes: vec![(ItemId::new("x1"), Value::Int(777), Version(1))],
-                },
-            )
-            .unwrap();
-        let vote = client_mailbox
-            .recv_timeout(Duration::from_millis(1000))
-            .unwrap();
+        let (txn, ts) = OneSite::txn(1);
+        let written = (ItemId::new("x1"), Value::Int(777), Version(1));
+        one.send(Msg::AcpPrepare {
+            txn,
+            ts,
+            writes: vec![written.clone()],
+        });
+        let vote = one.next();
         assert!(matches!(
-            vote.payload,
+            vote,
             Msg::AcpVote {
                 vote: Vote::Yes,
                 ..
             }
         ));
-
-        // Decide commit.
-        net.handle()
-            .send(
-                client,
-                NodeId::site(0),
-                Msg::AcpDecision {
-                    txn,
-                    decision: Decision::Commit,
-                },
-            )
-            .unwrap();
-        let ack = client_mailbox
-            .recv_timeout(Duration::from_millis(1000))
-            .unwrap();
-        assert!(matches!(ack.payload, Msg::AcpAck { .. }));
-
-        let snapshot = site.database_snapshot();
-        assert!(snapshot.contains(&(ItemId::new("x1"), Value::Int(777), Version(1))));
-        assert_eq!(site.active_transactions(), 0, "locks must be released");
+        one.decide(1, Decision::Commit);
+        one.acked(1);
+        assert!(one.site.database_snapshot().contains(&written));
+        assert_eq!(one.site.active_transactions(), 0, "locks must be released");
     }
 
     #[test]
     fn decision_for_unknown_transaction_is_acked_idempotently() {
-        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
-        let sites = vec![SiteId(0)];
-        let schema = schema_for(&sites);
-        let _site = build_site(&net, 0, &schema, quick_stack());
-        let client = NodeId::Client(0);
-        let client_mailbox = net.register(client);
-        net.handle()
-            .send(
-                client,
-                NodeId::site(0),
-                Msg::AcpDecision {
-                    txn: TxnId::new(SiteId(9), 42),
-                    decision: Decision::Abort,
-                },
-            )
-            .unwrap();
-        let ack = client_mailbox
-            .recv_timeout(Duration::from_millis(1000))
-            .unwrap();
-        assert!(matches!(ack.payload, Msg::AcpAck { .. }));
+        let one = OneSite::new(quick_stack());
+        one.abort(42);
+        one.acked(42);
     }
 
     #[test]
     fn status_query_answers_from_the_decision_log() {
-        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
-        let sites = vec![SiteId(0)];
-        let schema = schema_for(&sites);
-        let site = build_site(&net, 0, &schema, quick_stack());
+        let one = OneSite::new(quick_stack());
         let txn = TxnId::new(SiteId(0), 7);
-        site.shared.record_decision(txn, Decision::Commit);
-
-        let client = NodeId::Client(0);
-        let client_mailbox = net.register(client);
-        net.handle()
-            .send(client, NodeId::site(0), Msg::AcpStatusQuery { txn })
-            .unwrap();
-        let reply = client_mailbox
-            .recv_timeout(Duration::from_millis(1000))
-            .unwrap();
+        one.site.shared.record_decision(txn, Decision::Commit);
+        one.send(Msg::AcpStatusQuery { txn });
         assert!(matches!(
-            reply.payload,
+            one.next(),
             Msg::AcpStatusReply {
                 decision: Some(Decision::Commit),
                 ..
             }
         ));
-
         // Unknown transaction: presumed abort (no decision on record).
-        net.handle()
-            .send(
-                client,
-                NodeId::site(0),
-                Msg::AcpStatusQuery {
-                    txn: TxnId::new(SiteId(0), 999),
-                },
-            )
-            .unwrap();
-        let reply = client_mailbox
-            .recv_timeout(Duration::from_millis(1000))
-            .unwrap();
+        one.send(Msg::AcpStatusQuery {
+            txn: TxnId::new(SiteId(0), 999),
+        });
         assert!(matches!(
-            reply.payload,
+            one.next(),
             Msg::AcpStatusReply { decision: None, .. }
         ));
     }
 
     #[test]
-    fn a_transaction_that_lost_its_grants_in_a_crash_is_refused_afterwards() {
-        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
-        let sites = vec![SiteId(0)];
-        let schema = schema_for(&sites);
-        let site = build_site(&net, 0, &schema, quick_stack());
-        let client = NodeId::Client(0);
-        let client_mailbox = net.register(client);
-        let txn = TxnId::new(SiteId(9), 1);
-        let ts = Timestamp::new(5, 9);
-        let send = |msg| net.handle().send(client, NodeId::site(0), msg).unwrap();
-        let reply = || {
-            client_mailbox
-                .recv_timeout(Duration::from_millis(1000))
-                .expect("no reply")
-                .payload
+    fn a_parked_access_gives_up_at_its_deadline_and_names_the_holder() {
+        let lock_wait = quick_stack().lock_wait_timeout;
+        let one = OneSite::new(quick_stack());
+        one.prewrite(1, "x0");
+        one.granted(1);
+        let asked = Instant::now();
+        one.prewrite(2, "x0");
+        let reply = one.reply();
+        let waited = asked.elapsed();
+        let denied = AbortCause::CcpLockConflict {
+            item: ItemId::new("x0"),
+            holder: Some(TxnId::new(SiteId(9), 1)),
         };
+        assert_eq!(reply, (2, Some(Err(denied))));
+        assert!(waited >= lock_wait, "gave up after {waited:?}");
+        assert!(waited < lock_wait + Duration::from_millis(30), "{waited:?}");
+        // Nothing of the request is left: T1 alone holds resources.
+        assert_eq!(one.site.active_transactions(), 1);
+        assert_eq!(
+            one.site
+                .metrics()
+                .copy_accesses_parked
+                .load(Ordering::Relaxed),
+            1
+        );
+    }
 
-        // Granted a read lock on x0 before the crash …
-        let read = |item: &str| Msg::CopyRead {
-            txn,
-            ts,
-            item: ItemId::new(item),
-            for_update: false,
+    #[test]
+    fn parked_accesses_are_answered_in_arrival_order_and_an_abort_ends_a_wait() {
+        let one = OneSite::new(quick_stack().with_lock_wait_timeout(Duration::from_secs(5)));
+        one.prewrite(1, "x0");
+        one.granted(1);
+        for waiter in [2, 3, 4] {
+            one.prewrite(waiter, "x0");
+        }
+        // T3 is aborted (by its coordinator's timeout, say) while it waits:
+        // the pass after the abort denies its access.
+        one.abort(3);
+        one.acked(3);
+        let (txn, answer) = one.reply();
+        assert!(matches!(answer, Some(Err(_))), "{answer:?}");
+        assert_eq!(txn, 3);
+        // The pass after T1's abort finds the lock free: T2, first to
+        // arrive, has it, and T4 keeps waiting.
+        one.abort(1);
+        one.acked(1);
+        one.granted(2);
+        // A newcomer does not pass T4 once T2 is gone, and no ghost of T3
+        // stands between T4 and the lock.
+        one.prewrite(5, "x0");
+        one.abort(2);
+        one.acked(2);
+        one.granted(4);
+        one.abort(4);
+        one.acked(4);
+        one.granted(5);
+        one.abort(5);
+        one.acked(5);
+        assert_eq!(one.site.active_transactions(), 0);
+    }
+
+    #[test]
+    fn a_crash_drops_what_was_parked_and_the_recovered_site_serves_the_item() {
+        let one = OneSite::new(quick_stack());
+        one.prewrite(1, "x0");
+        one.granted(1);
+        one.prewrite(2, "x0");
+        one.silent_for(Duration::from_millis(20));
+        one.site.recover_from_crash().unwrap();
+        assert_eq!(one.site.active_transactions(), 0);
+        // The lock table T2 was queued in is gone, and T2's request with it:
+        // T3 has x0 at once and T2 is never answered, not even at what
+        // would have been its deadline.
+        one.prewrite(3, "x0");
+        one.granted(3);
+        one.silent_for(quick_stack().lock_wait_timeout + Duration::from_millis(50));
+        assert_eq!(one.site.active_transactions(), 1);
+    }
+
+    #[test]
+    fn a_parked_transaction_that_is_wounded_is_rejected_by_the_next_pass() {
+        let stack = quick_stack()
+            .with_deadlock_policy(rainbow_common::protocol::DeadlockPolicy::WoundWait)
+            .with_lock_wait_timeout(Duration::from_secs(5));
+        let one = OneSite::new(stack);
+        one.prewrite(1, "x0");
+        one.granted(1);
+        one.prewrite(5, "x1");
+        one.granted(5);
+        // The younger T5 waits for the older T1 …
+        one.prewrite(5, "x0");
+        one.silent_for(Duration::from_millis(20));
+        // … until the older T3 finds T5 holding x1 and wounds it: the pass
+        // after T3's request rejects T5's parked access, nothing released.
+        one.prewrite(3, "x1");
+        let denied = AbortCause::CcpDeadlock {
+            item: ItemId::new("x0"),
         };
-        send(read("x0"));
-        assert!(matches!(
-            reply(),
-            Msg::CopyReply {
-                result: CopyAccessResult::Granted { .. },
-                ..
-            }
-        ));
+        assert_eq!(one.reply(), (5, Some(Err(denied))));
+        // T5's coordinator aborts it, which is what T3 was waiting for.
+        one.abort(5);
+        one.acked(5);
+        one.granted(3);
+    }
+
+    #[test]
+    fn a_transaction_that_lost_its_grants_in_a_crash_is_refused_afterwards() {
+        let one = OneSite::new(quick_stack());
+        // Granted a read lock on x0 before the crash …
+        one.read(1, "x0");
+        one.granted(1);
         // … which the crash takes away: x0 is free for anybody now.
-        site.recover_from_crash().unwrap();
-        assert_eq!(site.active_transactions(), 0);
+        one.site.recover_from_crash().unwrap();
+        assert_eq!(one.site.active_transactions(), 0);
 
         // Coming back for x1 must not succeed: holding *a* lock again would
         // let the site vote YES on a read of x0 it no longer protects.
-        send(read("x1"));
-        assert!(matches!(
-            reply(),
-            Msg::CopyReply {
-                result: CopyAccessResult::Denied(AbortCause::CcpLockConflict { .. }),
-                ..
-            }
-        ));
-        send(Msg::AcpPrepare {
+        one.read(1, "x1");
+        let reply = one.reply();
+        assert!(
+            matches!(reply, (1, Some(Err(AbortCause::CcpLockConflict { .. })))),
+            "{reply:?}"
+        );
+        let (txn, ts) = OneSite::txn(1);
+        one.send(Msg::AcpPrepare {
             txn,
             ts,
             writes: Vec::new(),
         });
-        assert!(matches!(reply(), Msg::AcpVote { vote: Vote::No, .. }));
-        assert_eq!(site.active_transactions(), 0);
+        assert!(matches!(one.next(), Msg::AcpVote { vote: Vote::No, .. }));
+        assert_eq!(one.site.active_transactions(), 0);
     }
 
     #[test]

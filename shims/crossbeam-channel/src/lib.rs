@@ -65,6 +65,15 @@ impl<T> Inner<T> {
     fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Tells a sender waiting on a full queue that a message was taken out.
+    /// Only a bounded channel can have one, and `std`'s condvar pays a
+    /// system call per notification whether or not anybody waits.
+    fn notify_writable(&self) {
+        if self.capacity.is_some() {
+            self.writable.notify_one();
+        }
+    }
 }
 
 /// The sending half of a channel.
@@ -189,7 +198,7 @@ impl<T> Receiver<T> {
         loop {
             if let Some(value) = state.queue.pop_front() {
                 drop(state);
-                self.inner.writable.notify_one();
+                self.inner.notify_writable();
                 return Ok(value);
             }
             if self.inner.senders.load(Ordering::SeqCst) == 0 {
@@ -210,7 +219,7 @@ impl<T> Receiver<T> {
         loop {
             if let Some(value) = state.queue.pop_front() {
                 drop(state);
-                self.inner.writable.notify_one();
+                self.inner.notify_writable();
                 return Ok(value);
             }
             if self.inner.senders.load(Ordering::SeqCst) == 0 {
@@ -234,7 +243,7 @@ impl<T> Receiver<T> {
         let mut state = self.inner.lock();
         if let Some(value) = state.queue.pop_front() {
             drop(state);
-            self.inner.writable.notify_one();
+            self.inner.notify_writable();
             return Ok(value);
         }
         if self.inner.senders.load(Ordering::SeqCst) == 0 {

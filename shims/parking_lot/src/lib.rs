@@ -3,12 +3,11 @@
 //! The build environment has no registry access, so this crate provides the
 //! subset of the real `parking_lot` API that Rainbow uses: `Mutex` / `RwLock`
 //! with guard-returning (non-poisoning) lock methods and a `Condvar` whose
-//! `wait_until` takes `&mut MutexGuard` and an absolute deadline. Poisoned
-//! std locks are transparently recovered (parking_lot has no poisoning).
+//! `wait` takes `&mut MutexGuard`. Poisoned std locks are transparently
+//! recovered (parking_lot has no poisoning).
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
-use std::time::Instant;
 
 /// A mutual-exclusion primitive (non-poisoning facade over `std::sync::Mutex`).
 #[derive(Debug, Default)]
@@ -18,7 +17,7 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard of a locked [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so `Condvar::wait_until` can temporarily take the std guard
+    // `Option` so `Condvar::wait` can temporarily take the std guard
     // out (std's condvar consumes and returns guards by value).
     inner: Option<sync::MutexGuard<'a, T>>,
 }
@@ -77,19 +76,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Result of a timed condition-variable wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the deadline passed.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
 /// A condition variable usable with [`Mutex`] (parking_lot-style API).
 #[derive(Debug, Default)]
 pub struct Condvar {
@@ -112,24 +98,6 @@ impl Condvar {
             .wait(std_guard)
             .unwrap_or_else(PoisonError::into_inner);
         guard.inner = Some(std_guard);
-    }
-
-    /// Blocks until notified or `deadline` passes, whichever comes first.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        let std_guard = guard.inner.take().expect("guard taken during wait");
-        let (std_guard, result) = self
-            .inner
-            .wait_timeout(std_guard, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-        WaitTimeoutResult {
-            timed_out: result.timed_out(),
-        }
     }
 
     /// Wakes one waiter.
@@ -239,15 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wait_until_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut guard = m.lock();
-        let result = cv.wait_until(&mut guard, Instant::now() + Duration::from_millis(10));
-        assert!(result.timed_out());
-    }
-
-    #[test]
     fn condvar_notify_wakes_waiter() {
         let m = Arc::new(Mutex::new(false));
         let cv = Arc::new(Condvar::new());
@@ -255,16 +214,12 @@ mod tests {
         let waiter = std::thread::spawn(move || {
             let mut guard = m2.lock();
             while !*guard {
-                let r = cv2.wait_until(&mut guard, Instant::now() + Duration::from_secs(5));
-                if r.timed_out() {
-                    return false;
-                }
+                cv2.wait(&mut guard);
             }
-            true
         });
         std::thread::sleep(Duration::from_millis(20));
         *m.lock() = true;
         cv.notify_all();
-        assert!(waiter.join().unwrap());
+        waiter.join().unwrap();
     }
 }

@@ -2,14 +2,12 @@
 //! item ids, the sharded lock table, and the quorum fan-out.
 
 use proptest::prelude::*;
-use rainbow_cc::{LockManager, LockMode, DEFAULT_LOCK_SHARDS};
+use rainbow_cc::{Acquired, LockManager, LockMode, DEFAULT_LOCK_SHARDS};
 use rainbow_common::protocol::{DeadlockPolicy, ProtocolStack, RcpKind};
 use rainbow_common::txn::TxnSpec;
 use rainbow_common::{ItemId, Operation, SiteId, Timestamp, TxnId, Value};
 use rainbow_control::{Session, WorkloadRunner};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
 fn txn(seq: u64) -> TxnId {
@@ -80,35 +78,40 @@ proptest! {
                 continue;
             }
             let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-            if lm.acquire(t, ts(seq + 1), &items[item_idx], mode).is_ok() {
-                let held = holders.entry(item_idx).or_default();
-                held.retain(|(h, _)| *h != seq);
-                held.push((seq, exclusive));
-                let exclusives = held.iter().filter(|(_, x)| *x).count();
-                if exclusives > 0 {
-                    prop_assert_eq!(held.len(), 1, "exclusive lock shared: {:?}", held);
+            match lm.acquire(t, ts(seq + 1), &items[item_idx], mode) {
+                Ok(Acquired::Granted) => {
+                    let held = holders.entry(item_idx).or_default();
+                    held.retain(|(h, _)| *h != seq);
+                    held.push((seq, exclusive));
+                    let exclusives = held.iter().filter(|(_, x)| *x).count();
+                    if exclusives > 0 {
+                        prop_assert_eq!(held.len(), 1, "exclusive lock shared: {:?}", held);
+                    }
                 }
+                // Nobody here waits: a queued request is given up at once.
+                Ok(Acquired::Queued) => {
+                    prop_assert!(lm.give_up(t, &items[item_idx]).is_some());
+                }
+                Err(_) => {}
             }
         }
     }
 
-    /// No lost waiters: a transaction blocked on a busy item is always woken
-    /// and granted once the holder releases, for every shard count.
+    /// No lost waiters: a transaction queued on a busy item is granted the
+    /// next time it asks once the holder has released, for every shard count.
     #[test]
     fn sharded_lock_table_wakes_waiters(shards in 1usize..17, item_n in 0u32..12) {
-        let lm = Arc::new(LockManager::with_shards(
+        let lm = LockManager::with_shards(
             DeadlockPolicy::TimeoutOnly,
             Duration::from_millis(2_000),
             shards,
-        ));
+        );
         let item = ItemId::new(format!("wake.{item_n}"));
-        lm.acquire(txn(1), ts(1), &item, LockMode::Exclusive).unwrap();
-        let lm2 = Arc::clone(&lm);
-        let it2 = item.clone();
-        let waiter = thread::spawn(move || lm2.acquire(txn(2), ts(2), &it2, LockMode::Exclusive));
-        thread::sleep(Duration::from_millis(5));
+        let exclusive = |n| lm.acquire(txn(n), ts(n), &item, LockMode::Exclusive);
+        prop_assert_eq!(exclusive(1), Ok(Acquired::Granted));
+        prop_assert_eq!(exclusive(2), Ok(Acquired::Queued));
         lm.release_all(txn(1));
-        prop_assert_eq!(waiter.join().unwrap(), Ok(()));
+        prop_assert_eq!(exclusive(2), Ok(Acquired::Granted));
         prop_assert!(lm.held_by(txn(2)).contains(&item));
         lm.release_all(txn(2));
         prop_assert_eq!(lm.active_transactions(), 0);
@@ -120,11 +123,11 @@ proptest! {
 /// *different* shards, and the wait-for-graph cycle must still be found.
 #[test]
 fn deadlock_is_detected_across_shards() {
-    let lm = Arc::new(LockManager::with_shards(
+    let lm = LockManager::with_shards(
         DeadlockPolicy::WaitForGraph,
         Duration::from_millis(800),
         DEFAULT_LOCK_SHARDS,
-    ));
+    );
     // Find two items that hash to different shards.
     let a = ItemId::new("xshard.a");
     let mut b = ItemId::new("xshard.b");
@@ -141,20 +144,17 @@ fn deadlock_is_detected_across_shards() {
         "test requires items in different shards"
     );
 
-    lm.acquire(txn(1), ts(1), &a, LockMode::Exclusive).unwrap();
-    lm.acquire(txn(2), ts(2), &b, LockMode::Exclusive).unwrap();
-
-    let lm1 = Arc::clone(&lm);
-    let b1 = b.clone();
-    let h1 = thread::spawn(move || lm1.acquire(txn(1), ts(1), &b1, LockMode::Exclusive));
-    thread::sleep(Duration::from_millis(40));
+    let exclusive = |n, item| lm.acquire(txn(n), ts(n), item, LockMode::Exclusive);
+    assert_eq!(exclusive(1, &a), Ok(Acquired::Granted));
+    assert_eq!(exclusive(2, &b), Ok(Acquired::Granted));
+    // T1 waits for b.
+    assert_eq!(exclusive(1, &b), Ok(Acquired::Queued));
     // Closing the cycle from the other shard: T2 → a (held by T1).
-    let result = lm.acquire(txn(2), ts(2), &a, LockMode::Exclusive);
-    assert_eq!(result, Err(rainbow_cc::LockError::Deadlock));
+    assert_eq!(exclusive(2, &a), Err(rainbow_cc::LockError::Deadlock));
     assert!(lm.stats().deadlock_aborts() >= 1);
 
     lm.release_all(txn(2));
-    assert_eq!(h1.join().unwrap(), Ok(()));
+    assert_eq!(exclusive(1, &b), Ok(Acquired::Granted));
     lm.release_all(txn(1));
 }
 

@@ -4,7 +4,9 @@
 //! state machines.
 
 use proptest::prelude::*;
-use rainbow_cc::{CcProtocol, LockManager, LockMode, MultiversionTimestampOrdering, TxnContext};
+use rainbow_cc::{
+    Acquired, CcProtocol, LockManager, LockMode, MultiversionTimestampOrdering, TxnContext,
+};
 use rainbow_commit::{Coordinator, CoordinatorAction, Decision, Vote};
 use rainbow_common::config::ItemPlacement;
 use rainbow_common::protocol::{AcpKind, DeadlockPolicy};
@@ -95,10 +97,12 @@ proptest! {
                 continue;
             }
             let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-            let granted = lm
-                .acquire(txn, Timestamp::new(txn_seq + 1, 0), &items[item_idx], mode)
-                .is_ok();
-            if granted {
+            let answer = lm.acquire(txn, Timestamp::new(txn_seq + 1, 0), &items[item_idx], mode);
+            // Nobody here waits: a queued request is given up at once.
+            if answer == Ok(Acquired::Queued) {
+                prop_assert!(lm.give_up(txn, &items[item_idx]).is_some());
+            }
+            if answer == Ok(Acquired::Granted) {
                 let held = holders.entry(item_idx).or_default();
                 held.retain(|(t, _)| *t != txn_seq);
                 held.push((txn_seq, exclusive));
@@ -163,7 +167,8 @@ proptest! {
         // chain insertion.
         for (i, ts) in writer_ts.iter().enumerate().rev() {
             let ctx = TxnContext::new(TxnId::new(SiteId(0), i as u64 + 1), Timestamp::new(*ts, 0));
-            if mvto.prewrite(&ctx, &item, current.clone()).is_granted() {
+            let answer = mvto.prewrite(&ctx, &item, current.clone());
+            if answer.is_some_and(|decision| decision.is_granted()) {
                 mvto.commit(&ctx, &[(item.clone(), Value::Int(*ts as i64), Version(i as u64 + 1))]);
             }
         }
@@ -176,7 +181,7 @@ proptest! {
             .map(|ts| *ts as i64)
             .unwrap_or(0);
         match decision {
-            rainbow_cc::CcDecision::Granted { value_override: Some((value, _)) } => {
+            Some(rainbow_cc::CcDecision::Granted { value_override: Some((value, _)) }) => {
                 prop_assert_eq!(value, Value::Int(expected));
             }
             other => prop_assert!(false, "unexpected decision {:?}", other),

@@ -84,7 +84,6 @@ fn a_txn_dropped_before_its_first_command_leaves_nothing_behind() {
         sent_before,
         "an unopened handle sent a message"
     );
-    assert_eq!(cluster.workers_started(), 0, "a worker was lent to nobody");
     assert_eq!(cluster.open_conversations(), 0, "a machine was opened");
     let lingering = cluster.lingering_participants();
     assert!(lingering.values().all(Vec::is_empty), "{lingering:?}");

@@ -1,22 +1,23 @@
-//! The site runtime's threading rule, observed from outside: *a request that
-//! can be answered now is answered now, on the dispatcher; only a request
-//! that must wait gets a thread, and the thread is reused.*
+//! The site runtime's threading rule, observed from outside: *a site's
+//! threads are its dispatcher and its reactors; a copy access that must wait
+//! is parked at the site and asked again, and no thread is ever created,
+//! lent or held for it.*
 //!
-//! * **no thread per transaction** — uncontended update and read
-//!   transactions start no worker at all, from a cold start, and leave the
-//!   process's thread count where it was;
+//! * **no thread per transaction, contended or not** — uncontended update
+//!   and read transactions park nothing, and neither they nor transactions
+//!   that wait for each other's locks move the process's thread count;
 //! * **the dispatcher never waits**, under each CCP — while one access waits
 //!   for a lock (2PL) or behind an earlier pending pre-write (TSO, MVTO),
 //!   traffic for other items at the same sites is served at full speed;
-//! * **workers retire at shutdown**, not at their keep-alive — starting and
-//!   stopping clusters leaves no thread behind.
+//! * **shutdown joins every thread** — starting and stopping clusters leaves
+//!   no thread behind.
 //!
 //! This file is its own test binary (so its own process), and its tests take
 //! turns: they read the process-wide thread count.
 
 use rainbow_common::protocol::{CcpKind, ProtocolStack};
 use rainbow_common::{SiteId, Value};
-use rainbow_core::{Client, Cluster, ClusterConfig};
+use rainbow_core::{Client, Cluster, ClusterConfig, RetryPolicy};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -37,6 +38,22 @@ fn process_threads() -> usize {
         .find_map(|line| line.strip_prefix("Threads:"))
         .and_then(|count| count.trim().parse().ok())
         .expect("a Threads: line")
+}
+
+/// The thread count once the threads that have just finished are gone from
+/// it: a thread lingers in `/proc` for a moment after it was joined, so this
+/// waits (not for long) for the count to come down to `expected`. A thread
+/// that was created and kept is still there at the end of the wait.
+#[cfg(target_os = "linux")]
+fn threads_settled_at(expected: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let threads = process_threads();
+        if threads <= expected || Instant::now() >= deadline {
+            return threads;
+        }
+        std::thread::yield_now();
+    }
 }
 
 fn cluster(stack: ProtocolStack) -> Cluster {
@@ -81,16 +98,11 @@ fn a_warm_cluster_creates_no_thread_per_transaction() {
         read_four(&mut client, i);
     }
 
-    assert_eq!(
-        cluster.workers_started(),
-        0,
-        "uncontended transactions started a worker"
-    );
     #[cfg(target_os = "linux")]
     assert_eq!(process_threads(), threads_before);
-    // Nothing contended, so nothing was handed off: every copy access (at
-    // least a majority of 3 per item touched) was answered on a dispatcher.
-    assert_eq!(cluster.copy_accesses_handed_off(), 0);
+    // Nothing contended, so nothing was parked: every copy access (at least
+    // a majority of 3 per item touched) was answered the first time.
+    assert_eq!(cluster.copy_accesses_parked(), 0);
     assert!(cluster.copy_accesses_inline() - inline_before >= 2 * (300 + 4 * 300));
 }
 
@@ -112,7 +124,9 @@ fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
     let mut t1 = client1.begin_at("t1", home);
     t1.increment("x0", 5).unwrap();
 
-    let handed_off_before = cluster.copy_accesses_handed_off();
+    let parked_before = cluster.copy_accesses_parked();
+    #[cfg(target_os = "linux")]
+    let threads_before = process_threads();
     let (t2_tx, t2_rx) = std::sync::mpsc::channel();
     std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -124,12 +138,15 @@ fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
                 t2.commit().unwrap();
             }
         });
-        // T2's access is waiting once a site has handed it to a worker.
+        // T2's access is waiting once a site has parked it — which takes
+        // no thread but the one this test gave T2's client.
         let deadline = Instant::now() + lock_wait / 2;
-        while cluster.copy_accesses_handed_off() == handed_off_before {
+        while cluster.copy_accesses_parked() == parked_before {
             assert!(Instant::now() < deadline, "{ccp}: T2 never had to wait");
             std::thread::yield_now();
         }
+        #[cfg(target_os = "linux")]
+        assert_eq!(process_threads(), threads_before + 1, "{ccp}");
 
         let started = Instant::now();
         let mut client3 = cluster.client();
@@ -149,6 +166,8 @@ fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
             .expect("T2 is answered once T1 commits");
         assert_eq!(seen, Ok(Value::Int(105)), "{ccp}: T2 must read T1's value");
     });
+    #[cfg(target_os = "linux")]
+    assert_eq!(threads_settled_at(threads_before), threads_before, "{ccp}");
 }
 
 #[test]
@@ -169,17 +188,55 @@ fn the_dispatcher_never_waits_under_multiversion_timestamp_ordering() {
     dispatcher_serves_others_while_an_access_waits(CcpKind::MultiversionTimestampOrdering);
 }
 
+/// Two clients move money between the same two accounts in opposite orders:
+/// lock waits, deadlock victims and retries all the way.
 #[test]
-fn shutdown_retires_every_worker() {
+fn a_contended_run_creates_no_thread() {
+    let _turn = take_turn();
+    let cluster = cluster(ProtocolStack::rainbow_default());
+    let transfers = |from: &'static str, to: &'static str| {
+        let patient = RetryPolicy {
+            max_attempts: 50,
+            ..RetryPolicy::default()
+        };
+        let mut client = cluster.client().with_retry_policy(patient);
+        for _ in 0..100 {
+            let moved = client.run("transfer", |txn| {
+                txn.increment(from, -1)?;
+                txn.increment(to, 1)
+            });
+            moved.expect("a transfer commits within its retries");
+        }
+    };
+    // Warm-up for the process's thread count only (the client endpoints).
+    transfers("x0", "x1");
+    transfers("x1", "x0");
+    let parked_before = cluster.copy_accesses_parked();
+    #[cfg(target_os = "linux")]
+    let threads_before = process_threads();
+    std::thread::scope(|scope| {
+        scope.spawn(|| transfers("x0", "x1"));
+        transfers("x1", "x0");
+        // The other client is still at it, or its thread has exited.
+        #[cfg(target_os = "linux")]
+        assert!(process_threads() <= threads_before + 1);
+    });
+    #[cfg(target_os = "linux")]
+    assert_eq!(threads_settled_at(threads_before), threads_before);
+    assert!(
+        cluster.copy_accesses_parked() > parked_before,
+        "200 opposed transfers never waited for each other"
+    );
+}
+
+#[test]
+fn shutdown_joins_every_thread() {
     let _turn = take_turn();
     // One full cycle first, so one-time process state (allocator arenas do
     // not count, lazily started helpers would) is behind us.
     let cycle = || {
         let mut cluster = cluster(ProtocolStack::rainbow_default());
         increment(&mut cluster.client(), 0);
-        // A conversation runs on its home site's event loops and its copy
-        // accesses found nothing to wait for: no worker was lent.
-        assert_eq!(cluster.workers_started(), 0);
         cluster.shutdown();
     };
     cycle();
@@ -188,7 +245,7 @@ fn shutdown_retires_every_worker() {
     for _ in 0..50 {
         cycle();
     }
-    // Far inside the workers' keep-alive: they were retired by shutdown.
+    // The dispatchers and reactors of fifty clusters were all joined.
     #[cfg(target_os = "linux")]
-    assert_eq!(process_threads(), threads_before);
+    assert_eq!(threads_settled_at(threads_before), threads_before);
 }
