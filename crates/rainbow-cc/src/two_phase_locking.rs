@@ -83,7 +83,8 @@ impl CcProtocol for TwoPhaseLocking {
         }
         // A participant being prepared always holds at least one lock: every
         // access this site granted is locked until the decision (strict
-        // 2PL). Holding nothing means the grants were lost — the site
+        // 2PL), or until this very validation passes and the participant
+        // votes READ-ONLY when it wrote nothing. Holding nothing means the grants were lost — the site
         // crashed and recovered with a fresh lock table, or the janitor
         // already released the transaction — and other transactions may have
         // locked the same items since, so vouching for the old accesses

@@ -6,6 +6,14 @@
 //! records, complete the transaction). Running 2PC or 3PC is a constructor
 //! parameter; 3PC inserts the pre-commit round between voting and the final
 //! decision distribution.
+//!
+//! A participant that votes READ-ONLY leaves the protocol with its vote: it
+//! gets no PRE-COMMIT and no decision and owes no acknowledgement, so every
+//! later round runs over the participants that did not (*phase two*). A
+//! READ-ONLY vote counts as not-NO: the transaction commits when every
+//! vote is in and none is NO. When nobody voted YES, phase two is empty —
+//! the decision is commit with no target, and the machine is `Completed`
+//! the moment it is made, under 2PC and 3PC alike.
 
 use crate::types::{Decision, Vote};
 use rainbow_common::protocol::AcpKind;
@@ -21,7 +29,8 @@ pub enum CoordinatorState {
     CollectingPreCommitAcks,
     /// Decision made and distributed; waiting for final acknowledgements.
     CollectingAcks,
-    /// Protocol finished (all acks in, or aborted with acks in).
+    /// Protocol finished: all acks in (or given up on), or nobody was left
+    /// to tell the decision because every participant voted READ-ONLY.
     Completed,
 }
 
@@ -33,7 +42,7 @@ pub enum CoordinatorAction {
     /// 3PC only: send PRE-COMMIT to these participants.
     SendPreCommit(Vec<SiteId>),
     /// Force the decision to the coordinator log, then send it to these
-    /// participants.
+    /// participants (none when every participant voted READ-ONLY).
     SendDecision(Decision, Vec<SiteId>),
     /// Every acknowledgement has arrived: the transaction is finished at the
     /// coordinator with this decision.
@@ -48,6 +57,9 @@ pub struct Coordinator {
     txn: TxnId,
     protocol: AcpKind,
     participants: BTreeSet<SiteId>,
+    /// The participants that have not voted READ-ONLY: who gets PRE-COMMIT
+    /// and the decision, and owes an acknowledgement.
+    phase_two: BTreeSet<SiteId>,
     votes: BTreeMap<SiteId, Vote>,
     precommit_acks: BTreeSet<SiteId>,
     acks: BTreeSet<SiteId>,
@@ -67,10 +79,12 @@ impl Coordinator {
         protocol: AcpKind,
         participants: impl IntoIterator<Item = SiteId>,
     ) -> Self {
+        let participants: BTreeSet<SiteId> = participants.into_iter().collect();
         Coordinator {
             txn,
             protocol,
-            participants: participants.into_iter().collect(),
+            phase_two: participants.clone(),
+            participants,
             votes: BTreeMap::new(),
             precommit_acks: BTreeSet::new(),
             acks: BTreeSet::new(),
@@ -117,44 +131,42 @@ impl Coordinator {
     }
 
     /// Records a vote. When the last vote arrives the machine moves to the
-    /// decision (2PC) or the pre-commit round (3PC, on unanimous YES).
+    /// decision (2PC, or nobody voted YES) or the pre-commit round (3PC).
     pub fn on_vote(&mut self, from: SiteId, vote: Vote) -> CoordinatorAction {
         if self.state != CoordinatorState::CollectingVotes || !self.participants.contains(&from) {
             return CoordinatorAction::Wait;
         }
         self.votes.insert(from, vote);
+        if vote == Vote::ReadOnly {
+            self.phase_two.remove(&from);
+        }
 
         // A single NO decides abort immediately — no need to wait for the
         // remaining votes.
         if vote == Vote::No {
             return self.decide(Decision::Abort);
         }
-        if self.votes.len() == self.participants.len() {
-            let unanimous_yes = self.votes.values().all(|v| v.is_yes());
-            if !unanimous_yes {
-                return self.decide(Decision::Abort);
-            }
-            return match self.protocol {
-                AcpKind::TwoPhaseCommit => self.decide(Decision::Commit),
-                AcpKind::ThreePhaseCommit => {
-                    self.state = CoordinatorState::CollectingPreCommitAcks;
-                    CoordinatorAction::SendPreCommit(self.participants())
-                }
-            };
+        if self.votes.len() < self.participants.len() {
+            return CoordinatorAction::Wait;
         }
-        CoordinatorAction::Wait
+        // Every vote is in and none is NO.
+        if self.phase_two.is_empty() || self.protocol == AcpKind::TwoPhaseCommit {
+            return self.decide(Decision::Commit);
+        }
+        self.state = CoordinatorState::CollectingPreCommitAcks;
+        CoordinatorAction::SendPreCommit(self.phase_two.iter().copied().collect())
     }
 
     /// Records a 3PC pre-commit acknowledgement; when all are in, the final
     /// COMMIT is distributed.
     pub fn on_precommit_ack(&mut self, from: SiteId) -> CoordinatorAction {
         if self.state != CoordinatorState::CollectingPreCommitAcks
-            || !self.participants.contains(&from)
+            || !self.phase_two.contains(&from)
         {
             return CoordinatorAction::Wait;
         }
         self.precommit_acks.insert(from);
-        if self.precommit_acks.len() == self.participants.len() {
+        if self.precommit_acks.len() == self.phase_two.len() {
             return self.decide(Decision::Commit);
         }
         CoordinatorAction::Wait
@@ -162,11 +174,11 @@ impl Coordinator {
 
     /// Records a final acknowledgement of the decision.
     pub fn on_ack(&mut self, from: SiteId) -> CoordinatorAction {
-        if self.state != CoordinatorState::CollectingAcks || !self.participants.contains(&from) {
+        if self.state != CoordinatorState::CollectingAcks || !self.phase_two.contains(&from) {
             return CoordinatorAction::Wait;
         }
         self.acks.insert(from);
-        if self.acks.len() == self.participants.len() {
+        if self.acks.len() == self.phase_two.len() {
             self.state = CoordinatorState::Completed;
             return CoordinatorAction::Complete(
                 self.decision
@@ -211,8 +223,14 @@ impl Coordinator {
 
     fn decide(&mut self, decision: Decision) -> CoordinatorAction {
         self.decision = Some(decision);
-        self.state = CoordinatorState::CollectingAcks;
-        CoordinatorAction::SendDecision(decision, self.participants())
+        let targets: Vec<SiteId> = self.phase_two.iter().copied().collect();
+        // Nobody left to tell: a transaction that only read is over here.
+        self.state = if targets.is_empty() {
+            CoordinatorState::Completed
+        } else {
+            CoordinatorState::CollectingAcks
+        };
+        CoordinatorAction::SendDecision(decision, targets)
     }
 }
 
@@ -366,6 +384,90 @@ mod tests {
         assert_eq!(c.on_vote(SiteId(9), Vote::No), CoordinatorAction::Wait);
         assert_eq!(c.decision(), None);
         assert_eq!(c.on_ack(SiteId(9)), CoordinatorAction::Wait);
+    }
+
+    #[test]
+    fn all_read_only_commits_with_nobody_to_tell_and_completes_at_once() {
+        for protocol in [AcpKind::TwoPhaseCommit, AcpKind::ThreePhaseCommit] {
+            let mut c = Coordinator::new(txn(), protocol, sites(3));
+            c.start();
+            assert_eq!(
+                c.on_vote(SiteId(0), Vote::ReadOnly),
+                CoordinatorAction::Wait
+            );
+            assert_eq!(
+                c.on_vote(SiteId(1), Vote::ReadOnly),
+                CoordinatorAction::Wait
+            );
+            assert_eq!(
+                c.on_vote(SiteId(2), Vote::ReadOnly),
+                CoordinatorAction::SendDecision(Decision::Commit, vec![])
+            );
+            assert_eq!(c.state(), CoordinatorState::Completed);
+            assert_eq!(c.decision(), Some(Decision::Commit));
+            // Nothing is owed afterwards.
+            assert_eq!(c.on_ack(SiteId(0)), CoordinatorAction::Wait);
+            assert_eq!(c.on_timeout(), CoordinatorAction::Wait);
+        }
+    }
+
+    #[test]
+    fn mixed_yes_and_read_only_decides_and_collects_acks_from_yes_voters_only() {
+        let mut c = Coordinator::new(txn(), AcpKind::TwoPhaseCommit, sites(3));
+        c.start();
+        c.on_vote(SiteId(0), Vote::Yes);
+        c.on_vote(SiteId(1), Vote::ReadOnly);
+        assert_eq!(
+            c.on_vote(SiteId(2), Vote::Yes),
+            CoordinatorAction::SendDecision(Decision::Commit, vec![SiteId(0), SiteId(2)])
+        );
+        assert_eq!(c.state(), CoordinatorState::CollectingAcks);
+        // The READ-ONLY voter's "ack" counts for nothing.
+        assert_eq!(c.on_ack(SiteId(1)), CoordinatorAction::Wait);
+        assert_eq!(c.on_ack(SiteId(0)), CoordinatorAction::Wait);
+        assert_eq!(
+            c.on_ack(SiteId(2)),
+            CoordinatorAction::Complete(Decision::Commit)
+        );
+        assert_eq!(c.acks_received(), 2);
+    }
+
+    #[test]
+    fn a_no_after_a_read_only_vote_aborts_only_the_rest() {
+        let mut c = Coordinator::new(txn(), AcpKind::TwoPhaseCommit, sites(3));
+        c.start();
+        c.on_vote(SiteId(0), Vote::ReadOnly);
+        assert_eq!(
+            c.on_vote(SiteId(1), Vote::No),
+            CoordinatorAction::SendDecision(Decision::Abort, vec![SiteId(1), SiteId(2)])
+        );
+        // The same holds for a vote that never came.
+        let mut c = Coordinator::new(txn(), AcpKind::TwoPhaseCommit, sites(3));
+        c.start();
+        c.on_vote(SiteId(2), Vote::ReadOnly);
+        assert_eq!(
+            c.on_timeout(),
+            CoordinatorAction::SendDecision(Decision::Abort, vec![SiteId(0), SiteId(1)])
+        );
+    }
+
+    #[test]
+    fn three_pc_precommit_skips_read_only_voters() {
+        let mut c = Coordinator::new(txn(), AcpKind::ThreePhaseCommit, sites(3));
+        c.start();
+        c.on_vote(SiteId(0), Vote::Yes);
+        c.on_vote(SiteId(1), Vote::ReadOnly);
+        let phase_two = vec![SiteId(0), SiteId(2)];
+        assert_eq!(
+            c.on_vote(SiteId(2), Vote::Yes),
+            CoordinatorAction::SendPreCommit(phase_two.clone())
+        );
+        assert_eq!(c.on_precommit_ack(SiteId(1)), CoordinatorAction::Wait);
+        assert_eq!(c.on_precommit_ack(SiteId(0)), CoordinatorAction::Wait);
+        assert_eq!(
+            c.on_precommit_ack(SiteId(2)),
+            CoordinatorAction::SendDecision(Decision::Commit, phase_two)
+        );
     }
 
     #[test]

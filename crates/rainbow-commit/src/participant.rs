@@ -1,4 +1,28 @@
 //! The commit participant state machine (copy-holder side).
+//!
+//! A participant votes once, on PREPARE (CAN-COMMIT under 3PC), with the
+//! verdict its site reached:
+//!
+//! * **YES** — the CCP validated the transaction's accesses here and the
+//!   prepare record holding its writes was forced; the participant then
+//!   waits, blocked under 2PC, for the decision;
+//! * **NO** — validation failed; the participant aborts at once;
+//! * **READ-ONLY** — the transaction wrote nothing here and validation
+//!   passed. Nothing the participant holds can change whatever the
+//!   decision, so it releases at once, logs nothing and leaves the protocol:
+//!   no PRE-COMMIT, no decision, no acknowledgement. Validation is not
+//!   skipped for it: under 2PL it is what notices read locks a crash wiped
+//!   between the read and the prepare, and vouching for such reads lets
+//!   them form the cyclic history the chaos lab convicts.
+//!
+//! A READ-ONLY participant reports itself [`ParticipantState::Prepared`]:
+//! it has voted and does not know the outcome, which is exactly what the
+//! cooperative termination rules ([`crate::resolve_by_peers`]) may learn
+//! from it. It must never look `Committed` (a blocked peer would commit a
+//! transaction its coordinator aborted), `Aborted` or `Working` (a blocked
+//! peer would abort one its coordinator committed). Unlike a YES voter it
+//! is never blocked, and timeouts, PRE-COMMITs and decisions are nothing to
+//! it.
 
 use crate::types::{Decision, Vote};
 use rainbow_common::protocol::AcpKind;
@@ -46,6 +70,8 @@ pub struct Participant {
     coordinator: SiteId,
     protocol: AcpKind,
     state: ParticipantState,
+    /// Voted READ-ONLY: out of the protocol since its vote.
+    read_only: bool,
 }
 
 impl Participant {
@@ -57,6 +83,7 @@ impl Participant {
             coordinator,
             protocol,
             state: ParticipantState::Working,
+            read_only: false,
         }
     }
 
@@ -75,14 +102,19 @@ impl Participant {
         self.state
     }
 
-    /// True while the participant is in the 2PC uncertainty window.
+    /// True while the participant is in the 2PC uncertainty window (a
+    /// READ-ONLY voter never is).
     pub fn is_blocked(&self) -> bool {
-        self.state == ParticipantState::Prepared
+        self.state == ParticipantState::Prepared && !self.read_only
     }
 
-    /// Handles the PREPARE / CAN-COMMIT request. `can_commit` is the local
-    /// verdict (CCP validation passed and the prepare record was forced).
-    pub fn on_prepare(&mut self, can_commit: bool) -> ParticipantAction {
+    /// Handles the PREPARE / CAN-COMMIT request. `vote` is the local
+    /// verdict (see the module documentation); a `bool` converts, `true`
+    /// being YES.
+    pub fn on_prepare(&mut self, vote: impl Into<Vote>) -> ParticipantAction {
+        if self.read_only {
+            return ParticipantAction::SendVote(Vote::ReadOnly);
+        }
         if self.state != ParticipantState::Working {
             // Duplicate prepare: re-send the vote implied by our state.
             return match self.state {
@@ -93,17 +125,20 @@ impl Participant {
                 _ => ParticipantAction::Wait,
             };
         }
-        if can_commit {
-            self.state = ParticipantState::Prepared;
-            ParticipantAction::SendVote(Vote::Yes)
-        } else {
-            self.state = ParticipantState::Aborted;
-            ParticipantAction::SendVote(Vote::No)
-        }
+        let vote = vote.into();
+        self.read_only = vote == Vote::ReadOnly;
+        self.state = match vote {
+            Vote::Yes | Vote::ReadOnly => ParticipantState::Prepared,
+            Vote::No => ParticipantState::Aborted,
+        };
+        ParticipantAction::SendVote(vote)
     }
 
     /// Handles the 3PC PRE-COMMIT message.
     pub fn on_precommit(&mut self) -> ParticipantAction {
+        if self.read_only {
+            return ParticipantAction::Wait;
+        }
         match (self.protocol, self.state) {
             (AcpKind::ThreePhaseCommit, ParticipantState::Prepared) => {
                 self.state = ParticipantState::PreCommitted;
@@ -119,6 +154,9 @@ impl Participant {
 
     /// Handles the coordinator's decision.
     pub fn on_decision(&mut self, decision: Decision) -> ParticipantAction {
+        if self.read_only {
+            return ParticipantAction::Wait;
+        }
         match self.state {
             ParticipantState::Working
             | ParticipantState::Prepared
@@ -145,8 +183,11 @@ impl Participant {
     ///   operational participant can have committed);
     /// * PreCommitted under 3PC: commit (every operational participant is
     ///   pre-committed, the decision can only be commit);
-    /// * already decided: nothing.
+    /// * already decided, or voted READ-ONLY: nothing.
     pub fn on_timeout(&mut self) -> ParticipantAction {
+        if self.read_only {
+            return ParticipantAction::Wait;
+        }
         match (self.protocol, self.state) {
             (_, ParticipantState::Working) => {
                 self.state = ParticipantState::Aborted;
@@ -212,6 +253,30 @@ mod tests {
         let mut p = participant(AcpKind::TwoPhaseCommit);
         p.on_prepare(false);
         assert_eq!(p.on_prepare(true), ParticipantAction::SendVote(Vote::No));
+    }
+
+    #[test]
+    fn a_read_only_voter_leaves_the_protocol_knowing_nothing() {
+        for protocol in [AcpKind::TwoPhaseCommit, AcpKind::ThreePhaseCommit] {
+            let mut p = participant(protocol);
+            assert_eq!(
+                p.on_prepare(Vote::ReadOnly),
+                ParticipantAction::SendVote(Vote::ReadOnly)
+            );
+            // Voted, outcome unknown: what a peer asking may learn from it.
+            assert_eq!(p.state(), ParticipantState::Prepared);
+            assert!(!p.is_blocked());
+            // A duplicate prepare re-sends the same vote.
+            assert_eq!(
+                p.on_prepare(true),
+                ParticipantAction::SendVote(Vote::ReadOnly)
+            );
+            // Nothing that follows the vote concerns it.
+            assert_eq!(p.on_precommit(), ParticipantAction::Wait);
+            assert_eq!(p.on_timeout(), ParticipantAction::Wait);
+            assert_eq!(p.on_decision(Decision::Abort), ParticipantAction::Wait);
+            assert_eq!(p.state(), ParticipantState::Prepared);
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!   decision under 3PC we treat conservatively), nobody knows — the
 //!   participant stays **blocked** and must wait for the coordinator to
 //!   recover.
+//!
+//! A peer that voted READ-ONLY reports `Prepared`: it voted, so it is no
+//! evidence for abort, and it left the protocol before any decision, so it
+//! is no evidence for commit — it knows nothing, and a participant that
+//! finds only such peers stays blocked.
 
 use crate::participant::ParticipantState;
 use crate::types::Decision;
@@ -38,6 +43,9 @@ pub fn resolve_by_peers(peer_states: &[ParticipantState]) -> Option<Decision> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Participant, Vote};
+    use rainbow_common::protocol::AcpKind;
+    use rainbow_common::{SiteId, TxnId};
 
     #[test]
     fn committed_peer_propagates_commit() {
@@ -60,6 +68,15 @@ mod tests {
     #[test]
     fn all_prepared_peers_stay_blocked() {
         let peers = [ParticipantState::Prepared, ParticipantState::Prepared];
+        assert_eq!(resolve_by_peers(&peers), None);
+    }
+
+    #[test]
+    fn a_read_only_peer_and_a_prepared_one_stay_blocked() {
+        let mut read_only =
+            Participant::new(TxnId::new(SiteId(0), 1), SiteId(0), AcpKind::TwoPhaseCommit);
+        read_only.on_prepare(Vote::ReadOnly);
+        let peers = [read_only.state(), ParticipantState::Prepared];
         assert_eq!(resolve_by_peers(&peers), None);
     }
 

@@ -10,6 +10,13 @@ pub enum Vote {
     Yes,
     /// The participant cannot commit; the transaction must abort.
     No,
+    /// The participant wrote nothing and its CCP validated the reads it
+    /// served (the read-only optimisation of R*, Mohan, Lindsay &
+    /// Obermarck 1986): whatever the decision, nothing it holds can change,
+    /// so it has already released everything, logged nothing, and takes no
+    /// part in phase 2 — it gets no PRE-COMMIT and no decision and owes no
+    /// acknowledgement. For the decision it counts as not-NO.
+    ReadOnly,
 }
 
 impl Vote {
@@ -19,11 +26,24 @@ impl Vote {
     }
 }
 
+/// The local verdict of a participant that has no read-only case to report:
+/// `true` is YES, `false` is NO.
+impl From<bool> for Vote {
+    fn from(can_commit: bool) -> Self {
+        if can_commit {
+            Vote::Yes
+        } else {
+            Vote::No
+        }
+    }
+}
+
 impl fmt::Display for Vote {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Vote::Yes => write!(f, "YES"),
             Vote::No => write!(f, "NO"),
+            Vote::ReadOnly => write!(f, "READ-ONLY"),
         }
     }
 }
@@ -61,8 +81,12 @@ mod tests {
     fn vote_predicates_and_display() {
         assert!(Vote::Yes.is_yes());
         assert!(!Vote::No.is_yes());
+        assert!(!Vote::ReadOnly.is_yes());
         assert_eq!(Vote::Yes.to_string(), "YES");
         assert_eq!(Vote::No.to_string(), "NO");
+        assert_eq!(Vote::ReadOnly.to_string(), "READ-ONLY");
+        assert_eq!(Vote::from(true), Vote::Yes);
+        assert_eq!(Vote::from(false), Vote::No);
     }
 
     #[test]

@@ -304,6 +304,13 @@ impl Cluster {
         self.sum_over_sites(|metrics| &metrics.copy_accesses_parked)
     }
 
+    /// Prepares answered READ-ONLY — the transaction wrote nothing at the
+    /// site, which released it at once and left the commit protocol —
+    /// summed over all sites.
+    pub fn votes_read_only(&self) -> u64 {
+        self.sum_over_sites(|metrics| &metrics.votes_read_only)
+    }
+
     fn sum_over_sites(&self, counter: impl Fn(&SiteMetrics) -> &AtomicU64) -> u64 {
         self.sites
             .values()

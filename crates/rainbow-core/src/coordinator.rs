@@ -34,6 +34,14 @@
 //! decision reaches them; the machine lives on in `Committing` only to
 //! collect `AcpAck`s and retire.
 //!
+//! A participant the transaction wrote nothing at answers `AcpPrepare` with
+//! a READ-ONLY vote, having released what it held: it is out of the
+//! protocol, and the decision and its acknowledgement are exchanged with
+//! the YES voters only. A wholly read-only transaction is still eight hops,
+//! but nothing follows its votes: the last one decides commit with nobody
+//! to tell — `perform_action` records it and answers the client, exactly as
+//! for any other decision — and the machine retires in the same tick.
+//!
 //! A machine never waits. It is advanced by events — a client command, a
 //! copy reply, a vote, an acknowledgement, a deadline — that the site's
 //! event loops (`reactor.rs`) feed it, and everything it sends to a site is

@@ -31,6 +31,8 @@ pub struct SiteMetrics {
     pub votes_yes: AtomicU64,
     /// Participant-side prepares voted NO.
     pub votes_no: AtomicU64,
+    /// Participant-side prepares voted READ-ONLY (nothing written here).
+    pub votes_read_only: AtomicU64,
     /// Stale transactions the janitor cleaned up (coordinator never came
     /// back with a decision).
     pub janitor_cleanups: AtomicU64,

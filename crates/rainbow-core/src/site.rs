@@ -971,6 +971,13 @@ fn finish_copy_access(shared: &SiteShared, request: CopyRequest, decision: CcDec
 /// group append — the group-commit half of the reactor pipeline. Votes
 /// travel back to the coordinator node in one batch envelope when there is
 /// more than one.
+///
+/// A transaction that wrote nothing here and validates votes **READ-ONLY**:
+/// it is released at once, stages and logs nothing, and leaves — no
+/// participant entry is kept and it joins `finished`, so a late access is
+/// refused exactly as after a decision, and no decision will come. The
+/// validation is not skipped for it: under 2PL it is what notices read
+/// locks a crash wiped since the read.
 fn handle_prepare_batch(
     shared: &Arc<SiteShared>,
     from: NodeId,
@@ -978,45 +985,57 @@ fn handle_prepare_batch(
 ) {
     let prepare_start = shared.trace_now();
     let group = prepares.len();
+    let ccp = shared.ccp();
     // Phase 1: validate through the CCP and stage the writes of every
     // transaction that can commit.
-    let mut rounds: Vec<(TxnId, TxnContext, bool, usize)> = Vec::with_capacity(group);
+    let mut rounds: Vec<(TxnId, TxnContext, Vote, usize)> = Vec::with_capacity(group);
     let mut yes_voters: Vec<TxnId> = Vec::with_capacity(group);
     for (txn, ts, writes) in prepares {
         SiteMetrics::bump(&shared.metrics.served_requests);
         shared.clock.observe(ts);
         let ctx = shared.ensure_participant(txn, ts, from);
-        let can_commit = shared.ccp().validate(&ctx).is_granted();
-        if can_commit {
+        let vote = if !ccp.validate(&ctx).is_granted() {
+            Vote::No
+        } else if writes.is_empty() {
+            Vote::ReadOnly
+        } else {
             for (item, value, version) in &writes {
                 shared
                     .storage
                     .stage_write(txn, item.clone(), value.clone(), *version);
             }
             yes_voters.push(txn);
-        }
-        rounds.push((txn, ctx, can_commit, writes.len()));
+            Vote::Yes
+        };
+        rounds.push((txn, ctx, vote, writes.len()));
     }
     // Phase 2: one forced append covers every YES-voter's prepare record —
     // still strictly before any YES vote leaves this site.
     shared.storage.prepare_many(&yes_voters);
     // Phase 3: advance the participant machines and vote.
     let mut votes: Vec<Msg> = Vec::with_capacity(group);
-    for (txn, ctx, can_commit, n_writes) in rounds {
+    for (txn, ctx, vote, n_writes) in rounds {
         let action = {
             let mut participants = shared.participants.lock();
             let entry = participants.get_mut(&txn).expect("entry ensured above");
             entry.last_activity = Instant::now();
-            entry.machine.on_prepare(can_commit)
+            entry.machine.on_prepare(vote)
         };
         if let ParticipantAction::SendVote(vote) = action {
-            if vote == Vote::Yes {
-                SiteMetrics::bump(&shared.metrics.votes_yes);
-            } else {
-                SiteMetrics::bump(&shared.metrics.votes_no);
-                // Voting NO releases local resources immediately.
-                shared.storage.abort(txn);
-                shared.ccp().abort(&ctx);
+            match vote {
+                Vote::Yes => SiteMetrics::bump(&shared.metrics.votes_yes),
+                Vote::No => {
+                    SiteMetrics::bump(&shared.metrics.votes_no);
+                    // Voting NO releases local resources immediately.
+                    shared.storage.abort(txn);
+                    ccp.abort(&ctx);
+                }
+                Vote::ReadOnly => {
+                    SiteMetrics::bump(&shared.metrics.votes_read_only);
+                    shared.finished.lock().insert(txn);
+                    shared.participants.lock().remove(&txn);
+                    ccp.commit(&ctx, &[]);
+                }
             }
             shared.trace_site_span(txn, Some(Phase::Prepare), "acp:vote", prepare_start, || {
                 format!("{vote:?} ({n_writes} writes, group of {group})")
@@ -1316,6 +1335,13 @@ mod tests {
             self.decide(n, Decision::Abort);
         }
 
+        /// Sends T`n`'s prepare with no writes for this site.
+        fn prepare_nothing(&self, n: u64) {
+            let (txn, ts) = Self::txn(n);
+            let writes = Vec::new();
+            self.send(Msg::AcpPrepare { txn, ts, writes });
+        }
+
         /// The site's next message.
         fn next(&self) -> Msg {
             let next = self.replies.recv_timeout(Duration::from_secs(5));
@@ -1341,6 +1367,15 @@ mod tests {
 
         fn acked(&self, n: u64) {
             assert!(matches!(self.next(), Msg::AcpAck { txn } if txn == Self::txn(n).0));
+        }
+
+        fn voted(&self, n: u64, expected: Vote) {
+            let next = self.next();
+            let txn = Self::txn(n).0;
+            assert!(
+                matches!(next, Msg::AcpVote { txn: t, vote } if t == txn && vote == expected),
+                "{next:?}"
+            );
         }
 
         fn silent_for(&self, quiet: Duration) {
@@ -1582,21 +1617,60 @@ mod tests {
         assert_eq!(one.site.active_transactions(), 0);
 
         // Coming back for x1 must not succeed: holding *a* lock again would
-        // let the site vote YES on a read of x0 it no longer protects.
+        // let the site vouch (READ-ONLY, as T1 wrote nothing here) for a
+        // read of x0 it no longer protects; holding nothing, it votes NO.
         one.read(1, "x1");
         let reply = one.reply();
         assert!(
             matches!(reply, (1, Some(Err(AbortCause::CcpLockConflict { .. })))),
             "{reply:?}"
         );
-        let (txn, ts) = OneSite::txn(1);
-        one.send(Msg::AcpPrepare {
-            txn,
-            ts,
-            writes: Vec::new(),
-        });
-        assert!(matches!(one.next(), Msg::AcpVote { vote: Vote::No, .. }));
+        one.prepare_nothing(1);
+        one.voted(1, Vote::No);
         assert_eq!(one.site.active_transactions(), 0);
+    }
+
+    #[test]
+    fn a_read_only_vote_releases_at_once_and_a_parked_writer_is_granted_by_the_next_pass() {
+        let one = OneSite::new(quick_stack().with_lock_wait_timeout(Duration::from_secs(5)));
+        one.read(1, "x0");
+        one.granted(1);
+        one.prewrite(2, "x0");
+        one.silent_for(Duration::from_millis(20));
+        // T1 wrote nothing here: it validates, releases and votes READ-ONLY,
+        // and the pass after the prepare hands x0 to T2.
+        one.prepare_nothing(1);
+        one.voted(1, Vote::ReadOnly);
+        one.granted(2);
+        assert_eq!(one.site.active_transactions(), 1, "T2 alone holds x0");
+        assert_eq!(
+            one.site.metrics().votes_read_only.load(Ordering::Relaxed),
+            1
+        );
+    }
+
+    #[test]
+    fn a_read_only_vote_leaves_no_entry_and_no_record_and_a_late_access_is_refused() {
+        let one = OneSite::new(quick_stack());
+        let storage = &one.site.shared.storage;
+        one.read(1, "x0");
+        one.granted(1);
+        let (records, forces) = (storage.record_count(), storage.force_count());
+        one.prepare_nothing(1);
+        one.voted(1, Vote::ReadOnly);
+        assert!(one.site.lingering_participants().is_empty());
+        assert_eq!(storage.record_count(), records, "nothing is logged");
+        assert_eq!(storage.force_count(), forces, "nothing is forced");
+        // No decision will come, so the site treats T1 as decided: a late
+        // access is refused and takes nothing.
+        one.read(1, "x1");
+        let reply = one.reply();
+        assert!(
+            matches!(reply, (1, Some(Err(AbortCause::CcpLockConflict { .. })))),
+            "{reply:?}"
+        );
+        assert_eq!(one.site.active_transactions(), 0);
+        assert!(one.site.lingering_participants().is_empty());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! (64 seeds × all five RCPs).
 
 use rainbow_check::{check_history, fixtures};
+use rainbow_common::config::{DatabaseSchema, DistributionSchema, ItemPlacement};
 use rainbow_common::protocol::{CcpKind, ProtocolStack, RcpKind};
 use rainbow_common::txn::TxnSpec;
 use rainbow_common::{ItemId, Operation, SiteId, Value};
@@ -213,41 +214,146 @@ fn crashes_inside_the_decision_window_lose_no_committed_write() {
             clients_done.store(true, Ordering::Relaxed);
         });
 
-        // Fault-free from here on. In-doubt participants resolve through
-        // their janitor's status queries; until then their items refuse
-        // access, so the closing read retries.
-        let mut client = cluster.client();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let final_values = loop {
-            match client.run("final-read", |txn| txn.read_many(items.clone())) {
-                Ok((values, _)) => break values,
-                Err(error) => assert!(Instant::now() < deadline, "{ccp}: {error:?}"),
-            }
-        };
-        drop(client);
-        let horizon = cluster.config().stack.janitor_horizon() + Duration::from_secs(2);
-        assert!(cluster.await_history_quiescence(horizon), "{ccp}");
-        let history = cluster.history().expect("recording on");
-        let report = check_history(&history);
-        assert!(report.is_serializable(), "{ccp}: {}", report.summary());
-
-        let mut last_committed: BTreeMap<&ItemId, (u64, &Value)> = BTreeMap::new();
-        for write in history.committed().flat_map(|record| &record.writes) {
-            let latest = last_committed
-                .entry(&write.item)
-                .or_insert((write.version.0, &write.value));
-            if write.version.0 > latest.0 {
-                *latest = (write.version.0, &write.value);
-            }
-        }
+        assert_ends_at_the_last_committed_writes(&cluster, &items, ccp);
         assert!(
             counters.kind("ACP_STATUS_QUERY") > 0,
             "{ccp}: no participant ever had to ask for a decision — the crashes missed the window"
         );
-        assert!(!last_committed.is_empty(), "{ccp}: nothing committed");
-        for (item, value) in &final_values {
-            let expected = last_committed.get(item).map_or(&Value::Int(100), |w| w.1);
-            assert_eq!(value, expected, "{ccp}: {item} lost a committed write");
+    }
+}
+
+/// The run of a nemesis test is over: after a fault-free closing read (in-
+/// doubt participants resolve through their janitor's status queries; until
+/// then their items refuse access, so the read retries) the history must be
+/// serializable and every item must hold the last committed write the
+/// history knows of.
+fn assert_ends_at_the_last_committed_writes(cluster: &Cluster, items: &[ItemId], ccp: CcpKind) {
+    let mut client = cluster.client();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let final_values = loop {
+        match client.run("final-read", |txn| txn.read_many(items.to_vec())) {
+            Ok((values, _)) => break values,
+            Err(error) => assert!(Instant::now() < deadline, "{ccp}: {error:?}"),
         }
+    };
+    drop(client);
+    let horizon = cluster.config().stack.janitor_horizon() + Duration::from_secs(2);
+    assert!(cluster.await_history_quiescence(horizon), "{ccp}");
+    let history = cluster.history().expect("recording on");
+    let report = check_history(&history);
+    assert!(report.is_serializable(), "{ccp}: {}", report.summary());
+
+    let mut last_committed: BTreeMap<&ItemId, (u64, &Value)> = BTreeMap::new();
+    for write in history.committed().flat_map(|record| &record.writes) {
+        let latest = last_committed
+            .entry(&write.item)
+            .or_insert((write.version.0, &write.value));
+        if write.version.0 > latest.0 {
+            *latest = (write.version.0, &write.value);
+        }
+    }
+    assert!(!last_committed.is_empty(), "{ccp}: nothing committed");
+    for (item, value) in &final_values {
+        let expected = last_committed.get(item).map_or(&Value::Int(100), |w| w.1);
+        assert_eq!(value, expected, "{ccp}: {item} lost a committed write");
+    }
+}
+
+/// The vote-window sibling of the test above: each time a site sends a
+/// READ-ONLY vote — it has validated and released the transaction's reads
+/// and left the commit protocol — that site is crashed, while writers
+/// contend for the very items it served. The readers are homed at site 0,
+/// which holds no copy, and ROWA reads an item at the lowest-numbered live
+/// holder and writes every copy: a writer's participants all vote YES, and
+/// the READ-ONLY votes the nemesis waits for come from site 1, the site it
+/// crashes (it recovers its victim before it waits again). Whatever the
+/// clients were told must hold.
+#[test]
+fn crashes_right_after_a_read_only_vote_lose_no_committed_write() {
+    let items: Vec<ItemId> = (0..4).map(|i| ItemId::new(format!("x{i}"))).collect();
+    let (reader_home, holders) = (SiteId(0), vec![SiteId(1), SiteId(2), SiteId(3)]);
+    for ccp in [
+        CcpKind::TwoPhaseLocking,
+        CcpKind::TimestampOrdering,
+        CcpKind::MultiversionTimestampOrdering,
+    ] {
+        let stack = ProtocolStack::rainbow_default()
+            .with_rcp(RcpKind::Rowa)
+            .with_ccp(ccp)
+            .with_lock_wait_timeout(Duration::from_millis(150))
+            .with_quorum_timeout(Duration::from_millis(400))
+            .with_commit_timeout(Duration::from_millis(400));
+        let mut database = DatabaseSchema::new();
+        for item in &items {
+            let placement = ItemPlacement::majority(holders.clone());
+            database.declare(item.clone(), 100i64, placement);
+        }
+        let link = LinkConfig::with_latency(LatencyModel::constant(Duration::from_millis(2)));
+        let cluster = Cluster::start(ClusterConfig {
+            stack,
+            distribution: DistributionSchema::one_site_per_host(4),
+            database,
+            network: NetworkConfig::default().with_default_link(link),
+            client_timeout: Duration::from_millis(800),
+            record_history: true,
+            ..ClusterConfig::quick(4, items.len(), 3).unwrap()
+        })
+        .unwrap();
+        let clients_done = AtomicBool::new(false);
+
+        let crashes = std::thread::scope(|scope| {
+            let (cluster, items) = (&cluster, &items);
+            let writers: Vec<_> = (0..2usize)
+                .map(|writer| {
+                    scope.spawn(move || {
+                        let mut client = cluster.client();
+                        for i in 0..8 {
+                            let item = items[(writer + i) % items.len()].clone();
+                            // Orphans and exhausted retries are fine: the
+                            // history records what actually happened.
+                            let _ = client.run("increment", |txn| txn.increment(item.clone(), 1));
+                        }
+                    })
+                })
+                .collect();
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut client = cluster.client();
+                        for _ in 0..8 {
+                            let mut txn = client.begin_at("read", reader_home);
+                            if txn.read_many(items.clone()).is_ok() {
+                                let _ = txn.commit();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let nemesis = scope.spawn(|| {
+                let mut crashes = 0;
+                while crashes < 6 {
+                    let seen = cluster.votes_read_only();
+                    while cluster.votes_read_only() == seen {
+                        if clients_done.load(Ordering::Relaxed) {
+                            return crashes;
+                        }
+                        std::thread::yield_now();
+                    }
+                    cluster.crash_site(holders[0]).unwrap();
+                    crashes += 1;
+                    std::thread::sleep(Duration::from_millis(30));
+                    cluster.recover_site(holders[0]).unwrap();
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                crashes
+            });
+            for client in writers.into_iter().chain(readers) {
+                client.join().unwrap();
+            }
+            clients_done.store(true, Ordering::Relaxed);
+            nemesis.join().unwrap()
+        });
+        assert!(crashes > 0, "{ccp}: no READ-ONLY vote was ever sent");
+        assert_ends_at_the_last_committed_writes(&cluster, &items, ccp);
     }
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rainbow_cc::{
     Acquired, CcProtocol, LockManager, LockMode, MultiversionTimestampOrdering, TxnContext,
 };
-use rainbow_commit::{Coordinator, CoordinatorAction, Decision, Vote};
+use rainbow_commit::{Coordinator, CoordinatorAction, CoordinatorState, Decision, Vote};
 use rainbow_common::config::ItemPlacement;
 use rainbow_common::protocol::{AcpKind, DeadlockPolicy};
 use rainbow_common::stats::LatencyStats;
@@ -188,26 +188,54 @@ proptest! {
         }
     }
 
-    /// The 2PC coordinator commits exactly when every participant votes yes,
-    /// for every vote pattern.
+    /// The coordinator, under 2PC and 3PC, commits exactly when no
+    /// participant votes NO (READ-ONLY counts as not-NO), for every vote
+    /// pattern; a commit reaches exactly the YES voters, and an abort every
+    /// participant but those that had voted READ-ONLY before it.
     #[test]
-    fn two_pc_commits_iff_all_votes_are_yes(votes in prop::collection::vec(any::<bool>(), 1..8)) {
+    fn commits_iff_no_participant_votes_no(
+        votes in prop::collection::vec(0usize..3, 1..8),
+        three_phase in any::<bool>(),
+    ) {
+        let votes: Vec<Vote> = votes.iter().map(|v| [Vote::Yes, Vote::No, Vote::ReadOnly][*v]).collect();
+        let protocol = if three_phase { AcpKind::ThreePhaseCommit } else { AcpKind::TwoPhaseCommit };
         let participants: Vec<SiteId> = (0..votes.len() as u32).map(SiteId).collect();
-        let mut coordinator = Coordinator::new(
-            TxnId::new(SiteId(0), 1),
-            AcpKind::TwoPhaseCommit,
-            participants.clone(),
-        );
+        let mut coordinator = Coordinator::new(TxnId::new(SiteId(0), 1), protocol, participants.clone());
         let action = coordinator.start();
         prop_assert_eq!(action, CoordinatorAction::SendPrepare(participants.clone()));
-        for (site, yes) in participants.iter().zip(votes.iter()) {
-            coordinator.on_vote(*site, if *yes { Vote::Yes } else { Vote::No });
+        let mut decided = None;
+        for (site, vote) in participants.iter().zip(votes.iter()) {
+            match coordinator.on_vote(*site, *vote) {
+                CoordinatorAction::SendDecision(decision, targets) => decided = Some((decision, targets)),
+                CoordinatorAction::SendPreCommit(targets) => {
+                    for target in &targets {
+                        if let CoordinatorAction::SendDecision(decision, to) = coordinator.on_precommit_ack(*target) {
+                            decided = Some((decision, to));
+                        }
+                    }
+                }
+                _ => {}
+            }
         }
-        let all_yes = votes.iter().all(|v| *v);
-        prop_assert_eq!(
-            coordinator.decision(),
-            Some(if all_yes { Decision::Commit } else { Decision::Abort })
-        );
+        let (decision, targets) = decided.expect("the votes decide");
+        let voted = |site: &SiteId, wanted: Vote| votes[site.0 as usize] == wanted;
+        match votes.iter().position(|v| *v == Vote::No) {
+            None => {
+                prop_assert_eq!(decision, Decision::Commit);
+                let yes: Vec<SiteId> = participants.iter().copied().filter(|s| voted(s, Vote::Yes)).collect();
+                prop_assert_eq!(coordinator.state() == CoordinatorState::Completed, yes.is_empty());
+                prop_assert_eq!(targets, yes);
+            }
+            Some(first_no) => {
+                prop_assert_eq!(decision, Decision::Abort);
+                let rest: Vec<SiteId> = participants
+                    .iter()
+                    .copied()
+                    .filter(|s| s.0 as usize > first_no || !voted(s, Vote::ReadOnly))
+                    .collect();
+                prop_assert_eq!(targets, rest);
+            }
+        }
     }
 
     /// Latency summaries are order-independent and bounded by min/max.
