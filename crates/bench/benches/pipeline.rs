@@ -8,11 +8,12 @@
 //! item, so the burst measures the pipeline, not 2PL contention.
 //!
 //! The figures are absolute — transactions per second at each client count
-//! — and the committed `BENCH_pipeline.json` numbers are the performance
-//! contract the `bench-regression` CI job enforces.
+//! — and the committed `BENCH_pipeline.json` is an ungated record of them:
+//! the only many-client measurement in the tree. What CI gates is the
+//! repository benchmark (`BENCHMARK.json`), base against head.
 //!
 //! Run with: `cargo bench --bench pipeline` (add `-- --quick` for a smoke
-//! run, as CI does; `--out PATH` writes JSON to PATH even in quick mode).
+//! run, as CI does, which leaves the committed JSON untouched).
 
 use rainbow_common::protocol::ProtocolStack;
 use rainbow_common::txn::TxnSpec;
@@ -87,18 +88,9 @@ fn run_level(clients: usize, txns_per_client: usize) -> LevelResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_override = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let quick = std::env::args().any(|a| a == "--quick");
 
-    // (clients, txns_per_client). Quick mode keeps the same client levels
-    // (the regression gate matches metrics by dotted path, so the level
-    // structure must be identical to the committed baseline) but runs fewer
-    // transactions per client.
+    // (clients, txns_per_client).
     let levels: &[(usize, usize)] = if quick {
         &[(64, 8), (256, 3), (1024, 1)]
     } else {
@@ -125,16 +117,6 @@ fn main() {
         level_json.join(",\n")
     );
 
-    if let Some(path) = out_override {
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("\nresults written to {path}"),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     if quick {
         // Smoke runs (CI) must not clobber the committed full-run numbers.
         println!("\nquick run: BENCH_pipeline.json left untouched");

@@ -4,9 +4,9 @@
 //! all five replication protocols (ROWA, QC, AC, TQ, PC) and the standard
 //! fault scenarios (healthy, one site down, partitioned minority), printing
 //! one table row per cell and writing the machine-readable results to
-//! `BENCH_protocols.json` at the repo root, with the per-phase latency
-//! breakdown of every cell (lock-wait, quorum-read, prepare, commit-apply,
-//! wal-force, queue-delay) in `BENCH_phases.json` alongside it.
+//! `BENCH_protocols.json` at the repo root. Each cell there carries its
+//! per-phase latency percentiles (`phases`: lock-wait, quorum-read, prepare,
+//! commit-apply, wal-force, queue-delay; count, p50/p95/p99/p999).
 //!
 //! Expected shape of the results:
 //!
@@ -21,12 +21,10 @@
 //!   transactions homed at isolated sites become orphans.
 //!
 //! Run with: `cargo bench --bench protocol_sweep` (add `-- --quick` for the
-//! CI smoke run; quick runs still cover the full grid with fewer
-//! transactions per cell).
+//! CI smoke run: the full protocol × fault grid on the write-heavy workload
+//! with fewer transactions per cell, leaving the committed JSON untouched).
 
-use rainbow_control::{
-    phases_to_json, run_protocol_sweep, sweep_table, sweep_to_json, FaultScenario, SweepConfig,
-};
+use rainbow_control::{run_protocol_sweep, sweep_table, sweep_to_json, FaultScenario, SweepConfig};
 use rainbow_wlg::WorkloadProfile;
 
 fn main() {
@@ -71,16 +69,14 @@ fn main() {
     );
 
     let json = sweep_to_json(&report).expect("serialize sweep report");
+    if quick {
+        // Smoke runs (CI) must not clobber the committed full-grid numbers.
+        println!("quick run: BENCH_protocols.json left untouched");
+        return;
+    }
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_protocols.json");
     match std::fs::write(out, &json) {
         Ok(()) => println!("results written to BENCH_protocols.json"),
         Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-
-    let phases_json = phases_to_json(&report).expect("serialize phase breakdown");
-    let phases_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phases.json");
-    match std::fs::write(phases_out, &phases_json) {
-        Ok(()) => println!("phase breakdown written to BENCH_phases.json"),
-        Err(e) => eprintln!("could not write {phases_out}: {e}"),
     }
 }

@@ -58,10 +58,7 @@ pub use nemesis::{
     format_schedule, generate_schedule, run_nemesis, NemesisConfig, NemesisEvent, NemesisReport,
     ScheduledEvent,
 };
-pub use report::{
-    phase_breakdown, phases_to_json, render_stats_panel, sweep_table, sweep_to_json,
-    ExperimentTable, PhaseBreakdownCell, PhasePercentiles,
-};
+pub use report::{render_stats_panel, sweep_table, sweep_to_json, ExperimentTable};
 pub use runners::{
     run_protocol_sweep, FaultScenario, LatencySummary, ProgressRunner, SweepCell, SweepConfig,
     SweepReport, WorkloadRunner,

@@ -11,8 +11,6 @@ use crate::runners::SweepReport;
 use rainbow_common::stats::StatsSnapshot;
 use rainbow_common::txn::AbortLayer;
 use rainbow_common::{RainbowError, RainbowResult};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders the Figure-5-style transaction processing output panel.
@@ -161,75 +159,10 @@ pub fn sweep_table(title: &str, report: &SweepReport) -> ExperimentTable {
 }
 
 /// Serializes a protocol sweep to the pretty JSON written to
-/// `BENCH_protocols.json`.
+/// `BENCH_protocols.json`; each cell's `phases` holds its per-phase latency
+/// percentiles.
 pub fn sweep_to_json(report: &SweepReport) -> RainbowResult<String> {
     serde_json::to_string_pretty(report).map_err(|e| RainbowError::Serialization(e.to_string()))
-}
-
-/// One row of `BENCH_phases.json`: where a (protocol, workload, fault) cell
-/// spent its time, phase by phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseBreakdownCell {
-    /// Replication protocol (short name, e.g. `QC`).
-    pub protocol: String,
-    /// Workload profile name.
-    pub profile: String,
-    /// Fault scenario name.
-    pub fault: String,
-    /// Selected percentiles per phase, keyed by phase name.
-    pub phases: BTreeMap<String, PhasePercentiles>,
-}
-
-/// The percentiles `BENCH_phases.json` records for one phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhasePercentiles {
-    /// Number of samples behind the percentiles.
-    pub count: u64,
-    /// Median in microseconds.
-    pub p50_us: u64,
-    /// 95th percentile in microseconds.
-    pub p95_us: u64,
-    /// 99th percentile in microseconds.
-    pub p99_us: u64,
-    /// 99.9th percentile in microseconds.
-    pub p999_us: u64,
-}
-
-/// Extracts the per-phase latency breakdown of every sweep cell. Cells that
-/// ran with tracing disabled contribute an empty phase map.
-pub fn phase_breakdown(report: &SweepReport) -> Vec<PhaseBreakdownCell> {
-    report
-        .cells
-        .iter()
-        .map(|cell| PhaseBreakdownCell {
-            protocol: cell.protocol.clone(),
-            profile: cell.profile.clone(),
-            fault: cell.fault.clone(),
-            phases: cell
-                .phases
-                .iter()
-                .map(|(name, stats)| {
-                    (
-                        name.clone(),
-                        PhasePercentiles {
-                            count: stats.count,
-                            p50_us: stats.p50_us,
-                            p95_us: stats.p95_us,
-                            p99_us: stats.p99_us,
-                            p999_us: stats.p999_us,
-                        },
-                    )
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// Serializes the per-phase breakdown of a sweep to the pretty JSON written
-/// to `BENCH_phases.json`.
-pub fn phases_to_json(report: &SweepReport) -> RainbowResult<String> {
-    serde_json::to_string_pretty(&phase_breakdown(report))
-        .map_err(|e| RainbowError::Serialization(e.to_string()))
 }
 
 /// A fixed-width table used by the experiment binaries to print the series
@@ -395,13 +328,17 @@ mod tests {
                 "quorum-read".to_string(),
                 LatencyStats {
                     count: 80,
+                    p50_us: 900,
                     p95_us: 2500,
+                    p99_us: 3100,
+                    p999_us: 4200,
                     ..Default::default()
                 },
             )]
             .into_iter()
             .collect(),
         };
+        let phases = cell.phases.clone();
         let report = SweepReport {
             sites: 5,
             items: 10,
@@ -431,6 +368,9 @@ mod tests {
         assert_eq!(back.cells.len(), 1);
         assert_eq!(back.cells[0].protocol, "QC");
         assert_eq!(back.cells[0].latency.p95_ms, 9.0);
+        // Every phase percentile survives the round trip: the sweep JSON is
+        // the one record of where each cell spent its time.
+        assert_eq!(back.cells[0].phases, phases);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! envelope carries is counted message by message, under each message's own
 //! kind and size, and the envelopes themselves — the trips through the
 //! simulator — have a counter of their own, never a kind, so summing the
-//! kinds gives the total. The quorum message-traffic experiment
-//! (`crates/bench/benches/e_quorum_traffic.rs`), the benchmark's
-//! `*_msgs_per_commit` metrics and the paper's "total number of messages generated per time unit"
+//! kinds gives the total. The quorum message-traffic study (the
+//! `research_study` example), the benchmark's `*_msgs_per_commit` metrics
+//! and the paper's "total number of messages generated per time unit"
 //! statistic read these counters.
 
 use crate::node::NodeId;

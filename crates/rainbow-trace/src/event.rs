@@ -75,7 +75,7 @@ impl TraceEvent {
 
 /// The measured protocol phases, each backed by one histogram in the
 /// tracer. These are the columns of the per-phase breakdown in
-/// `StatsSnapshot::phases` and `BENCH_phases.json`.
+/// `StatsSnapshot::phases` and in each cell of `BENCH_protocols.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Phase {
     /// Time a CCP access spent blocked before its lock / validation

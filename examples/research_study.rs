@@ -1,24 +1,24 @@
 //! Research-study example (Section 3 of the paper): use Rainbow as an
 //! experimentation tool to study quorum-consensus message traffic and
-//! availability, the way the authors' earlier SETH work ([3]) did.
+//! availability, the way the authors' earlier SETH work ([3]) did, and the
+//! Section-5 term project of replacing two-phase by three-phase commit.
 //!
 //! ```text
 //! cargo run -p rainbow-control --example research_study
 //! ```
 
-use rainbow_common::protocol::{ProtocolStack, RcpKind};
+use rainbow_common::protocol::{AcpKind, ProtocolStack, RcpKind};
 use rainbow_common::SiteId;
 use rainbow_control::{ExperimentTable, Session};
 use rainbow_wlg::{ArrivalProcess, WorkloadProfile};
 use std::time::Duration;
 
-fn study_session(rcp: RcpKind, sites: usize, degree: usize, seed: u64) -> Session {
+fn study_session(stack: ProtocolStack, sites: usize, degree: usize, seed: u64) -> Session {
     let mut session = Session::new();
     session.configure_sites(sites).expect("sites");
     session
         .configure_protocols(
-            ProtocolStack::rainbow_default()
-                .with_rcp(rcp)
+            stack
                 .with_quorum_timeout(Duration::from_millis(400))
                 .with_commit_timeout(Duration::from_millis(400)),
         )
@@ -43,7 +43,8 @@ fn main() {
     for degree in [1usize, 3, 5] {
         let mut cells = vec![degree.to_string()];
         for rcp in [RcpKind::Rowa, RcpKind::QuorumConsensus] {
-            let session = study_session(rcp, 5, degree, degree as u64);
+            let stack = ProtocolStack::rainbow_default().with_rcp(rcp);
+            let session = study_session(stack, 5, degree, degree as u64);
             let report = session
                 .run_generated(
                     WorkloadProfile::ReadHeavy,
@@ -69,7 +70,8 @@ fn main() {
     for crashed in [0usize, 1, 2] {
         let mut cells = vec![crashed.to_string()];
         for rcp in [RcpKind::Rowa, RcpKind::QuorumConsensus] {
-            let session = study_session(rcp, 5, 5, 7 + crashed as u64);
+            let stack = ProtocolStack::rainbow_default().with_rcp(rcp);
+            let session = study_session(stack, 5, 5, 7 + crashed as u64);
             for i in 0..crashed {
                 session.crash_site(SiteId((4 - i) as u32)).expect("crash");
             }
@@ -87,4 +89,46 @@ fn main() {
     println!("{}", availability.render());
     println!("Expected shape: ROWA wins slightly on failure-free read-heavy message cost;");
     println!("QC keeps committing writes once copy holders start failing, ROWA drops to ~0%.");
+
+    // Study 3: the term project of Section 5 — 2PC vs 3PC, commit-protocol
+    // messages by kind (QC + 2PL, write-heavy, degree 3).
+    println!("\n== Study 3: two-phase vs three-phase commit ==");
+    let kinds = [
+        "ACP_PREPARE",
+        "ACP_VOTE",
+        "ACP_PRECOMMIT",
+        "ACP_PRECOMMIT_ACK",
+        "ACP_DECISION",
+        "ACP_ACK",
+    ];
+    let mut headers = vec!["ACP", "commit%", "msgs/txn", "rt-mean ms"];
+    headers.extend(kinds);
+    let mut acp_table =
+        ExperimentTable::new("commit-protocol cost (4 sites, 80 txns, MPL 2)", &headers);
+    for acp in [AcpKind::TwoPhaseCommit, AcpKind::ThreePhaseCommit] {
+        let session = study_session(ProtocolStack::rainbow_default().with_acp(acp), 4, 3, 11);
+        session
+            .run_generated(
+                WorkloadProfile::WriteHeavy,
+                80,
+                ArrivalProcess::Closed { mpl: 2 },
+            )
+            .expect("workload");
+        let stats = session.statistics().expect("stats");
+        let mut cells = vec![
+            acp.to_string(),
+            format!("{:.1}", stats.commit_rate() * 100.0),
+            format!("{:.1}", stats.messages_per_txn()),
+            format!("{:.2}", stats.response_time.mean_us / 1000.0),
+        ];
+        cells.extend(
+            kinds
+                .iter()
+                .map(|kind| stats.messages.kind(kind).to_string()),
+        );
+        acp_table.row(&cells);
+    }
+    println!("{}", acp_table.render());
+    println!("Expected shape: 3PC adds one PRECOMMIT / PRECOMMIT_ACK round per participant");
+    println!("and the response time it costs, in exchange for non-blocking termination.");
 }
