@@ -195,7 +195,8 @@ impl fmt::Display for DeadlockPolicy {
 }
 
 /// The coordinator runtime, of which there is one: every transaction is a
-/// state machine on one of its home site's event loops ("reactors").
+/// state machine on its home site's one event loop. (`Reactor` names the
+/// pool of coordinator loops that loop replaced.)
 ///
 /// The type has a single value and nothing selects it. It survives only
 /// because `benchmark/src/main.rs` prints `stack.coordinator` in its header
@@ -205,7 +206,7 @@ impl fmt::Display for DeadlockPolicy {
 /// [`ProtocolStack::coordinator`] together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CoordinatorMode {
-    /// Sharded event-loop pool with per-tick message + group-commit
+    /// The site's event loop, with per-drain message + group-commit
     /// batching.
     Reactor,
 }

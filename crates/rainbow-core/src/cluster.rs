@@ -596,8 +596,8 @@ impl Cluster {
     }
 
     /// Stops every component: sites, the name server, the network.
-    /// Transactions still in flight are abandoned (each site's event loops
-    /// fail theirs with a site failure on the way out).
+    /// Transactions still in flight are abandoned (each site's event loop
+    /// fails its own with a site failure on the way out).
     ///
     /// Idempotent: the first call tears everything down, later calls (and
     /// the [`Drop`] impl, which delegates here) are no-ops — so examples

@@ -40,21 +40,24 @@
 //! the YES voters only. A wholly read-only transaction is still eight hops,
 //! but nothing follows its votes: the last one decides commit with nobody
 //! to tell — `perform_action` records it and answers the client, exactly as
-//! for any other decision — and the machine retires in the same tick.
+//! for any other decision — and the machine retires in the same drain.
 //!
 //! A machine never waits. It is advanced by events — a client command, a
-//! copy reply, a vote, an acknowledgement, a deadline — that the site's
-//! event loops (`reactor.rs`) feed it, and everything it sends to a site is
-//! queued in the event loop's [`Outbox`] and leaves when the tick ends. This
-//! is the one deliberate **deviation from the paper**, whose site "dedicates
-//! one thread to process" each transaction: here a transaction is pinned to
-//! an event loop, not given a thread. It was measured, not assumed — with a
-//! thread lent to every conversation the same protocol steps committed
-//! 15.1k / 11.5k / 6.2k transactions/s at 64 / 256 / 1024 clients where the
-//! event loops commit 28.7k / 31.6k / 19.2k, and on the repository's
-//! two-client benchmark the thread-per-conversation coordinator won on no
-//! workload (`hot_transfer` 3.9k → 4.6k commits/s on the event loops, the
-//! others within the run-to-run spread).
+//! copy reply, a vote, an acknowledgement, a deadline — that its home
+//! site's one event loop (`site.rs`) feeds it, and everything it sends to a
+//! site is queued in the loop's [`Outbox`] and leaves when the drain ends.
+//! This is the one deliberate **deviation from the paper**, whose site
+//! "dedicates one thread to process" each transaction: here a site is one
+//! thread, and a transaction is a machine on it, not given a thread. It was
+//! measured, not assumed — with a thread lent to every conversation the
+//! same protocol steps committed 15.1k / 11.5k / 6.2k transactions/s at
+//! 64 / 256 / 1024 clients where the event loops commit 28.7k / 31.6k /
+//! 19.2k, and on the repository's two-client benchmark the
+//! thread-per-conversation coordinator won on no workload (`hot_transfer`
+//! 3.9k → 4.6k commits/s on the event loops, the others within the
+//! run-to-run spread). The machines once ran on a pool of coordinator loops
+//! beside the thread serving participants; folding them into that one
+//! thread lost nothing either (README, *One loop per site*).
 //!
 //! One-shot `TxnSpec` submission is a *client-side* adapter replaying the
 //! spec through this same conversation; there is no second execution path.
@@ -63,8 +66,6 @@
 //! quorum planning, the machine and its transitions, then the steps every
 //! outcome goes through — `perform_action` at the decision,
 //! `abort_everywhere` before one, `answer_client`.
-
-pub(crate) mod reactor;
 
 use crate::messages::{CopyAccessResult, Msg, NextOp, OpReply};
 use crate::site::SiteShared;
@@ -339,7 +340,7 @@ fn new_write_version(
 }
 
 /// Plans one quorum and queues its copy-access requests for every target
-/// site (same-tick requests to one site leave in one envelope), returning
+/// site (same-drain requests to one site leave in one envelope), returning
 /// the collector the replies feed into.
 fn start_quorum(
     shared: &SiteShared,
@@ -449,7 +450,7 @@ struct AcpRun {
 /// What a machine is waiting for.
 enum MachineState {
     /// Awaiting the client's next command. The idle-client horizon only
-    /// ticks in this state (quorum and commit phases are bounded by their
+    /// runs in this state (quorum and commit phases are bounded by their
     /// own deadlines).
     Idle,
     /// Assembling quorums for one client operation.
@@ -458,8 +459,7 @@ enum MachineState {
     Committing(AcpRun),
 }
 
-/// One transaction's coordinator, owned by the event loop the transaction
-/// is pinned to.
+/// One transaction's coordinator, owned by its home site's event loop.
 pub(crate) struct TxnMachine {
     exec: TxnExecution,
     last_activity: Instant,
@@ -469,8 +469,8 @@ pub(crate) struct TxnMachine {
     /// everywhere on the same clock.
     horizon: Duration,
     state: MachineState,
-    /// Set by [`TxnMachine::retire`]; the event loop reaps done machines at
-    /// the end of the tick.
+    /// Set by [`TxnMachine::retire`]; the site loop reaps done machines at
+    /// the end of the drain.
     done: bool,
 }
 
@@ -928,15 +928,26 @@ impl TxnMachine {
         self.retire(shared);
     }
 
-    /// Deadline scan, run once per tick.
-    pub(crate) fn on_tick(&mut self, shared: &SiteShared, outbox: &mut Outbox<Msg>, now: Instant) {
-        let due = match &self.state {
-            MachineState::Idle => now.duration_since(self.last_activity) >= self.horizon,
-            MachineState::Quorums(op) => now >= op.deadline,
-            MachineState::Committing(run) => now >= run.deadline,
-        };
-        if self.done || !due {
-            return;
+    /// When the machine's current state times out.
+    fn due(&self) -> Instant {
+        match &self.state {
+            MachineState::Idle => self.last_activity + self.horizon,
+            MachineState::Quorums(op) => op.deadline,
+            MachineState::Committing(run) => run.deadline,
+        }
+    }
+
+    /// Deadline scan, run at the end of every drain of the site loop: acts
+    /// on a deadline that has passed, and returns when the machine is next
+    /// due (`None` once it is done).
+    pub(crate) fn on_tick(
+        &mut self,
+        shared: &SiteShared,
+        outbox: &mut Outbox<Msg>,
+        now: Instant,
+    ) -> Option<Instant> {
+        if self.done || now < self.due() {
+            return (!self.done).then(|| self.due());
         }
         match self.take_state() {
             // The client went quiet past the janitor horizon: presume it
@@ -961,6 +972,7 @@ impl TxnMachine {
                 self.advance_acp(shared, outbox, run, action);
             }
         }
+        (!self.done).then(|| self.due())
     }
 
     /// Site shutdown with the machine still alive: an open conversation is
@@ -988,8 +1000,8 @@ impl TxnMachine {
 
     /// The coordinator is done with the transaction — the client was
     /// answered and no acknowledgement is awaited any more: closes the root
-    /// span and hands the buffered spans to the tracer. The event loop reaps
-    /// the machine at the end of the tick.
+    /// span and hands the buffered spans to the tracer. The site loop reaps
+    /// the machine at the end of the drain.
     fn retire(&mut self, shared: &SiteShared) {
         self.done = true;
         self.state = MachineState::Idle;
@@ -1015,7 +1027,7 @@ impl TxnMachine {
 
 /// Answers a command that leaves the transaction open. Sent directly, not
 /// through the outbox: the client is waiting for exactly this, and no
-/// site-bound message of the tick has to arrive before it.
+/// site-bound message of the drain has to arrive before it.
 fn reply_to_client(shared: &SiteShared, exec: &TxnExecution, reply: OpReply) {
     shared.send(
         exec.client,

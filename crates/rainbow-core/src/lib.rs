@@ -10,16 +10,18 @@
 //! * [`name_server`] — the (single, per-instance) name server storing the
 //!   distribution, fragmentation and replication schema and answering
 //!   lookups from sites;
-//! * [`site`] — the Rainbow site runtime: a dispatcher thread that never
-//!   waits (a copy access the configured CCP can decide is answered at once;
-//!   one that must wait is parked and asked again after every message
-//!   handled — no thread is lent to it), and 2PC/3PC participant handling;
+//! * [`site`] — the Rainbow site runtime: one thread running one event loop
+//!   that never waits (a copy access the configured CCP can decide is
+//!   answered at once; one that must wait is parked and asked again after
+//!   every message handled — no thread is lent to it), handles 2PC/3PC as a
+//!   participant and drives the coordinators of the transactions whose home
+//!   the site is;
 //! * [`coordinator`] — the home-site transaction manager: one state machine
 //!   per transaction that drives the RCP (quorum building per operation),
-//!   then the ACP, and classifies aborts by the layer that caused them, and
-//!   the event loops the machines run on. The paper's site "dedicates one
-//!   thread to process" each transaction; this one pins the transaction to
-//!   an event loop and creates no thread for it;
+//!   then the ACP, and classifies aborts by the layer that caused them. The
+//!   paper's site "dedicates one thread to process" each transaction; here
+//!   the transaction is a machine on its home site's loop and no thread is
+//!   created for it;
 //! * [`cluster`] — builds a complete Rainbow instance (network + name
 //!   server + sites) from configuration and offers the client API used by
 //!   the workload generator, the Session layer, the examples and the

@@ -296,10 +296,10 @@ pub enum Msg {
     // Batching
     // ------------------------------------------------------------------
     /// Several protocol messages for the same destination site coalesced
-    /// into one envelope. A coordinator event loop flushes its per-tick
-    /// outbox this way (and a site answers a batch of prepares with a batch
-    /// of votes), so N messages to one site pay one trip through the network
-    /// simulator instead of N. The receiving dispatcher unpacks the batch
+    /// into one envelope. A site's event loop flushes its per-drain outbox
+    /// this way (and a site answers a batch of prepares with a batch of
+    /// votes), so N messages to one site pay one trip through the network
+    /// simulator instead of N. The receiving site loop unpacks the batch
     /// and handles each message exactly as if it had arrived alone — except
     /// that the prepares and the commit decisions of one batch share a
     /// forced log append each. The network's counters count the messages
@@ -332,7 +332,7 @@ impl Msg {
     /// True for messages that are *responses* routed back to a waiting
     /// transaction coordinator. ([`Msg::AcpStatusReply`] is not included:
     /// status replies answer a *participant* that is blocked or recovering,
-    /// and are handled by the site dispatcher itself.)
+    /// and are handled by the site loop itself.)
     pub fn is_coordinator_response(&self) -> bool {
         matches!(
             self,
@@ -512,8 +512,8 @@ mod tests {
 
     #[test]
     fn conversation_ops_are_not_coordinator_responses() {
-        // Client commands are routed to the reactor explicitly by the site
-        // dispatcher, not through the coordinator-response fast path, and
+        // Client commands are routed to their machine explicitly by the site
+        // loop, not through the coordinator-response fast path, and
         // client-bound replies are never routed by a site at all.
         assert!(!Msg::TxnOp {
             request: 1,
@@ -600,7 +600,7 @@ mod tests {
         assert_eq!(batch.kind(), "BATCH");
         assert_eq!(batch.carried().len(), 2, "counted message by message");
         assert!(batch.size_hint() > summed, "envelope header is extra");
-        // A batch spans transactions; the dispatcher unpacks it before any
+        // A batch spans transactions; the site loop unpacks it before any
         // per-transaction routing happens.
         assert_eq!(batch.txn(), None);
         assert!(!batch.is_coordinator_response());

@@ -1,33 +1,33 @@
 //! The Rainbow site runtime.
 //!
-//! A site is one node of the distributed database. Its threads are its
-//! dispatcher and its reactors, started with the site and joined at
-//! shutdown; nothing else is ever created or lent. It runs:
+//! A site is one node of the distributed database. Its thread is its
+//! **event loop**, started with the site and joined at shutdown; nothing
+//! else is ever created or lent. The loop drains the site's network mailbox
+//! and handles each message where it lands:
 //!
-//! * a **dispatcher thread** that drains the site's network mailbox and
-//!   routes messages — whatever belongs to a transaction whose home is this
-//!   site (the client's commands, copy replies, votes, acknowledgements) goes
-//!   to the event loop driving it, requests from other coordinators are
-//!   handled. The dispatcher never waits: a copy access asks the CCP, which
-//!   never blocks, and is answered at once when the CCP decides it. When the
-//!   CCP says the access must wait (its lock is held or, under the timestamp
+//! * requests from coordinators — its own or other sites' — are served at
+//!   once. The loop never waits: a copy access asks the CCP, which never
+//!   blocks, and is answered at once when the CCP decides it. When the CCP
+//!   says the access must wait (its lock is held or, under the timestamp
 //!   protocols, an earlier pre-write is pending), the request is **parked**:
 //!   kept with a deadline, asked again — oldest first — after every message
-//!   the dispatcher handled (a commit or an abort among them is what ends a
-//!   wait), and given up when the deadline passes or its transaction ends
-//!   first;
-//! * the **coordinator** of every transaction whose home is this site: a
-//!   state machine per transaction (`coordinator.rs`) on a small set of
-//!   event loops (`coordinator/reactor.rs`). (The paper's site "dedicates
-//!   one thread to process" each transaction; here a transaction is pinned
-//!   to an event loop instead, and no thread is ever created for it.)
+//!   the loop handled (a commit or an abort among them is what ends a wait),
+//!   and given up when the deadline passes or its transaction ends first;
+//! * the **coordinator** of every transaction whose home is this site is a
+//!   state machine (`coordinator.rs`) in the loop's own map: a new
+//!   conversation opens one, and the client's commands, copy replies, votes
+//!   and acknowledgements go to it. At the end of each drain the loop scans
+//!   the machines' deadlines and flushes what they queued, once. (The
+//!   paper's site "dedicates one thread to process" each transaction; here a
+//!   transaction is a machine on its home site's one thread, and no thread
+//!   is ever created for it.)
 //! * the **participant side** of the commit protocol for transactions
 //!   coordinated elsewhere, including a janitor that cleans up transactions
 //!   whose coordinator disappeared and the recovery path that resolves
 //!   in-doubt transactions after a crash.
 
-use crate::coordinator::reactor::{ReactorEvent, ReactorPool};
-use crate::messages::{CopyAccessResult, Msg};
+use crate::coordinator::TxnMachine;
+use crate::messages::{CopyAccessResult, Msg, NextOp, OpReply};
 use crate::metrics::SiteMetrics;
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use parking_lot::{Mutex, RwLock};
@@ -41,15 +41,23 @@ use rainbow_common::{
     ItemId, RainbowError, RainbowResult, SiteId, Timestamp, TimestampGenerator, TxnId, Value,
     Version,
 };
-use rainbow_net::{Envelope, NetHandle, NodeId};
+use rainbow_net::{Envelope, NetHandle, NodeId, Outbox};
 use rainbow_replication::{make_rcp, ReplicationControl};
 use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig};
-use rainbow_trace::{Phase, TraceEvent, Tracer, Track};
+use rainbow_trace::{Meter, Phase, TraceEvent, Tracer, Track};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long the site loop sleeps at most when nothing falls due sooner:
+/// bounds how late it notices shutdown and runs the janitor.
+const IDLE: Duration = Duration::from_millis(25);
+
+/// Upper bound on messages handled per drain, so a flooded mailbox cannot
+/// starve the deadline scan (the rest is picked up by the next drain).
+const MAX_DRAIN: usize = 512;
 
 /// The writes of one transaction destined for (or recovered at) this site.
 pub(crate) type WriteSet = Vec<(ItemId, Value, Version)>;
@@ -115,7 +123,7 @@ impl InDoubt {
     }
 }
 
-/// State shared between the dispatcher and the reactors of one site.
+/// State shared between a site's event loop and its handle.
 pub(crate) struct SiteShared {
     pub id: SiteId,
     pub node: NodeId,
@@ -135,10 +143,9 @@ pub(crate) struct SiteShared {
     pub finished: Mutex<HashSet<TxnId>>,
     pub in_doubt: Mutex<InDoubt>,
     /// The copy accesses waiting at this site, in arrival order: the CCP
-    /// said they must wait, so the dispatcher asks again after every message
-    /// it handled. They die with the CCP they were waiting in.
+    /// said they must wait, so the loop asks again after every message it
+    /// handled. They die with the CCP they were waiting in.
     parked: Mutex<Vec<Parked>>,
-    pub txn_seq: AtomicU64,
     pub clock: TimestampGenerator,
     pub shutdown: Arc<AtomicBool>,
     /// The cluster-wide history sink the chaos laboratory snoops on, when
@@ -149,8 +156,8 @@ pub(crate) struct SiteShared {
     /// The cluster-wide trace sink, `None` when tracing is disabled (the
     /// default) — same dead-branch pattern as `history`.
     pub tracer: Option<Arc<Tracer>>,
-    /// The event loops driving the transactions whose home is this site.
-    pub reactors: ReactorPool,
+    /// Transaction machines the loop held at the end of its last drain.
+    open_machines: AtomicUsize,
 }
 
 impl SiteShared {
@@ -237,7 +244,7 @@ impl SiteShared {
 /// Handle to a running Rainbow site.
 pub struct SiteHandle {
     shared: Arc<SiteShared>,
-    dispatcher: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl SiteHandle {
@@ -318,7 +325,6 @@ impl SiteHandle {
 
         let ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
         let rcp = make_rcp(stack.rcp);
-        let (reactors, reactor_mailboxes) = ReactorPool::new();
         let shared = Arc::new(SiteShared {
             id,
             node: NodeId::Site(id),
@@ -334,14 +340,12 @@ impl SiteHandle {
             finished: Mutex::new(HashSet::new()),
             in_doubt: Mutex::new(InDoubt::default()),
             parked: Mutex::new(Vec::new()),
-            txn_seq: AtomicU64::new(0),
             clock: TimestampGenerator::new(id),
             shutdown: Arc::new(AtomicBool::new(false)),
             history,
             tracer,
-            reactors,
+            open_machines: AtomicUsize::new(0),
         });
-        shared.reactors.start(&shared, reactor_mailboxes);
 
         // A restart from an existing durable log may come back with in-doubt
         // transactions (prepared, never decided before the previous process
@@ -358,15 +362,15 @@ impl SiteHandle {
             }
         }
 
-        let dispatcher_shared = Arc::clone(&shared);
-        let dispatcher = std::thread::Builder::new()
+        let loop_shared = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
             .name(format!("rainbow-site-{}", id.0))
-            .spawn(move || dispatcher_loop(dispatcher_shared, mailbox))
-            .expect("failed to spawn site dispatcher");
+            .spawn(move || site_loop(loop_shared, mailbox))
+            .expect("failed to spawn the site loop");
 
         Ok(SiteHandle {
             shared,
-            dispatcher: Some(dispatcher),
+            thread: Some(thread),
         })
     }
 
@@ -411,12 +415,12 @@ impl SiteHandle {
     }
 
     /// Number of conversations this site's coordinator is still driving
-    /// (open, or answered and collecting acknowledgements): the reactors'
-    /// transaction machines, as of each reactor's last finished tick. For
-    /// tests of the coordinator's clean-up.
+    /// (open, or answered and collecting acknowledgements): the site loop's
+    /// transaction machines, as of the end of its last drain. For tests of
+    /// the coordinator's clean-up.
     #[doc(hidden)]
     pub fn open_conversations(&self) -> usize {
-        self.shared.reactors.open_machines()
+        self.shared.open_machines.load(Ordering::Relaxed)
     }
 
     /// Simulates the volatile-state loss of a crash and immediately runs
@@ -470,7 +474,7 @@ impl SiteHandle {
         ccp.install_recovery_floor(Timestamp::new(shared.clock.now(), shared.id.0));
         // The accesses parked in the old CCP go with it (their transactions
         // are refused below like everybody else's). Holding `parked` keeps
-        // the dispatcher from asking them again half-way through the swap.
+        // the site loop from asking them again half-way through the swap.
         let mut parked = shared.parked.lock();
         parked.clear();
         *shared.ccp.write() = ccp;
@@ -538,17 +542,15 @@ impl SiteHandle {
         ));
     }
 
-    /// Stops the dispatcher thread (what is still parked is dropped
-    /// unanswered, like everything else in flight) and the reactors. Every
-    /// thread the site started is joined.
+    /// Stops the site loop and joins its thread. The loop observes the flag
+    /// within `IDLE`, fails its in-flight conversations and flushes their
+    /// outbox; what is still parked is dropped unanswered, like everything
+    /// else in flight.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.dispatcher.take() {
+        if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
-        // The event loops observe the flag within one tick, fail their
-        // in-flight conversations and drain their outboxes.
-        self.shared.reactors.join();
         // Stop the background compaction thread (a no-op on the memory
         // engine, which never spawns one).
         self.shared.storage.shutdown_compactor();
@@ -561,44 +563,155 @@ impl Drop for SiteHandle {
     }
 }
 
-fn dispatcher_loop(shared: Arc<SiteShared>, mailbox: Receiver<Envelope<Msg>>) {
+/// The site's one event loop. A pass drains the mailbox — at most
+/// [`MAX_DRAIN`] messages, each handled where it lands — runs the janitor
+/// when it is due and ends the drain ([`Home::end_drain`]); then it sleeps
+/// until the next message or the earliest deadline, at most [`IDLE`].
+fn site_loop(shared: Arc<SiteShared>, mailbox: Receiver<Envelope<Msg>>) {
+    let mut home = Home::default();
     let mut last_janitor = Instant::now();
     let janitor_every = Duration::from_millis(200);
-    // When the first parked copy access runs out of time, if any is parked.
-    let mut next_deadline: Option<Instant> = None;
+    // When something next falls due: a machine's deadline or a parked copy
+    // access's.
+    let mut next_due: Option<Instant> = None;
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
-            return;
+            return home.close(&shared);
         }
-        let idle = Duration::from_millis(25);
-        let wait = next_deadline.map_or(idle, |deadline| {
-            idle.min(deadline.saturating_duration_since(Instant::now()))
+        let wait = next_due.map_or(IDLE, |due| {
+            IDLE.min(due.saturating_duration_since(Instant::now()))
         });
-        match mailbox.recv_timeout(wait) {
-            Ok(envelope) => dispatch(&shared, envelope),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+        let first = match mailbox.recv_timeout(wait) {
+            Ok(envelope) => Some(envelope),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return home.close(&shared),
+        };
+        let rest = std::iter::from_fn(|| mailbox.try_recv().ok());
+        let mut drained = 0;
+        for envelope in first.into_iter().chain(rest).take(MAX_DRAIN) {
+            dispatch(&shared, &mut home, envelope);
+            drained += 1;
+            // Whatever was just handled may have ended a wait (a commit or
+            // an abort released something).
+            ask_parked_again(&shared);
         }
         if last_janitor.elapsed() >= janitor_every {
             last_janitor = Instant::now();
             run_janitor(&shared);
         }
-        // Whatever was just handled may have ended a wait (a commit or an
-        // abort released something), and time may have ended one.
-        next_deadline = ask_parked_again(&shared);
+        // So may the janitor, and time.
+        let parked_due = ask_parked_again(&shared);
+        let machine_due = home.end_drain(&shared, drained);
+        next_due = parked_due.into_iter().chain(machine_due).min();
     }
 }
 
-fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
-    // Responses go straight to the reactor driving the transaction they
-    // answer.
-    if envelope.payload.is_coordinator_response() {
-        if let Some(txn) = envelope.payload.txn() {
-            shared
-                .reactors
-                .route(txn.seq, ReactorEvent::Deliver(envelope));
+/// The coordinators of the transactions whose home is this site — one
+/// machine each, in the loop's own map — and the outbox everything they
+/// send to a site waits in until the drain ends.
+#[derive(Default)]
+struct Home {
+    machines: HashMap<TxnId, TxnMachine>,
+    outbox: Outbox<Msg>,
+    /// The sequence number of the next transaction this site opens.
+    next_seq: u64,
+}
+
+impl Home {
+    /// Opens a new conversation: allocates its id and timestamp, and runs
+    /// the first command, which arrived with the begin.
+    fn begin(
+        &mut self,
+        shared: &SiteShared,
+        client: NodeId,
+        request: u64,
+        label: String,
+        op: NextOp,
+    ) {
+        SiteMetrics::bump(&shared.metrics.home_transactions);
+        let txn = TxnId::new(shared.id, self.next_seq);
+        self.next_seq += 1;
+        let ts = shared.clock.next();
+        let mut machine = TxnMachine::open(shared, txn, ts, label, client, request);
+        machine.on_client_op(shared, &mut self.outbox, op);
+        // A first command that ended the transaction (a lone commit, an
+        // unsatisfiable quorum) leaves nothing to keep.
+        if !machine.is_done() {
+            self.machines.insert(txn, machine);
         }
-        return;
+    }
+
+    /// Hands a client command or a site's answer to the machine driving its
+    /// transaction.
+    fn deliver(&mut self, shared: &SiteShared, envelope: Envelope<Msg>) {
+        let Some(txn) = envelope.payload.txn() else {
+            return;
+        };
+        match self.machines.get_mut(&txn) {
+            Some(machine) if !machine.is_done() => {
+                machine.on_message(shared, &mut self.outbox, envelope)
+            }
+            _ => {
+                // The conversation is gone (idled out, finished, or the
+                // site recovered). Tell a waiting client instead of leaving
+                // it to its timeout; drop stale protocol messages.
+                if let Msg::TxnOp { request, .. } = envelope.payload {
+                    shared.send(
+                        envelope.from,
+                        Msg::TxnOpReply {
+                            request,
+                            txn,
+                            reply: OpReply::Gone,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Ends a drain: scans every machine's deadline, flushes the outbox
+    /// once, reaps the machines that are done and publishes how many are
+    /// left. Returns when the earliest remaining machine falls due.
+    fn end_drain(&mut self, shared: &SiteShared, drained: u64) -> Option<Instant> {
+        let tracer = shared.tracer.as_ref();
+        if let Some(tracer) = tracer.filter(|_| drained > 0) {
+            tracer.record_meter(Meter::ReactorQueueDepth, drained);
+        }
+        let now = Instant::now();
+        let due = self
+            .machines
+            .values_mut()
+            .filter_map(|machine| machine.on_tick(shared, &mut self.outbox, now))
+            .min();
+        let stats = self.outbox.flush(&shared.net, shared.node, Msg::Batch);
+        if let Some(tracer) = tracer.filter(|_| stats.envelopes > 0) {
+            tracer.record_meter(Meter::ReactorBatchSize, stats.largest_batch as u64);
+        }
+        self.machines.retain(|_, machine| !machine.is_done());
+        let open = self.machines.len();
+        shared.open_machines.store(open, Ordering::Relaxed);
+        due
+    }
+
+    /// Site shutdown: every machine still alive fails site-down, and what
+    /// that queued leaves.
+    fn close(mut self, shared: &SiteShared) {
+        for (_, mut machine) in self.machines.drain() {
+            machine.fail_site_down(shared, &mut self.outbox);
+        }
+        let _ = self.outbox.flush(&shared.net, shared.node, Msg::Batch);
+        shared.open_machines.store(0, Ordering::Relaxed);
+    }
+}
+
+fn dispatch(shared: &Arc<SiteShared>, home: &mut Home, envelope: Envelope<Msg>) {
+    // Client commands and responses go straight to the machine driving the
+    // transaction they belong to (which answers a command `Gone` when it no
+    // longer is: the conversation idled out and was aborted, or the site
+    // crashed and recovered).
+    let payload = &envelope.payload;
+    if matches!(payload, Msg::TxnOp { .. }) || payload.is_coordinator_response() {
+        return home.deliver(shared, envelope);
     }
 
     let Envelope {
@@ -608,40 +721,7 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
         payload,
     } = envelope;
     match payload {
-        Msg::TxnBegin { request, label, op } => {
-            SiteMetrics::bump(&shared.metrics.home_transactions);
-            // Allocate the id here (its sequence number pins the
-            // transaction to a reactor) and hand the conversation, first
-            // command included, to the owning event loop.
-            let txn = TxnId::new(shared.id, shared.txn_seq.fetch_add(1, Ordering::Relaxed));
-            let ts = shared.clock.next();
-            shared.reactors.route(
-                txn.seq,
-                ReactorEvent::Begin {
-                    txn,
-                    ts,
-                    label,
-                    client: from,
-                    request,
-                    op,
-                },
-            );
-        }
-        Msg::TxnOp { request, txn, op } => {
-            // Route the client command to the reactor driving the
-            // conversation (which answers `Gone` when it no longer is: the
-            // conversation idled out and was aborted, or the site crashed
-            // and recovered).
-            let envelope = Envelope {
-                id,
-                from,
-                to,
-                payload: Msg::TxnOp { request, txn, op },
-            };
-            shared
-                .reactors
-                .route(txn.seq, ReactorEvent::Deliver(envelope));
-        }
+        Msg::TxnBegin { request, label, op } => home.begin(shared, from, request, label, op),
         Msg::CopyRead {
             txn,
             ts,
@@ -682,10 +762,10 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
             *shared.schema.write() = database;
         }
         Msg::Batch(msgs) => {
-            // A coalesced envelope from a reactor tick. Prepares and commit
-            // decisions are pulled out and handled as groups so their WAL
-            // forces ride one fsync each; everything else goes through the
-            // normal per-message path (which also routes any coordinator
+            // A coalesced envelope from a site's outbox flush. Prepares and
+            // commit decisions are pulled out and handled as groups so their
+            // WAL forces ride one fsync each; everything else goes through
+            // the normal per-message path (which also routes any coordinator
             // responses the batch carried).
             let mut prepares = Vec::new();
             let mut commits = Vec::new();
@@ -709,6 +789,7 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
             for payload in rest {
                 dispatch(
                     shared,
+                    home,
                     Envelope {
                         id,
                         from,
@@ -719,8 +800,10 @@ fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
             }
         }
         // Messages a site never receives (or that only matter to clients /
-        // the name server) are ignored.
-        Msg::TxnOpReply { .. }
+        // the name server) are ignored; those for a machine went to it
+        // above.
+        Msg::TxnOp { .. }
+        | Msg::TxnOpReply { .. }
         | Msg::TxnDone { .. }
         | Msg::NsGetSchema
         | Msg::CopyReply { .. }
@@ -968,7 +1051,7 @@ fn finish_copy_access(shared: &SiteShared, request: CopyRequest, decision: CcDec
 /// envelope (one, or a coalesced batch): each transaction is validated and
 /// staged individually, but the prepare records of every YES-voter are
 /// forced with a **single** [`rainbow_storage::SiteStorage::prepare_many`]
-/// group append — the group-commit half of the reactor pipeline. Votes
+/// group append — the group-commit half of the outbox pipeline. Votes
 /// travel back to the coordinator node in one batch envelope when there is
 /// more than one.
 ///

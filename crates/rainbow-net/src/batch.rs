@@ -1,14 +1,14 @@
-//! Per-tick message coalescing for event-loop senders.
+//! Per-drain message coalescing for event-loop senders.
 //!
-//! A reactor tick can produce many protocol messages bound for the same
-//! site — quorum requests for several transactions, a handful of commit
-//! decisions, prepared-write fan-outs. Sending each one separately pays a
-//! full trip through the network simulator (scheduling, latency draw,
-//! counter bookkeeping) per message. An [`Outbox`] instead queues messages
-//! per destination during the tick and flushes once at the end: a lone
-//! message is sent as itself, while two or more for one *site* are
-//! wrapped into a single batch envelope by a caller-supplied constructor
-//! (the core's `Msg::Batch`).
+//! One drain of a site's event loop can produce many protocol messages
+//! bound for the same site — quorum requests for several transactions, a
+//! handful of commit decisions, prepared-write fan-outs. Sending each one
+//! separately pays a full trip through the network simulator (scheduling,
+//! latency draw, counter bookkeeping) per message. An [`Outbox`] instead
+//! queues messages per destination during the drain and flushes once at
+//! the end: a lone message is sent as itself, while two or more for one
+//! *site* are wrapped into a single batch envelope by a caller-supplied
+//! constructor (the core's `Msg::Batch`).
 //!
 //! Only sites unpack a batch. Messages queued for any other node (a
 //! client's `TxnDone`) are never wrapped: they leave one by one, after every
@@ -21,7 +21,7 @@
 use crate::network::{NetHandle, NetMessage};
 use crate::node::NodeId;
 
-/// Statistics of one [`Outbox::flush`], fed to the reactor's batch-size
+/// Statistics of one [`Outbox::flush`], fed to the site loop's batch-size
 /// histogram.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushStats {
@@ -33,10 +33,10 @@ pub struct FlushStats {
     pub largest_batch: usize,
 }
 
-/// A per-destination queue of outbound messages, flushed once per tick.
+/// A per-destination queue of outbound messages, flushed once per drain.
 #[derive(Debug)]
 pub struct Outbox<M> {
-    // A Vec keyed by first-push order: a tick talks to a handful of sites,
+    // A Vec keyed by first-push order: a drain talks to a handful of sites,
     // so a linear scan beats a map — and flush order stays deterministic.
     queued: Vec<(NodeId, Vec<M>)>,
 }

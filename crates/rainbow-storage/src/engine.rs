@@ -204,8 +204,8 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// group, returning only when every record is durable. Semantically
     /// equivalent to forcing each record in order, but an engine can pay a
     /// single sync for the multi-transaction batch — this is how the
-    /// group-commit pipeline hands a reactor tick's commit-time records to
-    /// the fsync batcher as one unit instead of relying on lucky timing.
+    /// group-commit pipeline hands one batch envelope's commit-time records
+    /// to the fsync batcher as one unit instead of relying on lucky timing.
     fn append_forced_many(&self, records: Vec<LogRecord>) {
         if records.is_empty() {
             return;

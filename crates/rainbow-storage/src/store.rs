@@ -217,7 +217,7 @@ impl VersionedStore {
 ///
 /// Commits used to run compaction inline when the log outgrew its
 /// threshold, stalling whichever transaction happened to trip it — and,
-/// on the reactor coordinator, stalling a whole reactor tick. The worker
+/// on the site's one event loop, stalling the whole site. The worker
 /// moves that work onto its own thread: the commit path merely *nudges*
 /// it, and it checkpoints off to the side while commits keep appending.
 #[derive(Debug)]

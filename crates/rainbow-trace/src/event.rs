@@ -12,9 +12,9 @@ use serde::{Deserialize, Serialize};
 /// Where a span ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Track {
-    /// The coordinator conversation thread at the transaction's home site.
+    /// The transaction's coordinator machine at its home site.
     Coordinator,
-    /// A participant site's dispatcher (CCP decisions, ACP votes, WAL).
+    /// A participant site's event loop (CCP decisions, ACP votes, WAL).
     Site {
         /// The participant site id.
         site: u32,
@@ -136,11 +136,12 @@ impl Phase {
 /// rather than durations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Meter {
-    /// Events drained from one reactor's queue in a single tick — the
-    /// instantaneous backlog of the sharded coordinator.
+    /// Messages one drain of a site's event loop handled — the site's
+    /// instantaneous backlog. (The name is kept from the coordinator loops
+    /// the site loop replaced.)
     ReactorQueueDepth,
     /// Logical messages coalesced into the largest batch envelope of one
-    /// reactor tick's outbox flush.
+    /// drain's outbox flush.
     ReactorBatchSize,
 }
 

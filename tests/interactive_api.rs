@@ -13,13 +13,13 @@
 //! * the **hop count** of the conversation: the first command opens it and
 //!   the client is answered at the decision, so one increment is four
 //!   client messages and eight sequential link delays;
-//! * **no lost answer**: two terminal answers a reactor produces for one
-//!   client in one tick both reach it;
+//! * **no lost answer**: two terminal answers a site loop produces for one
+//!   client in one drain both reach it;
 //! * the **coordinator's lifecycle**: a thousand concurrent conversations —
-//!   all pinned to a handful of reactors by `txn.seq` — each complete with
-//!   exactly one terminal result and the committed increments are exactly
-//!   reflected in the final state; tearing the cluster down with
-//!   conversations still in flight joins every reactor without hanging.
+//!   all machines on three site loops — each complete with exactly one
+//!   terminal result and the committed increments are exactly reflected in
+//!   the final state; tearing the cluster down with conversations still in
+//!   flight joins every site thread without hanging.
 
 use rainbow_common::protocol::{ProtocolStack, RcpKind};
 use rainbow_common::txn::{TxnError, TxnSpec};
@@ -374,20 +374,17 @@ fn one_increment_is_eight_sequential_link_delays() {
 }
 
 #[test]
-fn two_answers_for_one_client_in_one_reactor_tick_both_arrive() {
-    // With a single reactor, the abort a dropped handle fires and the lone
-    // commit that follows it are drained in one tick, so the reactor flushes
-    // two `TxnDone`s for the same client together. Only sites unpack a
-    // batch: both must travel as themselves, or the commit's answer is lost
-    // and the client, told `Orphaned`, would run a committed transaction
-    // again. (Clusters other tests start meanwhile may get one reactor too;
-    // nothing in this file depends on the count.)
-    std::env::set_var("RAINBOW_REACTORS", "1");
+fn two_answers_for_one_client_in_one_drain_both_arrive() {
+    // The abort a dropped handle fires and the lone commit that follows it
+    // reach the home site's loop together and are handled in one drain, so
+    // the loop flushes two `TxnDone`s for the same client together. Only
+    // sites unpack a batch: both must travel as themselves, or the commit's
+    // answer is lost and the client, told `Orphaned`, would run a committed
+    // transaction again.
     let config = ClusterConfig::quick(3, 8, 3)
         .unwrap()
         .with_client_timeout(Duration::from_secs(2));
     let cluster = Cluster::start(config).unwrap();
-    std::env::remove_var("RAINBOW_REACTORS");
     let counters = cluster.network_counters();
     let mut client = cluster.client();
     for round in 0..100 {
@@ -413,12 +410,12 @@ fn two_answers_for_one_client_in_one_reactor_tick_both_arrive() {
 /// most commit: every one must come back with exactly one terminal
 /// outcome, and the final state must reflect exactly the committed
 /// increments — the observable form of "each transaction is owned by
-/// exactly one reactor".
+/// exactly one machine".
 #[test]
 fn a_thousand_concurrent_conversations_complete() {
     const CLIENTS: usize = 1000;
     // One item per client: the burst measures conversation lifecycle and
-    // reactor ownership, not 2PL contention (the chaos suite covers that).
+    // machine ownership, not 2PL contention (the chaos suite covers that).
     const ITEMS: usize = CLIENTS;
     let _turn = TAKING_TURNS.lock().unwrap_or_else(PoisonError::into_inner);
     let cluster = cluster_of(ITEMS, RcpKind::QuorumConsensus, Duration::from_secs(10));
@@ -483,7 +480,7 @@ fn a_thousand_concurrent_conversations_complete() {
 }
 
 /// Shutdown with conversations still open must fail them site-down and
-/// join every reactor thread — bounded, never hanging on an in-flight
+/// join every site thread — bounded, never hanging on an in-flight
 /// machine.
 #[test]
 fn shutdown_with_in_flight_conversations_joins_every_reactor() {
@@ -505,7 +502,7 @@ fn shutdown_with_in_flight_conversations_joins_every_reactor() {
     });
     assert!(
         done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
-        "shutdown must join all reactor threads despite in-flight conversations"
+        "shutdown must join all site threads despite in-flight conversations"
     );
     teardown.join().unwrap();
 }

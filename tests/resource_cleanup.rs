@@ -104,8 +104,8 @@ fn a_txn_dropped_before_its_first_command_leaves_nothing_behind() {
     };
     let mut txn = client.begin("real");
     txn.increment("x0", 1).unwrap();
-    // (A reactor publishes its count at the end of the tick, just after the
-    // reply left.)
+    // (The site loop publishes its count at the end of the drain, just after
+    // the reply left.)
     wait_for_open(1, "the open conversation is not counted");
     txn.commit().unwrap();
     wait_for_open(0, "the coordinator never retired");

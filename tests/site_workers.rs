@@ -1,14 +1,18 @@
 //! The site runtime's threading rule, observed from outside: *a site's
-//! threads are its dispatcher and its reactors; a copy access that must wait
-//! is parked at the site and asked again, and no thread is ever created,
-//! lent or held for it.*
+//! thread is its event loop; a copy access that must wait is parked at the
+//! site and asked again, and no thread is ever created, lent or held for
+//! it.*
 //!
+//! * **a site is exactly one thread** — starting a cluster starts one thread
+//!   per site, the name server's and the network's, and nothing else;
+//! * **an idle site sleeps** — the loop wakes for a message or a deadline,
+//!   and otherwise at its idle cap, never on a polling tick;
 //! * **no thread per transaction, contended or not** — uncontended update
 //!   and read transactions park nothing, and neither they nor transactions
 //!   that wait for each other's locks move the process's thread count;
-//! * **the dispatcher never waits**, under each CCP — while one access waits
-//!   for a lock (2PL) or behind an earlier pending pre-write (TSO, MVTO),
-//!   traffic for other items at the same sites is served at full speed;
+//! * **the loop never waits**, under each CCP — while one access waits for a
+//!   lock (2PL) or behind an earlier pending pre-write (TSO, MVTO), traffic
+//!   for other items at the same sites is served at full speed;
 //! * **shutdown joins every thread** — starting and stopping clusters leaves
 //!   no thread behind.
 //!
@@ -17,7 +21,8 @@
 
 use rainbow_common::protocol::{CcpKind, ProtocolStack};
 use rainbow_common::{SiteId, Value};
-use rainbow_core::{Client, Cluster, ClusterConfig, RetryPolicy};
+use rainbow_core::{Client, Cluster, ClusterConfig, RetryPolicy, StorageConfig};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -56,9 +61,123 @@ fn threads_settled_at(expected: usize) -> usize {
     }
 }
 
+/// Every thread of the process by id, with its name (`comm`, which the
+/// kernel cuts to 15 bytes). A thread that ends while this reads is left
+/// out.
+#[cfg(target_os = "linux")]
+fn threads_by_id() -> BTreeMap<u64, String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task is readable")
+        .filter_map(|task| {
+            let task = task.ok()?;
+            let id = task.file_name().to_str()?.parse().ok()?;
+            let name = std::fs::read_to_string(task.path().join("comm")).ok()?;
+            Some((id, name.trim_end().to_string()))
+        })
+        .collect()
+}
+
+/// The threads this thread started since `before` was taken, once each has
+/// named itself: a new thread carries the name of the thread that created
+/// it until it does (and keeps it if it never does). Threads named neither
+/// way are the test harness's, starting the next test meanwhile.
+#[cfg(target_os = "linux")]
+fn started_since(before: &BTreeMap<u64, String>) -> BTreeMap<u64, String> {
+    let creator = std::fs::read_to_string("/proc/thread-self/comm").expect("a comm");
+    let unnamed = |name: &String| name == creator.trim_end();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let mut now = threads_by_id();
+        now.retain(|id, name| {
+            !before.contains_key(id) && (name.starts_with("rainbow-") || unnamed(name))
+        });
+        if !now.values().any(unnamed) || Instant::now() >= deadline {
+            return now;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// How often thread `id` has gone to sleep (`voluntary_ctxt_switches`).
+#[cfg(target_os = "linux")]
+fn sleeps_of(id: u64) -> u64 {
+    std::fs::read_to_string(format!("/proc/self/task/{id}/status"))
+        .expect("the thread is alive")
+        .lines()
+        .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+        .and_then(|count| count.trim().parse().ok())
+        .expect("a voluntary_ctxt_switches: line")
+}
+
 fn cluster(stack: ProtocolStack) -> Cluster {
     let config = ClusterConfig::quick(3, 8, 3).unwrap().with_stack(stack);
     Cluster::start(config).unwrap()
+}
+
+/// Three sites on the memory engine, which starts no thread of its own.
+#[cfg(target_os = "linux")]
+fn memory_cluster() -> Cluster {
+    let config = ClusterConfig::quick(3, 8, 3).unwrap();
+    Cluster::start(config.with_storage(StorageConfig::memory())).unwrap()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_site_is_exactly_one_thread() {
+    let _turn = take_turn();
+    let threads_before = process_threads();
+    let before = threads_by_id();
+    let mut cluster = memory_cluster();
+    let mut started: Vec<String> = started_since(&before).into_values().collect();
+    started.sort();
+    assert!(
+        !started
+            .iter()
+            .any(|name| name.starts_with("rainbow-reacto")),
+        "{started:?}"
+    );
+    let expected = [
+        "rainbow-nameser",
+        "rainbow-net-del",
+        "rainbow-site-0",
+        "rainbow-site-1",
+        "rainbow-site-2",
+    ];
+    assert_eq!(started, expected, "one thread per site, and nothing else");
+    cluster.shutdown();
+    // (A thread of an earlier test may have left `/proc` meanwhile.)
+    assert!(threads_settled_at(threads_before) <= threads_before);
+}
+
+/// One open conversation, then 200 ms of nothing: a site loop sleeps until
+/// its idle cap (25 ms) when nothing falls due sooner, so the three sites
+/// go to sleep about 3 × 8 times (the janitor runs in those wake-ups).
+/// Loops polling a 1 ms tick would go to sleep some 200 times each.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_site_sleeps() {
+    let _turn = take_turn();
+    let before = threads_by_id();
+    let cluster = memory_cluster();
+    // The sites' threads: whatever the cluster started but the name
+    // server's and the network's.
+    let others = ["rainbow-nameser", "rainbow-net-del"];
+    let mut site_threads = started_since(&before);
+    site_threads.retain(|_, name| !others.contains(&name.as_str()));
+    let sleeps = || site_threads.keys().map(|id| sleeps_of(*id)).sum::<u64>();
+
+    let mut client = cluster.client();
+    let mut txn = client.begin("idle");
+    txn.read("x0").unwrap();
+    let asleep_before = sleeps();
+    std::thread::sleep(Duration::from_millis(200));
+    let slept = sleeps() - asleep_before;
+    assert!(
+        slept < 60,
+        "{} site threads went to sleep {slept} times in 200 ms idle",
+        site_threads.len()
+    );
+    txn.commit().unwrap();
 }
 
 fn increment(client: &mut Client, item: usize) {
@@ -108,7 +227,7 @@ fn a_warm_cluster_creates_no_thread_per_transaction() {
 
 /// T1 holds write access to `x0`; T2's read of `x0` has to wait for it; T3,
 /// touching only `x1` at the same sites, must not notice.
-fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
+fn site_loop_serves_others_while_an_access_waits(ccp: CcpKind) {
     let lock_wait = Duration::from_secs(4);
     let cluster = cluster(
         ProtocolStack::rainbow_default()
@@ -156,7 +275,7 @@ fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
         let t3_took = started.elapsed();
         assert!(
             t3_took < lock_wait / 8,
-            "{ccp}: T3 took {t3_took:?} while T2 waited — a dispatcher was waiting too"
+            "{ccp}: T3 took {t3_took:?} while T2 waited — a site loop was waiting too"
         );
         assert!(t2_rx.try_recv().is_err(), "{ccp}: T2 did not wait for T1");
 
@@ -173,19 +292,19 @@ fn dispatcher_serves_others_while_an_access_waits(ccp: CcpKind) {
 #[test]
 fn the_dispatcher_never_waits_under_two_phase_locking() {
     let _turn = take_turn();
-    dispatcher_serves_others_while_an_access_waits(CcpKind::TwoPhaseLocking);
+    site_loop_serves_others_while_an_access_waits(CcpKind::TwoPhaseLocking);
 }
 
 #[test]
 fn the_dispatcher_never_waits_under_timestamp_ordering() {
     let _turn = take_turn();
-    dispatcher_serves_others_while_an_access_waits(CcpKind::TimestampOrdering);
+    site_loop_serves_others_while_an_access_waits(CcpKind::TimestampOrdering);
 }
 
 #[test]
 fn the_dispatcher_never_waits_under_multiversion_timestamp_ordering() {
     let _turn = take_turn();
-    dispatcher_serves_others_while_an_access_waits(CcpKind::MultiversionTimestampOrdering);
+    site_loop_serves_others_while_an_access_waits(CcpKind::MultiversionTimestampOrdering);
 }
 
 /// Two clients move money between the same two accounts in opposite orders:
@@ -245,7 +364,7 @@ fn shutdown_joins_every_thread() {
     for _ in 0..50 {
         cycle();
     }
-    // The dispatchers and reactors of fifty clusters were all joined.
+    // The site threads of fifty clusters were all joined.
     #[cfg(target_os = "linux")]
     assert_eq!(threads_settled_at(threads_before), threads_before);
 }
