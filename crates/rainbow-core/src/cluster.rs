@@ -407,7 +407,8 @@ impl Cluster {
 
     /// Recovers a crashed site: volatile state is discarded, the committed
     /// state is rebuilt from its log, in-doubt transactions are resolved
-    /// with their coordinators, and the site rejoins the network.
+    /// with their coordinators, and the site rejoins the network. The
+    /// restart waits for the drain in progress at the site to end.
     pub fn recover_site(&self, site: SiteId) -> RainbowResult<()> {
         let handle = self
             .sites
@@ -456,7 +457,8 @@ impl Cluster {
     /// engine had buffered but not yet synced), optionally injects a torn
     /// or corrupted tail write into its log, restarts it from the disk
     /// image alone, and runs the same two-pass copier catch-up before the
-    /// site rejoins the network.
+    /// site rejoins the network. Like a crash restart, it waits for the
+    /// drain in progress at the site to end.
     ///
     /// On the memory engine the fault degrades to a plain crash+recover
     /// (the simulated log has no tail to tear). Recovery errors — e.g. a

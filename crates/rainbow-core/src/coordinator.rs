@@ -28,7 +28,7 @@
 //! The conversation opens with its first command (the site allocates the id
 //! and runs the command in one trip), and the client is answered **at the
 //! decision**: once the decision is on the coordinator's record
-//! (`SiteShared::record_decision`) and the `AcpDecision`s are on their
+//! (`Effects::record_decision`) and the `AcpDecision`s are on their
 //! way, no acknowledgement can change the outcome, so `TxnDone` leaves right
 //! behind them. Participants still hold every lock and pre-write until the
 //! decision reaches them; the machine lives on in `Committing` only to
@@ -44,8 +44,10 @@
 //!
 //! A machine never waits. It is advanced by events — a client command, a
 //! copy reply, a vote, an acknowledgement, a deadline — that its home
-//! site's one event loop (`site.rs`) feeds it, and everything it sends to a
-//! site is queued in the loop's [`Outbox`] and leaves when the drain ends.
+//! site's one event loop (`site.rs`) feeds it. Everything it sends to a
+//! site is queued in the loop's outbox and leaves when the drain ends, and
+//! it records its decision beside that outbox, in the same `&mut Effects`
+//! every transition is handed.
 //! This is the one deliberate **deviation from the paper**, whose site
 //! "dedicates one thread to process" each transaction: here a site is one
 //! thread, and a transaction is a machine on it, not given a thread. It was
@@ -68,13 +70,13 @@
 //! `abort_everywhere` before one, `answer_client`.
 
 use crate::messages::{CopyAccessResult, Msg, NextOp, OpReply};
-use crate::site::SiteShared;
+use crate::site::{Effects, SiteShared};
 use rainbow_commit::{Coordinator, CoordinatorAction, CoordinatorState, Decision, Vote};
 use rainbow_common::history::{ReadObservation, TxnRecord, WriteRecord};
 use rainbow_common::protocol::CcpKind;
 use rainbow_common::txn::{AbortCause, TxnOutcome, TxnResult};
 use rainbow_common::{ItemId, SiteId, Timestamp, TxnId, Value, Version};
-use rainbow_net::{Envelope, NodeId, Outbox};
+use rainbow_net::{Envelope, NodeId};
 use rainbow_replication::{QuorumCollector, QuorumOutcome, QuorumResponse};
 use rainbow_trace::{Phase, TraceEvent, Track};
 use std::collections::{BTreeMap, BTreeSet};
@@ -347,10 +349,9 @@ fn start_quorum(
     exec: &mut TxnExecution,
     item: &ItemId,
     access: QuorumAccess,
-    outbox: &mut Outbox<Msg>,
+    out: &mut Effects,
 ) -> Result<QuorumCollector, AbortCause> {
-    let schema = shared.schema.read();
-    let placement = match schema.replication.placement(item) {
+    let placement = match shared.schema.replication.placement(item) {
         Some(p) => p.clone(),
         None => {
             return Err(AbortCause::RcpQuorumUnavailable {
@@ -360,7 +361,6 @@ fn start_quorum(
             })
         }
     };
-    drop(schema);
 
     // The fault controller's live site-status view: the planners route
     // around (reads), shrink their write sets to (available copies, primary
@@ -385,7 +385,7 @@ fn start_quorum(
 
     let (txn, ts) = (exec.txn, exec.ts);
     exec.contacted.extend(&targets);
-    send_to_sites(shared, exec, targets, outbox, |_| match access {
+    send_to_sites(shared, exec, targets, out, |_| match access {
         QuorumAccess::Write => Msg::CopyPrewrite {
             txn,
             ts,
@@ -510,7 +510,7 @@ impl TxnMachine {
     pub(crate) fn on_message(
         &mut self,
         shared: &SiteShared,
-        outbox: &mut Outbox<Msg>,
+        out: &mut Effects,
         envelope: Envelope<Msg>,
     ) {
         match (envelope.payload, envelope.from.as_site()) {
@@ -519,7 +519,7 @@ impl TxnMachine {
                 // taken once the previous one has been answered.
                 if matches!(self.state, MachineState::Idle) {
                     self.last_activity = Instant::now();
-                    self.on_client_op(shared, outbox, op);
+                    self.on_client_op(shared, out, op);
                 }
             }
             // Everything else a machine hears is a site's answer.
@@ -532,30 +532,25 @@ impl TxnMachine {
                     ..
                 },
                 Some(site),
-            ) => self.on_copy_reply(shared, outbox, site, item, prewrite, for_update, result),
-            (Msg::AcpVote { vote, .. }, Some(site)) => self.on_acp_reply(shared, outbox, |run| {
+            ) => self.on_copy_reply(shared, out, site, item, prewrite, for_update, result),
+            (Msg::AcpVote { vote, .. }, Some(site)) => self.on_acp_reply(shared, out, |run| {
                 if vote == Vote::No && run.abort_cause.is_none() {
                     run.abort_cause = Some(AbortCause::AcpVotedNo { participant: site });
                 }
                 run.coordinator.on_vote(site, vote)
             }),
             (Msg::AcpPreCommitAck { .. }, Some(site)) => {
-                self.on_acp_reply(shared, outbox, |run| run.coordinator.on_precommit_ack(site))
+                self.on_acp_reply(shared, out, |run| run.coordinator.on_precommit_ack(site))
             }
             (Msg::AcpAck { .. }, Some(site)) => {
-                self.on_acp_reply(shared, outbox, |run| run.coordinator.on_ack(site))
+                self.on_acp_reply(shared, out, |run| run.coordinator.on_ack(site))
             }
             _ => {}
         }
     }
 
     /// Executes the client's next command (state: Idle).
-    pub(crate) fn on_client_op(
-        &mut self,
-        shared: &SiteShared,
-        outbox: &mut Outbox<Msg>,
-        op: NextOp,
-    ) {
+    pub(crate) fn on_client_op(&mut self, shared: &SiteShared, out: &mut Effects, op: NextOp) {
         let op_start = trace_now(shared);
         let (kind, items, access) = match op {
             NextOp::Read { item } => (OpKind::Read, vec![item], QuorumAccess::Read),
@@ -579,9 +574,9 @@ impl TxnMachine {
                     .collect();
                 (OpKind::CommitInstall, deferred, QuorumAccess::Write)
             }
-            NextOp::Abort => return self.abort(shared, outbox, AbortCause::UserAbort),
+            NextOp::Abort => return self.abort(shared, out, AbortCause::UserAbort),
         };
-        self.begin_quorums(shared, outbox, kind, items, access, op_start);
+        self.begin_quorums(shared, out, kind, items, access, op_start);
     }
 
     /// Plans every item's quorum and queues all their copy accesses at once,
@@ -591,7 +586,7 @@ impl TxnMachine {
     fn begin_quorums(
         &mut self,
         shared: &SiteShared,
-        outbox: &mut Outbox<Msg>,
+        out: &mut Effects,
         kind: OpKind,
         items: Vec<ItemId>,
         access: QuorumAccess,
@@ -610,7 +605,7 @@ impl TxnMachine {
             // write while the tree root is down plans zero targets) must
             // abort now, not when the deadline expires.
             let started =
-                start_quorum(shared, &mut self.exec, item, access, outbox).and_then(|collector| {
+                start_quorum(shared, &mut self.exec, item, access, out).and_then(|collector| {
                     match collector.outcome() {
                         QuorumOutcome::Impossible => Err(collector.abort_cause()),
                         _ => Ok(collector),
@@ -618,7 +613,7 @@ impl TxnMachine {
                 });
             let collector = match started {
                 Ok(collector) => collector,
-                Err(cause) => return self.quorum_op_failed(shared, outbox, op, cause),
+                Err(cause) => return self.quorum_op_failed(shared, out, op, cause),
             };
             let mut round = QuorumRound {
                 item: item.clone(),
@@ -633,7 +628,7 @@ impl TxnMachine {
             op.rounds.push(round);
         }
         if op.rounds.iter().all(|r| r.assembled) {
-            self.quorum_op_complete(shared, outbox, op);
+            self.quorum_op_complete(shared, out, op);
         } else {
             self.state = MachineState::Quorums(op);
         }
@@ -671,7 +666,7 @@ impl TxnMachine {
     fn on_copy_reply(
         &mut self,
         shared: &SiteShared,
-        outbox: &mut Outbox<Msg>,
+        out: &mut Effects,
         site: SiteId,
         item: ItemId,
         prewrite: bool,
@@ -728,12 +723,12 @@ impl TxnMachine {
             QuorumOutcome::Assembled => {
                 self.round_assembled(shared, round, op.fanout_start);
                 if op.rounds.iter().all(|r| r.assembled) {
-                    return self.quorum_op_complete(shared, outbox, op);
+                    return self.quorum_op_complete(shared, out, op);
                 }
             }
             QuorumOutcome::Impossible => {
                 let cause = round.failure(|| round.collector.abort_cause());
-                return self.quorum_op_failed(shared, outbox, op, cause);
+                return self.quorum_op_failed(shared, out, op, cause);
             }
             QuorumOutcome::Pending => {}
         }
@@ -745,12 +740,12 @@ impl TxnMachine {
     fn quorum_op_failed(
         &mut self,
         shared: &SiteShared,
-        outbox: &mut Outbox<Msg>,
+        out: &mut Effects,
         op: QuorumOp,
         cause: AbortCause,
     ) {
         self.push_op_span(shared, &op);
-        self.abort(shared, outbox, cause);
+        self.abort(shared, out, cause);
     }
 
     /// Buffers the operation's coordinator span (`op:read`, `op:read-many`,
@@ -771,17 +766,17 @@ impl TxnMachine {
     /// Every quorum of the operation assembled: complete the client
     /// operation (observe values, stage writes, reply — or move into the
     /// commit protocol).
-    fn quorum_op_complete(&mut self, shared: &SiteShared, outbox: &mut Outbox<Msg>, op: QuorumOp) {
+    fn quorum_op_complete(&mut self, shared: &SiteShared, out: &mut Effects, op: QuorumOp) {
         if let OpKind::CommitInstall = op.kind {
             let collectors = op.rounds.into_iter().map(|r| r.collector);
             self.fold_staged(shared, collectors);
-            return self.start_acp(shared, outbox, op.op_start);
+            return self.start_acp(shared, out, op.op_start);
         }
         let reply = self.read_reply(shared, &op);
         self.push_op_span(shared, &op);
         match reply {
             Ok(reply) => reply_to_client(shared, &self.exec, reply),
-            Err(cause) => self.abort(shared, outbox, cause),
+            Err(cause) => self.abort(shared, out, cause),
         }
     }
 
@@ -844,7 +839,7 @@ impl TxnMachine {
     }
 
     /// Starts the atomic commit protocol over every touched site.
-    fn start_acp(&mut self, shared: &SiteShared, outbox: &mut Outbox<Msg>, op_start: u64) {
+    fn start_acp(&mut self, shared: &SiteShared, out: &mut Effects, op_start: u64) {
         let acp_start = trace_now(shared);
         let exec = &mut self.exec;
         let mut coordinator =
@@ -853,8 +848,8 @@ impl TxnMachine {
         if let CoordinatorAction::Complete(decision) = action {
             // Nobody to run the protocol with: a transaction that touched
             // nothing commits trivially.
-            shared.record_decision(exec.txn, decision);
-            answer_client(shared, exec, decided_outcome(decision, &mut None), outbox);
+            out.record_decision(exec.txn, decision);
+            answer_client(shared, exec, decided_outcome(decision, &mut None), out);
             push_commit_span(shared, exec, op_start, true);
             return self.retire(shared);
         }
@@ -866,7 +861,7 @@ impl TxnMachine {
             decision_start: None,
             op_start,
         };
-        self.advance_acp(shared, outbox, run, action);
+        self.advance_acp(shared, out, run, action);
     }
 
     /// Feeds one vote or acknowledgement into the in-flight commit protocol
@@ -874,7 +869,7 @@ impl TxnMachine {
     fn on_acp_reply(
         &mut self,
         shared: &SiteShared,
-        outbox: &mut Outbox<Msg>,
+        out: &mut Effects,
         event: impl FnOnce(&mut AcpRun) -> CoordinatorAction,
     ) {
         let mut run = match self.take_state() {
@@ -883,7 +878,7 @@ impl TxnMachine {
             other => return self.state = other,
         };
         let action = event(&mut run);
-        self.advance_acp(shared, outbox, run, action);
+        self.advance_acp(shared, out, run, action);
     }
 
     /// Applies one coordinator action, refreshing phase deadlines and
@@ -892,7 +887,7 @@ impl TxnMachine {
     fn advance_acp(
         &mut self,
         shared: &SiteShared,
-        outbox: &mut Outbox<Msg>,
+        out: &mut Effects,
         mut run: AcpRun,
         action: CoordinatorAction,
     ) {
@@ -910,7 +905,7 @@ impl TxnMachine {
             });
             run.decision_start = Some(trace_now(shared));
         }
-        perform_action(shared, &mut self.exec, action, &mut run.abort_cause, outbox);
+        perform_action(shared, &mut self.exec, action, &mut run.abort_cause, out);
         if run.coordinator.state() != CoordinatorState::Completed {
             self.state = MachineState::Committing(run);
             return;
@@ -943,7 +938,7 @@ impl TxnMachine {
     pub(crate) fn on_tick(
         &mut self,
         shared: &SiteShared,
-        outbox: &mut Outbox<Msg>,
+        out: &mut Effects,
         now: Instant,
     ) -> Option<Instant> {
         if self.done || now < self.due() {
@@ -953,14 +948,14 @@ impl TxnMachine {
             // The client went quiet past the janitor horizon: presume it
             // gone and free resources everywhere on the same clock the
             // participant janitor uses.
-            MachineState::Idle => self.abort(shared, outbox, AbortCause::ClientTimeout),
+            MachineState::Idle => self.abort(shared, out, AbortCause::ClientTimeout),
             MachineState::Quorums(op) => {
                 let slowest = op.rounds.iter().find(|r| !r.assembled);
                 let slowest = slowest.expect("an unassembled round on expiry");
                 let cause = slowest.failure(|| AbortCause::RcpTimeout {
                     item: slowest.item.clone(),
                 });
-                self.quorum_op_failed(shared, outbox, op, cause);
+                self.quorum_op_failed(shared, out, op, cause);
             }
             MachineState::Committing(mut run) => {
                 if run.abort_cause.is_none() {
@@ -969,7 +964,7 @@ impl TxnMachine {
                     });
                 }
                 let action = run.coordinator.on_timeout();
-                self.advance_acp(shared, outbox, run, action);
+                self.advance_acp(shared, out, run, action);
             }
         }
         (!self.done).then(|| self.due())
@@ -978,7 +973,7 @@ impl TxnMachine {
     /// Site shutdown with the machine still alive: an open conversation is
     /// aborted everywhere and told of the site failure; one that was
     /// already answered and only collecting acknowledgements retires.
-    pub(crate) fn fail_site_down(&mut self, shared: &SiteShared, outbox: &mut Outbox<Msg>) {
+    pub(crate) fn fail_site_down(&mut self, shared: &SiteShared, out: &mut Effects) {
         if self.done {
             return;
         }
@@ -986,15 +981,15 @@ impl TxnMachine {
         if answered {
             self.retire(shared);
         } else {
-            self.abort(shared, outbox, AbortCause::SiteFailure { site: shared.id });
+            self.abort(shared, out, AbortCause::SiteFailure { site: shared.id });
         }
     }
 
     /// Ends the transaction before any decision: abort fan-out and the
     /// answer to the client through the outbox, then nothing is left to
     /// wait for.
-    fn abort(&mut self, shared: &SiteShared, outbox: &mut Outbox<Msg>, cause: AbortCause) {
-        abort_everywhere(shared, &mut self.exec, cause, outbox);
+    fn abort(&mut self, shared: &SiteShared, out: &mut Effects, cause: AbortCause) {
+        abort_everywhere(shared, &mut self.exec, cause, out);
         self.retire(shared);
     }
 
@@ -1083,30 +1078,30 @@ fn perform_action(
     exec: &mut TxnExecution,
     action: CoordinatorAction,
     abort_cause: &mut Option<AbortCause>,
-    outbox: &mut Outbox<Msg>,
+    out: &mut Effects,
 ) {
     let (txn, ts) = (exec.txn, exec.ts);
     match action {
         CoordinatorAction::SendPrepare(targets) => {
             // Each participant's write set is sent once; move it out.
             let mut writes = std::mem::take(&mut exec.writes_per_site);
-            send_to_sites(shared, exec, targets, outbox, |target| Msg::AcpPrepare {
+            send_to_sites(shared, exec, targets, out, |target| Msg::AcpPrepare {
                 txn,
                 ts,
                 writes: writes.remove(&target).unwrap_or_default(),
             });
         }
         CoordinatorAction::SendPreCommit(targets) => {
-            send_to_sites(shared, exec, targets, outbox, |_| Msg::AcpPreCommit { txn });
+            send_to_sites(shared, exec, targets, out, |_| Msg::AcpPreCommit { txn });
         }
         CoordinatorAction::SendDecision(decision, targets) => {
-            shared.record_decision(txn, decision);
-            send_to_sites(shared, exec, targets, outbox, |_| Msg::AcpDecision {
+            out.record_decision(txn, decision);
+            send_to_sites(shared, exec, targets, out, |_| Msg::AcpDecision {
                 txn,
                 decision,
             });
-            release_stragglers(shared, exec, outbox);
-            answer_client(shared, exec, decided_outcome(decision, abort_cause), outbox);
+            release_stragglers(shared, exec, out);
+            answer_client(shared, exec, decided_outcome(decision, abort_cause), out);
         }
         // All acknowledgements are in (the trivial commit without
         // participants never gets here, see `TxnMachine::start_acp`).
@@ -1121,11 +1116,11 @@ fn send_to_sites(
     shared: &SiteShared,
     exec: &mut TxnExecution,
     targets: impl IntoIterator<Item = SiteId>,
-    outbox: &mut Outbox<Msg>,
+    out: &mut Effects,
     mut msg: impl FnMut(SiteId) -> Msg,
 ) {
     for target in targets {
-        outbox.push(NodeId::Site(target), msg(target));
+        out.outbox.push(NodeId::Site(target), msg(target));
         if target != shared.id {
             exec.messages += 1;
         }
@@ -1140,10 +1135,10 @@ fn send_to_sites(
 /// the decision, before the client is answered, so that the client's next
 /// transaction finds them released. Aborting at a non-participant is always
 /// safe: the site has no staged writes for this transaction.
-fn release_stragglers(shared: &SiteShared, exec: &mut TxnExecution, outbox: &mut Outbox<Msg>) {
+fn release_stragglers(shared: &SiteShared, exec: &mut TxnExecution, out: &mut Effects) {
     let txn = exec.txn;
     let stragglers: Vec<SiteId> = exec.contacted.difference(&exec.touched).copied().collect();
-    send_to_sites(shared, exec, stragglers, outbox, |_| Msg::AcpDecision {
+    send_to_sites(shared, exec, stragglers, out, |_| Msg::AcpDecision {
         txn,
         decision: Decision::Abort,
     });
@@ -1158,28 +1153,28 @@ fn abort_everywhere(
     shared: &SiteShared,
     exec: &mut TxnExecution,
     cause: AbortCause,
-    outbox: &mut Outbox<Msg>,
+    out: &mut Effects,
 ) {
     let txn = exec.txn;
-    shared.record_decision(txn, Decision::Abort);
+    out.record_decision(txn, Decision::Abort);
     let touched: Vec<SiteId> = exec.touched.iter().copied().collect();
-    send_to_sites(shared, exec, touched, outbox, |_| Msg::AcpDecision {
+    send_to_sites(shared, exec, touched, out, |_| Msg::AcpDecision {
         txn,
         decision: Decision::Abort,
     });
-    release_stragglers(shared, exec, outbox);
-    answer_client(shared, exec, TxnOutcome::Aborted(cause), outbox);
+    release_stragglers(shared, exec, out);
+    answer_client(shared, exec, TxnOutcome::Aborted(cause), out);
 }
 
 /// Tells the client how its transaction ended — after writing the history
 /// entry, and through the outbox, behind whatever decisions were queued in
 /// it. Every outcome passes through here exactly once, always after
-/// [`SiteShared::record_decision`].
+/// [`Effects::record_decision`].
 fn answer_client(
     shared: &SiteShared,
     exec: &mut TxnExecution,
     outcome: TxnOutcome,
-    outbox: &mut Outbox<Msg>,
+    out: &mut Effects,
 ) {
     // The coordinator is the authoritative observer: it records the real
     // outcome even when the driving client timed out and reported an
@@ -1207,7 +1202,7 @@ fn answer_client(
         restarts: 0,
         messages: exec.messages,
     };
-    outbox.push(
+    out.outbox.push(
         exec.client,
         Msg::TxnDone {
             request: exec.request,

@@ -25,12 +25,19 @@
 //!   coordinated elsewhere, including a janitor that cleans up transactions
 //!   whose coordinator disappeared and the recovery path that resolves
 //!   in-doubt transactions after a crash.
+//!
+//! Everything the loop changes — the CCP, the participant entries, the
+//! parked accesses, the in-doubt set and the coordinators' machines — is one
+//! value, `SiteState`, behind the site's one lock. The loop takes the lock
+//! when a drain starts and lets go of it before it sleeps. What the handle
+//! does with the state (a diagnostic read, a crash restart) takes the same
+//! lock, so it runs between two drains, never beside a message.
 
 use crate::coordinator::TxnMachine;
 use crate::messages::{CopyAccessResult, Msg, NextOp, OpReply};
 use crate::metrics::SiteMetrics;
 use crossbeam_channel::{Receiver, RecvTimeoutError};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rainbow_cc::{make_ccp, CcDecision, CcProtocol, TxnContext};
 use rainbow_commit::{Decision, Participant, ParticipantAction, ParticipantState, Vote};
 use rainbow_common::config::DatabaseSchema;
@@ -43,10 +50,11 @@ use rainbow_common::{
 };
 use rainbow_net::{Envelope, NetHandle, NodeId, Outbox};
 use rainbow_replication::{make_rcp, ReplicationControl};
+use rainbow_storage::recovery::InDoubtTxn;
 use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig};
 use rainbow_trace::{Meter, Phase, TraceEvent, Tracer, Track};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -103,9 +111,17 @@ impl InDoubt {
         Some(writes)
     }
 
-    fn clear(&mut self) {
-        self.writes.clear();
-        self.holders.clear();
+    /// Settles a transaction crash recovery found in doubt, now that its
+    /// decision is known; false when `txn` is not one.
+    fn resolve(&mut self, storage: &SiteStorage, txn: TxnId, decision: Decision) -> bool {
+        let Some(writes) = self.remove(txn) else {
+            return false;
+        };
+        match decision {
+            Decision::Commit => storage.commit_writes(txn, writes),
+            Decision::Abort => storage.abort(txn),
+        }
+        true
     }
 
     /// An in-doubt transaction other than `txn` with `item` in its prepared
@@ -117,35 +133,20 @@ impl InDoubt {
             .copied()
             .find(|holder| *holder != txn)
     }
-
-    fn txns(&self) -> Vec<TxnId> {
-        self.writes.keys().copied().collect()
-    }
 }
 
-/// State shared between a site's event loop and its handle.
+/// What a site's loop and its handle share: what never changes or keeps
+/// itself consistent. What the site changes as it runs is `SiteState`.
 pub(crate) struct SiteShared {
     pub id: SiteId,
     pub node: NodeId,
     pub stack: ProtocolStack,
     pub storage: SiteStorage,
-    pub ccp: RwLock<Arc<dyn CcProtocol>>,
     pub rcp: Arc<dyn ReplicationControl>,
-    pub schema: RwLock<DatabaseSchema>,
+    /// Fetched at start from the name server, which never changes it.
+    pub schema: DatabaseSchema,
     pub net: NetHandle<Msg>,
     pub metrics: Arc<SiteMetrics>,
-    pub participants: Mutex<HashMap<TxnId, ParticipantEntry>>,
-    pub decided: Mutex<HashMap<TxnId, Decision>>,
-    /// Transactions that have already been decided (or cleaned up) at this
-    /// site *as a participant*. Late copy-access requests and late lock
-    /// grants for these transactions are refused so they cannot resurrect a
-    /// participant entry that nobody will ever release.
-    pub finished: Mutex<HashSet<TxnId>>,
-    pub in_doubt: Mutex<InDoubt>,
-    /// The copy accesses waiting at this site, in arrival order: the CCP
-    /// said they must wait, so the loop asks again after every message it
-    /// handled. They die with the CCP they were waiting in.
-    parked: Mutex<Vec<Parked>>,
     pub clock: TimestampGenerator,
     pub shutdown: Arc<AtomicBool>,
     /// The cluster-wide history sink the chaos laboratory snoops on, when
@@ -156,30 +157,9 @@ pub(crate) struct SiteShared {
     /// The cluster-wide trace sink, `None` when tracing is disabled (the
     /// default) — same dead-branch pattern as `history`.
     pub tracer: Option<Arc<Tracer>>,
-    /// Transaction machines the loop held at the end of its last drain.
-    open_machines: AtomicUsize,
 }
 
 impl SiteShared {
-    /// The CCP currently in force (replaced wholesale on crash recovery).
-    pub fn ccp(&self) -> Arc<dyn CcProtocol> {
-        self.ccp.read().clone()
-    }
-
-    /// The coordinator's **forced decision record**: notes the fate of a
-    /// transaction whose home is this site, where `AcpStatusQuery` answers
-    /// from. The coordinator calls it at the decision point (and the abort
-    /// fan-out calls it for transactions that never reached one), and
-    /// nothing that tells anybody the outcome — no `AcpDecision`, no
-    /// `TxnDone` — may leave before it returns: the client is answered at
-    /// the decision, so a path that skipped this would promise a commit
-    /// that a recovering participant, asking later, is told was aborted.
-    /// Today the record is an in-memory map; this is the single place
-    /// ROADMAP 5(a) turns into a forced WAL append.
-    pub fn record_decision(&self, txn: TxnId, decision: Decision) {
-        self.decided.lock().insert(txn, decision);
-    }
-
     /// Sends a message from this site, ignoring network shutdown errors
     /// (which only occur while the whole instance is being torn down).
     pub fn send(&self, to: NodeId, msg: Msg) {
@@ -222,15 +202,90 @@ impl SiteShared {
             });
         }
     }
+}
+
+/// The site's one lock. A site's state belongs to its loop, which holds the
+/// lock one drain at a time and never while it sleeps; the handle waits for
+/// a drain boundary.
+type SiteLock = Arc<Mutex<SiteState>>;
+
+/// Everything a site changes as it runs.
+struct SiteState {
+    /// The CCP in force; a restart replaces it.
+    ccp: Arc<dyn CcProtocol>,
+    participants: HashMap<TxnId, ParticipantEntry>,
+    /// Transactions that have already been decided (or cleaned up) at this
+    /// site *as a participant*. Late copy-access requests, prepares and late
+    /// lock grants for these transactions are refused so they cannot
+    /// resurrect a participant entry that nobody will ever release.
+    finished: HashSet<TxnId>,
+    in_doubt: InDoubt,
+    /// The copy accesses waiting at this site, in arrival order: the CCP
+    /// said they must wait, so the loop asks again after every message it
+    /// handled. They die with the CCP they were waiting in.
+    parked: Vec<Parked>,
+    home: Home,
+}
+
+impl SiteState {
+    /// Builds a site's volatile state — at start, and again at a crash
+    /// restart, which hands in the state the crash took down:
+    ///
+    /// * a fresh CCP, with a recovery floor at the site's current logical
+    ///   time. Every lock and timestamp table entry was volatile; the clock
+    ///   observed the timestamp of every access granted before the crash, so
+    ///   rejecting everything older conservatively restores the rts/wts
+    ///   rejection surface the crash erased (without it, a recovered site
+    ///   can admit an old write it had already ordered a younger read past —
+    ///   a serializability violation the chaos harness reproduces);
+    /// * nothing parked: the accesses parked in the old CCP go with it;
+    /// * no participants: every transaction with grants here just lost them
+    ///   and is refused from now on. One that came back could take a *new*
+    ///   lock, and holding something is all `validate` asks before this site
+    ///   vouches for accesses it no longer protects (the chaos lab caught
+    ///   the resulting non-repeatable read under load);
+    /// * the in-doubt transactions the log recovered, each coordinator asked
+    ///   for the decision (the janitor asks again until an answer arrives).
+    ///
+    /// The coordinators' machines and decisions survive a restart.
+    fn start(shared: &SiteShared, crashed: Option<&mut Self>, in_doubt: Vec<InDoubtTxn>) -> Self {
+        let stack = &shared.stack;
+        let ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
+        ccp.install_recovery_floor(Timestamp::new(shared.clock.now(), shared.id.0));
+        let mut state = SiteState {
+            ccp,
+            participants: HashMap::new(),
+            finished: HashSet::new(),
+            in_doubt: InDoubt::default(),
+            parked: Vec::new(),
+            home: Home::default(),
+        };
+        if let Some(crashed) = crashed {
+            state.home = std::mem::take(&mut crashed.home);
+            state.finished = std::mem::take(&mut crashed.finished);
+            state.finished.extend(crashed.participants.keys().copied());
+        }
+        for InDoubtTxn { txn, writes } in in_doubt {
+            state.in_doubt.insert(txn, writes);
+            shared.send(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
+        }
+        state
+    }
 
     /// Ensures a participant entry exists for `txn` and returns its context.
-    fn ensure_participant(&self, txn: TxnId, ts: Timestamp, coordinator: NodeId) -> TxnContext {
-        let mut participants = self.participants.lock();
+    fn ensure_participant(
+        &mut self,
+        shared: &SiteShared,
+        txn: TxnId,
+        ts: Timestamp,
+        coordinator: NodeId,
+    ) -> TxnContext {
+        let participants = &mut self.participants;
         let entry = participants.entry(txn).or_insert_with(|| ParticipantEntry {
             machine: Participant::new(
                 txn,
-                coordinator.as_site().unwrap_or(self.id),
-                self.stack.acp,
+                coordinator.as_site().unwrap_or(shared.id),
+                shared.stack.acp,
             ),
             ctx: TxnContext::new(txn, ts),
             coordinator,
@@ -244,6 +299,7 @@ impl SiteShared {
 /// Handle to a running Rainbow site.
 pub struct SiteHandle {
     shared: Arc<SiteShared>,
+    state: SiteLock,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -323,53 +379,36 @@ impl SiteHandle {
             .collect();
         storage.initialize(&local_items);
 
-        let ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
         let rcp = make_rcp(stack.rcp);
         let shared = Arc::new(SiteShared {
             id,
             node: NodeId::Site(id),
             stack,
             storage,
-            ccp: RwLock::new(ccp),
             rcp,
-            schema: RwLock::new(schema),
+            schema,
             net,
             metrics,
-            participants: Mutex::new(HashMap::new()),
-            decided: Mutex::new(HashMap::new()),
-            finished: Mutex::new(HashSet::new()),
-            in_doubt: Mutex::new(InDoubt::default()),
-            parked: Mutex::new(Vec::new()),
             clock: TimestampGenerator::new(id),
             shutdown: Arc::new(AtomicBool::new(false)),
             history,
             tracer,
-            open_machines: AtomicUsize::new(0),
         });
 
         // A restart from an existing durable log may come back with in-doubt
         // transactions (prepared, never decided before the previous process
-        // died). Chase their coordinators exactly like crash recovery does;
-        // the janitor keeps retrying until an answer arrives.
-        {
-            let mut in_doubt = shared.in_doubt.lock();
-            for txn in outcome.in_doubt {
-                in_doubt.insert(txn.txn, txn.writes);
-                shared.send(
-                    NodeId::Site(txn.txn.home),
-                    Msg::AcpStatusQuery { txn: txn.txn },
-                );
-            }
-        }
-
-        let loop_shared = Arc::clone(&shared);
+        // died): they are chased exactly like after a crash.
+        let state = SiteState::start(&shared, None, outcome.in_doubt);
+        let state = Arc::new(Mutex::new(state));
+        let (loop_shared, loop_state) = (Arc::clone(&shared), Arc::clone(&state));
         let thread = std::thread::Builder::new()
             .name(format!("rainbow-site-{}", id.0))
-            .spawn(move || site_loop(loop_shared, mailbox))
+            .spawn(move || site_loop(loop_shared, loop_state, mailbox))
             .expect("failed to spawn the site loop");
 
         Ok(SiteHandle {
             shared,
+            state,
             thread: Some(thread),
         })
     }
@@ -390,19 +429,19 @@ impl SiteHandle {
     }
 
     /// Number of transactions currently holding resources at this site's
-    /// CCP.
+    /// CCP, read between two drains.
     pub fn active_transactions(&self) -> usize {
-        self.shared.ccp().active_transactions()
+        self.state.lock().ccp.active_transactions()
     }
 
     /// Diagnostic view of the transactions still registered as participants
-    /// at this site: `(transaction, state, seconds since last activity)`.
-    /// Used by tests and operational tooling to spot transactions whose
-    /// coordinator disappeared.
+    /// at this site: `(transaction, state, seconds since last activity)`,
+    /// read between two drains. Used by tests and operational tooling to
+    /// spot transactions whose coordinator disappeared.
     pub fn lingering_participants(&self) -> Vec<(TxnId, String, f64)> {
-        self.shared
-            .participants
+        self.state
             .lock()
+            .participants
             .iter()
             .map(|(txn, entry)| {
                 (
@@ -416,26 +455,26 @@ impl SiteHandle {
 
     /// Number of conversations this site's coordinator is still driving
     /// (open, or answered and collecting acknowledgements): the site loop's
-    /// transaction machines, as of the end of its last drain. For tests of
-    /// the coordinator's clean-up.
+    /// transaction machines, read between two drains (a drain reaps the
+    /// machines that are done before it ends). For tests of the
+    /// coordinator's clean-up.
     #[doc(hidden)]
     pub fn open_conversations(&self) -> usize {
-        self.shared.open_machines.load(Ordering::Relaxed)
+        self.state.lock().home.machines.len()
     }
 
     /// Simulates the volatile-state loss of a crash and immediately runs
     /// recovery: the committed state is rebuilt from the write-ahead log,
     /// concurrency-control state is reset, and status queries are sent to
-    /// the coordinators of in-doubt transactions.
+    /// the coordinators of in-doubt transactions. A crash is a power loss
+    /// that tears nothing (see [`SiteHandle::power_loss`]).
     ///
     /// The caller (normally the cluster / fault injector) is responsible for
     /// marking the site crashed in the [`rainbow_net::FaultController`]
     /// before, and recovering it after, so that no messages flow while the
     /// site is "down".
     pub fn recover_from_crash(&self) -> RainbowResult<()> {
-        // Volatile state is gone.
-        self.shared.storage.crash();
-        self.restart_from_log()
+        self.power_loss(PowerLossFault::Clean)
     }
 
     /// The power-loss nemesis: drops **all** of the site's volatile state —
@@ -445,62 +484,16 @@ impl SiteHandle {
     /// memory engine this degrades to [`SiteHandle::recover_from_crash`]
     /// (its simulated log has no tail to tear).
     ///
+    /// The restart waits for the drain in progress and runs before the next
+    /// one, so no message is handled half before and half after it.
+    ///
     /// Errors surface recovery failures: a corrupted record *before* the
     /// tail is a typed [`RainbowError::CorruptLog`], not a panic.
     pub fn power_loss(&self, fault: PowerLossFault) -> RainbowResult<()> {
+        let mut state = self.state.lock();
         self.shared.storage.power_loss(fault);
-        self.restart_from_log()
-    }
-
-    /// Shared tail of [`SiteHandle::recover_from_crash`] and
-    /// [`SiteHandle::power_loss`]: rebuild committed state from the log,
-    /// reset concurrency control, and chase in-doubt transactions.
-    fn restart_from_log(&self) -> RainbowResult<()> {
-        let shared = &self.shared;
-        let outcome = shared.storage.recover()?;
-        // Fresh CCP: every lock and timestamp table entry was volatile. The
-        // replacement gets a recovery floor at the site's current logical
-        // time — the clock observed the timestamp of every access granted
-        // before the crash, so rejecting everything older conservatively
-        // restores the rts/wts rejection surface the crash erased (without
-        // it, a recovered site can admit an old write it had already
-        // ordered a younger read past — a serializability violation the
-        // chaos harness reproduces).
-        let ccp = make_ccp(
-            shared.stack.ccp,
-            shared.stack.deadlock,
-            shared.stack.lock_wait_timeout,
-        );
-        ccp.install_recovery_floor(Timestamp::new(shared.clock.now(), shared.id.0));
-        // The accesses parked in the old CCP go with it (their transactions
-        // are refused below like everybody else's). Holding `parked` keeps
-        // the site loop from asking them again half-way through the swap.
-        let mut parked = shared.parked.lock();
-        parked.clear();
-        *shared.ccp.write() = ccp;
-        // Every transaction with grants here just lost them. Refuse those
-        // transactions from now on: one that came back could take a *new*
-        // lock, and holding something is all `validate` asks before this
-        // site vouches for accesses it no longer protects (the chaos lab
-        // caught the resulting non-repeatable read under load).
-        let lost: Vec<TxnId> = shared
-            .participants
-            .lock()
-            .drain()
-            .map(|(txn, _)| txn)
-            .collect();
-        shared.finished.lock().extend(lost);
-        drop(parked);
-        // Ask each in-doubt transaction's coordinator for the decision.
-        let mut in_doubt = shared.in_doubt.lock();
-        in_doubt.clear();
-        for txn in outcome.in_doubt {
-            in_doubt.insert(txn.txn, txn.writes);
-            shared.send(
-                NodeId::Site(txn.txn.home),
-                Msg::AcpStatusQuery { txn: txn.txn },
-            );
-        }
+        let outcome = self.shared.storage.recover()?;
+        *state = SiteState::start(&self.shared, Some(&mut *state), outcome.in_doubt);
         Ok(())
     }
 
@@ -563,58 +556,83 @@ impl Drop for SiteHandle {
     }
 }
 
-/// The site's one event loop. A pass drains the mailbox — at most
-/// [`MAX_DRAIN`] messages, each handled where it lands — runs the janitor
-/// when it is due and ends the drain ([`Home::end_drain`]); then it sleeps
-/// until the next message or the earliest deadline, at most [`IDLE`].
-fn site_loop(shared: Arc<SiteShared>, mailbox: Receiver<Envelope<Msg>>) {
-    let mut home = Home::default();
+/// The site's one event loop. A pass sleeps until the next message or the
+/// earliest deadline, at most [`IDLE`]; then it takes the site's state and
+/// drains the mailbox — at most [`MAX_DRAIN`] messages, each handled where
+/// it lands — runs the janitor when it is due and ends the drain
+/// ([`Home::end_drain`]), and lets go of the state before it sleeps again.
+fn site_loop(shared: Arc<SiteShared>, lock: SiteLock, mailbox: Receiver<Envelope<Msg>>) {
     let mut last_janitor = Instant::now();
     let janitor_every = Duration::from_millis(200);
     // When something next falls due: a machine's deadline or a parked copy
     // access's.
     let mut next_due: Option<Instant> = None;
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return home.close(&shared);
-        }
+    while !shared.shutdown.load(Ordering::Relaxed) {
         let wait = next_due.map_or(IDLE, |due| {
             IDLE.min(due.saturating_duration_since(Instant::now()))
         });
         let first = match mailbox.recv_timeout(wait) {
             Ok(envelope) => Some(envelope),
             Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => return home.close(&shared),
+            Err(RecvTimeoutError::Disconnected) => break,
         };
+        let mut state = lock.lock();
         let rest = std::iter::from_fn(|| mailbox.try_recv().ok());
         let mut drained = 0;
         for envelope in first.into_iter().chain(rest).take(MAX_DRAIN) {
-            dispatch(&shared, &mut home, envelope);
+            dispatch(&shared, &mut state, envelope);
             drained += 1;
             // Whatever was just handled may have ended a wait (a commit or
             // an abort released something).
-            ask_parked_again(&shared);
+            ask_parked_again(&shared, &mut state);
         }
         if last_janitor.elapsed() >= janitor_every {
             last_janitor = Instant::now();
-            run_janitor(&shared);
+            run_janitor(&shared, &mut state);
         }
         // So may the janitor, and time.
-        let parked_due = ask_parked_again(&shared);
-        let machine_due = home.end_drain(&shared, drained);
+        let parked_due = ask_parked_again(&shared, &mut state);
+        let machine_due = state.home.end_drain(&shared, drained);
         next_due = parked_due.into_iter().chain(machine_due).min();
     }
+    lock.lock().home.close(&shared);
 }
 
 /// The coordinators of the transactions whose home is this site — one
-/// machine each, in the loop's own map — and the outbox everything they
-/// send to a site waits in until the drain ends.
+/// machine each, in the loop's own map — and what their transitions change
+/// besides themselves.
 #[derive(Default)]
 struct Home {
     machines: HashMap<TxnId, TxnMachine>,
-    outbox: Outbox<Msg>,
+    out: Effects,
     /// The sequence number of the next transaction this site opens.
     next_seq: u64,
+}
+
+/// What a coordinator's transitions change besides their own machine: the
+/// outbox everything they send to a site waits in until the drain ends, and
+/// the decision record status queries answer from.
+#[derive(Default)]
+pub(crate) struct Effects {
+    pub outbox: Outbox<Msg>,
+    decided: HashMap<TxnId, Decision>,
+}
+
+impl Effects {
+    /// The coordinator's **forced decision record**: notes the fate of a
+    /// transaction whose home is this site, where `AcpStatusQuery` answers
+    /// from — at once, so a status query later in the same drain sees it.
+    /// The coordinator calls it at the decision point (and the abort
+    /// fan-out calls it for transactions that never reached one), and
+    /// nothing that tells anybody the outcome — no `AcpDecision`, no
+    /// `TxnDone` — may leave before it returns: the client is answered at
+    /// the decision, so a path that skipped this would promise a commit
+    /// that a recovering participant, asking later, is told was aborted.
+    /// Today the record is an in-memory map; this is the single place
+    /// ROADMAP 5(a) turns into a forced WAL append.
+    pub fn record_decision(&mut self, txn: TxnId, decision: Decision) {
+        self.decided.insert(txn, decision);
+    }
 }
 
 impl Home {
@@ -633,7 +651,7 @@ impl Home {
         self.next_seq += 1;
         let ts = shared.clock.next();
         let mut machine = TxnMachine::open(shared, txn, ts, label, client, request);
-        machine.on_client_op(shared, &mut self.outbox, op);
+        machine.on_client_op(shared, &mut self.out, op);
         // A first command that ended the transaction (a lone commit, an
         // unsatisfiable quorum) leaves nothing to keep.
         if !machine.is_done() {
@@ -649,7 +667,7 @@ impl Home {
         };
         match self.machines.get_mut(&txn) {
             Some(machine) if !machine.is_done() => {
-                machine.on_message(shared, &mut self.outbox, envelope)
+                machine.on_message(shared, &mut self.out, envelope)
             }
             _ => {
                 // The conversation is gone (idled out, finished, or the
@@ -670,8 +688,8 @@ impl Home {
     }
 
     /// Ends a drain: scans every machine's deadline, flushes the outbox
-    /// once, reaps the machines that are done and publishes how many are
-    /// left. Returns when the earliest remaining machine falls due.
+    /// once and reaps the machines that are done. Returns when the earliest
+    /// remaining machine falls due.
     fn end_drain(&mut self, shared: &SiteShared, drained: u64) -> Option<Instant> {
         let tracer = shared.tracer.as_ref();
         if let Some(tracer) = tracer.filter(|_| drained > 0) {
@@ -681,37 +699,34 @@ impl Home {
         let due = self
             .machines
             .values_mut()
-            .filter_map(|machine| machine.on_tick(shared, &mut self.outbox, now))
+            .filter_map(|machine| machine.on_tick(shared, &mut self.out, now))
             .min();
-        let stats = self.outbox.flush(&shared.net, shared.node, Msg::Batch);
+        let stats = self.out.outbox.flush(&shared.net, shared.node, Msg::Batch);
         if let Some(tracer) = tracer.filter(|_| stats.envelopes > 0) {
             tracer.record_meter(Meter::ReactorBatchSize, stats.largest_batch as u64);
         }
         self.machines.retain(|_, machine| !machine.is_done());
-        let open = self.machines.len();
-        shared.open_machines.store(open, Ordering::Relaxed);
         due
     }
 
     /// Site shutdown: every machine still alive fails site-down, and what
     /// that queued leaves.
-    fn close(mut self, shared: &SiteShared) {
+    fn close(&mut self, shared: &SiteShared) {
         for (_, mut machine) in self.machines.drain() {
-            machine.fail_site_down(shared, &mut self.outbox);
+            machine.fail_site_down(shared, &mut self.out);
         }
-        let _ = self.outbox.flush(&shared.net, shared.node, Msg::Batch);
-        shared.open_machines.store(0, Ordering::Relaxed);
+        let _ = self.out.outbox.flush(&shared.net, shared.node, Msg::Batch);
     }
 }
 
-fn dispatch(shared: &Arc<SiteShared>, home: &mut Home, envelope: Envelope<Msg>) {
+fn dispatch(shared: &SiteShared, state: &mut SiteState, envelope: Envelope<Msg>) {
     // Client commands and responses go straight to the machine driving the
     // transaction they belong to (which answers a command `Gone` when it no
     // longer is: the conversation idled out and was aborted, or the site
     // crashed and recovered).
     let payload = &envelope.payload;
     if matches!(payload, Msg::TxnOp { .. }) || payload.is_coordinator_response() {
-        return home.deliver(shared, envelope);
+        return state.home.deliver(shared, envelope);
     }
 
     let Envelope {
@@ -721,7 +736,7 @@ fn dispatch(shared: &Arc<SiteShared>, home: &mut Home, envelope: Envelope<Msg>) 
         payload,
     } = envelope;
     match payload {
-        Msg::TxnBegin { request, label, op } => home.begin(shared, from, request, label, op),
+        Msg::TxnBegin { request, label, op } => state.home.begin(shared, from, request, label, op),
         Msg::CopyRead {
             txn,
             ts,
@@ -729,37 +744,35 @@ fn dispatch(shared: &Arc<SiteShared>, home: &mut Home, envelope: Envelope<Msg>) 
             for_update,
         } => {
             SiteMetrics::bump(&shared.metrics.served_requests);
-            handle_copy_access(shared, from, txn, ts, item, CopyAccess::Read { for_update });
+            let access = CopyAccess::Read { for_update };
+            handle_copy_access(shared, state, from, txn, ts, item, access);
         }
         Msg::CopyPrewrite { txn, ts, item } => {
             SiteMetrics::bump(&shared.metrics.served_requests);
-            handle_copy_access(shared, from, txn, ts, item, CopyAccess::Prewrite);
+            handle_copy_access(shared, state, from, txn, ts, item, CopyAccess::Prewrite);
         }
         // A lone prepare or commit decision is a group of one.
         Msg::AcpPrepare { txn, ts, writes } => {
-            handle_prepare_batch(shared, from, vec![(txn, ts, writes)]);
+            handle_prepare_batch(shared, state, from, vec![(txn, ts, writes)]);
         }
         Msg::AcpPreCommit { txn } => {
-            handle_precommit(shared, from, txn);
+            handle_precommit(shared, state, from, txn);
         }
         Msg::AcpDecision {
             txn,
             decision: Decision::Commit,
-        } => handle_decision_commit_batch(shared, from, vec![txn]),
+        } => handle_decision_commit_batch(shared, state, from, vec![txn]),
         Msg::AcpDecision {
             txn,
             decision: Decision::Abort,
-        } => handle_abort_decision(shared, from, txn),
+        } => handle_abort_decision(shared, state, from, txn),
         Msg::AcpStatusQuery { txn } => {
-            let decision = shared.decided.lock().get(&txn).copied();
+            let decision = state.home.out.decided.get(&txn).copied();
             shared.send(from, Msg::AcpStatusReply { txn, decision });
         }
+        // Presumed abort: no decision on record means abort.
         Msg::AcpStatusReply { txn, decision } => {
-            handle_status_reply(shared, txn, decision);
-        }
-        Msg::NsSchema { database, .. } => {
-            // A late or refreshed schema push: adopt it.
-            *shared.schema.write() = database;
+            handle_status_reply(shared, state, txn, decision.unwrap_or(Decision::Abort));
         }
         Msg::Batch(msgs) => {
             // A coalesced envelope from a site's outbox flush. Prepares and
@@ -781,15 +794,15 @@ fn dispatch(shared: &Arc<SiteShared>, home: &mut Home, envelope: Envelope<Msg>) 
                 }
             }
             if !prepares.is_empty() {
-                handle_prepare_batch(shared, from, prepares);
+                handle_prepare_batch(shared, state, from, prepares);
             }
             if !commits.is_empty() {
-                handle_decision_commit_batch(shared, from, commits);
+                handle_decision_commit_batch(shared, state, from, commits);
             }
             for payload in rest {
                 dispatch(
                     shared,
-                    home,
+                    state,
                     Envelope {
                         id,
                         from,
@@ -801,11 +814,13 @@ fn dispatch(shared: &Arc<SiteShared>, home: &mut Home, envelope: Envelope<Msg>) 
         }
         // Messages a site never receives (or that only matter to clients /
         // the name server) are ignored; those for a machine went to it
-        // above.
+        // above. The schema arrived before the loop started: a late answer
+        // to a repeated `NsGetSchema` carries the same one.
         Msg::TxnOp { .. }
         | Msg::TxnOpReply { .. }
         | Msg::TxnDone { .. }
         | Msg::NsGetSchema
+        | Msg::NsSchema { .. }
         | Msg::CopyReply { .. }
         | Msg::AcpVote { .. }
         | Msg::AcpPreCommitAck { .. }
@@ -858,6 +873,65 @@ impl CopyRequest {
             },
         }
     }
+
+    /// Turns the CCP's decision on the access into the reply.
+    fn finish(self, shared: &SiteShared, state: &mut SiteState, decision: CcDecision) {
+        let CopyRequest {
+            from,
+            ctx,
+            item,
+            access,
+            current,
+            lock_start,
+        } = self;
+        // From the first time the CCP was asked to its decision is where lock
+        // waits happen (parked time included): that *is* the lock-acquisition
+        // phase, granted or not.
+        shared.trace_site_span(
+            ctx.id,
+            Some(Phase::LockWait),
+            if decision.is_granted() {
+                "ccp:grant"
+            } else {
+                "ccp:deny"
+            },
+            lock_start,
+            || format!("{item} {access:?}"),
+        );
+        let result = match decision {
+            CcDecision::Granted { value_override } => {
+                // The access may have waited (parked behind a lock). Two
+                // things follow. First, the transaction may have been decided
+                // (committed or aborted) in the meantime — its participant
+                // entry is gone and nobody will ever release what we just
+                // acquired, so release it right now and refuse the access.
+                // Second, re-read the committed state *after* the grant so the
+                // value reflects every transaction serialized before us.
+                match state.participants.get_mut(&ctx.id) {
+                    None => {
+                        state.ccp.abort(&ctx);
+                        lock_conflict(&item, None)
+                    }
+                    Some(entry) => {
+                        entry.last_activity = Instant::now();
+                        let (value, version) = match value_override {
+                            Some(pair) => pair,
+                            None => shared.storage.read(&item).unwrap_or(current),
+                        };
+                        CopyAccessResult::Granted {
+                            value: (access != CopyAccess::Prewrite).then_some(value),
+                            version,
+                        }
+                    }
+                }
+            }
+            CcDecision::Rejected(cause) => {
+                SiteMetrics::bump(&shared.metrics.ccp_rejections);
+                CopyAccessResult::Denied(cause)
+            }
+        };
+        send_copy_reply(shared, from, ctx.id, item, access, result);
+    }
 }
 
 /// A copy access the CCP said must wait, and until when the site keeps
@@ -898,7 +972,8 @@ fn lock_conflict(item: &ItemId, holder: Option<TxnId>) -> CopyAccessResult {
 /// answered with what the CCP decided, or — when the CCP says it must wait —
 /// parked.
 fn handle_copy_access(
-    shared: &Arc<SiteShared>,
+    shared: &SiteShared,
+    state: &mut SiteState,
     from: NodeId,
     txn: TxnId,
     ts: Timestamp,
@@ -910,7 +985,7 @@ fn handle_copy_access(
     // Refuse accesses for transactions that already finished at this site
     // (their decision raced ahead of this request); granting would leak a
     // lock nobody releases.
-    if shared.finished.lock().contains(&txn) {
+    if state.finished.contains(&txn) {
         let denied = lock_conflict(&item, None);
         return refuse(item, denied);
     }
@@ -921,14 +996,14 @@ fn handle_copy_access(
     // access here lets a reader serialize against state that may be about
     // to change — the write-skew anomaly the chaos lab convicts — so deny
     // and let the client retry after the in-doubt window closes.
-    let in_doubt_holder = shared.in_doubt.lock().holder_blocking(&item, txn);
+    let in_doubt_holder = state.in_doubt.holder_blocking(&item, txn);
     if in_doubt_holder.is_some() {
         let denied = lock_conflict(&item, in_doubt_holder);
         return refuse(item, denied);
     }
     // Register the participant entry before asking, so a decision that is
     // already queued behind this request finds the entry and cleans it up.
-    let ctx = shared.ensure_participant(txn, ts, from);
+    let ctx = state.ensure_participant(shared, txn, ts, from);
     let Ok(current) = shared.storage.read(&item) else {
         return refuse(item, CopyAccessResult::NoSuchCopy);
     };
@@ -940,16 +1015,15 @@ fn handle_copy_access(
         current,
         lock_start: shared.trace_now(),
     };
-    let ccp = shared.ccp();
-    match request.ask(&*ccp) {
+    match request.ask(&*state.ccp) {
         Some(decision) => {
             SiteMetrics::bump(&shared.metrics.copy_accesses_inline);
-            finish_copy_access(shared, request, decision);
+            request.finish(shared, state, decision);
         }
         None => {
             SiteMetrics::bump(&shared.metrics.copy_accesses_parked);
-            let deadline = Instant::now() + ccp.wait_budget();
-            shared.parked.lock().push(Parked { request, deadline });
+            let deadline = Instant::now() + state.ccp.wait_budget();
+            state.parked.push(Parked { request, deadline });
         }
     }
 }
@@ -958,93 +1032,25 @@ fn handle_copy_access(
 /// ones it now decides are answered, and the ones that ran out of time, or
 /// whose transaction was decided or cleaned up while they waited, give up
 /// and are denied. Returns the earliest deadline among those still parked.
-fn ask_parked_again(shared: &SiteShared) -> Option<Instant> {
-    let mut parked = shared.parked.lock();
-    if parked.is_empty() {
+fn ask_parked_again(shared: &SiteShared, state: &mut SiteState) -> Option<Instant> {
+    if state.parked.is_empty() {
         return None;
     }
-    let ccp = shared.ccp();
+    let ccp = Arc::clone(&state.ccp);
     let now = Instant::now();
-    let mut still_parked = Vec::with_capacity(parked.len());
-    for Parked { request, deadline } in parked.drain(..) {
-        let abandoned = !shared.participants.lock().contains_key(&request.ctx.id);
+    for Parked { request, deadline } in std::mem::take(&mut state.parked) {
+        let abandoned = !state.participants.contains_key(&request.ctx.id);
         let answer = if abandoned { None } else { request.ask(&*ccp) };
         match answer {
-            Some(decision) => finish_copy_access(shared, request, decision),
+            Some(decision) => request.finish(shared, state, decision),
             None if abandoned || now >= deadline => {
                 let cause = ccp.give_up(&request.ctx, &request.item);
-                finish_copy_access(shared, request, CcDecision::Rejected(cause));
+                request.finish(shared, state, CcDecision::Rejected(cause));
             }
-            None => still_parked.push(Parked { request, deadline }),
+            None => state.parked.push(Parked { request, deadline }),
         }
     }
-    *parked = still_parked;
-    parked.iter().map(|waiting| waiting.deadline).min()
-}
-
-/// Turns the CCP's decision on a copy access into the reply.
-fn finish_copy_access(shared: &SiteShared, request: CopyRequest, decision: CcDecision) {
-    let CopyRequest {
-        from,
-        ctx,
-        item,
-        access,
-        current,
-        lock_start,
-    } = request;
-    // From the first time the CCP was asked to its decision is where lock
-    // waits happen (parked time included): that *is* the lock-acquisition
-    // phase, granted or not.
-    shared.trace_site_span(
-        ctx.id,
-        Some(Phase::LockWait),
-        if decision.is_granted() {
-            "ccp:grant"
-        } else {
-            "ccp:deny"
-        },
-        lock_start,
-        || format!("{item} {access:?}"),
-    );
-    let result = match decision {
-        CcDecision::Granted { value_override } => {
-            // The access may have waited (parked behind a lock). Two
-            // things follow. First, the transaction may have been decided
-            // (committed or aborted) in the meantime — its participant
-            // entry is gone and nobody will ever release what we just
-            // acquired, so release it right now and refuse the access.
-            // Second, re-read the committed state *after* the grant so the
-            // value reflects every transaction serialized before us.
-            let still_active = {
-                let mut participants = shared.participants.lock();
-                match participants.get_mut(&ctx.id) {
-                    Some(entry) => {
-                        entry.last_activity = Instant::now();
-                        true
-                    }
-                    None => false,
-                }
-            };
-            if !still_active {
-                shared.ccp().abort(&ctx);
-                lock_conflict(&item, None)
-            } else {
-                let (value, version) = match value_override {
-                    Some(pair) => pair,
-                    None => shared.storage.read(&item).unwrap_or(current),
-                };
-                CopyAccessResult::Granted {
-                    value: (access != CopyAccess::Prewrite).then_some(value),
-                    version,
-                }
-            }
-        }
-        CcDecision::Rejected(cause) => {
-            SiteMetrics::bump(&shared.metrics.ccp_rejections);
-            CopyAccessResult::Denied(cause)
-        }
-    };
-    send_copy_reply(shared, from, ctx.id, item, access, result);
+    state.parked.iter().map(|waiting| waiting.deadline).min()
 }
 
 /// Handles the PREPARE requests of the commit protocol that arrived in one
@@ -1061,23 +1067,37 @@ fn finish_copy_access(shared: &SiteShared, request: CopyRequest, decision: CcDec
 /// refused exactly as after a decision, and no decision will come. The
 /// validation is not skipped for it: under 2PL it is what notices read
 /// locks a crash wiped since the read.
+///
+/// A transaction already in `finished` votes NO and opens no entry: it was
+/// decided or cleaned up here, or lost its grants in a crash, so nothing
+/// protects a write it would stage now. A coordinator sends its prepare
+/// once, so a legitimate one never meets `finished`.
 fn handle_prepare_batch(
-    shared: &Arc<SiteShared>,
+    shared: &SiteShared,
+    state: &mut SiteState,
     from: NodeId,
     prepares: Vec<(TxnId, Timestamp, WriteSet)>,
 ) {
     let prepare_start = shared.trace_now();
     let group = prepares.len();
-    let ccp = shared.ccp();
     // Phase 1: validate through the CCP and stage the writes of every
     // transaction that can commit.
     let mut rounds: Vec<(TxnId, TxnContext, Vote, usize)> = Vec::with_capacity(group);
     let mut yes_voters: Vec<TxnId> = Vec::with_capacity(group);
+    let mut votes: Vec<Msg> = Vec::with_capacity(group);
     for (txn, ts, writes) in prepares {
         SiteMetrics::bump(&shared.metrics.served_requests);
         shared.clock.observe(ts);
-        let ctx = shared.ensure_participant(txn, ts, from);
-        let vote = if !ccp.validate(&ctx).is_granted() {
+        if state.finished.contains(&txn) {
+            SiteMetrics::bump(&shared.metrics.votes_no);
+            votes.push(Msg::AcpVote {
+                txn,
+                vote: Vote::No,
+            });
+            continue;
+        }
+        let ctx = state.ensure_participant(shared, txn, ts, from);
+        let vote = if !state.ccp.validate(&ctx).is_granted() {
             Vote::No
         } else if writes.is_empty() {
             Vote::ReadOnly
@@ -1096,28 +1116,24 @@ fn handle_prepare_batch(
     // still strictly before any YES vote leaves this site.
     shared.storage.prepare_many(&yes_voters);
     // Phase 3: advance the participant machines and vote.
-    let mut votes: Vec<Msg> = Vec::with_capacity(group);
     for (txn, ctx, vote, n_writes) in rounds {
-        let action = {
-            let mut participants = shared.participants.lock();
-            let entry = participants.get_mut(&txn).expect("entry ensured above");
-            entry.last_activity = Instant::now();
-            entry.machine.on_prepare(vote)
-        };
-        if let ParticipantAction::SendVote(vote) = action {
+        let entry = state.participants.get_mut(&txn);
+        let entry = entry.expect("entry ensured above");
+        entry.last_activity = Instant::now();
+        if let ParticipantAction::SendVote(vote) = entry.machine.on_prepare(vote) {
             match vote {
                 Vote::Yes => SiteMetrics::bump(&shared.metrics.votes_yes),
                 Vote::No => {
                     SiteMetrics::bump(&shared.metrics.votes_no);
                     // Voting NO releases local resources immediately.
                     shared.storage.abort(txn);
-                    ccp.abort(&ctx);
+                    state.ccp.abort(&ctx);
                 }
                 Vote::ReadOnly => {
                     SiteMetrics::bump(&shared.metrics.votes_read_only);
-                    shared.finished.lock().insert(txn);
-                    shared.participants.lock().remove(&txn);
-                    ccp.commit(&ctx, &[]);
+                    state.finished.insert(txn);
+                    state.participants.remove(&txn);
+                    state.ccp.commit(&ctx, &[]);
                 }
             }
             shared.trace_site_span(txn, Some(Phase::Prepare), "acp:vote", prepare_start, || {
@@ -1139,26 +1155,32 @@ fn handle_prepare_batch(
 /// [`rainbow_storage::SiteStorage::commit_many`] group append and the writes
 /// installed under one store lock. Acks travel back in one batch envelope
 /// when there is more than one.
-fn handle_decision_commit_batch(shared: &Arc<SiteShared>, from: NodeId, txns: Vec<TxnId>) {
+fn handle_decision_commit_batch(
+    shared: &SiteShared,
+    state: &mut SiteState,
+    from: NodeId,
+    txns: Vec<TxnId>,
+) {
     let apply_start = shared.trace_now();
     let group = txns.len();
     let mut to_apply: Vec<(TxnId, TxnContext)> = Vec::with_capacity(group);
     let mut acks: Vec<Msg> = Vec::with_capacity(group);
     for txn in txns {
-        shared.finished.lock().insert(txn);
-        let entry = shared.participants.lock().remove(&txn);
-        if let Some(mut entry) = entry {
+        state.finished.insert(txn);
+        if let Some(mut entry) = state.participants.remove(&txn) {
             match entry.machine.on_decision(Decision::Commit) {
                 ParticipantAction::ApplyAndAck(Decision::Commit) => {
                     to_apply.push((txn, entry.ctx));
                 }
                 ParticipantAction::ApplyAndAck(Decision::Abort) => {
-                    apply_decision(shared, &entry.ctx, Decision::Abort);
+                    apply_decision(shared, &*state.ccp, &entry.ctx, Decision::Abort);
                 }
                 _ => {}
             }
         } else {
-            resolve_in_doubt(shared, txn, Decision::Commit);
+            state
+                .in_doubt
+                .resolve(&shared.storage, txn, Decision::Commit);
         }
         // Ack even without a participant entry (already applied, cleaned
         // up, or crashed and recovered — then the decision may be the answer
@@ -1168,9 +1190,8 @@ fn handle_decision_commit_batch(shared: &Arc<SiteShared>, from: NodeId, txns: Ve
     }
     let apply_ids: Vec<TxnId> = to_apply.iter().map(|(txn, _)| *txn).collect();
     let write_sets = shared.storage.commit_many(&apply_ids);
-    let ccp = shared.ccp();
     for ((txn, ctx), writes) in to_apply.iter().zip(write_sets.iter()) {
-        ccp.commit(ctx, writes);
+        state.ccp.commit(ctx, writes);
         shared.trace_site_span(
             *txn,
             Some(Phase::CommitApply),
@@ -1187,16 +1208,13 @@ fn handle_decision_commit_batch(shared: &Arc<SiteShared>, from: NodeId, txns: Ve
 }
 
 /// Handles the 3PC PRE-COMMIT message.
-fn handle_precommit(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId) {
-    let action = {
-        let mut participants = shared.participants.lock();
-        match participants.get_mut(&txn) {
-            Some(entry) => {
-                entry.last_activity = Instant::now();
-                entry.machine.on_precommit()
-            }
-            None => ParticipantAction::Wait,
+fn handle_precommit(shared: &SiteShared, state: &mut SiteState, from: NodeId, txn: TxnId) {
+    let action = match state.participants.get_mut(&txn) {
+        Some(entry) => {
+            entry.last_activity = Instant::now();
+            entry.machine.on_precommit()
         }
+        None => ParticipantAction::Wait,
     };
     if action == ParticipantAction::SendPreCommitAck {
         shared.send(from, Msg::AcpPreCommitAck { txn });
@@ -1204,63 +1222,46 @@ fn handle_precommit(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId) {
 }
 
 /// Handles the coordinator's ABORT decision (or release notice).
-fn handle_abort_decision(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId) {
-    shared.finished.lock().insert(txn);
-    let entry = shared.participants.lock().remove(&txn);
-    match entry {
+fn handle_abort_decision(shared: &SiteShared, state: &mut SiteState, from: NodeId, txn: TxnId) {
+    state.finished.insert(txn);
+    match state.participants.remove(&txn) {
         Some(mut entry) => {
             let action = entry.machine.on_decision(Decision::Abort);
             if let ParticipantAction::ApplyAndAck(applied) = action {
-                apply_decision(shared, &entry.ctx, applied);
+                apply_decision(shared, &*state.ccp, &entry.ctx, applied);
             }
         }
         // We have no record (already applied, cleaned up, or we crashed
         // and recovered): acknowledge all the same.
         None => {
-            resolve_in_doubt(shared, txn, Decision::Abort);
+            state
+                .in_doubt
+                .resolve(&shared.storage, txn, Decision::Abort);
         }
     }
     shared.send(from, Msg::AcpAck { txn });
 }
 
-/// Settles a transaction crash recovery found in doubt, now that its
-/// decision is known; false when `txn` is not one.
-fn resolve_in_doubt(shared: &SiteShared, txn: TxnId, decision: Decision) -> bool {
-    let Some(writes) = shared.in_doubt.lock().remove(txn) else {
-        return false;
-    };
-    match decision {
-        Decision::Commit => shared.storage.commit_writes(txn, writes),
-        Decision::Abort => shared.storage.abort(txn),
-    }
-    true
-}
-
 /// Handles the reply to a status query sent for an in-doubt transaction (or
 /// by a blocked participant).
-fn handle_status_reply(shared: &Arc<SiteShared>, txn: TxnId, decision: Option<Decision>) {
-    // Presumed abort: no decision on record means abort.
-    let decision = decision.unwrap_or(Decision::Abort);
-
+fn handle_status_reply(shared: &SiteShared, state: &mut SiteState, txn: TxnId, decision: Decision) {
     // Case 1: an in-doubt transaction from crash recovery.
-    if resolve_in_doubt(shared, txn, decision) {
+    if state.in_doubt.resolve(&shared.storage, txn, decision) {
         return;
     }
 
     // Case 2: a blocked (prepared) participant resolving via its coordinator.
-    let entry = shared.participants.lock().remove(&txn);
-    if let Some(mut entry) = entry {
-        shared.finished.lock().insert(txn);
+    if let Some(mut entry) = state.participants.remove(&txn) {
+        state.finished.insert(txn);
         if let ParticipantAction::ApplyAndAck(applied) = entry.machine.on_decision(decision) {
-            apply_decision(shared, &entry.ctx, applied);
+            apply_decision(shared, &*state.ccp, &entry.ctx, applied);
         }
     }
 }
 
 /// Applies a commit/abort decision to storage and the CCP.
-fn apply_decision(shared: &Arc<SiteShared>, ctx: &TxnContext, decision: Decision) {
+fn apply_decision(shared: &SiteShared, ccp: &dyn CcProtocol, ctx: &TxnContext, decision: Decision) {
     let apply_start = shared.trace_now();
-    let ccp = shared.ccp();
     match decision {
         Decision::Commit => {
             let writes = shared.storage.commit(ctx.id);
@@ -1285,49 +1286,45 @@ fn apply_decision(shared: &Arc<SiteShared>, ctx: &TxnContext, decision: Decision
 /// do not wedge the site forever. Prepared participants ask the coordinator
 /// for the decision (cooperative termination); working participants are
 /// aborted unilaterally.
-fn run_janitor(shared: &Arc<SiteShared>) {
+fn run_janitor(shared: &SiteShared, state: &mut SiteState) {
     let horizon = shared.stack.janitor_horizon();
     let now = Instant::now();
     let mut stale_working: Vec<(TxnId, TxnContext)> = Vec::new();
     let mut stale_prepared: Vec<(TxnId, NodeId)> = Vec::new();
-    {
-        let mut participants = shared.participants.lock();
-        participants.retain(|txn, entry| {
-            if now.duration_since(entry.last_activity) < horizon {
-                return true;
+    state.participants.retain(|txn, entry| {
+        if now.duration_since(entry.last_activity) < horizon {
+            return true;
+        }
+        match entry.machine.state() {
+            ParticipantState::Working => {
+                stale_working.push((*txn, entry.ctx));
+                false
             }
-            match entry.machine.state() {
-                ParticipantState::Working => {
-                    stale_working.push((*txn, entry.ctx));
-                    false
-                }
-                ParticipantState::Prepared | ParticipantState::PreCommitted => {
-                    // Keep the entry (still blocked / uncertain) but ask the
-                    // coordinator what happened; refresh the activity stamp so
-                    // we do not spam queries every janitor pass.
-                    stale_prepared.push((*txn, entry.coordinator));
-                    entry.last_activity = Instant::now();
-                    true
-                }
-                ParticipantState::Committed | ParticipantState::Aborted => false,
+            ParticipantState::Prepared | ParticipantState::PreCommitted => {
+                // Keep the entry (still blocked / uncertain) but ask the
+                // coordinator what happened; refresh the activity stamp so
+                // we do not spam queries every janitor pass.
+                stale_prepared.push((*txn, entry.coordinator));
+                entry.last_activity = Instant::now();
+                true
             }
-        });
-    }
+            ParticipantState::Committed | ParticipantState::Aborted => false,
+        }
+    });
     for (txn, ctx) in stale_working {
         SiteMetrics::bump(&shared.metrics.janitor_cleanups);
-        shared.finished.lock().insert(txn);
-        apply_decision(shared, &ctx, Decision::Abort);
+        state.finished.insert(txn);
+        apply_decision(shared, &*state.ccp, &ctx, Decision::Abort);
     }
     for (txn, coordinator) in stale_prepared {
         shared.send(coordinator, Msg::AcpStatusQuery { txn });
     }
     // In-doubt transactions found during crash recovery keep asking their
-    // coordinator until an answer arrives. The initial query (sent inside
-    // `recover_from_crash`) is dropped whenever the fault controller still
-    // marks this site crashed — the normal recovery order — so without this
-    // retry an in-doubt commit could stay uninstalled forever.
-    let in_doubt = shared.in_doubt.lock().txns();
-    for txn in in_doubt {
+    // coordinator until an answer arrives. The initial query (sent by the
+    // restart) is dropped whenever the fault controller still marks this
+    // site crashed — the normal recovery order — so without this retry an
+    // in-doubt commit could stay uninstalled forever.
+    for &txn in state.in_doubt.writes.keys() {
         shared.send(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
     }
 }
@@ -1342,12 +1339,13 @@ mod tests {
         id: u32,
         schema: &DatabaseSchema,
         stack: ProtocolStack,
+        storage: &StorageConfig,
     ) -> SiteHandle {
         let mailbox = net.register(NodeId::site(id));
         SiteHandle::spawn_with_schema(
             SiteId(id),
             stack,
-            &StorageConfig::memory(),
+            storage,
             schema.clone(),
             net.handle(),
             mailbox,
@@ -1379,8 +1377,12 @@ mod tests {
 
     impl OneSite {
         fn new(stack: ProtocolStack) -> Self {
+            Self::on(stack, &StorageConfig::memory())
+        }
+
+        fn on(stack: ProtocolStack, storage: &StorageConfig) -> Self {
             let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
-            let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), stack);
+            let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), stack, storage);
             let replies = net.register(NodeId::Client(0));
             OneSite { net, site, replies }
         }
@@ -1422,6 +1424,13 @@ mod tests {
         fn prepare_nothing(&self, n: u64) {
             let (txn, ts) = Self::txn(n);
             let writes = Vec::new();
+            self.send(Msg::AcpPrepare { txn, ts, writes });
+        }
+
+        /// Sends T`n`'s prepare with one write of `item`.
+        fn prepare_writing(&self, n: u64, item: &str) {
+            let (txn, ts) = Self::txn(n);
+            let writes = vec![(ItemId::new(item), Value::Int(7), Version(n))];
             self.send(Msg::AcpPrepare { txn, ts, writes });
         }
 
@@ -1483,8 +1492,9 @@ mod tests {
             2i64,
             rainbow_common::config::ItemPlacement::majority(sites.clone()),
         );
-        let s0 = build_site(&net, 0, &schema, quick_stack());
-        let s1 = build_site(&net, 1, &schema, quick_stack());
+        let memory = StorageConfig::memory();
+        let s0 = build_site(&net, 0, &schema, quick_stack(), &memory);
+        let s1 = build_site(&net, 1, &schema, quick_stack(), &memory);
         assert_eq!(s0.database_snapshot().len(), 2);
         assert_eq!(s1.database_snapshot().len(), 1);
         assert_eq!(s0.id(), SiteId(0));
@@ -1564,7 +1574,12 @@ mod tests {
     fn status_query_answers_from_the_decision_log() {
         let one = OneSite::new(quick_stack());
         let txn = TxnId::new(SiteId(0), 7);
-        one.site.shared.record_decision(txn, Decision::Commit);
+        one.site
+            .state
+            .lock()
+            .home
+            .out
+            .record_decision(txn, Decision::Commit);
         one.send(Msg::AcpStatusQuery { txn });
         assert!(matches!(
             one.next(),
@@ -1714,6 +1729,66 @@ mod tests {
     }
 
     #[test]
+    fn a_prepare_for_a_finished_transaction_votes_no_and_opens_no_entry() {
+        use rainbow_common::protocol::CcpKind;
+        for ccp in [
+            CcpKind::TwoPhaseLocking,
+            CcpKind::TimestampOrdering,
+            CcpKind::MultiversionTimestampOrdering,
+        ] {
+            let one = OneSite::new(quick_stack().with_ccp(ccp));
+            one.prewrite(1, "x0");
+            one.granted(1);
+            // The crash wipes the pre-write, and T1 is finished here: a
+            // write staged now would have nothing protecting it.
+            one.site.recover_from_crash().unwrap();
+            one.prepare_writing(1, "x0");
+            one.voted(1, Vote::No);
+            let staged = one.site.shared.storage.staged_writes(&OneSite::txn(1).0);
+            assert!(staged.is_empty(), "{ccp:?} staged {staged:?}");
+            assert!(one.site.lingering_participants().is_empty(), "{ccp:?}");
+            assert_eq!(one.site.active_transactions(), 0, "{ccp:?}");
+        }
+    }
+
+    #[test]
+    fn a_restart_never_runs_beside_a_message() {
+        let dir = std::env::temp_dir().join(format!("rainbow-restart-{}", std::process::id()));
+        let one = OneSite::on(quick_stack(), &StorageConfig::disk(&dir));
+        let stop = AtomicBool::new(false);
+        let died_at = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    one.site.recover_from_crash().unwrap();
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            });
+            // A restart drops a parked access unanswered: read leniently.
+            let answer = || one.replies.recv_timeout(Duration::from_millis(300));
+            let died_at = (1..=3_000).find(|&n| {
+                one.prewrite(n, "x0");
+                let _ = answer();
+                one.prepare_writing(n, "x0");
+                let _ = answer();
+                one.abort(n);
+                let _ = answer();
+                one.site.thread.as_ref().expect("started").is_finished()
+            });
+            stop.store(true, Ordering::Relaxed);
+            died_at
+        });
+        assert_eq!(died_at, None, "the site loop died at this transaction");
+        one.send(Msg::AcpStatusQuery {
+            txn: TxnId::new(SiteId(0), 1),
+        });
+        let mut answers =
+            std::iter::from_fn(|| one.replies.recv_timeout(Duration::from_secs(5)).ok());
+        assert!(answers.any(|answer| matches!(answer.payload, Msg::AcpStatusReply { .. })));
+        drop(one);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_read_only_vote_releases_at_once_and_a_parked_writer_is_granted_by_the_next_pass() {
         let one = OneSite::new(quick_stack().with_lock_wait_timeout(Duration::from_secs(5)));
         one.read(1, "x0");
@@ -1761,7 +1836,7 @@ mod tests {
         let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
         let sites = vec![SiteId(0)];
         let schema = schema_for(&sites);
-        let site = build_site(&net, 0, &schema, quick_stack());
+        let site = build_site(&net, 0, &schema, quick_stack(), &StorageConfig::memory());
         // Commit a write directly through storage (simulating a completed
         // transaction), then crash and recover.
         let txn = TxnId::new(SiteId(0), 1);
