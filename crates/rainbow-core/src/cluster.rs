@@ -438,6 +438,10 @@ impl Cluster {
     /// live writes is safe. Quorum-intersecting protocols (ROWA, QC, Tree
     /// Quorum) do not need this — their reads mask stale copies by version
     /// — but it is harmless under them.
+    ///
+    /// Each repair waits for a drain boundary at the site, as a restart
+    /// does, so its checkpoint never runs beside a commit the site's loop
+    /// is forcing.
     pub fn recover_site_with_catchup(&self, site: SiteId) -> RainbowResult<()> {
         let handle = self
             .sites
@@ -610,14 +614,7 @@ impl Cluster {
         if self.shut_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Flush and fsync every site's storage engine *before* joining the
-        // site threads: a data directory reopened after this shutdown must
-        // find every record appended so far, not just the forced ones.
-        for site in self.sites.values() {
-            if let Err(err) = site.flush_and_sync() {
-                eprintln!("rainbow: flush on shutdown failed for {}: {err}", site.id());
-            }
-        }
+        // Each site joins its loop, then flushes and fsyncs its engine.
         for site in self.sites.values_mut() {
             site.shutdown();
         }

@@ -30,8 +30,10 @@
 //! parked accesses, the in-doubt set and the coordinators' machines — is one
 //! value, `SiteState`, behind the site's one lock. The loop takes the lock
 //! when a drain starts and lets go of it before it sleeps. What the handle
-//! does with the state (a diagnostic read, a crash restart) takes the same
-//! lock, so it runs between two drains, never beside a message.
+//! does with the state (a diagnostic read, a crash restart, a copier
+//! repair) takes the same lock, so it runs between two drains, never beside
+//! a message: the loop, or the handle between two drains, is the one
+//! writer of the site's log.
 
 use crate::coordinator::TxnMachine;
 use crate::messages::{CopyAccessResult, Msg, NextOp, OpReply};
@@ -497,13 +499,6 @@ impl SiteHandle {
         Ok(())
     }
 
-    /// Flushes and fsyncs the durable engine: every record appended so far
-    /// is on stable storage when this returns. Called by cluster shutdown
-    /// so a data directory reopened later finds every committed write.
-    pub fn flush_and_sync(&self) -> RainbowResult<()> {
-        self.shared.storage.flush_and_sync()
-    }
-
     /// Which storage engine this site runs on.
     pub fn engine_kind(&self) -> rainbow_storage::EngineKind {
         self.shared.storage.engine_kind()
@@ -518,7 +513,12 @@ impl SiteHandle {
     /// ("copier") half of crash recovery for read-one replication protocols
     /// (Available Copies, Primary Copy), driven by the cluster. Only copies
     /// newer than the local ones are installed; returns how many were.
+    ///
+    /// Like a restart, the repair waits for the drain in progress and runs
+    /// before the next one: its checkpoint rewrites the log, and a commit
+    /// the loop forced beside it would be dropped from the log.
     pub fn repair_copies(&self, copies: &[(ItemId, Value, Version)]) -> usize {
+        let _between_drains = self.state.lock();
         self.shared.storage.repair_copies(copies)
     }
 
@@ -539,14 +539,19 @@ impl SiteHandle {
     /// within `IDLE`, fails its in-flight conversations and flushes their
     /// outbox; what is still parked is dropped unanswered, like everything
     /// else in flight.
+    ///
+    /// Then, with the loop gone, it flushes and fsyncs the durable engine,
+    /// so a data directory reopened later finds every record appended so
+    /// far, the loop's last ones included, not just the forced ones.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        let _ = thread.join();
+        if let Err(err) = self.shared.storage.flush_and_sync() {
+            eprintln!("rainbow: flush on shutdown failed for {}: {err}", self.id());
         }
-        // Stop the background compaction thread (a no-op on the memory
-        // engine, which never spawns one).
-        self.shared.storage.shutdown_compactor();
     }
 }
 
@@ -1786,6 +1791,50 @@ mod tests {
         assert!(answers.any(|answer| matches!(answer.payload, Msg::AcpStatusReply { .. })));
         drop(one);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A repair checkpoints: it snapshots the store, then rewrites the log.
+    /// Beside a commit it would keep neither the commit's log record nor
+    /// its write. Each round ends with a restart from the log alone.
+    #[test]
+    fn a_repair_never_runs_beside_a_message() {
+        let one = OneSite::new(quick_stack());
+        let (mut n, mut version) = (0, 0);
+        for round in 0..10 {
+            let stop = AtomicBool::new(false);
+            let last = std::thread::scope(|scope| {
+                // x3 is touched by no transaction: each repair installs a
+                // newer copy of it, so each one checkpoints.
+                scope.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        version += 1;
+                        let copy = (ItemId::new("x3"), Value::Int(0), Version(version));
+                        assert_eq!(one.site.repair_copies(&[copy]), 1);
+                    }
+                });
+                let mut last = HashMap::new();
+                for _ in 0..200 {
+                    n += 1;
+                    let ((txn, ts), item) = (OneSite::txn(n), format!("x{}", n % 3));
+                    one.prewrite(n, &item);
+                    one.granted(n);
+                    let write = (ItemId::new(item), Value::Int(n as i64), Version(n));
+                    let writes = vec![write.clone()];
+                    one.send(Msg::AcpPrepare { txn, ts, writes });
+                    one.voted(n, Vote::Yes);
+                    one.decide(n, Decision::Commit);
+                    one.acked(n);
+                    last.insert(write.0.clone(), write);
+                }
+                stop.store(true, Ordering::Relaxed);
+                last
+            });
+            one.site.recover_from_crash().unwrap();
+            let snapshot = one.site.database_snapshot();
+            for write in last.values() {
+                assert!(snapshot.contains(write), "round {round} lost {write:?}");
+            }
+        }
     }
 
     #[test]

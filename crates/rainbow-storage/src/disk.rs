@@ -8,13 +8,11 @@
 //! `fsync`s it — so the on-disk prefix is exactly the forced prefix, and a
 //! power loss can only lose what durability semantics allow it to lose.
 //!
-//! **Group commit.** Under load, many transactions force the log
-//! concurrently. With fsync batching on (the default), the first forcer
-//! becomes the *leader*: it writes out everything buffered so far and pays
-//! one `fsync` for the whole batch; the others wait on a condition
-//! variable until the leader's sync covers their record. With batching off
-//! every forced append pays its own sync — the baseline
-//! `benches/storage.rs` compares against.
+//! **One forcer.** A site's event loop is the only thread that writes its
+//! log, so a force writes the buffer and `fsync`s under the engine lock,
+//! with nobody to wait for and nothing to coalesce. Grouping is
+//! [`StorageEngine::append_forced_many`]: the records a drain forces
+//! together (its prepares, its commit decisions) ride one `fsync`.
 //!
 //! **Rotation and compaction.** The active segment is rotated once it
 //! exceeds `segment_max_bytes`. When the total log exceeds
@@ -40,7 +38,7 @@ use crate::codec::{self, FrameError, FRAME_HEADER_LEN};
 use crate::engine::{EngineKind, PowerLossFault, StorageEngine};
 use crate::recovery::{replay, RecoveryOutcome};
 use crate::wal::LogRecord;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rainbow_common::{ItemId, RainbowError, RainbowResult, SiteId, TxnId, Value, Version};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -100,9 +98,7 @@ struct DiskState {
     appended: u64,
     /// Highest append sequence number known to be on stable storage.
     synced_seq: u64,
-    /// True while a group-commit leader is off-lock inside `fsync`.
-    sync_in_flight: bool,
-    /// Number of `fsync`s performed (batches, not forced appends).
+    /// Number of `fsync`s performed (a forced group counts once).
     force_count: u64,
     /// Records in the log (on disk + buffered).
     record_count: usize,
@@ -111,16 +107,14 @@ struct DiskState {
 }
 
 /// The on-disk log-structured engine. See the module docs for the format
-/// and concurrency model.
+/// and its one forcer.
 #[derive(Debug)]
 pub struct DiskEngine {
     dir: PathBuf,
-    fsync_batching: bool,
     segment_max_bytes: u64,
     compaction_threshold_bytes: u64,
     tracer: Option<Arc<rainbow_trace::Tracer>>,
     state: Mutex<DiskState>,
-    synced: Condvar,
 }
 
 impl DiskEngine {
@@ -134,7 +128,6 @@ impl DiskEngine {
     ) -> Self {
         DiskEngine {
             dir: dir.into(),
-            fsync_batching: config.fsync_batching,
             segment_max_bytes: config.segment_max_bytes,
             compaction_threshold_bytes: config.compaction_threshold_bytes,
             tracer,
@@ -147,12 +140,10 @@ impl DiskEngine {
                 buf_records: 0,
                 appended: 0,
                 synced_seq: 0,
-                sync_in_flight: false,
                 force_count: 0,
                 record_count: 0,
                 undecided: BTreeMap::new(),
             }),
-            synced: Condvar::new(),
         }
     }
 
@@ -185,15 +176,13 @@ impl DiskEngine {
         }
     }
 
-    /// Appends an encoded frame to the in-memory buffer. Returns the
-    /// record's append sequence number.
-    fn buffer_record(state: &mut DiskState, record: &LogRecord) -> u64 {
+    /// Appends an encoded frame to the in-memory buffer.
+    fn buffer_record(state: &mut DiskState, record: &LogRecord) {
         Self::note_record(state, record);
         state.buf.extend_from_slice(&codec::encode_frame(record));
         state.buf_records += 1;
         state.record_count += 1;
         state.appended += 1;
-        state.appended
     }
 
     /// Writes the buffered frames to the active segment file. Must be
@@ -213,7 +202,7 @@ impl DiskEngine {
     }
 
     /// Rotates the active segment when it has outgrown the limit. Called
-    /// with the lock held, power on, and no sync in flight.
+    /// with the lock held and power on.
     fn maybe_rotate(&self, state: &mut DiskState) {
         if state.flushed_len < self.segment_max_bytes || state.power.is_off() {
             return;
@@ -228,63 +217,10 @@ impl DiskEngine {
         state.power = Power::On { file };
     }
 
-    /// Blocks until every append up to `target` is durable, becoming the
-    /// group-commit leader when no sync is in flight. Returns immediately
-    /// (without durability) when power is off — the caller is a doomed
-    /// thread on a site that no longer exists.
-    fn sync_up_to(&self, target: u64) {
-        let mut state = self.state.lock();
-        loop {
-            if state.power.is_off() || state.synced_seq >= target {
-                return;
-            }
-            if state.sync_in_flight {
-                self.synced.wait(&mut state);
-                continue;
-            }
-            // Leader: flush everything buffered so far and pay one fsync
-            // for the whole batch.
-            state.sync_in_flight = true;
-            Self::write_buf(&mut state);
-            let batch_end = state.appended;
-            let Power::On { file } = &state.power else {
-                state.sync_in_flight = false;
-                self.synced.notify_all();
-                return;
-            };
-            let fd = file
-                .try_clone()
-                .expect("disk engine: cloning segment fd failed");
-            drop(state);
-
-            let start = Instant::now();
-            fd.sync_data()
-                .expect("disk engine: fsync failed; cannot guarantee durability");
-            if let Some(tracer) = &self.tracer {
-                tracer.record_phase(rainbow_trace::Phase::FsyncBatch, start.elapsed());
-            }
-
-            state = self.state.lock();
-            state.force_count += 1;
-            if !state.power.is_off() {
-                if state.synced_seq < batch_end {
-                    state.synced_seq = batch_end;
-                }
-                state.sync_in_flight = false;
-                self.maybe_rotate(&mut state);
-            } else {
-                state.sync_in_flight = false;
-            }
-            self.synced.notify_all();
-        }
-    }
-
-    /// The unbatched force path: flush + sync inline under the lock, so
-    /// every forced append pays its own fsync (the group-commit baseline).
-    fn sync_inline(&self, state: &mut DiskState) {
-        if state.power.is_off() {
-            return;
-        }
+    /// The force path: writes the buffer and `fsync`s it under the lock,
+    /// so everything appended so far is durable when this returns. Returns
+    /// at once (without durability) when power is off.
+    fn sync(&self, state: &mut DiskState) {
         Self::write_buf(state);
         let Power::On { file } = &state.power else {
             return;
@@ -319,15 +255,8 @@ impl StorageEngine for DiskEngine {
         if state.power.is_off() {
             return;
         }
-        let seq = Self::buffer_record(&mut state, &record);
-        if self.fsync_batching {
-            drop(state);
-            self.sync_up_to(seq);
-        } else {
-            // Wait out any batching leader left over from a config change
-            // is unnecessary: batching is fixed per engine. Sync inline.
-            self.sync_inline(&mut state);
-        }
+        Self::buffer_record(&mut state, &record);
+        self.sync(&mut state);
     }
 
     fn append_forced_many(&self, records: Vec<LogRecord>) {
@@ -338,30 +267,18 @@ impl StorageEngine for DiskEngine {
         if state.power.is_off() {
             return;
         }
-        // Buffer the whole group under one lock acquisition, then sync up
-        // to the last record: the group rides a single fsync whether or
-        // not another thread's force happens to lead the batch.
-        let mut last_seq = 0;
+        // Buffer the whole group, then sync once: the group rides a single
+        // fsync.
         for record in &records {
-            last_seq = Self::buffer_record(&mut state, record);
+            Self::buffer_record(&mut state, record);
         }
-        if self.fsync_batching {
-            drop(state);
-            self.sync_up_to(last_seq);
-        } else {
-            self.sync_inline(&mut state);
-        }
+        self.sync(&mut state);
     }
 
     fn force(&self) {
-        if self.fsync_batching {
-            let target = self.state.lock().appended;
-            self.sync_up_to(target);
-        } else {
-            let mut state = self.state.lock();
-            if state.synced_seq < state.appended {
-                self.sync_inline(&mut state);
-            }
+        let mut state = self.state.lock();
+        if state.synced_seq < state.appended {
+            self.sync(&mut state);
         }
     }
 
@@ -380,11 +297,6 @@ impl StorageEngine for DiskEngine {
 
     fn checkpoint(&self, snapshot: Vec<(ItemId, Value, Version)>) {
         let mut state = self.state.lock();
-        // Wait out any in-flight sync: compaction rewrites the file set
-        // and must not race a leader syncing the old active segment.
-        while state.sync_in_flight {
-            self.synced.wait(&mut state);
-        }
         if state.power.is_off() {
             return;
         }
@@ -437,7 +349,6 @@ impl StorageEngine for DiskEngine {
         state.synced_seq = state.appended;
         state.force_count += 1;
         state.power = Power::On { file };
-        self.synced.notify_all();
     }
 
     fn wants_compaction(&self) -> bool {
@@ -449,11 +360,6 @@ impl StorageEngine for DiskEngine {
 
     fn recover(&self) -> RainbowResult<RecoveryOutcome> {
         let mut state = self.state.lock();
-        while state.sync_in_flight {
-            // A pre-power-loss leader may still be inside fsync on a
-            // cloned fd; let it drain before rebuilding.
-            self.synced.wait(&mut state);
-        }
         fs::create_dir_all(&self.dir)
             .map_err(|e| RainbowError::Storage(format!("create {}: {e}", self.dir.display())))?;
 
@@ -586,16 +492,10 @@ impl StorageEngine for DiskEngine {
         state.buf.clear();
         state.buf_records = 0;
         state.undecided.clear();
-        // Wake every follower stuck waiting for a sync that will never
-        // come; they observe Off and bail.
-        self.synced.notify_all();
     }
 
     fn flush_and_sync(&self) -> RainbowResult<()> {
         let mut state = self.state.lock();
-        while state.sync_in_flight {
-            self.synced.wait(&mut state);
-        }
         if state.power.is_off() {
             return Ok(());
         }
@@ -993,35 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_batches_concurrent_forces() {
-        let dir = test_dir();
-        let config = StorageConfig::disk(&dir);
-        let engine = Arc::new(open_engine(&dir, &config));
-        let threads = 8;
-        let commits_per_thread = 25;
-        std::thread::scope(|scope| {
-            for thread in 0..threads {
-                let engine = Arc::clone(&engine);
-                scope.spawn(move || {
-                    for i in 0..commits_per_thread {
-                        let seq = (thread * commits_per_thread + i + 1) as u64;
-                        engine.append_forced(commit_record(seq, seq as i64));
-                    }
-                });
-            }
-        });
-        let total = (threads * commits_per_thread) as u64;
-        assert!(
-            engine.force_count() <= total,
-            "group commit must never fsync more than once per forced append"
-        );
-        engine.power_loss(PowerLossFault::Clean);
-        let outcome = engine.recover().unwrap();
-        assert_eq!(outcome.replayed_records, total as usize);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn append_forced_many_pays_one_fsync_for_the_group() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir);
@@ -1043,9 +914,9 @@ mod tests {
     }
 
     #[test]
-    fn unbatched_engine_pays_one_fsync_per_force() {
+    fn each_forced_append_pays_its_own_fsync() {
         let dir = test_dir();
-        let config = StorageConfig::disk(&dir).without_fsync_batching();
+        let config = StorageConfig::disk(&dir);
         let engine = open_engine(&dir, &config);
         for i in 1..=10 {
             engine.append_forced(commit_record(i, i as i64));

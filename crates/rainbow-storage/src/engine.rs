@@ -7,8 +7,13 @@
 //!   fast, deterministic, "durability" is a forced prefix of a `Vec`. The
 //!   default for tests and protocol experiments.
 //! * [`crate::disk::DiskEngine`] — append-only CRC-checked segment files
-//!   with group-commit fsync batching, rotation and compaction. The engine
-//!   the power-loss chaos runs against.
+//!   with rotation and compaction. The engine the power-loss chaos runs
+//!   against.
+//!
+//! An engine has one forcer, the site's event loop (or its handle between
+//! two drains): there is nobody to coalesce with, so grouping is
+//! [`StorageEngine::append_forced_many`], one force for what a drain
+//! forces together.
 //!
 //! Engine selection and tuning live in [`StorageConfig`], which rides in
 //! `ClusterConfig` so a whole cluster (and the nemesis) can be pointed at
@@ -84,10 +89,6 @@ pub struct StorageConfig {
     /// `<data_dir>/site-<id>/`. Required when `engine` is
     /// [`EngineKind::Disk`], ignored for memory.
     pub data_dir: Option<PathBuf>,
-    /// Coalesce concurrent forced appends into one `fsync` (group commit).
-    /// When off, every forced append pays its own sync — the baseline the
-    /// storage benchmark compares against.
-    pub fsync_batching: bool,
     /// Rotate the active segment once it grows past this many bytes.
     pub segment_max_bytes: u64,
     /// Compact (checkpoint into a fresh segment, drop the old ones) once
@@ -113,7 +114,6 @@ impl StorageConfig {
         StorageConfig {
             engine: EngineKind::Memory,
             data_dir: None,
-            fsync_batching: true,
             segment_max_bytes: 4 << 20,
             compaction_threshold_bytes: 8 << 20,
             ephemeral: false,
@@ -147,12 +147,6 @@ impl StorageConfig {
             }
             _ => StorageConfig::memory(),
         }
-    }
-
-    /// Disables group-commit fsync batching (benchmark baseline).
-    pub fn without_fsync_batching(mut self) -> Self {
-        self.fsync_batching = false;
-        self
     }
 
     /// Overrides the segment rotation size.
@@ -202,10 +196,9 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
 
     /// Appends several records and forces the log once for the whole
     /// group, returning only when every record is durable. Semantically
-    /// equivalent to forcing each record in order, but an engine can pay a
-    /// single sync for the multi-transaction batch — this is how the
-    /// group-commit pipeline hands one batch envelope's commit-time records
-    /// to the fsync batcher as one unit instead of relying on lucky timing.
+    /// equivalent to forcing each record in order, but an engine pays a
+    /// single sync for the multi-transaction batch — this is how a drain's
+    /// prepares, or its commit decisions, share one `fsync`.
     fn append_forced_many(&self, records: Vec<LogRecord>) {
         if records.is_empty() {
             return;
@@ -219,8 +212,8 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// Forces everything appended so far.
     fn force(&self);
 
-    /// Number of force (sync) operations performed. With group commit this
-    /// is the number of *batches*, not the number of forced appends.
+    /// Number of force (sync) operations performed. A forced group
+    /// ([`StorageEngine::append_forced_many`]) counts once.
     fn force_count(&self) -> u64;
 
     /// Number of records currently in the log (durable or not).
@@ -332,15 +325,12 @@ mod tests {
     fn config_defaults_and_builders() {
         let config = StorageConfig::default();
         assert_eq!(config.engine, EngineKind::Memory);
-        assert!(config.fsync_batching);
         assert!(config.validate().is_ok());
 
         let disk = StorageConfig::disk("/tmp/somewhere")
-            .without_fsync_batching()
             .with_segment_max_bytes(1024)
             .with_compaction_threshold(4096);
         assert_eq!(disk.engine, EngineKind::Disk);
-        assert!(!disk.fsync_batching);
         assert_eq!(disk.segment_max_bytes, 1024);
         assert_eq!(disk.compaction_threshold_bytes, 4096);
         assert!(disk.validate().is_ok());

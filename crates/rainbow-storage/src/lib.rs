@@ -26,9 +26,14 @@
 //! Two engines implement the trait: the original in-memory simulated WAL
 //! ([`engine::MemoryEngine`], the fast deterministic default) and an
 //! on-disk log-structured engine ([`disk::DiskEngine`]) with CRC-checked
-//! segment files, group-commit fsync batching, rotation/compaction and
-//! power-loss recovery (torn or corrupt tails are truncated; mid-log
-//! damage is a typed [`rainbow_common::RainbowError::CorruptLog`]).
+//! segment files, rotation/compaction and power-loss recovery (torn or
+//! corrupt tails are truncated; mid-log damage is a typed
+//! [`rainbow_common::RainbowError::CorruptLog`]).
+//!
+//! A site's event loop is the only writer of its log, so the storage layer
+//! starts no thread and waits on no one: an engine has one forcer, and
+//! grouping is [`engine::StorageEngine::append_forced_many`]. A checkpoint
+//! runs inline, on the thread whose commit outgrew the threshold.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

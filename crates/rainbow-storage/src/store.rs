@@ -4,17 +4,13 @@
 use crate::engine::{EngineKind, MemoryEngine, PowerLossFault, StorageConfig, StorageEngine};
 use crate::recovery::RecoveryOutcome;
 use crate::wal::LogRecord;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rainbow_common::{
     FxHashMap, ItemId, RainbowError, RainbowResult, SiteId, TxnId, Value, Version,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// The committed state of one copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -213,66 +209,14 @@ impl VersionedStore {
     }
 }
 
-/// The background checkpoint-compaction worker of one disk-backed site.
-///
-/// Commits used to run compaction inline when the log outgrew its
-/// threshold, stalling whichever transaction happened to trip it — and,
-/// on the site's one event loop, stalling the whole site. The worker
-/// moves that work onto its own thread: the commit path merely *nudges*
-/// it, and it checkpoints off to the side while commits keep appending.
-#[derive(Debug)]
-struct Compactor {
-    nudge: SyncSender<()>,
-    stop: Arc<AtomicBool>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Compactor {
-    /// Spawns the worker. It wakes on a nudge (or every 100ms as a
-    /// safety net) and checkpoints whenever the engine asks for it.
-    fn spawn(
-        site: SiteId,
-        store: Arc<RwLock<VersionedStore>>,
-        engine: Arc<dyn StorageEngine>,
-    ) -> Self {
-        let (nudge, wakeups) = sync_channel::<()>(1);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name(format!("rainbow-compact-{}", site.0))
-            .spawn(move || loop {
-                let _ = wakeups.recv_timeout(Duration::from_millis(100));
-                if stop_flag.load(Ordering::Relaxed) {
-                    return;
-                }
-                if engine.wants_compaction() {
-                    let snapshot = store.read().snapshot();
-                    engine.checkpoint(snapshot);
-                }
-            })
-            .expect("spawn compaction thread");
-        Compactor {
-            nudge,
-            stop,
-            handle: Mutex::new(Some(handle)),
-        }
-    }
-
-    /// Stops and joins the worker (idempotent).
-    fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.nudge.try_send(());
-        if let Some(handle) = self.handle.lock().take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// The durable + volatile storage of one Rainbow site.
 ///
-/// `SiteStorage` is cheaply cloneable (it is an `Arc` internally) so that
-/// the concurrency-control layer, the commit participant and the site
-/// runtime can all hold handles to the same storage.
+/// One writer at a time: a site's event loop, or its handle between two
+/// drains (a crash restart, a copier repair). A checkpoint snapshots the
+/// store and rewrites the log in two steps, so a commit forced between
+/// them would lose its log record; with one writer none can be.
+/// `SiteStorage` is cheaply cloneable (it is an `Arc` internally), but the
+/// clones are for readers.
 ///
 /// The durable half is a pluggable [`StorageEngine`]: the in-memory
 /// simulated WAL by default ([`SiteStorage::new`]), or the on-disk
@@ -284,7 +228,6 @@ pub struct SiteStorage {
     store: Arc<RwLock<VersionedStore>>,
     engine: Arc<dyn StorageEngine>,
     tracer: Option<Arc<rainbow_trace::Tracer>>,
-    compactor: Option<Arc<Compactor>>,
 }
 
 impl SiteStorage {
@@ -295,7 +238,6 @@ impl SiteStorage {
             store: Arc::new(RwLock::new(VersionedStore::new())),
             engine: Arc::new(MemoryEngine::new()),
             tracer: None,
-            compactor: None,
         }
     }
 
@@ -320,22 +262,11 @@ impl SiteStorage {
             }
         };
         let outcome = engine.recover()?;
-        let store = Arc::new(RwLock::new(VersionedStore::new()));
-        // Only disk engines ever want compaction; the memory engine keeps
-        // its zero-thread footprint.
-        let compactor = (config.engine == EngineKind::Disk).then(|| {
-            Arc::new(Compactor::spawn(
-                site,
-                Arc::clone(&store),
-                Arc::clone(&engine),
-            ))
-        });
         let storage = SiteStorage {
             site,
-            store,
+            store: Arc::new(RwLock::new(VersionedStore::new())),
             engine,
             tracer,
-            compactor,
         };
         storage.store.write().load(outcome.state.clone());
         Ok((storage, outcome))
@@ -387,8 +318,9 @@ impl SiteStorage {
         self.engine.record_count()
     }
 
-    /// Number of force (sync) operations the engine performed. With
-    /// group-commit batching this counts batches, not forced appends.
+    /// Number of force (sync) operations the engine performed. A
+    /// [`SiteStorage::prepare_many`] or [`SiteStorage::commit_many`] group
+    /// counts once.
     pub fn force_count(&self) -> u64 {
         self.engine.force_count()
     }
@@ -522,31 +454,20 @@ impl SiteStorage {
         installed
     }
 
-    /// Compacts the log if the engine asks for it — on the background
-    /// worker when one exists (disk engines), inline otherwise. The
-    /// commit path must never stall on a checkpoint rewrite.
+    /// Compacts the log if the engine asks for it, inline on the
+    /// committing thread: the checkpoint's snapshot and its log rewrite
+    /// then run with no commit between them. The site's loop stalls for
+    /// the rewrite, as a force behind the engine lock always did.
     fn maybe_compact(&self) {
-        if !self.engine.wants_compaction() {
-            return;
-        }
-        match &self.compactor {
-            // A full nudge channel means the worker already has a wakeup
-            // pending; dropping this one is fine.
-            Some(compactor) => {
-                let _ = compactor.nudge.try_send(());
-            }
-            None => self.checkpoint(),
+        if self.engine.wants_compaction() {
+            self.checkpoint();
         }
     }
 
-    /// Stops and joins the background compaction worker, if any. Called
-    /// on site shutdown before the data directory may be removed; safe to
-    /// call more than once.
-    pub fn shutdown_compactor(&self) {
-        if let Some(compactor) = &self.compactor {
-            compactor.stop();
-        }
-    }
+    /// Does nothing: storage starts no thread, so there is no compactor
+    /// to stop. Kept for its one caller, the benchmark's storage probe
+    /// (`benchmark/src/probes.rs`).
+    pub fn shutdown_compactor(&self) {}
 
     /// Commits a transaction using an explicit write set (recovery path for
     /// in-doubt transactions whose staged writes only exist in the log).
@@ -883,6 +804,36 @@ mod tests {
             storage.repair_copies(&[(item("x"), Value::Int(9), Version(3))]),
             0
         );
+    }
+
+    /// A checkpoint snapshots the store, then rewrites the log: a commit
+    /// forced between the two steps would be in neither. Compaction runs on
+    /// the committing thread, so none is.
+    #[test]
+    fn compaction_beside_commits_loses_no_forced_commit() {
+        let dir = std::env::temp_dir().join(format!("rainbow-store-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StorageConfig::disk(&dir).with_compaction_threshold(4096);
+        let (storage, _) = SiteStorage::open(SiteId(0), &config, None).unwrap();
+        let items: Vec<(ItemId, Value)> = (0..64)
+            .map(|i| (item(&format!("k{i}")), Value::Int(0)))
+            .collect();
+        storage.initialize(&items);
+        let mut seq = 0;
+        for round in 0..200 {
+            for _ in 0..100 {
+                seq += 1;
+                let (t, written) = (txn(seq), items[seq as usize % items.len()].0.clone());
+                storage.stage_write(t, written, Value::Int(seq as i64), Version(seq));
+                storage.prepare(t);
+                storage.commit(t);
+            }
+            let committed = storage.snapshot();
+            storage.power_loss(PowerLossFault::Clean);
+            storage.recover().unwrap();
+            assert_eq!(storage.snapshot(), committed, "round {round} lost a commit");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

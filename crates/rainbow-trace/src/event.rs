@@ -94,8 +94,9 @@ pub enum Phase {
     WalForce,
     /// Network queue delay: message enqueue → delivery.
     QueueDelay,
-    /// One real `fsync` issued by the disk engine's group-commit leader;
-    /// each sample covers every forced append coalesced into that sync.
+    /// One real `fsync` issued by the disk engine; each sample covers every
+    /// record of the forced group (`append_forced_many`) that sync made
+    /// durable.
     FsyncBatch,
 }
 

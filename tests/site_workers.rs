@@ -114,39 +114,59 @@ fn cluster(stack: ProtocolStack) -> Cluster {
     Cluster::start(config).unwrap()
 }
 
-/// Three sites on the memory engine, which starts no thread of its own.
+/// Three sites on `storage`.
 #[cfg(target_os = "linux")]
-fn memory_cluster() -> Cluster {
+fn cluster_on(storage: StorageConfig) -> Cluster {
     let config = ClusterConfig::quick(3, 8, 3).unwrap();
-    Cluster::start(config.with_storage(StorageConfig::memory())).unwrap()
+    Cluster::start(config.with_storage(storage)).unwrap()
 }
 
 #[cfg(target_os = "linux")]
 #[test]
 fn a_site_is_exactly_one_thread() {
     let _turn = take_turn();
-    let threads_before = process_threads();
-    let before = threads_by_id();
-    let mut cluster = memory_cluster();
-    let mut started: Vec<String> = started_since(&before).into_values().collect();
-    started.sort();
-    assert!(
-        !started
-            .iter()
-            .any(|name| name.starts_with("rainbow-reacto")),
-        "{started:?}"
-    );
-    let expected = [
-        "rainbow-nameser",
-        "rainbow-net-del",
-        "rainbow-site-0",
-        "rainbow-site-1",
-        "rainbow-site-2",
-    ];
-    assert_eq!(started, expected, "one thread per site, and nothing else");
-    cluster.shutdown();
-    // (A thread of an earlier test may have left `/proc` meanwhile.)
-    assert!(threads_settled_at(threads_before) <= threads_before);
+    let dir = std::env::temp_dir().join(format!("rainbow-one-thread-{}", std::process::id()));
+    let disk = StorageConfig {
+        ephemeral: true,
+        ..StorageConfig::disk(dir)
+    };
+    // Neither engine starts a thread of its own: the site's loop is the one
+    // writer of its log, and compacts it inline.
+    for storage in [StorageConfig::memory(), disk] {
+        let engine = storage.engine;
+        let before = threads_by_id();
+        let mut cluster = cluster_on(storage);
+        let mut started: Vec<String> = started_since(&before).into_values().collect();
+        started.sort();
+        assert!(
+            !started
+                .iter()
+                .any(|name| name.starts_with("rainbow-reacto")),
+            "{started:?}"
+        );
+        let expected = [
+            "rainbow-nameser",
+            "rainbow-net-del",
+            "rainbow-site-0",
+            "rainbow-site-1",
+            "rainbow-site-2",
+        ];
+        assert_eq!(
+            started, expected,
+            "{engine:?}: one thread per site, and nothing else"
+        );
+        cluster.shutdown();
+        // Shutdown joins each of them. (A joined thread lingers in `/proc`
+        // for a moment; the harness may start another test's thread
+        // meanwhile, which is not counted.)
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut left = started_since(&before);
+        while !left.is_empty() && Instant::now() < deadline {
+            std::thread::yield_now();
+            left = started_since(&before);
+        }
+        assert!(left.is_empty(), "{engine:?}: {left:?}");
+    }
 }
 
 /// One open conversation, then 200 ms of nothing: a site loop sleeps until
@@ -158,7 +178,7 @@ fn a_site_is_exactly_one_thread() {
 fn an_idle_site_sleeps() {
     let _turn = take_turn();
     let before = threads_by_id();
-    let cluster = memory_cluster();
+    let cluster = cluster_on(StorageConfig::memory());
     // The sites' threads: whatever the cluster started but the name
     // server's and the network's.
     let others = ["rainbow-nameser", "rainbow-net-del"];
