@@ -27,7 +27,9 @@
 //!
 //! The CCP instance lives *per site* and manages that site's local copies,
 //! exactly as in Rainbow where remote copies are "read ... or pre-written
-//! ... through CCP" at the copy-holder site.
+//! ... through CCP" at the copy-holder site. It is a plain value with one
+//! owner, the site's event loop: the protocols keep plain maps, take no
+//! lock, and change state through `&mut self`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,7 +42,7 @@ pub mod tso;
 pub mod two_phase_locking;
 pub mod types;
 
-pub use lock::{Acquired, LockError, LockManager, LockMode, DEFAULT_LOCK_SHARDS};
+pub use lock::{Acquired, LockError, LockManager, LockMode};
 pub use mvto::MultiversionTimestampOrdering;
 pub use tso::TimestampOrdering;
 pub use two_phase_locking::TwoPhaseLocking;

@@ -31,30 +31,19 @@
 //! * **timeout-only**: the requester waits and giving up is the only
 //!   deadlock resolution mechanism.
 //!
-//! # Sharding
+//! # One table, one owner
 //!
-//! The lock table is split into [`LockManager::shard_count`] independently
-//! locked shards keyed by the item's interned hash ([`ItemId::token`]), so
-//! concurrent transactions touching different items proceed without
-//! contending on one global mutex. Per-item state (holders, waiters) lives
-//! entirely inside one shard; cross-item state is factored out:
-//!
-//! * **per-transaction bookkeeping** (timestamp, items held, items queued
-//!   for) is sharded by transaction;
-//! * **wounded** flags sit behind their own `RwLock`;
-//! * the **wait-for graph** has a dedicated mutex, and edge insertion plus
-//!   cycle detection happen atomically under it, so deadlock detection
-//!   always sees a consistent snapshot of the whole graph even though the
-//!   item shards move independently.
-//!
-//! Lock order is strictly `shard → auxiliary`, and no auxiliary lock is ever
-//! held while taking a shard lock, so the layers cannot deadlock each other.
+//! Everything the manager remembers — each item's holders and queue, each
+//! transaction's timestamp and the items it holds or is queued for, the
+//! wounded transactions, the wait-for edges and the statistics — is one
+//! table. A site's CCP belongs to its event loop, so no two calls ever
+//! overlap and nothing here takes a lock. The manager keeps a `&self` API
+//! over a `RefCell`, which makes it `Send` but not `Sync`.
 
-use parking_lot::{Mutex, RwLock};
 use rainbow_common::protocol::DeadlockPolicy;
 use rainbow_common::{FxHashMap, FxHashSet, ItemId, Timestamp, TxnId};
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Lock modes on an item.
@@ -130,20 +119,12 @@ impl ItemLockState {
     }
 }
 
-/// How many idle per-item entries a shard caches before sweeping them.
+/// How many idle per-item entries the table caches before sweeping them.
 /// Idle entries keep their allocations so steady-state acquire/release
 /// cycles on a working set are allocation-free, while the sweep bounds the
-/// table so it does not grow monotonically with every item ever touched.
-const IDLE_SWEEP_THRESHOLD: usize = 512;
-
-/// One independently locked slice of the lock table.
-#[derive(Debug, Default)]
-struct ShardTable {
-    items: FxHashMap<ItemId, ItemLockState>,
-    /// Entries currently idle (no holders, no waiters), kept for reuse
-    /// until [`IDLE_SWEEP_THRESHOLD`] triggers a sweep.
-    idle_entries: usize,
-}
+/// table so it does not grow monotonically with every item ever touched. A
+/// site whose working set is a few thousand items never sweeps.
+const IDLE_SWEEP_THRESHOLD: usize = 8_192;
 
 /// Outcome of a grant attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,7 +140,81 @@ enum GrantOutcome {
     Refused,
 }
 
-impl ShardTable {
+/// Counters exposed for the concurrency-control ablation experiments.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct LockStats {
+    grants: u64,
+    waits: u64,
+    deadlock_aborts: u64,
+    wounds: u64,
+    timeouts: u64,
+}
+
+impl LockStats {
+    /// Locks granted (including re-grants and upgrades).
+    pub fn grants(&self) -> u64 {
+        self.grants
+    }
+    /// Requests that were told to wait (counted once, when queued).
+    pub fn waits(&self) -> u64 {
+        self.waits
+    }
+    /// Requests aborted for deadlock avoidance/detection (wait-die "die",
+    /// wait-for-graph victim).
+    pub fn deadlock_aborts(&self) -> u64 {
+        self.deadlock_aborts
+    }
+    /// Holders wounded by older requesters (wound-wait).
+    pub fn wounds(&self) -> u64 {
+        self.wounds
+    }
+    /// Queued requests whose caller gave up waiting.
+    pub fn timeouts(&self) -> u64 {
+        self.timeouts
+    }
+}
+
+/// Per-transaction bookkeeping: its timestamp (wait-die / wound-wait
+/// ordering) and the exact items it holds locks on or is queued for, so
+/// release visits only the items that actually have something of it.
+#[derive(Debug, Clone, Default)]
+struct TxnMeta {
+    ts: Timestamp,
+    held: Vec<ItemId>,
+    queued: Vec<ItemId>,
+}
+
+/// Everything one site's lock manager remembers.
+struct LockTable {
+    policy: DeadlockPolicy,
+    items: FxHashMap<ItemId, ItemLockState>,
+    /// Entries currently idle (no holders, no waiters), kept for reuse
+    /// until [`IDLE_SWEEP_THRESHOLD`] triggers a sweep.
+    idle_entries: usize,
+    /// Transactions holding a lock or queued for one.
+    txns: FxHashMap<TxnId, TxnMeta>,
+    /// Transactions wounded by an older requester; they must abort. Only
+    /// ever populated under the wound-wait policy.
+    wounded: FxHashSet<TxnId>,
+    /// Waiter → the transactions it waits for. Only ever populated under
+    /// the wait-for-graph policy.
+    waits_for: FxHashMap<TxnId, FxHashSet<TxnId>>,
+    stats: LockStats,
+}
+
+impl LockTable {
+    fn new(policy: DeadlockPolicy) -> Self {
+        LockTable {
+            policy,
+            items: FxHashMap::default(),
+            idle_entries: 0,
+            txns: FxHashMap::default(),
+            wounded: FxHashSet::default(),
+            waits_for: FxHashMap::default(),
+            stats: LockStats::default(),
+        }
+    }
+
     /// Grants `mode` on `item` to `txn` when compatible (including
     /// re-acquisition and sole-holder upgrades) and nobody is queued ahead
     /// of it, in a single map probe.
@@ -262,42 +317,26 @@ impl ShardTable {
             .position(|(waiter, _)| *waiter == txn)?;
         let (_, mode) = state.waiters.remove(place)?;
         if state.is_idle() {
-            self.idle_entries += 1;
-            self.maybe_sweep();
+            self.went_idle();
         }
         Some(mode)
     }
 
-    /// Sweeps cached idle entries once too many accumulate, bounding the
-    /// table's footprint without paying an allocation + deallocation on
-    /// every routine acquire/release cycle.
-    fn maybe_sweep(&mut self) {
+    /// Counts one more idle entry, and sweeps the cached idle entries once
+    /// too many accumulate, bounding the table's footprint without paying
+    /// an allocation + deallocation on every routine acquire/release cycle.
+    fn went_idle(&mut self) {
+        self.idle_entries += 1;
         if self.idle_entries > IDLE_SWEEP_THRESHOLD {
             self.items.retain(|_, state| !state.is_idle());
             self.idle_entries = 0;
         }
     }
 
-    /// Per-item entries currently live (holding locks or queueing waiters).
-    fn live_entries(&self) -> usize {
-        self.items.len() - self.idle_entries
-    }
-}
-
-/// Cross-shard wait-for graph, guarded by one mutex so that edge insertion
-/// and cycle detection are atomic: detection always sees a consistent
-/// snapshot even while the item shards move concurrently.
-#[derive(Debug, Default)]
-struct WaitGraph {
-    /// Waiter → set of holders it waits for.
-    edges: FxHashMap<TxnId, FxHashSet<TxnId>>,
-}
-
-impl WaitGraph {
-    /// Depth-first search for a cycle through `start`.
+    /// Depth-first search for a wait-for cycle through `start`.
     fn creates_cycle(&self, start: TxnId) -> bool {
         let mut stack: Vec<TxnId> = self
-            .edges
+            .waits_for
             .get(&start)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
@@ -309,196 +348,39 @@ impl WaitGraph {
             if !visited.insert(node) {
                 continue;
             }
-            if let Some(next) = self.edges.get(&node) {
+            if let Some(next) = self.waits_for.get(&node) {
                 stack.extend(next.iter().copied());
             }
         }
         false
     }
-}
 
-/// Counters exposed for the concurrency-control ablation experiments.
-#[derive(Debug, Default)]
-pub struct LockStats {
-    grants: AtomicU64,
-    waits: AtomicU64,
-    deadlock_aborts: AtomicU64,
-    wounds: AtomicU64,
-    timeouts: AtomicU64,
-}
-
-impl LockStats {
-    /// Locks granted (including re-grants and upgrades).
-    pub fn grants(&self) -> u64 {
-        self.grants.load(Ordering::Relaxed)
-    }
-    /// Requests that were told to wait (counted once, when queued).
-    pub fn waits(&self) -> u64 {
-        self.waits.load(Ordering::Relaxed)
-    }
-    /// Requests aborted for deadlock avoidance/detection (wait-die "die",
-    /// wait-for-graph victim).
-    pub fn deadlock_aborts(&self) -> u64 {
-        self.deadlock_aborts.load(Ordering::Relaxed)
-    }
-    /// Holders wounded by older requesters (wound-wait).
-    pub fn wounds(&self) -> u64 {
-        self.wounds.load(Ordering::Relaxed)
-    }
-    /// Queued requests whose caller gave up waiting.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-}
-
-/// Default number of lock-table shards (the "shard count knob"; see
-/// [`LockManager::with_shards`]).
-pub const DEFAULT_LOCK_SHARDS: usize = 16;
-
-/// Number of per-transaction metadata shards (keyed by transaction hash, so
-/// concurrent transactions do not serialize on one bookkeeping mutex).
-const TXN_META_SHARDS: usize = 16;
-
-/// Per-transaction bookkeeping: its timestamp (wait-die / wound-wait
-/// ordering) and the exact items it holds locks on or is queued for, so
-/// release walks only the shards that actually have something of it.
-/// Written inside the critical section of the shard that granted or queued
-/// the request, which keeps it consistent with the holder and waiter lists.
-#[derive(Debug, Clone, Default)]
-struct TxnMeta {
-    ts: Timestamp,
-    held: Vec<ItemId>,
-    queued: Vec<ItemId>,
-}
-
-/// The lock manager of one site.
-pub struct LockManager {
-    policy: DeadlockPolicy,
-    timeout: Duration,
-    shards: Box<[Mutex<ShardTable>]>,
-    /// Per-transaction metadata, sharded by transaction hash.
-    txn_meta: Box<[Mutex<FxHashMap<TxnId, TxnMeta>>]>,
-    /// Transactions wounded by an older requester; they must abort. Only
-    /// ever populated under the wound-wait policy, so the other policies
-    /// never touch this lock on their fast path.
-    wounded: RwLock<FxHashSet<TxnId>>,
-    /// The cross-shard wait-for graph (used by `WaitForGraph` only).
-    wait_graph: Mutex<WaitGraph>,
-    stats: LockStats,
-}
-
-impl LockManager {
-    /// Creates a lock manager with the given deadlock policy, wait timeout
-    /// and the default shard count.
-    pub fn new(policy: DeadlockPolicy, timeout: Duration) -> Self {
-        Self::with_shards(policy, timeout, DEFAULT_LOCK_SHARDS)
-    }
-
-    /// Creates a lock manager with an explicit shard count (rounded up to at
-    /// least 1). More shards reduce contention between transactions touching
-    /// different items; one shard reproduces the classic single-mutex table.
-    pub fn with_shards(policy: DeadlockPolicy, timeout: Duration, shards: usize) -> Self {
-        let count = shards.max(1);
-        LockManager {
-            policy,
-            timeout,
-            shards: (0..count).map(|_| Mutex::default()).collect(),
-            txn_meta: (0..TXN_META_SHARDS)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
-            wounded: RwLock::new(FxHashSet::default()),
-            wait_graph: Mutex::new(WaitGraph::default()),
-            stats: LockStats::default(),
-        }
-    }
-
-    /// The configured deadlock policy.
-    pub fn policy(&self) -> DeadlockPolicy {
-        self.policy
-    }
-
-    /// How long a queued request is worth asking again for before its
-    /// caller should [`LockManager::give_up`].
-    pub fn wait_timeout(&self) -> Duration {
-        self.timeout
-    }
-
-    /// Number of independently locked shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The lock statistics.
-    pub fn stats(&self) -> &LockStats {
-        &self.stats
-    }
-
-    /// The shard index an item belongs to, chosen by the item's interned
-    /// hash (deterministic across runs).
-    fn shard_index(&self, item: &ItemId) -> usize {
-        (item.token() as usize) % self.shards.len()
-    }
-
-    /// The metadata shard of a transaction.
-    fn meta_shard(&self, txn: TxnId) -> &Mutex<FxHashMap<TxnId, TxnMeta>> {
-        let key = txn.home.index() as u64 ^ txn.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.txn_meta[(key as usize) % TXN_META_SHARDS]
-    }
-
-    /// Looks up the recorded timestamp of a transaction.
+    /// The recorded timestamp of a transaction.
     fn timestamp_of(&self, txn: TxnId) -> Option<Timestamp> {
-        self.meta_shard(txn).lock().get(&txn).map(|meta| meta.ts)
+        self.txns.get(&txn).map(|meta| meta.ts)
     }
 
     /// Updates the bookkeeping of `txn` (timestamp `ts`) for a lock it was
     /// granted or a queue it joined, creating it when this is the first
-    /// thing the manager remembers of the transaction. Called with the shard
-    /// of the item concerned locked; metadata always nests inside shard
-    /// locks, never the reverse, so a racing `release_all` either sees the
-    /// change in the metadata or it happens after its shard pass and
-    /// re-creates the entry for the next release.
-    fn note(&self, txn: TxnId, ts: Timestamp, update: impl FnOnce(&mut TxnMeta)) {
-        let mut shard = self.meta_shard(txn).lock();
-        update(shard.entry(txn).or_insert_with(|| TxnMeta {
+    /// thing the table remembers of the transaction.
+    fn note(&mut self, txn: TxnId, ts: Timestamp, update: impl FnOnce(&mut TxnMeta)) {
+        update(self.txns.entry(txn).or_insert_with(|| TxnMeta {
             ts,
             ..TxnMeta::default()
         }));
     }
 
-    /// Whether the transaction has been wounded and must abort. (Only
-    /// wound-wait ever populates the set; the other policies do not look.)
-    pub fn is_wounded(&self, txn: TxnId) -> bool {
-        self.policy == DeadlockPolicy::WoundWait && self.wounded.read().contains(&txn)
-    }
-
-    /// Drops the wait-for edges of `txn`.
-    fn clear_wait_edges(&self, txn: TxnId) {
-        if self.policy == DeadlockPolicy::WaitForGraph {
-            self.wait_graph.lock().edges.remove(&txn);
-        }
-    }
-
     /// Grants `mode` on `item` to `txn` right now if it is compatible with
     /// the current holders and overtakes nobody, with the bookkeeping of a
-    /// grant. Called with the item's shard locked.
-    fn grant_now(
-        &self,
-        table: &mut ShardTable,
-        txn: TxnId,
-        ts: Timestamp,
-        item: &ItemId,
-        mode: LockMode,
-    ) -> bool {
+    /// grant.
+    fn grant_now(&mut self, txn: TxnId, ts: Timestamp, item: &ItemId, mode: LockMode) -> bool {
         let GrantOutcome::Granted {
             newly_held,
             was_queued,
-        } = table.try_grant(item, txn, mode)
+        } = self.try_grant(item, txn, mode)
         else {
             return false;
         };
-        // Record the grant while still inside the shard critical section,
-        // so it is visible to the next `release_all` even if a racing
-        // release already ran.
         if newly_held || was_queued {
             self.note(txn, ts, |meta| {
                 if was_queued {
@@ -510,56 +392,45 @@ impl LockManager {
             });
         }
         if was_queued {
-            self.clear_wait_edges(txn);
+            self.waits_for.remove(&txn);
         }
-        self.stats.grants.fetch_add(1, Ordering::Relaxed);
+        self.stats.grants += 1;
         true
     }
 
     /// Ends the wait of `txn` for `item`: its wait-for edges go, and so does
     /// its place in the queue when it has one — whose mode is returned —
     /// together with the bookkeeping of a transaction that neither holds
-    /// nor waits for anything else. Called with the item's shard locked.
-    fn leave_queue(&self, table: &mut ShardTable, txn: TxnId, item: &ItemId) -> Option<LockMode> {
-        self.clear_wait_edges(txn);
-        let mode = table.remove_waiter(item, txn)?;
-        let mut shard = self.meta_shard(txn).lock();
-        if let Some(meta) = shard.get_mut(&txn) {
+    /// nor waits for anything else.
+    fn leave_queue(&mut self, txn: TxnId, item: &ItemId) -> Option<LockMode> {
+        self.waits_for.remove(&txn);
+        let mode = self.remove_waiter(item, txn)?;
+        if let Some(meta) = self.txns.get_mut(&txn) {
             meta.queued.retain(|queued| queued != item);
             if meta.held.is_empty() && meta.queued.is_empty() {
-                shard.remove(&txn);
+                self.txns.remove(&txn);
             }
         }
         Some(mode)
     }
 
-    /// Asks for `mode` on `item` for `txn` (timestamp `ts`) without ever
-    /// blocking: the lock is granted, or the deadlock policy is run against
-    /// the request's blockers and the request is refused or queued. A
-    /// caller told [`Acquired::Queued`] repeats the call after something
-    /// was released — repeating it with nothing released changes nothing —
-    /// until it is granted, refused, or the caller calls
-    /// [`LockManager::give_up`].
-    pub fn acquire(
-        &self,
+    fn acquire(
+        &mut self,
         txn: TxnId,
         ts: Timestamp,
         item: &ItemId,
         mode: LockMode,
     ) -> Result<Acquired, LockError> {
-        let mut table = self.shards[self.shard_index(item)].lock();
-        if self.is_wounded(txn) {
-            self.leave_queue(&mut table, txn, item);
+        if self.wounded.contains(&txn) {
+            self.leave_queue(txn, item);
             return Err(LockError::Wounded);
         }
-        if self.grant_now(&mut table, txn, ts, item, mode) {
+        if self.grant_now(txn, ts, item, mode) {
             return Ok(Acquired::Granted);
         }
 
-        // Apply the deadlock policy before waiting. Auxiliary locks
-        // (timestamps / wounded / wait graph) nest *inside* the shard lock,
-        // never the other way around.
-        let blockers = table.blockers(item, txn, mode);
+        // Apply the deadlock policy before waiting.
+        let blockers = self.blockers(item, txn, mode);
         let deadlock = match self.policy {
             // The requester may only wait for *younger* transactions (i.e.
             // the requester must be the oldest). Otherwise it dies.
@@ -576,32 +447,110 @@ impl LockManager {
                         .timestamp_of(*blocker)
                         .map(|blocker_ts| blocker_ts > ts)
                         .unwrap_or(true);
-                    if younger && self.wounded.write().insert(*blocker) {
-                        self.stats.wounds.fetch_add(1, Ordering::Relaxed);
+                    if younger && self.wounded.insert(*blocker) {
+                        self.stats.wounds += 1;
                     }
                 }
                 false
             }
             DeadlockPolicy::WaitForGraph => {
-                // Insert this waiter's edges and run cycle detection in
-                // one critical section: the check sees a consistent
-                // global graph regardless of shard concurrency.
-                let mut graph = self.wait_graph.lock();
-                graph.edges.insert(txn, blockers.iter().copied().collect());
-                graph.creates_cycle(txn)
+                self.waits_for.insert(txn, blockers.into_iter().collect());
+                self.creates_cycle(txn)
             }
             DeadlockPolicy::TimeoutOnly => false,
         };
         if deadlock {
-            self.leave_queue(&mut table, txn, item);
-            self.stats.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
+            self.leave_queue(txn, item);
+            self.stats.deadlock_aborts += 1;
             return Err(LockError::Deadlock);
         }
-        if table.enqueue(item, txn, mode) {
+        if self.enqueue(item, txn, mode) {
             self.note(txn, ts, |meta| meta.queued.push(item.clone()));
-            self.stats.waits.fetch_add(1, Ordering::Relaxed);
+            self.stats.waits += 1;
         }
         Ok(Acquired::Queued)
+    }
+
+    fn give_up(&mut self, txn: TxnId, item: &ItemId) -> Option<TxnId> {
+        let mode = self.leave_queue(txn, item)?;
+        self.stats.timeouts += 1;
+        self.blockers(item, txn, mode).first().copied()
+    }
+
+    fn release_all(&mut self, txn: TxnId) {
+        // Unknown transaction (released twice, or never granted or queued
+        // anything): nothing of it can be anywhere.
+        let meta = self.txns.remove(&txn).unwrap_or_default();
+        for item in &meta.held {
+            if let Some(state) = self.items.get_mut(item) {
+                // Index-based removal instead of an O(n) retain scan; a
+                // transaction appears at most once per holder list.
+                if let Some(pos) = state.holders.iter().position(|(holder, _)| *holder == txn) {
+                    state.holders.swap_remove(pos);
+                }
+                if state.is_idle() {
+                    self.went_idle();
+                }
+            }
+        }
+        for item in &meta.queued {
+            self.remove_waiter(item, txn);
+        }
+        self.wounded.remove(&txn);
+        self.waits_for.remove(&txn);
+        for edges in self.waits_for.values_mut() {
+            edges.remove(&txn);
+        }
+    }
+}
+
+/// The lock manager of one site.
+pub struct LockManager {
+    timeout: Duration,
+    table: RefCell<LockTable>,
+}
+
+impl LockManager {
+    /// Creates a lock manager with the given deadlock policy and wait
+    /// timeout.
+    pub fn new(policy: DeadlockPolicy, timeout: Duration) -> Self {
+        LockManager {
+            timeout,
+            table: RefCell::new(LockTable::new(policy)),
+        }
+    }
+
+    /// How long a queued request is worth asking again for before its
+    /// caller should [`LockManager::give_up`].
+    pub fn wait_timeout(&self) -> Duration {
+        self.timeout
+    }
+
+    /// The lock statistics so far.
+    pub fn stats(&self) -> LockStats {
+        self.table.borrow().stats
+    }
+
+    /// Whether the transaction has been wounded and must abort.
+    pub fn is_wounded(&self, txn: TxnId) -> bool {
+        self.table.borrow().wounded.contains(&txn)
+    }
+
+    /// Asks for `mode` on `item` for `txn` (timestamp `ts`) without ever
+    /// blocking: the lock is granted, or the deadlock policy is run against
+    /// the request's blockers and the request is refused or queued. A
+    /// caller told [`Acquired::Queued`] repeats the call after something
+    /// was released — repeating it with nothing released changes nothing —
+    /// until it is granted, refused, or the caller calls
+    /// [`LockManager::give_up`].
+    pub fn acquire(
+        &self,
+        txn: TxnId,
+        ts: Timestamp,
+        item: &ItemId,
+        mode: LockMode,
+    ) -> Result<Acquired, LockError> {
+        self.table.borrow_mut().acquire(txn, ts, item, mode)
     }
 
     /// The caller of a queued request stops asking: `txn` loses its place
@@ -609,77 +558,37 @@ impl LockManager {
     /// — a holder whose lock conflicts with the request when there is one —
     /// or `None` when the request was not queued.
     pub fn give_up(&self, txn: TxnId, item: &ItemId) -> Option<TxnId> {
-        let mut table = self.shards[self.shard_index(item)].lock();
-        let mode = self.leave_queue(&mut table, txn, item)?;
-        self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-        table.blockers(item, txn, mode).first().copied()
+        self.table.borrow_mut().give_up(txn, item)
     }
 
     /// Releases every lock held by `txn` (strict 2PL: called at commit or
     /// abort), takes it out of every queue it waits in — a transaction that
     /// is gone must never head a queue — and clears its wounded flag and
-    /// bookkeeping. Only the shards of items the transaction actually holds
-    /// or is queued for are visited (tracked in the per-transaction
-    /// metadata).
+    /// bookkeeping. Only the items the transaction actually holds or is
+    /// queued for are visited.
     pub fn release_all(&self, txn: TxnId) {
-        // Unknown transaction (released twice, or never granted or queued
-        // anything): nothing of it can be anywhere.
-        let meta = self.meta_shard(txn).lock().remove(&txn).unwrap_or_default();
-        for item in &meta.held {
-            let mut table = self.shards[self.shard_index(item)].lock();
-            if let Some(state) = table.items.get_mut(item) {
-                // Index-based removal instead of an O(n) retain scan; a
-                // transaction appears at most once per holder list.
-                if let Some(pos) = state.holders.iter().position(|(holder, _)| *holder == txn) {
-                    state.holders.swap_remove(pos);
-                }
-                if state.is_idle() {
-                    table.idle_entries += 1;
-                    table.maybe_sweep();
-                }
-            }
-        }
-        for item in &meta.queued {
-            self.shards[self.shard_index(item)]
-                .lock()
-                .remove_waiter(item, txn);
-        }
-        if self.policy == DeadlockPolicy::WoundWait {
-            self.wounded.write().remove(&txn);
-        }
-        if self.policy == DeadlockPolicy::WaitForGraph {
-            let mut graph = self.wait_graph.lock();
-            graph.edges.remove(&txn);
-            // Remove txn from any other wait-for edge sets.
-            for edges in graph.edges.values_mut() {
-                edges.remove(&txn);
-            }
-        }
+        self.table.borrow_mut().release_all(txn);
     }
 
     /// Locks currently held by `txn` (for tests and diagnostics).
     pub fn held_by(&self, txn: TxnId) -> Vec<ItemId> {
-        self.meta_shard(txn)
-            .lock()
-            .get(&txn)
-            .map(|meta| meta.held.clone())
-            .unwrap_or_default()
+        let table = self.table.borrow();
+        let meta = table.txns.get(&txn);
+        meta.map(|meta| meta.held.clone()).unwrap_or_default()
     }
 
     /// Number of transactions currently holding a lock or queued for one.
     pub fn active_transactions(&self) -> usize {
-        self.txn_meta.iter().map(|shard| shard.lock().len()).sum()
+        self.table.borrow().txns.len()
     }
 
-    /// Total number of *live* per-item entries (holding locks or queueing
-    /// waiters) across all shards. Idle entries are cached for reuse up to
-    /// a bounded threshold and periodically swept, so the table's footprint
-    /// does not grow monotonically with every item ever touched.
+    /// Number of *live* per-item entries (holding locks or queueing
+    /// waiters). Idle entries are cached for reuse up to a bounded
+    /// threshold and periodically swept, so the table's footprint does not
+    /// grow monotonically with every item ever touched.
     pub fn item_entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().live_entries())
-            .sum()
+        let table = self.table.borrow();
+        table.items.len() - table.idle_entries
     }
 }
 
@@ -690,32 +599,25 @@ impl LockManager {
     /// order, so tests can compare two managers (or one before and after).
     pub(crate) fn fingerprint(&self) -> String {
         use crate::non_waiting_tests::canonical;
+        let table = self.table.borrow();
         let debug = |txn: &TxnId| format!("{txn:?}");
-        let mut items = Vec::new();
-        for shard in self.shards.iter() {
-            for (item, state) in &shard.lock().items {
-                // Cached idle entries are an allocation, not a memory.
-                if !state.is_idle() {
-                    let holders = canonical(state.holders.iter().map(|h| format!("{h:?}")));
-                    items.push(format!("{item}: [{holders}] waiting {:?}", state.waiters));
-                }
-            }
-        }
-        let mut meta = Vec::new();
-        for shard in self.txn_meta.iter() {
-            for (txn, entry) in shard.lock().iter() {
-                let held = canonical(entry.held.iter().map(|item| item.to_string()));
-                let queued = canonical(entry.queued.iter().map(|item| item.to_string()));
-                meta.push(format!(
-                    "{txn:?} at {:?} holds [{held}] queued for [{queued}]",
-                    entry.ts
-                ));
-            }
-        }
+        // Cached idle entries are an allocation, not a memory.
+        let live = table.items.iter().filter(|(_, state)| !state.is_idle());
+        let items = live.map(|(item, state)| {
+            let holders = canonical(state.holders.iter().map(|h| format!("{h:?}")));
+            format!("{item}: [{holders}] waiting {:?}", state.waiters)
+        });
+        let meta = table.txns.iter().map(|(txn, entry)| {
+            let held = canonical(entry.held.iter().map(|item| item.to_string()));
+            let queued = canonical(entry.queued.iter().map(|item| item.to_string()));
+            format!(
+                "{txn:?} at {:?} holds [{held}] queued for [{queued}]",
+                entry.ts
+            )
+        });
         let edges = canonical(
-            self.wait_graph
-                .lock()
-                .edges
+            table
+                .waits_for
                 .iter()
                 .map(|(from, to)| format!("{from:?}->[{}]", canonical(to.iter().map(debug)))),
         );
@@ -723,8 +625,8 @@ impl LockManager {
             "items {}\nmeta {}\nwounded {}\nedges {edges}\nstats {:?}",
             canonical(items),
             canonical(meta),
-            canonical(self.wounded.read().iter().map(debug)),
-            self.stats
+            canonical(table.wounded.iter().map(debug)),
+            table.stats
         )
     }
 }
@@ -759,7 +661,7 @@ mod tests {
 
     /// The queue of `name`, front first.
     fn queue(lm: &LockManager, name: &str) -> Vec<TxnId> {
-        let table = lm.shards[lm.shard_index(&item(name))].lock();
+        let table = lm.table.borrow();
         let state = table.items.get(&item(name));
         state.map_or(Vec::new(), |state| state.queued_ahead(txn(0)).collect())
     }
@@ -1028,5 +930,125 @@ mod tests {
         assert!(!Shared.compatible(Exclusive));
         assert!(!Exclusive.compatible(Shared));
         assert!(!Exclusive.compatible(Exclusive));
+    }
+
+    /// What the table keeps beside its holder and waiter lists agrees with
+    /// them: each transaction's held/queued items are exactly where the
+    /// lists name it, only a queued transaction has wait-for edges, and
+    /// only wound-wait wounds.
+    fn assert_bookkeeping_agrees(lm: &LockManager, context: &str) {
+        let table = lm.table.borrow();
+        let mut listed: FxHashMap<TxnId, (Vec<ItemId>, Vec<ItemId>)> = FxHashMap::default();
+        for (item, state) in &table.items {
+            for (holder, _) in &state.holders {
+                listed.entry(*holder).or_default().0.push(item.clone());
+            }
+            for (waiter, _) in &state.waiters {
+                listed.entry(*waiter).or_default().1.push(item.clone());
+            }
+        }
+        let sorted = |items: &[ItemId]| {
+            let mut items = items.to_vec();
+            items.sort();
+            items
+        };
+        let mut remembered: Vec<TxnId> = table.txns.keys().copied().collect();
+        let mut on_lists: Vec<TxnId> = listed.keys().copied().collect();
+        remembered.sort();
+        on_lists.sort();
+        assert_eq!(remembered, on_lists, "{context}");
+        for (txn, (held, queued)) in &listed {
+            let meta = &table.txns[txn];
+            assert_eq!(sorted(&meta.held), sorted(held), "{context}: {txn:?}");
+            assert_eq!(sorted(&meta.queued), sorted(queued), "{context}: {txn:?}");
+        }
+        for waiter in table.waits_for.keys() {
+            let queued = listed
+                .get(waiter)
+                .is_some_and(|(_, queued)| !queued.is_empty());
+            assert!(
+                queued,
+                "{context}: {waiter:?} has edges but waits for nothing"
+            );
+        }
+        if table.policy != DeadlockPolicy::WoundWait {
+            assert!(table.wounded.is_empty(), "{context}");
+        }
+    }
+
+    /// Plays seeded random histories the way a site does — a queued request
+    /// is asked again after every step, a transaction whose wait outlasts
+    /// its next step gives up and aborts, a refused one aborts — under every
+    /// deadlock policy, checking the bookkeeping after every call; once
+    /// every transaction has ended, nothing is left.
+    #[test]
+    fn bookkeeping_agrees_with_the_holder_and_waiter_lists_after_every_step() {
+        use crate::non_waiting_tests::{random_steps, Access, Step, POLICIES};
+        const TXNS: usize = 4;
+        let items: Vec<ItemId> = (0..3).map(|i| item(&format!("i{i}"))).collect();
+        for policy in POLICIES {
+            let lm = manager(policy);
+            for seed in 0..16 {
+                // Slot → its current transaction (a finished slot restarts
+                // younger) and the access it waits for.
+                let mut fresh = (1..).map(|n| (n, None));
+                let mut slots: Vec<(u64, Option<(usize, Access)>)> =
+                    fresh.by_ref().take(TXNS).collect();
+                let steps = random_steps(seed, 80, TXNS, items.len()).into_iter();
+                for step in steps.chain((0..TXNS).map(Step::Abort)) {
+                    let context = format!("{policy} seed {seed} {step:?}");
+                    let ended = match step {
+                        Step::Access(slot, i, access) => match slots[slot].1 {
+                            // Still waiting when asked for more: its wait
+                            // budget ran out.
+                            Some((waited_for, _)) => {
+                                lm.give_up(txn(slots[slot].0), &items[waited_for]);
+                                assert_bookkeeping_agrees(&lm, &context);
+                                Some(slot)
+                            }
+                            None => {
+                                slots[slot].1 = Some((i, access));
+                                None
+                            }
+                        },
+                        Step::Commit(slot) | Step::Abort(slot) => Some(slot),
+                    };
+                    if let Some(slot) = ended {
+                        lm.release_all(txn(slots[slot].0));
+                        slots[slot] = fresh.next().unwrap();
+                        assert_bookkeeping_agrees(&lm, &context);
+                    }
+                    for entry in slots.iter_mut() {
+                        let (n, Some((i, access))) = *entry else {
+                            continue;
+                        };
+                        let mode = match access {
+                            Access::Read => Shared,
+                            Access::Prewrite | Access::ReadForUpdate => Exclusive,
+                        };
+                        match lm.acquire(txn(n), ts(n), &items[i], mode) {
+                            Ok(Granted) => entry.1 = None,
+                            Ok(Queued) => {}
+                            Err(_) => {
+                                lm.release_all(txn(n));
+                                *entry = fresh.next().unwrap();
+                            }
+                        }
+                        assert_bookkeeping_agrees(&lm, &context);
+                    }
+                }
+                assert_eq!(
+                    (lm.active_transactions(), lm.item_entries()),
+                    (0, 0),
+                    "{policy} seed {seed}: {}",
+                    lm.fingerprint()
+                );
+            }
+            let stats = lm.stats();
+            assert!(
+                stats.waits() > 0 && stats.timeouts() > 0,
+                "{policy}: {stats:?}"
+            );
+        }
     }
 }

@@ -14,7 +14,6 @@
 //! younger than the writer).
 
 use crate::types::{CcDecision, CcProtocol, TxnContext};
-use parking_lot::Mutex;
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
 use std::collections::{HashMap, HashSet};
@@ -68,15 +67,17 @@ impl ItemVersions {
 /// Multi-version timestamp ordering for one site.
 #[derive(Debug, Default)]
 pub struct MultiversionTimestampOrdering {
-    items: Mutex<HashMap<ItemId, ItemVersions>>,
-    touched: Mutex<HashMap<TxnId, HashSet<ItemId>>>,
+    items: HashMap<ItemId, ItemVersions>,
+    /// Items touched by each active transaction (so abort/commit can clean
+    /// pending entries without scanning every item).
+    touched: HashMap<TxnId, HashSet<ItemId>>,
     /// Post-recovery admission floor (see
     /// [`CcProtocol::install_recovery_floor`]): a crash loses the version
     /// chains and their `rts` marks, and the rebuilt chain seeds the
     /// surviving committed value at `wts = ZERO` — so below-floor readers
     /// would mistake young data for old, and below-floor writers could
     /// invalidate reads whose `rts` marks vanished.
-    floor: Mutex<Timestamp>,
+    floor: Timestamp,
     /// How long a read that must wait for an older transaction's pending
     /// pre-write to resolve is worth asking again for. Zero (the
     /// [`Default`]): not at all.
@@ -104,7 +105,6 @@ impl MultiversionTimestampOrdering {
     /// collection experiment.
     pub fn version_count(&self, item: &ItemId) -> usize {
         self.items
-            .lock()
             .get(item)
             .map(|entry| entry.versions.len())
             .unwrap_or(0)
@@ -113,43 +113,41 @@ impl MultiversionTimestampOrdering {
     /// Discards versions older than `horizon` (keeping at least the youngest
     /// one that is still visible to `horizon`), a simple garbage-collection
     /// hook.
-    pub fn vacuum(&self, horizon: Timestamp) {
-        let mut items = self.items.lock();
-        for entry in items.values_mut() {
+    pub fn vacuum(&mut self, horizon: Timestamp) {
+        for entry in self.items.values_mut() {
             if let Some(keep_from) = entry.visible_index(horizon) {
                 entry.versions.drain(..keep_from);
             }
         }
     }
 
-    fn track(&self, txn: TxnId, item: &ItemId) {
-        self.touched
-            .lock()
-            .entry(txn)
-            .or_default()
-            .insert(item.clone());
+    /// Forgets `txn`: its pending pre-writes on every item it touched.
+    fn forget(&mut self, txn: TxnId) {
+        for item in self.touched.remove(&txn).unwrap_or_default() {
+            if let Some(entry) = self.items.get_mut(&item) {
+                entry.pending_writes.remove(&txn);
+            }
+        }
     }
 }
 
 impl CcProtocol for MultiversionTimestampOrdering {
     fn read(
-        &self,
+        &mut self,
         txn: &TxnContext,
         item: &ItemId,
         current: (Value, Version),
     ) -> Option<CcDecision> {
-        if txn.ts < *self.floor.lock() {
+        if txn.ts < self.floor {
             return Some(CcDecision::Rejected(txn.too_late(item)));
         }
-        let mut items = self.items.lock();
-        let entry = items.entry(item.clone()).or_default();
+        let entry = self.items.entry(item.clone()).or_default();
         entry.seed_if_empty(&current);
         // A pending pre-write by a smaller-timestamped *other* transaction
         // would insert a version between the one this read would pick and
         // the reader — serving the read now silently skips that version
         // (lost update once both commit), so the read has to wait for it to
-        // resolve. The grant happens under the same lock acquisition as the
-        // pending check, so no new pre-write can slip in between.
+        // resolve.
         let blocked = entry
             .pending_writes
             .iter()
@@ -169,8 +167,7 @@ impl CcProtocol for MultiversionTimestampOrdering {
         let version = &mut entry.versions[index];
         version.rts = version.rts.max(txn.ts);
         let override_pair = (version.value.clone(), version.version);
-        drop(items);
-        self.track(txn.id, item);
+        self.touched.entry(txn.id).or_default().insert(item.clone());
         Some(CcDecision::Granted {
             value_override: Some(override_pair),
         })
@@ -178,16 +175,15 @@ impl CcProtocol for MultiversionTimestampOrdering {
 
     /// An MVTO pre-write never waits.
     fn prewrite(
-        &self,
+        &mut self,
         txn: &TxnContext,
         item: &ItemId,
         current: (Value, Version),
     ) -> Option<CcDecision> {
-        if txn.ts < *self.floor.lock() {
+        if txn.ts < self.floor {
             return Some(CcDecision::Rejected(txn.too_late(item)));
         }
-        let mut items = self.items.lock();
-        let entry = items.entry(item.clone()).or_default();
+        let entry = self.items.entry(item.clone()).or_default();
         entry.seed_if_empty(&current);
         match entry.visible_index(txn.ts) {
             Some(index) => {
@@ -202,8 +198,7 @@ impl CcProtocol for MultiversionTimestampOrdering {
             None => return Some(CcDecision::Rejected(txn.too_late(item))),
         }
         entry.pending_writes.insert(txn.id, txn.ts);
-        drop(items);
-        self.track(txn.id, item);
+        self.touched.entry(txn.id).or_default().insert(item.clone());
         Some(CcDecision::granted())
     }
 
@@ -213,18 +208,17 @@ impl CcProtocol for MultiversionTimestampOrdering {
 
     /// Nothing is remembered of a read that must wait, so there is nothing
     /// to forget; out of budget it is rejected like any late operation.
-    fn give_up(&self, txn: &TxnContext, item: &ItemId) -> AbortCause {
+    fn give_up(&mut self, txn: &TxnContext, item: &ItemId) -> AbortCause {
         txn.too_late(item)
     }
 
-    fn validate(&self, _txn: &TxnContext) -> CcDecision {
+    fn validate(&mut self, _txn: &TxnContext) -> CcDecision {
         CcDecision::granted()
     }
 
-    fn commit(&self, txn: &TxnContext, writes: &[(ItemId, Value, Version)]) {
-        let mut items = self.items.lock();
+    fn commit(&mut self, txn: &TxnContext, writes: &[(ItemId, Value, Version)]) {
         for (item, value, version) in writes {
-            let entry = items.entry(item.clone()).or_default();
+            let entry = self.items.entry(item.clone()).or_default();
             entry.pending_writes.remove(&txn.id);
             // Insert the new version keeping the chain sorted by wts.
             let insert_at = entry
@@ -242,29 +236,15 @@ impl CcProtocol for MultiversionTimestampOrdering {
                 },
             );
         }
-        if let Some(touched) = self.touched.lock().remove(&txn.id) {
-            for item in touched {
-                if let Some(entry) = items.get_mut(&item) {
-                    entry.pending_writes.remove(&txn.id);
-                }
-            }
-        }
+        self.forget(txn.id);
     }
 
-    fn abort(&self, txn: &TxnContext) {
-        let mut items = self.items.lock();
-        if let Some(touched) = self.touched.lock().remove(&txn.id) {
-            for item in touched {
-                if let Some(entry) = items.get_mut(&item) {
-                    entry.pending_writes.remove(&txn.id);
-                }
-            }
-        }
+    fn abort(&mut self, txn: &TxnContext) {
+        self.forget(txn.id);
     }
 
-    fn install_recovery_floor(&self, floor: Timestamp) {
-        let mut current = self.floor.lock();
-        *current = (*current).max(floor);
+    fn install_recovery_floor(&mut self, floor: Timestamp) {
+        self.floor = self.floor.max(floor);
     }
 
     fn name(&self) -> &'static str {
@@ -272,7 +252,7 @@ impl CcProtocol for MultiversionTimestampOrdering {
     }
 
     fn active_transactions(&self) -> usize {
-        self.touched.lock().len()
+        self.touched.len()
     }
 }
 
@@ -282,14 +262,14 @@ impl MultiversionTimestampOrdering {
     /// compare two instances (or one before and after).
     pub(crate) fn fingerprint(&self) -> String {
         use crate::non_waiting_tests::{canonical, canonical_touched};
-        let items = canonical(self.items.lock().iter().map(|(item, entry)| {
+        let items = canonical(self.items.iter().map(|(item, entry)| {
             let pending = canonical(entry.pending_writes.iter().map(|p| format!("{p:?}")));
             format!("{item}: {:?} pending [{pending}]", entry.versions)
         }));
         format!(
             "items {items}\ntouched {}\nfloor {:?}",
-            canonical_touched(&self.touched.lock()),
-            *self.floor.lock()
+            canonical_touched(&self.touched),
+            self.floor
         )
     }
 }
@@ -312,7 +292,7 @@ mod tests {
         (Value::Int(0), Version(0))
     }
 
-    fn read_value(cc: &MultiversionTimestampOrdering, ctx: &TxnContext, name: &str) -> Value {
+    fn read_value(cc: &mut MultiversionTimestampOrdering, ctx: &TxnContext, name: &str) -> Value {
         match cc.read(ctx, &item(name), current()) {
             Some(CcDecision::Granted {
                 value_override: Some((value, _)),
@@ -323,7 +303,7 @@ mod tests {
 
     #[test]
     fn read_cannot_skip_an_older_pending_write() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         let w = ctx(1, 10);
         assert!(granted(cc.prewrite(&w, &item("x"), current())));
         // A younger reader would skip the version T10 is about to insert:
@@ -342,13 +322,13 @@ mod tests {
         assert!(granted(cc.read(&w, &item("x"), current())));
         cc.commit(&w, &[(item("x"), Value::Int(7), Version(1))]);
         let reader = ctx(4, 30);
-        assert_eq!(read_value(&cc, &reader, "x"), Value::Int(7));
+        assert_eq!(read_value(&mut cc, &reader, "x"), Value::Int(7));
     }
 
     #[test]
     fn blocked_read_waits_and_then_sees_the_new_version() {
         let budget = Duration::from_millis(500);
-        let cc = MultiversionTimestampOrdering::new().with_wait_budget(budget);
+        let mut cc = MultiversionTimestampOrdering::new().with_wait_budget(budget);
         assert_eq!(cc.wait_budget(), budget);
         assert!(granted(cc.prewrite(&ctx(1, 10), &item("x"), current())));
         // The ts-20 reader waits out the ts-10 pending write, however often
@@ -361,12 +341,12 @@ mod tests {
         // … and then reads the version it inserted instead of silently
         // skipping it.
         cc.commit(&ctx(1, 10), &[(item("x"), Value::Int(7), Version(1))]);
-        assert_eq!(read_value(&cc, &reader, "x"), Value::Int(7));
+        assert_eq!(read_value(&mut cc, &reader, "x"), Value::Int(7));
     }
 
     #[test]
     fn recovery_floor_fences_pre_crash_timestamps() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         cc.install_recovery_floor(Timestamp::new(50, 0));
         assert!(rejected(cc.read(&ctx(1, 20), &item("x"), current())));
         assert!(rejected(cc.prewrite(&ctx(2, 49), &item("x"), current())));
@@ -377,7 +357,7 @@ mod tests {
 
     #[test]
     fn reads_see_the_version_visible_at_their_timestamp() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         // T10 writes 100, T30 writes 300.
         let w10 = ctx(1, 10);
         assert!(granted(cc.prewrite(&w10, &item("x"), current())));
@@ -388,26 +368,26 @@ mod tests {
 
         // A reader at ts=20 sees 100; a reader at ts=40 sees 300; a reader at
         // ts=5 sees the initial value 0.
-        assert_eq!(read_value(&cc, &ctx(3, 20), "x"), Value::Int(100));
-        assert_eq!(read_value(&cc, &ctx(4, 40), "x"), Value::Int(300));
-        assert_eq!(read_value(&cc, &ctx(5, 5), "x"), Value::Int(0));
+        assert_eq!(read_value(&mut cc, &ctx(3, 20), "x"), Value::Int(100));
+        assert_eq!(read_value(&mut cc, &ctx(4, 40), "x"), Value::Int(300));
+        assert_eq!(read_value(&mut cc, &ctx(5, 5), "x"), Value::Int(0));
         assert_eq!(cc.version_count(&item("x")), 3);
     }
 
     #[test]
     fn old_readers_never_abort() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         let writer = ctx(1, 100);
         assert!(granted(cc.prewrite(&writer, &item("x"), current())));
         cc.commit(&writer, &[(item("x"), Value::Int(7), Version(1))]);
         // Under basic TSO this read (ts 50 < wts 100) would abort; under MVTO
         // it reads the older version.
-        assert_eq!(read_value(&cc, &ctx(2, 50), "x"), Value::Int(0));
+        assert_eq!(read_value(&mut cc, &ctx(2, 50), "x"), Value::Int(0));
     }
 
     #[test]
     fn write_invalidating_a_later_read_is_rejected() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         // A reader at ts=50 reads the initial version.
         assert!(granted(cc.read(&ctx(1, 50), &item("x"), current())));
         // A writer at ts=20 would create a version that the ts=50 reader
@@ -425,18 +405,18 @@ mod tests {
 
     #[test]
     fn aborted_writes_leave_no_version() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         let w = ctx(1, 10);
         assert!(granted(cc.prewrite(&w, &item("x"), current())));
         cc.abort(&w);
         assert_eq!(cc.active_transactions(), 0);
-        assert_eq!(read_value(&cc, &ctx(2, 20), "x"), Value::Int(0));
+        assert_eq!(read_value(&mut cc, &ctx(2, 20), "x"), Value::Int(0));
         assert_eq!(cc.version_count(&item("x")), 1);
     }
 
     #[test]
     fn versions_are_kept_sorted_even_with_out_of_order_commits() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         let w30 = ctx(1, 30);
         let w10 = ctx(2, 10);
         assert!(granted(cc.prewrite(&w30, &item("x"), current())));
@@ -445,13 +425,13 @@ mod tests {
         // distributed commit ordering); its version must slot in before.
         assert!(granted(cc.prewrite(&w10, &item("x"), current())));
         cc.commit(&w10, &[(item("x"), Value::Int(100), Version(1))]);
-        assert_eq!(read_value(&cc, &ctx(3, 20), "x"), Value::Int(100));
-        assert_eq!(read_value(&cc, &ctx(4, 40), "x"), Value::Int(300));
+        assert_eq!(read_value(&mut cc, &ctx(3, 20), "x"), Value::Int(100));
+        assert_eq!(read_value(&mut cc, &ctx(4, 40), "x"), Value::Int(300));
     }
 
     #[test]
     fn vacuum_discards_unreachable_versions() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         for (i, ts) in [10u64, 20, 30, 40].iter().enumerate() {
             let w = ctx(i as u64 + 1, *ts);
             assert!(granted(cc.prewrite(&w, &item("x"), current())));
@@ -465,25 +445,25 @@ mod tests {
         // Versions 0,10,20 are older than the visible-at-35 version (30) and
         // can be dropped; 30 and 40 remain.
         assert_eq!(cc.version_count(&item("x")), 2);
-        assert_eq!(read_value(&cc, &ctx(9, 100), "x"), Value::Int(40));
+        assert_eq!(read_value(&mut cc, &ctx(9, 100), "x"), Value::Int(40));
     }
 
     #[test]
     fn validate_always_grants_and_name_is_mvto() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         assert!(cc.validate(&ctx(1, 1)).is_granted());
         assert_eq!(cc.name(), "MVTO");
     }
 
     #[test]
     fn read_write_conflict_on_same_timestamp_is_allowed_for_own_txn() {
-        let cc = MultiversionTimestampOrdering::new();
+        let mut cc = MultiversionTimestampOrdering::new();
         let t = ctx(1, 10);
-        assert_eq!(read_value(&cc, &t, "x"), Value::Int(0));
+        assert_eq!(read_value(&mut cc, &t, "x"), Value::Int(0));
         // Writing after having read the same item at the same timestamp is
         // fine (rts == ts, not > ts).
         assert!(granted(cc.prewrite(&t, &item("x"), current())));
         cc.commit(&t, &[(item("x"), Value::Int(1), Version(1))]);
-        assert_eq!(read_value(&cc, &ctx(2, 20), "x"), Value::Int(1));
+        assert_eq!(read_value(&mut cc, &ctx(2, 20), "x"), Value::Int(1));
     }
 }

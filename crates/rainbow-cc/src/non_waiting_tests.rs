@@ -72,7 +72,7 @@ fn multiversion() -> Subject<MultiversionTimestampOrdering> {
     }
 }
 
-const POLICIES: [DeadlockPolicy; 4] = [
+pub(crate) const POLICIES: [DeadlockPolicy; 4] = [
     DeadlockPolicy::WaitForGraph,
     DeadlockPolicy::WaitDie,
     DeadlockPolicy::WoundWait,
@@ -89,7 +89,7 @@ fn current() -> (Value, Version) {
 
 /// The copy accesses a site issues, as it issues them.
 #[derive(Debug, Clone, Copy)]
-enum Access {
+pub(crate) enum Access {
     Read,
     Prewrite,
     /// Pre-write, then read: the site's read-for-update.
@@ -97,7 +97,7 @@ enum Access {
 }
 
 impl Access {
-    fn ask(self, cc: &dyn CcProtocol, txn: &TxnContext, item: &ItemId) -> Option<CcDecision> {
+    fn ask(self, cc: &mut dyn CcProtocol, txn: &TxnContext, item: &ItemId) -> Option<CcDecision> {
         match self {
             Access::Read => cc.read(txn, item, current()),
             Access::Prewrite => cc.prewrite(txn, item, current()),
@@ -111,13 +111,13 @@ impl Access {
 
 /// One step of a random single-threaded history.
 #[derive(Debug, Clone, Copy)]
-enum Step {
+pub(crate) enum Step {
     Access(usize, usize, Access),
     Commit(usize),
     Abort(usize),
 }
 
-fn random_steps(seed: u64, len: usize, txns: usize, items: usize) -> Vec<Step> {
+pub(crate) fn random_steps(seed: u64, len: usize, txns: usize, items: usize) -> Vec<Step> {
     let mut rng = seeded_rng(seed);
     let mut pick = |n: usize| ItemSampler::new(n, AccessDistribution::Uniform).sample(&mut rng);
     (0..len)
@@ -147,7 +147,7 @@ fn asking_again_changes_nothing<P: CcProtocol>(subject: Subject<P>) {
     let items: Vec<ItemId> = (0..3).map(|i| ItemId::new(format!("i{i}"))).collect();
     let (mut waited, mut granted_after_waiting) = (0, 0);
     for seed in 0..8 {
-        let cc = (subject.make)();
+        let mut cc = (subject.make)();
         // Slot → its current incarnation (a finished slot restarts younger)
         // and the items it was granted write access to.
         let mut incarnations = (0..).map(|seq| (ctx(seq, 10 * (seq + 1)), Vec::new()));
@@ -184,10 +184,10 @@ fn asking_again_changes_nothing<P: CcProtocol>(subject: Subject<P>) {
             }
             for (nth, (slot, item, access)) in asked.into_iter().enumerate() {
                 let txn = slots[slot].0;
-                match access.ask(&cc, &txn, &item) {
+                match access.ask(&mut cc, &txn, &item) {
                     None => {
                         let queued = (subject.fingerprint)(&cc);
-                        assert_eq!(access.ask(&cc, &txn, &item), None, "{name} seed {seed}");
+                        assert_eq!(access.ask(&mut cc, &txn, &item), None, "{name} seed {seed}");
                         assert_eq!((subject.fingerprint)(&cc), queued, "{name} seed {seed}");
                         waited += usize::from(nth >= asked_before);
                         waiting.push((slot, item, access));
@@ -239,7 +239,7 @@ fn asking_again_with_nothing_released_changes_nothing() {
 /// must equal one granted once.
 fn granting_a_prewrite_twice_equals_once<P: CcProtocol>(subject: Subject<P>) {
     let x = ItemId::new("x");
-    let (once, twice) = ((subject.make)(), (subject.make)());
+    let (mut once, mut twice) = ((subject.make)(), (subject.make)());
     let txn = ctx(1, 10);
     assert!(granted(once.prewrite(&txn, &x, current())));
     assert!(granted(twice.prewrite(&txn, &x, current())));

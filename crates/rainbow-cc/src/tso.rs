@@ -32,7 +32,6 @@
 //! goal); the wait budget keeps the protocol bounded.
 
 use crate::types::{CcDecision, CcProtocol, TxnContext};
-use parking_lot::Mutex;
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -51,15 +50,15 @@ struct ItemTimestamps {
 /// Basic timestamp-ordering concurrency control for one site.
 #[derive(Debug, Default)]
 pub struct TimestampOrdering {
-    items: Mutex<HashMap<ItemId, ItemTimestamps>>,
+    items: HashMap<ItemId, ItemTimestamps>,
     /// Items touched by each active transaction (so abort/commit can clean
     /// pending entries without scanning every item).
-    touched: Mutex<HashMap<TxnId, HashSet<ItemId>>>,
+    touched: HashMap<TxnId, HashSet<ItemId>>,
     /// Post-recovery admission floor (see
     /// [`CcProtocol::install_recovery_floor`]): operations below it are
     /// rejected because the pre-crash `rts`/`wts` they might conflict with
     /// were lost with the volatile tables.
-    floor: Mutex<Timestamp>,
+    floor: Timestamp,
     /// How long a read that must wait behind an earlier transaction's
     /// pending pre-write is worth asking again for. Zero (the [`Default`]):
     /// not at all.
@@ -84,34 +83,33 @@ impl TimestampOrdering {
     /// The `(rts, wts)` pair currently recorded for an item (zero timestamps
     /// if the item has never been touched). Exposed for tests.
     pub fn item_timestamps(&self, item: &ItemId) -> (Timestamp, Timestamp) {
-        let items = self.items.lock();
-        items
+        self.items
             .get(item)
             .map(|entry| (entry.rts, entry.wts))
             .unwrap_or((Timestamp::ZERO, Timestamp::ZERO))
     }
 
-    fn track(&self, txn: TxnId, item: &ItemId) {
-        self.touched
-            .lock()
-            .entry(txn)
-            .or_default()
-            .insert(item.clone());
+    /// Forgets `txn`: its pending pre-writes on every item it touched.
+    fn forget(&mut self, txn: TxnId) {
+        for item in self.touched.remove(&txn).unwrap_or_default() {
+            if let Some(entry) = self.items.get_mut(&item) {
+                entry.pending_writes.remove(&txn);
+            }
+        }
     }
 }
 
 impl CcProtocol for TimestampOrdering {
     fn read(
-        &self,
+        &mut self,
         txn: &TxnContext,
         item: &ItemId,
         _current: (Value, Version),
     ) -> Option<CcDecision> {
-        if txn.ts < *self.floor.lock() {
+        if txn.ts < self.floor {
             return Some(CcDecision::Rejected(txn.too_late(item)));
         }
-        let mut items = self.items.lock();
-        let entry = items.entry(item.clone()).or_default();
+        let entry = self.items.entry(item.clone()).or_default();
         // Reading behind a committed write is too late no matter what the
         // pending writes resolve to (wts never decreases), so reject before
         // deciding to wait.
@@ -137,29 +135,26 @@ impl CcProtocol for TimestampOrdering {
             return None;
         }
         entry.rts = entry.rts.max(txn.ts);
-        drop(items);
-        self.track(txn.id, item);
+        self.touched.entry(txn.id).or_default().insert(item.clone());
         Some(CcDecision::granted())
     }
 
     /// A TSO pre-write never waits.
     fn prewrite(
-        &self,
+        &mut self,
         txn: &TxnContext,
         item: &ItemId,
         _current: (Value, Version),
     ) -> Option<CcDecision> {
-        if txn.ts < *self.floor.lock() {
+        if txn.ts < self.floor {
             return Some(CcDecision::Rejected(txn.too_late(item)));
         }
-        let mut items = self.items.lock();
-        let entry = items.entry(item.clone()).or_default();
+        let entry = self.items.entry(item.clone()).or_default();
         if txn.ts < entry.rts || txn.ts < entry.wts {
             return Some(CcDecision::Rejected(txn.too_late(item)));
         }
         entry.pending_writes.insert(txn.id, txn.ts);
-        drop(items);
-        self.track(txn.id, item);
+        self.touched.entry(txn.id).or_default().insert(item.clone());
         Some(CcDecision::granted())
     }
 
@@ -169,48 +164,33 @@ impl CcProtocol for TimestampOrdering {
 
     /// Nothing is remembered of a read that must wait, so there is nothing
     /// to forget; out of budget it is simply too late.
-    fn give_up(&self, txn: &TxnContext, item: &ItemId) -> AbortCause {
+    fn give_up(&mut self, txn: &TxnContext, item: &ItemId) -> AbortCause {
         txn.too_late(item)
     }
 
-    fn validate(&self, _txn: &TxnContext) -> CcDecision {
+    fn validate(&mut self, _txn: &TxnContext) -> CcDecision {
         // TSO decides at access time; nothing can invalidate a transaction
         // between its last access and its vote.
         CcDecision::granted()
     }
 
-    fn commit(&self, txn: &TxnContext, writes: &[(ItemId, Value, Version)]) {
-        let mut items = self.items.lock();
+    fn commit(&mut self, txn: &TxnContext, writes: &[(ItemId, Value, Version)]) {
         for (item, _, _) in writes {
-            let entry = items.entry(item.clone()).or_default();
+            let entry = self.items.entry(item.clone()).or_default();
             entry.pending_writes.remove(&txn.id);
             entry.wts = entry.wts.max(txn.ts);
         }
         // Clear any pending pre-writes on items that were staged but not in
         // the final write set (defensive; normally identical).
-        if let Some(touched) = self.touched.lock().remove(&txn.id) {
-            for item in touched {
-                if let Some(entry) = items.get_mut(&item) {
-                    entry.pending_writes.remove(&txn.id);
-                }
-            }
-        }
+        self.forget(txn.id);
     }
 
-    fn abort(&self, txn: &TxnContext) {
-        let mut items = self.items.lock();
-        if let Some(touched) = self.touched.lock().remove(&txn.id) {
-            for item in touched {
-                if let Some(entry) = items.get_mut(&item) {
-                    entry.pending_writes.remove(&txn.id);
-                }
-            }
-        }
+    fn abort(&mut self, txn: &TxnContext) {
+        self.forget(txn.id);
     }
 
-    fn install_recovery_floor(&self, floor: Timestamp) {
-        let mut current = self.floor.lock();
-        *current = (*current).max(floor);
+    fn install_recovery_floor(&mut self, floor: Timestamp) {
+        self.floor = self.floor.max(floor);
     }
 
     fn name(&self) -> &'static str {
@@ -218,7 +198,7 @@ impl CcProtocol for TimestampOrdering {
     }
 
     fn active_transactions(&self) -> usize {
-        self.touched.lock().len()
+        self.touched.len()
     }
 }
 
@@ -230,9 +210,9 @@ impl TimestampOrdering {
         use crate::non_waiting_tests::{canonical, canonical_touched};
         format!(
             "items {}\ntouched {}\nfloor {:?}",
-            canonical(self.items.lock().iter().map(|e| format!("{e:?}"))),
-            canonical_touched(&self.touched.lock()),
-            *self.floor.lock()
+            canonical(self.items.iter().map(|e| format!("{e:?}"))),
+            canonical_touched(&self.touched),
+            self.floor
         )
     }
 }
@@ -257,7 +237,7 @@ mod tests {
 
     #[test]
     fn reads_and_writes_in_timestamp_order_are_granted() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         let t1 = ctx(1, 10);
         let t2 = ctx(2, 20);
         assert!(granted(cc.read(&t1, &item("x"), current())));
@@ -270,7 +250,7 @@ mod tests {
 
     #[test]
     fn late_read_behind_committed_write_is_rejected() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         let writer = ctx(1, 50);
         assert!(granted(cc.prewrite(&writer, &item("x"), current())));
         cc.commit(&writer, &[(item("x"), Value::Int(1), Version(1))]);
@@ -287,7 +267,7 @@ mod tests {
 
     #[test]
     fn late_write_behind_read_is_rejected() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         let reader = ctx(1, 50);
         assert!(granted(cc.read(&reader, &item("x"), current())));
         let late_writer = ctx(2, 10);
@@ -296,7 +276,7 @@ mod tests {
 
     #[test]
     fn late_write_behind_committed_write_is_rejected() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         let w1 = ctx(1, 50);
         assert!(granted(cc.prewrite(&w1, &item("x"), current())));
         cc.commit(&w1, &[(item("x"), Value::Int(1), Version(1))]);
@@ -311,7 +291,7 @@ mod tests {
         // read-for-update. T2's own pending entry must NOT hide T1's: the
         // value T2 would read is the one T1 is about to supersede, yet T2
         // serializes after T1 — the classic lost update.
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         let t1 = ctx(1, 10);
         let t2 = ctx(2, 20);
         assert!(granted(cc.prewrite(&t1, &item("x"), current())));
@@ -326,7 +306,7 @@ mod tests {
     #[test]
     fn blocked_read_waits_for_the_pending_write_to_resolve() {
         let budget = Duration::from_millis(500);
-        let cc = TimestampOrdering::new().with_wait_budget(budget);
+        let mut cc = TimestampOrdering::new().with_wait_budget(budget);
         assert_eq!(cc.wait_budget(), budget);
         let writer = ctx(1, 10);
         assert!(granted(cc.prewrite(&writer, &item("x"), current())));
@@ -343,7 +323,7 @@ mod tests {
 
     #[test]
     fn read_past_pending_write_of_earlier_txn_is_rejected() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         let writer = ctx(1, 10);
         assert!(granted(cc.prewrite(&writer, &item("x"), current())));
         // A later reader must not read the (still old) committed value and
@@ -369,7 +349,7 @@ mod tests {
 
     #[test]
     fn recovery_floor_fences_pre_crash_timestamps() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         assert!(granted(cc.read(&ctx(1, 10), &item("x"), current())));
         cc.install_recovery_floor(Timestamp::new(40, 0));
         // Below the floor: rejected even though the (rebuilt, empty) tables
@@ -387,7 +367,7 @@ mod tests {
 
     #[test]
     fn abort_discards_pending_writes() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         let writer = ctx(1, 10);
         assert!(granted(cc.prewrite(&writer, &item("x"), current())));
         assert_eq!(cc.active_transactions(), 1);
@@ -404,14 +384,14 @@ mod tests {
 
     #[test]
     fn validate_always_grants() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         assert!(cc.validate(&ctx(1, 1)).is_granted());
         assert_eq!(cc.name(), "TSO");
     }
 
     #[test]
     fn rts_advances_monotonically() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         assert!(granted(cc.read(&ctx(1, 30), &item("x"), current())));
         assert!(granted(cc.read(&ctx(2, 10), &item("x"), current())));
         let (rts, _) = cc.item_timestamps(&item("x"));
@@ -420,7 +400,7 @@ mod tests {
 
     #[test]
     fn blind_write_then_commit_updates_wts_per_item() {
-        let cc = TimestampOrdering::new();
+        let mut cc = TimestampOrdering::new();
         let t = ctx(1, 5);
         assert!(granted(cc.prewrite(&t, &item("a"), current())));
         assert!(granted(cc.prewrite(&t, &item("b"), current())));

@@ -27,11 +27,6 @@ impl TwoPhaseLocking {
         }
     }
 
-    /// The underlying lock manager (exposed for statistics and tests).
-    pub fn lock_manager(&self) -> &LockManager {
-        &self.locks
-    }
-
     fn acquire(&self, txn: &TxnContext, item: &ItemId, mode: LockMode) -> Option<CcDecision> {
         match self.locks.acquire(txn.id, txn.ts, item, mode) {
             Ok(Acquired::Granted) => Some(CcDecision::granted()),
@@ -47,7 +42,7 @@ impl TwoPhaseLocking {
 
 impl CcProtocol for TwoPhaseLocking {
     fn read(
-        &self,
+        &mut self,
         txn: &TxnContext,
         item: &ItemId,
         _current: (Value, Version),
@@ -56,7 +51,7 @@ impl CcProtocol for TwoPhaseLocking {
     }
 
     fn prewrite(
-        &self,
+        &mut self,
         txn: &TxnContext,
         item: &ItemId,
         _current: (Value, Version),
@@ -68,14 +63,14 @@ impl CcProtocol for TwoPhaseLocking {
         self.locks.wait_timeout()
     }
 
-    fn give_up(&self, txn: &TxnContext, item: &ItemId) -> AbortCause {
+    fn give_up(&mut self, txn: &TxnContext, item: &ItemId) -> AbortCause {
         AbortCause::CcpLockConflict {
             item: item.clone(),
             holder: self.locks.give_up(txn.id, item),
         }
     }
 
-    fn validate(&self, txn: &TxnContext) -> CcDecision {
+    fn validate(&mut self, txn: &TxnContext) -> CcDecision {
         if self.locks.is_wounded(txn.id) {
             return CcDecision::Rejected(AbortCause::CcpDeadlock {
                 item: ItemId::new("<wounded>"),
@@ -99,11 +94,11 @@ impl CcProtocol for TwoPhaseLocking {
         CcDecision::granted()
     }
 
-    fn commit(&self, txn: &TxnContext, _writes: &[(ItemId, Value, Version)]) {
+    fn commit(&mut self, txn: &TxnContext, _writes: &[(ItemId, Value, Version)]) {
         self.locks.release_all(txn.id);
     }
 
-    fn abort(&self, txn: &TxnContext) {
+    fn abort(&mut self, txn: &TxnContext) {
         self.locks.release_all(txn.id);
     }
 
@@ -151,7 +146,7 @@ mod tests {
 
     #[test]
     fn readers_share_writers_exclude() {
-        let cc = tpl(DeadlockPolicy::WaitForGraph);
+        let mut cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
         let t2 = ctx(2, 2);
         assert_eq!(cc.read(&t1, &item("x"), current()), GRANTED);
@@ -172,7 +167,7 @@ mod tests {
 
     #[test]
     fn commit_releases_locks_for_waiting_writers() {
-        let cc = tpl(DeadlockPolicy::TimeoutOnly);
+        let mut cc = tpl(DeadlockPolicy::TimeoutOnly);
         let t1 = ctx(1, 1);
         let t2 = ctx(2, 2);
         assert_eq!(cc.prewrite(&t1, &item("x"), current()), GRANTED);
@@ -183,7 +178,7 @@ mod tests {
 
     #[test]
     fn abort_also_releases_locks() {
-        let cc = tpl(DeadlockPolicy::WaitForGraph);
+        let mut cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
         assert_eq!(cc.prewrite(&t1, &item("x"), current()), GRANTED);
         assert_eq!(cc.active_transactions(), 1);
@@ -195,7 +190,7 @@ mod tests {
 
     #[test]
     fn deadlock_is_reported_as_ccp_deadlock() {
-        let cc = tpl(DeadlockPolicy::WaitForGraph);
+        let mut cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
         let t2 = ctx(2, 2);
         assert_eq!(cc.prewrite(&t1, &item("x"), current()), GRANTED);
@@ -212,7 +207,7 @@ mod tests {
 
     #[test]
     fn wounded_transaction_fails_validation() {
-        let cc = tpl(DeadlockPolicy::WoundWait);
+        let mut cc = tpl(DeadlockPolicy::WoundWait);
         let young = ctx(2, 10);
         let old = ctx(1, 1);
         assert_eq!(cc.prewrite(&young, &item("x"), current()), GRANTED);
@@ -228,7 +223,7 @@ mod tests {
 
     #[test]
     fn validate_passes_for_unwounded_transactions() {
-        let cc = tpl(DeadlockPolicy::WaitForGraph);
+        let mut cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
         assert_eq!(cc.read(&t1, &item("x"), current()), GRANTED);
         assert!(cc.validate(&t1).is_granted());
@@ -237,7 +232,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_transactions_holding_no_resources() {
-        let cc = tpl(DeadlockPolicy::WaitForGraph);
+        let mut cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
         // No lock held at this site (grants lost in a crash, or released by
         // the janitor): the site must not vouch for the old accesses.
@@ -252,7 +247,7 @@ mod tests {
 
     #[test]
     fn read_then_upgrade_to_write_on_same_item() {
-        let cc = tpl(DeadlockPolicy::WaitForGraph);
+        let mut cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
         assert_eq!(cc.read(&t1, &item("x"), current()), GRANTED);
         assert_eq!(cc.prewrite(&t1, &item("x"), current()), GRANTED);

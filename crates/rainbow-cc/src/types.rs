@@ -3,7 +3,6 @@
 use rainbow_common::protocol::{CcpKind, DeadlockPolicy};
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-transaction context handed to every CCP call.
@@ -77,6 +76,12 @@ impl CcDecision {
 /// The concurrency control protocol interface, one instance per site — what
 /// a student replacing a protocol implements.
 ///
+/// An instance has one owner, the site's event loop (or the site handle
+/// between two drains), so calls never overlap: a protocol keeps plain
+/// fields and takes no lock, and every method that can change what it
+/// remembers takes `&mut self`. It is `Send` because a crash restart, run
+/// on the site handle's thread, replaces it.
+///
 /// Call sequence for a transaction at a copy-holder site:
 ///
 /// 1. zero or more [`CcProtocol::read`] / [`CcProtocol::prewrite`] calls as
@@ -89,7 +94,7 @@ impl CcDecision {
 /// 2. [`CcProtocol::validate`] when the 2PC participant is about to vote;
 /// 3. exactly one of [`CcProtocol::commit`] or [`CcProtocol::abort`], which
 ///    releases every resource the transaction holds at this site.
-pub trait CcProtocol: Send + Sync {
+pub trait CcProtocol: Send {
     /// Requests read access to `item`: granted, rejected, or `None` when it
     /// must wait (2PL: the lock is held; TSO/MVTO: an earlier pre-write is
     /// pending). A protocol may remember a waiting request (2PL gives it a
@@ -99,7 +104,7 @@ pub trait CcProtocol: Send + Sync {
     /// `current` is the committed `(value, version)` of the local copy, which
     /// multi-version protocols use to maintain their version chains.
     fn read(
-        &self,
+        &mut self,
         txn: &TxnContext,
         item: &ItemId,
         current: (Value, Version),
@@ -112,7 +117,7 @@ pub trait CcProtocol: Send + Sync {
     /// asked again whole), so granting one twice must equal granting it
     /// once.
     fn prewrite(
-        &self,
+        &mut self,
         txn: &TxnContext,
         item: &ItemId,
         current: (Value, Version),
@@ -125,22 +130,22 @@ pub trait CcProtocol: Send + Sync {
     /// `None` (the wait budget ran out, or the transaction ended meanwhile):
     /// whatever the protocol remembers of the waiting request is forgotten,
     /// and the cause to reject it with is returned.
-    fn give_up(&self, txn: &TxnContext, item: &ItemId) -> AbortCause;
+    fn give_up(&mut self, txn: &TxnContext, item: &ItemId) -> AbortCause;
 
     /// Called by the commit participant just before voting YES. Protocols
     /// that can invalidate a transaction after its accesses were granted
     /// (wound-wait) reject here.
-    fn validate(&self, txn: &TxnContext) -> CcDecision;
+    fn validate(&mut self, txn: &TxnContext) -> CcDecision;
 
     /// The transaction committed: install protocol-private state (MVTO
     /// versions) and release every lock / reservation.
     ///
     /// `writes` are the `(item, value, version)` triples installed by the
     /// commit at this site.
-    fn commit(&self, txn: &TxnContext, writes: &[(ItemId, Value, Version)]);
+    fn commit(&mut self, txn: &TxnContext, writes: &[(ItemId, Value, Version)]);
 
     /// The transaction aborted: release every lock / reservation.
-    fn abort(&self, txn: &TxnContext);
+    fn abort(&mut self, txn: &TxnContext);
 
     /// Installs a conservative recovery floor after a crash wiped this
     /// protocol's volatile state: the site's clock value at recovery, below
@@ -152,7 +157,7 @@ pub trait CcProtocol: Send + Sync {
     /// lost rejection surface (every pre-crash grant carried a timestamp
     /// the site's surviving Lamport clock has observed). Default: no-op,
     /// for protocols whose admission does not depend on lost state.
-    fn install_recovery_floor(&self, _floor: Timestamp) {}
+    fn install_recovery_floor(&mut self, _floor: Timestamp) {}
 
     /// Human-readable protocol name, used by reports.
     fn name(&self) -> &'static str;
@@ -167,9 +172,9 @@ pub fn make_ccp(
     kind: CcpKind,
     deadlock: DeadlockPolicy,
     lock_wait_timeout: Duration,
-) -> Arc<dyn CcProtocol> {
+) -> Box<dyn CcProtocol> {
     match kind {
-        CcpKind::TwoPhaseLocking => Arc::new(crate::two_phase_locking::TwoPhaseLocking::new(
+        CcpKind::TwoPhaseLocking => Box::new(crate::two_phase_locking::TwoPhaseLocking::new(
             deadlock,
             lock_wait_timeout,
         )),
@@ -177,9 +182,9 @@ pub fn make_ccp(
         // must wait behind an earlier transaction's pending pre-write (the
         // bounded prewrite-queue of textbook TSO/MVTO).
         CcpKind::TimestampOrdering => {
-            Arc::new(crate::tso::TimestampOrdering::new().with_wait_budget(lock_wait_timeout))
+            Box::new(crate::tso::TimestampOrdering::new().with_wait_budget(lock_wait_timeout))
         }
-        CcpKind::MultiversionTimestampOrdering => Arc::new(
+        CcpKind::MultiversionTimestampOrdering => Box::new(
             crate::mvto::MultiversionTimestampOrdering::new().with_wait_budget(lock_wait_timeout),
         ),
     }

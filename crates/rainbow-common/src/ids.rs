@@ -195,7 +195,7 @@ impl ItemId {
     }
 
     /// The precomputed 64-bit hash of the name. Deterministic across runs
-    /// and processes — the sharded lock table keys its shard choice on this.
+    /// and processes; `Hash` feeds exactly this to the hasher.
     pub fn token(&self) -> u64 {
         self.0.hash
     }

@@ -25,12 +25,6 @@ pub struct SiteMetrics {
     pub home_transactions: AtomicU64,
     /// Copy-access and commit-protocol requests served for other sites.
     pub served_requests: AtomicU64,
-    /// Copy accesses rejected by the local CCP.
-    pub ccp_rejections: AtomicU64,
-    /// Participant-side prepares voted YES.
-    pub votes_yes: AtomicU64,
-    /// Participant-side prepares voted NO.
-    pub votes_no: AtomicU64,
     /// Participant-side prepares voted READ-ONLY (nothing written here).
     pub votes_read_only: AtomicU64,
     /// Stale transactions the janitor cleaned up (coordinator never came

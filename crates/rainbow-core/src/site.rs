@@ -214,7 +214,7 @@ type SiteLock = Arc<Mutex<SiteState>>;
 /// Everything a site changes as it runs.
 struct SiteState {
     /// The CCP in force; a restart replaces it.
-    ccp: Arc<dyn CcProtocol>,
+    ccp: Box<dyn CcProtocol>,
     participants: HashMap<TxnId, ParticipantEntry>,
     /// Transactions that have already been decided (or cleaned up) at this
     /// site *as a participant*. Late copy-access requests, prepares and late
@@ -252,7 +252,7 @@ impl SiteState {
     /// The coordinators' machines and decisions survive a restart.
     fn start(shared: &SiteShared, crashed: Option<&mut Self>, in_doubt: Vec<InDoubtTxn>) -> Self {
         let stack = &shared.stack;
-        let ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
+        let mut ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
         ccp.install_recovery_floor(Timestamp::new(shared.clock.now(), shared.id.0));
         let mut state = SiteState {
             ccp,
@@ -861,7 +861,7 @@ struct CopyRequest {
 impl CopyRequest {
     /// Asks the CCP, which never blocks; `None` means the access must wait
     /// and is to be asked again.
-    fn ask(&self, ccp: &dyn CcProtocol) -> Option<CcDecision> {
+    fn ask(&self, ccp: &mut dyn CcProtocol) -> Option<CcDecision> {
         let (ctx, item, current) = (&self.ctx, &self.item, || self.current.clone());
         match self.access {
             CopyAccess::Prewrite => ccp.prewrite(ctx, item, current()),
@@ -930,10 +930,7 @@ impl CopyRequest {
                     }
                 }
             }
-            CcDecision::Rejected(cause) => {
-                SiteMetrics::bump(&shared.metrics.ccp_rejections);
-                CopyAccessResult::Denied(cause)
-            }
+            CcDecision::Rejected(cause) => CopyAccessResult::Denied(cause),
         };
         send_copy_reply(shared, from, ctx.id, item, access, result);
     }
@@ -1020,7 +1017,7 @@ fn handle_copy_access(
         current,
         lock_start: shared.trace_now(),
     };
-    match request.ask(&*state.ccp) {
+    match request.ask(state.ccp.as_mut()) {
         Some(decision) => {
             SiteMetrics::bump(&shared.metrics.copy_accesses_inline);
             request.finish(shared, state, decision);
@@ -1041,15 +1038,18 @@ fn ask_parked_again(shared: &SiteShared, state: &mut SiteState) -> Option<Instan
     if state.parked.is_empty() {
         return None;
     }
-    let ccp = Arc::clone(&state.ccp);
     let now = Instant::now();
     for Parked { request, deadline } in std::mem::take(&mut state.parked) {
         let abandoned = !state.participants.contains_key(&request.ctx.id);
-        let answer = if abandoned { None } else { request.ask(&*ccp) };
+        let answer = if abandoned {
+            None
+        } else {
+            request.ask(state.ccp.as_mut())
+        };
         match answer {
             Some(decision) => request.finish(shared, state, decision),
             None if abandoned || now >= deadline => {
-                let cause = ccp.give_up(&request.ctx, &request.item);
+                let cause = state.ccp.give_up(&request.ctx, &request.item);
                 request.finish(shared, state, CcDecision::Rejected(cause));
             }
             None => state.parked.push(Parked { request, deadline }),
@@ -1094,7 +1094,6 @@ fn handle_prepare_batch(
         SiteMetrics::bump(&shared.metrics.served_requests);
         shared.clock.observe(ts);
         if state.finished.contains(&txn) {
-            SiteMetrics::bump(&shared.metrics.votes_no);
             votes.push(Msg::AcpVote {
                 txn,
                 vote: Vote::No,
@@ -1127,9 +1126,8 @@ fn handle_prepare_batch(
         entry.last_activity = Instant::now();
         if let ParticipantAction::SendVote(vote) = entry.machine.on_prepare(vote) {
             match vote {
-                Vote::Yes => SiteMetrics::bump(&shared.metrics.votes_yes),
+                Vote::Yes => {}
                 Vote::No => {
-                    SiteMetrics::bump(&shared.metrics.votes_no);
                     // Voting NO releases local resources immediately.
                     shared.storage.abort(txn);
                     state.ccp.abort(&ctx);
@@ -1178,7 +1176,7 @@ fn handle_decision_commit_batch(
                     to_apply.push((txn, entry.ctx));
                 }
                 ParticipantAction::ApplyAndAck(Decision::Abort) => {
-                    apply_decision(shared, &*state.ccp, &entry.ctx, Decision::Abort);
+                    apply_decision(shared, state, &entry.ctx, Decision::Abort);
                 }
                 _ => {}
             }
@@ -1233,7 +1231,7 @@ fn handle_abort_decision(shared: &SiteShared, state: &mut SiteState, from: NodeI
         Some(mut entry) => {
             let action = entry.machine.on_decision(Decision::Abort);
             if let ParticipantAction::ApplyAndAck(applied) = action {
-                apply_decision(shared, &*state.ccp, &entry.ctx, applied);
+                apply_decision(shared, state, &entry.ctx, applied);
             }
         }
         // We have no record (already applied, cleaned up, or we crashed
@@ -1259,18 +1257,23 @@ fn handle_status_reply(shared: &SiteShared, state: &mut SiteState, txn: TxnId, d
     if let Some(mut entry) = state.participants.remove(&txn) {
         state.finished.insert(txn);
         if let ParticipantAction::ApplyAndAck(applied) = entry.machine.on_decision(decision) {
-            apply_decision(shared, &*state.ccp, &entry.ctx, applied);
+            apply_decision(shared, state, &entry.ctx, applied);
         }
     }
 }
 
 /// Applies a commit/abort decision to storage and the CCP.
-fn apply_decision(shared: &SiteShared, ccp: &dyn CcProtocol, ctx: &TxnContext, decision: Decision) {
+fn apply_decision(
+    shared: &SiteShared,
+    state: &mut SiteState,
+    ctx: &TxnContext,
+    decision: Decision,
+) {
     let apply_start = shared.trace_now();
     match decision {
         Decision::Commit => {
             let writes = shared.storage.commit(ctx.id);
-            ccp.commit(ctx, &writes);
+            state.ccp.commit(ctx, &writes);
             shared.trace_site_span(
                 ctx.id,
                 Some(Phase::CommitApply),
@@ -1281,7 +1284,7 @@ fn apply_decision(shared: &SiteShared, ccp: &dyn CcProtocol, ctx: &TxnContext, d
         }
         Decision::Abort => {
             shared.storage.abort(ctx.id);
-            ccp.abort(ctx);
+            state.ccp.abort(ctx);
             shared.trace_site_span(ctx.id, None, "apply:abort", apply_start, String::new);
         }
     }
@@ -1319,7 +1322,7 @@ fn run_janitor(shared: &SiteShared, state: &mut SiteState) {
     for (txn, ctx) in stale_working {
         SiteMetrics::bump(&shared.metrics.janitor_cleanups);
         state.finished.insert(txn);
-        apply_decision(shared, &*state.ccp, &ctx, Decision::Abort);
+        apply_decision(shared, state, &ctx, Decision::Abort);
     }
     for (txn, coordinator) in stale_prepared {
         shared.send(coordinator, Msg::AcpStatusQuery { txn });

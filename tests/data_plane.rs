@@ -1,22 +1,13 @@
 //! Property and differential tests for the data-plane hot path: interned
-//! item ids, the sharded lock table, and the quorum fan-out.
+//! item ids and the quorum fan-out.
 
 use proptest::prelude::*;
-use rainbow_cc::{Acquired, LockManager, LockMode, DEFAULT_LOCK_SHARDS};
-use rainbow_common::protocol::{DeadlockPolicy, ProtocolStack, RcpKind};
+use rainbow_common::protocol::{ProtocolStack, RcpKind};
 use rainbow_common::txn::TxnSpec;
-use rainbow_common::{ItemId, Operation, SiteId, Timestamp, TxnId, Value};
+use rainbow_common::{ItemId, Operation, Value};
 use rainbow_control::{Session, WorkloadRunner};
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn txn(seq: u64) -> TxnId {
-    TxnId::new(SiteId(0), seq)
-}
-
-fn ts(counter: u64) -> Timestamp {
-    Timestamp::new(counter, 0)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -51,111 +42,6 @@ proptest! {
         let sorted_names: Vec<String> = sorted.iter().map(|i| i.name().to_string()).collect();
         prop_assert_eq!(sorted_names, names_sorted);
     }
-
-    /// Shard invariant: whatever interleaving of acquisitions and releases
-    /// occurs, incompatible locks are never held simultaneously — and the
-    /// behavior is identical whether the table has 1 shard (the old global
-    /// mutex layout) or many.
-    #[test]
-    fn sharded_lock_table_never_grants_conflicts(
-        ops in prop::collection::vec((0u64..6, 0usize..8, any::<bool>(), any::<bool>()), 1..80),
-        shards in 1usize..33,
-    ) {
-        let lm = LockManager::with_shards(
-            DeadlockPolicy::WaitDie,
-            Duration::from_millis(1),
-            shards,
-        );
-        let items: Vec<ItemId> = (0..8).map(|i| ItemId::new(format!("shard.i{i}"))).collect();
-        let mut holders: BTreeMap<usize, Vec<(u64, bool)>> = BTreeMap::new();
-        for (seq, item_idx, exclusive, release) in ops {
-            let t = txn(seq);
-            if release {
-                lm.release_all(t);
-                for held in holders.values_mut() {
-                    held.retain(|(h, _)| *h != seq);
-                }
-                continue;
-            }
-            let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-            match lm.acquire(t, ts(seq + 1), &items[item_idx], mode) {
-                Ok(Acquired::Granted) => {
-                    let held = holders.entry(item_idx).or_default();
-                    held.retain(|(h, _)| *h != seq);
-                    held.push((seq, exclusive));
-                    let exclusives = held.iter().filter(|(_, x)| *x).count();
-                    if exclusives > 0 {
-                        prop_assert_eq!(held.len(), 1, "exclusive lock shared: {:?}", held);
-                    }
-                }
-                // Nobody here waits: a queued request is given up at once.
-                Ok(Acquired::Queued) => {
-                    prop_assert!(lm.give_up(t, &items[item_idx]).is_some());
-                }
-                Err(_) => {}
-            }
-        }
-    }
-
-    /// No lost waiters: a transaction queued on a busy item is granted the
-    /// next time it asks once the holder has released, for every shard count.
-    #[test]
-    fn sharded_lock_table_wakes_waiters(shards in 1usize..17, item_n in 0u32..12) {
-        let lm = LockManager::with_shards(
-            DeadlockPolicy::TimeoutOnly,
-            Duration::from_millis(2_000),
-            shards,
-        );
-        let item = ItemId::new(format!("wake.{item_n}"));
-        let exclusive = |n| lm.acquire(txn(n), ts(n), &item, LockMode::Exclusive);
-        prop_assert_eq!(exclusive(1), Ok(Acquired::Granted));
-        prop_assert_eq!(exclusive(2), Ok(Acquired::Queued));
-        lm.release_all(txn(1));
-        prop_assert_eq!(exclusive(2), Ok(Acquired::Granted));
-        prop_assert!(lm.held_by(txn(2)).contains(&item));
-        lm.release_all(txn(2));
-        prop_assert_eq!(lm.active_transactions(), 0);
-        prop_assert_eq!(lm.item_entries(), 0, "idle entries must be pruned");
-    }
-}
-
-/// Cross-shard deadlock detection: the two items are chosen so they land in
-/// *different* shards, and the wait-for-graph cycle must still be found.
-#[test]
-fn deadlock_is_detected_across_shards() {
-    let lm = LockManager::with_shards(
-        DeadlockPolicy::WaitForGraph,
-        Duration::from_millis(800),
-        DEFAULT_LOCK_SHARDS,
-    );
-    // Find two items that hash to different shards.
-    let a = ItemId::new("xshard.a");
-    let mut b = ItemId::new("xshard.b");
-    for i in 0..64 {
-        b = ItemId::new(format!("xshard.b{i}"));
-        if (b.token() as usize) % DEFAULT_LOCK_SHARDS != (a.token() as usize) % DEFAULT_LOCK_SHARDS
-        {
-            break;
-        }
-    }
-    assert_ne!(
-        (a.token() as usize) % DEFAULT_LOCK_SHARDS,
-        (b.token() as usize) % DEFAULT_LOCK_SHARDS,
-        "test requires items in different shards"
-    );
-
-    let exclusive = |n, item| lm.acquire(txn(n), ts(n), item, LockMode::Exclusive);
-    assert_eq!(exclusive(1, &a), Ok(Acquired::Granted));
-    assert_eq!(exclusive(2, &b), Ok(Acquired::Granted));
-    // T1 waits for b.
-    assert_eq!(exclusive(1, &b), Ok(Acquired::Queued));
-    // Closing the cycle from the other shard: T2 → a (held by T1).
-    assert_eq!(exclusive(2, &a), Err(rainbow_cc::LockError::Deadlock));
-    assert!(lm.stats().deadlock_aborts() >= 1);
-
-    lm.release_all(txn(2));
-    assert_eq!(exclusive(1, &b), Ok(Acquired::Granted));
-    lm.release_all(txn(1));
 }
 
 fn stack() -> ProtocolStack {

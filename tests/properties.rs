@@ -160,7 +160,7 @@ proptest! {
     ) {
         writer_ts.sort_unstable();
         writer_ts.dedup();
-        let mvto = MultiversionTimestampOrdering::new();
+        let mut mvto = MultiversionTimestampOrdering::new();
         let item = ItemId::new("x");
         let current = (Value::Int(0), Version(0));
         // Commit writers in a scrambled (reversed) order to stress version
