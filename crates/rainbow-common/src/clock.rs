@@ -5,9 +5,12 @@
 //! counter for windowed statistics. Both are provided here. The Lamport
 //! clock also lets sites keep their counters loosely synchronized by merging
 //! the counters piggybacked on messages.
+//!
+//! A clock has one owner: a site's clock is part of the site's state, which
+//! its event loop holds one drain at a time. So a clock is a plain counter,
+//! and advancing it takes `&mut self`.
 
 use crate::ids::{SiteId, Timestamp};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A Lamport logical clock.
 ///
@@ -15,50 +18,36 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// local clock never falls behind timestamps it has seen.
 #[derive(Debug, Default)]
 pub struct LamportClock {
-    counter: AtomicU64,
+    counter: u64,
 }
 
 impl LamportClock {
     /// A clock starting at zero.
     pub fn new() -> Self {
-        LamportClock {
-            counter: AtomicU64::new(0),
-        }
+        LamportClock::default()
     }
 
     /// A clock starting at `start`.
     pub fn starting_at(start: u64) -> Self {
-        LamportClock {
-            counter: AtomicU64::new(start),
-        }
+        LamportClock { counter: start }
     }
 
     /// Advances the clock and returns the new value.
-    pub fn tick(&self) -> u64 {
-        self.counter.fetch_add(1, Ordering::Relaxed) + 1
+    pub fn tick(&mut self) -> u64 {
+        self.counter += 1;
+        self.counter
     }
 
     /// Current value without advancing.
     pub fn now(&self) -> u64 {
-        self.counter.load(Ordering::Relaxed)
+        self.counter
     }
 
     /// Merges a remote counter value: the local clock jumps to
     /// `max(local, remote) + 1` and the new value is returned.
-    pub fn observe(&self, remote: u64) -> u64 {
-        let mut current = self.counter.load(Ordering::Relaxed);
-        loop {
-            let next = current.max(remote) + 1;
-            match self.counter.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return next,
-                Err(observed) => current = observed,
-            }
-        }
+    pub fn observe(&mut self, remote: u64) -> u64 {
+        self.counter = self.counter.max(remote) + 1;
+        self.counter
     }
 }
 
@@ -87,13 +76,13 @@ impl TimestampGenerator {
     }
 
     /// Issues the next timestamp.
-    pub fn next(&self) -> Timestamp {
+    pub fn issue(&mut self) -> Timestamp {
         Timestamp::new(self.clock.tick(), self.site.0)
     }
 
     /// Merges a timestamp observed on an incoming message, keeping this
     /// site's clock ahead of everything it has seen.
-    pub fn observe(&self, remote: Timestamp) {
+    pub fn observe(&mut self, remote: Timestamp) {
         self.clock.observe(remote.counter);
     }
 
@@ -106,12 +95,10 @@ impl TimestampGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
 
     #[test]
     fn tick_is_strictly_increasing() {
-        let clock = LamportClock::new();
+        let mut clock = LamportClock::new();
         let a = clock.tick();
         let b = clock.tick();
         let c = clock.tick();
@@ -121,14 +108,14 @@ mod tests {
 
     #[test]
     fn starting_at_offsets_the_counter() {
-        let clock = LamportClock::starting_at(100);
+        let mut clock = LamportClock::starting_at(100);
         assert_eq!(clock.now(), 100);
         assert_eq!(clock.tick(), 101);
     }
 
     #[test]
     fn observe_jumps_ahead_of_remote() {
-        let clock = LamportClock::new();
+        let mut clock = LamportClock::new();
         clock.tick();
         let after = clock.observe(50);
         assert_eq!(after, 51);
@@ -139,9 +126,9 @@ mod tests {
 
     #[test]
     fn generator_issues_increasing_site_tagged_timestamps() {
-        let gen = TimestampGenerator::new(SiteId(3));
-        let a = gen.next();
-        let b = gen.next();
+        let mut gen = TimestampGenerator::new(SiteId(3));
+        let a = gen.issue();
+        let b = gen.issue();
         assert!(a < b);
         assert_eq!(a.site, 3);
         assert_eq!(gen.site(), SiteId(3));
@@ -150,39 +137,18 @@ mod tests {
 
     #[test]
     fn generators_at_different_sites_never_collide() {
-        let g1 = TimestampGenerator::new(SiteId(1));
-        let g2 = TimestampGenerator::new(SiteId(2));
-        let t1 = g1.next();
-        let t2 = g2.next();
+        let mut g1 = TimestampGenerator::new(SiteId(1));
+        let mut g2 = TimestampGenerator::new(SiteId(2));
+        let t1 = g1.issue();
+        let t2 = g2.issue();
         assert_ne!(t1, t2);
     }
 
     #[test]
     fn observe_keeps_generator_ahead() {
-        let gen = TimestampGenerator::new(SiteId(1));
+        let mut gen = TimestampGenerator::new(SiteId(1));
         gen.observe(Timestamp::new(500, 2));
-        let t = gen.next();
+        let t = gen.issue();
         assert!(t.counter > 500);
-    }
-
-    #[test]
-    fn concurrent_ticks_are_unique() {
-        let clock = Arc::new(LamportClock::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let clock = Arc::clone(&clock);
-            handles.push(thread::spawn(move || {
-                (0..1000).map(|_| clock.tick()).collect::<Vec<u64>>()
-            }));
-        }
-        let mut all: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        let len = all.len();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), len, "duplicate tick values observed");
-        assert_eq!(clock.now(), 4000);
     }
 }

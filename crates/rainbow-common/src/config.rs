@@ -14,8 +14,9 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Static description of one Rainbow site: which simulated host it lives on
-/// and how many transaction-processing worker threads it runs.
+/// Static description of one Rainbow site: which simulated host it lives
+/// on. (A site is one thread, its event loop, however many transactions it
+/// processes concurrently.)
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SiteSpec {
     /// The site's id.
@@ -23,26 +24,12 @@ pub struct SiteSpec {
     /// The host the site lives on (several sites may share a host, as in
     /// Figure 2 of the paper).
     pub host: HostId,
-    /// Maximum number of transactions the site processes concurrently
-    /// ("any site has the capability to concurrently process multiple
-    /// transactions").
-    pub worker_threads: usize,
 }
 
 impl SiteSpec {
-    /// Creates a site spec with the default of 8 worker threads.
+    /// Creates a site spec.
     pub fn new(id: SiteId, host: HostId) -> Self {
-        SiteSpec {
-            id,
-            host,
-            worker_threads: 8,
-        }
-    }
-
-    /// Builder-style worker-thread override.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.worker_threads = workers.max(1);
-        self
+        SiteSpec { id, host }
     }
 }
 
@@ -380,20 +367,13 @@ impl DistributionSchema {
         self.sites.is_empty()
     }
 
-    /// Validates that site ids are unique and each site has at least one
-    /// worker.
+    /// Validates that site ids are unique.
     pub fn validate(&self) -> RainbowResult<()> {
         let mut seen = BTreeSet::new();
         for spec in &self.sites {
             if !seen.insert(spec.id) {
                 return Err(RainbowError::InvalidConfig(format!(
                     "duplicate site id {}",
-                    spec.id
-                )));
-            }
-            if spec.worker_threads == 0 {
-                return Err(RainbowError::InvalidConfig(format!(
-                    "site {} has zero worker threads",
                     spec.id
                 )));
             }
@@ -556,25 +536,11 @@ mod tests {
     }
 
     #[test]
-    fn distribution_schema_rejects_duplicates_and_zero_workers() {
+    fn distribution_schema_rejects_duplicates() {
         let mut dist = DistributionSchema::new();
         dist.add(SiteSpec::new(SiteId(0), HostId(0)));
         dist.add(SiteSpec::new(SiteId(0), HostId(1)));
         assert!(dist.validate().is_err());
-
-        let mut dist = DistributionSchema::new();
-        let mut spec = SiteSpec::new(SiteId(0), HostId(0));
-        spec.worker_threads = 0;
-        dist.add(spec);
-        assert!(dist.validate().is_err());
-    }
-
-    #[test]
-    fn site_spec_with_workers_floors_at_one() {
-        let spec = SiteSpec::new(SiteId(0), HostId(0)).with_workers(0);
-        assert_eq!(spec.worker_threads, 1);
-        let spec = SiteSpec::new(SiteId(0), HostId(0)).with_workers(16);
-        assert_eq!(spec.worker_threads, 16);
     }
 
     #[test]

@@ -156,6 +156,8 @@ pub struct Cluster {
     shut_down: AtomicBool,
     history: Option<Arc<HistorySink>>,
     tracer: Option<Arc<Tracer>>,
+    /// Taken by each copier catch-up pass, so they run one at a time.
+    catch_ups: Mutex<()>,
 }
 
 impl Cluster {
@@ -214,6 +216,7 @@ impl Cluster {
             shut_down: AtomicBool::new(false),
             history,
             tracer,
+            catch_ups: Mutex::new(()),
         })
     }
 
@@ -426,11 +429,13 @@ impl Cluster {
     /// Copies, Primary Copy) cannot serve reads from the staleness window
     /// the crash opened. Two passes close the race with in-flight writes:
     ///
-    /// 1. a first pass repairs the bulk of the staleness while the site is
-    ///    still marked crashed (no new reads can hit it);
-    /// 2. after the site rejoins, writes *planned while it was still marked
-    ///    crashed* may commit without it for up to one quorum + commit
-    ///    window; the call waits that window out and repairs once more.
+    /// 1. the site rejoins the network during the first pass, which holds
+    ///    it between two drains while the peers' copies are read and
+    ///    installed: it handles nothing before the repair, and every write
+    ///    planned from then on includes it;
+    /// 2. writes *planned while it was still marked crashed* may commit
+    ///    without it for up to one quorum + commit window; the call waits
+    ///    that window out and repairs once more.
     ///
     /// The repair reads peer state directly (the simulator's privilege,
     /// standing in for the copier transactions a real deployment would
@@ -448,11 +453,7 @@ impl Cluster {
             .get(&site)
             .ok_or(RainbowError::UnknownSite(site))?;
         handle.recover_from_crash()?;
-        self.catch_up(site)?;
-        self.network.faults().recover(NodeId::Site(site));
-        std::thread::sleep(self.config.stack.quorum_timeout + self.config.stack.commit_timeout);
-        self.catch_up(site)?;
-        Ok(())
+        self.rejoin_with_catch_up(site)
     }
 
     /// The power-loss nemesis, the durable sibling of
@@ -460,9 +461,9 @@ impl Cluster {
     /// drops **all** of its volatile state (including anything its storage
     /// engine had buffered but not yet synced), optionally injects a torn
     /// or corrupted tail write into its log, restarts it from the disk
-    /// image alone, and runs the same two-pass copier catch-up before the
-    /// site rejoins the network. Like a crash restart, it waits for the
-    /// drain in progress at the site to end.
+    /// image alone, and rejoins the network with the same two-pass copier
+    /// catch-up. Like a crash restart, it waits for the drain in progress
+    /// at the site to end.
     ///
     /// On the memory engine the fault degrades to a plain crash+recover
     /// (the simulated log has no tail to tear). Recovery errors — e.g. a
@@ -475,41 +476,57 @@ impl Cluster {
             .ok_or(RainbowError::UnknownSite(site))?;
         self.network.faults().crash(NodeId::Site(site));
         handle.power_loss(fault)?;
-        self.catch_up(site)?;
-        self.network.faults().recover(NodeId::Site(site));
-        std::thread::sleep(self.config.stack.quorum_timeout + self.config.stack.commit_timeout);
-        self.catch_up(site)?;
-        Ok(())
+        self.rejoin_with_catch_up(site)
     }
 
-    /// One catch-up pass: collect the highest committed version of every
-    /// item from the peers that are currently up, and install the ones the
-    /// recovering site is behind on.
-    fn catch_up(&self, site: SiteId) -> RainbowResult<()> {
+    /// The two-pass copier catch-up a restarted site rejoins the network
+    /// with (see [`Cluster::recover_site_with_catchup`]).
+    fn rejoin_with_catch_up(&self, site: SiteId) -> RainbowResult<()> {
+        self.catch_up(site, true)?;
+        std::thread::sleep(self.config.stack.quorum_timeout + self.config.stack.commit_timeout);
+        self.catch_up(site, false)
+    }
+
+    /// One catch-up pass: with the recovering site held between two drains
+    /// (after it rejoins the network, with `rejoin`), collect the highest
+    /// committed version of every item from the peers that are currently
+    /// up, and install the ones the site is behind on. Reading a peer waits
+    /// for that peer's drain to end, so the site handles nothing meanwhile:
+    /// a read it served between the fetch and the install could be stale.
+    ///
+    /// Passes run one at a time: each holds its site while it waits for
+    /// its peers, and two passes holding each other's site would wait
+    /// forever.
+    fn catch_up(&self, site: SiteId, rejoin: bool) -> RainbowResult<()> {
         let handle = self
             .sites
             .get(&site)
             .ok_or(RainbowError::UnknownSite(site))?;
+        let _one_at_a_time = self.catch_ups.lock();
         let faults = self.network.faults();
-        let mut latest: BTreeMap<ItemId, (Value, Version)> = BTreeMap::new();
-        for (peer, peer_handle) in &self.sites {
-            if *peer == site || faults.is_crashed(NodeId::Site(*peer)) {
-                continue;
+        handle.repair_copies(|| {
+            if rejoin {
+                faults.recover(NodeId::Site(site));
             }
-            for (item, value, version) in peer_handle.database_snapshot() {
-                match latest.get(&item) {
-                    Some((_, seen)) if *seen >= version => {}
-                    _ => {
-                        latest.insert(item, (value, version));
+            let mut latest: BTreeMap<ItemId, (Value, Version)> = BTreeMap::new();
+            for (peer, peer_handle) in &self.sites {
+                if *peer == site || faults.is_crashed(NodeId::Site(*peer)) {
+                    continue;
+                }
+                for (item, value, version) in peer_handle.database_snapshot() {
+                    match latest.get(&item) {
+                        Some((_, seen)) if *seen >= version => {}
+                        _ => {
+                            latest.insert(item, (value, version));
+                        }
                     }
                 }
             }
-        }
-        let copies: Vec<(ItemId, Value, Version)> = latest
-            .into_iter()
-            .map(|(item, (value, version))| (item, value, version))
-            .collect();
-        handle.repair_copies(&copies);
+            latest
+                .into_iter()
+                .map(|(item, (value, version))| (item, value, version))
+                .collect()
+        });
         Ok(())
     }
 

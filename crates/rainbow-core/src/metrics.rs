@@ -3,8 +3,9 @@
 //! The progress monitor is the PM role of the paper's middle tier (the
 //! "PMlet"): it aggregates per-site counters, transaction results and
 //! network-simulator counters into the [`StatsSnapshot`] that drives the
-//! transaction-processing output panel (Figure 5), every experiment under
-//! `crates/bench/benches/` and the benchmark's per-layer metrics.
+//! transaction-processing output panel (Figure 5), the session's experiment
+//! runners and reports (`rainbow-control`) and the benchmark's per-layer
+//! metrics.
 
 use parking_lot::Mutex;
 use rainbow_common::stats::{AbortBreakdown, LoadBalance, StatsSnapshot};

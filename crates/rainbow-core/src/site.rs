@@ -26,14 +26,16 @@
 //!   whose coordinator disappeared and the recovery path that resolves
 //!   in-doubt transactions after a crash.
 //!
-//! Everything the loop changes — the CCP, the participant entries, the
-//! parked accesses, the in-doubt set and the coordinators' machines — is one
-//! value, `SiteState`, behind the site's one lock. The loop takes the lock
-//! when a drain starts and lets go of it before it sleeps. What the handle
-//! does with the state (a diagnostic read, a crash restart, a copier
-//! repair) takes the same lock, so it runs between two drains, never beside
-//! a message: the loop, or the handle between two drains, is the one
-//! writer of the site's log.
+//! Everything the loop changes — the storage, the logical clock, the CCP,
+//! the participant entries, the parked accesses, the in-doubt set and the
+//! coordinators' machines — is one value, `SiteState`, behind the site's
+//! one lock; `SiteShared` holds only what never changes after start. The
+//! loop takes the lock when a drain starts and lets go of it before it
+//! sleeps. What the handle does with the state (a diagnostic read, a crash
+//! restart, a copier repair, a clock skew, the last flush) takes the same
+//! lock, so it runs between two drains, never beside a message: the loop,
+//! or the handle between two drains, is the one writer of the site's
+//! storage and clock, and neither has a lock of its own.
 
 use crate::coordinator::TxnMachine;
 use crate::messages::{CopyAccessResult, Msg, NextOp, OpReply};
@@ -113,19 +115,6 @@ impl InDoubt {
         Some(writes)
     }
 
-    /// Settles a transaction crash recovery found in doubt, now that its
-    /// decision is known; false when `txn` is not one.
-    fn resolve(&mut self, storage: &SiteStorage, txn: TxnId, decision: Decision) -> bool {
-        let Some(writes) = self.remove(txn) else {
-            return false;
-        };
-        match decision {
-            Decision::Commit => storage.commit_writes(txn, writes),
-            Decision::Abort => storage.abort(txn),
-        }
-        true
-    }
-
     /// An in-doubt transaction other than `txn` with `item` in its prepared
     /// write set, if there is one.
     fn holder_blocking(&self, item: &ItemId, txn: TxnId) -> Option<TxnId> {
@@ -137,19 +126,17 @@ impl InDoubt {
     }
 }
 
-/// What a site's loop and its handle share: what never changes or keeps
-/// itself consistent. What the site changes as it runs is `SiteState`.
+/// What a site's loop and its handle share: what never changes after start
+/// or keeps itself consistent. What the site changes is `SiteState`.
 pub(crate) struct SiteShared {
     pub id: SiteId,
     pub node: NodeId,
     pub stack: ProtocolStack,
-    pub storage: SiteStorage,
     pub rcp: Arc<dyn ReplicationControl>,
     /// Fetched at start from the name server, which never changes it.
     pub schema: DatabaseSchema,
     pub net: NetHandle<Msg>,
     pub metrics: Arc<SiteMetrics>,
-    pub clock: TimestampGenerator,
     pub shutdown: Arc<AtomicBool>,
     /// The cluster-wide history sink the chaos laboratory snoops on, when
     /// history recording is enabled. `None` (the default) keeps every
@@ -213,6 +200,10 @@ type SiteLock = Arc<Mutex<SiteState>>;
 
 /// Everything a site changes as it runs.
 struct SiteState {
+    /// Committed copies, staged writes and the log; a restart recovers it.
+    storage: SiteStorage,
+    /// Stamps the transactions opened here; a restart keeps it.
+    clock: TimestampGenerator,
     /// The CCP in force; a restart replaces it.
     ccp: Box<dyn CcProtocol>,
     participants: HashMap<TxnId, ParticipantEntry>,
@@ -230,8 +221,8 @@ struct SiteState {
 }
 
 impl SiteState {
-    /// Builds a site's volatile state — at start, and again at a crash
-    /// restart, which hands in the state the crash took down:
+    /// Resets what a crash takes down, once the storage has recovered from
+    /// its log:
     ///
     /// * a fresh CCP, with a recovery floor at the site's current logical
     ///   time. Every lock and timestamp table entry was volatile; the clock
@@ -249,29 +240,40 @@ impl SiteState {
     /// * the in-doubt transactions the log recovered, each coordinator asked
     ///   for the decision (the janitor asks again until an answer arrives).
     ///
-    /// The coordinators' machines and decisions survive a restart.
-    fn start(shared: &SiteShared, crashed: Option<&mut Self>, in_doubt: Vec<InDoubtTxn>) -> Self {
+    /// The storage, the clock, `finished` and the coordinators' machines
+    /// and decisions survive a restart.
+    fn restart(&mut self, shared: &SiteShared, in_doubt: Vec<InDoubtTxn>) {
         let stack = &shared.stack;
-        let mut ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
-        ccp.install_recovery_floor(Timestamp::new(shared.clock.now(), shared.id.0));
-        let mut state = SiteState {
-            ccp,
-            participants: HashMap::new(),
-            finished: HashSet::new(),
-            in_doubt: InDoubt::default(),
-            parked: Vec::new(),
-            home: Home::default(),
-        };
-        if let Some(crashed) = crashed {
-            state.home = std::mem::take(&mut crashed.home);
-            state.finished = std::mem::take(&mut crashed.finished);
-            state.finished.extend(crashed.participants.keys().copied());
-        }
+        self.ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
+        let floor = Timestamp::new(self.clock.now(), shared.id.0);
+        self.ccp.install_recovery_floor(floor);
+        self.parked.clear();
+        self.finished
+            .extend(self.participants.drain().map(|(txn, _)| txn));
+        self.in_doubt = InDoubt::default();
         for InDoubtTxn { txn, writes } in in_doubt {
-            state.in_doubt.insert(txn, writes);
+            self.in_doubt.insert(txn, writes);
             shared.send(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
         }
-        state
+    }
+
+    /// Settles a transaction crash recovery found in doubt, now that its
+    /// decision is known; false when `txn` is not one. A commit stages the
+    /// recovered writes and commits them like any other.
+    fn resolve_in_doubt(&mut self, txn: TxnId, decision: Decision) -> bool {
+        let Some(writes) = self.in_doubt.remove(txn) else {
+            return false;
+        };
+        match decision {
+            Decision::Commit => {
+                for (item, value, version) in writes {
+                    self.storage.stage_write(txn, item, value, version);
+                }
+                self.storage.commit(txn);
+            }
+            Decision::Abort => self.storage.abort(txn),
+        }
+        true
     }
 
     /// Ensures a participant entry exists for `txn` and returns its context.
@@ -382,25 +384,35 @@ impl SiteHandle {
         storage.initialize(&local_items);
 
         let rcp = make_rcp(stack.rcp);
+        let ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
         let shared = Arc::new(SiteShared {
             id,
             node: NodeId::Site(id),
             stack,
-            storage,
             rcp,
             schema,
             net,
             metrics,
-            clock: TimestampGenerator::new(id),
             shutdown: Arc::new(AtomicBool::new(false)),
             history,
             tracer,
         });
 
-        // A restart from an existing durable log may come back with in-doubt
+        let mut state = SiteState {
+            storage,
+            clock: TimestampGenerator::new(id),
+            ccp,
+            participants: HashMap::new(),
+            finished: HashSet::new(),
+            in_doubt: InDoubt::default(),
+            parked: Vec::new(),
+            home: Home::default(),
+        };
+        // A start from an existing durable log may come back with in-doubt
         // transactions (prepared, never decided before the previous process
-        // died): they are chased exactly like after a crash.
-        let state = SiteState::start(&shared, None, outcome.in_doubt);
+        // died): the site starts as a restart, so they are chased exactly
+        // like after a crash.
+        state.restart(&shared, outcome.in_doubt);
         let state = Arc::new(Mutex::new(state));
         let (loop_shared, loop_state) = (Arc::clone(&shared), Arc::clone(&state));
         let thread = std::thread::Builder::new()
@@ -427,7 +439,7 @@ impl SiteHandle {
 
     /// A snapshot of the committed database state at this site.
     pub fn database_snapshot(&self) -> Vec<(ItemId, Value, Version)> {
-        self.shared.storage.snapshot()
+        self.state.lock().storage.snapshot()
     }
 
     /// Number of transactions currently holding resources at this site's
@@ -493,20 +505,20 @@ impl SiteHandle {
     /// tail is a typed [`RainbowError::CorruptLog`], not a panic.
     pub fn power_loss(&self, fault: PowerLossFault) -> RainbowResult<()> {
         let mut state = self.state.lock();
-        self.shared.storage.power_loss(fault);
-        let outcome = self.shared.storage.recover()?;
-        *state = SiteState::start(&self.shared, Some(&mut *state), outcome.in_doubt);
+        state.storage.power_loss(fault);
+        let outcome = state.storage.recover()?;
+        state.restart(&self.shared, outcome.in_doubt);
         Ok(())
     }
 
     /// Which storage engine this site runs on.
     pub fn engine_kind(&self) -> rainbow_storage::EngineKind {
-        self.shared.storage.engine_kind()
+        self.state.lock().storage.engine_kind()
     }
 
     /// Number of real sync (fsync) operations the site's engine performed.
     pub fn storage_force_count(&self) -> u64 {
-        self.shared.storage.force_count()
+        self.state.lock().storage.force_count()
     }
 
     /// Installs committed copies fetched from live peers — the catch-up
@@ -516,10 +528,12 @@ impl SiteHandle {
     ///
     /// Like a restart, the repair waits for the drain in progress and runs
     /// before the next one: its checkpoint rewrites the log, and a commit
-    /// the loop forced beside it would be dropped from the log.
-    pub fn repair_copies(&self, copies: &[(ItemId, Value, Version)]) -> usize {
-        let _between_drains = self.state.lock();
-        self.shared.storage.repair_copies(copies)
+    /// the loop forced beside it would be dropped from the log. `fetch`,
+    /// which gathers the copies, runs then too, so what reaches the site
+    /// meanwhile waits until they are installed.
+    pub fn repair_copies(&self, fetch: impl FnOnce() -> Vec<(ItemId, Value, Version)>) -> usize {
+        let state = self.state.lock();
+        state.storage.repair_copies(&fetch())
     }
 
     /// Jumps this site's logical clock `ticks` ahead of its current value —
@@ -528,11 +542,9 @@ impl SiteHandle {
     /// CCPs (transactions from the skewed site suddenly carry much larger
     /// timestamps, aborting concurrent old-timestamp transactions).
     pub fn skew_clock(&self, ticks: u64) {
-        let clock = &self.shared.clock;
-        clock.observe(Timestamp::new(
-            clock.now().saturating_add(ticks),
-            self.shared.id.0,
-        ));
+        let clock = &mut self.state.lock().clock;
+        let ahead = clock.now().saturating_add(ticks);
+        clock.observe(Timestamp::new(ahead, self.shared.id.0));
     }
 
     /// Stops the site loop and joins its thread. The loop observes the flag
@@ -549,7 +561,7 @@ impl SiteHandle {
             return;
         };
         let _ = thread.join();
-        if let Err(err) = self.shared.storage.flush_and_sync() {
+        if let Err(err) = self.state.lock().storage.flush_and_sync() {
             eprintln!("rainbow: flush on shutdown failed for {}: {err}", self.id());
         }
     }
@@ -641,11 +653,12 @@ impl Effects {
 }
 
 impl Home {
-    /// Opens a new conversation: allocates its id and timestamp, and runs
-    /// the first command, which arrived with the begin.
+    /// Opens a new conversation with timestamp `ts`: allocates its id, and
+    /// runs the first command, which arrived with the begin.
     fn begin(
         &mut self,
         shared: &SiteShared,
+        ts: Timestamp,
         client: NodeId,
         request: u64,
         label: String,
@@ -654,7 +667,6 @@ impl Home {
         SiteMetrics::bump(&shared.metrics.home_transactions);
         let txn = TxnId::new(shared.id, self.next_seq);
         self.next_seq += 1;
-        let ts = shared.clock.next();
         let mut machine = TxnMachine::open(shared, txn, ts, label, client, request);
         machine.on_client_op(shared, &mut self.out, op);
         // A first command that ended the transaction (a lone commit, an
@@ -741,7 +753,10 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, envelope: Envelope<Msg>)
         payload,
     } = envelope;
     match payload {
-        Msg::TxnBegin { request, label, op } => state.home.begin(shared, from, request, label, op),
+        Msg::TxnBegin { request, label, op } => {
+            let ts = state.clock.issue();
+            state.home.begin(shared, ts, from, request, label, op);
+        }
         Msg::CopyRead {
             txn,
             ts,
@@ -921,7 +936,7 @@ impl CopyRequest {
                         entry.last_activity = Instant::now();
                         let (value, version) = match value_override {
                             Some(pair) => pair,
-                            None => shared.storage.read(&item).unwrap_or(current),
+                            None => state.storage.read(&item).unwrap_or(current),
                         };
                         CopyAccessResult::Granted {
                             value: (access != CopyAccess::Prewrite).then_some(value),
@@ -982,7 +997,7 @@ fn handle_copy_access(
     item: ItemId,
     access: CopyAccess,
 ) {
-    shared.clock.observe(ts);
+    state.clock.observe(ts);
     let refuse = |item: ItemId, result| send_copy_reply(shared, from, txn, item, access, result);
     // Refuse accesses for transactions that already finished at this site
     // (their decision raced ahead of this request); granting would leak a
@@ -1006,7 +1021,7 @@ fn handle_copy_access(
     // Register the participant entry before asking, so a decision that is
     // already queued behind this request finds the entry and cleans it up.
     let ctx = state.ensure_participant(shared, txn, ts, from);
-    let Ok(current) = shared.storage.read(&item) else {
+    let Ok(current) = state.storage.read(&item) else {
         return refuse(item, CopyAccessResult::NoSuchCopy);
     };
     let request = CopyRequest {
@@ -1092,7 +1107,7 @@ fn handle_prepare_batch(
     let mut votes: Vec<Msg> = Vec::with_capacity(group);
     for (txn, ts, writes) in prepares {
         SiteMetrics::bump(&shared.metrics.served_requests);
-        shared.clock.observe(ts);
+        state.clock.observe(ts);
         if state.finished.contains(&txn) {
             votes.push(Msg::AcpVote {
                 txn,
@@ -1107,9 +1122,8 @@ fn handle_prepare_batch(
             Vote::ReadOnly
         } else {
             for (item, value, version) in &writes {
-                shared
-                    .storage
-                    .stage_write(txn, item.clone(), value.clone(), *version);
+                let (item, value) = (item.clone(), value.clone());
+                state.storage.stage_write(txn, item, value, *version);
             }
             yes_voters.push(txn);
             Vote::Yes
@@ -1118,7 +1132,7 @@ fn handle_prepare_batch(
     }
     // Phase 2: one forced append covers every YES-voter's prepare record —
     // still strictly before any YES vote leaves this site.
-    shared.storage.prepare_many(&yes_voters);
+    state.storage.prepare_many(&yes_voters);
     // Phase 3: advance the participant machines and vote.
     for (txn, ctx, vote, n_writes) in rounds {
         let entry = state.participants.get_mut(&txn);
@@ -1129,7 +1143,7 @@ fn handle_prepare_batch(
                 Vote::Yes => {}
                 Vote::No => {
                     // Voting NO releases local resources immediately.
-                    shared.storage.abort(txn);
+                    state.storage.abort(txn);
                     state.ccp.abort(&ctx);
                 }
                 Vote::ReadOnly => {
@@ -1155,9 +1169,9 @@ fn handle_prepare_batch(
 /// Handles the COMMIT decisions that arrived in one envelope (one, or a
 /// coalesced batch): every participant machine advances individually, then
 /// all the commit records are forced with a single
-/// [`rainbow_storage::SiteStorage::commit_many`] group append and the writes
-/// installed under one store lock. Acks travel back in one batch envelope
-/// when there is more than one.
+/// [`rainbow_storage::SiteStorage::commit_many`] group append, which
+/// installs the writes. Acks travel back in one batch envelope when there is
+/// more than one.
 fn handle_decision_commit_batch(
     shared: &SiteShared,
     state: &mut SiteState,
@@ -1181,9 +1195,7 @@ fn handle_decision_commit_batch(
                 _ => {}
             }
         } else {
-            state
-                .in_doubt
-                .resolve(&shared.storage, txn, Decision::Commit);
+            state.resolve_in_doubt(txn, Decision::Commit);
         }
         // Ack even without a participant entry (already applied, cleaned
         // up, or crashed and recovered — then the decision may be the answer
@@ -1192,7 +1204,7 @@ fn handle_decision_commit_batch(
         acks.push(Msg::AcpAck { txn });
     }
     let apply_ids: Vec<TxnId> = to_apply.iter().map(|(txn, _)| *txn).collect();
-    let write_sets = shared.storage.commit_many(&apply_ids);
+    let write_sets = state.storage.commit_many(&apply_ids);
     for ((txn, ctx), writes) in to_apply.iter().zip(write_sets.iter()) {
         state.ccp.commit(ctx, writes);
         shared.trace_site_span(
@@ -1237,9 +1249,7 @@ fn handle_abort_decision(shared: &SiteShared, state: &mut SiteState, from: NodeI
         // We have no record (already applied, cleaned up, or we crashed
         // and recovered): acknowledge all the same.
         None => {
-            state
-                .in_doubt
-                .resolve(&shared.storage, txn, Decision::Abort);
+            state.resolve_in_doubt(txn, Decision::Abort);
         }
     }
     shared.send(from, Msg::AcpAck { txn });
@@ -1249,7 +1259,7 @@ fn handle_abort_decision(shared: &SiteShared, state: &mut SiteState, from: NodeI
 /// by a blocked participant).
 fn handle_status_reply(shared: &SiteShared, state: &mut SiteState, txn: TxnId, decision: Decision) {
     // Case 1: an in-doubt transaction from crash recovery.
-    if state.in_doubt.resolve(&shared.storage, txn, decision) {
+    if state.resolve_in_doubt(txn, decision) {
         return;
     }
 
@@ -1272,7 +1282,7 @@ fn apply_decision(
     let apply_start = shared.trace_now();
     match decision {
         Decision::Commit => {
-            let writes = shared.storage.commit(ctx.id);
+            let writes = state.storage.commit(ctx.id);
             state.ccp.commit(ctx, &writes);
             shared.trace_site_span(
                 ctx.id,
@@ -1283,7 +1293,7 @@ fn apply_decision(
             );
         }
         Decision::Abort => {
-            shared.storage.abort(ctx.id);
+            state.storage.abort(ctx.id);
             state.ccp.abort(ctx);
             shared.trace_site_span(ctx.id, None, "apply:abort", apply_start, String::new);
         }
@@ -1752,7 +1762,12 @@ mod tests {
             one.site.recover_from_crash().unwrap();
             one.prepare_writing(1, "x0");
             one.voted(1, Vote::No);
-            let staged = one.site.shared.storage.staged_writes(&OneSite::txn(1).0);
+            let staged = one
+                .site
+                .state
+                .lock()
+                .storage
+                .staged_writes(&OneSite::txn(1).0);
             assert!(staged.is_empty(), "{ccp:?} staged {staged:?}");
             assert!(one.site.lingering_participants().is_empty(), "{ccp:?}");
             assert_eq!(one.site.active_transactions(), 0, "{ccp:?}");
@@ -1812,7 +1827,7 @@ mod tests {
                     while !stop.load(Ordering::Relaxed) {
                         version += 1;
                         let copy = (ItemId::new("x3"), Value::Int(0), Version(version));
-                        assert_eq!(one.site.repair_copies(&[copy]), 1);
+                        assert_eq!(one.site.repair_copies(|| vec![copy]), 1);
                     }
                 });
                 let mut last = HashMap::new();
@@ -1862,15 +1877,17 @@ mod tests {
     #[test]
     fn a_read_only_vote_leaves_no_entry_and_no_record_and_a_late_access_is_refused() {
         let one = OneSite::new(quick_stack());
-        let storage = &one.site.shared.storage;
+        let log = || {
+            let storage = &one.site.state.lock().storage;
+            (storage.record_count(), storage.force_count())
+        };
         one.read(1, "x0");
         one.granted(1);
-        let (records, forces) = (storage.record_count(), storage.force_count());
+        let before = log();
         one.prepare_nothing(1);
         one.voted(1, Vote::ReadOnly);
         assert!(one.site.lingering_participants().is_empty());
-        assert_eq!(storage.record_count(), records, "nothing is logged");
-        assert_eq!(storage.force_count(), forces, "nothing is forced");
+        assert_eq!(log(), before, "nothing is logged or forced");
         // No decision will come, so the site treats T1 as decided: a late
         // access is refused and takes nothing.
         one.read(1, "x1");
@@ -1892,15 +1909,42 @@ mod tests {
         // Commit a write directly through storage (simulating a completed
         // transaction), then crash and recover.
         let txn = TxnId::new(SiteId(0), 1);
-        site.shared
-            .storage
-            .stage_write(txn, ItemId::new("x0"), Value::Int(5), Version(1));
-        site.shared.storage.prepare(txn);
-        site.shared.storage.commit(txn);
+        {
+            let storage = &site.state.lock().storage;
+            storage.stage_write(txn, ItemId::new("x0"), Value::Int(5), Version(1));
+            storage.prepare(txn);
+            storage.commit(txn);
+        }
 
         site.recover_from_crash().unwrap();
         let snapshot = site.database_snapshot();
         assert!(snapshot.contains(&(ItemId::new("x0"), Value::Int(5), Version(1))));
         assert_eq!(site.active_transactions(), 0);
+    }
+
+    /// The clock observed every access granted before a crash, so a restart
+    /// keeps it: the new CCP's recovery floor is the clock's time, and an
+    /// access stamped before the crash is refused.
+    #[test]
+    fn the_clock_survives_a_restart_and_the_floor_refuses_an_older_access() {
+        use rainbow_common::protocol::CcpKind;
+        for ccp in [
+            CcpKind::TimestampOrdering,
+            CcpKind::MultiversionTimestampOrdering,
+        ] {
+            let one = OneSite::new(quick_stack().with_ccp(ccp));
+            one.site.skew_clock(1_000);
+            one.read(5, "x0");
+            one.granted(5);
+            let before = one.site.state.lock().clock.now();
+            assert!(before > 1_000, "{ccp:?}: {before}");
+            one.site.power_loss(PowerLossFault::Clean).unwrap();
+            let after = one.site.state.lock().clock.now();
+            assert!(after >= before, "{ccp:?}: {after} < {before}");
+            // T2 is stamped 2, long before the crash.
+            one.read(2, "x1");
+            let reply = one.reply();
+            assert!(matches!(reply, (2, Some(Err(_)))), "{ccp:?}: {reply:?}");
+        }
     }
 }

@@ -156,7 +156,7 @@ pub struct LinkOverride {
 }
 
 /// Complete configuration of the simulated network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetworkConfig {
     /// Link behaviour used for every pair without an explicit override.
     pub default_link: LinkConfig,
@@ -164,21 +164,6 @@ pub struct NetworkConfig {
     pub overrides: Vec<LinkOverride>,
     /// Seed for latency/loss randomness (experiment repeatability).
     pub seed: u64,
-    /// Messages a node sends to itself bypass the network when true (the
-    /// default): local copy accesses cost no messages, matching how Rainbow
-    /// counts only inter-site traffic.
-    pub loopback_is_free: bool,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            default_link: LinkConfig::default(),
-            overrides: Vec::new(),
-            seed: 0,
-            loopback_is_free: true,
-        }
-    }
 }
 
 impl NetworkConfig {
@@ -305,7 +290,6 @@ mod tests {
         // The reverse direction keeps the default.
         assert_eq!(cfg.link(b, a).loss_probability, 0.0);
         assert_eq!(cfg.seed, 9);
-        assert!(cfg.loopback_is_free);
     }
 
     #[test]

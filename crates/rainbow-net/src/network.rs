@@ -203,8 +203,10 @@ impl<M: NetMessage> NetHandle<M> {
             payload,
         };
 
-        // Loopback: a node talking to itself does not use the network.
-        if from == to && shared.config.loopback_is_free {
+        // Loopback: a node talking to itself does not use the network, so
+        // local copy accesses cost no messages (Rainbow counts only
+        // inter-site traffic).
+        if from == to {
             if !shared.faults.is_crashed(to) {
                 let registry = shared.registry.read();
                 if let Some(tx) = registry.get(&to) {

@@ -8,11 +8,12 @@
 //! `fsync`s it — so the on-disk prefix is exactly the forced prefix, and a
 //! power loss can only lose what durability semantics allow it to lose.
 //!
-//! **One forcer.** A site's event loop is the only thread that writes its
-//! log, so a force writes the buffer and `fsync`s under the engine lock,
-//! with nobody to wait for and nothing to coalesce. Grouping is
-//! [`StorageEngine::append_forced_many`]: the records a drain forces
-//! together (its prepares, its commit decisions) ride one `fsync`.
+//! **One writer.** The engine belongs to its site's storage, which its
+//! site's event loop owns, so the engine is plain fields with no lock: a
+//! force writes the buffer and `fsync`s it, with nobody to wait for and
+//! nothing to coalesce. Grouping is [`StorageEngine::append_forced_many`]:
+//! the records a drain forces together (its prepares, its commit
+//! decisions) ride one `fsync`, and a lone record is a group of one.
 //!
 //! **Rotation and compaction.** The active segment is rotated once it
 //! exceeds `segment_max_bytes`. When the total log exceeds
@@ -38,7 +39,6 @@ use crate::codec::{self, FrameError, FRAME_HEADER_LEN};
 use crate::engine::{EngineKind, PowerLossFault, StorageEngine};
 use crate::recovery::{replay, RecoveryOutcome};
 use crate::wal::LogRecord;
-use parking_lot::Mutex;
 use rainbow_common::{ItemId, RainbowError, RainbowResult, SiteId, TxnId, Value, Version};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -81,8 +81,14 @@ impl Power {
     }
 }
 
+/// The on-disk log-structured engine. See the module docs for the format
+/// and its one writer.
 #[derive(Debug)]
-struct DiskState {
+pub struct DiskEngine {
+    dir: PathBuf,
+    segment_max_bytes: u64,
+    compaction_threshold_bytes: u64,
+    tracer: Option<Arc<rainbow_trace::Tracer>>,
     power: Power,
     /// Sequence number of the active segment.
     active_seq: u64,
@@ -106,17 +112,6 @@ struct DiskState {
     undecided: BTreeMap<TxnId, Vec<(ItemId, Value, Version)>>,
 }
 
-/// The on-disk log-structured engine. See the module docs for the format
-/// and its one forcer.
-#[derive(Debug)]
-pub struct DiskEngine {
-    dir: PathBuf,
-    segment_max_bytes: u64,
-    compaction_threshold_bytes: u64,
-    tracer: Option<Arc<rainbow_trace::Tracer>>,
-    state: Mutex<DiskState>,
-}
-
 impl DiskEngine {
     /// Creates an engine over `dir` (one site's segment directory). The
     /// engine starts powered off; call [`StorageEngine::recover`] to scan
@@ -131,19 +126,17 @@ impl DiskEngine {
             segment_max_bytes: config.segment_max_bytes,
             compaction_threshold_bytes: config.compaction_threshold_bytes,
             tracer,
-            state: Mutex::new(DiskState {
-                power: Power::Off,
-                active_seq: 0,
-                flushed_len: 0,
-                sealed_bytes: 0,
-                buf: Vec::new(),
-                buf_records: 0,
-                appended: 0,
-                synced_seq: 0,
-                force_count: 0,
-                record_count: 0,
-                undecided: BTreeMap::new(),
-            }),
+            power: Power::Off,
+            active_seq: 0,
+            flushed_len: 0,
+            sealed_bytes: 0,
+            buf: Vec::new(),
+            buf_records: 0,
+            appended: 0,
+            synced_seq: 0,
+            force_count: 0,
+            record_count: 0,
+            undecided: BTreeMap::new(),
         }
     }
 
@@ -161,68 +154,63 @@ impl DiskEngine {
         self.dir.join(format!("{seq:06}.seg"))
     }
 
-    /// Tracks the prepared-but-undecided set as records are appended, so
-    /// compaction can carry in-doubt prepares into the fresh segment
-    /// without rescanning the log.
-    fn note_record(state: &mut DiskState, record: &LogRecord) {
+    /// Appends an encoded frame to the in-memory buffer, and tracks the
+    /// prepared-but-undecided set as it goes, so compaction can carry
+    /// in-doubt prepares into the fresh segment without rescanning the log.
+    fn buffer_record(&mut self, record: &LogRecord) {
         match record {
             LogRecord::Prepare { txn, writes } => {
-                state.undecided.insert(*txn, writes.clone());
+                self.undecided.insert(*txn, writes.clone());
             }
             LogRecord::Commit { txn, .. } | LogRecord::Abort { txn } => {
-                state.undecided.remove(txn);
+                self.undecided.remove(txn);
             }
             LogRecord::Begin { .. } | LogRecord::Checkpoint { .. } => {}
         }
+        self.buf.extend_from_slice(&codec::encode_frame(record));
+        self.buf_records += 1;
+        self.record_count += 1;
+        self.appended += 1;
     }
 
-    /// Appends an encoded frame to the in-memory buffer.
-    fn buffer_record(state: &mut DiskState, record: &LogRecord) {
-        Self::note_record(state, record);
-        state.buf.extend_from_slice(&codec::encode_frame(record));
-        state.buf_records += 1;
-        state.record_count += 1;
-        state.appended += 1;
-    }
-
-    /// Writes the buffered frames to the active segment file. Must be
-    /// called with the state lock held and power on.
-    fn write_buf(state: &mut DiskState) {
-        if state.buf.is_empty() {
-            return;
-        }
-        let Power::On { file } = &mut state.power else {
-            return;
+    /// Writes the buffered frames to the active segment file (nothing when
+    /// power is off).
+    fn write_buf(&mut self) -> std::io::Result<()> {
+        let Power::On { file } = &mut self.power else {
+            return Ok(());
         };
-        file.write_all(&state.buf)
-            .expect("disk engine: segment write failed; cannot guarantee durability");
-        state.flushed_len += state.buf.len() as u64;
-        state.buf.clear();
-        state.buf_records = 0;
+        if !self.buf.is_empty() {
+            file.write_all(&self.buf)?;
+            self.flushed_len += self.buf.len() as u64;
+            self.buf.clear();
+            self.buf_records = 0;
+        }
+        Ok(())
     }
 
     /// Rotates the active segment when it has outgrown the limit. Called
-    /// with the lock held and power on.
-    fn maybe_rotate(&self, state: &mut DiskState) {
-        if state.flushed_len < self.segment_max_bytes || state.power.is_off() {
+    /// with power on.
+    fn maybe_rotate(&mut self) {
+        if self.flushed_len < self.segment_max_bytes || self.power.is_off() {
             return;
         }
-        let next_seq = state.active_seq + 1;
+        let next_seq = self.active_seq + 1;
         let file = create_segment(&self.segment_path(next_seq))
             .expect("disk engine: segment rotation failed");
         sync_dir(&self.dir);
-        state.sealed_bytes += state.flushed_len;
-        state.active_seq = next_seq;
-        state.flushed_len = SEGMENT_HEADER_LEN as u64;
-        state.power = Power::On { file };
+        self.sealed_bytes += self.flushed_len;
+        self.active_seq = next_seq;
+        self.flushed_len = SEGMENT_HEADER_LEN as u64;
+        self.power = Power::On { file };
     }
 
-    /// The force path: writes the buffer and `fsync`s it under the lock,
-    /// so everything appended so far is durable when this returns. Returns
-    /// at once (without durability) when power is off.
-    fn sync(&self, state: &mut DiskState) {
-        Self::write_buf(state);
-        let Power::On { file } = &state.power else {
+    /// The force path: writes the buffer and `fsync`s it, so everything
+    /// appended so far is durable when this returns. Returns at once
+    /// (without durability) when power is off.
+    fn sync(&mut self) {
+        self.write_buf()
+            .expect("disk engine: segment write failed; cannot guarantee durability");
+        let Power::On { file } = &self.power else {
             return;
         };
         let start = Instant::now();
@@ -231,9 +219,9 @@ impl DiskEngine {
         if let Some(tracer) = &self.tracer {
             tracer.record_phase(rainbow_trace::Phase::FsyncBatch, start.elapsed());
         }
-        state.force_count += 1;
-        state.synced_seq = state.appended;
-        self.maybe_rotate(state);
+        self.force_count += 1;
+        self.synced_seq = self.appended;
+        self.maybe_rotate();
     }
 }
 
@@ -242,62 +230,44 @@ impl StorageEngine for DiskEngine {
         EngineKind::Disk
     }
 
-    fn append(&self, record: LogRecord) {
-        let mut state = self.state.lock();
-        if state.power.is_off() {
-            return;
+    fn append(&mut self, record: LogRecord) {
+        if !self.power.is_off() {
+            self.buffer_record(&record);
         }
-        Self::buffer_record(&mut state, &record);
     }
 
-    fn append_forced(&self, record: LogRecord) {
-        let mut state = self.state.lock();
-        if state.power.is_off() {
-            return;
-        }
-        Self::buffer_record(&mut state, &record);
-        self.sync(&mut state);
-    }
-
-    fn append_forced_many(&self, records: Vec<LogRecord>) {
-        if records.is_empty() {
-            return;
-        }
-        let mut state = self.state.lock();
-        if state.power.is_off() {
+    fn append_forced_many(&mut self, records: Vec<LogRecord>) {
+        if records.is_empty() || self.power.is_off() {
             return;
         }
         // Buffer the whole group, then sync once: the group rides a single
         // fsync.
         for record in &records {
-            Self::buffer_record(&mut state, record);
+            self.buffer_record(record);
         }
-        self.sync(&mut state);
+        self.sync();
     }
 
-    fn force(&self) {
-        let mut state = self.state.lock();
-        if state.synced_seq < state.appended {
-            self.sync(&mut state);
+    fn force(&mut self) {
+        if self.synced_seq < self.appended {
+            self.sync();
         }
     }
 
     fn force_count(&self) -> u64 {
-        self.state.lock().force_count
+        self.force_count
     }
 
     fn record_count(&self) -> usize {
-        self.state.lock().record_count
+        self.record_count
     }
 
     fn log_bytes(&self) -> u64 {
-        let state = self.state.lock();
-        state.sealed_bytes + state.flushed_len + state.buf.len() as u64
+        self.sealed_bytes + self.flushed_len + self.buf.len() as u64
     }
 
-    fn checkpoint(&self, snapshot: Vec<(ItemId, Value, Version)>) {
-        let mut state = self.state.lock();
-        if state.power.is_off() {
+    fn checkpoint(&mut self, snapshot: Vec<(ItemId, Value, Version)>) {
+        if self.power.is_off() {
             return;
         }
 
@@ -305,7 +275,7 @@ impl StorageEngine for DiskEngine {
         // whatever was still buffered (order preserved relative to the
         // checkpoint, so replay semantics match the memory WAL's
         // compaction).
-        let next_seq = state.active_seq + 1;
+        let next_seq = self.active_seq + 1;
         let path = self.segment_path(next_seq);
         let mut bytes = Vec::with_capacity(SEGMENT_HEADER_LEN + 64 * snapshot.len());
         bytes.extend_from_slice(&segment_header());
@@ -313,15 +283,15 @@ impl StorageEngine for DiskEngine {
             state: snapshot,
         }));
         let mut records = 1usize;
-        for (txn, writes) in &state.undecided {
+        for (txn, writes) in &self.undecided {
             bytes.extend_from_slice(&codec::encode_frame(&LogRecord::Prepare {
                 txn: *txn,
                 writes: writes.clone(),
             }));
             records += 1;
         }
-        bytes.extend_from_slice(&state.buf);
-        records += state.buf_records;
+        bytes.extend_from_slice(&self.buf);
+        records += self.buf_records;
 
         let file = create_segment_with(&path, &bytes)
             .expect("disk engine: checkpoint segment write failed");
@@ -330,36 +300,31 @@ impl StorageEngine for DiskEngine {
         sync_dir(&self.dir);
 
         // Drop every older segment: the checkpoint supersedes them.
-        let old_last = state.active_seq;
         if let Ok(segments) = list_segments(&self.dir) {
             for seq in segments {
-                if seq <= old_last {
+                if seq <= self.active_seq {
                     let _ = fs::remove_file(self.segment_path(seq));
                 }
             }
         }
         sync_dir(&self.dir);
 
-        state.buf.clear();
-        state.buf_records = 0;
-        state.record_count = records;
-        state.sealed_bytes = 0;
-        state.flushed_len = bytes.len() as u64;
-        state.active_seq = next_seq;
-        state.synced_seq = state.appended;
-        state.force_count += 1;
-        state.power = Power::On { file };
+        self.buf.clear();
+        self.buf_records = 0;
+        self.record_count = records;
+        self.sealed_bytes = 0;
+        self.flushed_len = bytes.len() as u64;
+        self.active_seq = next_seq;
+        self.synced_seq = self.appended;
+        self.force_count += 1;
+        self.power = Power::On { file };
     }
 
     fn wants_compaction(&self) -> bool {
-        let state = self.state.lock();
-        !state.power.is_off()
-            && state.sealed_bytes + state.flushed_len + state.buf.len() as u64
-                > self.compaction_threshold_bytes
+        !self.power.is_off() && self.log_bytes() > self.compaction_threshold_bytes
     }
 
-    fn recover(&self) -> RainbowResult<RecoveryOutcome> {
-        let mut state = self.state.lock();
+    fn recover(&mut self) -> RainbowResult<RecoveryOutcome> {
         fs::create_dir_all(&self.dir)
             .map_err(|e| RainbowError::Storage(format!("create {}: {e}", self.dir.display())))?;
 
@@ -373,16 +338,16 @@ impl StorageEngine for DiskEngine {
             file.sync_data()
                 .map_err(|e| RainbowError::Storage(format!("sync segment: {e}")))?;
             sync_dir(&self.dir);
-            state.power = Power::On { file };
-            state.active_seq = 1;
-            state.flushed_len = SEGMENT_HEADER_LEN as u64;
-            state.sealed_bytes = 0;
-            state.buf.clear();
-            state.buf_records = 0;
-            state.record_count = 0;
-            state.appended = 0;
-            state.synced_seq = 0;
-            state.undecided.clear();
+            self.power = Power::On { file };
+            self.active_seq = 1;
+            self.flushed_len = SEGMENT_HEADER_LEN as u64;
+            self.sealed_bytes = 0;
+            self.buf.clear();
+            self.buf_records = 0;
+            self.record_count = 0;
+            self.appended = 0;
+            self.synced_seq = 0;
+            self.undecided.clear();
             return Ok(RecoveryOutcome::default());
         }
 
@@ -433,93 +398,67 @@ impl StorageEngine for DiskEngine {
             active_len = SEGMENT_HEADER_LEN as u64;
         }
 
-        state.undecided = outcome
+        self.undecided = outcome
             .in_doubt
             .iter()
             .map(|in_doubt| (in_doubt.txn, in_doubt.writes.clone()))
             .collect();
-        state.record_count = records.len();
-        state.appended = records.len() as u64;
-        state.synced_seq = state.appended;
-        state.buf.clear();
-        state.buf_records = 0;
-        state.sealed_bytes = sealed_bytes;
-        state.flushed_len = active_len;
-        state.active_seq = active_seq;
-        state.power = Power::On { file };
+        self.record_count = records.len();
+        self.appended = records.len() as u64;
+        self.synced_seq = self.appended;
+        self.buf.clear();
+        self.buf_records = 0;
+        self.sealed_bytes = sealed_bytes;
+        self.flushed_len = active_len;
+        self.active_seq = active_seq;
+        self.power = Power::On { file };
         Ok(outcome)
     }
 
-    fn power_loss(&self, fault: PowerLossFault) {
-        let mut state = self.state.lock();
-        if state.power.is_off() {
-            return;
-        }
+    fn power_loss(&mut self, fault: PowerLossFault) {
         // Model the write that was racing the power failure: bytes the OS
         // had partially (torn) or wrongly (corrupt) persisted. They go
         // straight into the file, *after* everything already synced — a
         // torn write can only damage the record being written, never the
         // stable prefix.
-        let appended = state.appended;
-        if let Power::On { file } = &mut state.power {
-            let doomed = codec::encode_frame(&LogRecord::Commit {
-                txn: TxnId::new(SiteId(u32::MAX), appended),
-                writes: vec![(
-                    ItemId::new("__doomed__"),
-                    Value::Int(appended as i64),
-                    Version(u64::MAX),
-                )],
-            });
-            match fault {
-                PowerLossFault::Clean => {}
-                PowerLossFault::TornWrite => {
-                    let cut = FRAME_HEADER_LEN + (doomed.len() - FRAME_HEADER_LEN) / 2;
-                    file.write_all(&doomed[..cut])
-                        .expect("disk engine: fault injection write failed");
-                    state.flushed_len += cut as u64;
-                }
-                PowerLossFault::CorruptWrite => {
-                    let mut damaged = doomed;
-                    let last = damaged.len() - 1;
-                    damaged[last] ^= 0x20;
-                    file.write_all(&damaged)
-                        .expect("disk engine: fault injection write failed");
-                    state.flushed_len += damaged.len() as u64;
-                }
+        let Power::On { file } = &mut self.power else {
+            return;
+        };
+        let mut doomed = codec::encode_frame(&LogRecord::Commit {
+            txn: TxnId::new(SiteId(u32::MAX), self.appended),
+            writes: vec![(
+                ItemId::new("__doomed__"),
+                Value::Int(self.appended as i64),
+                Version(u64::MAX),
+            )],
+        });
+        match fault {
+            PowerLossFault::Clean => doomed.clear(),
+            PowerLossFault::TornWrite => {
+                doomed.truncate(FRAME_HEADER_LEN + (doomed.len() - FRAME_HEADER_LEN) / 2)
             }
+            PowerLossFault::CorruptWrite => *doomed.last_mut().expect("a frame has bytes") ^= 0x20,
         }
-        state.power = Power::Off;
-        state.buf.clear();
-        state.buf_records = 0;
-        state.undecided.clear();
+        file.write_all(&doomed)
+            .expect("disk engine: fault injection write failed");
+        self.flushed_len += doomed.len() as u64;
+        self.power = Power::Off;
+        self.buf.clear();
+        self.buf_records = 0;
+        self.undecided.clear();
     }
 
-    fn flush_and_sync(&self) -> RainbowResult<()> {
-        let mut state = self.state.lock();
-        if state.power.is_off() {
+    fn flush_and_sync(&mut self) -> RainbowResult<()> {
+        if self.power.is_off() || (self.buf.is_empty() && self.synced_seq >= self.appended) {
             return Ok(());
         }
-        if state.buf.is_empty() && state.synced_seq >= state.appended {
-            return Ok(());
-        }
-        let flush_result = (|| -> std::io::Result<()> {
-            if !state.buf.is_empty() {
-                let buffered = std::mem::take(&mut state.buf);
-                state.buf_records = 0;
-                let Power::On { file } = &mut state.power else {
-                    return Ok(());
-                };
-                file.write_all(&buffered)?;
-                state.flushed_len += buffered.len() as u64;
-            }
-            let Power::On { file } = &state.power else {
-                return Ok(());
-            };
-            file.sync_data()
-        })();
-        flush_result.map_err(|e| RainbowError::Storage(format!("flush_and_sync: {e}")))?;
-        state.synced_seq = state.appended;
-        state.force_count += 1;
+        let flushed = self.write_buf().and_then(|()| match &self.power {
+            Power::On { file } => file.sync_data(),
+            Power::Off => Ok(()),
+        });
+        flushed.map_err(|e| RainbowError::Storage(format!("flush_and_sync: {e}")))?;
+        self.synced_seq = self.appended;
+        self.force_count += 1;
         Ok(())
     }
 }
@@ -719,7 +658,7 @@ mod tests {
     }
 
     fn open_engine(dir: &Path, config: &StorageConfig) -> DiskEngine {
-        let engine = DiskEngine::new(dir, config, None);
+        let mut engine = DiskEngine::new(dir, config, None);
         engine.recover().unwrap();
         engine
     }
@@ -728,9 +667,9 @@ mod tests {
     fn commits_survive_power_loss_and_reopen() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir);
-        let engine = open_engine(&dir, &config);
+        let mut engine = open_engine(&dir, &config);
         for i in 1..=5 {
-            engine.append_forced(commit_record(i, i as i64 * 10));
+            engine.append_forced_many(vec![commit_record(i, i as i64 * 10)]);
         }
         engine.append(LogRecord::Begin { txn: txn(6) }); // unforced: may be lost
         engine.power_loss(PowerLossFault::Clean);
@@ -746,8 +685,8 @@ mod tests {
     fn torn_tail_is_truncated_on_recovery() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir);
-        let engine = open_engine(&dir, &config);
-        engine.append_forced(commit_record(1, 7));
+        let mut engine = open_engine(&dir, &config);
+        engine.append_forced_many(vec![commit_record(1, 7)]);
         engine.power_loss(PowerLossFault::TornWrite);
 
         let outcome = engine.recover().unwrap();
@@ -755,7 +694,7 @@ mod tests {
         assert_eq!(outcome.state.get(&item("x")).unwrap().value, Value::Int(7));
 
         // Recovery truncated the torn bytes: a further cycle is clean.
-        engine.append_forced(commit_record(2, 8));
+        engine.append_forced_many(vec![commit_record(2, 8)]);
         engine.power_loss(PowerLossFault::Clean);
         let outcome = engine.recover().unwrap();
         assert_eq!(outcome.replayed_records, 2);
@@ -767,8 +706,8 @@ mod tests {
     fn corrupt_tail_is_truncated_on_recovery() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir);
-        let engine = open_engine(&dir, &config);
-        engine.append_forced(commit_record(1, 7));
+        let mut engine = open_engine(&dir, &config);
+        engine.append_forced_many(vec![commit_record(1, 7)]);
         engine.power_loss(PowerLossFault::CorruptWrite);
 
         let outcome = engine.recover().unwrap();
@@ -784,10 +723,10 @@ mod tests {
     fn mid_log_corruption_is_a_typed_error() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir);
-        let engine = open_engine(&dir, &config);
-        engine.append_forced(commit_record(1, 1));
-        engine.append_forced(commit_record(2, 2));
-        engine.append_forced(commit_record(3, 3));
+        let mut engine = open_engine(&dir, &config);
+        engine.append_forced_many(vec![commit_record(1, 1)]);
+        engine.append_forced_many(vec![commit_record(2, 2)]);
+        engine.append_forced_many(vec![commit_record(3, 3)]);
         engine.power_loss(PowerLossFault::Clean);
 
         // Flip one byte in the middle of the segment: inside the second
@@ -812,9 +751,9 @@ mod tests {
         let dir = test_dir();
         // Tiny segments force rotation quickly.
         let config = StorageConfig::disk(&dir).with_segment_max_bytes(64);
-        let engine = open_engine(&dir, &config);
+        let mut engine = open_engine(&dir, &config);
         for i in 1..=6 {
-            engine.append_forced(commit_record(i, i as i64));
+            engine.append_forced_many(vec![commit_record(i, i as i64)]);
         }
         assert!(engine.segment_count() > 1, "rotation must have happened");
         engine.power_loss(PowerLossFault::Clean);
@@ -836,9 +775,9 @@ mod tests {
     fn rotation_spreads_the_log_across_segments_and_replays_in_order() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir).with_segment_max_bytes(64);
-        let engine = open_engine(&dir, &config);
+        let mut engine = open_engine(&dir, &config);
         for i in 1..=20 {
-            engine.append_forced(commit_record(i, i as i64));
+            engine.append_forced_many(vec![commit_record(i, i as i64)]);
         }
         assert!(engine.segment_count() >= 3);
         engine.power_loss(PowerLossFault::Clean);
@@ -852,15 +791,15 @@ mod tests {
     fn compaction_drops_old_segments_and_keeps_undecided_prepares() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir).with_segment_max_bytes(64);
-        let engine = open_engine(&dir, &config);
+        let mut engine = open_engine(&dir, &config);
         for i in 1..=10 {
-            engine.append_forced(commit_record(i, i as i64));
+            engine.append_forced_many(vec![commit_record(i, i as i64)]);
         }
         // One undecided prepare that must survive compaction.
-        engine.append_forced(LogRecord::Prepare {
+        engine.append_forced_many(vec![LogRecord::Prepare {
             txn: txn(99),
             writes: vec![(item("y"), Value::Int(99), Version(1))],
-        });
+        }]);
         let segments_before = engine.segment_count();
         assert!(segments_before > 1);
         let bytes_before = engine.log_bytes();
@@ -881,10 +820,10 @@ mod tests {
     fn wants_compaction_after_threshold() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir).with_compaction_threshold(128);
-        let engine = open_engine(&dir, &config);
+        let mut engine = open_engine(&dir, &config);
         assert!(!engine.wants_compaction());
         for i in 1..=10 {
-            engine.append_forced(commit_record(i, i as i64));
+            engine.append_forced_many(vec![commit_record(i, i as i64)]);
         }
         assert!(engine.wants_compaction());
         engine.checkpoint(vec![(item("x"), Value::Int(10), Version(10))]);
@@ -896,7 +835,7 @@ mod tests {
     fn append_forced_many_pays_one_fsync_for_the_group() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir);
-        let engine = open_engine(&dir, &config);
+        let mut engine = open_engine(&dir, &config);
         let records: Vec<LogRecord> = (1..=5).map(|i| commit_record(i, i as i64)).collect();
         engine.append_forced_many(records);
         assert_eq!(engine.force_count(), 1, "the whole group rides one fsync");
@@ -917,9 +856,9 @@ mod tests {
     fn each_forced_append_pays_its_own_fsync() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir);
-        let engine = open_engine(&dir, &config);
+        let mut engine = open_engine(&dir, &config);
         for i in 1..=10 {
-            engine.append_forced(commit_record(i, i as i64));
+            engine.append_forced_many(vec![commit_record(i, i as i64)]);
         }
         assert_eq!(engine.force_count(), 10);
         let _ = fs::remove_dir_all(&dir);
@@ -929,10 +868,10 @@ mod tests {
     fn appends_while_off_are_dropped() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir);
-        let engine = open_engine(&dir, &config);
-        engine.append_forced(commit_record(1, 1));
+        let mut engine = open_engine(&dir, &config);
+        engine.append_forced_many(vec![commit_record(1, 1)]);
         engine.power_loss(PowerLossFault::Clean);
-        engine.append_forced(commit_record(2, 2));
+        engine.append_forced_many(vec![commit_record(2, 2)]);
         engine.append(LogRecord::Begin { txn: txn(3) });
         engine.force();
         assert!(engine.flush_and_sync().is_ok());
@@ -945,7 +884,7 @@ mod tests {
     fn flush_and_sync_makes_buffered_records_durable() {
         let dir = test_dir();
         let config = StorageConfig::disk(&dir);
-        let engine = open_engine(&dir, &config);
+        let mut engine = open_engine(&dir, &config);
         engine.append(commit_record(1, 5)); // unforced: buffered only
         engine.flush_and_sync().unwrap();
         engine.power_loss(PowerLossFault::Clean);

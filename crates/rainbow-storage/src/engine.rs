@@ -10,10 +10,13 @@
 //!   with rotation and compaction. The engine the power-loss chaos runs
 //!   against.
 //!
-//! An engine has one forcer, the site's event loop (or its handle between
-//! two drains): there is nobody to coalesce with, so grouping is
-//! [`StorageEngine::append_forced_many`], one force for what a drain
-//! forces together.
+//! An engine has one owner, its site's storage, and so one writer: the
+//! site's event loop, or its handle between two drains. The trait is
+//! `Send` (a site's state moves to its loop's thread) but not `Sync`, and
+//! every call that changes the log takes `&mut self`. There is nobody to
+//! coalesce with, so a force is [`StorageEngine::append_forced_many`]: one
+//! force for what a drain forces together, and a lone commit is a group of
+//! one.
 //!
 //! Engine selection and tuning live in [`StorageConfig`], which rides in
 //! `ClusterConfig` so a whole cluster (and the nemesis) can be pointed at
@@ -183,23 +186,18 @@ impl StorageConfig {
 /// not acknowledge them before the record would survive a power loss. The
 /// memory engine simulates that with a forced-prefix marker; the disk
 /// engine pays a real `fsync`.
-pub trait StorageEngine: Send + Sync + std::fmt::Debug {
+pub trait StorageEngine: Send + std::fmt::Debug {
     /// Which engine this is.
     fn kind(&self) -> EngineKind;
 
     /// Appends a record without forcing it; it may be lost on power loss.
-    fn append(&self, record: LogRecord);
-
-    /// Appends a record and forces the log up to and including it. Returns
-    /// only once the record is durable.
-    fn append_forced(&self, record: LogRecord);
+    fn append(&mut self, record: LogRecord);
 
     /// Appends several records and forces the log once for the whole
-    /// group, returning only when every record is durable. Semantically
-    /// equivalent to forcing each record in order, but an engine pays a
-    /// single sync for the multi-transaction batch — this is how a drain's
-    /// prepares, or its commit decisions, share one `fsync`.
-    fn append_forced_many(&self, records: Vec<LogRecord>) {
+    /// group, returning only when every record is durable: a drain's
+    /// prepares, or its commit decisions, share one `fsync`, and a single
+    /// record is a group of one. An empty group forces nothing.
+    fn append_forced_many(&mut self, records: Vec<LogRecord>) {
         if records.is_empty() {
             return;
         }
@@ -210,7 +208,7 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     }
 
     /// Forces everything appended so far.
-    fn force(&self);
+    fn force(&mut self);
 
     /// Number of force (sync) operations performed. A forced group
     /// ([`StorageEngine::append_forced_many`]) counts once.
@@ -224,7 +222,7 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
 
     /// Writes a checkpoint of `state` and compacts the log, retaining
     /// undecided prepares.
-    fn checkpoint(&self, state: Vec<(ItemId, Value, Version)>);
+    fn checkpoint(&mut self, state: Vec<(ItemId, Value, Version)>);
 
     /// True when the log has grown enough that the caller should
     /// checkpoint soon.
@@ -233,16 +231,16 @@ pub trait StorageEngine: Send + Sync + std::fmt::Debug {
     /// (Re)opens the durable log and replays it: rebuilds the committed
     /// state and the in-doubt transaction set, truncating a torn or
     /// corrupt tail. Mid-log damage is a [`rainbow_common::RainbowError::CorruptLog`].
-    fn recover(&self) -> RainbowResult<RecoveryOutcome>;
+    fn recover(&mut self) -> RainbowResult<RecoveryOutcome>;
 
     /// Pulls the plug: all volatile engine state (buffers, unforced
     /// records) is lost; only what was synced survives. `fault` optionally
     /// injects a torn or corrupt tail into the durable log, as a real
     /// power loss would. The engine stays "off" until [`StorageEngine::recover`].
-    fn power_loss(&self, fault: PowerLossFault);
+    fn power_loss(&mut self, fault: PowerLossFault);
 
     /// Flushes and syncs everything buffered (clean-shutdown path).
-    fn flush_and_sync(&self) -> RainbowResult<()>;
+    fn flush_and_sync(&mut self) -> RainbowResult<()>;
 }
 
 /// The in-memory engine: the original simulated [`WriteAheadLog`].
@@ -256,11 +254,6 @@ impl MemoryEngine {
     pub fn new() -> Self {
         MemoryEngine::default()
     }
-
-    /// The underlying simulated WAL (tests inspect record streams).
-    pub fn wal(&self) -> &WriteAheadLog {
-        &self.log
-    }
 }
 
 impl StorageEngine for MemoryEngine {
@@ -268,15 +261,11 @@ impl StorageEngine for MemoryEngine {
         EngineKind::Memory
     }
 
-    fn append(&self, record: LogRecord) {
+    fn append(&mut self, record: LogRecord) {
         self.log.append(record);
     }
 
-    fn append_forced(&self, record: LogRecord) {
-        self.log.append_forced(record);
-    }
-
-    fn force(&self) {
+    fn force(&mut self) {
         self.log.force();
     }
 
@@ -292,7 +281,7 @@ impl StorageEngine for MemoryEngine {
         0
     }
 
-    fn checkpoint(&self, state: Vec<(ItemId, Value, Version)>) {
+    fn checkpoint(&mut self, state: Vec<(ItemId, Value, Version)>) {
         self.log.checkpoint(state);
     }
 
@@ -300,17 +289,17 @@ impl StorageEngine for MemoryEngine {
         false
     }
 
-    fn recover(&self) -> RainbowResult<RecoveryOutcome> {
+    fn recover(&mut self) -> RainbowResult<RecoveryOutcome> {
         Ok(crate::recovery::recover(&self.log))
     }
 
-    fn power_loss(&self, _fault: PowerLossFault) {
+    fn power_loss(&mut self, _fault: PowerLossFault) {
         // There are no real bytes to tear or flip; losing the unforced
         // tail is the whole fault model.
         self.log.simulate_crash();
     }
 
-    fn flush_and_sync(&self) -> RainbowResult<()> {
+    fn flush_and_sync(&mut self) -> RainbowResult<()> {
         self.log.force();
         Ok(())
     }
@@ -354,12 +343,12 @@ mod tests {
 
     #[test]
     fn memory_engine_power_loss_drops_unforced_tail() {
-        let engine = MemoryEngine::new();
+        let mut engine = MemoryEngine::new();
         let txn = TxnId::new(SiteId(0), 1);
-        engine.append_forced(LogRecord::Commit {
+        engine.append_forced_many(vec![LogRecord::Commit {
             txn,
             writes: vec![],
-        });
+        }]);
         engine.append(LogRecord::Begin {
             txn: TxnId::new(SiteId(0), 2),
         });

@@ -30,10 +30,17 @@
 //! corrupt tails are truncated; mid-log damage is a typed
 //! [`rainbow_common::RainbowError::CorruptLog`]).
 //!
-//! A site's event loop is the only writer of its log, so the storage layer
-//! starts no thread and waits on no one: an engine has one forcer, and
-//! grouping is [`engine::StorageEngine::append_forced_many`]. A checkpoint
-//! runs inline, on the thread whose commit outgrew the threshold.
+//! A site's [`SiteStorage`] is part of the site's state, which the site's
+//! event loop holds one drain at a time, so the storage layer has one owner
+//! and takes no lock, starts no thread and waits on no one. The store is a
+//! plain value, an engine is plain fields behind a `Send` (not `Sync`)
+//! trait whose writes take `&mut self`, the memory engine's log is not
+//! shared, and [`SiteStorage`] holds the store and the engine in one
+//! `RefCell` — neither `Sync` nor `Clone`, so the one-owner rule is the
+//! compiler's to check. Every force is a group,
+//! [`engine::StorageEngine::append_forced_many`], and a lone commit is a
+//! group of one. A checkpoint runs inline, in the commit that outgrew the
+//! threshold.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -42,12 +42,12 @@ pub struct RecoveryOutcome {
 /// in-doubt transaction list.
 ///
 /// The replay borrows the log's record buffer in place
-/// ([`WriteAheadLog::with_durable_records`]) instead of cloning the whole
+/// ([`WriteAheadLog::durable_records`]) instead of cloning the whole
 /// durable prefix: only the writes that actually survive into the recovered
 /// state (checkpoint snapshots, winning commits, in-doubt prepares) are
 /// copied out.
 pub fn recover(log: &WriteAheadLog) -> RecoveryOutcome {
-    log.with_durable_records(replay)
+    replay(log.durable_records())
 }
 
 /// Replays a slice of log records front to back. This is the pure core of
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn commits_after_checkpoint_are_applied_in_order() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.checkpoint(vec![(item("x"), Value::Int(0), Version(0))]);
         log.append_forced(LogRecord::Commit {
             txn: txn(1),
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn replay_is_idempotent() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.checkpoint(vec![(item("x"), Value::Int(0), Version(0))]);
         log.append_forced(LogRecord::Commit {
             txn: txn(1),
@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn old_commits_do_not_regress_newer_checkpoint_state() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         // A commit record with an older version than the checkpointed state
         // (can happen if the checkpoint logic retains undecided prepares and
         // a stale commit is replayed afterwards in contrived orders).
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn prepared_without_decision_is_in_doubt() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.checkpoint(vec![(item("x"), Value::Int(0), Version(0))]);
         log.append_forced(LogRecord::Prepare {
             txn: txn(7),
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn prepared_then_decided_is_not_in_doubt() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.append_forced(LogRecord::Prepare {
             txn: txn(1),
             writes: vec![(item("x"), Value::Int(1), Version(1))],
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn checkpoint_clears_earlier_prepares() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.append_forced(LogRecord::Prepare {
             txn: txn(1),
             writes: vec![(item("x"), Value::Int(1), Version(1))],
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn unforced_records_are_not_replayed() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.append_forced(LogRecord::Commit {
             txn: txn(1),
             writes: vec![(item("x"), Value::Int(1), Version(1))],

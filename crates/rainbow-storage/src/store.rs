@@ -1,14 +1,22 @@
 //! The volatile, versioned item store of one Rainbow site, and the
 //! [`SiteStorage`] facade that pairs it with the write-ahead log.
+//!
+//! A site's storage has one owner, the site's state, which its event loop
+//! holds one drain at a time. So the store is a plain value, and
+//! [`SiteStorage`] keeps it and its engine in one `RefCell` rather than
+//! behind a lock. Every forced write is a group: a lone prepare or commit
+//! is [`SiteStorage::prepare_many`] or [`SiteStorage::commit_many`] of one
+//! transaction, and so is the commit of a transaction that crash recovery
+//! found in doubt (its recovered writes are staged, then committed).
 
 use crate::engine::{EngineKind, MemoryEngine, PowerLossFault, StorageConfig, StorageEngine};
 use crate::recovery::RecoveryOutcome;
 use crate::wal::LogRecord;
-use parking_lot::RwLock;
 use rainbow_common::{
     FxHashMap, ItemId, RainbowError, RainbowResult, SiteId, TxnId, Value, Version,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -104,49 +112,32 @@ impl VersionedStore {
             .unwrap_or_default()
     }
 
-    /// Installs one committed write under the Thomas write rule: a copy
-    /// never regresses to an older version. Timestamp-ordering stacks can
-    /// commit two writers of the same item in version order but deliver
-    /// their decisions in the opposite order; without the guard the later
-    /// decision would overwrite the younger value with the older one.
-    fn install_copy(&mut self, item: &ItemId, value: &Value, version: Version) {
-        match self.copies.get(item) {
-            Some(current) if current.version > version => {}
-            _ => {
-                self.copies.insert(
-                    item.clone(),
-                    CopyState {
-                        value: value.clone(),
-                        version,
-                    },
-                );
-            }
-        }
-    }
-
     /// Installs the staged writes of a transaction into the committed state
     /// and clears its staging area. Returns the transaction's writes (sorted
-    /// by item name, matching [`VersionedStore::staged_writes`]) — including
-    /// any skipped by the Thomas-write-rule guard, since the transaction
-    /// still logically wrote them.
+    /// by item name, matching [`VersionedStore::staged_writes`]).
+    ///
+    /// A write installs under the Thomas write rule: a copy never regresses
+    /// to an older version. Timestamp-ordering stacks can commit two writers
+    /// of the same item in version order but deliver their decisions in the
+    /// opposite order; without the guard the later decision would overwrite
+    /// the younger value with the older one. A skipped write is still
+    /// returned, since the transaction still logically wrote it.
     pub fn install(&mut self, txn: &TxnId) -> Vec<(ItemId, Value, Version)> {
         let writes = self.staged.remove(txn).unwrap_or_default();
-        let mut installed = Vec::with_capacity(writes.len());
-        for (item, (value, version)) in writes {
-            self.install_copy(&item, &value, version);
-            installed.push((item, value, version));
-        }
+        let mut installed: Vec<(ItemId, Value, Version)> = writes
+            .into_iter()
+            .map(|(item, (value, version))| (item, value, version))
+            .collect();
         installed.sort_by(|a, b| a.0.cmp(&b.0));
-        installed
-    }
-
-    /// Installs externally supplied writes (used by recovery when replaying
-    /// commit records, and by in-doubt resolution), under the same
-    /// no-regression guard as [`VersionedStore::install`].
-    pub fn install_writes(&mut self, writes: &[(ItemId, Value, Version)]) {
-        for (item, value, version) in writes {
-            self.install_copy(item, value, *version);
+        for (item, value, version) in &installed {
+            let stale = self.copies.get(item).is_some_and(|c| c.version > *version);
+            if !stale {
+                let (value, version) = (value.clone(), *version);
+                self.copies
+                    .insert(item.clone(), CopyState { value, version });
+            }
         }
+        installed
     }
 
     /// Discards the staged writes of a transaction.
@@ -165,13 +156,6 @@ impl VersionedStore {
                 true
             }
         }
-    }
-
-    /// Transactions that currently have staged writes (sorted).
-    pub fn staging_txns(&self) -> Vec<TxnId> {
-        let mut txns: Vec<TxnId> = self.staged.keys().copied().collect();
-        txns.sort_unstable();
-        txns
     }
 
     /// Number of items stored.
@@ -211,33 +195,63 @@ impl VersionedStore {
 
 /// The durable + volatile storage of one Rainbow site.
 ///
-/// One writer at a time: a site's event loop, or its handle between two
-/// drains (a crash restart, a copier repair). A checkpoint snapshots the
-/// store and rewrites the log in two steps, so a commit forced between
-/// them would lose its log record; with one writer none can be.
-/// `SiteStorage` is cheaply cloneable (it is an `Arc` internally), but the
-/// clones are for readers.
+/// It has one owner, the site's state, and so one writer: the site's event
+/// loop, or its handle between two drains (a diagnostic read, a crash
+/// restart, a copier repair). A checkpoint snapshots the store and rewrites
+/// the log in two steps, so a commit forced between them would lose its log
+/// record; with one writer none can be.
+///
+/// The methods take `&self` and borrow the store and the engine from one
+/// `RefCell`, once per call (a checkpoint inside a call reuses that
+/// borrow). `SiteStorage` is `Send` but neither `Sync` nor `Clone`: the
+/// one-owner rule is checked by the compiler.
 ///
 /// The durable half is a pluggable [`StorageEngine`]: the in-memory
 /// simulated WAL by default ([`SiteStorage::new`]), or the on-disk
 /// log-structured engine when opened from a [`StorageConfig`] that selects
 /// it ([`SiteStorage::open`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SiteStorage {
     site: SiteId,
-    store: Arc<RwLock<VersionedStore>>,
-    engine: Arc<dyn StorageEngine>,
+    parts: RefCell<Parts>,
     tracer: Option<Arc<rainbow_trace::Tracer>>,
 }
+
+/// What [`SiteStorage`] borrows as one: the volatile store and the durable
+/// engine.
+#[derive(Debug)]
+struct Parts {
+    store: VersionedStore,
+    engine: Box<dyn StorageEngine>,
+}
+
+impl Parts {
+    /// Writes a checkpoint of the committed state and compacts the log.
+    fn checkpoint(&mut self) {
+        self.engine.checkpoint(self.store.snapshot());
+    }
+}
+
+/// The writes of one transaction, as prepared or installed.
+type WriteSet = Vec<(ItemId, Value, Version)>;
 
 impl SiteStorage {
     /// Creates empty storage for `site` on the in-memory engine.
     pub fn new(site: SiteId) -> Self {
+        SiteStorage::with_engine(site, Box::new(MemoryEngine::new()), None)
+    }
+
+    fn with_engine(
+        site: SiteId,
+        engine: Box<dyn StorageEngine>,
+        tracer: Option<Arc<rainbow_trace::Tracer>>,
+    ) -> Self {
+        let store = VersionedStore::new();
+        let parts = RefCell::new(Parts { store, engine });
         SiteStorage {
             site,
-            store: Arc::new(RwLock::new(VersionedStore::new())),
-            engine: Arc::new(MemoryEngine::new()),
-            tracer: None,
+            parts,
+            tracer,
         }
     }
 
@@ -253,22 +267,16 @@ impl SiteStorage {
         tracer: Option<Arc<rainbow_trace::Tracer>>,
     ) -> RainbowResult<(Self, RecoveryOutcome)> {
         config.validate()?;
-        let engine: Arc<dyn StorageEngine> = match config.engine {
-            EngineKind::Memory => Arc::new(MemoryEngine::new()),
+        let engine: Box<dyn StorageEngine> = match config.engine {
+            EngineKind::Memory => Box::new(MemoryEngine::new()),
             EngineKind::Disk => {
                 let root = config.data_dir.as_ref().expect("validated above");
                 let dir = root.join(format!("site-{}", site.0));
-                Arc::new(crate::disk::DiskEngine::new(dir, config, tracer.clone()))
+                Box::new(crate::disk::DiskEngine::new(dir, config, tracer.clone()))
             }
         };
-        let outcome = engine.recover()?;
-        let storage = SiteStorage {
-            site,
-            store: Arc::new(RwLock::new(VersionedStore::new())),
-            engine,
-            tracer,
-        };
-        storage.store.write().load(outcome.state.clone());
+        let storage = SiteStorage::with_engine(site, engine, tracer);
+        let outcome = storage.recover()?;
         Ok((storage, outcome))
     }
 
@@ -310,19 +318,19 @@ impl SiteStorage {
 
     /// Which engine kind this storage runs on.
     pub fn engine_kind(&self) -> EngineKind {
-        self.engine.kind()
+        self.parts.borrow().engine.kind()
     }
 
     /// Number of records in the engine's log (durable or not).
     pub fn record_count(&self) -> usize {
-        self.engine.record_count()
+        self.parts.borrow().engine.record_count()
     }
 
     /// Number of force (sync) operations the engine performed. A
     /// [`SiteStorage::prepare_many`] or [`SiteStorage::commit_many`] group
     /// counts once.
     pub fn force_count(&self) -> u64 {
-        self.engine.force_count()
+        self.parts.borrow().engine.force_count()
     }
 
     /// Creates the given items with their initial values — but only the
@@ -330,82 +338,69 @@ impl SiteStorage {
     /// restart from disk never clobbers recovered state — and writes a
     /// checkpoint so the schema survives a crash.
     pub fn initialize(&self, items: &[(ItemId, Value)]) {
-        {
-            let mut store = self.store.write();
-            for (item, value) in items {
-                if !store.contains(item) {
-                    store.create(item.clone(), value.clone());
-                }
+        let mut parts = self.parts.borrow_mut();
+        for (item, value) in items {
+            if !parts.store.contains(item) {
+                parts.store.create(item.clone(), value.clone());
             }
         }
-        self.checkpoint();
+        parts.checkpoint();
     }
 
     /// Reads the committed value and version of an item.
     pub fn read(&self, item: &ItemId) -> RainbowResult<(Value, Version)> {
-        self.store.read().read(item)
+        self.parts.borrow().store.read(item)
     }
 
     /// The committed version of an item.
     pub fn version(&self, item: &ItemId) -> RainbowResult<Version> {
-        self.store.read().version(item)
+        self.parts.borrow().store.version(item)
     }
 
     /// Whether the item exists at this site.
     pub fn contains(&self, item: &ItemId) -> bool {
-        self.store.read().contains(item)
+        self.parts.borrow().store.contains(item)
     }
 
     /// Stages a write for a transaction (the quorum-consensus pre-write).
     pub fn stage_write(&self, txn: TxnId, item: ItemId, value: Value, version: Version) {
-        self.store.write().stage(txn, item, value, version);
+        self.parts
+            .borrow_mut()
+            .store
+            .stage(txn, item, value, version);
     }
 
     /// The writes staged by a transaction.
-    pub fn staged_writes(&self, txn: &TxnId) -> Vec<(ItemId, Value, Version)> {
-        self.store.read().staged_writes(txn)
+    pub fn staged_writes(&self, txn: &TxnId) -> WriteSet {
+        self.parts.borrow().store.staged_writes(txn)
     }
 
-    /// Records that a transaction has begun at this site.
-    pub fn log_begin(&self, txn: TxnId) {
-        self.engine.append(LogRecord::Begin { txn });
+    /// Durably prepares a transaction, a group of one
+    /// ([`SiteStorage::prepare_many`]). Returns the prepared writes.
+    pub fn prepare(&self, txn: TxnId) -> WriteSet {
+        self.prepare_many(&[txn])
+            .pop()
+            .expect("one write set per transaction")
     }
 
-    /// Durably prepares a transaction: its staged writes are forced to the
-    /// log so that a crash after voting YES cannot lose them. Returns the
-    /// prepared writes.
-    pub fn prepare(&self, txn: TxnId) -> Vec<(ItemId, Value, Version)> {
-        let writes = self.staged_writes(&txn);
-        let start_us = self.tracer.as_ref().map_or(0, |t| t.now_us());
-        self.engine.append_forced(LogRecord::Prepare {
-            txn,
-            writes: writes.clone(),
-        });
-        self.trace_force(txn, "wal:force", start_us, || format!("prepare {txn}"));
-        writes
+    /// Commits a transaction, a group of one ([`SiteStorage::commit_many`]).
+    /// Returns the installed writes.
+    pub fn commit(&self, txn: TxnId) -> WriteSet {
+        self.commit_many(&[txn])
+            .pop()
+            .expect("one write set per transaction")
     }
 
-    /// Commits a transaction: staged writes are installed into the store and
-    /// a commit record is forced. Returns the installed writes.
-    pub fn commit(&self, txn: TxnId) -> Vec<(ItemId, Value, Version)> {
-        let installed = self.store.write().install(&txn);
-        let start_us = self.tracer.as_ref().map_or(0, |t| t.now_us());
-        self.engine.append_forced(LogRecord::Commit {
-            txn,
-            writes: installed.clone(),
-        });
-        self.trace_force(txn, "wal:force", start_us, || format!("commit {txn}"));
-        self.maybe_compact();
-        installed
-    }
-
-    /// Durably prepares a whole batch of transactions with one forced
-    /// append group: every transaction's staged writes go into the log,
-    /// then the engine pays a single force for the lot. Returns each
-    /// transaction's prepared writes, in input order.
-    pub fn prepare_many(&self, txns: &[TxnId]) -> Vec<Vec<(ItemId, Value, Version)>> {
-        let prepared: Vec<Vec<(ItemId, Value, Version)>> =
-            txns.iter().map(|txn| self.staged_writes(txn)).collect();
+    /// Durably prepares a batch of transactions: every transaction's staged
+    /// writes go into the log as its prepare record, then the engine pays a
+    /// single force for the lot, so a crash after voting YES cannot lose
+    /// them. Returns each transaction's prepared writes, in input order.
+    pub fn prepare_many(&self, txns: &[TxnId]) -> Vec<WriteSet> {
+        let mut parts = self.parts.borrow_mut();
+        let prepared: Vec<WriteSet> = txns
+            .iter()
+            .map(|txn| parts.store.staged_writes(txn))
+            .collect();
         let start_us = self.tracer.as_ref().map_or(0, |t| t.now_us());
         let records = txns
             .iter()
@@ -415,7 +410,7 @@ impl SiteStorage {
                 writes: writes.clone(),
             })
             .collect();
-        self.engine.append_forced_many(records);
+        parts.engine.append_forced_many(records);
         let group = txns.len();
         for txn in txns {
             self.trace_force(*txn, "wal:force", start_us, || {
@@ -425,15 +420,17 @@ impl SiteStorage {
         prepared
     }
 
-    /// Commits a whole batch of transactions with one forced append
-    /// group: every transaction's staged writes are installed, then all
-    /// commit records ride a single force. Returns each transaction's
-    /// installed writes, in input order.
-    pub fn commit_many(&self, txns: &[TxnId]) -> Vec<Vec<(ItemId, Value, Version)>> {
-        let installed: Vec<Vec<(ItemId, Value, Version)>> = {
-            let mut store = self.store.write();
-            txns.iter().map(|txn| store.install(txn)).collect()
-        };
+    /// Commits a batch of transactions: every transaction's staged writes
+    /// are installed, then all commit records ride a single force. Returns
+    /// each transaction's installed writes, in input order.
+    ///
+    /// When the log has outgrown the engine's threshold, the commit then
+    /// checkpoints inline, so the checkpoint's snapshot and its log rewrite
+    /// run with no commit between them. The site's loop stalls for the
+    /// rewrite, as it does for a force.
+    pub fn commit_many(&self, txns: &[TxnId]) -> Vec<WriteSet> {
+        let mut parts = self.parts.borrow_mut();
+        let installed: Vec<WriteSet> = txns.iter().map(|txn| parts.store.install(txn)).collect();
         let start_us = self.tracer.as_ref().map_or(0, |t| t.now_us());
         let records = txns
             .iter()
@@ -443,25 +440,17 @@ impl SiteStorage {
                 writes: writes.clone(),
             })
             .collect();
-        self.engine.append_forced_many(records);
+        parts.engine.append_forced_many(records);
         let group = txns.len();
         for txn in txns {
             self.trace_force(*txn, "wal:force", start_us, || {
                 format!("commit {txn} (group of {group})")
             });
         }
-        self.maybe_compact();
-        installed
-    }
-
-    /// Compacts the log if the engine asks for it, inline on the
-    /// committing thread: the checkpoint's snapshot and its log rewrite
-    /// then run with no commit between them. The site's loop stalls for
-    /// the rewrite, as a force behind the engine lock always did.
-    fn maybe_compact(&self) {
-        if self.engine.wants_compaction() {
-            self.checkpoint();
+        if parts.engine.wants_compaction() {
+            parts.checkpoint();
         }
+        installed
     }
 
     /// Does nothing: storage starts no thread, so there is no compactor
@@ -469,18 +458,12 @@ impl SiteStorage {
     /// (`benchmark/src/probes.rs`).
     pub fn shutdown_compactor(&self) {}
 
-    /// Commits a transaction using an explicit write set (recovery path for
-    /// in-doubt transactions whose staged writes only exist in the log).
-    pub fn commit_writes(&self, txn: TxnId, writes: Vec<(ItemId, Value, Version)>) {
-        self.store.write().install_writes(&writes);
-        self.engine.append_forced(LogRecord::Commit { txn, writes });
-    }
-
     /// Aborts a transaction: staged writes are discarded and an abort record
     /// appended (not forced — aborts may be lost on crash and presumed).
     pub fn abort(&self, txn: TxnId) {
-        self.store.write().discard(&txn);
-        self.engine.append(LogRecord::Abort { txn });
+        let mut parts = self.parts.borrow_mut();
+        parts.store.discard(&txn);
+        parts.engine.append(LogRecord::Abort { txn });
     }
 
     /// Installs committed copies fetched from live peers during recovery
@@ -488,41 +471,34 @@ impl SiteStorage {
     /// anything changed) checkpoints so the repair survives a further crash.
     /// Returns the number of copies repaired.
     pub fn repair_copies(&self, copies: &[(ItemId, Value, Version)]) -> usize {
-        let repaired = {
-            let mut store = self.store.write();
-            copies
-                .iter()
-                .filter(|(item, value, version)| {
-                    store.repair(item.clone(), value.clone(), *version)
-                })
-                .count()
-        };
+        let mut parts = self.parts.borrow_mut();
+        let repaired = copies
+            .iter()
+            .filter(|(item, value, version)| {
+                parts.store.repair(item.clone(), value.clone(), *version)
+            })
+            .count();
         if repaired > 0 {
-            self.checkpoint();
+            parts.checkpoint();
         }
         repaired
     }
 
     /// Writes a checkpoint of the committed state and compacts the log.
     pub fn checkpoint(&self) {
-        let snapshot = self.store.read().snapshot();
-        self.engine.checkpoint(snapshot);
-    }
-
-    /// Simulates a crash: volatile state (committed copies in memory and all
-    /// staged writes) is lost, and the unforced log tail disappears.
-    pub fn crash(&self) {
-        self.power_loss(PowerLossFault::Clean);
+        self.parts.borrow_mut().checkpoint();
     }
 
     /// Pulls the plug on this site's storage: every piece of volatile state
     /// (committed copies in memory, staged writes, engine buffers) is lost
     /// and only the synced log survives. `fault` optionally injects a torn
     /// or bit-flipped tail into the durable log, exactly as a real power
-    /// loss could. Follow with [`SiteStorage::recover`].
+    /// loss could; [`PowerLossFault::Clean`] is a plain crash. Follow with
+    /// [`SiteStorage::recover`].
     pub fn power_loss(&self, fault: PowerLossFault) {
-        self.store.write().clear();
-        self.engine.power_loss(fault);
+        let mut parts = self.parts.borrow_mut();
+        parts.store.clear();
+        parts.engine.power_loss(fault);
     }
 
     /// Recovers from the durable log: rebuilds the committed state and
@@ -530,8 +506,9 @@ impl SiteStorage {
     /// Mid-log damage the engine cannot safely replay past surfaces as
     /// [`RainbowError::CorruptLog`].
     pub fn recover(&self) -> RainbowResult<RecoveryOutcome> {
-        let outcome = self.engine.recover()?;
-        self.store.write().load(outcome.state.clone());
+        let mut parts = self.parts.borrow_mut();
+        let outcome = parts.engine.recover()?;
+        parts.store.load(outcome.state.clone());
         Ok(outcome)
     }
 
@@ -539,23 +516,23 @@ impl SiteStorage {
     /// shutdown path: a stopped cluster must not owe any acked commit to
     /// a buffer).
     pub fn flush_and_sync(&self) -> RainbowResult<()> {
-        self.engine.flush_and_sync()
+        self.parts.borrow_mut().engine.flush_and_sync()
     }
 
     /// A snapshot of the committed state (used by replica-convergence tests
     /// and the progress monitor's database view).
     pub fn snapshot(&self) -> Vec<(ItemId, Value, Version)> {
-        self.store.read().snapshot()
+        self.parts.borrow().store.snapshot()
     }
 
     /// Number of items stored at this site.
     pub fn len(&self) -> usize {
-        self.store.read().len()
+        self.parts.borrow().store.len()
     }
 
     /// True when this site stores no items.
     pub fn is_empty(&self) -> bool {
-        self.store.read().is_empty()
+        self.parts.borrow().store.is_empty()
     }
 }
 
@@ -594,7 +571,6 @@ mod tests {
         store.stage(txn(1), item("x"), Value::Int(42), Version(1));
         assert_eq!(store.read(&item("x")).unwrap(), (Value::Int(0), Version(0)));
         assert_eq!(store.staged_writes(&txn(1)).len(), 1);
-        assert_eq!(store.staging_txns(), vec![txn(1)]);
 
         let installed = store.install(&txn(1));
         assert_eq!(installed.len(), 1);
@@ -620,7 +596,8 @@ mod tests {
             store.read(&item("x")).unwrap(),
             (Value::Int(20), Version(2))
         );
-        store.install_writes(&[(item("x"), Value::Int(5), Version(1))]);
+        store.stage(txn(3), item("x"), Value::Int(5), Version(1));
+        store.install(&txn(3));
         assert_eq!(
             store.read(&item("x")).unwrap(),
             (Value::Int(20), Version(2))
@@ -647,7 +624,6 @@ mod tests {
         assert_eq!(storage.len(), 2);
 
         let t = txn(1);
-        storage.log_begin(t);
         storage.stage_write(t, item("x"), Value::Int(100), Version(1));
         let prepared = storage.prepare(t);
         assert_eq!(prepared.len(), 1);
@@ -658,7 +634,7 @@ mod tests {
             (Value::Int(100), Version(1))
         );
 
-        storage.crash();
+        storage.power_loss(PowerLossFault::Clean);
         assert!(storage.is_empty(), "volatile state must be lost");
         let outcome = storage.recover().unwrap();
         assert!(outcome.in_doubt.is_empty());
@@ -679,7 +655,7 @@ mod tests {
         let t = txn(2);
         storage.stage_write(t, item("x"), Value::Int(7), Version(1));
         // No prepare, no commit: crash.
-        storage.crash();
+        storage.power_loss(PowerLossFault::Clean);
         storage.recover().unwrap();
         assert_eq!(
             storage.read(&item("x")).unwrap(),
@@ -693,10 +669,9 @@ mod tests {
         let storage = SiteStorage::new(SiteId(0));
         storage.initialize(&[(item("x"), Value::Int(0))]);
         let t = txn(3);
-        storage.log_begin(t);
         storage.stage_write(t, item("x"), Value::Int(9), Version(1));
         storage.prepare(t);
-        storage.crash();
+        storage.power_loss(PowerLossFault::Clean);
         let outcome = storage.recover().unwrap();
         assert_eq!(outcome.in_doubt.len(), 1);
         assert_eq!(outcome.in_doubt[0].txn, t);
@@ -707,8 +682,12 @@ mod tests {
             (Value::Int(0), Version(0))
         );
 
-        // Resolve it as commit via the explicit-writes path.
-        storage.commit_writes(t, outcome.in_doubt[0].writes.clone());
+        // Resolve it as commit the way a site does: stage the recovered
+        // writes and commit them.
+        for (item, value, version) in outcome.in_doubt[0].writes.clone() {
+            storage.stage_write(t, item, value, version);
+        }
+        assert_eq!(storage.commit(t).len(), 1);
         assert_eq!(
             storage.read(&item("x")).unwrap(),
             (Value::Int(9), Version(1))
@@ -726,7 +705,7 @@ mod tests {
             storage.read(&item("x")).unwrap(),
             (Value::Int(1), Version(0))
         );
-        storage.crash();
+        storage.power_loss(PowerLossFault::Clean);
         let outcome = storage.recover().unwrap();
         assert!(outcome.in_doubt.is_empty());
         assert_eq!(
@@ -748,7 +727,7 @@ mod tests {
         let len_before = storage.record_count();
         storage.checkpoint();
         assert!(storage.record_count() < len_before);
-        storage.crash();
+        storage.power_loss(PowerLossFault::Clean);
         storage.recover().unwrap();
         assert_eq!(
             storage.read(&item("x")).unwrap(),
@@ -792,7 +771,7 @@ mod tests {
         );
 
         // The repair was checkpointed: it survives a crash.
-        storage.crash();
+        storage.power_loss(PowerLossFault::Clean);
         storage.recover().unwrap();
         assert_eq!(
             storage.read(&item("x")).unwrap(),
@@ -864,7 +843,7 @@ mod tests {
         );
 
         // The batch is as durable as individual forced commits.
-        storage.crash();
+        storage.power_loss(PowerLossFault::Clean);
         let outcome = storage.recover().unwrap();
         assert!(outcome.in_doubt.is_empty());
         assert_eq!(
@@ -901,13 +880,5 @@ mod tests {
         assert!(events.iter().all(|e| e.label == "wal:force"));
         assert!(events.iter().any(|e| e.detail.starts_with("prepare")));
         assert!(events.iter().any(|e| e.detail.starts_with("commit")));
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let storage = SiteStorage::new(SiteId(0));
-        let other = storage.clone();
-        storage.initialize(&[(item("x"), Value::Int(3))]);
-        assert_eq!(other.read(&item("x")).unwrap(), (Value::Int(3), Version(0)));
     }
 }

@@ -5,11 +5,13 @@
 //! order and the commit layer *forces* the log (a no-op flush in this
 //! in-memory simulation, but the call sites are exactly where a real system
 //! would `fsync`) before acknowledging prepares and commits.
+//!
+//! The log belongs to the [`crate::MemoryEngine`] that wraps it, and the
+//! engine to its site's storage: one writer, so every change takes
+//! `&mut self` and nothing is locked.
 
-use parking_lot::Mutex;
 use rainbow_common::{ItemId, TxnId, Value, Version};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Position of a record in the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -77,18 +79,10 @@ impl LogRecord {
     }
 }
 
-/// An append-only, thread-safe write-ahead log.
-///
-/// Clones share the same underlying log (it is an `Arc` internally), so the
-/// storage engine, the commit participant and the recovery routine can all
-/// hold handles.
-#[derive(Debug, Clone, Default)]
-pub struct WriteAheadLog {
-    inner: Arc<Mutex<LogInner>>,
-}
-
+/// An append-only write-ahead log. It has one writer, the engine that owns
+/// it, so it is a plain value: no lock, and no clone to share it through.
 #[derive(Debug, Default)]
-struct LogInner {
+pub struct WriteAheadLog {
     records: Vec<LogRecord>,
     forced_up_to: usize,
     force_count: u64,
@@ -102,109 +96,75 @@ impl WriteAheadLog {
 
     /// Appends a record and returns its sequence number. The record is in
     /// the log buffer but not yet forced.
-    pub fn append(&self, record: LogRecord) -> LogSequence {
-        let mut inner = self.inner.lock();
-        inner.records.push(record);
-        LogSequence(inner.records.len() as u64 - 1)
+    pub fn append(&mut self, record: LogRecord) -> LogSequence {
+        self.records.push(record);
+        LogSequence(self.records.len() as u64 - 1)
     }
 
     /// Appends a record and forces the log up to and including it. This is
     /// the "write and flush" path used for prepare and commit records.
-    pub fn append_forced(&self, record: LogRecord) -> LogSequence {
-        let mut inner = self.inner.lock();
-        inner.records.push(record);
-        inner.forced_up_to = inner.records.len();
-        inner.force_count += 1;
-        LogSequence(inner.records.len() as u64 - 1)
+    pub fn append_forced(&mut self, record: LogRecord) -> LogSequence {
+        let sequence = self.append(record);
+        self.force();
+        sequence
     }
 
     /// Forces everything appended so far.
-    pub fn force(&self) {
-        let mut inner = self.inner.lock();
-        inner.forced_up_to = inner.records.len();
-        inner.force_count += 1;
+    pub fn force(&mut self) {
+        self.forced_up_to = self.records.len();
+        self.force_count += 1;
     }
 
     /// Number of records in the log (forced or not).
     pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
+        self.records.len()
     }
 
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.records.is_empty()
     }
 
     /// Number of force (flush) operations performed, an indicator of commit
     /// path I/O cost reported by the ACP ablation experiment.
     pub fn force_count(&self) -> u64 {
-        self.inner.lock().force_count
+        self.force_count
     }
 
-    /// A copy of every record that would survive a crash, i.e. the forced
-    /// prefix of the log. Unforced tail records are lost by
-    /// [`WriteAheadLog::simulate_crash`]. Prefer
-    /// [`WriteAheadLog::with_durable_records`] on hot paths — this method
-    /// clones the whole prefix.
-    pub fn durable_records(&self) -> Vec<LogRecord> {
-        let inner = self.inner.lock();
-        inner.records[..inner.forced_up_to].to_vec()
-    }
-
-    /// Runs `f` over the durable (forced) prefix of the log **without
-    /// copying it**. The log's lock is held for the duration of `f`.
-    pub fn with_durable_records<R>(&self, f: impl FnOnce(&[LogRecord]) -> R) -> R {
-        let inner = self.inner.lock();
-        f(&inner.records[..inner.forced_up_to])
-    }
-
-    /// A copy of every record including the unforced tail (used by tests and
-    /// debugging tools).
-    pub fn all_records(&self) -> Vec<LogRecord> {
-        self.inner.lock().records.clone()
+    /// Every record that would survive a crash, i.e. the forced prefix of
+    /// the log, borrowed in place. Unforced tail records are lost by
+    /// [`WriteAheadLog::simulate_crash`].
+    pub fn durable_records(&self) -> &[LogRecord] {
+        &self.records[..self.forced_up_to]
     }
 
     /// Simulates a crash: the unforced tail of the log is lost, mirroring a
     /// real system losing its in-memory log buffer.
-    pub fn simulate_crash(&self) {
-        let mut inner = self.inner.lock();
-        let keep = inner.forced_up_to;
-        inner.records.truncate(keep);
+    pub fn simulate_crash(&mut self) {
+        self.records.truncate(self.forced_up_to);
     }
 
     /// Writes a checkpoint record containing `state` and forces it, then
-    /// truncates everything *before* the checkpoint (log compaction).
-    pub fn checkpoint(&self, state: Vec<(ItemId, Value, Version)>) {
-        let mut inner = self.inner.lock();
-        // Keep records of transactions that might still be in doubt: simply
-        // retain every record after the last checkpoint that is a Prepare
-        // without a matching Commit/Abort. For simplicity and safety we keep
-        // all records from transactions that are not yet decided.
-        let undecided: Vec<LogRecord> = {
-            let mut decided: std::collections::BTreeSet<TxnId> = std::collections::BTreeSet::new();
-            for record in &inner.records {
-                match record {
-                    LogRecord::Commit { txn, .. } | LogRecord::Abort { txn } => {
-                        decided.insert(*txn);
-                    }
-                    _ => {}
-                }
-            }
-            inner
-                .records
-                .iter()
-                .filter(|r| match r {
-                    LogRecord::Prepare { txn, .. } => !decided.contains(txn),
-                    _ => false,
-                })
-                .cloned()
-                .collect()
-        };
-        inner.records.clear();
-        inner.records.push(LogRecord::Checkpoint { state });
-        inner.records.extend(undecided);
-        inner.forced_up_to = inner.records.len();
-        inner.force_count += 1;
+    /// truncates everything *before* the checkpoint (log compaction). The
+    /// prepares of transactions not yet decided are kept after it: they
+    /// may still be in doubt.
+    pub fn checkpoint(&mut self, state: Vec<(ItemId, Value, Version)>) {
+        let decided: std::collections::BTreeSet<TxnId> = self
+            .records
+            .iter()
+            .filter_map(|record| match record {
+                LogRecord::Commit { txn, .. } | LogRecord::Abort { txn } => Some(*txn),
+                _ => None,
+            })
+            .collect();
+        let undecided: Vec<LogRecord> = self
+            .records
+            .drain(..)
+            .filter(|r| matches!(r, LogRecord::Prepare { txn, .. } if !decided.contains(txn)))
+            .collect();
+        self.records.push(LogRecord::Checkpoint { state });
+        self.records.extend(undecided);
+        self.force();
     }
 }
 
@@ -223,7 +183,7 @@ mod tests {
 
     #[test]
     fn append_assigns_increasing_sequence_numbers() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         assert!(log.is_empty());
         let a = log.append(LogRecord::Begin { txn: txn(1) });
         let b = log.append(LogRecord::Abort { txn: txn(1) });
@@ -233,7 +193,7 @@ mod tests {
 
     #[test]
     fn unforced_tail_is_lost_on_crash() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.append_forced(LogRecord::Begin { txn: txn(1) });
         log.append(LogRecord::Begin { txn: txn(2) }); // not forced
         assert_eq!(log.len(), 2);
@@ -241,12 +201,12 @@ mod tests {
 
         log.simulate_crash();
         assert_eq!(log.len(), 1);
-        assert_eq!(log.all_records()[0].txn(), Some(txn(1)));
+        assert_eq!(log.durable_records()[0].txn(), Some(txn(1)));
     }
 
     #[test]
     fn force_makes_tail_durable() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.append(LogRecord::Begin { txn: txn(1) });
         log.force();
         log.simulate_crash();
@@ -256,7 +216,7 @@ mod tests {
 
     #[test]
     fn append_forced_counts_forces() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.append_forced(LogRecord::Begin { txn: txn(1) });
         log.append_forced(LogRecord::Commit {
             txn: txn(1),
@@ -290,7 +250,7 @@ mod tests {
 
     #[test]
     fn checkpoint_compacts_but_keeps_undecided_prepares() {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         // T1 fully decided, T2 prepared but in doubt.
         log.append_forced(LogRecord::Prepare {
             txn: txn(1),
@@ -310,13 +270,5 @@ mod tests {
         assert_eq!(records.len(), 2, "checkpoint + in-doubt prepare expected");
         assert!(matches!(records[0], LogRecord::Checkpoint { .. }));
         assert!(matches!(&records[1], LogRecord::Prepare { txn: t, .. } if *t == txn(2)));
-    }
-
-    #[test]
-    fn clones_share_the_same_log() {
-        let log = WriteAheadLog::new();
-        let clone = log.clone();
-        clone.append_forced(LogRecord::Begin { txn: txn(9) });
-        assert_eq!(log.len(), 1);
     }
 }

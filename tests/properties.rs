@@ -123,7 +123,7 @@ proptest! {
         commits in prop::collection::vec((0u64..20, -100i64..100), 1..40),
         crash_after in 0usize..40,
     ) {
-        let log = WriteAheadLog::new();
+        let mut log = WriteAheadLog::new();
         log.checkpoint(vec![(ItemId::new("x"), Value::Int(0), Version(0))]);
         let mut last_committed = Value::Int(0);
         let mut last_version = Version(0);

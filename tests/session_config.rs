@@ -39,6 +39,31 @@ fn a_full_configuration_survives_the_json_round_trip() {
 }
 
 #[test]
+fn a_configuration_saved_with_the_retired_site_and_network_fields_still_loads() {
+    // Earlier sessions saved a worker-thread count with every site and a
+    // loopback switch with the network. Neither is read any more; a saved
+    // file that still carries them loads as if they were not there.
+    let config = SessionConfig {
+        distribution: DistributionSchema::one_site_per_host(3),
+        ..SessionConfig::default()
+    };
+    let json = config.to_json().unwrap();
+    let saved = json
+        .replace("\"host\": ", "\"worker_threads\": 8, \"host\": ")
+        .replace(
+            "\"overrides\": ",
+            "\"loopback_is_free\": true, \"overrides\": ",
+        );
+    assert_eq!(saved.matches("\"worker_threads\": 8").count(), 3, "{saved}");
+    assert_eq!(
+        saved.matches("\"loopback_is_free\": true").count(),
+        1,
+        "{saved}"
+    );
+    assert_eq!(SessionConfig::from_json(&saved).unwrap(), config);
+}
+
+#[test]
 fn saved_configuration_reproduces_the_same_experiment() {
     // Configure, save, run — then reload in a "new session" and run again:
     // the generated workload and the committed results must match, which is
