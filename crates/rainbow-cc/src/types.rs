@@ -76,11 +76,11 @@ impl CcDecision {
 /// The concurrency control protocol interface, one instance per site — what
 /// a student replacing a protocol implements.
 ///
-/// An instance has one owner, the site's event loop (or the site handle
-/// between two drains), so calls never overlap: a protocol keeps plain
-/// fields and takes no lock, and every method that can change what it
-/// remembers takes `&mut self`. It is `Send` because a crash restart, run
-/// on the site handle's thread, replaces it.
+/// An instance has one owner, the site's event loop (which also runs the
+/// site handle's calls, between two messages), so calls never overlap: a
+/// protocol keeps plain fields and takes no lock, and every method that can
+/// change what it remembers takes `&mut self`. It is `Send` because it
+/// moves with the site onto its loop's thread.
 ///
 /// Call sequence for a transaction at a copy-holder site:
 ///

@@ -411,7 +411,7 @@ impl Cluster {
     /// Recovers a crashed site: volatile state is discarded, the committed
     /// state is rebuilt from its log, in-doubt transactions are resolved
     /// with their coordinators, and the site rejoins the network. The
-    /// restart waits for the drain in progress at the site to end.
+    /// restart is a call on the site's loop, between two messages.
     pub fn recover_site(&self, site: SiteId) -> RainbowResult<()> {
         let handle = self
             .sites
@@ -429,10 +429,10 @@ impl Cluster {
     /// Copies, Primary Copy) cannot serve reads from the staleness window
     /// the crash opened. Two passes close the race with in-flight writes:
     ///
-    /// 1. the site rejoins the network during the first pass, which holds
-    ///    it between two drains while the peers' copies are read and
-    ///    installed: it handles nothing before the repair, and every write
-    ///    planned from then on includes it;
+    /// 1. the site rejoins the network during the first pass, a call on its
+    ///    loop that reads the peers' copies and installs them: it handles
+    ///    nothing before the repair, and every write planned from then on
+    ///    includes it;
     /// 2. writes *planned while it was still marked crashed* may commit
     ///    without it for up to one quorum + commit window; the call waits
     ///    that window out and repairs once more.
@@ -444,9 +444,8 @@ impl Cluster {
     /// Quorum) do not need this — their reads mask stale copies by version
     /// — but it is harmless under them.
     ///
-    /// Each repair waits for a drain boundary at the site, as a restart
-    /// does, so its checkpoint never runs beside a commit the site's loop
-    /// is forcing.
+    /// Each repair is a call on the site's loop, as a restart is, so its
+    /// checkpoint never runs beside a commit the loop is forcing.
     pub fn recover_site_with_catchup(&self, site: SiteId) -> RainbowResult<()> {
         let handle = self
             .sites
@@ -462,8 +461,8 @@ impl Cluster {
     /// engine had buffered but not yet synced), optionally injects a torn
     /// or corrupted tail write into its log, restarts it from the disk
     /// image alone, and rejoins the network with the same two-pass copier
-    /// catch-up. Like a crash restart, it waits for the drain in progress
-    /// at the site to end.
+    /// catch-up. Like a crash restart, it is a call on the site's loop,
+    /// between two messages.
     ///
     /// On the memory engine the fault degrades to a plain crash+recover
     /// (the simulated log has no tail to tear). Recovery errors — e.g. a
@@ -487,12 +486,12 @@ impl Cluster {
         self.catch_up(site, false)
     }
 
-    /// One catch-up pass: with the recovering site held between two drains
-    /// (after it rejoins the network, with `rejoin`), collect the highest
-    /// committed version of every item from the peers that are currently
-    /// up, and install the ones the site is behind on. Reading a peer waits
-    /// for that peer's drain to end, so the site handles nothing meanwhile:
-    /// a read it served between the fetch and the install could be stale.
+    /// One catch-up pass: a call on the recovering site's loop (after it
+    /// rejoins the network, with `rejoin`) collects the highest committed
+    /// version of every item from the peers that are currently up, and
+    /// installs the ones the site is behind on. Reading a peer is a call on
+    /// that peer's loop, and the site handles nothing meanwhile: a read it
+    /// served between the fetch and the install could be stale.
     ///
     /// Passes run one at a time: each holds its site while it waits for
     /// its peers, and two passes holding each other's site would wait
@@ -504,16 +503,18 @@ impl Cluster {
             .ok_or(RainbowError::UnknownSite(site))?;
         let _one_at_a_time = self.catch_ups.lock();
         let faults = self.network.faults();
-        handle.repair_copies(|| {
+        let peers = self.sites.iter().filter(|(peer, _)| **peer != site);
+        let peers: Vec<_> = peers.map(|(peer, h)| (*peer, h.caller.clone())).collect();
+        handle.repair_copies(move || {
             if rejoin {
                 faults.recover(NodeId::Site(site));
             }
             let mut latest: BTreeMap<ItemId, (Value, Version)> = BTreeMap::new();
-            for (peer, peer_handle) in &self.sites {
-                if *peer == site || faults.is_crashed(NodeId::Site(*peer)) {
+            for (peer, caller) in &peers {
+                if faults.is_crashed(NodeId::Site(*peer)) {
                     continue;
                 }
-                for (item, value, version) in peer_handle.database_snapshot() {
+                for (item, value, version) in caller.database_snapshot().unwrap_or_default() {
                     match latest.get(&item) {
                         Some((_, seen)) if *seen >= version => {}
                         _ => {

@@ -42,12 +42,13 @@
 //! to tell — `perform_action` records it and answers the client, exactly as
 //! for any other decision — and the machine retires in the same drain.
 //!
-//! A machine never waits. It is advanced by events — a client command, a
-//! copy reply, a vote, an acknowledgement, a deadline — that its home
-//! site's one event loop (`site.rs`) feeds it. Everything it sends to a
-//! site is queued in the loop's outbox and leaves when the drain ends, and
-//! it records its decision beside that outbox, in the same `&mut Effects`
-//! every transition is handed.
+//! A machine never waits and never reads a clock. It is advanced by events
+//! — a client command, a copy reply, a vote, an acknowledgement, a
+//! deadline — that its home site (`site.rs`) feeds it, each with the time
+//! it happens at. Everything it sends is queued in the site's outbox and
+//! leaves when the drain ends (an answer to the client right after the
+//! message that produced it), and it records its decision beside that
+//! outbox, in the same `&mut Effects` every transition is handed.
 //! This is the one deliberate **deviation from the paper**, whose site
 //! "dedicates one thread to process" each transaction: here a site is one
 //! thread, and a transaction is a machine on it, not given a thread. It was
@@ -76,11 +77,19 @@ use rainbow_common::history::{ReadObservation, TxnRecord, WriteRecord};
 use rainbow_common::protocol::CcpKind;
 use rainbow_common::txn::{AbortCause, TxnOutcome, TxnResult};
 use rainbow_common::{ItemId, SiteId, Timestamp, TxnId, Value, Version};
-use rainbow_net::{Envelope, NodeId};
+use rainbow_net::NodeId;
 use rainbow_replication::{QuorumCollector, QuorumOutcome, QuorumResponse};
 use rainbow_trace::{Phase, TraceEvent, Track};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
+
+/// What a machine's transition is handed besides the machine: its home
+/// site, the effects it has there, and the time it happens at.
+pub(crate) struct Cx<'a> {
+    pub shared: &'a SiteShared,
+    pub out: &'a mut Effects,
+    pub now: Instant,
+}
 
 // ----------------------------------------------------------------------
 // The transaction's data
@@ -167,41 +176,6 @@ struct TxnExecution {
 }
 
 impl TxnExecution {
-    /// Opens a conversation's state at its home site (and counts it with
-    /// the history sink, which expects one record per conversation begun).
-    fn open(
-        shared: &SiteShared,
-        txn: TxnId,
-        ts: Timestamp,
-        label: String,
-        client: NodeId,
-        request: u64,
-    ) -> Self {
-        if let Some(sink) = shared.history.as_ref() {
-            sink.begin();
-        }
-        TxnExecution {
-            txn,
-            ts,
-            label,
-            client,
-            request,
-            started: Instant::now(),
-            trace_start: trace_now(shared),
-            root_detail: None,
-            reads: BTreeMap::new(),
-            staged: Vec::new(),
-            writes_per_site: BTreeMap::new(),
-            touched: BTreeSet::new(),
-            contacted: BTreeSet::new(),
-            messages: 0,
-            record_history: shared.history.is_some(),
-            observed: Vec::new(),
-            installed: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
     /// Notes the value a read (or the read half of a read-modify-write)
     /// observed: for the client's receipt and, when recorded, the history.
     fn observe_read(&mut self, item: &ItemId, value: &Value, version: Version) {
@@ -233,12 +207,6 @@ impl TxnExecution {
             ));
         }
     }
-}
-
-/// Tracer clock, or 0 when tracing is off (every span built from it is
-/// discarded unconditionally in that case).
-fn trace_now(shared: &SiteShared) -> u64 {
-    shared.tracer.as_ref().map_or(0, |t| t.now_us())
 }
 
 /// Buffers one coordinator-side span ending now. No-op without a tracer;
@@ -345,13 +313,12 @@ fn new_write_version(
 /// site (same-drain requests to one site leave in one envelope), returning
 /// the collector the replies feed into.
 fn start_quorum(
-    shared: &SiteShared,
+    cx: &mut Cx,
     exec: &mut TxnExecution,
     item: &ItemId,
     access: QuorumAccess,
-    out: &mut Effects,
 ) -> Result<QuorumCollector, AbortCause> {
-    let placement = match shared.schema.replication.placement(item) {
+    let placement = match cx.shared.schema.replication.placement(item) {
         Some(p) => p.clone(),
         None => {
             return Err(AbortCause::RcpQuorumUnavailable {
@@ -369,15 +336,15 @@ fn start_quorum(
     // in this list — treating them as down would let write sets shrink on
     // both sides of a partition and diverge; instead they stay targets and
     // the quorum times out, aborting the transaction.
-    let suspected_down: Vec<SiteId> = shared.net.faults().crashed_sites();
+    let suspected_down: Vec<SiteId> = cx.shared.net.faults().crashed_sites();
     let plan = match access {
         QuorumAccess::Read => {
-            shared
+            cx.shared
                 .rcp
-                .plan_read(item, &placement, Some(shared.id), &suspected_down)
+                .plan_read(item, &placement, Some(cx.shared.id), &suspected_down)
         }
         QuorumAccess::Write | QuorumAccess::ReadForUpdate => {
-            shared.rcp.plan_write(item, &placement, &suspected_down)
+            cx.shared.rcp.plan_write(item, &placement, &suspected_down)
         }
     };
     let targets = plan.targets.clone();
@@ -385,7 +352,7 @@ fn start_quorum(
 
     let (txn, ts) = (exec.txn, exec.ts);
     exec.contacted.extend(&targets);
-    send_to_sites(shared, exec, targets, out, |_| match access {
+    send_to_sites(cx, exec, targets, |_| match access {
         QuorumAccess::Write => Msg::CopyPrewrite {
             txn,
             ts,
@@ -475,20 +442,44 @@ pub(crate) struct TxnMachine {
 }
 
 impl TxnMachine {
-    /// Opens the machine of a new conversation; its first command follows
-    /// through [`TxnMachine::on_client_op`].
+    /// Opens the machine of a new conversation (and counts it with the
+    /// history sink, which expects one record per conversation begun); its
+    /// first command follows through [`TxnMachine::on_client_op`].
     pub(crate) fn open(
-        shared: &SiteShared,
+        cx: &Cx,
         txn: TxnId,
         ts: Timestamp,
         label: String,
         client: NodeId,
         request: u64,
     ) -> TxnMachine {
+        if let Some(sink) = cx.shared.history.as_ref() {
+            sink.begin();
+        }
+        let exec = TxnExecution {
+            txn,
+            ts,
+            label,
+            client,
+            request,
+            started: cx.now,
+            trace_start: cx.shared.trace_now(),
+            root_detail: None,
+            reads: BTreeMap::new(),
+            staged: Vec::new(),
+            writes_per_site: BTreeMap::new(),
+            touched: BTreeSet::new(),
+            contacted: BTreeSet::new(),
+            messages: 0,
+            record_history: cx.shared.history.is_some(),
+            observed: Vec::new(),
+            installed: Vec::new(),
+            spans: Vec::new(),
+        };
         TxnMachine {
-            exec: TxnExecution::open(shared, txn, ts, label, client, request),
-            last_activity: Instant::now(),
-            horizon: shared.stack.janitor_horizon(),
+            exec,
+            last_activity: cx.now,
+            horizon: cx.shared.stack.janitor_horizon(),
             state: MachineState::Idle,
             done: false,
         }
@@ -507,19 +498,14 @@ impl TxnMachine {
     /// Routes one protocol message into the machine. Messages that do not
     /// fit the current state are stale leftovers of an earlier operation
     /// and are dropped.
-    pub(crate) fn on_message(
-        &mut self,
-        shared: &SiteShared,
-        out: &mut Effects,
-        envelope: Envelope<Msg>,
-    ) {
-        match (envelope.payload, envelope.from.as_site()) {
+    pub(crate) fn on_message(&mut self, cx: &mut Cx, from: NodeId, msg: Msg) {
+        match (msg, from.as_site()) {
             (Msg::TxnOp { op, .. }, _) => {
                 // Mid-operation pipelining is unsupported: a command is only
                 // taken once the previous one has been answered.
                 if matches!(self.state, MachineState::Idle) {
-                    self.last_activity = Instant::now();
-                    self.on_client_op(shared, out, op);
+                    self.last_activity = cx.now;
+                    self.on_client_op(cx, op);
                 }
             }
             // Everything else a machine hears is a site's answer.
@@ -532,26 +518,26 @@ impl TxnMachine {
                     ..
                 },
                 Some(site),
-            ) => self.on_copy_reply(shared, out, site, item, prewrite, for_update, result),
-            (Msg::AcpVote { vote, .. }, Some(site)) => self.on_acp_reply(shared, out, |run| {
+            ) => self.on_copy_reply(cx, site, item, prewrite, for_update, result),
+            (Msg::AcpVote { vote, .. }, Some(site)) => self.on_acp_reply(cx, |run| {
                 if vote == Vote::No && run.abort_cause.is_none() {
                     run.abort_cause = Some(AbortCause::AcpVotedNo { participant: site });
                 }
                 run.coordinator.on_vote(site, vote)
             }),
             (Msg::AcpPreCommitAck { .. }, Some(site)) => {
-                self.on_acp_reply(shared, out, |run| run.coordinator.on_precommit_ack(site))
+                self.on_acp_reply(cx, |run| run.coordinator.on_precommit_ack(site))
             }
             (Msg::AcpAck { .. }, Some(site)) => {
-                self.on_acp_reply(shared, out, |run| run.coordinator.on_ack(site))
+                self.on_acp_reply(cx, |run| run.coordinator.on_ack(site))
             }
             _ => {}
         }
     }
 
     /// Executes the client's next command (state: Idle).
-    pub(crate) fn on_client_op(&mut self, shared: &SiteShared, out: &mut Effects, op: NextOp) {
-        let op_start = trace_now(shared);
+    pub(crate) fn on_client_op(&mut self, cx: &mut Cx, op: NextOp) {
+        let op_start = cx.shared.trace_now();
         let (kind, items, access) = match op {
             NextOp::Read { item } => (OpKind::Read, vec![item], QuorumAccess::Read),
             NextOp::ReadMany { items } => (OpKind::ReadMany, items, QuorumAccess::Read),
@@ -562,7 +548,7 @@ impl TxnMachine {
             ),
             NextOp::BufferWrite { item, value } => {
                 self.exec.staged.push(StagedWrite::Deferred { item, value });
-                return reply_to_client(shared, &self.exec, OpReply::Buffered);
+                return reply_to_client(cx, &self.exec, OpReply::Buffered);
             }
             NextOp::Commit => {
                 let staged = self.exec.staged.iter();
@@ -574,9 +560,9 @@ impl TxnMachine {
                     .collect();
                 (OpKind::CommitInstall, deferred, QuorumAccess::Write)
             }
-            NextOp::Abort => return self.abort(shared, out, AbortCause::UserAbort),
+            NextOp::Abort => return self.abort(cx, AbortCause::UserAbort),
         };
-        self.begin_quorums(shared, out, kind, items, access, op_start);
+        self.begin_quorums(cx, kind, items, access, op_start);
     }
 
     /// Plans every item's quorum and queues all their copy accesses at once,
@@ -585,8 +571,7 @@ impl TxnMachine {
     /// single-site placements whose plan needs no vote).
     fn begin_quorums(
         &mut self,
-        shared: &SiteShared,
-        out: &mut Effects,
+        cx: &mut Cx,
         kind: OpKind,
         items: Vec<ItemId>,
         access: QuorumAccess,
@@ -596,24 +581,24 @@ impl TxnMachine {
             kind,
             rounds: Vec::with_capacity(items.len()),
             items,
-            deadline: Instant::now() + shared.stack.quorum_timeout,
+            deadline: cx.now + cx.shared.stack.quorum_timeout,
             op_start,
-            fanout_start: trace_now(shared),
+            fanout_start: cx.shared.trace_now(),
         };
         for item in &op.items {
             // A plan that is unsatisfiable from the start (e.g. a tree-quorum
             // write while the tree root is down plans zero targets) must
             // abort now, not when the deadline expires.
             let started =
-                start_quorum(shared, &mut self.exec, item, access, out).and_then(|collector| {
-                    match collector.outcome() {
+                start_quorum(cx, &mut self.exec, item, access).and_then(
+                    |collector| match collector.outcome() {
                         QuorumOutcome::Impossible => Err(collector.abort_cause()),
                         _ => Ok(collector),
-                    }
-                });
+                    },
+                );
             let collector = match started {
                 Ok(collector) => collector,
-                Err(cause) => return self.quorum_op_failed(shared, out, op, cause),
+                Err(cause) => return self.quorum_op_failed(cx, op, cause),
             };
             let mut round = QuorumRound {
                 item: item.clone(),
@@ -623,12 +608,12 @@ impl TxnMachine {
                 ccp_cause: None,
             };
             if round.collector.is_assembled() {
-                self.round_assembled(shared, &mut round, op.fanout_start);
+                self.round_assembled(cx.shared, &mut round, op.fanout_start);
             }
             op.rounds.push(round);
         }
         if op.rounds.iter().all(|r| r.assembled) {
-            self.quorum_op_complete(shared, out, op);
+            self.quorum_op_complete(cx, op);
         } else {
             self.state = MachineState::Quorums(op);
         }
@@ -662,11 +647,9 @@ impl TxnMachine {
     }
 
     /// Feeds one `CopyReply` into the in-flight quorum fan-out.
-    #[allow(clippy::too_many_arguments)]
     fn on_copy_reply(
         &mut self,
-        shared: &SiteShared,
-        out: &mut Effects,
+        cx: &mut Cx,
         site: SiteId,
         item: ItemId,
         prewrite: bool,
@@ -690,11 +673,11 @@ impl TxnMachine {
             self.state = MachineState::Quorums(op);
             return;
         };
-        if site != shared.id {
-            shared.net.counters().record_round_trip();
+        if site != cx.shared.id {
+            cx.shared.net.counters().record_round_trip();
         }
         push_span(
-            shared,
+            cx.shared,
             &mut self.exec,
             "quorum:leg",
             op.fanout_start,
@@ -721,14 +704,14 @@ impl TxnMachine {
         };
         match outcome {
             QuorumOutcome::Assembled => {
-                self.round_assembled(shared, round, op.fanout_start);
+                self.round_assembled(cx.shared, round, op.fanout_start);
                 if op.rounds.iter().all(|r| r.assembled) {
-                    return self.quorum_op_complete(shared, out, op);
+                    return self.quorum_op_complete(cx, op);
                 }
             }
             QuorumOutcome::Impossible => {
                 let cause = round.failure(|| round.collector.abort_cause());
-                return self.quorum_op_failed(shared, out, op, cause);
+                return self.quorum_op_failed(cx, op, cause);
             }
             QuorumOutcome::Pending => {}
         }
@@ -737,15 +720,9 @@ impl TxnMachine {
 
     /// Aborts the transaction because a quorum failed: the operation's
     /// span, then the abort fan-out and the answer to the client.
-    fn quorum_op_failed(
-        &mut self,
-        shared: &SiteShared,
-        out: &mut Effects,
-        op: QuorumOp,
-        cause: AbortCause,
-    ) {
-        self.push_op_span(shared, &op);
-        self.abort(shared, out, cause);
+    fn quorum_op_failed(&mut self, cx: &mut Cx, op: QuorumOp, cause: AbortCause) {
+        self.push_op_span(cx.shared, &op);
+        self.abort(cx, cause);
     }
 
     /// Buffers the operation's coordinator span (`op:read`, `op:read-many`,
@@ -766,17 +743,17 @@ impl TxnMachine {
     /// Every quorum of the operation assembled: complete the client
     /// operation (observe values, stage writes, reply — or move into the
     /// commit protocol).
-    fn quorum_op_complete(&mut self, shared: &SiteShared, out: &mut Effects, op: QuorumOp) {
+    fn quorum_op_complete(&mut self, cx: &mut Cx, op: QuorumOp) {
         if let OpKind::CommitInstall = op.kind {
             let collectors = op.rounds.into_iter().map(|r| r.collector);
-            self.fold_staged(shared, collectors);
-            return self.start_acp(shared, out, op.op_start);
+            self.fold_staged(cx.shared, collectors);
+            return self.start_acp(cx, op.op_start);
         }
-        let reply = self.read_reply(shared, &op);
-        self.push_op_span(shared, &op);
+        let reply = self.read_reply(cx.shared, &op);
+        self.push_op_span(cx.shared, &op);
         match reply {
-            Ok(reply) => reply_to_client(shared, &self.exec, reply),
-            Err(cause) => self.abort(shared, out, cause),
+            Ok(reply) => reply_to_client(cx, &self.exec, reply),
+            Err(cause) => self.abort(cx, cause),
         }
     }
 
@@ -839,73 +816,67 @@ impl TxnMachine {
     }
 
     /// Starts the atomic commit protocol over every touched site.
-    fn start_acp(&mut self, shared: &SiteShared, out: &mut Effects, op_start: u64) {
-        let acp_start = trace_now(shared);
+    fn start_acp(&mut self, cx: &mut Cx, op_start: u64) {
+        let acp_start = cx.shared.trace_now();
         let exec = &mut self.exec;
         let mut coordinator =
-            Coordinator::new(exec.txn, shared.stack.acp, exec.touched.iter().copied());
+            Coordinator::new(exec.txn, cx.shared.stack.acp, exec.touched.iter().copied());
         let action = coordinator.start();
         if let CoordinatorAction::Complete(decision) = action {
             // Nobody to run the protocol with: a transaction that touched
             // nothing commits trivially.
-            out.record_decision(exec.txn, decision);
-            answer_client(shared, exec, decided_outcome(decision, &mut None), out);
-            push_commit_span(shared, exec, op_start, true);
-            return self.retire(shared);
+            cx.out.record_decision(exec.txn, decision);
+            answer_client(cx, exec, decided_outcome(decision, &mut None));
+            push_commit_span(cx.shared, exec, op_start, true);
+            return self.retire(cx);
         }
         let run = AcpRun {
             coordinator,
             abort_cause: None,
-            deadline: Instant::now() + shared.stack.commit_timeout,
+            deadline: cx.now + cx.shared.stack.commit_timeout,
             acp_start,
             decision_start: None,
             op_start,
         };
-        self.advance_acp(shared, out, run, action);
+        self.advance_acp(cx, run, action);
     }
 
     /// Feeds one vote or acknowledgement into the in-flight commit protocol
     /// (`event` hands it to the ACP coordinator).
-    fn on_acp_reply(
-        &mut self,
-        shared: &SiteShared,
-        out: &mut Effects,
-        event: impl FnOnce(&mut AcpRun) -> CoordinatorAction,
-    ) {
+    fn on_acp_reply(&mut self, cx: &mut Cx, event: impl FnOnce(&mut AcpRun) -> CoordinatorAction) {
         let mut run = match self.take_state() {
             MachineState::Committing(run) => run,
             // A stale vote or acknowledgement.
             other => return self.state = other,
         };
         let action = event(&mut run);
-        self.advance_acp(shared, out, run, action);
+        self.advance_acp(cx, run, action);
     }
 
     /// Applies one coordinator action, refreshing phase deadlines and
     /// spans, and either completes the protocol or re-enters the
     /// `Committing` state.
-    fn advance_acp(
-        &mut self,
-        shared: &SiteShared,
-        out: &mut Effects,
-        mut run: AcpRun,
-        action: CoordinatorAction,
-    ) {
+    fn advance_acp(&mut self, cx: &mut Cx, mut run: AcpRun, action: CoordinatorAction) {
         // Phase transitions get a fresh timeout window.
         match action {
             CoordinatorAction::SendPreCommit(_) | CoordinatorAction::SendDecision(..) => {
-                run.deadline = Instant::now() + shared.stack.commit_timeout;
+                run.deadline = cx.now + cx.shared.stack.commit_timeout;
             }
             _ => {}
         }
         if matches!(action, CoordinatorAction::SendDecision(..)) {
             let n = run.coordinator.participants().len();
-            push_span(shared, &mut self.exec, "acp:prepare", run.acp_start, || {
-                format!("{n} participants")
-            });
-            run.decision_start = Some(trace_now(shared));
+            let detail = || format!("{n} participants");
+            push_span(
+                cx.shared,
+                &mut self.exec,
+                "acp:prepare",
+                run.acp_start,
+                detail,
+            );
+            run.decision_start = Some(cx.shared.trace_now());
         }
-        perform_action(shared, &mut self.exec, action, &mut run.abort_cause, out);
+        perform_action(cx, &mut self.exec, action, &mut run.abort_cause);
         if run.coordinator.state() != CoordinatorState::Completed {
             self.state = MachineState::Committing(run);
             return;
@@ -914,13 +885,13 @@ impl TxnMachine {
         // answered at the decision. Close the spans and retire.
         let decision = run.coordinator.decision();
         if let Some(start) = run.decision_start {
-            push_span(shared, &mut self.exec, "acp:decision", start, || {
+            push_span(cx.shared, &mut self.exec, "acp:decision", start, || {
                 format!("{decision:?}")
             });
         }
         let committed = decision == Some(Decision::Commit);
-        push_commit_span(shared, &mut self.exec, run.op_start, committed);
-        self.retire(shared);
+        push_commit_span(cx.shared, &mut self.exec, run.op_start, committed);
+        self.retire(cx);
     }
 
     /// When the machine's current state times out.
@@ -935,27 +906,22 @@ impl TxnMachine {
     /// Deadline scan, run at the end of every drain of the site loop: acts
     /// on a deadline that has passed, and returns when the machine is next
     /// due (`None` once it is done).
-    pub(crate) fn on_tick(
-        &mut self,
-        shared: &SiteShared,
-        out: &mut Effects,
-        now: Instant,
-    ) -> Option<Instant> {
-        if self.done || now < self.due() {
+    pub(crate) fn on_tick(&mut self, cx: &mut Cx) -> Option<Instant> {
+        if self.done || cx.now < self.due() {
             return (!self.done).then(|| self.due());
         }
         match self.take_state() {
             // The client went quiet past the janitor horizon: presume it
             // gone and free resources everywhere on the same clock the
             // participant janitor uses.
-            MachineState::Idle => self.abort(shared, out, AbortCause::ClientTimeout),
+            MachineState::Idle => self.abort(cx, AbortCause::ClientTimeout),
             MachineState::Quorums(op) => {
                 let slowest = op.rounds.iter().find(|r| !r.assembled);
                 let slowest = slowest.expect("an unassembled round on expiry");
                 let cause = slowest.failure(|| AbortCause::RcpTimeout {
                     item: slowest.item.clone(),
                 });
-                self.quorum_op_failed(shared, out, op, cause);
+                self.quorum_op_failed(cx, op, cause);
             }
             MachineState::Committing(mut run) => {
                 if run.abort_cause.is_none() {
@@ -964,7 +930,7 @@ impl TxnMachine {
                     });
                 }
                 let action = run.coordinator.on_timeout();
-                self.advance_acp(shared, out, run, action);
+                self.advance_acp(cx, run, action);
             }
         }
         (!self.done).then(|| self.due())
@@ -973,35 +939,35 @@ impl TxnMachine {
     /// Site shutdown with the machine still alive: an open conversation is
     /// aborted everywhere and told of the site failure; one that was
     /// already answered and only collecting acknowledgements retires.
-    pub(crate) fn fail_site_down(&mut self, shared: &SiteShared, out: &mut Effects) {
+    pub(crate) fn fail_site_down(&mut self, cx: &mut Cx) {
         if self.done {
             return;
         }
         let answered = matches!(&self.state, MachineState::Committing(run) if run.coordinator.decision().is_some());
         if answered {
-            self.retire(shared);
+            self.retire(cx);
         } else {
-            self.abort(shared, out, AbortCause::SiteFailure { site: shared.id });
+            self.abort(cx, AbortCause::SiteFailure { site: cx.shared.id });
         }
     }
 
     /// Ends the transaction before any decision: abort fan-out and the
     /// answer to the client through the outbox, then nothing is left to
     /// wait for.
-    fn abort(&mut self, shared: &SiteShared, out: &mut Effects, cause: AbortCause) {
-        abort_everywhere(shared, &mut self.exec, cause, out);
-        self.retire(shared);
+    fn abort(&mut self, cx: &mut Cx, cause: AbortCause) {
+        abort_everywhere(cx, &mut self.exec, cause);
+        self.retire(cx);
     }
 
     /// The coordinator is done with the transaction — the client was
     /// answered and no acknowledgement is awaited any more: closes the root
-    /// span and hands the buffered spans to the tracer. The site loop reaps
-    /// the machine at the end of the drain.
-    fn retire(&mut self, shared: &SiteShared) {
+    /// span and hands the buffered spans to the tracer. The site reaps the
+    /// machine.
+    fn retire(&mut self, cx: &mut Cx) {
         self.done = true;
         self.state = MachineState::Idle;
         let exec = &mut self.exec;
-        if let Some(tracer) = shared.tracer.as_ref() {
+        if let Some(tracer) = cx.shared.tracer.as_ref() {
             let mut spans = std::mem::take(&mut exec.spans);
             spans.push(TraceEvent {
                 txn: exec.txn,
@@ -1011,7 +977,7 @@ impl TxnMachine {
                 dur_us: tracer.now_us().saturating_sub(exec.trace_start),
                 detail: exec.root_detail.take().unwrap_or_default(),
             });
-            tracer.finish_txn(exec.txn, exec.started.elapsed(), spans);
+            tracer.finish_txn(exec.txn, cx.now.duration_since(exec.started), spans);
         }
     }
 }
@@ -1020,18 +986,15 @@ impl TxnMachine {
 // The steps every outcome goes through
 // ----------------------------------------------------------------------
 
-/// Answers a command that leaves the transaction open. Sent directly, not
-/// through the outbox: the client is waiting for exactly this, and no
-/// site-bound message of the drain has to arrive before it.
-fn reply_to_client(shared: &SiteShared, exec: &TxnExecution, reply: OpReply) {
-    shared.send(
-        exec.client,
-        Msg::TxnOpReply {
-            request: exec.request,
-            txn: exec.txn,
-            reply,
-        },
-    );
+/// Answers a command that leaves the transaction open.
+fn reply_to_client(cx: &mut Cx, exec: &TxnExecution, reply: OpReply) {
+    let (request, txn) = (exec.request, exec.txn);
+    let reply = Msg::TxnOpReply {
+        request,
+        txn,
+        reply,
+    };
+    cx.out.outbox.push(exec.client, reply);
 }
 
 /// Buffers the `op:commit` span.
@@ -1074,34 +1037,30 @@ fn decided_outcome(decision: Decision, abort_cause: &mut Option<AbortCause>) -> 
 /// any client-bound message, so the answer cannot overtake the decisions.
 /// Acknowledgements arriving afterwards change nothing the client was told.
 fn perform_action(
-    shared: &SiteShared,
+    cx: &mut Cx,
     exec: &mut TxnExecution,
     action: CoordinatorAction,
     abort_cause: &mut Option<AbortCause>,
-    out: &mut Effects,
 ) {
     let (txn, ts) = (exec.txn, exec.ts);
     match action {
         CoordinatorAction::SendPrepare(targets) => {
             // Each participant's write set is sent once; move it out.
             let mut writes = std::mem::take(&mut exec.writes_per_site);
-            send_to_sites(shared, exec, targets, out, |target| Msg::AcpPrepare {
+            send_to_sites(cx, exec, targets, |target| Msg::AcpPrepare {
                 txn,
                 ts,
                 writes: writes.remove(&target).unwrap_or_default(),
             });
         }
         CoordinatorAction::SendPreCommit(targets) => {
-            send_to_sites(shared, exec, targets, out, |_| Msg::AcpPreCommit { txn });
+            send_to_sites(cx, exec, targets, |_| Msg::AcpPreCommit { txn });
         }
         CoordinatorAction::SendDecision(decision, targets) => {
-            out.record_decision(txn, decision);
-            send_to_sites(shared, exec, targets, out, |_| Msg::AcpDecision {
-                txn,
-                decision,
-            });
-            release_stragglers(shared, exec, out);
-            answer_client(shared, exec, decided_outcome(decision, abort_cause), out);
+            cx.out.record_decision(txn, decision);
+            send_to_sites(cx, exec, targets, |_| Msg::AcpDecision { txn, decision });
+            release_stragglers(cx, exec);
+            answer_client(cx, exec, decided_outcome(decision, abort_cause));
         }
         // All acknowledgements are in (the trivial commit without
         // participants never gets here, see `TxnMachine::start_acp`).
@@ -1113,15 +1072,14 @@ fn perform_action(
 /// ones towards the transaction's message cost (loopback is free, as in the
 /// paper's accounting).
 fn send_to_sites(
-    shared: &SiteShared,
+    cx: &mut Cx,
     exec: &mut TxnExecution,
     targets: impl IntoIterator<Item = SiteId>,
-    out: &mut Effects,
     mut msg: impl FnMut(SiteId) -> Msg,
 ) {
     for target in targets {
-        out.outbox.push(NodeId::Site(target), msg(target));
-        if target != shared.id {
+        cx.out.outbox.push(NodeId::Site(target), msg(target));
+        if target != cx.shared.id {
             exec.messages += 1;
         }
     }
@@ -1135,10 +1093,10 @@ fn send_to_sites(
 /// the decision, before the client is answered, so that the client's next
 /// transaction finds them released. Aborting at a non-participant is always
 /// safe: the site has no staged writes for this transaction.
-fn release_stragglers(shared: &SiteShared, exec: &mut TxnExecution, out: &mut Effects) {
+fn release_stragglers(cx: &mut Cx, exec: &mut TxnExecution) {
     let txn = exec.txn;
     let stragglers: Vec<SiteId> = exec.contacted.difference(&exec.touched).copied().collect();
-    send_to_sites(shared, exec, stragglers, out, |_| Msg::AcpDecision {
+    send_to_sites(cx, exec, stragglers, |_| Msg::AcpDecision {
         txn,
         decision: Decision::Abort,
     });
@@ -1149,38 +1107,28 @@ fn release_stragglers(shared: &SiteShared, exec: &mut TxnExecution, out: &mut Ef
 /// the abort goes on the coordinator's record, every site holding anything
 /// for the transaction is told to release it and discard staged state —
 /// fire and forget — and the client is answered.
-fn abort_everywhere(
-    shared: &SiteShared,
-    exec: &mut TxnExecution,
-    cause: AbortCause,
-    out: &mut Effects,
-) {
+fn abort_everywhere(cx: &mut Cx, exec: &mut TxnExecution, cause: AbortCause) {
     let txn = exec.txn;
-    out.record_decision(txn, Decision::Abort);
+    cx.out.record_decision(txn, Decision::Abort);
     let touched: Vec<SiteId> = exec.touched.iter().copied().collect();
-    send_to_sites(shared, exec, touched, out, |_| Msg::AcpDecision {
+    send_to_sites(cx, exec, touched, |_| Msg::AcpDecision {
         txn,
         decision: Decision::Abort,
     });
-    release_stragglers(shared, exec, out);
-    answer_client(shared, exec, TxnOutcome::Aborted(cause), out);
+    release_stragglers(cx, exec);
+    answer_client(cx, exec, TxnOutcome::Aborted(cause));
 }
 
 /// Tells the client how its transaction ended — after writing the history
 /// entry, and through the outbox, behind whatever decisions were queued in
 /// it. Every outcome passes through here exactly once, always after
 /// [`Effects::record_decision`].
-fn answer_client(
-    shared: &SiteShared,
-    exec: &mut TxnExecution,
-    outcome: TxnOutcome,
-    out: &mut Effects,
-) {
+fn answer_client(cx: &mut Cx, exec: &mut TxnExecution, outcome: TxnOutcome) {
     // The coordinator is the authoritative observer: it records the real
     // outcome even when the driving client timed out and reported an
     // orphan. Spec replay and interactive conversations both run through
     // this single path, so their histories are identical by construction.
-    if let Some(sink) = shared.history.as_ref() {
+    if let Some(sink) = cx.shared.history.as_ref() {
         sink.record(TxnRecord {
             txn: exec.txn,
             label: exec.label.clone(),
@@ -1190,7 +1138,7 @@ fn answer_client(
             completion_seq: 0,
         });
     }
-    if shared.tracer.is_some() {
+    if cx.shared.tracer.is_some() {
         exec.root_detail = Some(format!("{}: {:?}", exec.label, outcome));
     }
     let result = TxnResult {
@@ -1198,11 +1146,11 @@ fn answer_client(
         label: std::mem::take(&mut exec.label),
         outcome,
         reads: std::mem::take(&mut exec.reads),
-        response_time: exec.started.elapsed(),
+        response_time: cx.now.duration_since(exec.started),
         restarts: 0,
         messages: exec.messages,
     };
-    out.outbox.push(
+    cx.out.outbox.push(
         exec.client,
         Msg::TxnDone {
             request: exec.request,

@@ -122,8 +122,8 @@ pub enum OpReply {
     Gone,
 }
 
-/// The Rainbow protocol messages.
-#[derive(Debug, Clone)]
+/// The Rainbow protocol messages (and two a node's handle posts to it).
+#[derive(Debug)]
 pub enum Msg {
     // ------------------------------------------------------------------
     // Client ↔ site: the interactive transaction conversation (the WLGlet /
@@ -306,6 +306,10 @@ pub enum Msg {
     /// carried, each under its own kind and size, and the envelope only as
     /// an envelope, never as a kind.
     Batch(Vec<Msg>),
+    /// A site handle's request, run by the site's loop between two messages.
+    Call(crate::site::Call),
+    /// Stops the node whose mailbox it is in.
+    Stop,
 }
 
 impl Msg {
@@ -365,6 +369,8 @@ impl NetMessage for Msg {
             Msg::AcpStatusQuery { .. } => "ACP_STATUS_QUERY",
             Msg::AcpStatusReply { .. } => "ACP_STATUS_REPLY",
             Msg::Batch(..) => "BATCH",
+            Msg::Call(..) => "CALL",
+            Msg::Stop => "STOP",
         }
     }
 

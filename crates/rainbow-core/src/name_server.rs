@@ -9,20 +9,21 @@
 //! node on the simulated network and answers [`Msg::NsGetSchema`] requests
 //! with the full schema, so sites (and clients that want to inspect the
 //! configuration) obtain their metadata through counted messages rather than
-//! shared memory.
+//! shared memory. Its thread blocks in the mailbox until a message arrives,
+//! and [`Msg::Stop`] there, put by its handle, ends it.
 
 use crate::messages::Msg;
-use crossbeam_channel::{Receiver, RecvTimeoutError};
+use crossbeam_channel::Receiver;
 use rainbow_common::config::{DatabaseSchema, DistributionSchema};
 use rainbow_net::{Envelope, NetHandle, NodeId};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Handle to a running name server.
 pub struct NameServer {
-    shutdown: Arc<AtomicBool>,
+    /// Posts to its mailbox.
+    net: NetHandle<Msg>,
     lookups: Arc<AtomicU64>,
     thread: Option<JoinHandle<()>>,
     database: DatabaseSchema,
@@ -38,18 +39,17 @@ impl NameServer {
         database: DatabaseSchema,
         distribution: DistributionSchema,
     ) -> Self {
-        let shutdown = Arc::new(AtomicBool::new(false));
         let lookups = Arc::new(AtomicU64::new(0));
-        let thread_shutdown = Arc::clone(&shutdown);
+        let handle = net.clone();
         let thread_lookups = Arc::clone(&lookups);
         let db = database.clone();
         let dist = distribution.clone();
         let thread = std::thread::Builder::new()
             .name("rainbow-nameserver".into())
-            .spawn(move || run_name_server(net, mailbox, db, dist, thread_shutdown, thread_lookups))
+            .spawn(move || run_name_server(net, mailbox, db, dist, thread_lookups))
             .expect("failed to spawn name server thread");
         NameServer {
-            shutdown,
+            net: handle,
             lookups,
             thread: Some(thread),
             database,
@@ -72,12 +72,13 @@ impl NameServer {
         self.lookups.load(Ordering::Relaxed)
     }
 
-    /// Stops the name server thread.
+    /// Stops the name server thread: [`Msg::Stop`] goes into its mailbox.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        self.net.post(NodeId::NameServer, Msg::Stop);
+        let _ = thread.join();
     }
 }
 
@@ -92,23 +93,20 @@ fn run_name_server(
     mailbox: Receiver<Envelope<Msg>>,
     database: DatabaseSchema,
     distribution: DistributionSchema,
-    shutdown: Arc<AtomicBool>,
     lookups: Arc<AtomicU64>,
 ) {
-    while !shutdown.load(Ordering::Relaxed) {
-        match mailbox.recv_timeout(Duration::from_millis(25)) {
-            Ok(envelope) => {
-                if let Msg::NsGetSchema = envelope.payload {
-                    lookups.fetch_add(1, Ordering::Relaxed);
-                    let reply = Msg::NsSchema {
-                        database: database.clone(),
-                        distribution: distribution.clone(),
-                    };
-                    let _ = net.send(NodeId::NameServer, envelope.from, reply);
-                }
+    while let Ok(envelope) = mailbox.recv() {
+        match envelope.payload {
+            Msg::NsGetSchema => {
+                lookups.fetch_add(1, Ordering::Relaxed);
+                let reply = Msg::NsSchema {
+                    database: database.clone(),
+                    distribution: distribution.clone(),
+                };
+                let _ = net.send(NodeId::NameServer, envelope.from, reply);
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            Msg::Stop => return,
+            _ => {}
         }
     }
 }
@@ -118,6 +116,7 @@ mod tests {
     use super::*;
     use rainbow_common::SiteId;
     use rainbow_net::{NetworkConfig, SimNetwork};
+    use std::time::Duration;
 
     fn schemas() -> (DatabaseSchema, DistributionSchema) {
         let dist = DistributionSchema::one_site_per_host(3);

@@ -1,47 +1,45 @@
 //! The Rainbow site runtime.
 //!
-//! A site is one node of the distributed database. Its thread is its
-//! **event loop**, started with the site and joined at shutdown; nothing
-//! else is ever created or lent. The loop drains the site's network mailbox
-//! and handles each message where it lands:
+//! A site is one node of the distributed database, cut in two the way
+//! toyDB's Raft node is. **The state machine**, `Site`, holds everything
+//! the site knows: `Site::step(now, envelope)` handles one message where it
+//! lands, and `Site::tick(now)` acts on what fell due and says when to tick
+//! it next. Both are told the time and only queue what they send, in the
+//! site's one `Outbox`, so a test can drive a `Site` with no thread and no
+//! clock. **The thread shell** ([`SiteHandle`] and its loop) is the site's
+//! one thread, started with the site and joined at shutdown: it sleeps in
+//! the mailbox until a message arrives or `tick`'s deadline passes, steps
+//! what it drained, ticks and flushes. Nothing else is ever created or lent.
 //!
 //! * requests from coordinators — its own or other sites' — are served at
-//!   once. The loop never waits: a copy access asks the CCP, which never
+//!   once. The site never waits: a copy access asks the CCP, which never
 //!   blocks, and is answered at once when the CCP decides it. When the CCP
 //!   says the access must wait (its lock is held or, under the timestamp
 //!   protocols, an earlier pre-write is pending), the request is **parked**:
 //!   kept with a deadline, asked again — oldest first — after every message
-//!   the loop handled (a commit or an abort among them is what ends a wait),
+//!   the site handled (a commit or an abort among them is what ends a wait),
 //!   and given up when the deadline passes or its transaction ends first;
 //! * the **coordinator** of every transaction whose home is this site is a
-//!   state machine (`coordinator.rs`) in the loop's own map: a new
+//!   state machine (`coordinator.rs`) in the site's own map: a new
 //!   conversation opens one, and the client's commands, copy replies, votes
-//!   and acknowledgements go to it. At the end of each drain the loop scans
-//!   the machines' deadlines and flushes what they queued, once. (The
-//!   paper's site "dedicates one thread to process" each transaction; here a
-//!   transaction is a machine on its home site's one thread, and no thread
-//!   is ever created for it.)
+//!   and acknowledgements go to it. (The paper's site "dedicates one thread
+//!   to process" each transaction; here a transaction is a machine on its
+//!   home site's one thread, and no thread is ever created for it.)
 //! * the **participant side** of the commit protocol for transactions
 //!   coordinated elsewhere, including a janitor that cleans up transactions
 //!   whose coordinator disappeared and the recovery path that resolves
 //!   in-doubt transactions after a crash.
 //!
-//! Everything the loop changes — the storage, the logical clock, the CCP,
-//! the participant entries, the parked accesses, the in-doubt set and the
-//! coordinators' machines — is one value, `SiteState`, behind the site's
-//! one lock; `SiteShared` holds only what never changes after start. The
-//! loop takes the lock when a drain starts and lets go of it before it
-//! sleeps. What the handle does with the state (a diagnostic read, a crash
-//! restart, a copier repair, a clock skew, the last flush) takes the same
-//! lock, so it runs between two drains, never beside a message: the loop,
-//! or the handle between two drains, is the one writer of the site's
-//! storage and clock, and neither has a lock of its own.
+//! The handle holds none of the site's state: each of its methods is a
+//! [`Msg::Call`], a closure over the `Site` put straight into the mailbox
+//! (so it reaches a site the fault injector marked crashed), which the loop
+//! runs between two messages, never beside one. So the loop is the one
+//! writer of the site's storage, clock and CCP, and none of them has a lock.
 
-use crate::coordinator::TxnMachine;
-use crate::messages::{CopyAccessResult, Msg, NextOp, OpReply};
+use crate::coordinator::{Cx, TxnMachine};
+use crate::messages::{CopyAccessResult, Msg, OpReply};
 use crate::metrics::SiteMetrics;
-use crossbeam_channel::{Receiver, RecvTimeoutError};
-use parking_lot::Mutex;
+use crossbeam_channel::{bounded, Receiver, RecvTimeoutError};
 use rainbow_cc::{make_ccp, CcDecision, CcProtocol, TxnContext};
 use rainbow_commit::{Decision, Participant, ParticipantAction, ParticipantState, Vote};
 use rainbow_common::config::DatabaseSchema;
@@ -58,18 +56,16 @@ use rainbow_storage::recovery::InDoubtTxn;
 use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig};
 use rainbow_trace::{Meter, Phase, TraceEvent, Tracer, Track};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the site loop sleeps at most when nothing falls due sooner:
-/// bounds how late it notices shutdown and runs the janitor.
-const IDLE: Duration = Duration::from_millis(25);
-
 /// Upper bound on messages handled per drain, so a flooded mailbox cannot
-/// starve the deadline scan (the rest is picked up by the next drain).
+/// starve the deadlines (the rest is picked up by the next drain).
 const MAX_DRAIN: usize = 512;
+
+/// How often the janitor runs.
+const JANITOR_EVERY: Duration = Duration::from_millis(200);
 
 /// The writes of one transaction destined for (or recovered at) this site.
 pub(crate) type WriteSet = Vec<(ItemId, Value, Version)>;
@@ -126,18 +122,15 @@ impl InDoubt {
     }
 }
 
-/// What a site's loop and its handle share: what never changes after start
-/// or keeps itself consistent. What the site changes is `SiteState`.
+/// What never changes after a site starts.
 pub(crate) struct SiteShared {
     pub id: SiteId,
-    pub node: NodeId,
     pub stack: ProtocolStack,
     pub rcp: Arc<dyn ReplicationControl>,
     /// Fetched at start from the name server, which never changes it.
     pub schema: DatabaseSchema,
     pub net: NetHandle<Msg>,
     pub metrics: Arc<SiteMetrics>,
-    pub shutdown: Arc<AtomicBool>,
     /// The cluster-wide history sink the chaos laboratory snoops on, when
     /// history recording is enabled. `None` (the default) keeps every
     /// recording branch in the coordinator dead, so the hot path pays
@@ -149,12 +142,6 @@ pub(crate) struct SiteShared {
 }
 
 impl SiteShared {
-    /// Sends a message from this site, ignoring network shutdown errors
-    /// (which only occur while the whole instance is being torn down).
-    pub fn send(&self, to: NodeId, msg: Msg) {
-        let _ = self.net.send(self.node, to, msg);
-    }
-
     /// Microseconds since the tracer epoch, or 0 when tracing is off. The
     /// timestamp feeds [`SiteShared::trace_site_span`].
     pub fn trace_now(&self) -> u64 {
@@ -192,11 +179,6 @@ impl SiteShared {
         }
     }
 }
-
-/// The site's one lock. A site's state belongs to its loop, which holds the
-/// lock one drain at a time and never while it sleeps; the handle waits for
-/// a drain boundary.
-type SiteLock = Arc<Mutex<SiteState>>;
 
 /// Everything a site changes as it runs.
 struct SiteState {
@@ -253,8 +235,13 @@ impl SiteState {
         self.in_doubt = InDoubt::default();
         for InDoubtTxn { txn, writes } in in_doubt {
             self.in_doubt.insert(txn, writes);
-            shared.send(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
+            self.send(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
         }
+    }
+
+    /// Queues a message in the site's outbox; it leaves when the drain ends.
+    fn send(&mut self, to: NodeId, msg: Msg) {
+        self.home.out.outbox.push(to, msg);
     }
 
     /// Settles a transaction crash recovery found in doubt, now that its
@@ -276,10 +263,12 @@ impl SiteState {
         true
     }
 
-    /// Ensures a participant entry exists for `txn` and returns its context.
+    /// Ensures a participant entry exists for `txn`, active at `now`, and
+    /// returns its context.
     fn ensure_participant(
         &mut self,
         shared: &SiteShared,
+        now: Instant,
         txn: TxnId,
         ts: Timestamp,
         coordinator: NodeId,
@@ -293,17 +282,170 @@ impl SiteState {
             ),
             ctx: TxnContext::new(txn, ts),
             coordinator,
-            last_activity: Instant::now(),
+            last_activity: now,
         });
-        entry.last_activity = Instant::now();
+        entry.last_activity = now;
         entry.ctx
     }
 }
 
-/// Handle to a running Rainbow site.
+/// A site: everything it knows, stepped one message at a time by the loop
+/// that is its only owner, so nothing in it is shared or locked.
+pub(crate) struct Site {
+    shared: SiteShared,
+    state: SiteState,
+    /// When the janitor runs next.
+    janitor_due: Instant,
+}
+
+impl Site {
+    /// Opens the site's storage and builds the site as it is at `now`, with
+    /// no thread; it starts as a restart (see `SiteHandle::spawn_with_schema`).
+    fn open(shared: SiteShared, storage: &StorageConfig, now: Instant) -> RainbowResult<Site> {
+        let (id, schema) = (shared.id, &shared.schema);
+        let (storage, outcome) = SiteStorage::open(id, storage, shared.tracer.clone())?;
+        let local_items: Vec<(ItemId, Value)> = schema
+            .items
+            .iter()
+            .filter(|spec| {
+                let placement = schema.replication.placement(&spec.id);
+                placement.is_some_and(|p| p.holds_copy(id))
+            })
+            .map(|spec| (spec.id.clone(), spec.initial.clone()))
+            .collect();
+        storage.initialize(&local_items);
+        let stack = &shared.stack;
+        let mut state = SiteState {
+            storage,
+            clock: TimestampGenerator::new(id),
+            ccp: make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout),
+            participants: HashMap::new(),
+            finished: HashSet::new(),
+            in_doubt: InDoubt::default(),
+            parked: Vec::new(),
+            home: Home::default(),
+        };
+        state.restart(&shared, outcome.in_doubt);
+        let janitor_due = now + JANITOR_EVERY;
+        Ok(Site {
+            shared,
+            state,
+            janitor_due,
+        })
+    }
+
+    /// Handles one message at `now` (a handle's call runs), then asks the
+    /// parked accesses again: the message may have ended their wait.
+    pub(crate) fn step(&mut self, now: Instant, envelope: Envelope<Msg>) {
+        match envelope.payload {
+            Msg::Call(Call(call)) => call(self),
+            msg => dispatch(&self.shared, &mut self.state, now, envelope.from, msg),
+        }
+        ask_parked_again(&self.shared, &mut self.state, now);
+    }
+
+    /// Acts on what fell due by `now` — the janitor, parked accesses whose
+    /// deadline passed, the coordinators' deadlines — reaps the machines
+    /// that are done, and returns when the site wants to be ticked again.
+    pub(crate) fn tick(&mut self, now: Instant) -> Instant {
+        let (shared, state) = (&self.shared, &mut self.state);
+        if now >= self.janitor_due {
+            self.janitor_due = now + JANITOR_EVERY;
+            run_janitor(shared, state, now);
+        }
+        let parked_due = ask_parked_again(shared, state, now);
+        // The machines' deadlines; the machines that are done are reaped.
+        let (machines, out) = (&mut state.home.machines, &mut state.home.out);
+        let on_tick = |machine: &mut TxnMachine| machine.on_tick(&mut Cx { shared, out, now });
+        let machine_due = machines.values_mut().filter_map(on_tick).min();
+        machines.retain(|_, machine| !machine.is_done());
+        let due = parked_due.into_iter().chain(machine_due);
+        due.fold(self.janitor_due, Instant::min)
+    }
+
+    /// Sends what the drain queued; `drained` is how many messages it had.
+    fn flush(&mut self, drained: u64) {
+        let shared = &self.shared;
+        let tracer = shared.tracer.as_ref();
+        if let Some(tracer) = tracer.filter(|_| drained > 0) {
+            tracer.record_meter(Meter::ReactorQueueDepth, drained);
+        }
+        let outbox = &mut self.state.home.out.outbox;
+        let stats = outbox.flush(&shared.net, NodeId::Site(shared.id), Msg::Batch);
+        if let Some(tracer) = tracer.filter(|_| stats.envelopes > 0) {
+            tracer.record_meter(Meter::ReactorBatchSize, stats.largest_batch as u64);
+        }
+    }
+
+    /// Shuts the site down at `now`: every machine still alive fails
+    /// site-down and what that queued leaves (what is parked or still in the
+    /// mailbox is dropped unanswered); then the engine is flushed and
+    /// fsynced, so a reopened data directory has every record appended.
+    fn close(mut self, now: Instant) {
+        let (shared, out) = (&self.shared, &mut self.state.home.out);
+        for (_, mut machine) in self.state.home.machines.drain() {
+            machine.fail_site_down(&mut Cx { shared, out, now });
+        }
+        self.flush(0);
+        if let Err(err) = self.state.storage.flush_and_sync() {
+            let id = self.shared.id;
+            eprintln!("rainbow: flush on shutdown failed for {id}: {err}");
+        }
+    }
+}
+
+/// A handle's request to a site ([`Msg::Call`]): a closure the site's loop
+/// runs between two messages, which carries its own reply.
+pub struct Call(pub(crate) Box<dyn FnOnce(&mut Site) + Send>);
+
+impl std::fmt::Debug for Call {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Call")
+    }
+}
+
+/// The way into a site's loop, past the network; a call can carry others.
+#[derive(Clone)]
+pub(crate) struct SiteCaller {
+    id: SiteId,
+    net: NetHandle<Msg>,
+}
+
+impl SiteCaller {
+    /// Runs `f` on the site's loop, between two messages, and returns what
+    /// it returned; fails when the loop is gone (stopped, or panicked).
+    pub(crate) fn call<R: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut Site) -> R + Send + 'static,
+    ) -> RainbowResult<R> {
+        let (reply, answer) = bounded(1);
+        let call = Call(Box::new(move |site: &mut Site| {
+            let _ = reply.send(f(site));
+        }));
+        // A loop that is gone drops the call, unrun, and the reply with it.
+        self.net.post(NodeId::Site(self.id), Msg::Call(call));
+        let gone = RainbowError::SiteUnavailable(self.id);
+        answer.recv().map_err(|_| gone)
+    }
+
+    /// A call for a reader that has no error to return: panics, naming the
+    /// site, when the loop is gone.
+    fn ask<R: Send + 'static>(&self, f: impl FnOnce(&mut Site) -> R + Send + 'static) -> R {
+        self.call(f)
+            .unwrap_or_else(|_| panic!("the loop of {} is gone", self.id))
+    }
+
+    /// The committed copies at the site.
+    pub(crate) fn database_snapshot(&self) -> RainbowResult<Vec<(ItemId, Value, Version)>> {
+        self.call(|site| site.state.storage.snapshot())
+    }
+}
+
+/// Handle to a running Rainbow site: its thread, and the caller every
+/// method talks to the site's loop through.
 pub struct SiteHandle {
-    shared: Arc<SiteShared>,
-    state: SiteLock,
+    pub(crate) caller: SiteCaller,
+    metrics: Arc<SiteMetrics>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -368,113 +510,77 @@ impl SiteHandle {
         history: Option<Arc<HistorySink>>,
         tracer: Option<Arc<Tracer>>,
     ) -> RainbowResult<Self> {
-        let (storage, outcome) = SiteStorage::open(id, storage_config, tracer.clone())?;
-        let local_items: Vec<(ItemId, Value)> = schema
-            .items
-            .iter()
-            .filter(|spec| {
-                schema
-                    .replication
-                    .placement(&spec.id)
-                    .map(|p| p.holds_copy(id))
-                    .unwrap_or(false)
-            })
-            .map(|spec| (spec.id.clone(), spec.initial.clone()))
-            .collect();
-        storage.initialize(&local_items);
-
-        let rcp = make_rcp(stack.rcp);
-        let ccp = make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout);
-        let shared = Arc::new(SiteShared {
+        let caller = SiteCaller {
             id,
-            node: NodeId::Site(id),
+            net: net.clone(),
+        };
+        let shared = SiteShared {
+            id,
+            rcp: make_rcp(stack.rcp),
             stack,
-            rcp,
             schema,
             net,
-            metrics,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            metrics: Arc::clone(&metrics),
             history,
             tracer,
-        });
-
-        let mut state = SiteState {
-            storage,
-            clock: TimestampGenerator::new(id),
-            ccp,
-            participants: HashMap::new(),
-            finished: HashSet::new(),
-            in_doubt: InDoubt::default(),
-            parked: Vec::new(),
-            home: Home::default(),
         };
-        // A start from an existing durable log may come back with in-doubt
-        // transactions (prepared, never decided before the previous process
-        // died): the site starts as a restart, so they are chased exactly
-        // like after a crash.
-        state.restart(&shared, outcome.in_doubt);
-        let state = Arc::new(Mutex::new(state));
-        let (loop_shared, loop_state) = (Arc::clone(&shared), Arc::clone(&state));
+        let site = Site::open(shared, storage_config, Instant::now())?;
         let thread = std::thread::Builder::new()
             .name(format!("rainbow-site-{}", id.0))
-            .spawn(move || site_loop(loop_shared, loop_state, mailbox))
+            .spawn(move || run(site, mailbox))
             .expect("failed to spawn the site loop");
-
         Ok(SiteHandle {
-            shared,
-            state,
+            caller,
+            metrics,
             thread: Some(thread),
         })
     }
 
     /// The site's id.
     pub fn id(&self) -> SiteId {
-        self.shared.id
+        self.caller.id
     }
 
     /// The site's metrics handle.
     pub fn metrics(&self) -> Arc<SiteMetrics> {
-        Arc::clone(&self.shared.metrics)
+        Arc::clone(&self.metrics)
     }
 
-    /// A snapshot of the committed database state at this site.
+    /// A snapshot of the committed database state at this site. Like every
+    /// reader below, it panics, naming the site, when its loop is gone.
     pub fn database_snapshot(&self) -> Vec<(ItemId, Value, Version)> {
-        self.state.lock().storage.snapshot()
+        self.caller.ask(|site| site.state.storage.snapshot())
     }
 
     /// Number of transactions currently holding resources at this site's
-    /// CCP, read between two drains.
+    /// CCP.
     pub fn active_transactions(&self) -> usize {
-        self.state.lock().ccp.active_transactions()
+        self.caller.ask(|site| site.state.ccp.active_transactions())
     }
 
     /// Diagnostic view of the transactions still registered as participants
-    /// at this site: `(transaction, state, seconds since last activity)`,
-    /// read between two drains. Used by tests and operational tooling to
-    /// spot transactions whose coordinator disappeared.
+    /// at this site: `(transaction, state, seconds since last activity)`.
+    /// Used by tests and operational tooling to spot transactions whose
+    /// coordinator disappeared.
     pub fn lingering_participants(&self) -> Vec<(TxnId, String, f64)> {
-        self.state
-            .lock()
-            .participants
-            .iter()
-            .map(|(txn, entry)| {
-                (
-                    *txn,
-                    format!("{:?}", entry.machine.state()),
-                    entry.last_activity.elapsed().as_secs_f64(),
-                )
-            })
-            .collect()
+        let asked = Instant::now();
+        self.caller.ask(move |site| {
+            let participants = site.state.participants.iter();
+            participants
+                .map(|(txn, entry)| {
+                    let idle = asked.duration_since(entry.last_activity).as_secs_f64();
+                    (*txn, format!("{:?}", entry.machine.state()), idle)
+                })
+                .collect()
+        })
     }
 
     /// Number of conversations this site's coordinator is still driving
-    /// (open, or answered and collecting acknowledgements): the site loop's
-    /// transaction machines, read between two drains (a drain reaps the
-    /// machines that are done before it ends). For tests of the
-    /// coordinator's clean-up.
+    /// (open, or answered and collecting acknowledgements): the site's
+    /// transaction machines. For tests of the coordinator's clean-up.
     #[doc(hidden)]
     pub fn open_conversations(&self) -> usize {
-        self.state.lock().home.machines.len()
+        self.caller.ask(|site| site.state.home.machines.len())
     }
 
     /// Simulates the volatile-state loss of a crash and immediately runs
@@ -498,27 +604,18 @@ impl SiteHandle {
     /// memory engine this degrades to [`SiteHandle::recover_from_crash`]
     /// (its simulated log has no tail to tear).
     ///
-    /// The restart waits for the drain in progress and runs before the next
-    /// one, so no message is handled half before and half after it.
-    ///
-    /// Errors surface recovery failures: a corrupted record *before* the
-    /// tail is a typed [`RainbowError::CorruptLog`], not a panic.
+    /// The restart is a call, so no message is handled half before and half
+    /// after it. Errors surface recovery failures: a corrupted record
+    /// *before* the tail is a typed [`RainbowError::CorruptLog`], not a
+    /// panic; a site whose loop is gone is [`RainbowError::SiteUnavailable`].
     pub fn power_loss(&self, fault: PowerLossFault) -> RainbowResult<()> {
-        let mut state = self.state.lock();
-        state.storage.power_loss(fault);
-        let outcome = state.storage.recover()?;
-        state.restart(&self.shared, outcome.in_doubt);
-        Ok(())
-    }
-
-    /// Which storage engine this site runs on.
-    pub fn engine_kind(&self) -> rainbow_storage::EngineKind {
-        self.state.lock().storage.engine_kind()
-    }
-
-    /// Number of real sync (fsync) operations the site's engine performed.
-    pub fn storage_force_count(&self) -> u64 {
-        self.state.lock().storage.force_count()
+        self.caller.call(move |site| {
+            let storage = &site.state.storage;
+            storage.power_loss(fault);
+            let outcome = storage.recover()?;
+            site.state.restart(&site.shared, outcome.in_doubt);
+            Ok(())
+        })?
     }
 
     /// Installs committed copies fetched from live peers — the catch-up
@@ -526,14 +623,16 @@ impl SiteHandle {
     /// (Available Copies, Primary Copy), driven by the cluster. Only copies
     /// newer than the local ones are installed; returns how many were.
     ///
-    /// Like a restart, the repair waits for the drain in progress and runs
-    /// before the next one: its checkpoint rewrites the log, and a commit
-    /// the loop forced beside it would be dropped from the log. `fetch`,
-    /// which gathers the copies, runs then too, so what reaches the site
-    /// meanwhile waits until they are installed.
-    pub fn repair_copies(&self, fetch: impl FnOnce() -> Vec<(ItemId, Value, Version)>) -> usize {
-        let state = self.state.lock();
-        state.storage.repair_copies(&fetch())
+    /// Like a restart, the repair is a call: its checkpoint rewrites the
+    /// log, and a commit forced beside it would be dropped from the log.
+    /// `fetch`, which gathers the copies, runs in the call too, so what
+    /// reaches the site meanwhile waits until they are installed.
+    pub fn repair_copies(
+        &self,
+        fetch: impl FnOnce() -> Vec<(ItemId, Value, Version)> + Send + 'static,
+    ) -> usize {
+        self.caller
+            .ask(|site| site.state.storage.repair_copies(&fetch()))
     }
 
     /// Jumps this site's logical clock `ticks` ahead of its current value —
@@ -542,28 +641,21 @@ impl SiteHandle {
     /// CCPs (transactions from the skewed site suddenly carry much larger
     /// timestamps, aborting concurrent old-timestamp transactions).
     pub fn skew_clock(&self, ticks: u64) {
-        let clock = &mut self.state.lock().clock;
-        let ahead = clock.now().saturating_add(ticks);
-        clock.observe(Timestamp::new(ahead, self.shared.id.0));
+        self.caller.ask(move |site| {
+            let clock = &mut site.state.clock;
+            let ahead = clock.now().saturating_add(ticks);
+            clock.observe(Timestamp::new(ahead, site.shared.id.0));
+        })
     }
 
-    /// Stops the site loop and joins its thread. The loop observes the flag
-    /// within `IDLE`, fails its in-flight conversations and flushes their
-    /// outbox; what is still parked is dropped unanswered, like everything
-    /// else in flight.
-    ///
-    /// Then, with the loop gone, it flushes and fsyncs the durable engine,
-    /// so a data directory reopened later finds every record appended so
-    /// far, the loop's last ones included, not just the forced ones.
+    /// Stops the site and joins its thread: the loop, reaching
+    /// [`Msg::Stop`], closes the site (`Site::close`).
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
         let Some(thread) = self.thread.take() else {
             return;
         };
+        self.caller.net.post(NodeId::Site(self.id()), Msg::Stop);
         let _ = thread.join();
-        if let Err(err) = self.state.lock().storage.flush_and_sync() {
-            eprintln!("rainbow: flush on shutdown failed for {}: {err}", self.id());
-        }
     }
 }
 
@@ -573,50 +665,40 @@ impl Drop for SiteHandle {
     }
 }
 
-/// The site's one event loop. A pass sleeps until the next message or the
-/// earliest deadline, at most [`IDLE`]; then it takes the site's state and
-/// drains the mailbox — at most [`MAX_DRAIN`] messages, each handled where
-/// it lands — runs the janitor when it is due and ends the drain
-/// ([`Home::end_drain`]), and lets go of the state before it sleeps again.
-fn site_loop(shared: Arc<SiteShared>, lock: SiteLock, mailbox: Receiver<Envelope<Msg>>) {
-    let mut last_janitor = Instant::now();
-    let janitor_every = Duration::from_millis(200);
-    // When something next falls due: a machine's deadline or a parked copy
-    // access's.
-    let mut next_due: Option<Instant> = None;
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        let wait = next_due.map_or(IDLE, |due| {
-            IDLE.min(due.saturating_duration_since(Instant::now()))
-        });
-        let first = match mailbox.recv_timeout(wait) {
+/// The thread shell: sleeps in the mailbox until a message arrives or the
+/// last tick's deadline passes; steps what it drained (at most
+/// [`MAX_DRAIN`] messages, each at the time it is taken), ticks and flushes
+/// (and flushes after a step that answered a client, who waits for it).
+/// `Msg::Stop`, or a mailbox nobody can send to, closes the site.
+fn run(mut site: Site, mailbox: Receiver<Envelope<Msg>>) {
+    let mut due = Instant::now();
+    loop {
+        let first = match mailbox.recv_timeout(due.saturating_duration_since(Instant::now())) {
             Ok(envelope) => Some(envelope),
             Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Disconnected) => return site.close(Instant::now()),
         };
-        let mut state = lock.lock();
         let rest = std::iter::from_fn(|| mailbox.try_recv().ok());
         let mut drained = 0;
         for envelope in first.into_iter().chain(rest).take(MAX_DRAIN) {
-            dispatch(&shared, &mut state, envelope);
+            let now = Instant::now();
+            if let Msg::Stop = envelope.payload {
+                return site.close(now);
+            }
+            site.step(now, envelope);
             drained += 1;
-            // Whatever was just handled may have ended a wait (a commit or
-            // an abort released something).
-            ask_parked_again(&shared, &mut state);
+            // A client waits for what was just queued for it.
+            if site.state.home.out.outbox.holds_non_site() {
+                site.flush(0);
+            }
         }
-        if last_janitor.elapsed() >= janitor_every {
-            last_janitor = Instant::now();
-            run_janitor(&shared, &mut state);
-        }
-        // So may the janitor, and time.
-        let parked_due = ask_parked_again(&shared, &mut state);
-        let machine_due = state.home.end_drain(&shared, drained);
-        next_due = parked_due.into_iter().chain(machine_due).min();
+        due = site.tick(Instant::now());
+        site.flush(drained);
     }
-    lock.lock().home.close(&shared);
 }
 
 /// The coordinators of the transactions whose home is this site — one
-/// machine each, in the loop's own map — and what their transitions change
+/// machine each, in the site's own map — and what their transitions change
 /// besides themselves.
 #[derive(Default)]
 struct Home {
@@ -627,8 +709,8 @@ struct Home {
 }
 
 /// What a coordinator's transitions change besides their own machine: the
-/// outbox everything they send to a site waits in until the drain ends, and
-/// the decision record status queries answer from.
+/// site's outbox, where everything they send waits for the loop's flush,
+/// and the decision record status queries answer from.
 #[derive(Default)]
 pub(crate) struct Effects {
     pub outbox: Outbox<Msg>,
@@ -653,109 +735,63 @@ impl Effects {
 }
 
 impl Home {
-    /// Opens a new conversation with timestamp `ts`: allocates its id, and
-    /// runs the first command, which arrived with the begin.
-    fn begin(
-        &mut self,
-        shared: &SiteShared,
-        ts: Timestamp,
-        client: NodeId,
-        request: u64,
-        label: String,
-        op: NextOp,
-    ) {
-        SiteMetrics::bump(&shared.metrics.home_transactions);
-        let txn = TxnId::new(shared.id, self.next_seq);
-        self.next_seq += 1;
-        let mut machine = TxnMachine::open(shared, txn, ts, label, client, request);
-        machine.on_client_op(shared, &mut self.out, op);
-        // A first command that ended the transaction (a lone commit, an
-        // unsatisfiable quorum) leaves nothing to keep.
-        if !machine.is_done() {
-            self.machines.insert(txn, machine);
-        }
-    }
-
     /// Hands a client command or a site's answer to the machine driving its
-    /// transaction.
-    fn deliver(&mut self, shared: &SiteShared, envelope: Envelope<Msg>) {
-        let Some(txn) = envelope.payload.txn() else {
+    /// transaction, and reaps the machine if that finished it.
+    fn deliver(&mut self, shared: &SiteShared, now: Instant, from: NodeId, msg: Msg) {
+        let Some(txn) = msg.txn() else {
             return;
         };
+        let out = &mut self.out;
         match self.machines.get_mut(&txn) {
-            Some(machine) if !machine.is_done() => {
-                machine.on_message(shared, &mut self.out, envelope)
+            Some(machine) => {
+                machine.on_message(&mut Cx { shared, out, now }, from, msg);
+                if machine.is_done() {
+                    self.machines.remove(&txn);
+                }
             }
-            _ => {
-                // The conversation is gone (idled out, finished, or the
-                // site recovered). Tell a waiting client instead of leaving
-                // it to its timeout; drop stale protocol messages.
-                if let Msg::TxnOp { request, .. } = envelope.payload {
-                    shared.send(
-                        envelope.from,
-                        Msg::TxnOpReply {
-                            request,
-                            txn,
-                            reply: OpReply::Gone,
-                        },
-                    );
+            // The conversation is gone (idled out, finished, or the site
+            // recovered). Tell a waiting client instead of leaving it to its
+            // timeout; drop stale protocol messages.
+            None => {
+                if let Msg::TxnOp { request, .. } = msg {
+                    let reply = OpReply::Gone;
+                    let gone = Msg::TxnOpReply {
+                        request,
+                        txn,
+                        reply,
+                    };
+                    out.outbox.push(from, gone);
                 }
             }
         }
     }
-
-    /// Ends a drain: scans every machine's deadline, flushes the outbox
-    /// once and reaps the machines that are done. Returns when the earliest
-    /// remaining machine falls due.
-    fn end_drain(&mut self, shared: &SiteShared, drained: u64) -> Option<Instant> {
-        let tracer = shared.tracer.as_ref();
-        if let Some(tracer) = tracer.filter(|_| drained > 0) {
-            tracer.record_meter(Meter::ReactorQueueDepth, drained);
-        }
-        let now = Instant::now();
-        let due = self
-            .machines
-            .values_mut()
-            .filter_map(|machine| machine.on_tick(shared, &mut self.out, now))
-            .min();
-        let stats = self.out.outbox.flush(&shared.net, shared.node, Msg::Batch);
-        if let Some(tracer) = tracer.filter(|_| stats.envelopes > 0) {
-            tracer.record_meter(Meter::ReactorBatchSize, stats.largest_batch as u64);
-        }
-        self.machines.retain(|_, machine| !machine.is_done());
-        due
-    }
-
-    /// Site shutdown: every machine still alive fails site-down, and what
-    /// that queued leaves.
-    fn close(&mut self, shared: &SiteShared) {
-        for (_, mut machine) in self.machines.drain() {
-            machine.fail_site_down(shared, &mut self.out);
-        }
-        let _ = self.out.outbox.flush(&shared.net, shared.node, Msg::Batch);
-    }
 }
 
-fn dispatch(shared: &SiteShared, state: &mut SiteState, envelope: Envelope<Msg>) {
+fn dispatch(shared: &SiteShared, state: &mut SiteState, now: Instant, from: NodeId, msg: Msg) {
     // Client commands and responses go straight to the machine driving the
     // transaction they belong to (which answers a command `Gone` when it no
     // longer is: the conversation idled out and was aborted, or the site
     // crashed and recovered).
-    let payload = &envelope.payload;
-    if matches!(payload, Msg::TxnOp { .. }) || payload.is_coordinator_response() {
-        return state.home.deliver(shared, envelope);
+    if matches!(msg, Msg::TxnOp { .. }) || msg.is_coordinator_response() {
+        return state.home.deliver(shared, now, from, msg);
     }
-
-    let Envelope {
-        id,
-        from,
-        to,
-        payload,
-    } = envelope;
-    match payload {
+    match msg {
+        // A new conversation: allocate its id, and run the first command,
+        // which arrived with the begin.
         Msg::TxnBegin { request, label, op } => {
-            let ts = state.clock.issue();
-            state.home.begin(shared, ts, from, request, label, op);
+            SiteMetrics::bump(&shared.metrics.home_transactions);
+            let (ts, home) = (state.clock.issue(), &mut state.home);
+            let txn = TxnId::new(shared.id, home.next_seq);
+            home.next_seq += 1;
+            let out = &mut home.out;
+            let cx = &mut Cx { shared, out, now };
+            let mut machine = TxnMachine::open(cx, txn, ts, label, from, request);
+            machine.on_client_op(cx, op);
+            // A first command that ended the transaction (a lone commit, an
+            // unsatisfiable quorum) leaves nothing to keep.
+            if !machine.is_done() {
+                home.machines.insert(txn, machine);
+            }
         }
         Msg::CopyRead {
             txn,
@@ -765,18 +801,19 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, envelope: Envelope<Msg>)
         } => {
             SiteMetrics::bump(&shared.metrics.served_requests);
             let access = CopyAccess::Read { for_update };
-            handle_copy_access(shared, state, from, txn, ts, item, access);
+            handle_copy_access(shared, state, now, from, txn, ts, item, access);
         }
         Msg::CopyPrewrite { txn, ts, item } => {
             SiteMetrics::bump(&shared.metrics.served_requests);
-            handle_copy_access(shared, state, from, txn, ts, item, CopyAccess::Prewrite);
+            let access = CopyAccess::Prewrite;
+            handle_copy_access(shared, state, now, from, txn, ts, item, access);
         }
         // A lone prepare or commit decision is a group of one.
         Msg::AcpPrepare { txn, ts, writes } => {
-            handle_prepare_batch(shared, state, from, vec![(txn, ts, writes)]);
+            handle_prepare_batch(shared, state, now, from, vec![(txn, ts, writes)]);
         }
         Msg::AcpPreCommit { txn } => {
-            handle_precommit(shared, state, from, txn);
+            handle_precommit(state, now, from, txn);
         }
         Msg::AcpDecision {
             txn,
@@ -788,7 +825,7 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, envelope: Envelope<Msg>)
         } => handle_abort_decision(shared, state, from, txn),
         Msg::AcpStatusQuery { txn } => {
             let decision = state.home.out.decided.get(&txn).copied();
-            shared.send(from, Msg::AcpStatusReply { txn, decision });
+            state.send(from, Msg::AcpStatusReply { txn, decision });
         }
         // Presumed abort: no decision on record means abort.
         Msg::AcpStatusReply { txn, decision } => {
@@ -814,28 +851,20 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, envelope: Envelope<Msg>)
                 }
             }
             if !prepares.is_empty() {
-                handle_prepare_batch(shared, state, from, prepares);
+                handle_prepare_batch(shared, state, now, from, prepares);
             }
             if !commits.is_empty() {
                 handle_decision_commit_batch(shared, state, from, commits);
             }
-            for payload in rest {
-                dispatch(
-                    shared,
-                    state,
-                    Envelope {
-                        id,
-                        from,
-                        to,
-                        payload,
-                    },
-                );
+            for msg in rest {
+                dispatch(shared, state, now, from, msg);
             }
         }
         // Messages a site never receives (or that only matter to clients /
         // the name server) are ignored; those for a machine went to it
-        // above. The schema arrived before the loop started: a late answer
-        // to a repeated `NsGetSchema` carries the same one.
+        // above, and a call or a stop never reaches here. The schema
+        // arrived before the loop started: a late answer to a repeated
+        // `NsGetSchema` carries the same one.
         Msg::TxnOp { .. }
         | Msg::TxnOpReply { .. }
         | Msg::TxnDone { .. }
@@ -844,7 +873,9 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, envelope: Envelope<Msg>)
         | Msg::CopyReply { .. }
         | Msg::AcpVote { .. }
         | Msg::AcpPreCommitAck { .. }
-        | Msg::AcpAck { .. } => {}
+        | Msg::AcpAck { .. }
+        | Msg::Call(..)
+        | Msg::Stop => {}
     }
 }
 
@@ -895,7 +926,14 @@ impl CopyRequest {
     }
 
     /// Turns the CCP's decision on the access into the reply.
-    fn finish(self, shared: &SiteShared, state: &mut SiteState, decision: CcDecision) {
+    /// Turns the CCP's decision on the access, at `now`, into the reply.
+    fn finish(
+        self,
+        shared: &SiteShared,
+        state: &mut SiteState,
+        now: Instant,
+        decision: CcDecision,
+    ) {
         let CopyRequest {
             from,
             ctx,
@@ -933,7 +971,7 @@ impl CopyRequest {
                         lock_conflict(&item, None)
                     }
                     Some(entry) => {
-                        entry.last_activity = Instant::now();
+                        entry.last_activity = now;
                         let (value, version) = match value_override {
                             Some(pair) => pair,
                             None => state.storage.read(&item).unwrap_or(current),
@@ -947,7 +985,7 @@ impl CopyRequest {
             }
             CcDecision::Rejected(cause) => CopyAccessResult::Denied(cause),
         };
-        send_copy_reply(shared, from, ctx.id, item, access, result);
+        state.send(from, access.reply(ctx.id, item, result));
     }
 }
 
@@ -958,24 +996,19 @@ struct Parked {
     deadline: Instant,
 }
 
-fn send_copy_reply(
-    shared: &SiteShared,
-    from: NodeId,
-    txn: TxnId,
-    item: ItemId,
-    access: CopyAccess,
-    result: CopyAccessResult,
-) {
-    shared.send(
-        from,
+impl CopyAccess {
+    /// The answer to this access of `txn`'s to `item`.
+    fn reply(self, txn: TxnId, item: ItemId, result: CopyAccessResult) -> Msg {
+        let prewrite = self == CopyAccess::Prewrite;
+        let for_update = self == CopyAccess::Read { for_update: true };
         Msg::CopyReply {
             txn,
             item,
-            prewrite: access == CopyAccess::Prewrite,
-            for_update: access == CopyAccess::Read { for_update: true },
+            prewrite,
+            for_update,
             result,
-        },
-    );
+        }
+    }
 }
 
 fn lock_conflict(item: &ItemId, holder: Option<TxnId>) -> CopyAccessResult {
@@ -985,12 +1018,14 @@ fn lock_conflict(item: &ItemId, holder: Option<TxnId>) -> CopyAccessResult {
     })
 }
 
-/// Handles a copy read or pre-write request: the request is refused, or
-/// answered with what the CCP decided, or — when the CCP says it must wait —
-/// parked.
+/// Handles a copy read or pre-write request at `now`: the request is
+/// refused, or answered with what the CCP decided, or — when the CCP says
+/// it must wait — parked until `now` plus the CCP's wait budget.
+#[allow(clippy::too_many_arguments)]
 fn handle_copy_access(
     shared: &SiteShared,
     state: &mut SiteState,
+    now: Instant,
     from: NodeId,
     txn: TxnId,
     ts: Timestamp,
@@ -998,13 +1033,14 @@ fn handle_copy_access(
     access: CopyAccess,
 ) {
     state.clock.observe(ts);
-    let refuse = |item: ItemId, result| send_copy_reply(shared, from, txn, item, access, result);
+    let refuse =
+        |state: &mut SiteState, item, result| state.send(from, access.reply(txn, item, result));
     // Refuse accesses for transactions that already finished at this site
     // (their decision raced ahead of this request); granting would leak a
     // lock nobody releases.
     if state.finished.contains(&txn) {
         let denied = lock_conflict(&item, None);
-        return refuse(item, denied);
+        return refuse(state, item, denied);
     }
     // Items in an in-doubt transaction's prepared write set are
     // untouchable: the crash destroyed the locks that protected them, the
@@ -1016,13 +1052,13 @@ fn handle_copy_access(
     let in_doubt_holder = state.in_doubt.holder_blocking(&item, txn);
     if in_doubt_holder.is_some() {
         let denied = lock_conflict(&item, in_doubt_holder);
-        return refuse(item, denied);
+        return refuse(state, item, denied);
     }
     // Register the participant entry before asking, so a decision that is
     // already queued behind this request finds the entry and cleans it up.
-    let ctx = state.ensure_participant(shared, txn, ts, from);
+    let ctx = state.ensure_participant(shared, now, txn, ts, from);
     let Ok(current) = state.storage.read(&item) else {
-        return refuse(item, CopyAccessResult::NoSuchCopy);
+        return refuse(state, item, CopyAccessResult::NoSuchCopy);
     };
     let request = CopyRequest {
         from,
@@ -1035,25 +1071,25 @@ fn handle_copy_access(
     match request.ask(state.ccp.as_mut()) {
         Some(decision) => {
             SiteMetrics::bump(&shared.metrics.copy_accesses_inline);
-            request.finish(shared, state, decision);
+            request.finish(shared, state, now, decision);
         }
         None => {
             SiteMetrics::bump(&shared.metrics.copy_accesses_parked);
-            let deadline = Instant::now() + state.ccp.wait_budget();
+            let deadline = now + state.ccp.wait_budget();
             state.parked.push(Parked { request, deadline });
         }
     }
 }
 
 /// Asks the CCP again about every parked copy access, oldest first: the
-/// ones it now decides are answered, and the ones that ran out of time, or
-/// whose transaction was decided or cleaned up while they waited, give up
-/// and are denied. Returns the earliest deadline among those still parked.
-fn ask_parked_again(shared: &SiteShared, state: &mut SiteState) -> Option<Instant> {
+/// ones it now decides are answered, and the ones whose deadline passed by
+/// `now`, or whose transaction was decided or cleaned up while they
+/// waited, give up and are denied. Returns the earliest deadline among
+/// those still parked.
+fn ask_parked_again(shared: &SiteShared, state: &mut SiteState, now: Instant) -> Option<Instant> {
     if state.parked.is_empty() {
         return None;
     }
-    let now = Instant::now();
     for Parked { request, deadline } in std::mem::take(&mut state.parked) {
         let abandoned = !state.participants.contains_key(&request.ctx.id);
         let answer = if abandoned {
@@ -1062,10 +1098,10 @@ fn ask_parked_again(shared: &SiteShared, state: &mut SiteState) -> Option<Instan
             request.ask(state.ccp.as_mut())
         };
         match answer {
-            Some(decision) => request.finish(shared, state, decision),
+            Some(decision) => request.finish(shared, state, now, decision),
             None if abandoned || now >= deadline => {
                 let cause = state.ccp.give_up(&request.ctx, &request.item);
-                request.finish(shared, state, CcDecision::Rejected(cause));
+                request.finish(shared, state, now, CcDecision::Rejected(cause));
             }
             None => state.parked.push(Parked { request, deadline }),
         }
@@ -1077,9 +1113,8 @@ fn ask_parked_again(shared: &SiteShared, state: &mut SiteState) -> Option<Instan
 /// envelope (one, or a coalesced batch): each transaction is validated and
 /// staged individually, but the prepare records of every YES-voter are
 /// forced with a **single** [`rainbow_storage::SiteStorage::prepare_many`]
-/// group append — the group-commit half of the outbox pipeline. Votes
-/// travel back to the coordinator node in one batch envelope when there is
-/// more than one.
+/// group append — the group-commit half of the outbox pipeline. The votes
+/// go to the outbox, which sends the coordinator node one envelope.
 ///
 /// A transaction that wrote nothing here and validates votes **READ-ONLY**:
 /// it is released at once, stages and logs nothing, and leaves — no
@@ -1095,6 +1130,7 @@ fn ask_parked_again(shared: &SiteShared, state: &mut SiteState) -> Option<Instan
 fn handle_prepare_batch(
     shared: &SiteShared,
     state: &mut SiteState,
+    now: Instant,
     from: NodeId,
     prepares: Vec<(TxnId, Timestamp, WriteSet)>,
 ) {
@@ -1104,18 +1140,15 @@ fn handle_prepare_batch(
     // transaction that can commit.
     let mut rounds: Vec<(TxnId, TxnContext, Vote, usize)> = Vec::with_capacity(group);
     let mut yes_voters: Vec<TxnId> = Vec::with_capacity(group);
-    let mut votes: Vec<Msg> = Vec::with_capacity(group);
     for (txn, ts, writes) in prepares {
         SiteMetrics::bump(&shared.metrics.served_requests);
         state.clock.observe(ts);
         if state.finished.contains(&txn) {
-            votes.push(Msg::AcpVote {
-                txn,
-                vote: Vote::No,
-            });
+            let vote = Vote::No;
+            state.send(from, Msg::AcpVote { txn, vote });
             continue;
         }
-        let ctx = state.ensure_participant(shared, txn, ts, from);
+        let ctx = state.ensure_participant(shared, now, txn, ts, from);
         let vote = if !state.ccp.validate(&ctx).is_granted() {
             Vote::No
         } else if writes.is_empty() {
@@ -1137,7 +1170,7 @@ fn handle_prepare_batch(
     for (txn, ctx, vote, n_writes) in rounds {
         let entry = state.participants.get_mut(&txn);
         let entry = entry.expect("entry ensured above");
-        entry.last_activity = Instant::now();
+        entry.last_activity = now;
         if let ParticipantAction::SendVote(vote) = entry.machine.on_prepare(vote) {
             match vote {
                 Vote::Yes => {}
@@ -1156,13 +1189,8 @@ fn handle_prepare_batch(
             shared.trace_site_span(txn, Some(Phase::Prepare), "acp:vote", prepare_start, || {
                 format!("{vote:?} ({n_writes} writes, group of {group})")
             });
-            votes.push(Msg::AcpVote { txn, vote });
+            state.send(from, Msg::AcpVote { txn, vote });
         }
-    }
-    match votes.len() {
-        0 => {}
-        1 => shared.send(from, votes.pop().expect("one vote")),
-        _ => shared.send(from, Msg::Batch(votes)),
     }
 }
 
@@ -1170,8 +1198,8 @@ fn handle_prepare_batch(
 /// coalesced batch): every participant machine advances individually, then
 /// all the commit records are forced with a single
 /// [`rainbow_storage::SiteStorage::commit_many`] group append, which
-/// installs the writes. Acks travel back in one batch envelope when there is
-/// more than one.
+/// installs the writes. The acks go to the outbox, which sends the
+/// coordinator node one envelope.
 fn handle_decision_commit_batch(
     shared: &SiteShared,
     state: &mut SiteState,
@@ -1181,7 +1209,6 @@ fn handle_decision_commit_batch(
     let apply_start = shared.trace_now();
     let group = txns.len();
     let mut to_apply: Vec<(TxnId, TxnContext)> = Vec::with_capacity(group);
-    let mut acks: Vec<Msg> = Vec::with_capacity(group);
     for txn in txns {
         state.finished.insert(txn);
         if let Some(mut entry) = state.participants.remove(&txn) {
@@ -1201,7 +1228,7 @@ fn handle_decision_commit_batch(
         // up, or crashed and recovered — then the decision may be the answer
         // an in-doubt transaction is waiting for), so the coordinator can
         // finish.
-        acks.push(Msg::AcpAck { txn });
+        state.send(from, Msg::AcpAck { txn });
     }
     let apply_ids: Vec<TxnId> = to_apply.iter().map(|(txn, _)| *txn).collect();
     let write_sets = state.storage.commit_many(&apply_ids);
@@ -1215,24 +1242,19 @@ fn handle_decision_commit_batch(
             || format!("{} writes installed (group of {group})", writes.len()),
         );
     }
-    match acks.len() {
-        0 => {}
-        1 => shared.send(from, acks.pop().expect("one ack")),
-        _ => shared.send(from, Msg::Batch(acks)),
-    }
 }
 
 /// Handles the 3PC PRE-COMMIT message.
-fn handle_precommit(shared: &SiteShared, state: &mut SiteState, from: NodeId, txn: TxnId) {
+fn handle_precommit(state: &mut SiteState, now: Instant, from: NodeId, txn: TxnId) {
     let action = match state.participants.get_mut(&txn) {
         Some(entry) => {
-            entry.last_activity = Instant::now();
+            entry.last_activity = now;
             entry.machine.on_precommit()
         }
         None => ParticipantAction::Wait,
     };
     if action == ParticipantAction::SendPreCommitAck {
-        shared.send(from, Msg::AcpPreCommitAck { txn });
+        state.send(from, Msg::AcpPreCommitAck { txn });
     }
 }
 
@@ -1252,7 +1274,7 @@ fn handle_abort_decision(shared: &SiteShared, state: &mut SiteState, from: NodeI
             state.resolve_in_doubt(txn, Decision::Abort);
         }
     }
-    shared.send(from, Msg::AcpAck { txn });
+    state.send(from, Msg::AcpAck { txn });
 }
 
 /// Handles the reply to a status query sent for an in-doubt transaction (or
@@ -1304,9 +1326,9 @@ fn apply_decision(
 /// do not wedge the site forever. Prepared participants ask the coordinator
 /// for the decision (cooperative termination); working participants are
 /// aborted unilaterally.
-fn run_janitor(shared: &SiteShared, state: &mut SiteState) {
+/// aborted unilaterally. `now` is when it runs.
+fn run_janitor(shared: &SiteShared, state: &mut SiteState, now: Instant) {
     let horizon = shared.stack.janitor_horizon();
-    let now = Instant::now();
     let mut stale_working: Vec<(TxnId, TxnContext)> = Vec::new();
     let mut stale_prepared: Vec<(TxnId, NodeId)> = Vec::new();
     state.participants.retain(|txn, entry| {
@@ -1323,7 +1345,7 @@ fn run_janitor(shared: &SiteShared, state: &mut SiteState) {
                 // coordinator what happened; refresh the activity stamp so
                 // we do not spam queries every janitor pass.
                 stale_prepared.push((*txn, entry.coordinator));
-                entry.last_activity = Instant::now();
+                entry.last_activity = now;
                 true
             }
             ParticipantState::Committed | ParticipantState::Aborted => false,
@@ -1335,22 +1357,25 @@ fn run_janitor(shared: &SiteShared, state: &mut SiteState) {
         apply_decision(shared, state, &ctx, Decision::Abort);
     }
     for (txn, coordinator) in stale_prepared {
-        shared.send(coordinator, Msg::AcpStatusQuery { txn });
+        state.send(coordinator, Msg::AcpStatusQuery { txn });
     }
     // In-doubt transactions found during crash recovery keep asking their
     // coordinator until an answer arrives. The initial query (sent by the
     // restart) is dropped whenever the fault controller still marks this
     // site crashed — the normal recovery order — so without this retry an
     // in-doubt commit could stay uninstalled forever.
+    let outbox = &mut state.home.out.outbox;
     for &txn in state.in_doubt.writes.keys() {
-        shared.send(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
+        outbox.push(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rainbow_common::MessageId;
     use rainbow_net::{NetworkConfig, SimNetwork};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn build_site(
         net: &SimNetwork<Msg>,
@@ -1592,12 +1617,9 @@ mod tests {
     fn status_query_answers_from_the_decision_log() {
         let one = OneSite::new(quick_stack());
         let txn = TxnId::new(SiteId(0), 7);
-        one.site
-            .state
-            .lock()
-            .home
-            .out
-            .record_decision(txn, Decision::Commit);
+        let record =
+            move |site: &mut Site| site.state.home.out.record_decision(txn, Decision::Commit);
+        one.site.caller.ask(record);
         one.send(Msg::AcpStatusQuery { txn });
         assert!(matches!(
             one.next(),
@@ -1762,12 +1784,11 @@ mod tests {
             one.site.recover_from_crash().unwrap();
             one.prepare_writing(1, "x0");
             one.voted(1, Vote::No);
+            let txn = OneSite::txn(1).0;
             let staged = one
                 .site
-                .state
-                .lock()
-                .storage
-                .staged_writes(&OneSite::txn(1).0);
+                .caller
+                .ask(move |site| site.state.storage.staged_writes(&txn));
             assert!(staged.is_empty(), "{ccp:?} staged {staged:?}");
             assert!(one.site.lingering_participants().is_empty(), "{ccp:?}");
             assert_eq!(one.site.active_transactions(), 0, "{ccp:?}");
@@ -1878,8 +1899,10 @@ mod tests {
     fn a_read_only_vote_leaves_no_entry_and_no_record_and_a_late_access_is_refused() {
         let one = OneSite::new(quick_stack());
         let log = || {
-            let storage = &one.site.state.lock().storage;
-            (storage.record_count(), storage.force_count())
+            one.site.caller.ask(|site| {
+                let storage = &site.state.storage;
+                (storage.record_count(), storage.force_count())
+            })
         };
         one.read(1, "x0");
         one.granted(1);
@@ -1909,12 +1932,12 @@ mod tests {
         // Commit a write directly through storage (simulating a completed
         // transaction), then crash and recover.
         let txn = TxnId::new(SiteId(0), 1);
-        {
-            let storage = &site.state.lock().storage;
+        site.caller.ask(move |site| {
+            let storage = &site.state.storage;
             storage.stage_write(txn, ItemId::new("x0"), Value::Int(5), Version(1));
             storage.prepare(txn);
             storage.commit(txn);
-        }
+        });
 
         site.recover_from_crash().unwrap();
         let snapshot = site.database_snapshot();
@@ -1936,15 +1959,217 @@ mod tests {
             one.site.skew_clock(1_000);
             one.read(5, "x0");
             one.granted(5);
-            let before = one.site.state.lock().clock.now();
+            let clock = |site: &mut Site| site.state.clock.now();
+            let before = one.site.caller.ask(clock);
             assert!(before > 1_000, "{ccp:?}: {before}");
             one.site.power_loss(PowerLossFault::Clean).unwrap();
-            let after = one.site.state.lock().clock.now();
+            let after = one.site.caller.ask(clock);
             assert!(after >= before, "{ccp:?}: {after} < {before}");
             // T2 is stamped 2, long before the crash.
             one.read(2, "x1");
             let reply = one.reply();
             assert!(matches!(reply, (2, Some(Err(_)))), "{ccp:?}: {reply:?}");
         }
+    }
+
+    /// A loop that died on a panic leaves no caller waiting: the calls it
+    /// had queued are dropped unrun, and so is every later one.
+    #[test]
+    fn a_call_to_a_dead_loop_fails_and_does_not_hang() {
+        let one = OneSite::new(quick_stack());
+        // From the loop itself, queue a call that panics and, behind it, one
+        // whose caller waits for its answer.
+        let waiting = one.site.caller.ask(|site| {
+            let (reply, answer) = crossbeam_channel::bounded(1);
+            let dies = Call(Box::new(|_: &mut Site| panic!("a call panics on the loop")));
+            let queued = Call(Box::new(move |_: &mut Site| reply.send(()).unwrap()));
+            for call in [dies, queued] {
+                site.shared.net.post(NodeId::site(0), Msg::Call(call));
+            }
+            answer
+        });
+        let asked = Instant::now();
+        let unanswered = waiting.recv_timeout(Duration::from_secs(1));
+        let dropped = Err(crossbeam_channel::RecvTimeoutError::Disconnected);
+        assert_eq!(unanswered, dropped, "the queued call is dropped unrun");
+        assert!(one.site.recover_from_crash().is_err(), "a later call fails");
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            one.site.database_snapshot()
+        }));
+        let panicked = read.expect_err("a reader panics");
+        let message = panicked.downcast_ref::<String>().expect("a message");
+        assert!(message.contains("site0"), "{message}");
+        let waited = asked.elapsed();
+        assert!(waited < Duration::from_secs(1), "{waited:?}");
+    }
+
+    /// The node playing the coordinators of a `Stepped` site's transactions.
+    const COORDINATOR: NodeId = NodeId::Site(SiteId(9));
+
+    /// A `Site` driven by hand, with no thread and no mailbox: the test
+    /// steps envelopes in at the times it chooses, and flushes the outbox
+    /// to the coordinator's node to see what the site sends.
+    struct Stepped {
+        _net: SimNetwork<Msg>,
+        coordinator: Receiver<Envelope<Msg>>,
+        site: Site,
+        t0: Instant,
+    }
+
+    impl Stepped {
+        fn new(stack: ProtocolStack) -> Self {
+            let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+            let coordinator = net.register(COORDINATOR);
+            let t0 = Instant::now();
+            let shared = SiteShared {
+                id: SiteId(0),
+                rcp: make_rcp(stack.rcp),
+                stack,
+                schema: schema_for(&[SiteId(0)]),
+                net: net.handle(),
+                metrics: Arc::new(SiteMetrics::new()),
+                history: None,
+                tracer: None,
+            };
+            let site = Site::open(shared, &StorageConfig::memory(), t0).expect("open the site");
+            Stepped {
+                _net: net,
+                coordinator,
+                site,
+                t0,
+            }
+        }
+
+        fn step(&mut self, now: Instant, payload: Msg) {
+            let (id, from, to) = (MessageId(1), COORDINATOR, NodeId::site(0));
+            let envelope = Envelope {
+                id,
+                from,
+                to,
+                payload,
+            };
+            self.site.step(now, envelope);
+        }
+
+        fn prewrite(n: u64, item: &str) -> Msg {
+            let ((txn, ts), item) = (OneSite::txn(n), ItemId::new(item));
+            Msg::CopyPrewrite { txn, ts, item }
+        }
+
+        fn prepare_writing(n: u64, item: &str) -> Msg {
+            let (txn, ts) = OneSite::txn(n);
+            let writes = vec![(ItemId::new(item), Value::Int(7), Version(n))];
+            Msg::AcpPrepare { txn, ts, writes }
+        }
+
+        /// Flushes the outbox: the envelopes the coordinator gets. (All of
+        /// them have arrived when the flush returns: the network is perfect.)
+        fn out(&mut self) -> Vec<Msg> {
+            self.site.flush(0);
+            let envelopes = std::iter::from_fn(|| self.coordinator.try_recv().ok());
+            envelopes.map(|envelope| envelope.payload).collect()
+        }
+    }
+
+    #[test]
+    fn a_stepped_copy_read_of_a_free_item_leaves_one_granted_reply() {
+        let mut one = Stepped::new(quick_stack());
+        let (txn, ts) = OneSite::txn(1);
+        let item = ItemId::new("x0");
+        let for_update = false;
+        let t0 = one.t0;
+        one.step(
+            t0,
+            Msg::CopyRead {
+                txn,
+                ts,
+                item,
+                for_update,
+            },
+        );
+        let out = one.out();
+        let granted = |result: &CopyAccessResult| {
+            let value = Some(Value::Int(100));
+            matches!(result, CopyAccessResult::Granted { value: v, version: Version(0) } if *v == value)
+        };
+        assert!(
+            matches!(out.as_slice(), [Msg::CopyReply { txn: t, prewrite: false, result, .. }] if *t == txn && granted(result)),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn a_stepped_parked_prewrite_is_denied_by_the_tick_at_its_deadline() {
+        let stack = quick_stack();
+        let mut one = Stepped::new(stack.clone());
+        let t0 = one.t0;
+        one.step(t0, Stepped::prewrite(1, "x0"));
+        assert_eq!(one.out().len(), 1, "T1 is granted x0");
+        one.step(t0, Stepped::prewrite(2, "x0"));
+        assert!(one.out().is_empty(), "T2 waits for T1");
+        let deadline = t0 + stack.lock_wait_timeout;
+        one.site.tick(deadline - Duration::from_micros(1));
+        assert!(one.out().is_empty(), "T2 still waits");
+        one.site.tick(deadline);
+        let out = one.out();
+        let [Msg::CopyReply {
+            txn,
+            result: CopyAccessResult::Denied(cause),
+            ..
+        }] = out.as_slice()
+        else {
+            panic!("{out:?}")
+        };
+        assert_eq!(*txn, OneSite::txn(2).0);
+        let holder = Some(OneSite::txn(1).0);
+        let item = ItemId::new("x0");
+        assert_eq!(*cause, AbortCause::CcpLockConflict { item, holder });
+    }
+
+    #[test]
+    fn a_stepped_participant_whose_coordinator_vanished_is_asked_about_past_the_horizon() {
+        let stack = quick_stack();
+        let mut one = Stepped::new(stack.clone());
+        let t0 = one.t0;
+        one.step(t0, Stepped::prewrite(1, "x0"));
+        one.step(t0, Stepped::prepare_writing(1, "x0"));
+        let out = one.out();
+        let granted_and_voted = matches!(out.as_slice(), [Msg::Batch(two)] if two.len() == 2);
+        assert!(granted_and_voted, "{out:?}");
+        // The coordinator is never heard from again.
+        let before = t0 + stack.janitor_horizon() - Duration::from_micros(1);
+        let due = one.site.tick(before);
+        assert!(one.out().is_empty(), "nothing is stale yet");
+        assert!(due > before);
+        one.site.tick(due);
+        let out = one.out();
+        let txn = OneSite::txn(1).0;
+        assert!(
+            matches!(out.as_slice(), [Msg::AcpStatusQuery { txn: t }] if *t == txn),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn a_stepped_batch_of_two_prepares_leaves_one_batch_of_two_votes() {
+        let mut one = Stepped::new(quick_stack());
+        let t0 = one.t0;
+        one.step(t0, Stepped::prewrite(1, "x0"));
+        one.step(t0, Stepped::prewrite(2, "x1"));
+        one.out();
+        let prepares = vec![
+            Stepped::prepare_writing(1, "x0"),
+            Stepped::prepare_writing(2, "x1"),
+        ];
+        one.step(t0, Msg::Batch(prepares));
+        let out = one.out();
+        let [Msg::Batch(votes)] = out.as_slice() else {
+            panic!("{out:?}")
+        };
+        let yes = |msg: &Msg, n| matches!(msg, Msg::AcpVote { txn, vote: Vote::Yes } if *txn == OneSite::txn(n).0);
+        assert!(
+            votes.len() == 2 && yes(&votes[0], 1) && yes(&votes[1], 2),
+            "{votes:?}"
+        );
     }
 }

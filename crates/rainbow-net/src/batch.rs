@@ -71,6 +71,11 @@ impl<M: NetMessage> Outbox<M> {
         self.queued.is_empty()
     }
 
+    /// True when a message for a node other than a site (a client) waits.
+    pub fn holds_non_site(&self) -> bool {
+        self.queued.iter().any(|(to, _)| to.as_site().is_none())
+    }
+
     /// Sends everything queued. First one envelope per destination site,
     /// wrapping multi-message groups with `wrap` (single messages travel as
     /// themselves — a batch of one would only add header bytes); then the

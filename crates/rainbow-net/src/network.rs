@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 /// Trait implemented by network payloads so the simulator can label and
 /// size-account them without knowing their concrete type.
-pub trait NetMessage: Send + Clone + 'static {
+pub trait NetMessage: Send + Sized + 'static {
     /// Short, stable label of the message kind (e.g. `"2PC_PREPARE"`).
     fn kind(&self) -> &'static str;
 
@@ -160,14 +160,19 @@ impl<M: NetMessage> Shared<M> {
             self.counters.record_dropped_partition(messages);
             return;
         }
-        let registry = self.registry.read();
-        if let Some(tx) = registry.get(&envelope.to) {
-            if tx.send(envelope).is_ok() {
-                self.counters.record_delivered(messages);
-            }
+        if self.hand_over(envelope) {
+            self.counters.record_delivered(messages);
         }
         // Unregistered destination: silently dropped (not counted as a fault
         // drop — it is a configuration situation, e.g. a site not yet started).
+    }
+
+    /// Puts `envelope` into its receiver's mailbox; false when nobody takes
+    /// from it (not registered, or its receiver is gone).
+    fn hand_over(&self, envelope: Envelope<M>) -> bool {
+        let registry = self.registry.read();
+        let mailbox = registry.get(&envelope.to);
+        mailbox.is_some_and(|mailbox| mailbox.send(envelope).is_ok())
     }
 }
 
@@ -208,10 +213,7 @@ impl<M: NetMessage> NetHandle<M> {
         // inter-site traffic).
         if from == to {
             if !shared.faults.is_crashed(to) {
-                let registry = shared.registry.read();
-                if let Some(tx) = registry.get(&to) {
-                    let _ = tx.send(envelope);
-                }
+                shared.hand_over(envelope);
             }
             return Ok(id);
         }
@@ -282,7 +284,10 @@ impl<M: NetMessage> NetHandle<M> {
         from: NodeId,
         targets: impl IntoIterator<Item = NodeId>,
         payload: M,
-    ) -> RainbowResult<usize> {
+    ) -> RainbowResult<usize>
+    where
+        M: Clone,
+    {
         let mut sent = 0;
         for to in targets {
             self.send(from, to, payload.clone())?;
@@ -294,6 +299,18 @@ impl<M: NetMessage> NetHandle<M> {
     /// The fault controller shared with this network.
     pub fn faults(&self) -> Arc<FaultController> {
         Arc::clone(&self.shared.faults)
+    }
+
+    /// Puts `payload` into `node`'s mailbox from `node` itself, past faults
+    /// and counters (it reaches a crashed node); dropped if nobody takes it.
+    pub fn post(&self, node: NodeId, payload: M) {
+        let (id, from, to) = (MessageId(0), node, node);
+        self.shared.hand_over(Envelope {
+            id,
+            from,
+            to,
+            payload,
+        });
     }
 
     /// The traffic counters shared with this network.

@@ -11,7 +11,7 @@
 //!   against.
 //!
 //! An engine has one owner, its site's storage, and so one writer: the
-//! site's event loop, or its handle between two drains. The trait is
+//! site's event loop (a handle's call runs there too). The trait is
 //! `Send` (a site's state moves to its loop's thread) but not `Sync`, and
 //! every call that changes the log takes `&mut self`. There is nobody to
 //! coalesce with, so a force is [`StorageEngine::append_forced_many`]: one

@@ -196,10 +196,11 @@ impl VersionedStore {
 /// The durable + volatile storage of one Rainbow site.
 ///
 /// It has one owner, the site's state, and so one writer: the site's event
-/// loop, or its handle between two drains (a diagnostic read, a crash
-/// restart, a copier repair). A checkpoint snapshots the store and rewrites
-/// the log in two steps, so a commit forced between them would lose its log
-/// record; with one writer none can be.
+/// loop, which also runs its handle's calls between two messages (a
+/// diagnostic read, a crash restart, a copier repair). A checkpoint
+/// snapshots the store and rewrites the log in two steps, so a commit
+/// forced between them would lose its log record; with one writer none can
+/// be.
 ///
 /// The methods take `&self` and borrow the store and the engine from one
 /// `RefCell`, once per call (a checkpoint inside a call reuses that

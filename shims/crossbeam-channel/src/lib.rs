@@ -147,8 +147,12 @@ impl<T> Clone for Receiver<T> {
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         if self.inner.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = self.inner.lock();
+            // Last receiver gone: like crossbeam, discard what is queued (a
+            // reply sender inside a queued message then disconnects its
+            // waiter), dropped outside the lock; wake blocked senders.
+            let queued = std::mem::take(&mut self.inner.lock().queue);
             self.inner.writable.notify_all();
+            drop(queued);
         }
     }
 }
@@ -323,6 +327,19 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         assert_eq!(tx.send(5), Err(SendError(5)));
+    }
+
+    #[test]
+    fn the_last_receiver_discards_what_is_queued() {
+        let (tx, rx) = unbounded();
+        let (reply, answer) = unbounded::<u8>();
+        tx.send(reply).unwrap();
+        drop(rx);
+        assert_eq!(
+            answer.recv(),
+            Err(RecvError),
+            "the queued sender is dropped"
+        );
     }
 
     #[test]
