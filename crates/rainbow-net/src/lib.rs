@@ -12,8 +12,10 @@
 //! * [`node`] — the identity of communicating processes (Rainbow sites, the
 //!   name server, workload clients);
 //! * [`network`] — [`network::SimNetwork`], an in-process message-passing
-//!   fabric with a background delivery thread that applies latency, loss,
-//!   partitions and crash faults to every message;
+//!   fabric that applies latency, loss, partitions and crash faults to
+//!   every message; a delayed message waits in a background delivery
+//!   thread, which sleeps to just before its due time and yields the last
+//!   100 µs, so a 500 µs link takes 500 µs and not a timer's slack more;
 //! * [`fault`] — the fault injector handle used by experiments and the
 //!   Session API to crash/recover sites and create/heal partitions while a
 //!   workload is running;

@@ -6,6 +6,15 @@
 //! every message. All traffic is counted in [`NetworkCounters`] so
 //! experiments can report message costs exactly.
 //!
+//! A message on a link with no latency is handed over inside `send`; only
+//! a delayed one goes to the delivery thread, which holds it in a heap by
+//! due time. The thread sleeps until a short margin before the earliest
+//! due time and yields the rest of the wait, because a timed sleep wakes
+//! late by the kernel's timer slack and wake-up latency (75–135 µs on a
+//! 500 µs link). It delivers nothing before its due time. Holding nothing,
+//! it blocks until a message or a stop job comes, so an idle network does
+//! not poll and a shutdown does not wait.
+//!
 //! The payload type is generic: `rainbow-core` instantiates the network with
 //! its protocol message enum. The only requirement is the [`NetMessage`]
 //! trait, which labels messages with a kind (for per-kind counting) and an
@@ -111,7 +120,7 @@ struct Shared<M: NetMessage> {
     faults: Arc<FaultController>,
     counters: Arc<NetworkCounters>,
     registry: RwLock<HashMap<NodeId, Sender<Envelope<M>>>>,
-    scheduler: Sender<ScheduledDelivery<M>>,
+    scheduler: Sender<Job<M>>,
     next_id: AtomicU64,
     next_seq: AtomicU64,
     rng: Mutex<StdRng>,
@@ -263,12 +272,12 @@ impl<M: NetMessage> NetHandle<M> {
             }
             shared.deliver_now(envelope);
         } else {
-            let job = ScheduledDelivery {
+            let job = Job::Deliver(ScheduledDelivery {
                 deliver_at: Instant::now() + latency,
                 seq: shared.next_seq.fetch_add(1, Ordering::Relaxed),
                 envelope,
                 trace,
-            };
+            });
             shared
                 .scheduler
                 .send(job)
@@ -354,7 +363,7 @@ impl<M: NetMessage> SimNetwork<M> {
         faults: Arc<FaultController>,
         tracer: Option<Arc<Tracer>>,
     ) -> Self {
-        let (tx, rx) = unbounded::<ScheduledDelivery<M>>();
+        let (tx, rx) = unbounded::<Job<M>>();
         let seed = config.seed;
         let shared = Arc::new(Shared {
             config,
@@ -421,10 +430,10 @@ impl<M: NetMessage> SimNetwork<M> {
     /// Stops the delivery thread. In-flight delayed messages are dropped.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        // Closing the scheduler channel wakes the delivery thread up.
-        // We cannot drop the sender (it lives in Shared), so we rely on the
-        // shutdown flag plus the timeout in the delivery loop.
         if let Some(handle) = self.delivery_thread.take() {
+            // The scheduler's sender lives in `Shared`, which the thread
+            // holds too, so the channel never closes: a stop job wakes it.
+            let _ = self.shared.scheduler.send(Job::Stop);
             let _ = handle.join();
         }
     }
@@ -436,32 +445,65 @@ impl<M: NetMessage> Drop for SimNetwork<M> {
     }
 }
 
-/// The delivery loop: waits for scheduled messages and delivers them when
-/// their latency has elapsed.
-fn delivery_loop<M: NetMessage>(shared: Arc<Shared<M>>, rx: Receiver<ScheduledDelivery<M>>) {
+/// How much of a wait the delivery thread does not sleep. The kernel wakes
+/// a timed sleeper late by its timer slack (50 µs by default) plus the
+/// scheduler's wake-up latency, about 76 µs at the median on a 2-core VM;
+/// sleeping only until `MARGIN` before a due time and yielding the rest
+/// delivers at the due time instead. On the benchmark's `update_lan`
+/// (500 µs links, 2-core VM) a hop overshot its link by 5.5 µs with 100 µs
+/// and by 33 µs with 60 µs (157 µs sleeping all the way); the yields cost
+/// 372 and 309 µs of CPU per commit (290 µs sleeping all the way).
+const MARGIN: Duration = Duration::from_micros(100);
+
+/// What the delivery thread takes from its scheduler channel.
+enum Job<M> {
+    /// A delayed message to hold until it is due.
+    Deliver(ScheduledDelivery<M>),
+    /// Stop now; what is held is dropped ([`SimNetwork::shutdown`]).
+    Stop,
+}
+
+/// The delivery loop: holds the delayed messages in a heap by due time and
+/// hands each over once its due time has passed, never before.
+///
+/// With nothing held it blocks in `recv` until a job comes. Otherwise it
+/// sleeps until [`MARGIN`] before the earliest due time and then yields
+/// until that time, taking the jobs sent meanwhile between yields: a sleep
+/// to the due time itself wakes late by the kernel's timer slack and
+/// wake-up latency, 75–135 µs a hop on 500 µs links.
+fn delivery_loop<M: NetMessage>(shared: Arc<Shared<M>>, rx: Receiver<Job<M>>) {
     let mut pending: BinaryHeap<Reverse<ScheduledDelivery<M>>> = BinaryHeap::new();
     loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        // How long until the next scheduled delivery?
-        let wait = pending
+        let left = pending
             .peek()
-            .map(|Reverse(job)| {
-                job.deliver_at
-                    .saturating_duration_since(Instant::now())
-                    .min(Duration::from_millis(50))
-            })
-            .unwrap_or(Duration::from_millis(50));
-
-        match rx.recv_timeout(wait) {
-            Ok(job) => pending.push(Reverse(job)),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-        // Drain any additional immediately available jobs.
-        while let Ok(job) = rx.try_recv() {
-            pending.push(Reverse(job));
+            .map(|Reverse(job)| job.deliver_at.saturating_duration_since(Instant::now()));
+        let first = match left {
+            // Nothing held: block until a job comes.
+            None => match rx.recv() {
+                Ok(job) => Some(job),
+                Err(_) => return,
+            },
+            // Sleep until `MARGIN` before the earliest due time...
+            Some(left) if left > MARGIN => match rx.recv_timeout(left - MARGIN) {
+                Ok(job) => Some(job),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => return,
+            },
+            // ...and yield the rest of the wait.
+            Some(left) => {
+                if !left.is_zero() {
+                    std::thread::yield_now();
+                }
+                None
+            }
+        };
+        // Take every job already sent.
+        let sent = std::iter::from_fn(|| rx.try_recv().ok());
+        for job in first.into_iter().chain(sent) {
+            match job {
+                Job::Deliver(delivery) => pending.push(Reverse(delivery)),
+                Job::Stop => return,
+            }
         }
         // Deliver everything that is due.
         let now = Instant::now();
@@ -583,9 +625,68 @@ mod tests {
         net.handle().send(a, b, TestMsg::Ping(7)).unwrap();
         let env = recv_with_timeout(&rx_b, 1000).expect("delayed message never arrived");
         assert_eq!(env.payload, TestMsg::Ping(7));
+        // `start` is taken before `send`, which stamps the due time.
         assert!(
-            start.elapsed() >= Duration::from_millis(25),
+            start.elapsed() >= Duration::from_millis(30),
             "message arrived too early: {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn a_delayed_message_is_never_early_and_keeps_its_order() {
+        let latency = Duration::from_micros(500);
+        let cfg = NetworkConfig::default()
+            .with_default_link(LinkConfig::with_latency(LatencyModel::constant(latency)))
+            .with_seed(1);
+        let net = SimNetwork::<TestMsg>::new(cfg);
+        let a = NodeId::site(0);
+        let b = NodeId::site(1);
+        net.register(a);
+        let rx_b = net.register(b);
+        let handle = net.handle();
+        // Sends spaced a little, so that the delivery thread holds several
+        // messages at once and takes new ones while it waits.
+        let sender = std::thread::spawn(move || {
+            (0..200)
+                .map(|i| {
+                    let sent = Instant::now();
+                    handle.send(a, b, TestMsg::Ping(i)).unwrap();
+                    std::thread::sleep(Duration::from_micros(20));
+                    sent
+                })
+                .collect::<Vec<_>>()
+        });
+        let arrivals: Vec<(u32, Instant)> = (0..200)
+            .map(|_| {
+                let env = recv_with_timeout(&rx_b, 5_000).expect("delayed message never arrived");
+                let TestMsg::Ping(i) = env.payload else {
+                    panic!("unexpected payload {:?}", env.payload)
+                };
+                (i, Instant::now())
+            })
+            .collect();
+        let sent = sender.join().unwrap();
+        for (position, (i, arrived)) in arrivals.into_iter().enumerate() {
+            assert_eq!(
+                i as usize, position,
+                "message {i} arrived out of send order"
+            );
+            let took = arrived - sent[position];
+            assert!(took >= latency, "message {i} arrived after {took:?}");
+        }
+    }
+
+    #[test]
+    fn dropping_an_idle_network_does_not_wait_for_a_poll() {
+        let net = SimNetwork::<TestMsg>::new(NetworkConfig::perfect());
+        // Let the delivery thread go to sleep.
+        std::thread::sleep(Duration::from_millis(5));
+        let start = Instant::now();
+        drop(net);
+        assert!(
+            start.elapsed() < Duration::from_millis(20),
+            "dropping an idle network took {:?}",
             start.elapsed()
         );
     }

@@ -200,6 +200,30 @@ fn an_idle_site_sleeps() {
     txn.commit().unwrap();
 }
 
+/// 200 ms of nothing on a perfect network: its delivery thread holds no
+/// message, so it blocks until one is sent and does not go to sleep again.
+/// A delivery thread polling every 50 ms would sleep about 4 times.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_network_sleeps() {
+    let _turn = take_turn();
+    let before = threads_by_id();
+    let cluster = cluster_on(StorageConfig::memory());
+    let started = started_since(&before);
+    let (&network, _) = started
+        .iter()
+        .find(|(_, name)| *name == "rainbow-net-del")
+        .expect("the network's delivery thread");
+    let asleep_before = sleeps_of(network);
+    std::thread::sleep(Duration::from_millis(200));
+    let slept = sleeps_of(network) - asleep_before;
+    assert!(
+        slept <= 1,
+        "the idle network's delivery thread went to sleep {slept} times in 200 ms"
+    );
+    drop(cluster);
+}
+
 fn increment(client: &mut Client, item: usize) {
     let mut txn = client.begin("increment");
     txn.increment(format!("x{}", item % 8), 1).unwrap();
