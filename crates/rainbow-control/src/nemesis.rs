@@ -66,9 +66,8 @@ pub enum NemesisEvent {
     },
     /// Pull the plug on a site: drop **all** of its volatile state
     /// (including storage-engine buffers), optionally tear or corrupt the
-    /// tail of its durable log, and restart it from the disk image alone
-    /// (with copier catch-up). On the memory engine this degrades to a
-    /// crash+recover. A recovery error — forgotten committed writes show up
+    /// tail of its durable log, and restart it from its log alone (with
+    /// copier catch-up), on either storage medium. A recovery error — forgotten committed writes show up
     /// later as checker violations, corruption before the tail as a typed
     /// error — is collected into [`NemesisReport::event_errors`].
     PowerLoss {
@@ -148,7 +147,7 @@ pub struct NemesisConfig {
     /// Storage engine the cluster under test runs on. Disk engines get a
     /// unique per-run subdirectory so concurrent seeds never share files.
     pub storage: StorageConfig,
-    /// Include power-loss events (kill-and-restart-from-disk, possibly
+    /// Include power-loss events (kill-and-restart-from-the-log, possibly
     /// with a torn or corrupted log tail) in generated schedules.
     pub power_loss: bool,
 }

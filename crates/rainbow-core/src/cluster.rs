@@ -52,10 +52,10 @@ pub struct ClusterConfig {
     /// case no tracer is constructed anywhere and every instrumentation
     /// point reduces to a `None` check.
     pub tracing: TraceConfig,
-    /// Storage engine every site runs on: the in-memory simulated WAL (the
-    /// fast deterministic default) or the on-disk log-structured engine.
+    /// Storage medium every site's log runs on: byte vectors in memory (the
+    /// fast default) or segment files on disk; the log engine is the same.
     /// [`ClusterConfig::quick`] reads the `RAINBOW_ENGINE` environment
-    /// variable so the whole test suite can be pointed at either engine.
+    /// variable so the whole test suite can be pointed at either medium.
     pub storage: StorageConfig,
 }
 
@@ -459,13 +459,12 @@ impl Cluster {
     /// [`Cluster::recover_site_with_catchup`]: marks the site crashed,
     /// drops **all** of its volatile state (including anything its storage
     /// engine had buffered but not yet synced), optionally injects a torn
-    /// or corrupted tail write into its log, restarts it from the disk
-    /// image alone, and rejoins the network with the same two-pass copier
-    /// catch-up. Like a crash restart, it is a call on the site's loop,
-    /// between two messages.
+    /// or corrupted tail write into its log, restarts it from its log alone,
+    /// and rejoins the network with the same two-pass copier catch-up.
+    /// Like a crash restart, it is a call on the site's loop, between two
+    /// messages. The memory medium tears like a file.
     ///
-    /// On the memory engine the fault degrades to a plain crash+recover
-    /// (the simulated log has no tail to tear). Recovery errors — e.g. a
+    /// Recovery errors — e.g. a
     /// corrupted record *before* the log tail — surface as typed
     /// [`RainbowError::CorruptLog`] values rather than panics.
     pub fn power_loss_site(&self, site: SiteId, fault: PowerLossFault) -> RainbowResult<()> {

@@ -600,9 +600,8 @@ impl SiteHandle {
     /// The power-loss nemesis: drops **all** of the site's volatile state —
     /// including whatever the durable engine had buffered but not yet
     /// synced — optionally injecting a torn or corrupted tail write into
-    /// the log, then restarts the site from the disk image alone. On the
-    /// memory engine this degrades to [`SiteHandle::recover_from_crash`]
-    /// (its simulated log has no tail to tear).
+    /// the log, then restarts the site from its log alone, on either
+    /// storage medium.
     ///
     /// The restart is a call, so no message is handled half before and half
     /// after it. Errors surface recovery failures: a corrupted record

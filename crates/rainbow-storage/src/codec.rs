@@ -148,31 +148,35 @@ const VALUE_BYTES: u8 = 4;
 /// Encodes one record as a payload (no frame header).
 pub fn encode_record(record: &LogRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
+    put_record(&mut out, record);
+    out
+}
+
+fn put_record(out: &mut Vec<u8>, record: &LogRecord) {
     match record {
         LogRecord::Begin { txn } => {
             out.push(TAG_BEGIN);
-            put_txn(&mut out, *txn);
+            put_txn(out, *txn);
         }
         LogRecord::Prepare { txn, writes } => {
             out.push(TAG_PREPARE);
-            put_txn(&mut out, *txn);
-            put_writes(&mut out, writes);
+            put_txn(out, *txn);
+            put_writes(out, writes);
         }
         LogRecord::Commit { txn, writes } => {
             out.push(TAG_COMMIT);
-            put_txn(&mut out, *txn);
-            put_writes(&mut out, writes);
+            put_txn(out, *txn);
+            put_writes(out, writes);
         }
         LogRecord::Abort { txn } => {
             out.push(TAG_ABORT);
-            put_txn(&mut out, *txn);
+            put_txn(out, *txn);
         }
         LogRecord::Checkpoint { state } => {
             out.push(TAG_CHECKPOINT);
-            put_writes(&mut out, state);
+            put_writes(out, state);
         }
     }
-    out
 }
 
 /// Decodes one record payload. The whole payload must be consumed;
@@ -210,12 +214,23 @@ pub fn decode_record(payload: &[u8]) -> Result<LogRecord, CodecError> {
 
 /// Encodes one record as a complete frame (header + payload).
 pub fn encode_frame(record: &LogRecord) -> Vec<u8> {
-    let payload = encode_record(record);
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + 32);
+    append_frame(&mut frame, record);
     frame
+}
+
+/// Appends one record to `out` as a complete frame, encoding the payload
+/// in place and then filling in the header.
+pub fn append_frame(out: &mut Vec<u8>, record: &LogRecord) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    put_record(out, record);
+    let payload = &out[start + FRAME_HEADER_LEN..];
+    let header = [
+        (payload.len() as u32).to_le_bytes(),
+        crc32(payload).to_le_bytes(),
+    ];
+    out[start..start + FRAME_HEADER_LEN].copy_from_slice(header.as_flattened());
 }
 
 /// Decodes the frame starting at `offset` in `buf`. On success returns the

@@ -1,41 +1,28 @@
-//! The pluggable storage-engine boundary.
+//! Storage selection and the power-loss fault model.
 //!
-//! A [`StorageEngine`] is the durable half of a site: everything below the
-//! versioned in-memory store. Two engines implement it:
+//! Every site runs one log engine, [`crate::disk::DiskEngine`]; what a
+//! [`StorageConfig`] chooses is the *medium* its segments live on
+//! ([`EngineKind`]): byte vectors in memory (the fast default for tests
+//! and protocol experiments) or files in a directory (real `fsync`s, and
+//! the data outlives the process). Both frame, checksum, rotate, compact
+//! and tear alike.
 //!
-//! * [`MemoryEngine`] — the original simulated WAL ([`WriteAheadLog`]):
-//!   fast, deterministic, "durability" is a forced prefix of a `Vec`. The
-//!   default for tests and protocol experiments.
-//! * [`crate::disk::DiskEngine`] — append-only CRC-checked segment files
-//!   with rotation and compaction. The engine the power-loss chaos runs
-//!   against.
-//!
-//! An engine has one owner, its site's storage, and so one writer: the
-//! site's event loop (a handle's call runs there too). The trait is
-//! `Send` (a site's state moves to its loop's thread) but not `Sync`, and
-//! every call that changes the log takes `&mut self`. There is nobody to
-//! coalesce with, so a force is [`StorageEngine::append_forced_many`]: one
-//! force for what a drain forces together, and a lone commit is a group of
-//! one.
-//!
-//! Engine selection and tuning live in [`StorageConfig`], which rides in
-//! `ClusterConfig` so a whole cluster (and the nemesis) can be pointed at
-//! either engine with one knob or the `RAINBOW_ENGINE` environment
-//! variable.
+//! The config rides in `ClusterConfig`, so a whole cluster (and the
+//! nemesis) can be pointed at either medium with one knob or the
+//! `RAINBOW_ENGINE` environment variable.
 
-use crate::recovery::RecoveryOutcome;
-use crate::wal::{LogRecord, WriteAheadLog};
-use rainbow_common::{ItemId, RainbowResult, Value, Version};
+use rainbow_common::RainbowResult;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Which engine implementation a site runs on.
+/// Which medium a site's log lives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The in-memory simulated WAL (fast, deterministic default).
+    /// Segments as byte vectors in memory (the fast default): lost with
+    /// the process, torn and compacted like files.
     Memory,
-    /// The on-disk log-structured engine (real files, real fsync).
+    /// Segment files in a directory (real files, real fsync).
     Disk,
 }
 
@@ -57,10 +44,10 @@ impl EngineKind {
 pub enum PowerLossFault {
     /// Volatile state is lost; the durable log is intact.
     Clean,
-    /// The record being written when power died reached the disk only
+    /// The record being written when power died reached the medium only
     /// partially: the active segment ends mid-frame.
     TornWrite,
-    /// The record reached the disk complete but damaged: the active
+    /// The record reached the medium complete but damaged: the active
     /// segment ends with a full frame whose CRC cannot match.
     CorruptWrite,
 }
@@ -83,19 +70,22 @@ impl PowerLossFault {
     }
 }
 
-/// Storage-engine selection and tuning for every site of a cluster.
+/// Storage medium selection and log sizing for every site of a cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StorageConfig {
-    /// Which engine to run.
+    /// Which medium the log lives on.
     pub engine: EngineKind,
-    /// Root directory for disk engines; each site stores its segments in
-    /// `<data_dir>/site-<id>/`. Required when `engine` is
-    /// [`EngineKind::Disk`], ignored for memory.
+    /// Root directory of the segment files; each site stores its segments
+    /// in `<data_dir>/site-<id>/`. Required when `engine` is
+    /// [`EngineKind::Disk`]; a memory medium has no directory and ignores
+    /// it.
     pub data_dir: Option<PathBuf>,
-    /// Rotate the active segment once it grows past this many bytes.
+    /// Rotate the active segment once it grows past this many bytes (on
+    /// either medium).
     pub segment_max_bytes: u64,
     /// Compact (checkpoint into a fresh segment, drop the old ones) once
-    /// the total on-disk log grows past this many bytes.
+    /// the whole log grows past this many bytes (on either medium, so a
+    /// memory site's log is bounded too).
     pub compaction_threshold_bytes: u64,
     /// Remove the data directory when the cluster shuts down. Set by
     /// [`StorageConfig::from_env`] for throwaway test runs; leave `false`
@@ -112,7 +102,7 @@ impl Default for StorageConfig {
 static EPHEMERAL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl StorageConfig {
-    /// The in-memory engine (the fast deterministic default).
+    /// The memory medium (the fast default).
     pub fn memory() -> Self {
         StorageConfig {
             engine: EngineKind::Memory,
@@ -123,7 +113,7 @@ impl StorageConfig {
         }
     }
 
-    /// The disk engine rooted at `data_dir`.
+    /// Segment files rooted at `data_dir`.
     pub fn disk(data_dir: impl Into<PathBuf>) -> Self {
         StorageConfig {
             engine: EngineKind::Disk,
@@ -132,11 +122,11 @@ impl StorageConfig {
         }
     }
 
-    /// Engine selection from the `RAINBOW_ENGINE` environment variable:
-    /// `disk` gives a disk engine in a fresh ephemeral directory under the
+    /// Medium selection from the `RAINBOW_ENGINE` environment variable:
+    /// `disk` gives segment files in a fresh ephemeral directory under the
     /// system temp dir (removed at cluster shutdown); anything else (or
-    /// unset) gives the memory engine. This is how the CI matrix points
-    /// the whole test suite at either engine without touching code.
+    /// unset) gives the memory medium. This is how the CI matrix points
+    /// the whole test suite at either medium without touching code.
     pub fn from_env() -> Self {
         match std::env::var("RAINBOW_ENGINE").as_deref() {
             Ok("disk") => {
@@ -164,7 +154,7 @@ impl StorageConfig {
         self
     }
 
-    /// Checks internal consistency (a disk engine needs a directory).
+    /// Checks internal consistency (segment files need a directory).
     pub fn validate(&self) -> RainbowResult<()> {
         if self.engine == EngineKind::Disk && self.data_dir.is_none() {
             return Err(rainbow_common::RainbowError::InvalidConfig(
@@ -180,134 +170,12 @@ impl StorageConfig {
     }
 }
 
-/// The durable log interface a site's storage runs against.
-///
-/// Forced appends are the commit path's "write and flush": the engine must
-/// not acknowledge them before the record would survive a power loss. The
-/// memory engine simulates that with a forced-prefix marker; the disk
-/// engine pays a real `fsync`.
-pub trait StorageEngine: Send + std::fmt::Debug {
-    /// Which engine this is.
-    fn kind(&self) -> EngineKind;
-
-    /// Appends a record without forcing it; it may be lost on power loss.
-    fn append(&mut self, record: LogRecord);
-
-    /// Appends several records and forces the log once for the whole
-    /// group, returning only when every record is durable: a drain's
-    /// prepares, or its commit decisions, share one `fsync`, and a single
-    /// record is a group of one. An empty group forces nothing.
-    fn append_forced_many(&mut self, records: Vec<LogRecord>) {
-        if records.is_empty() {
-            return;
-        }
-        for record in records {
-            self.append(record);
-        }
-        self.force();
-    }
-
-    /// Forces everything appended so far.
-    fn force(&mut self);
-
-    /// Number of force (sync) operations performed. A forced group
-    /// ([`StorageEngine::append_forced_many`]) counts once.
-    fn force_count(&self) -> u64;
-
-    /// Number of records currently in the log (durable or not).
-    fn record_count(&self) -> usize;
-
-    /// Total bytes the log occupies on disk (0 for the memory engine).
-    fn log_bytes(&self) -> u64;
-
-    /// Writes a checkpoint of `state` and compacts the log, retaining
-    /// undecided prepares.
-    fn checkpoint(&mut self, state: Vec<(ItemId, Value, Version)>);
-
-    /// True when the log has grown enough that the caller should
-    /// checkpoint soon.
-    fn wants_compaction(&self) -> bool;
-
-    /// (Re)opens the durable log and replays it: rebuilds the committed
-    /// state and the in-doubt transaction set, truncating a torn or
-    /// corrupt tail. Mid-log damage is a [`rainbow_common::RainbowError::CorruptLog`].
-    fn recover(&mut self) -> RainbowResult<RecoveryOutcome>;
-
-    /// Pulls the plug: all volatile engine state (buffers, unforced
-    /// records) is lost; only what was synced survives. `fault` optionally
-    /// injects a torn or corrupt tail into the durable log, as a real
-    /// power loss would. The engine stays "off" until [`StorageEngine::recover`].
-    fn power_loss(&mut self, fault: PowerLossFault);
-
-    /// Flushes and syncs everything buffered (clean-shutdown path).
-    fn flush_and_sync(&mut self) -> RainbowResult<()>;
-}
-
-/// The in-memory engine: the original simulated [`WriteAheadLog`].
-#[derive(Debug, Default)]
-pub struct MemoryEngine {
-    log: WriteAheadLog,
-}
-
-impl MemoryEngine {
-    /// A fresh, empty memory engine.
-    pub fn new() -> Self {
-        MemoryEngine::default()
-    }
-}
-
-impl StorageEngine for MemoryEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Memory
-    }
-
-    fn append(&mut self, record: LogRecord) {
-        self.log.append(record);
-    }
-
-    fn force(&mut self) {
-        self.log.force();
-    }
-
-    fn force_count(&self) -> u64 {
-        self.log.force_count()
-    }
-
-    fn record_count(&self) -> usize {
-        self.log.len()
-    }
-
-    fn log_bytes(&self) -> u64 {
-        0
-    }
-
-    fn checkpoint(&mut self, state: Vec<(ItemId, Value, Version)>) {
-        self.log.checkpoint(state);
-    }
-
-    fn wants_compaction(&self) -> bool {
-        false
-    }
-
-    fn recover(&mut self) -> RainbowResult<RecoveryOutcome> {
-        Ok(crate::recovery::recover(&self.log))
-    }
-
-    fn power_loss(&mut self, _fault: PowerLossFault) {
-        // There are no real bytes to tear or flip; losing the unforced
-        // tail is the whole fault model.
-        self.log.simulate_crash();
-    }
-
-    fn flush_and_sync(&mut self) -> RainbowResult<()> {
-        self.log.force();
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::DiskEngine;
+    use crate::medium::MemMedium;
+    use crate::wal::LogRecord;
     use rainbow_common::{SiteId, TxnId};
 
     #[test]
@@ -341,9 +209,12 @@ mod tests {
         assert_eq!(PowerLossFault::CorruptWrite.name(), "corrupt-write");
     }
 
+    /// The memory medium loses an unforced record and tears like a file:
+    /// recovery cuts the torn frame and replays the forced prefix.
     #[test]
     fn memory_engine_power_loss_drops_unforced_tail() {
-        let mut engine = MemoryEngine::new();
+        let mut engine = DiskEngine::new(Box::new(MemMedium::default()), &StorageConfig::memory());
+        engine.recover().unwrap();
         let txn = TxnId::new(SiteId(0), 1);
         engine.append_forced_many(vec![LogRecord::Commit {
             txn,
@@ -354,11 +225,10 @@ mod tests {
         });
         assert_eq!(engine.record_count(), 2);
         engine.power_loss(PowerLossFault::TornWrite);
-        assert_eq!(engine.record_count(), 1);
         let outcome = engine.recover().unwrap();
         assert_eq!(outcome.replayed_records, 1);
-        assert_eq!(engine.kind(), EngineKind::Memory);
-        assert_eq!(engine.log_bytes(), 0);
+        assert_eq!(engine.record_count(), 1);
+        assert!(engine.log_bytes() > 0, "the memory medium holds real bytes");
         assert!(!engine.wants_compaction());
         assert!(engine.flush_and_sync().is_ok());
     }

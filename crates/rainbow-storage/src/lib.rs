@@ -19,28 +19,29 @@
 //!   uncommitted data to disappear.
 //!
 //! The model is therefore: a volatile [`store::VersionedStore`] (lost on
-//! crash) plus a durable log behind the pluggable [`engine::StorageEngine`]
-//! trait, and a [`recovery`] module that rebuilds the store from the log
-//! and reports in-doubt transactions to the commit layer.
+//! crash) plus a durable log, and a [`recovery`] module that rebuilds the
+//! store from the log and reports in-doubt transactions to the commit
+//! layer.
 //!
-//! Two engines implement the trait: the original in-memory simulated WAL
-//! ([`engine::MemoryEngine`], the fast deterministic default) and an
-//! on-disk log-structured engine ([`disk::DiskEngine`]) with CRC-checked
-//! segment files, rotation/compaction and power-loss recovery (torn or
-//! corrupt tails are truncated; mid-log damage is a typed
-//! [`rainbow_common::RainbowError::CorruptLog`]).
+//! There is one log engine, [`disk::DiskEngine`]: CRC-checked frames
+//! ([`codec`]) in segments with rotation, compaction and power-loss
+//! recovery (torn or corrupt tails are truncated; mid-log damage is a
+//! typed [`rainbow_common::RainbowError::CorruptLog`]). Its bytes live on a
+//! [`medium::Medium`]: segment files ([`medium::FileMedium`]) or byte
+//! vectors in memory ([`medium::MemMedium`], the fast default). The same
+//! code frames, tears, compacts and recovers on both, as FoundationDB's
+//! simulated disk runs its storage code over simulated bytes.
 //!
 //! A site's [`SiteStorage`] is part of the site's state, which the site's
 //! event loop holds one drain at a time, so the storage layer has one owner
 //! and takes no lock, starts no thread and waits on no one. The store is a
-//! plain value, an engine is plain fields behind a `Send` (not `Sync`)
-//! trait whose writes take `&mut self`, the memory engine's log is not
-//! shared, and [`SiteStorage`] holds the store and the engine in one
-//! `RefCell` — neither `Sync` nor `Clone`, so the one-owner rule is the
-//! compiler's to check. Every force is a group,
-//! [`engine::StorageEngine::append_forced_many`], and a lone commit is a
-//! group of one. A checkpoint runs inline, in the commit that outgrew the
-//! threshold.
+//! plain value, the engine and its medium are plain fields whose writes
+//! take `&mut self` (a medium is `Send`, not `Sync`), and [`SiteStorage`]
+//! holds the store and the engine in one `RefCell` — neither `Sync` nor
+//! `Clone`, so the one-owner rule is the compiler's to check. Every force
+//! is a group, [`disk::DiskEngine::append_forced_many`], and a lone commit
+//! is a group of one. A checkpoint runs inline, in the commit that outgrew
+//! the threshold.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,12 +49,14 @@
 pub mod codec;
 pub mod disk;
 pub mod engine;
+pub mod medium;
 pub mod recovery;
 pub mod store;
 pub mod wal;
 
 pub use disk::DiskEngine;
-pub use engine::{EngineKind, MemoryEngine, PowerLossFault, StorageConfig, StorageEngine};
-pub use recovery::{recover, replay, RecoveryOutcome};
+pub use engine::{EngineKind, PowerLossFault, StorageConfig};
+pub use medium::{FileMedium, Medium, MemMedium};
+pub use recovery::{replay, RecoveryOutcome};
 pub use store::{CopyState, SiteStorage, VersionedStore};
-pub use wal::{LogRecord, LogSequence, WriteAheadLog};
+pub use wal::LogRecord;

@@ -9,7 +9,9 @@
 //! transaction, and so is the commit of a transaction that crash recovery
 //! found in doubt (its recovered writes are staged, then committed).
 
-use crate::engine::{EngineKind, MemoryEngine, PowerLossFault, StorageConfig, StorageEngine};
+use crate::disk::DiskEngine;
+use crate::engine::{EngineKind, PowerLossFault, StorageConfig};
+use crate::medium::{FileMedium, Medium, MemMedium};
 use crate::recovery::RecoveryOutcome;
 use crate::wal::LogRecord;
 use rainbow_common::{
@@ -207,10 +209,9 @@ impl VersionedStore {
 /// borrow). `SiteStorage` is `Send` but neither `Sync` nor `Clone`: the
 /// one-owner rule is checked by the compiler.
 ///
-/// The durable half is a pluggable [`StorageEngine`]: the in-memory
-/// simulated WAL by default ([`SiteStorage::new`]), or the on-disk
-/// log-structured engine when opened from a [`StorageConfig`] that selects
-/// it ([`SiteStorage::open`]).
+/// The durable half is the log engine, [`DiskEngine`], over the medium the
+/// [`StorageConfig`] chooses ([`SiteStorage::open`]): byte vectors in
+/// memory by default ([`SiteStorage::new`]), or segment files.
 #[derive(Debug)]
 pub struct SiteStorage {
     site: SiteId,
@@ -223,7 +224,7 @@ pub struct SiteStorage {
 #[derive(Debug)]
 struct Parts {
     store: VersionedStore,
-    engine: Box<dyn StorageEngine>,
+    engine: DiskEngine,
 }
 
 impl Parts {
@@ -237,46 +238,42 @@ impl Parts {
 type WriteSet = Vec<(ItemId, Value, Version)>;
 
 impl SiteStorage {
-    /// Creates empty storage for `site` on the in-memory engine.
+    /// Creates empty storage for `site` on a fresh memory medium.
     pub fn new(site: SiteId) -> Self {
-        SiteStorage::with_engine(site, Box::new(MemoryEngine::new()), None)
-    }
-
-    fn with_engine(
-        site: SiteId,
-        engine: Box<dyn StorageEngine>,
-        tracer: Option<Arc<rainbow_trace::Tracer>>,
-    ) -> Self {
-        let store = VersionedStore::new();
-        let parts = RefCell::new(Parts { store, engine });
-        SiteStorage {
-            site,
-            parts,
-            tracer,
-        }
+        let (storage, _) = SiteStorage::open(site, &StorageConfig::memory(), None)
+            .expect("a fresh memory medium recovers to empty");
+        storage
     }
 
     /// Opens storage for `site` per `config` and recovers whatever the
-    /// engine's durable log already holds: a disk engine reopening an
-    /// existing data directory comes back with its committed state and
-    /// in-doubt transactions; a fresh directory (or the memory engine)
-    /// recovers to empty. Returns the storage plus the recovery outcome so
-    /// the commit layer can chase the restored in-doubt transactions.
+    /// medium already holds: segment files reopened from an existing data
+    /// directory come back with their committed state and in-doubt
+    /// transactions; a fresh directory (or a memory medium) recovers to
+    /// empty. Returns the storage plus the recovery outcome so the commit
+    /// layer can chase the restored in-doubt transactions.
     pub fn open(
         site: SiteId,
         config: &StorageConfig,
         tracer: Option<Arc<rainbow_trace::Tracer>>,
     ) -> RainbowResult<(Self, RecoveryOutcome)> {
         config.validate()?;
-        let engine: Box<dyn StorageEngine> = match config.engine {
-            EngineKind::Memory => Box::new(MemoryEngine::new()),
+        let medium: Box<dyn Medium> = match config.engine {
+            EngineKind::Memory => Box::new(MemMedium::default()),
             EngineKind::Disk => {
                 let root = config.data_dir.as_ref().expect("validated above");
                 let dir = root.join(format!("site-{}", site.0));
-                Box::new(crate::disk::DiskEngine::new(dir, config, tracer.clone()))
+                Box::new(FileMedium::new(dir, tracer.clone()))
             }
         };
-        let storage = SiteStorage::with_engine(site, engine, tracer);
+        let parts = Parts {
+            store: VersionedStore::new(),
+            engine: DiskEngine::new(medium, config),
+        };
+        let storage = SiteStorage {
+            site,
+            parts: RefCell::new(parts),
+            tracer,
+        };
         let outcome = storage.recover()?;
         Ok((storage, outcome))
     }
@@ -317,17 +314,12 @@ impl SiteStorage {
         self.site
     }
 
-    /// Which engine kind this storage runs on.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.parts.borrow().engine.kind()
-    }
-
-    /// Number of records in the engine's log (durable or not).
+    /// Number of records in the log (durable or not).
     pub fn record_count(&self) -> usize {
         self.parts.borrow().engine.record_count()
     }
 
-    /// Number of force (sync) operations the engine performed. A
+    /// Number of force (sync) operations the log performed. A
     /// [`SiteStorage::prepare_many`] or [`SiteStorage::commit_many`] group
     /// counts once.
     pub fn force_count(&self) -> u64 {
@@ -814,6 +806,24 @@ mod tests {
             assert_eq!(storage.snapshot(), committed, "round {round} lost a commit");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A memory site compacts its log like a disk site: a long run of
+    /// commits leaves a bounded number of records, not one per force.
+    #[test]
+    fn a_memory_sites_log_is_bounded() {
+        let config = StorageConfig::memory().with_compaction_threshold(1 << 16);
+        let (storage, _) = SiteStorage::open(SiteId(0), &config, None).unwrap();
+        storage.initialize(&[(item("x"), Value::Int(0))]);
+        let mut most = 0;
+        for seq in 1..=100_000u64 {
+            let t = txn(seq);
+            storage.stage_write(t, item("x"), Value::Int(seq as i64), Version(seq));
+            storage.prepare(t);
+            storage.commit(t);
+            most = most.max(storage.record_count());
+        }
+        assert!(most < 5_000, "the log reached {most} records");
     }
 
     #[test]

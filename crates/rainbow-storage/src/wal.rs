@@ -1,21 +1,13 @@
-//! The write-ahead log.
+//! The write-ahead log's records.
 //!
-//! The log is the *durable* half of a Rainbow site: it survives simulated
-//! crashes while the in-memory store does not. Records are appended in
-//! order and the commit layer *forces* the log (a no-op flush in this
-//! in-memory simulation, but the call sites are exactly where a real system
-//! would `fsync`) before acknowledging prepares and commits.
-//!
-//! The log belongs to the [`crate::MemoryEngine`] that wraps it, and the
-//! engine to its site's storage: one writer, so every change takes
-//! `&mut self` and nothing is locked.
+//! The log is the *durable* half of a Rainbow site: it survives crashes
+//! while the in-memory store does not. Records are appended in order and
+//! the commit layer *forces* the log before acknowledging prepares and
+//! commits. [`crate::disk::DiskEngine`] frames them ([`crate::codec`]) onto
+//! its medium; [`crate::recovery::replay`] reads them back.
 
 use rainbow_common::{ItemId, TxnId, Value, Version};
 use serde::{Deserialize, Serialize};
-
-/// Position of a record in the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct LogSequence(pub u64);
 
 /// One log record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,98 +71,12 @@ impl LogRecord {
     }
 }
 
-/// An append-only write-ahead log. It has one writer, the engine that owns
-/// it, so it is a plain value: no lock, and no clone to share it through.
-#[derive(Debug, Default)]
-pub struct WriteAheadLog {
-    records: Vec<LogRecord>,
-    forced_up_to: usize,
-    force_count: u64,
-}
-
-impl WriteAheadLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        WriteAheadLog::default()
-    }
-
-    /// Appends a record and returns its sequence number. The record is in
-    /// the log buffer but not yet forced.
-    pub fn append(&mut self, record: LogRecord) -> LogSequence {
-        self.records.push(record);
-        LogSequence(self.records.len() as u64 - 1)
-    }
-
-    /// Appends a record and forces the log up to and including it. This is
-    /// the "write and flush" path used for prepare and commit records.
-    pub fn append_forced(&mut self, record: LogRecord) -> LogSequence {
-        let sequence = self.append(record);
-        self.force();
-        sequence
-    }
-
-    /// Forces everything appended so far.
-    pub fn force(&mut self) {
-        self.forced_up_to = self.records.len();
-        self.force_count += 1;
-    }
-
-    /// Number of records in the log (forced or not).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the log holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Number of force (flush) operations performed, an indicator of commit
-    /// path I/O cost reported by the ACP ablation experiment.
-    pub fn force_count(&self) -> u64 {
-        self.force_count
-    }
-
-    /// Every record that would survive a crash, i.e. the forced prefix of
-    /// the log, borrowed in place. Unforced tail records are lost by
-    /// [`WriteAheadLog::simulate_crash`].
-    pub fn durable_records(&self) -> &[LogRecord] {
-        &self.records[..self.forced_up_to]
-    }
-
-    /// Simulates a crash: the unforced tail of the log is lost, mirroring a
-    /// real system losing its in-memory log buffer.
-    pub fn simulate_crash(&mut self) {
-        self.records.truncate(self.forced_up_to);
-    }
-
-    /// Writes a checkpoint record containing `state` and forces it, then
-    /// truncates everything *before* the checkpoint (log compaction). The
-    /// prepares of transactions not yet decided are kept after it: they
-    /// may still be in doubt.
-    pub fn checkpoint(&mut self, state: Vec<(ItemId, Value, Version)>) {
-        let decided: std::collections::BTreeSet<TxnId> = self
-            .records
-            .iter()
-            .filter_map(|record| match record {
-                LogRecord::Commit { txn, .. } | LogRecord::Abort { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        let undecided: Vec<LogRecord> = self
-            .records
-            .drain(..)
-            .filter(|r| matches!(r, LogRecord::Prepare { txn, .. } if !decided.contains(txn)))
-            .collect();
-        self.records.push(LogRecord::Checkpoint { state });
-        self.records.extend(undecided);
-        self.force();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::DiskEngine;
+    use crate::engine::{PowerLossFault, StorageConfig};
+    use crate::medium::MemMedium;
     use rainbow_common::SiteId;
 
     fn txn(seq: u64) -> TxnId {
@@ -181,47 +87,43 @@ mod tests {
         ItemId::new(name)
     }
 
-    #[test]
-    fn append_assigns_increasing_sequence_numbers() {
-        let mut log = WriteAheadLog::new();
-        assert!(log.is_empty());
-        let a = log.append(LogRecord::Begin { txn: txn(1) });
-        let b = log.append(LogRecord::Abort { txn: txn(1) });
-        assert!(a < b);
-        assert_eq!(log.len(), 2);
+    /// An opened log engine over a fresh memory medium.
+    fn log() -> DiskEngine {
+        let mut log = DiskEngine::new(Box::new(MemMedium::default()), &StorageConfig::memory());
+        log.recover().unwrap();
+        log
     }
 
     #[test]
     fn unforced_tail_is_lost_on_crash() {
-        let mut log = WriteAheadLog::new();
-        log.append_forced(LogRecord::Begin { txn: txn(1) });
+        let mut log = log();
+        log.append_forced_many(vec![LogRecord::Begin { txn: txn(1) }]);
         log.append(LogRecord::Begin { txn: txn(2) }); // not forced
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.durable_records().len(), 1);
+        assert_eq!(log.record_count(), 2);
 
-        log.simulate_crash();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.durable_records()[0].txn(), Some(txn(1)));
+        log.power_loss(PowerLossFault::Clean);
+        assert_eq!(log.recover().unwrap().replayed_records, 1);
+        assert_eq!(log.record_count(), 1);
     }
 
     #[test]
     fn force_makes_tail_durable() {
-        let mut log = WriteAheadLog::new();
+        let mut log = log();
         log.append(LogRecord::Begin { txn: txn(1) });
-        log.force();
-        log.simulate_crash();
-        assert_eq!(log.len(), 1);
+        log.flush_and_sync().unwrap();
+        log.power_loss(PowerLossFault::Clean);
+        assert_eq!(log.recover().unwrap().replayed_records, 1);
         assert_eq!(log.force_count(), 1);
     }
 
     #[test]
     fn append_forced_counts_forces() {
-        let mut log = WriteAheadLog::new();
-        log.append_forced(LogRecord::Begin { txn: txn(1) });
-        log.append_forced(LogRecord::Commit {
+        let mut log = log();
+        log.append_forced_many(vec![LogRecord::Begin { txn: txn(1) }]);
+        log.append_forced_many(vec![LogRecord::Commit {
             txn: txn(1),
             writes: vec![],
-        });
+        }]);
         assert_eq!(log.force_count(), 2);
     }
 
@@ -250,25 +152,32 @@ mod tests {
 
     #[test]
     fn checkpoint_compacts_but_keeps_undecided_prepares() {
-        let mut log = WriteAheadLog::new();
+        let mut log = log();
         // T1 fully decided, T2 prepared but in doubt.
-        log.append_forced(LogRecord::Prepare {
+        log.append_forced_many(vec![LogRecord::Prepare {
             txn: txn(1),
             writes: vec![(item("x"), Value::Int(1), Version(1))],
-        });
-        log.append_forced(LogRecord::Commit {
+        }]);
+        log.append_forced_many(vec![LogRecord::Commit {
             txn: txn(1),
             writes: vec![(item("x"), Value::Int(1), Version(1))],
-        });
-        log.append_forced(LogRecord::Prepare {
+        }]);
+        log.append_forced_many(vec![LogRecord::Prepare {
             txn: txn(2),
             writes: vec![(item("y"), Value::Int(2), Version(1))],
-        });
+        }]);
 
         log.checkpoint(vec![(item("x"), Value::Int(1), Version(1))]);
-        let records = log.durable_records();
-        assert_eq!(records.len(), 2, "checkpoint + in-doubt prepare expected");
-        assert!(matches!(records[0], LogRecord::Checkpoint { .. }));
-        assert!(matches!(&records[1], LogRecord::Prepare { txn: t, .. } if *t == txn(2)));
+        assert_eq!(
+            log.record_count(),
+            2,
+            "checkpoint + in-doubt prepare expected"
+        );
+        log.power_loss(PowerLossFault::Clean);
+        let outcome = log.recover().unwrap();
+        assert_eq!(outcome.replayed_records, 2);
+        assert_eq!(outcome.in_doubt.len(), 1);
+        assert_eq!(outcome.in_doubt[0].txn, txn(2));
+        assert_eq!(outcome.state[&item("x")].value, Value::Int(1));
     }
 }

@@ -13,7 +13,7 @@ use rainbow_common::protocol::{AcpKind, DeadlockPolicy};
 use rainbow_common::stats::LatencyStats;
 use rainbow_common::{ItemId, SiteId, Timestamp, TxnId, Value, Version};
 use rainbow_replication::{QuorumConsensus, QuorumResponse, ReplicationControl};
-use rainbow_storage::{LogRecord, WriteAheadLog};
+use rainbow_storage::{DiskEngine, LogRecord, MemMedium, PowerLossFault, StorageConfig};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -117,13 +117,16 @@ proptest! {
     }
 
     /// Replaying a write-ahead log is idempotent and never loses the last
-    /// committed version of an item.
+    /// committed version of an item, whatever the power loss did to the
+    /// log's tail.
     #[test]
     fn wal_replay_is_idempotent_and_monotonic(
         commits in prop::collection::vec((0u64..20, -100i64..100), 1..40),
         crash_after in 0usize..40,
+        fault in 0usize..PowerLossFault::ALL.len(),
     ) {
-        let mut log = WriteAheadLog::new();
+        let mut log = DiskEngine::new(Box::new(MemMedium::default()), &StorageConfig::memory());
+        log.recover().expect("a fresh medium recovers");
         log.checkpoint(vec![(ItemId::new("x"), Value::Int(0), Version(0))]);
         let mut last_committed = Value::Int(0);
         let mut last_version = Version(0);
@@ -134,7 +137,7 @@ proptest! {
                 writes: vec![(ItemId::new("x"), Value::Int(*value), version)],
             };
             if i < crash_after {
-                log.append_forced(record);
+                log.append_forced_many(vec![record]);
                 last_committed = Value::Int(*value);
                 last_version = version;
             } else {
@@ -142,9 +145,10 @@ proptest! {
                 log.append(record);
             }
         }
-        log.simulate_crash();
-        let once = rainbow_storage::recover(&log);
-        let twice = rainbow_storage::recover(&log);
+        log.power_loss(PowerLossFault::ALL[fault]);
+        let once = log.recover().expect("a torn tail is cut, not an error");
+        log.power_loss(PowerLossFault::Clean);
+        let twice = log.recover().expect("the cut log recovers again");
         prop_assert_eq!(once.state.clone(), twice.state.clone());
         let state = once.state.get(&ItemId::new("x")).expect("x must exist");
         prop_assert_eq!(&state.value, &last_committed);

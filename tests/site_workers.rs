@@ -5,8 +5,9 @@
 //!
 //! * **a site is exactly one thread** — starting a cluster starts one thread
 //!   per site, the name server's and the network's, and nothing else;
-//! * **an idle site sleeps** — the loop wakes for a message or a deadline,
-//!   and otherwise at its idle cap, never on a polling tick;
+//! * **an idle site sleeps** — the loop wakes for a message or for its
+//!   next deadline (a parked access's, or the janitor's every 200 ms),
+//!   never on a polling tick;
 //! * **no thread per transaction, contended or not** — uncontended update
 //!   and read transactions park nothing, and neither they nor transactions
 //!   that wait for each other's locks move the process's thread count;
@@ -170,9 +171,10 @@ fn a_site_is_exactly_one_thread() {
 }
 
 /// One open conversation, then 200 ms of nothing: a site loop sleeps until
-/// its idle cap (25 ms) when nothing falls due sooner, so the three sites
-/// go to sleep about 3 × 8 times (the janitor runs in those wake-ups).
-/// Loops polling a 1 ms tick would go to sleep some 200 times each.
+/// a message arrives or its next deadline falls due, and with nothing
+/// parked that is the janitor's, every 200 ms. So the three sites go to
+/// sleep about once each (3 here). Loops polling a 1 ms tick would go to
+/// sleep some 200 times each.
 #[cfg(target_os = "linux")]
 #[test]
 fn an_idle_site_sleeps() {
