@@ -500,6 +500,14 @@ impl Session {
         Ok(self.cluster()?.history())
     }
 
+    /// Number of transactions whose coordinator has not retired yet: open,
+    /// or answered and still collecting acknowledgements. A coordinator
+    /// hands its transaction's root span to the tracer when it retires, so
+    /// read the tracer once this is zero.
+    pub fn open_conversations(&self) -> RainbowResult<usize> {
+        Ok(self.cluster()?.open_conversations())
+    }
+
     /// The tracer of the running core; `None` when the session was started
     /// without [`Session::set_tracing`].
     pub fn tracer(&self) -> RainbowResult<Option<std::sync::Arc<rainbow_trace::Tracer>>> {

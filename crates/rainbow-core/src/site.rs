@@ -7,9 +7,16 @@
 //! it next. Both are told the time and only queue what they send, in the
 //! site's one `Outbox`, so a test can drive a `Site` with no thread and no
 //! clock. **The thread shell** ([`SiteHandle`] and its loop) is the site's
-//! one thread, started with the site and joined at shutdown: it sleeps in
-//! the mailbox until a message arrives or `tick`'s deadline passes, steps
-//! what it drained, ticks and flushes. Nothing else is ever created or lent.
+//! thread, started with the site and joined at shutdown: it sleeps in the
+//! mailbox until a message arrives or `tick`'s deadline passes, steps what
+//! it drained, ticks and flushes. When the site's log needs a sync to be
+//! durable (segment files), the shell also starts the site's **syncer**
+//! and joins it at shutdown: the loop writes a group of log records and
+//! keeps serving, the syncer syncs it and tells the loop by a call, and
+//! only what must not leave before the record is durable — a YES vote
+//! behind its prepare record, an acknowledgement behind its commit record
+//! — is held until then. Nothing else is ever created or lent, and no
+//! thread is ever created for a transaction.
 //!
 //! * requests from coordinators — its own or other sites' — are served at
 //!   once. The site never waits: a copy access asks the CCP, which never
@@ -39,7 +46,7 @@
 use crate::coordinator::{Cx, TxnMachine};
 use crate::messages::{CopyAccessResult, Msg, OpReply};
 use crate::metrics::SiteMetrics;
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError};
+use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use rainbow_cc::{make_ccp, CcDecision, CcProtocol, TxnContext};
 use rainbow_commit::{Decision, Participant, ParticipantAction, ParticipantState, Vote};
 use rainbow_common::config::DatabaseSchema;
@@ -53,9 +60,9 @@ use rainbow_common::{
 use rainbow_net::{Envelope, NetHandle, NodeId, Outbox};
 use rainbow_replication::{make_rcp, ReplicationControl};
 use rainbow_storage::recovery::InDoubtTxn;
-use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig};
+use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig, SyncHandle};
 use rainbow_trace::{Meter, Phase, TraceEvent, Tracer, Track};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -199,7 +206,38 @@ struct SiteState {
     /// said they must wait, so the loop asks again after every message it
     /// handled. They die with the CCP they were waiting in.
     parked: Vec<Parked>,
+    /// Messages that may leave only once the log is durable through their
+    /// ticket, in ticket order: YES votes behind their prepare records,
+    /// acknowledgements behind their commit records. A restart drops them:
+    /// they never left.
+    held: VecDeque<Held>,
     home: Home,
+}
+
+/// A message in `SiteState::held`.
+struct Held {
+    ticket: u64,
+    to: NodeId,
+    msg: Msg,
+    /// A YES vote's `acp:vote` span, which ends when the vote leaves.
+    vote: Option<VoteSpan>,
+}
+
+/// Where a vote's `acp:vote` span began, and what its detail reports.
+struct VoteSpan {
+    start_us: u64,
+    writes: usize,
+    group: usize,
+}
+
+impl VoteSpan {
+    /// Ends the span of `txn`'s `vote`, now.
+    fn end(self, shared: &SiteShared, txn: TxnId, vote: Vote) {
+        let (writes, group) = (self.writes, self.group);
+        shared.trace_site_span(txn, Some(Phase::Prepare), "acp:vote", self.start_us, || {
+            format!("{vote:?} ({writes} writes, group of {group})")
+        });
+    }
 }
 
 impl SiteState {
@@ -230,6 +268,7 @@ impl SiteState {
         let floor = Timestamp::new(self.clock.now(), shared.id.0);
         self.ccp.install_recovery_floor(floor);
         self.parked.clear();
+        self.held.clear();
         self.finished
             .extend(self.participants.drain().map(|(txn, _)| txn));
         self.in_doubt = InDoubt::default();
@@ -242,6 +281,48 @@ impl SiteState {
     /// Queues a message in the site's outbox; it leaves when the drain ends.
     fn send(&mut self, to: NodeId, msg: Msg) {
         self.home.out.outbox.push(to, msg);
+    }
+
+    /// Queues a message that may leave only once the log is durable
+    /// through `ticket`: at the first flush after that, or with the drain
+    /// when `ticket` is `None`. A vote's span ends when the vote leaves.
+    fn send_when_durable(
+        &mut self,
+        shared: &SiteShared,
+        ticket: Option<u64>,
+        to: NodeId,
+        msg: Msg,
+        vote: Option<VoteSpan>,
+    ) {
+        match ticket {
+            Some(ticket) => self.held.push_back(Held {
+                ticket,
+                to,
+                msg,
+                vote,
+            }),
+            None => self.release(shared, to, msg, vote),
+        }
+    }
+
+    /// Moves every held message whose ticket is durable into the outbox.
+    fn release_durable(&mut self, shared: &SiteShared) {
+        if self.held.is_empty() {
+            return;
+        }
+        let durable = self.storage.durable();
+        while self.held.front().is_some_and(|held| held.ticket <= durable) {
+            let Held { to, msg, vote, .. } = self.held.pop_front().expect("a front");
+            self.release(shared, to, msg, vote);
+        }
+    }
+
+    /// Queues a message that may leave, ending its vote's span.
+    fn release(&mut self, shared: &SiteShared, to: NodeId, msg: Msg, vote: Option<VoteSpan>) {
+        if let (Some(span), Msg::AcpVote { txn, vote }) = (vote, &msg) {
+            span.end(shared, *txn, *vote);
+        }
+        self.send(to, msg);
     }
 
     /// Settles a transaction crash recovery found in doubt, now that its
@@ -323,6 +404,7 @@ impl Site {
             finished: HashSet::new(),
             in_doubt: InDoubt::default(),
             parked: Vec::new(),
+            held: VecDeque::new(),
             home: Home::default(),
         };
         state.restart(&shared, outcome.in_doubt);
@@ -363,9 +445,30 @@ impl Site {
         due.fold(self.janitor_due, Instant::min)
     }
 
-    /// Sends what the drain queued; `drained` is how many messages it had.
+    /// Notes that a sync made the log durable through `ticket` (the held
+    /// messages it covers leave at the next flush). A sync that failed
+    /// takes the site down: after a failed fsync the kernel may have
+    /// dropped the written pages, so nothing can vouch for them.
+    fn synced(&mut self, ticket: u64, result: std::io::Result<()>) {
+        result.expect("log engine: sync failed; cannot guarantee durability");
+        self.state.storage.synced(ticket);
+    }
+
+    /// The power-loss nemesis on this site: drops every volatile thing,
+    /// injects `fault` into the log, and restarts the site from its log.
+    fn power_loss(&mut self, fault: PowerLossFault) -> RainbowResult<()> {
+        let storage = &self.state.storage;
+        storage.power_loss(fault);
+        let outcome = storage.recover()?;
+        self.state.restart(&self.shared, outcome.in_doubt);
+        Ok(())
+    }
+
+    /// Sends what the drain queued, and every held message the log is now
+    /// durable for; `drained` is how many messages the drain had.
     fn flush(&mut self, drained: u64) {
         let shared = &self.shared;
+        self.state.release_durable(shared);
         let tracer = shared.tracer.as_ref();
         if let Some(tracer) = tracer.filter(|_| drained > 0) {
             tracer.record_meter(Meter::ReactorQueueDepth, drained);
@@ -378,19 +481,20 @@ impl Site {
     }
 
     /// Shuts the site down at `now`: every machine still alive fails
-    /// site-down and what that queued leaves (what is parked or still in the
-    /// mailbox is dropped unanswered); then the engine is flushed and
-    /// fsynced, so a reopened data directory has every record appended.
+    /// site-down; the engine is flushed and fsynced, so a reopened data
+    /// directory has every record appended; then what was queued and what
+    /// was held for the sync leaves (what is parked or still in the
+    /// mailbox is dropped unanswered).
     fn close(mut self, now: Instant) {
         let (shared, out) = (&self.shared, &mut self.state.home.out);
         for (_, mut machine) in self.state.home.machines.drain() {
             machine.fail_site_down(&mut Cx { shared, out, now });
         }
-        self.flush(0);
         if let Err(err) = self.state.storage.flush_and_sync() {
             let id = self.shared.id;
             eprintln!("rainbow: flush on shutdown failed for {id}: {err}");
         }
+        self.flush(0);
     }
 }
 
@@ -441,12 +545,14 @@ impl SiteCaller {
     }
 }
 
-/// Handle to a running Rainbow site: its thread, and the caller every
+/// Handle to a running Rainbow site: its threads, and the caller every
 /// method talks to the site's loop through.
 pub struct SiteHandle {
     pub(crate) caller: SiteCaller,
     metrics: Arc<SiteMetrics>,
     thread: Option<JoinHandle<()>>,
+    /// The site's syncer, when its log needs a sync to be durable.
+    syncer: Option<JoinHandle<()>>,
 }
 
 impl SiteHandle {
@@ -525,14 +631,19 @@ impl SiteHandle {
             tracer,
         };
         let site = Site::open(shared, storage_config, Instant::now())?;
+        let needs_sync = site.state.storage.needs_sync();
+        let (requests, syncer) = needs_sync
+            .then(|| start_syncer(id, caller.net.clone()))
+            .unzip();
         let thread = std::thread::Builder::new()
             .name(format!("rainbow-site-{}", id.0))
-            .spawn(move || run(site, mailbox))
+            .spawn(move || run(site, mailbox, requests))
             .expect("failed to spawn the site loop");
         Ok(SiteHandle {
             caller,
             metrics,
             thread: Some(thread),
+            syncer,
         })
     }
 
@@ -608,13 +719,7 @@ impl SiteHandle {
     /// *before* the tail is a typed [`RainbowError::CorruptLog`], not a
     /// panic; a site whose loop is gone is [`RainbowError::SiteUnavailable`].
     pub fn power_loss(&self, fault: PowerLossFault) -> RainbowResult<()> {
-        self.caller.call(move |site| {
-            let storage = &site.state.storage;
-            storage.power_loss(fault);
-            let outcome = storage.recover()?;
-            site.state.restart(&site.shared, outcome.in_doubt);
-            Ok(())
-        })?
+        self.caller.call(move |site| site.power_loss(fault))?
     }
 
     /// Installs committed copies fetched from live peers — the catch-up
@@ -647,14 +752,18 @@ impl SiteHandle {
         })
     }
 
-    /// Stops the site and joins its thread: the loop, reaching
-    /// [`Msg::Stop`], closes the site (`Site::close`).
+    /// Stops the site and joins its threads: the loop, reaching
+    /// [`Msg::Stop`], closes the site (`Site::close`) and ends, and so its
+    /// syncer's requests end too.
     pub fn shutdown(&mut self) {
         let Some(thread) = self.thread.take() else {
             return;
         };
         self.caller.net.post(NodeId::Site(self.id()), Msg::Stop);
         let _ = thread.join();
+        if let Some(syncer) = self.syncer.take() {
+            let _ = syncer.join();
+        }
     }
 }
 
@@ -664,12 +773,38 @@ impl Drop for SiteHandle {
     }
 }
 
+/// What the loop asks its syncer for: sync the segment the handle holds,
+/// and then say that the log is durable through the ticket.
+type SyncRequest = (u64, SyncHandle);
+
+/// Starts the syncer of site `id`: a thread that waits for the loop's sync
+/// requests, syncs the newest one waiting (a group written while a sync
+/// runs rides the next one), and tells the loop by a call. It ends when
+/// the loop drops the sender.
+fn start_syncer(id: SiteId, net: NetHandle<Msg>) -> (Sender<SyncRequest>, JoinHandle<()>) {
+    let (requests, waiting) = unbounded::<SyncRequest>();
+    let syncer = std::thread::Builder::new()
+        .name(format!("rainbow-sync-{}", id.0))
+        .spawn(move || {
+            while let Ok(oldest) = waiting.recv() {
+                let newer = std::iter::from_fn(|| waiting.try_recv().ok());
+                let (ticket, segment) = newer.last().unwrap_or(oldest);
+                let result = segment.sync();
+                let synced = Call(Box::new(move |site: &mut Site| site.synced(ticket, result)));
+                net.post(NodeId::Site(id), Msg::Call(synced));
+            }
+        })
+        .expect("failed to spawn the site's syncer");
+    (requests, syncer)
+}
+
 /// The thread shell: sleeps in the mailbox until a message arrives or the
 /// last tick's deadline passes; steps what it drained (at most
-/// [`MAX_DRAIN`] messages, each at the time it is taken), ticks and flushes
-/// (and flushes after a step that answered a client, who waits for it).
-/// `Msg::Stop`, or a mailbox nobody can send to, closes the site.
-fn run(mut site: Site, mailbox: Receiver<Envelope<Msg>>) {
+/// [`MAX_DRAIN`] messages, each at the time it is taken), ticks, asks the
+/// syncer (when there is one) to sync what the drain wrote to the log, and
+/// flushes (and flushes after a step that answered a client, who waits for
+/// it). `Msg::Stop`, or a mailbox nobody can send to, closes the site.
+fn run(mut site: Site, mailbox: Receiver<Envelope<Msg>>, syncer: Option<Sender<SyncRequest>>) {
     let mut due = Instant::now();
     loop {
         let first = match mailbox.recv_timeout(due.saturating_duration_since(Instant::now())) {
@@ -692,6 +827,11 @@ fn run(mut site: Site, mailbox: Receiver<Envelope<Msg>>) {
             }
         }
         due = site.tick(Instant::now());
+        if let Some(syncer) = &syncer {
+            if let Some(request) = site.state.storage.sync_request() {
+                let _ = syncer.send(request);
+            }
+        }
         site.flush(drained);
     }
 }
@@ -833,7 +973,7 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, now: Instant, from: Node
         Msg::Batch(msgs) => {
             // A coalesced envelope from a site's outbox flush. Prepares and
             // commit decisions are pulled out and handled as groups so their
-            // WAL forces ride one fsync each; everything else goes through
+            // log records are one write (and one sync) each; everything else goes through
             // the normal per-message path (which also routes any coordinator
             // responses the batch carried).
             let mut prepares = Vec::new();
@@ -1111,9 +1251,11 @@ fn ask_parked_again(shared: &SiteShared, state: &mut SiteState, now: Instant) ->
 /// Handles the PREPARE requests of the commit protocol that arrived in one
 /// envelope (one, or a coalesced batch): each transaction is validated and
 /// staged individually, but the prepare records of every YES-voter are
-/// forced with a **single** [`rainbow_storage::SiteStorage::prepare_many`]
+/// written with a **single** [`rainbow_storage::SiteStorage::prepare_group`]
 /// group append — the group-commit half of the outbox pipeline. The votes
-/// go to the outbox, which sends the coordinator node one envelope.
+/// go to the outbox, which sends the coordinator node one envelope; a YES
+/// vote goes once the group is durable (on segment files, once the
+/// site's syncer has synced it), NO and READ-ONLY votes at once.
 ///
 /// A transaction that wrote nothing here and validates votes **READ-ONLY**:
 /// it is released at once, stages and logs nothing, and leaves — no
@@ -1162,11 +1304,11 @@ fn handle_prepare_batch(
         };
         rounds.push((txn, ctx, vote, writes.len()));
     }
-    // Phase 2: one forced append covers every YES-voter's prepare record —
-    // still strictly before any YES vote leaves this site.
-    state.storage.prepare_many(&yes_voters);
+    // Phase 2: one group holds every YES-voter's prepare record. A YES
+    // vote leaves this site only once the group is durable.
+    let (_, ticket) = state.storage.prepare_group(&yes_voters);
     // Phase 3: advance the participant machines and vote.
-    for (txn, ctx, vote, n_writes) in rounds {
+    for (txn, ctx, vote, writes) in rounds {
         let entry = state.participants.get_mut(&txn);
         let entry = entry.expect("entry ensured above");
         entry.last_activity = now;
@@ -1185,20 +1327,24 @@ fn handle_prepare_batch(
                     state.ccp.commit(&ctx, &[]);
                 }
             }
-            shared.trace_site_span(txn, Some(Phase::Prepare), "acp:vote", prepare_start, || {
-                format!("{vote:?} ({n_writes} writes, group of {group})")
-            });
-            state.send(from, Msg::AcpVote { txn, vote });
+            let span = VoteSpan {
+                start_us: prepare_start,
+                writes,
+                group,
+            };
+            let ticket = ticket.filter(|_| vote == Vote::Yes);
+            let msg = Msg::AcpVote { txn, vote };
+            state.send_when_durable(shared, ticket, from, msg, Some(span));
         }
     }
 }
 
 /// Handles the COMMIT decisions that arrived in one envelope (one, or a
 /// coalesced batch): every participant machine advances individually, then
-/// all the commit records are forced with a single
-/// [`rainbow_storage::SiteStorage::commit_many`] group append, which
-/// installs the writes. The acks go to the outbox, which sends the
-/// coordinator node one envelope.
+/// all the commit records are written with a single
+/// [`rainbow_storage::SiteStorage::commit_group`] group append, which
+/// installs the writes and releases the locks. The acks leave once the
+/// group is durable, in one envelope to the coordinator node.
 fn handle_decision_commit_batch(
     shared: &SiteShared,
     state: &mut SiteState,
@@ -1208,7 +1354,7 @@ fn handle_decision_commit_batch(
     let apply_start = shared.trace_now();
     let group = txns.len();
     let mut to_apply: Vec<(TxnId, TxnContext)> = Vec::with_capacity(group);
-    for txn in txns {
+    for &txn in &txns {
         state.finished.insert(txn);
         if let Some(mut entry) = state.participants.remove(&txn) {
             match entry.machine.on_decision(Decision::Commit) {
@@ -1223,14 +1369,15 @@ fn handle_decision_commit_batch(
         } else {
             state.resolve_in_doubt(txn, Decision::Commit);
         }
-        // Ack even without a participant entry (already applied, cleaned
-        // up, or crashed and recovered — then the decision may be the answer
-        // an in-doubt transaction is waiting for), so the coordinator can
-        // finish.
-        state.send(from, Msg::AcpAck { txn });
     }
     let apply_ids: Vec<TxnId> = to_apply.iter().map(|(txn, _)| *txn).collect();
-    let write_sets = state.storage.commit_many(&apply_ids);
+    let (write_sets, ticket) = state.storage.commit_group(&apply_ids);
+    // Ack even without a participant entry (already applied, cleaned up, or
+    // crashed and recovered — then the decision may be the answer an
+    // in-doubt transaction is waiting for), so the coordinator can finish.
+    for txn in txns {
+        state.send_when_durable(shared, ticket, from, Msg::AcpAck { txn }, None);
+    }
     for ((txn, ctx), writes) in to_apply.iter().zip(write_sets.iter()) {
         state.ccp.commit(ctx, writes);
         shared.trace_site_span(
@@ -2017,6 +2164,10 @@ mod tests {
 
     impl Stepped {
         fn new(stack: ProtocolStack) -> Self {
+            Self::on(stack, &StorageConfig::memory())
+        }
+
+        fn on(stack: ProtocolStack, storage: &StorageConfig) -> Self {
             let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
             let coordinator = net.register(COORDINATOR);
             let t0 = Instant::now();
@@ -2030,7 +2181,7 @@ mod tests {
                 history: None,
                 tracer: None,
             };
-            let site = Site::open(shared, &StorageConfig::memory(), t0).expect("open the site");
+            let site = Site::open(shared, storage, t0).expect("open the site");
             Stepped {
                 _net: net,
                 coordinator,
@@ -2059,6 +2210,14 @@ mod tests {
             let (txn, ts) = OneSite::txn(n);
             let writes = vec![(ItemId::new(item), Value::Int(7), Version(n))];
             Msg::AcpPrepare { txn, ts, writes }
+        }
+
+        /// What the log waits for: the ticket of the sync asked for, once
+        /// the sync through its handle has returned.
+        fn sync(&mut self) -> Option<u64> {
+            let (ticket, segment) = self.site.state.storage.sync_request()?;
+            segment.sync().expect("the segment syncs");
+            Some(ticket)
         }
 
         /// Flushes the outbox: the envelopes the coordinator gets. (All of
@@ -2170,5 +2329,98 @@ mod tests {
             votes.len() == 2 && yes(&votes[0], 1) && yes(&votes[1], 2),
             "{votes:?}"
         );
+    }
+
+    /// A data directory of its own for a stepped site on segment files.
+    fn segment_files(name: &str) -> (std::path::PathBuf, StorageConfig) {
+        let dir = std::env::temp_dir().join(format!("rainbow-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let storage = StorageConfig::disk(&dir);
+        (dir, storage)
+    }
+
+    /// On segment files, a YES vote leaves only once its prepare record is
+    /// synced, and an acknowledgement only once its commit record is.
+    #[test]
+    fn a_stepped_yes_vote_and_ack_wait_for_their_records_sync() {
+        let (dir, storage) = segment_files("stepped-sync");
+        let mut one = Stepped::on(quick_stack(), &storage);
+        let (t0, txn) = (one.t0, OneSite::txn(1).0);
+        one.step(t0, Stepped::prewrite(1, "x0"));
+        assert_eq!(one.out().len(), 1, "T1 is granted x0");
+        assert_eq!(one.sync(), None, "a pre-write writes no log record");
+        one.step(t0, Stepped::prepare_writing(1, "x0"));
+        assert!(
+            one.out().is_empty(),
+            "the vote waits for the prepare's sync"
+        );
+        let ticket = one.sync().expect("the prepare waits for a sync");
+        assert!(one.out().is_empty(), "synced, but the loop was not told");
+        one.site.synced(ticket, Ok(()));
+        let out = one.out();
+        let yes = matches!(out.as_slice(), [Msg::AcpVote { txn: t, vote: Vote::Yes }] if *t == txn);
+        assert!(yes, "{out:?}");
+
+        let decision = Decision::Commit;
+        one.step(t0, Msg::AcpDecision { txn, decision });
+        assert!(one.out().is_empty(), "the ack waits for the commit's sync");
+        let installed = one.site.state.storage.read(&ItemId::new("x0"));
+        assert_eq!(installed.unwrap().0, Value::Int(7), "installed at once");
+        let ticket = one.sync().expect("the commit waits for a sync");
+        one.site.synced(ticket, Ok(()));
+        let out = one.out();
+        let acked = matches!(out.as_slice(), [Msg::AcpAck { txn: t }] if *t == txn);
+        assert!(acked, "{out:?}");
+        drop(one);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// On a memory log a write is durable at once: the vote and the ack
+    /// leave in the drain that produced them, and nothing asks for a sync.
+    #[test]
+    fn a_stepped_yes_vote_and_ack_leave_at_once_on_a_memory_log() {
+        let mut one = Stepped::new(quick_stack());
+        let (t0, txn) = (one.t0, OneSite::txn(1).0);
+        assert!(!one.site.state.storage.needs_sync());
+        one.step(t0, Stepped::prewrite(1, "x0"));
+        one.out();
+        one.step(t0, Stepped::prepare_writing(1, "x0"));
+        assert_eq!(one.sync(), None);
+        let out = one.out();
+        let yes = matches!(out.as_slice(), [Msg::AcpVote { txn: t, vote: Vote::Yes }] if *t == txn);
+        assert!(yes, "{out:?}");
+        let decision = Decision::Commit;
+        one.step(t0, Msg::AcpDecision { txn, decision });
+        assert_eq!(one.sync(), None);
+        let out = one.out();
+        let acked = matches!(out.as_slice(), [Msg::AcpAck { txn: t }] if *t == txn);
+        assert!(acked, "{out:?}");
+    }
+
+    /// A power loss between the prepare's write and its sync drops the held
+    /// vote: it never left. The recovered site asks about T1, which its log
+    /// holds in doubt, and the sync's late answer sends nothing.
+    #[test]
+    fn a_stepped_power_loss_before_the_sync_drops_the_held_vote() {
+        let (dir, storage) = segment_files("stepped-power-loss");
+        let mut one = Stepped::on(quick_stack(), &storage);
+        let (t0, txn) = (one.t0, OneSite::txn(1).0);
+        one.step(t0, Stepped::prewrite(1, "x0"));
+        one.out();
+        one.step(t0, Stepped::prepare_writing(1, "x0"));
+        assert!(
+            one.out().is_empty(),
+            "the vote waits for the prepare's sync"
+        );
+        let ticket = one.sync().expect("the prepare waits for a sync");
+        one.site.power_loss(PowerLossFault::Clean).unwrap();
+        let out = one.out();
+        let asked = matches!(out.as_slice(), [Msg::AcpStatusQuery { txn: t }] if *t == txn);
+        assert!(asked, "{out:?}");
+        one.site.synced(ticket, Ok(()));
+        let out = one.out();
+        assert!(out.is_empty(), "{out:?}");
+        drop(one);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

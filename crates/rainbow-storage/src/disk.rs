@@ -10,11 +10,23 @@
 //! can only lose what durability semantics allow it to lose.
 //!
 //! **One writer.** The engine belongs to its site's storage, which its
-//! site's event loop owns, so the engine is plain fields with no lock: a
-//! force appends the buffer and syncs it, with nobody to wait for and
-//! nothing to coalesce. Grouping is [`DiskEngine::append_forced_many`]:
-//! the records a drain forces together (its prepares, its commit
-//! decisions) ride one sync, and a lone record is a group of one.
+//! site's event loop owns, so the engine is plain fields with no lock.
+//! Grouping is [`DiskEngine::append_group`]: the records a drain forces
+//! together (its prepares, its commit decisions) are written as one group,
+//! and a lone record is a group of one. A force has two halves. The
+//! *write* hands the group to the medium and numbers it with a **ticket**;
+//! the *sync* makes every group written so far durable. A medium whose
+//! sync does nothing ([`crate::medium::MemMedium`]) is synced in the write,
+//! so its groups are durable at once. On one whose sync costs something
+//! the writer need not wait for it: [`DiskEngine::sync_request`] hands out
+//! the newest ticket with a [`crate::medium::SyncHandle`] that another
+//! thread syncs with, and [`DiskEngine::synced`] takes the answer back.
+//! Whoever must not act before a group is durable waits for its ticket
+//! ([`DiskEngine::durable`]); [`DiskEngine::append_forced_many`] is the
+//! write followed by a sync in place. The engine keeps `durable` honest
+//! wherever it syncs in place: a rotation syncs the segment it seals, a
+//! checkpoint's new segment holds everything it supersedes, and recovery
+//! starts with every written group durable.
 //!
 //! **Rotation and compaction.** The active segment is rotated once it
 //! exceeds `segment_max_bytes`. When the total log exceeds
@@ -38,7 +50,7 @@
 
 use crate::codec::{self, FrameError, FRAME_HEADER_LEN};
 use crate::engine::{PowerLossFault, StorageConfig};
-use crate::medium::Medium;
+use crate::medium::{Medium, SyncHandle};
 use crate::recovery::{replay, RecoveryOutcome};
 use crate::wal::LogRecord;
 use rainbow_common::{ItemId, RainbowError, RainbowResult, SiteId, TxnId, Value, Version};
@@ -84,6 +96,13 @@ pub struct DiskEngine {
     buf_records: usize,
     /// Number of syncs performed (a forced group counts once).
     force_count: u64,
+    /// The ticket of the last group handed to the medium: groups are
+    /// numbered from 1, in the order they were written.
+    written: u64,
+    /// Every group up to this ticket is durable.
+    durable: u64,
+    /// The newest ticket a sync was asked for.
+    requested: u64,
     /// Records in the log (on the medium + buffered).
     record_count: usize,
     /// Prepares without a later commit/abort, carried across compaction.
@@ -106,6 +125,9 @@ impl DiskEngine {
             buf: Vec::new(),
             buf_records: 0,
             force_count: 0,
+            written: 0,
+            durable: 0,
+            requested: 0,
             record_count: 0,
             undecided: BTreeMap::new(),
         }
@@ -134,24 +156,36 @@ impl DiskEngine {
         self.record_count += 1;
     }
 
-    /// Hands the buffered frames to the active segment and syncs it, so
-    /// everything appended so far is durable.
-    fn write_and_sync(&mut self) -> std::io::Result<()> {
+    /// Hands the buffered frames to the active segment as one group and
+    /// returns its ticket; it is durable at the next sync.
+    fn write(&mut self) -> std::io::Result<u64> {
         self.medium.append(&self.buf)?;
         self.flushed_len += self.buf.len() as u64;
         self.buf.clear();
         self.buf_records = 0;
-        self.medium.sync()?;
-        self.force_count += 1;
+        self.written += 1;
+        Ok(self.written)
+    }
+
+    /// Syncs the active segment in place, so every group written so far is
+    /// durable.
+    fn sync_in_place(&mut self) -> std::io::Result<()> {
+        if self.durable < self.written {
+            self.medium.sync()?;
+            self.synced(self.written);
+        }
         Ok(())
     }
 
-    /// Rotates the active segment when it has outgrown the limit. Called
+    /// Rotates the active segment when it has outgrown the limit, syncing
+    /// it first: what it holds is durable before appends move on. Called
     /// with power on.
     fn maybe_rotate(&mut self) {
         if self.flushed_len < self.segment_max_bytes {
             return;
         }
+        self.sync_in_place()
+            .expect("log engine: sync before rotation failed; cannot guarantee durability");
         let next_seq = self.active_seq + 1;
         self.medium
             .create(next_seq, &segment_header())
@@ -168,25 +202,84 @@ impl DiskEngine {
         }
     }
 
-    /// Appends several records and forces the log once for the whole
-    /// group, returning only when every record is durable: a drain's
-    /// prepares, or its commit decisions, share one sync, and a single
-    /// record is a group of one. An empty group forces nothing, and so
-    /// does a group appended while the power is off.
-    pub fn append_forced_many(&mut self, records: Vec<LogRecord>) {
+    /// Appends several records and writes them to the medium as one group
+    /// (the write half of a force): a drain's prepares, or its commit
+    /// decisions, and a single record is a group of one. Returns the
+    /// group's ticket, durable once [`DiskEngine::durable`] reaches it, or
+    /// `None` when there is nothing to wait for: the medium needs no sync
+    /// (it was synced here), or the group was empty, or the power is off.
+    pub fn append_group(&mut self, records: Vec<LogRecord>) -> Option<u64> {
         if records.is_empty() || !self.on {
-            return;
+            return None;
         }
         for record in records {
             self.buffer_record(record);
         }
-        self.write_and_sync()
-            .expect("log engine: write or sync failed; cannot guarantee durability");
+        let ticket = self
+            .write()
+            .expect("log engine: write failed; cannot guarantee durability");
+        if !self.needs_sync() {
+            self.sync_written();
+        }
         self.maybe_rotate();
+        (ticket > self.durable).then_some(ticket)
+    }
+
+    /// Appends several records and forces the log once for the whole
+    /// group, returning only when every record is durable: the group's
+    /// write ([`DiskEngine::append_group`]), then a sync in place. An empty
+    /// group forces nothing, and so does a group appended while the power
+    /// is off.
+    pub fn append_forced_many(&mut self, records: Vec<LogRecord>) {
+        if self.append_group(records).is_some() {
+            self.sync_written();
+        }
+    }
+
+    /// Whether a written group needs a sync to be durable: false on a
+    /// medium whose sync does nothing.
+    pub fn needs_sync(&self) -> bool {
+        self.medium.sync_handle().is_some()
+    }
+
+    /// Syncs in place, so every group written so far is durable.
+    pub fn sync_written(&mut self) {
+        self.sync_in_place()
+            .expect("log engine: sync failed; cannot guarantee durability");
+    }
+
+    /// The sync the written groups still wait for: the newest ticket, and
+    /// a handle that syncs the segment it was written to. `None` when every
+    /// written group is durable or already asked for, or when the medium
+    /// needs no sync. Once a sync through the handle returns, tell
+    /// [`DiskEngine::synced`].
+    pub fn sync_request(&mut self) -> Option<(u64, SyncHandle)> {
+        if !self.on || self.written <= self.requested.max(self.durable) {
+            return None;
+        }
+        let handle = self.medium.sync_handle()?;
+        self.requested = self.written;
+        Some((self.written, handle))
+    }
+
+    /// Notes that a sync made every group up to `ticket` durable. A ticket
+    /// that is durable already changes nothing: a sync in place overtook
+    /// it, or it was asked for before a power loss.
+    pub fn synced(&mut self, ticket: u64) {
+        if ticket > self.durable {
+            self.durable = ticket.min(self.written);
+            self.force_count += 1;
+        }
+    }
+
+    /// The newest ticket durable: every group up to it is.
+    pub fn durable(&self) -> u64 {
+        self.durable
     }
 
     /// Number of syncs performed. A forced group
-    /// ([`DiskEngine::append_forced_many`]) counts once.
+    /// ([`DiskEngine::append_forced_many`]) counts once, and so does a sync
+    /// that made several written groups durable.
     pub fn force_count(&self) -> u64 {
         self.force_count
     }
@@ -234,6 +327,10 @@ impl DiskEngine {
         self.sealed_bytes = 0;
         self.flushed_len = bytes.len() as u64;
         self.active_seq = next_seq;
+        // The new segment is durable and holds all that the written groups
+        // said: the undecided prepares, and the commits' writes in the
+        // snapshot.
+        self.durable = self.written;
         self.force_count += 1;
     }
 
@@ -290,6 +387,10 @@ impl DiskEngine {
         self.sealed_bytes = sealed_bytes;
         self.flushed_len = active_len;
         self.active_seq = active_seq;
+        // Creating or cutting the active segment synced it: whatever was
+        // written before is durable, or gone.
+        self.durable = self.written;
+        self.requested = self.written;
         self.on = true;
         Ok(outcome)
     }
@@ -333,12 +434,16 @@ impl DiskEngine {
         self.undecided.clear();
     }
 
-    /// Writes and syncs everything buffered (the clean-shutdown path).
+    /// Writes everything buffered and syncs everything written (the
+    /// clean-shutdown path).
     pub fn flush_and_sync(&mut self) -> RainbowResult<()> {
-        if !self.on || self.buf.is_empty() {
+        if !self.on {
             return Ok(());
         }
-        self.write_and_sync().map_err(io_error("flush_and_sync"))
+        if !self.buf.is_empty() {
+            self.write().map_err(io_error("flush_and_sync"))?;
+        }
+        self.sync_in_place().map_err(io_error("flush_and_sync"))
     }
 }
 
@@ -673,6 +778,76 @@ mod tests {
             let outcome = engine.recover().unwrap();
             assert_eq!(outcome.replayed_records, 5);
         });
+    }
+
+    /// On segment files a written group waits for a sync, and one sync
+    /// covers every group written before it was asked for; on a memory
+    /// medium a group is durable when written.
+    #[test]
+    fn a_written_group_is_durable_once_a_sync_covers_it() {
+        on_both_media(StorageConfig::memory(), |engine| {
+            let first = engine.append_group(vec![commit_record(1, 1)]);
+            if !engine.needs_sync() {
+                assert_eq!(first, None, "nothing to wait for");
+                assert!(engine.sync_request().is_none());
+                assert_eq!(engine.force_count(), 1);
+                return;
+            }
+            let first = first.expect("a file waits for its sync");
+            let second = engine.append_group(vec![commit_record(2, 2)]).unwrap();
+            assert!(engine.durable() < first);
+            assert_eq!(engine.force_count(), 0, "nothing synced yet");
+            let (ticket, handle) = engine.sync_request().expect("two groups wait");
+            assert_eq!(ticket, second, "the newest ticket covers both");
+            assert!(engine.sync_request().is_none(), "asked for already");
+            handle.sync().unwrap();
+            engine.synced(ticket);
+            assert_eq!((engine.durable(), engine.force_count()), (second, 1));
+            engine.synced(first);
+            assert_eq!(engine.force_count(), 1, "an older answer changes nothing");
+        });
+    }
+
+    /// Wherever the engine syncs in place, no written group is left
+    /// waiting for a sync: a flush with nothing buffered, a checkpoint, a
+    /// recovery and a rotation.
+    #[test]
+    fn a_sync_in_place_leaves_no_group_waiting() {
+        let waiting = |engine: &mut DiskEngine| engine.sync_request().is_some();
+        on_both_media(StorageConfig::memory(), |engine| {
+            engine.append_group(vec![commit_record(1, 1)]);
+            engine.flush_and_sync().unwrap();
+            assert!(!waiting(engine), "flush_and_sync");
+            engine.append_group(vec![commit_record(2, 2)]);
+            engine.checkpoint(vec![(item("x"), Value::Int(2), Version(2))]);
+            assert!(!waiting(engine), "checkpoint");
+            engine.append_group(vec![commit_record(3, 3)]);
+            engine.power_loss(PowerLossFault::Clean);
+            engine.recover().unwrap();
+            assert!(!waiting(engine), "recovery");
+            let old = engine.force_count();
+            engine.synced(1);
+            assert_eq!(
+                engine.force_count(),
+                old,
+                "an answer from before the power loss"
+            );
+        });
+        on_both_media(
+            StorageConfig::memory().with_segment_max_bytes(64),
+            |engine| {
+                for i in 1..=20 {
+                    let segments = engine.segment_count();
+                    let ticket = engine.append_group(vec![commit_record(i, i as i64)]);
+                    if engine.segment_count() > segments {
+                        assert_eq!(ticket, None, "the rotation synced the group");
+                        assert!(!waiting(engine), "rotation");
+                        return;
+                    }
+                }
+                panic!("the log never rotated");
+            },
+        );
     }
 
     #[test]

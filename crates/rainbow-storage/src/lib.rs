@@ -39,9 +39,12 @@
 //! take `&mut self` (a medium is `Send`, not `Sync`), and [`SiteStorage`]
 //! holds the store and the engine in one `RefCell` — neither `Sync` nor
 //! `Clone`, so the one-owner rule is the compiler's to check. Every force
-//! is a group, [`disk::DiskEngine::append_forced_many`], and a lone commit
-//! is a group of one. A checkpoint runs inline, in the commit that outgrew
-//! the threshold.
+//! is a group, [`disk::DiskEngine::append_group`], and a lone commit is a
+//! group of one. A force is a write and a sync: the owner may write a group
+//! and hand the sync, through a [`medium::SyncHandle`], to a thread of its
+//! own, holding back only what must wait for the group's ticket to be
+//! durable. A checkpoint runs inline, in the commit that outgrew the
+//! threshold.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -56,7 +59,7 @@ pub mod wal;
 
 pub use disk::DiskEngine;
 pub use engine::{EngineKind, PowerLossFault, StorageConfig};
-pub use medium::{FileMedium, Medium, MemMedium};
+pub use medium::{FileMedium, Medium, MemMedium, SyncHandle};
 pub use recovery::{replay, RecoveryOutcome};
 pub use store::{CopyState, SiteStorage, VersionedStore};
 pub use wal::LogRecord;

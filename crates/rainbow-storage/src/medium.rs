@@ -17,7 +17,10 @@
 //!
 //! A medium has one owner, its engine, so it is `Send` (a site's state
 //! moves to its loop's thread) but not `Sync`, and every change takes
-//! `&mut self`.
+//! `&mut self`. The one thing that may happen beside it is a sync: a medium
+//! whose sync costs something hands out a [`SyncHandle`] on its active
+//! segment, which syncs what was appended to it from another thread, while
+//! the owner keeps appending.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -43,6 +46,12 @@ pub trait Medium: Send + Debug {
     /// Makes everything appended to the active segment durable.
     fn sync(&mut self) -> io::Result<()>;
 
+    /// A handle that syncs the active segment from another thread, or
+    /// `None` when a sync does nothing and nobody need wait for one.
+    fn sync_handle(&self) -> Option<SyncHandle> {
+        None
+    }
+
     /// Reads a whole segment.
     fn read(&self, seq: u64) -> io::Result<Vec<u8>>;
 
@@ -54,12 +63,35 @@ pub trait Medium: Send + Debug {
     fn remove_below(&mut self, seq: u64) -> io::Result<()>;
 }
 
+/// Syncs one segment file, from whichever thread holds it: what was
+/// appended to the segment before [`SyncHandle::sync`] began is durable when
+/// it returns. It shares the medium's open file; it opens nothing.
+#[derive(Debug, Clone)]
+pub struct SyncHandle {
+    segment: Arc<File>,
+    tracer: Option<Arc<rainbow_trace::Tracer>>,
+}
+
+impl SyncHandle {
+    /// Makes the segment's appended bytes durable, timed into the
+    /// fsync-batch phase when there is a tracer.
+    pub fn sync(&self) -> io::Result<()> {
+        let start = Instant::now();
+        self.segment.sync_data()?;
+        if let Some(tracer) = &self.tracer {
+            tracer.record_phase(rainbow_trace::Phase::FsyncBatch, start.elapsed());
+        }
+        Ok(())
+    }
+}
+
 /// Segment files `000001.seg`, `000002.seg`, ... in one directory.
 #[derive(Debug)]
 pub struct FileMedium {
     dir: PathBuf,
-    /// The active segment, positioned at its end.
-    active: Option<File>,
+    /// The active segment, positioned at its end; its sync handles share
+    /// it.
+    active: Option<Arc<File>>,
     tracer: Option<Arc<rainbow_trace::Tracer>>,
 }
 
@@ -79,9 +111,9 @@ impl FileMedium {
         self.dir.join(format!("{seq:06}.seg"))
     }
 
-    fn active(&mut self) -> io::Result<&mut File> {
+    fn active(&self) -> io::Result<&File> {
         self.active
-            .as_mut()
+            .as_deref()
             .ok_or_else(|| io::Error::other("no active segment"))
     }
 
@@ -126,21 +158,26 @@ impl Medium for FileMedium {
         file.write_all(bytes)?;
         file.sync_data()?;
         self.sync_dir();
-        self.active = Some(file);
+        self.active = Some(Arc::new(file));
         Ok(())
     }
 
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.active()?.write_all(bytes)
+        let mut segment = self.active()?;
+        segment.write_all(bytes)
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        let start = Instant::now();
-        self.active()?.sync_data()?;
-        if let Some(tracer) = &self.tracer {
-            tracer.record_phase(rainbow_trace::Phase::FsyncBatch, start.elapsed());
-        }
-        Ok(())
+        let handle = self.sync_handle();
+        handle
+            .ok_or_else(|| io::Error::other("no active segment"))?
+            .sync()
+    }
+
+    fn sync_handle(&self) -> Option<SyncHandle> {
+        let segment = Arc::clone(self.active.as_ref()?);
+        let tracer = self.tracer.clone();
+        Some(SyncHandle { segment, tracer })
     }
 
     fn read(&self, seq: u64) -> io::Result<Vec<u8>> {
@@ -152,7 +189,7 @@ impl Medium for FileMedium {
         let file = OpenOptions::new().write(true).open(&path)?;
         file.set_len(len)?;
         file.sync_data()?;
-        self.active = Some(OpenOptions::new().append(true).open(&path)?);
+        self.active = Some(Arc::new(OpenOptions::new().append(true).open(&path)?));
         Ok(())
     }
 

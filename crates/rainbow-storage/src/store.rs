@@ -7,11 +7,14 @@
 //! behind a lock. Every forced write is a group: a lone prepare or commit
 //! is [`SiteStorage::prepare_many`] or [`SiteStorage::commit_many`] of one
 //! transaction, and so is the commit of a transaction that crash recovery
-//! found in doubt (its recovered writes are staged, then committed).
+//! found in doubt (its recovered writes are staged, then committed). Those
+//! return once the group is durable. [`SiteStorage::prepare_group`] and
+//! [`SiteStorage::commit_group`] only write it, and return the ticket to
+//! wait for ([`crate::disk::DiskEngine::append_group`]).
 
 use crate::disk::DiskEngine;
 use crate::engine::{EngineKind, PowerLossFault, StorageConfig};
-use crate::medium::{FileMedium, Medium, MemMedium};
+use crate::medium::{FileMedium, Medium, MemMedium, SyncHandle};
 use crate::recovery::RecoveryOutcome;
 use crate::wal::LogRecord;
 use rainbow_common::{
@@ -19,7 +22,7 @@ use rainbow_common::{
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// The committed state of one copy.
@@ -225,6 +228,20 @@ pub struct SiteStorage {
 struct Parts {
     store: VersionedStore,
     engine: DiskEngine,
+    /// The written groups a tracer times until they are durable, in
+    /// ticket order (empty without a tracer).
+    forcing: VecDeque<Forcing>,
+}
+
+/// A written group whose force a tracer times: from its append to the sync
+/// that makes it durable.
+#[derive(Debug)]
+struct Forcing {
+    ticket: u64,
+    start_us: u64,
+    /// `"prepare"` or `"commit"`.
+    what: &'static str,
+    txns: Vec<TxnId>,
 }
 
 impl Parts {
@@ -268,6 +285,7 @@ impl SiteStorage {
         let parts = Parts {
             store: VersionedStore::new(),
             engine: DiskEngine::new(medium, config),
+            forcing: VecDeque::new(),
         };
         let storage = SiteStorage {
             site,
@@ -278,12 +296,62 @@ impl SiteStorage {
         Ok((storage, outcome))
     }
 
-    /// Attaches a tracer: every forced log append (the fsync stand-in) is
-    /// timed into the wal-force phase histogram, and sampled transactions
-    /// get a `wal:force` span on this site's track.
+    /// Attaches a tracer: every forced log append is timed, from its write
+    /// to the sync that makes it durable, into the wal-force phase
+    /// histogram, and sampled transactions get a `wal:force` span on this
+    /// site's track.
     pub fn with_tracer(mut self, tracer: Option<Arc<rainbow_trace::Tracer>>) -> Self {
         self.tracer = tracer;
         self
+    }
+
+    /// Times the force of a group written at `start_us`, now that it is
+    /// durable (no-op without a tracer); the group's ticket is `ticket`
+    /// when it waits for a sync. Every group it made durable is timed too.
+    fn trace_group(
+        &self,
+        parts: &mut Parts,
+        ticket: Option<u64>,
+        start_us: u64,
+        what: &'static str,
+        txns: &[TxnId],
+    ) {
+        if self.tracer.is_none() {
+            return;
+        }
+        if let Some(ticket) = ticket {
+            let txns = txns.to_vec();
+            let forcing = Forcing {
+                ticket,
+                start_us,
+                what,
+                txns,
+            };
+            parts.forcing.push_back(forcing);
+        } else {
+            self.trace_forcing(start_us, what, txns);
+        }
+        self.settle(parts);
+    }
+
+    /// Times the forces of the written groups that are durable now.
+    fn settle(&self, parts: &mut Parts) {
+        let durable = parts.engine.durable();
+        while let Some(forcing) = parts.forcing.front().filter(|f| f.ticket <= durable) {
+            self.trace_forcing(forcing.start_us, forcing.what, &forcing.txns);
+            parts.forcing.pop_front();
+        }
+    }
+
+    /// Times one group's force, ending now, into the wal-force phase and
+    /// each sampled transaction's `wal:force` span.
+    fn trace_forcing(&self, start_us: u64, what: &str, txns: &[TxnId]) {
+        let group = txns.len();
+        for txn in txns {
+            self.trace_force(*txn, "wal:force", start_us, || {
+                format!("{what} {txn} (group of {group})")
+            });
+        }
     }
 
     /// Times a forced append into the tracer (no-op without one). The
@@ -321,7 +389,8 @@ impl SiteStorage {
 
     /// Number of force (sync) operations the log performed. A
     /// [`SiteStorage::prepare_many`] or [`SiteStorage::commit_many`] group
-    /// counts once.
+    /// counts once, and so does one sync that made several written groups
+    /// durable.
     pub fn force_count(&self) -> u64 {
         self.parts.borrow().engine.force_count()
     }
@@ -338,6 +407,7 @@ impl SiteStorage {
             }
         }
         parts.checkpoint();
+        self.settle(&mut parts);
     }
 
     /// Reads the committed value and version of an item.
@@ -389,6 +459,17 @@ impl SiteStorage {
     /// single force for the lot, so a crash after voting YES cannot lose
     /// them. Returns each transaction's prepared writes, in input order.
     pub fn prepare_many(&self, txns: &[TxnId]) -> Vec<WriteSet> {
+        let (prepared, ticket) = self.prepare_group(txns);
+        self.sync_for(ticket);
+        prepared
+    }
+
+    /// Writes the prepare records of a batch of transactions to the log as
+    /// one group, and returns each transaction's prepared writes, in input
+    /// order, with the group's ticket: a YES vote may leave once
+    /// [`SiteStorage::durable`] reaches it. `None` when the group is durable
+    /// already (or empty).
+    pub fn prepare_group(&self, txns: &[TxnId]) -> (Vec<WriteSet>, Option<u64>) {
         let mut parts = self.parts.borrow_mut();
         let prepared: Vec<WriteSet> = txns
             .iter()
@@ -403,25 +484,31 @@ impl SiteStorage {
                 writes: writes.clone(),
             })
             .collect();
-        parts.engine.append_forced_many(records);
-        let group = txns.len();
-        for txn in txns {
-            self.trace_force(*txn, "wal:force", start_us, || {
-                format!("prepare {txn} (group of {group})")
-            });
-        }
-        prepared
+        let ticket = parts.engine.append_group(records);
+        self.trace_group(&mut parts, ticket, start_us, "prepare", txns);
+        (prepared, ticket)
     }
 
     /// Commits a batch of transactions: every transaction's staged writes
     /// are installed, then all commit records ride a single force. Returns
     /// each transaction's installed writes, in input order.
+    pub fn commit_many(&self, txns: &[TxnId]) -> Vec<WriteSet> {
+        let (installed, ticket) = self.commit_group(txns);
+        self.sync_for(ticket);
+        installed
+    }
+
+    /// Installs the staged writes of a batch of transactions and writes
+    /// their commit records to the log as one group; returns each
+    /// transaction's installed writes, in input order, with the group's
+    /// ticket (as [`SiteStorage::prepare_group`]: an acknowledgement may
+    /// leave once it is durable).
     ///
     /// When the log has outgrown the engine's threshold, the commit then
     /// checkpoints inline, so the checkpoint's snapshot and its log rewrite
     /// run with no commit between them. The site's loop stalls for the
-    /// rewrite, as it does for a force.
-    pub fn commit_many(&self, txns: &[TxnId]) -> Vec<WriteSet> {
+    /// rewrite, which makes every written group durable.
+    pub fn commit_group(&self, txns: &[TxnId]) -> (Vec<WriteSet>, Option<u64>) {
         let mut parts = self.parts.borrow_mut();
         let installed: Vec<WriteSet> = txns.iter().map(|txn| parts.store.install(txn)).collect();
         let start_us = self.tracer.as_ref().map_or(0, |t| t.now_us());
@@ -433,17 +520,50 @@ impl SiteStorage {
                 writes: writes.clone(),
             })
             .collect();
-        parts.engine.append_forced_many(records);
-        let group = txns.len();
-        for txn in txns {
-            self.trace_force(*txn, "wal:force", start_us, || {
-                format!("commit {txn} (group of {group})")
-            });
-        }
+        let mut ticket = parts.engine.append_group(records);
         if parts.engine.wants_compaction() {
             parts.checkpoint();
+            ticket = None;
         }
-        installed
+        self.trace_group(&mut parts, ticket, start_us, "commit", txns);
+        (installed, ticket)
+    }
+
+    /// Syncs in place when a group's `ticket` waits for a sync.
+    fn sync_for(&self, ticket: Option<u64>) {
+        if ticket.is_some() {
+            let mut parts = self.parts.borrow_mut();
+            parts.engine.sync_written();
+            self.settle(&mut parts);
+        }
+    }
+
+    /// The sync the written groups wait for, if any: the newest ticket and
+    /// a handle that syncs its segment from another thread. Report the sync
+    /// with [`SiteStorage::synced`]. See
+    /// [`crate::disk::DiskEngine::sync_request`].
+    pub fn sync_request(&self) -> Option<(u64, SyncHandle)> {
+        self.parts.borrow_mut().engine.sync_request()
+    }
+
+    /// Notes that a sync made every group up to `ticket` durable; one that
+    /// is durable already changes nothing.
+    pub fn synced(&self, ticket: u64) {
+        let mut parts = self.parts.borrow_mut();
+        parts.engine.synced(ticket);
+        self.settle(&mut parts);
+    }
+
+    /// The newest durable ticket: every group up to it is durable.
+    pub fn durable(&self) -> u64 {
+        self.parts.borrow().engine.durable()
+    }
+
+    /// Whether the log's medium needs a sync for a written group to be
+    /// durable; when it does not, a group is durable once written and
+    /// nobody waits for a ticket.
+    pub fn needs_sync(&self) -> bool {
+        self.parts.borrow().engine.needs_sync()
     }
 
     /// Does nothing: storage starts no thread, so there is no compactor
@@ -473,13 +593,16 @@ impl SiteStorage {
             .count();
         if repaired > 0 {
             parts.checkpoint();
+            self.settle(&mut parts);
         }
         repaired
     }
 
     /// Writes a checkpoint of the committed state and compacts the log.
     pub fn checkpoint(&self) {
-        self.parts.borrow_mut().checkpoint();
+        let mut parts = self.parts.borrow_mut();
+        parts.checkpoint();
+        self.settle(&mut parts);
     }
 
     /// Pulls the plug on this site's storage: every piece of volatile state
@@ -492,6 +615,7 @@ impl SiteStorage {
         let mut parts = self.parts.borrow_mut();
         parts.store.clear();
         parts.engine.power_loss(fault);
+        parts.forcing.clear();
     }
 
     /// Recovers from the durable log: rebuilds the committed state and
@@ -509,7 +633,10 @@ impl SiteStorage {
     /// shutdown path: a stopped cluster must not owe any acked commit to
     /// a buffer).
     pub fn flush_and_sync(&self) -> RainbowResult<()> {
-        self.parts.borrow_mut().engine.flush_and_sync()
+        let mut parts = self.parts.borrow_mut();
+        parts.engine.flush_and_sync()?;
+        self.settle(&mut parts);
+        Ok(())
     }
 
     /// A snapshot of the committed state (used by replica-convergence tests
@@ -861,6 +988,45 @@ mod tests {
             storage.read(&item("x")).unwrap(),
             (Value::Int(1), Version(1))
         );
+    }
+
+    /// On segment files a written prepare waits for its sync, and its
+    /// force is timed from the append to that sync; on a memory medium it
+    /// is durable, and timed, when written.
+    #[test]
+    fn a_written_group_is_timed_until_its_sync() {
+        let dir = std::env::temp_dir().join(format!("rainbow-store-sync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tracer = Arc::new(rainbow_trace::Tracer::new(
+            rainbow_trace::TraceConfig::sample_all(),
+        ));
+        let forces = || tracer.phase_stats().get("wal-force").map_or(0, |s| s.count);
+        let config = StorageConfig::disk(&dir);
+        let (disk, _) = SiteStorage::open(SiteId(0), &config, Some(Arc::clone(&tracer))).unwrap();
+        let memory = SiteStorage::new(SiteId(1)).with_tracer(Some(Arc::clone(&tracer)));
+        for storage in [&disk, &memory] {
+            storage.initialize(&[(item("x"), Value::Int(0))]);
+            storage.stage_write(txn(1), item("x"), Value::Int(1), Version(1));
+        }
+        assert!(disk.needs_sync() && !memory.needs_sync());
+
+        let (_, ticket) = disk.prepare_group(&[txn(1)]);
+        let ticket = ticket.expect("a file waits for its sync");
+        assert!(disk.durable() < ticket);
+        assert_eq!(forces(), 0, "not durable yet, so not timed");
+        let (asked, handle) = disk.sync_request().expect("the prepare waits");
+        assert_eq!(asked, ticket);
+        handle.sync().unwrap();
+        disk.synced(asked);
+        assert_eq!(disk.durable(), ticket);
+        assert_eq!(forces(), 1);
+
+        let (_, ticket) = memory.prepare_group(&[txn(1)]);
+        assert_eq!(ticket, None, "durable when written");
+        assert!(memory.sync_request().is_none());
+        assert_eq!(forces(), 2);
+        drop(disk);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -85,18 +85,20 @@ pub enum Phase {
     /// received by the coordinator.
     QuorumRead,
     /// Participant-side prepare: CCP validation + staging + forced
-    /// prepare log record.
+    /// prepare log record, until the vote leaves (a YES vote waits for its
+    /// record's sync).
     Prepare,
-    /// Participant-side commit apply: installing staged writes + forced
-    /// commit log record.
+    /// Participant-side commit apply: installing staged writes + writing
+    /// the commit log record (a commit decision's apply does not wait for
+    /// the record's sync; its acknowledgement does).
     CommitApply,
-    /// One forced WAL append (the simulated fsync).
+    /// One forced WAL append, from the write of its group to the sync that
+    /// made it durable.
     WalForce,
     /// Network queue delay: message enqueue → delivery.
     QueueDelay,
-    /// One real `fsync` issued by the disk engine; each sample covers every
-    /// record of the forced group (`append_forced_many`) that sync made
-    /// durable.
+    /// One real `fsync` of a log segment; each sample covers every group
+    /// written to it since the previous sync.
     FsyncBatch,
 }
 

@@ -1,10 +1,12 @@
-//! The site runtime's threading rule, observed from outside: *a site's
-//! thread is its event loop; a copy access that must wait is parked at the
-//! site and asked again, and no thread is ever created, lent or held for
-//! it.*
+//! The site runtime's threading rule, observed from outside: *a site is its
+//! event loop, plus a syncer when its log needs a sync to be durable; a
+//! copy access that must wait is parked at the site and asked again, and no
+//! thread is ever created, lent or held for a transaction.*
 //!
 //! * **a site is exactly one thread** — starting a cluster starts one thread
-//!   per site, the name server's and the network's, and nothing else;
+//!   per site, the name server's and the network's, and nothing else on a
+//!   memory log; on segment files each site has its syncer besides, which
+//!   syncs what the loop wrote to the log while the loop keeps serving;
 //! * **an idle site sleeps** — the loop wakes for a message or for its
 //!   next deadline (a parked access's, or the janitor's every 200 ms),
 //!   never on a polling tick;
@@ -132,8 +134,10 @@ fn a_site_is_exactly_one_thread() {
         ..StorageConfig::disk(dir)
     };
     // Neither engine starts a thread of its own: the site's loop is the one
-    // writer of its log, and compacts it inline.
-    for storage in [StorageConfig::memory(), disk] {
+    // writer of its log, and compacts it inline. A log on segment files
+    // needs a sync, which each site's syncer runs beside the loop.
+    let syncers: &[&str] = &["rainbow-sync-0", "rainbow-sync-1", "rainbow-sync-2"];
+    for (storage, syncers) in [(StorageConfig::memory(), &[][..]), (disk, syncers)] {
         let engine = storage.engine;
         let before = threads_by_id();
         let mut cluster = cluster_on(storage);
@@ -145,16 +149,18 @@ fn a_site_is_exactly_one_thread() {
                 .any(|name| name.starts_with("rainbow-reacto")),
             "{started:?}"
         );
-        let expected = [
+        let mut expected = vec![
             "rainbow-nameser",
             "rainbow-net-del",
             "rainbow-site-0",
             "rainbow-site-1",
             "rainbow-site-2",
         ];
+        expected.extend(syncers);
+        expected.sort();
         assert_eq!(
             started, expected,
-            "{engine:?}: one thread per site, and nothing else"
+            "{engine:?}: one thread per site and a syncer when its log needs one, and nothing else"
         );
         cluster.shutdown();
         // Shutdown joins each of them. (A joined thread lingers in `/proc`
@@ -394,23 +400,39 @@ fn a_contended_run_creates_no_thread() {
     );
 }
 
+/// On each medium: a memory log's sites are their loops, and a disk log's
+/// have their syncers too, which shutdown joins as well.
 #[test]
 fn shutdown_joins_every_thread() {
     let _turn = take_turn();
-    // One full cycle first, so one-time process state (allocator arenas do
-    // not count, lazily started helpers would) is behind us.
-    let cycle = || {
-        let mut cluster = cluster(ProtocolStack::rainbow_default());
-        increment(&mut cluster.client(), 0);
-        cluster.shutdown();
+    let dir = std::env::temp_dir().join(format!("rainbow-joins-{}", std::process::id()));
+    let disk = StorageConfig {
+        ephemeral: true,
+        ..StorageConfig::disk(dir)
     };
-    cycle();
-    #[cfg(target_os = "linux")]
-    let threads_before = process_threads();
-    for _ in 0..50 {
+    for storage in [StorageConfig::memory(), disk] {
+        // One full cycle first, so one-time process state (allocator arenas
+        // do not count, lazily started helpers would) is behind us.
+        let cycle = || {
+            let config = ClusterConfig::quick(3, 8, 3).unwrap();
+            let config = config.with_storage(storage.clone());
+            let mut cluster = Cluster::start(config).unwrap();
+            increment(&mut cluster.client(), 0);
+            cluster.shutdown();
+        };
         cycle();
+        #[cfg(target_os = "linux")]
+        let threads_before = process_threads();
+        for _ in 0..50 {
+            cycle();
+        }
+        // The site threads of fifty clusters were all joined.
+        #[cfg(target_os = "linux")]
+        assert_eq!(
+            threads_settled_at(threads_before),
+            threads_before,
+            "{:?}",
+            storage.engine
+        );
     }
-    // The site threads of fifty clusters were all joined.
-    #[cfg(target_os = "linux")]
-    assert_eq!(threads_settled_at(threads_before), threads_before);
 }

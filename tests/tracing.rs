@@ -11,7 +11,7 @@ use rainbow_net::NetworkConfig;
 use rainbow_trace::{chrome_trace_json, validate_chrome_trace, TraceConfig};
 use rainbow_wlg::{ArrivalProcess, WorkloadProfile};
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What a client can observe of one transaction: its label, its decision
 /// and the values its reads returned. Timing fields are deliberately
@@ -92,6 +92,13 @@ fn traced_run_exports_a_valid_chrome_trace() {
             ArrivalProcess::Closed { mpl: 4 },
         )
         .unwrap();
+    // A client is answered at the decision; its coordinator records the
+    // root span when it retires, once the acknowledgements are in.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while session.open_conversations().unwrap() > 0 {
+        assert!(Instant::now() < deadline, "a coordinator never retired");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let tracer = session.tracer().unwrap().expect("tracing enabled");
     let events = tracer.events();
