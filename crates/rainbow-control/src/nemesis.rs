@@ -430,15 +430,17 @@ pub fn run_nemesis(config: &NemesisConfig, seed: u64) -> RainbowResult<NemesisRe
         config.replication_degree,
     )?;
     let items = database.item_ids();
-    // Disk engines get a unique per-run subdirectory (cleaned up with the
-    // cluster): concurrent seeds and stacked runs must never share files.
+    // Disk engines get a unique per-run directory beside the configured one
+    // (removed with the cluster): concurrent seeds and stacked runs must
+    // never share files, and a run must not create a parent that nobody
+    // removes.
     let mut storage = config.storage.clone();
     if storage.engine == EngineKind::Disk {
         if let Some(dir) = storage.data_dir.take() {
-            storage.data_dir = Some(dir.join(format!(
-                "nemesis-{}-seed{seed}",
-                config.stack.label().replace('+', "_")
-            )));
+            let mut run = dir.into_os_string();
+            let stack = config.stack.label().replace('+', "_");
+            run.push(format!("-nemesis-{stack}-seed{seed}"));
+            storage.data_dir = Some(run.into());
         }
         storage.ephemeral = true;
     }

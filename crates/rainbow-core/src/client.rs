@@ -25,7 +25,7 @@
 //!
 //! On the wire a conversation is named by a client-chosen request id. `begin`
 //! only picks the home site and that id; the **first command opens the
-//! conversation** (`TxnBegin { request, label, op }`), and its answer brings
+//! conversation** (`TxnBegin { request, label, op, clock }`), and its answer brings
 //! the transaction id the home site assigned. Later commands travel as
 //! `TxnOp`; each is answered by a `TxnOpReply`, or by the `TxnDone` that ends
 //! the transaction. So `begin` cannot fail — an unreachable home surfaces on
@@ -76,6 +76,11 @@ pub(crate) struct ClientCore {
     pub(crate) round_robin: Arc<AtomicU64>,
     /// Request-id source, shared across every client of the cluster.
     pub(crate) next_request: Arc<AtomicU64>,
+    /// The clients' Lamport clock (see [`Msg::TxnBegin`]), shared across
+    /// every client of the cluster as by the threads of one process: a
+    /// transaction one client begins after another client's ended is
+    /// stamped after it.
+    pub(crate) clock: Arc<AtomicU64>,
     /// How long the client waits for any single conversation reply before
     /// declaring the transaction orphaned. The timeout now spans an open
     /// conversation: each round trip gets a fresh window.
@@ -422,6 +427,7 @@ impl Txn<'_> {
                 request,
                 label: self.label.clone(),
                 op,
+                clock: self.core.clock.load(Ordering::Relaxed),
             },
         };
         let send = self
@@ -454,8 +460,13 @@ impl Txn<'_> {
                     self.id = Some(txn);
                     return ConversationEvent::Reply(reply);
                 }
-                Msg::TxnDone { request: r, result } if r == request => {
-                    return ConversationEvent::Done(result)
+                Msg::TxnDone {
+                    request: r,
+                    result,
+                    clock,
+                } if r == request => {
+                    self.core.clock.fetch_max(clock, Ordering::Relaxed);
+                    return ConversationEvent::Done(result);
                 }
                 // Leftovers of earlier conversations on this core (e.g. the
                 // TxnDone of a dropped handle): skip.

@@ -152,6 +152,7 @@ pub struct Cluster {
     clients: Arc<ClientPool>,
     next_client: AtomicU64,
     next_request: Arc<AtomicU64>,
+    clock: Arc<AtomicU64>,
     round_robin: Arc<AtomicU64>,
     shut_down: AtomicBool,
     history: Option<Arc<HistorySink>>,
@@ -212,6 +213,7 @@ impl Cluster {
             clients: Arc::new(ClientPool::new()),
             next_client: AtomicU64::new(0),
             next_request: Arc::new(AtomicU64::new(1)),
+            clock: Arc::new(AtomicU64::new(0)),
             round_robin: Arc::new(AtomicU64::new(0)),
             shut_down: AtomicBool::new(false),
             history,
@@ -237,6 +239,7 @@ impl Cluster {
             sites: self.site_ids(),
             round_robin: Arc::clone(&self.round_robin),
             next_request: Arc::clone(&self.next_request),
+            clock: Arc::clone(&self.clock),
             timeout: self.config.client_timeout,
         }
     }
@@ -658,6 +661,7 @@ mod tests {
     use super::*;
     use rainbow_common::protocol::{AcpKind, CcpKind, RcpKind};
     use rainbow_common::Operation;
+    use std::time::Instant;
 
     fn quick_cluster(n_sites: usize) -> Cluster {
         Cluster::start(ClusterConfig::quick(n_sites, 8, n_sites.min(3)).unwrap()).unwrap()
@@ -910,6 +914,14 @@ mod tests {
             vec![Operation::read("x0"), Operation::increment("x1", 2)],
         ));
         assert!(r.committed(), "{:?}", r.outcome);
+        // The client is answered at the decision; the participants record
+        // `apply:commit` and `wal:force` when it reaches them, before they
+        // ack, and the coordinator retires once the acks are in.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.open_conversations() > 0 {
+            assert!(Instant::now() < deadline, "a coordinator never retired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         let tracer = cluster.tracer().expect("tracing is on");
         let traced = tracer.traced_txns();

@@ -14,7 +14,13 @@
 //!    of *all* the items of one command (a `ReadMany` batch, the buffered
 //!    writes at commit) go out together and their replies are collected
 //!    under one deadline, so the command's RCP latency is its slowest quorum
-//!    instead of the sum of them; a one-item command is a fan-out of one;
+//!    instead of the sum of them; a one-item command is a fan-out of one.
+//!    A round asks only the sites its collector contacts — for QC exactly a
+//!    quorum, the home's own copy first — and keeps the other holders as
+//!    spares: a denial or a missing copy that leaves the round short asks
+//!    spares until it can assemble again (a deadlock victim gives up
+//!    instead), and halfway to the deadline, the *hedge point*, every round
+//!    still short asks all its spares, once;
 //! 2. at commit the buffered write quorums are installed and the home site
 //!    runs the ACP (2PC by default, 3PC optionally);
 //! 3. the result — committed, aborted (with the responsible layer) or
@@ -25,6 +31,13 @@
 //! A one-increment transaction is **eight sequential hops**:
 //! `TxnBegin(op)` → `CopyRead` → `CopyReply` → `TxnOpReply`,
 //! `TxnOp(Commit)` → `AcpPrepare` → `AcpVote` → (`AcpDecision` ∥ `TxnDone`).
+//! On three copies with majority quorums it is **ten messages**: the four
+//! client messages, and six between the home and the one remote copy in
+//! its quorum — `CopyRead`, `CopyReply`, `AcpPrepare`, `AcpVote`,
+//! `AcpDecision`, `AcpAck` (the home's own copy answers on loopback, which
+//! is not counted). The third copy hears nothing, unless the second fails
+//! or is slow (`tests/interactive_api.rs`,
+//! `one_increment_asks_one_remote_copy_and_leaves_the_spare_alone`).
 //! The conversation opens with its first command (the site allocates the id
 //! and runs the command in one trip), and the client is answered **at the
 //! decision**: once the decision is on the coordinator's record
@@ -149,9 +162,10 @@ struct TxnExecution {
     /// moment its grant arrives, whether or not its quorum ends up
     /// assembling.
     touched: BTreeSet<SiteId>,
-    /// Every site the transaction *contacted* (quorum targets), whether or
-    /// not it answered in time. Contacted-but-untouched sites may have
-    /// granted a lock after the quorum was already assembled; they receive a
+    /// Every site the transaction sent a copy access to (a round's first
+    /// contacts and the spares it widened to), whether or not it answered
+    /// in time. Contacted-but-untouched sites may have granted a lock after
+    /// the quorum was already assembled, or denied one; they receive a
     /// release notice when the transaction finishes so their resources do
     /// not linger until the janitor.
     contacted: BTreeSet<SiteId>,
@@ -264,7 +278,7 @@ impl QuorumRound {
     /// this round actually contacted, and the round must not have heard
     /// from the site yet. The last rule makes duplicate operations on the
     /// same item each collect their own copy of every site's answer instead
-    /// of the first round swallowing all of them; the target rule keeps a
+    /// of the first round swallowing all of them; the contacted rule keeps a
     /// wider quorum's replies (e.g. a write fan-out) from being absorbed by
     /// a narrower one on the same item (e.g. a one-site ROWA read whose
     /// vote map nevertheless lists every holder).
@@ -273,7 +287,7 @@ impl QuorumRound {
             && self.item == *item
             && (self.access == QuorumAccess::Write) == prewrite
             && (self.access == QuorumAccess::ReadForUpdate) == for_update
-            && self.collector.is_target(site)
+            && self.collector.is_contacted(site)
             && !self.collector.has_response(site)
             && !self.collector.has_failure(site)
     }
@@ -309,9 +323,10 @@ fn new_write_version(
     }
 }
 
-/// Plans one quorum and queues its copy-access requests for every target
-/// site (same-drain requests to one site leave in one envelope), returning
-/// the collector the replies feed into.
+/// Plans one quorum and queues its copy-access requests for the sites its
+/// collector contacts first — exactly a quorum for QC, every target for the
+/// read-one and all-of plans — returning the collector the replies feed
+/// into. The other targets are the round's spares.
 fn start_quorum(
     cx: &mut Cx,
     exec: &mut TxnExecution,
@@ -344,15 +359,28 @@ fn start_quorum(
                 .plan_read(item, &placement, Some(cx.shared.id), &suspected_down)
         }
         QuorumAccess::Write | QuorumAccess::ReadForUpdate => {
-            cx.shared.rcp.plan_write(item, &placement, &suspected_down)
+            let home = Some(cx.shared.id);
+            let rcp = &cx.shared.rcp;
+            rcp.plan_write_from(item, &placement, home, &suspected_down)
         }
     };
-    let targets = plan.targets.clone();
     let collector = plan.collector();
+    ask_copies(cx, exec, item, access, collector.contacted().to_vec());
+    Ok(collector)
+}
 
+/// Queues one copy-access request for each of `sites` (same-drain requests
+/// to one site leave in one envelope) and books them as contacted.
+fn ask_copies(
+    cx: &mut Cx,
+    exec: &mut TxnExecution,
+    item: &ItemId,
+    access: QuorumAccess,
+    sites: Vec<SiteId>,
+) {
     let (txn, ts) = (exec.txn, exec.ts);
-    exec.contacted.extend(&targets);
-    send_to_sites(cx, exec, targets, |_| match access {
+    exec.contacted.extend(&sites);
+    send_to_sites(cx, exec, sites, |_| match access {
         QuorumAccess::Write => Msg::CopyPrewrite {
             txn,
             ts,
@@ -365,7 +393,6 @@ fn start_quorum(
             for_update: access == QuorumAccess::ReadForUpdate,
         },
     });
-    Ok(collector)
 }
 
 // ----------------------------------------------------------------------
@@ -394,6 +421,9 @@ struct QuorumOp {
     /// The items, in request order; `rounds[i]` serves `items[i]`.
     items: Vec<ItemId>,
     rounds: Vec<QuorumRound>,
+    /// Halfway to the deadline: every round still unassembled then asks all
+    /// its spares. `None` once that happened.
+    hedge: Option<Instant>,
     deadline: Instant,
     /// Start of the whole client operation (the `op:*` span).
     op_start: u64,
@@ -577,11 +607,13 @@ impl TxnMachine {
         access: QuorumAccess,
         op_start: u64,
     ) {
+        let timeout = cx.shared.stack.quorum_timeout;
         let mut op = QuorumOp {
             kind,
             rounds: Vec::with_capacity(items.len()),
             items,
-            deadline: cx.now + cx.shared.stack.quorum_timeout,
+            hedge: Some(cx.now + timeout / 2),
+            deadline: cx.now + timeout,
             op_start,
             fanout_start: cx.shared.trace_now(),
         };
@@ -697,8 +729,16 @@ impl TxnMachine {
                 })
             }
             CopyAccessResult::Denied(cause) => {
+                // A deadlock victim gives its round up rather than ask a
+                // spare: it still holds its other locks, so waiting at a
+                // spare would close the cycle it was chosen to break again,
+                // across sites, where only a lock timeout ends it.
+                let victim = matches!(cause, AbortCause::CcpDeadlock { .. });
                 round.ccp_cause.get_or_insert(cause);
-                round.collector.record_failure(site)
+                match round.collector.record_failure(site) {
+                    QuorumOutcome::Pending if victim => QuorumOutcome::Impossible,
+                    outcome => outcome,
+                }
             }
             CopyAccessResult::NoSuchCopy => round.collector.record_failure(site),
         };
@@ -713,7 +753,12 @@ impl TxnMachine {
                 let cause = round.failure(|| round.collector.abort_cause());
                 return self.quorum_op_failed(cx, op, cause);
             }
-            QuorumOutcome::Pending => {}
+            // A failure that left the round short asks spares (the round
+            // keeps its CCP cause for the abort it may still end in).
+            QuorumOutcome::Pending => {
+                let spares = round.collector.widen();
+                ask_copies(cx, &mut self.exec, &round.item, round.access, spares);
+            }
         }
         self.state = MachineState::Quorums(op);
     }
@@ -894,11 +939,12 @@ impl TxnMachine {
         self.retire(cx);
     }
 
-    /// When the machine's current state times out.
+    /// When the machine's current state times out (or, assembling quorums,
+    /// hedges).
     fn due(&self) -> Instant {
         match &self.state {
             MachineState::Idle => self.last_activity + self.horizon,
-            MachineState::Quorums(op) => op.deadline,
+            MachineState::Quorums(op) => op.hedge.unwrap_or(op.deadline),
             MachineState::Committing(run) => run.deadline,
         }
     }
@@ -915,6 +961,16 @@ impl TxnMachine {
             // gone and free resources everywhere on the same clock the
             // participant janitor uses.
             MachineState::Idle => self.abort(cx, AbortCause::ClientTimeout),
+            // Halfway to the deadline: a contacted copy is slow, so every
+            // round still short asks all its spares, once.
+            MachineState::Quorums(mut op) if cx.now < op.deadline => {
+                op.hedge = None;
+                for round in op.rounds.iter_mut().filter(|r| !r.assembled) {
+                    let spares = round.collector.widen_to_all();
+                    ask_copies(cx, &mut self.exec, &round.item, round.access, spares);
+                }
+                self.state = MachineState::Quorums(op);
+            }
             MachineState::Quorums(op) => {
                 let slowest = op.rounds.iter().find(|r| !r.assembled);
                 let slowest = slowest.expect("an unassembled round on expiry");
@@ -1155,6 +1211,7 @@ fn answer_client(cx: &mut Cx, exec: &mut TxnExecution, outcome: TxnOutcome) {
         Msg::TxnDone {
             request: exec.request,
             result,
+            clock: exec.ts.counter,
         },
     );
 }

@@ -144,6 +144,14 @@ pub enum Msg {
         label: String,
         /// The first command.
         op: NextOp,
+        /// The client's Lamport clock: the newest transaction timestamp
+        /// counter any client of the cluster has seen end
+        /// ([`Msg::TxnDone`]'s `clock`). The home takes it in before it
+        /// stamps the transaction, so a transaction begun after another
+        /// ended is stamped after it even when the home heard from neither
+        /// that transaction nor the copies it touched (a quorum asks only
+        /// some of the holders).
+        clock: u64,
     },
     /// The client's next command for an open transaction.
     TxnOp {
@@ -175,6 +183,8 @@ pub enum Msg {
         request: u64,
         /// The result.
         result: TxnResult,
+        /// The transaction's timestamp counter, for the client's clock.
+        clock: u64,
     },
 
     // ------------------------------------------------------------------
@@ -481,6 +491,7 @@ mod tests {
                 request: 1,
                 label: "t".into(),
                 op: NextOp::Commit,
+                clock: 0,
             }
             .txn(),
             None
@@ -545,6 +556,7 @@ mod tests {
                 request: 1,
                 label: "t".into(),
                 op: NextOp::Abort,
+                clock: 0,
             }
             .kind(),
             Msg::TxnOp {
@@ -634,6 +646,7 @@ mod tests {
             request: 1,
             label: "t".into(),
             op,
+            clock: 0,
         };
         let read = NextOp::Read {
             item: ItemId::new("x"),

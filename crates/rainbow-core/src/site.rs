@@ -917,8 +917,14 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, now: Instant, from: Node
     match msg {
         // A new conversation: allocate its id, and run the first command,
         // which arrived with the begin.
-        Msg::TxnBegin { request, label, op } => {
+        Msg::TxnBegin {
+            request,
+            label,
+            op,
+            clock,
+        } => {
             SiteMetrics::bump(&shared.metrics.home_transactions);
+            state.clock.observe(Timestamp::new(clock, 0));
             let (ts, home) = (state.clock.issue(), &mut state.home);
             let txn = TxnId::new(shared.id, home.next_seq);
             home.next_seq += 1;
@@ -1519,6 +1525,8 @@ fn run_janitor(shared: &SiteShared, state: &mut SiteState, now: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::NextOp;
+    use rainbow_common::txn::{TxnOutcome, TxnResult};
     use rainbow_common::MessageId;
     use rainbow_net::{NetworkConfig, SimNetwork};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -2422,5 +2430,246 @@ mod tests {
         assert!(out.is_empty(), "{out:?}");
         drop(one);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The node playing a `SteppedHome`'s client.
+    const CLIENT: NodeId = NodeId::Client(0);
+
+    /// A home site — site 0 of three, every item on all three — driven by
+    /// hand like `Stepped`: the test plays the client and sites 1 and 2,
+    /// and what the home sends itself is stepped back in at once.
+    struct SteppedHome {
+        _net: SimNetwork<Msg>,
+        own: Receiver<Envelope<Msg>>,
+        client: Receiver<Envelope<Msg>>,
+        remotes: [Receiver<Envelope<Msg>>; 2],
+        site: Site,
+        t0: Instant,
+    }
+
+    impl SteppedHome {
+        fn new(stack: ProtocolStack) -> Self {
+            let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+            let own = net.register(NodeId::site(0));
+            let remotes = [1, 2].map(|n| net.register(NodeId::site(n)));
+            let client = net.register(CLIENT);
+            let t0 = Instant::now();
+            let shared = SiteShared {
+                id: SiteId(0),
+                rcp: make_rcp(stack.rcp),
+                stack,
+                schema: schema_for(&[SiteId(0), SiteId(1), SiteId(2)]),
+                net: net.handle(),
+                metrics: Arc::new(SiteMetrics::new()),
+                history: None,
+                tracer: None,
+            };
+            let site = Site::open(shared, &StorageConfig::memory(), t0).expect("open the site");
+            SteppedHome {
+                _net: net,
+                own,
+                client,
+                remotes,
+                site,
+                t0,
+            }
+        }
+
+        /// Steps `payload` from `from` in at `now`, then what the home sent
+        /// itself, until it sends itself nothing more.
+        fn step(&mut self, now: Instant, from: NodeId, payload: Msg) {
+            let to = NodeId::site(0);
+            let id = MessageId(1);
+            self.site.step(
+                now,
+                Envelope {
+                    id,
+                    from,
+                    to,
+                    payload,
+                },
+            );
+            self.settle(now);
+        }
+
+        /// Ticks at `now`, then settles like `step`.
+        fn tick(&mut self, now: Instant) {
+            self.site.tick(now);
+            self.settle(now);
+        }
+
+        fn settle(&mut self, now: Instant) {
+            loop {
+                self.site.flush(0);
+                let Ok(envelope) = self.own.try_recv() else {
+                    return;
+                };
+                self.site.step(now, envelope);
+            }
+        }
+
+        /// What site `n` (1 or 2) was sent since last asked, unbatched.
+        fn sent_to(&self, n: usize) -> Vec<Msg> {
+            let envelopes = std::iter::from_fn(|| self.remotes[n - 1].try_recv().ok());
+            let unbatch = |envelope: Envelope<Msg>| match envelope.payload {
+                Msg::Batch(msgs) => msgs,
+                msg => vec![msg],
+            };
+            envelopes.flat_map(unbatch).collect()
+        }
+
+        /// What the client was sent since last asked.
+        fn answers(&self) -> Vec<Msg> {
+            let envelopes = std::iter::from_fn(|| self.client.try_recv().ok());
+            envelopes.map(|envelope| envelope.payload).collect()
+        }
+
+        /// Opens a transaction reading `x0`; returns its id, taken from the
+        /// copy read its quorum's one remote copy, site 1, was sent.
+        fn begin_reading_x0(&mut self) -> TxnId {
+            let item = ItemId::new("x0");
+            let op = NextOp::Read { item };
+            let (request, label, clock) = (1, "t".to_string(), 0);
+            let begin = Msg::TxnBegin {
+                request,
+                label,
+                op,
+                clock,
+            };
+            self.step(self.t0, CLIENT, begin);
+            let sent = self.sent_to(1);
+            let [Msg::CopyRead { txn, .. }] = sent.as_slice() else {
+                panic!("site 1 was sent {sent:?}")
+            };
+            assert!(self.sent_to(2).is_empty(), "site 2 is a spare");
+            assert!(self.answers().is_empty(), "one vote of two is in");
+            *txn
+        }
+
+        /// Site `n`'s answer to the read of `x0`.
+        fn copy_reply(&mut self, now: Instant, n: u32, txn: TxnId, result: CopyAccessResult) {
+            let item = ItemId::new("x0");
+            let (prewrite, for_update) = (false, false);
+            let reply = Msg::CopyReply {
+                txn,
+                item,
+                prewrite,
+                for_update,
+                result,
+            };
+            self.step(now, NodeId::site(n), reply);
+        }
+
+        /// Commits `txn`, whose read quorum was the home and site 2: site 2
+        /// is prepared and votes READ-ONLY, and the client hears it
+        /// committed; returns what site 1, outside the quorum, was sent.
+        fn commit_with_site_2(&mut self, now: Instant, txn: TxnId) -> Vec<Msg> {
+            let (request, op) = (1, NextOp::Commit);
+            self.step(now, CLIENT, Msg::TxnOp { request, txn, op });
+            let sent = self.sent_to(2);
+            assert!(
+                matches!(sent.as_slice(), [Msg::AcpPrepare { txn: t, .. }] if *t == txn),
+                "{sent:?}"
+            );
+            let vote = Vote::ReadOnly;
+            self.step(now, NodeId::site(2), Msg::AcpVote { txn, vote });
+            let answers = self.answers();
+            let committed = |result: &TxnResult| result.outcome == TxnOutcome::Committed;
+            assert!(
+                matches!(answers.as_slice(), [Msg::TxnDone { result, .. }] if committed(result)),
+                "{answers:?}"
+            );
+            self.sent_to(1)
+        }
+    }
+
+    /// The release notice a contacted copy outside the quorum is sent.
+    fn released(sent: &[Msg], txn: TxnId) -> bool {
+        let decision = Decision::Abort;
+        matches!(sent, [Msg::AcpDecision { txn: t, decision: d }] if *t == txn && *d == decision)
+    }
+
+    #[test]
+    fn a_stepped_denial_asks_the_spare_and_the_transaction_commits() {
+        let mut home = SteppedHome::new(quick_stack());
+        let t0 = home.t0;
+        let txn = home.begin_reading_x0();
+        let denied = lock_conflict(&ItemId::new("x0"), None);
+        home.copy_reply(t0, 1, txn, denied);
+        let sent = home.sent_to(2);
+        assert!(
+            matches!(sent.as_slice(), [Msg::CopyRead { txn: t, .. }] if *t == txn),
+            "the spare is asked: {sent:?}"
+        );
+        assert!(home.answers().is_empty());
+
+        let (value, version) = (Some(Value::Int(100)), Version(0));
+        home.copy_reply(t0, 2, txn, CopyAccessResult::Granted { value, version });
+        let answers = home.answers();
+        assert!(
+            matches!(
+                answers.as_slice(),
+                [Msg::TxnOpReply {
+                    reply: OpReply::Value {
+                        value: Value::Int(100),
+                        ..
+                    },
+                    ..
+                }]
+            ),
+            "{answers:?}"
+        );
+        let sent = home.commit_with_site_2(t0, txn);
+        assert!(released(&sent, txn), "site 1 denied: {sent:?}");
+    }
+
+    #[test]
+    fn a_stepped_deadlock_victim_gives_up_without_asking_the_spare() {
+        let mut home = SteppedHome::new(quick_stack());
+        let t0 = home.t0;
+        let txn = home.begin_reading_x0();
+        let item = ItemId::new("x0");
+        let victim = CopyAccessResult::Denied(AbortCause::CcpDeadlock { item });
+        home.copy_reply(t0, 1, txn, victim);
+        assert!(home.sent_to(2).is_empty(), "the spare is not asked");
+        let answers = home.answers();
+        let deadlock = |result: &TxnResult| {
+            matches!(
+                result.outcome,
+                TxnOutcome::Aborted(AbortCause::CcpDeadlock { .. })
+            )
+        };
+        assert!(
+            matches!(answers.as_slice(), [Msg::TxnDone { result, .. }] if deadlock(result)),
+            "{answers:?}"
+        );
+        let sent = home.sent_to(1);
+        assert!(released(&sent, txn), "site 1 is told: {sent:?}");
+    }
+
+    #[test]
+    fn a_stepped_silent_copy_is_hedged_at_half_the_quorum_timeout() {
+        let stack = quick_stack();
+        let hedge = stack.quorum_timeout / 2;
+        let mut home = SteppedHome::new(stack);
+        let t0 = home.t0;
+        let txn = home.begin_reading_x0();
+        home.tick(t0 + hedge - Duration::from_micros(1));
+        assert!(home.sent_to(2).is_empty(), "too early to hedge");
+        home.tick(t0 + hedge);
+        let sent = home.sent_to(2);
+        assert!(
+            matches!(sent.as_slice(), [Msg::CopyRead { txn: t, .. }] if *t == txn),
+            "the spare is asked: {sent:?}"
+        );
+        home.tick(t0 + hedge + Duration::from_micros(1));
+        assert!(home.sent_to(2).is_empty(), "the hedge fires once");
+
+        let (value, version) = (Some(Value::Int(100)), Version(0));
+        let later = t0 + hedge;
+        home.copy_reply(later, 2, txn, CopyAccessResult::Granted { value, version });
+        assert_eq!(home.answers().len(), 1, "the read is answered");
+        let sent = home.commit_with_site_2(later, txn);
+        assert!(released(&sent, txn), "site 1 may grant late: {sent:?}");
     }
 }

@@ -14,10 +14,13 @@
 //! This crate contains the *pure logic* half of that flow, independent of
 //! messaging, so it can be unit- and property-tested exhaustively:
 //!
-//! * [`plan`] — [`plan::QuorumPlan`] (which sites to contact, how many votes
-//!   are needed) and [`plan::QuorumCollector`] (tracks responses/failures,
-//!   decides when the quorum is assembled or has become impossible, picks
-//!   the highest-version read result and the next write version);
+//! * [`plan`] — [`plan::QuorumPlan`] (which sites may be contacted, in
+//!   preference order, and how many votes are needed) and
+//!   [`plan::QuorumCollector`] (contacts the shortest prefix that can reach
+//!   the threshold and widens to the spares behind it when a site fails,
+//!   tracks responses/failures, decides when the quorum is assembled or has
+//!   become impossible, picks the highest-version read result and the next
+//!   write version);
 //! * [`protocols`] — the [`protocols::ReplicationControl`] trait with the
 //!   five planners and a factory keyed by
 //!   [`rainbow_common::protocol::RcpKind`]. The planners adapt their target
@@ -26,8 +29,8 @@
 //!   TQ's degraded reads, PC's lease failover) possible as pure logic.
 //!
 //! The transaction manager in `rainbow-core` drives the plans over the
-//! simulated network: one copy-access request per target site, one response
-//! per live copy holder.
+//! simulated network: one copy-access request per contacted site, one
+//! response per live contacted holder.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -16,15 +16,18 @@ pub enum QuorumKind {
     Write,
 }
 
-/// The plan for building one quorum: which sites to contact and how many
-/// votes must answer.
+/// The plan for building one quorum: the sites that may be asked, in the
+/// order they are asked in, and how many votes must answer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuorumPlan {
     /// The item the quorum is for.
     pub item: ItemId,
     /// Read or write.
     pub kind: QuorumKind,
-    /// Sites to contact, in preference order.
+    /// Sites to contact, in preference order. The collector asks the
+    /// shortest prefix whose votes reach `required_votes`; the rest are
+    /// spares, asked only when a contacted site fails or is slow (see
+    /// [`QuorumCollector::widen`]).
     pub targets: Vec<SiteId>,
     /// Vote weight of each target.
     pub votes: BTreeMap<SiteId, u32>,
@@ -63,29 +66,41 @@ pub struct QuorumResponse {
 pub enum QuorumOutcome {
     /// Enough votes have been collected.
     Assembled,
-    /// More responses are needed and can still arrive.
+    /// More responses are needed and can still arrive, from the contacted
+    /// sites or, once [`QuorumCollector::widen`] asks them, from spares.
     Pending,
-    /// Even if every outstanding site answered, the quorum could not be
-    /// reached (too many failures/denials).
+    /// Even if every outstanding site and every spare answered, the quorum
+    /// could not be reached (too many failures/denials).
     Impossible,
 }
 
 /// Tracks responses and failures while a quorum is being assembled.
+///
+/// The collector contacts a prefix of the plan's targets: at first the
+/// shortest one whose votes reach the threshold (Gifford's weighted voting
+/// asks just enough copies), and the targets behind it are spares. For a
+/// read-one or all-of plan that prefix is every target, so it has none.
 #[derive(Debug, Clone)]
 pub struct QuorumCollector {
     plan: QuorumPlan,
     responses: BTreeMap<SiteId, QuorumResponse>,
     failed: BTreeSet<SiteId>,
+    /// How many of `plan.targets`, from the front, have been contacted.
+    contacted: usize,
 }
 
 impl QuorumCollector {
-    /// Creates a collector for a plan.
+    /// Creates a collector for a plan, contacting its initial prefix (see
+    /// [`QuorumCollector::contacted`]).
     pub fn new(plan: QuorumPlan) -> Self {
-        QuorumCollector {
+        let mut collector = QuorumCollector {
             plan,
             responses: BTreeMap::new(),
             failed: BTreeSet::new(),
-        }
+            contacted: 0,
+        };
+        collector.widen();
+        collector
     }
 
     /// The plan being collected.
@@ -115,12 +130,61 @@ impl QuorumCollector {
         self.responses.contains_key(&site)
     }
 
-    /// Whether `site` is one of the sites this plan actually contacted.
-    /// (The votes map can cover *all* copy holders — e.g. a ROWA read plan
-    /// targets one site — so response routing must check targets, not
-    /// votes.)
-    pub fn is_target(&self, site: SiteId) -> bool {
-        self.plan.targets.contains(&site)
+    /// The sites contacted so far, in preference order: the requests to
+    /// send when the quorum starts.
+    pub fn contacted(&self) -> &[SiteId] {
+        &self.plan.targets[..self.contacted]
+    }
+
+    /// Whether `site` is one of the sites this collector contacted. (The
+    /// votes map can cover *all* copy holders — e.g. a ROWA read plan
+    /// targets one site — and a spare is a target nobody asked, so response
+    /// routing must check this, not votes or targets.)
+    pub fn is_contacted(&self, site: SiteId) -> bool {
+        self.contacted().contains(&site)
+    }
+
+    /// Contacts spares, in preference order, until the votes collected plus
+    /// those still awaited from contacted sites can reach the threshold
+    /// again — after a failure, say. Returns the sites to send to: none
+    /// while the contacted sites can still assemble the quorum, or when no
+    /// spare is left (the outcome then reads `Impossible`).
+    pub fn widen(&mut self) -> Vec<SiteId> {
+        let start = self.contacted;
+        let mut reachable = self.collected_votes() + self.awaited_votes(self.contacted());
+        while self.contacted < self.plan.targets.len() && reachable < self.plan.required_votes {
+            reachable += self.awaited_votes(&self.plan.targets[self.contacted..=self.contacted]);
+            self.contacted += 1;
+        }
+        self.newly_contacted(start)
+    }
+
+    /// Contacts every spare left — the hedge against a contacted site that
+    /// is slow to answer — and returns the sites to send to.
+    pub fn widen_to_all(&mut self) -> Vec<SiteId> {
+        let start = self.contacted;
+        self.contacted = self.plan.targets.len();
+        self.newly_contacted(start)
+    }
+
+    /// The targets contacted from index `start` on that have neither
+    /// answered nor failed (a spare may have: any holder's answer counts).
+    fn newly_contacted(&self, start: usize) -> Vec<SiteId> {
+        let sites = self.plan.targets[start..self.contacted].iter();
+        sites.filter(|s| self.is_awaited(s)).copied().collect()
+    }
+
+    /// Whether `site` has neither responded nor failed.
+    fn is_awaited(&self, site: &SiteId) -> bool {
+        !self.responses.contains_key(site) && !self.failed.contains(site)
+    }
+
+    /// The votes of those of `sites` that have neither responded nor failed.
+    fn awaited_votes(&self, sites: &[SiteId]) -> u32 {
+        let awaited = sites.iter().filter(|s| self.is_awaited(s));
+        awaited
+            .map(|s| self.plan.votes.get(s).copied().unwrap_or(0))
+            .sum()
     }
 
     /// Whether `site` has already been recorded as failed.
@@ -136,15 +200,10 @@ impl QuorumCollector {
             .sum()
     }
 
-    /// Votes that could still arrive from targets that have neither
-    /// responded nor failed.
+    /// Votes that could still arrive from targets — contacted or spare —
+    /// that have neither responded nor failed.
     pub fn outstanding_votes(&self) -> u32 {
-        self.plan
-            .targets
-            .iter()
-            .filter(|s| !self.responses.contains_key(s) && !self.failed.contains(s))
-            .map(|s| self.plan.votes.get(s).copied().unwrap_or(0))
-            .sum()
+        self.awaited_votes(&self.plan.targets)
     }
 
     /// Current assembly state.
@@ -334,6 +393,72 @@ mod tests {
         assert!(collector.is_assembled());
         assert_eq!(collector.max_version(), Version(0));
         assert_eq!(collector.next_version(), Version(1));
+    }
+
+    #[test]
+    fn the_shortest_prefix_reaching_the_threshold_is_contacted_and_the_rest_are_spares() {
+        let collector = plan(QuorumKind::Read, &[(0, 1), (1, 1), (2, 1)], 2).collector();
+        assert_eq!(collector.contacted(), [SiteId(0), SiteId(1)]);
+        assert!(collector.is_contacted(SiteId(1)));
+        assert!(!collector.is_contacted(SiteId(2)), "site 2 is a spare");
+
+        let heavy_first = plan(QuorumKind::Write, &[(0, 3), (1, 1), (2, 1)], 3).collector();
+        assert_eq!(heavy_first.contacted(), [SiteId(0)]);
+
+        // Every target is required: nothing is spare.
+        let all_of = plan(QuorumKind::Write, &[(0, 1), (1, 1), (2, 1)], 3).collector();
+        assert_eq!(all_of.contacted(), [SiteId(0), SiteId(1), SiteId(2)]);
+    }
+
+    #[test]
+    fn a_failure_with_a_spare_left_is_pending_and_widens_to_the_spare() {
+        let mut collector = plan(QuorumKind::Read, &[(0, 1), (1, 1), (2, 1)], 2).collector();
+        assert_eq!(collector.widen(), vec![], "nothing failed, nothing to add");
+        collector.record_response(response(0, 1, Some(1)));
+        assert_eq!(collector.record_failure(SiteId(1)), QuorumOutcome::Pending);
+        assert_eq!(collector.widen(), vec![SiteId(2)]);
+        assert!(collector.is_contacted(SiteId(2)));
+        assert_eq!(collector.widen(), vec![], "widened once");
+        assert_eq!(
+            collector.record_response(response(2, 2, Some(2))),
+            QuorumOutcome::Assembled
+        );
+        assert_eq!(collector.latest_value(), Some((Value::Int(2), Version(2))));
+    }
+
+    #[test]
+    fn a_failure_with_no_spare_left_is_impossible() {
+        let mut collector = plan(QuorumKind::Read, &[(0, 1), (1, 1), (2, 1)], 2).collector();
+        collector.record_failure(SiteId(1));
+        assert_eq!(collector.widen(), vec![SiteId(2)]);
+        assert_eq!(
+            collector.record_failure(SiteId(2)),
+            QuorumOutcome::Impossible
+        );
+        assert_eq!(collector.widen(), vec![], "no spare is left");
+
+        // An all-of plan has no spare to begin with.
+        let mut collector = plan(QuorumKind::Write, &[(0, 1), (1, 1)], 2).collector();
+        assert_eq!(
+            collector.record_failure(SiteId(0)),
+            QuorumOutcome::Impossible
+        );
+        assert_eq!(collector.widen(), vec![]);
+    }
+
+    #[test]
+    fn widening_skips_spares_that_already_failed_and_the_hedge_takes_the_rest() {
+        let sites = [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)];
+        let mut collector = plan(QuorumKind::Write, &sites, 3).collector();
+        assert_eq!(collector.contacted().len(), 3);
+        collector.record_failure(SiteId(3));
+        collector.record_failure(SiteId(1));
+        assert_eq!(collector.widen(), vec![SiteId(4)], "site 3 already failed");
+        assert_eq!(collector.widen_to_all(), vec![]);
+
+        let mut collector = plan(QuorumKind::Write, &sites, 3).collector();
+        assert_eq!(collector.widen_to_all(), vec![SiteId(3), SiteId(4)]);
+        assert_eq!(collector.widen_to_all(), vec![], "the hedge fires once");
     }
 
     #[test]

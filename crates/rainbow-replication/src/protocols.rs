@@ -6,6 +6,7 @@ use parking_lot::Mutex;
 use rainbow_common::config::ItemPlacement;
 use rainbow_common::protocol::RcpKind;
 use rainbow_common::{ItemId, SiteId};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,10 +14,11 @@ use std::time::{Duration, Instant};
 /// A replication control protocol plans which copies must be touched for a
 /// read or a write of an item.
 ///
-/// The planner decides *which* sites to contact using the fault
-/// controller's live view of the cluster (`suspected_down`); the
-/// transaction manager executes the plan (sending copy-access requests,
-/// collecting responses in a [`crate::plan::QuorumCollector`]).
+/// The planner decides *which* sites to contact, and in what order, using
+/// the fault controller's live view of the cluster (`suspected_down`); the
+/// transaction manager executes the plan (sending copy-access requests to
+/// the sites the [`crate::plan::QuorumCollector`] contacts, and to its
+/// spares when a contacted site fails or is slow).
 pub trait ReplicationControl: Send + Sync {
     /// Plans a read of `item`. `prefer` is the site the transaction would
     /// like to read from when the protocol allows a choice (its home site),
@@ -30,16 +32,30 @@ pub trait ReplicationControl: Send + Sync {
         suspected_down: &[SiteId],
     ) -> QuorumPlan;
 
-    /// Plans a write (pre-write) of `item`. `suspected_down` carries the
-    /// same live site-status view as reads: protocols that adapt their
-    /// write set to failures (Available Copies, Tree Quorum, Primary Copy)
-    /// consult it, the static ones (ROWA, QC) ignore it.
+    /// Plans a write (pre-write) of `item` with no preferred site: the same
+    /// as [`ReplicationControl::plan_write_from`] with `prefer` = `None`.
     fn plan_write(
         &self,
         item: &ItemId,
         placement: &ItemPlacement,
         suspected_down: &[SiteId],
     ) -> QuorumPlan;
+
+    /// Plans a write (pre-write) of `item` issued by `prefer` (its home
+    /// site). `suspected_down` carries the same live site-status view as
+    /// reads: protocols that adapt their write set to failures (Available
+    /// Copies, Tree Quorum, Primary Copy) consult it, QC asks the suspected
+    /// holders last, and ROWA ignores it. Only QC has a choice of copies to
+    /// prefer; the others plan as [`ReplicationControl::plan_write`] does.
+    fn plan_write_from(
+        &self,
+        item: &ItemId,
+        placement: &ItemPlacement,
+        _prefer: Option<SiteId>,
+        suspected_down: &[SiteId],
+    ) -> QuorumPlan {
+        self.plan_write(item, placement, suspected_down)
+    }
 
     /// Human-readable name.
     fn name(&self) -> &'static str;
@@ -150,10 +166,16 @@ impl ReplicationControl for ReadOneWriteAll {
 
 /// Quorum Consensus (weighted voting), the Rainbow default RCP.
 ///
-/// Both reads and writes contact every copy holder and wait until the
-/// configured vote threshold answers; the quorum thresholds in the
-/// [`ItemPlacement`] guarantee that read quorums intersect write quorums and
-/// write quorums intersect each other.
+/// Reads and writes ask exactly a quorum: the plan lists every holder in
+/// the order it asks them in — the home's own copy first, then the heaviest
+/// votes, ties in ring order after the home, holders suspected down last —
+/// and the collector contacts the shortest prefix whose votes reach the
+/// threshold. The other holders are spares, asked only when a contacted
+/// copy denies, has no copy, or has not answered by the hedge point
+/// (Gifford, *Weighted Voting for Replicated Data*, SOSP 1979). The
+/// quorum thresholds in the [`ItemPlacement`] guarantee that read quorums
+/// intersect write quorums and write quorums intersect each other, whichever
+/// holders answer.
 #[derive(Debug, Default)]
 pub struct QuorumConsensus;
 
@@ -162,6 +184,48 @@ impl QuorumConsensus {
     pub fn new() -> Self {
         QuorumConsensus
     }
+
+    fn plan(
+        item: &ItemId,
+        kind: QuorumKind,
+        placement: &ItemPlacement,
+        prefer: Option<SiteId>,
+        suspected_down: &[SiteId],
+    ) -> QuorumPlan {
+        QuorumPlan {
+            item: item.clone(),
+            kind,
+            targets: quorum_order(placement, prefer, suspected_down),
+            votes: votes_of(placement),
+            required_votes: match kind {
+                QuorumKind::Read => placement.read_quorum,
+                QuorumKind::Write => placement.write_quorum,
+            },
+        }
+    }
+}
+
+/// The order Quorum Consensus asks an item's holders in: the preferred site
+/// (the home) first; then by vote weight, heaviest first; ties in ring order
+/// after the home (holders by id, rotated to start just after it), which
+/// spreads the remote copy load evenly when homes rotate; and the holders
+/// suspected down last.
+fn quorum_order(
+    placement: &ItemPlacement,
+    prefer: Option<SiteId>,
+    suspected_down: &[SiteId],
+) -> Vec<SiteId> {
+    let mut holders = placement.holders();
+    if let Some(home) = prefer {
+        let after_home = holders.partition_point(|s| *s <= home);
+        holders.rotate_left(after_home);
+    }
+    // A stable sort: the ring order breaks the ties.
+    holders.sort_by_key(|s| {
+        let suspected = suspected_down.contains(s);
+        (suspected, Some(*s) != prefer, Reverse(placement.copies[s]))
+    });
+    holders
 }
 
 impl ReplicationControl for QuorumConsensus {
@@ -169,31 +233,29 @@ impl ReplicationControl for QuorumConsensus {
         &self,
         item: &ItemId,
         placement: &ItemPlacement,
-        _prefer: Option<SiteId>,
-        _suspected_down: &[SiteId],
+        prefer: Option<SiteId>,
+        suspected_down: &[SiteId],
     ) -> QuorumPlan {
-        QuorumPlan {
-            item: item.clone(),
-            kind: QuorumKind::Read,
-            targets: placement.holders(),
-            votes: votes_of(placement),
-            required_votes: placement.read_quorum,
-        }
+        Self::plan(item, QuorumKind::Read, placement, prefer, suspected_down)
     }
 
     fn plan_write(
         &self,
         item: &ItemId,
         placement: &ItemPlacement,
-        _suspected_down: &[SiteId],
+        suspected_down: &[SiteId],
     ) -> QuorumPlan {
-        QuorumPlan {
-            item: item.clone(),
-            kind: QuorumKind::Write,
-            targets: placement.holders(),
-            votes: votes_of(placement),
-            required_votes: placement.write_quorum,
-        }
+        self.plan_write_from(item, placement, None, suspected_down)
+    }
+
+    fn plan_write_from(
+        &self,
+        item: &ItemId,
+        placement: &ItemPlacement,
+        prefer: Option<SiteId>,
+        suspected_down: &[SiteId],
+    ) -> QuorumPlan {
+        Self::plan(item, QuorumKind::Write, placement, prefer, suspected_down)
     }
 
     fn name(&self) -> &'static str {
@@ -633,6 +695,79 @@ mod tests {
         assert_eq!(read.targets.len(), 5);
         assert_eq!(read.required_votes, 3);
         assert_eq!(write.required_votes, 3);
+    }
+
+    #[test]
+    fn qc_asks_the_home_then_its_ring_successor_and_keeps_the_third_copy_spare() {
+        let rcp = QuorumConsensus::new();
+        let placement = ItemPlacement::majority(sites(3));
+        for (home, next, spare) in [(0, 1, 2), (1, 2, 0), (2, 0, 1)] {
+            let home = SiteId(home);
+            let read = rcp.plan_read(&item(), &placement, Some(home), &[]);
+            let write = rcp.plan_write_from(&item(), &placement, Some(home), &[]);
+            for collector in [read.collector(), write.collector()] {
+                let contacted = collector.contacted();
+                assert_eq!(contacted, [home, SiteId(next)], "home {home}");
+                assert_eq!(collector.plan().targets[2], SiteId(spare));
+            }
+        }
+    }
+
+    #[test]
+    fn qc_makes_a_suspected_holder_a_spare() {
+        let rcp = QuorumConsensus::new();
+        let placement = ItemPlacement::majority(sites(3));
+        let down = [SiteId(1)];
+        let plan = rcp.plan_read(&item(), &placement, Some(SiteId(0)), &down);
+        assert_eq!(plan.targets, vec![SiteId(0), SiteId(2), SiteId(1)]);
+        let collector = plan.collector();
+        assert_eq!(collector.contacted(), [SiteId(0), SiteId(2)]);
+
+        // Suspected last even when it is the home.
+        let plan = rcp.plan_write_from(&item(), &placement, Some(SiteId(1)), &down);
+        assert_eq!(plan.targets, vec![SiteId(2), SiteId(0), SiteId(1)]);
+    }
+
+    #[test]
+    fn weighted_qc_asks_the_heaviest_copies_first() {
+        // Nine votes, quorums of five: the home (1 vote) and then the
+        // heaviest holders, ring order after the home breaking the tie.
+        let copies = [(0, 1), (1, 3), (2, 1), (3, 3), (4, 1)];
+        let copies = copies.map(|(s, v)| (SiteId(s), v)).into_iter().collect();
+        let placement = ItemPlacement::weighted(copies, 5, 5);
+        let rcp = QuorumConsensus::new();
+        let plan = rcp.plan_write_from(&item(), &placement, Some(SiteId(2)), &[]);
+        assert_eq!(plan.targets[..3], [SiteId(2), SiteId(3), SiteId(1)]);
+        assert_eq!(plan.targets[3..], [SiteId(4), SiteId(0)]);
+        let collector = plan.collector();
+        assert_eq!(collector.contacted(), [SiteId(2), SiteId(3), SiteId(1)]);
+
+        let plan = rcp.plan_read(&item(), &placement, Some(SiteId(1)), &[]);
+        assert_eq!(plan.collector().contacted(), [SiteId(1), SiteId(3)]);
+    }
+
+    #[test]
+    fn only_qc_plans_have_spares() {
+        let placement = ItemPlacement::majority(sites(5));
+        let views: [&[SiteId]; 3] = [&[], &[SiteId(0)], &[SiteId(1), SiteId(4)]];
+        for kind in RcpKind::ALL {
+            let rcp = make_rcp(kind);
+            for down in views {
+                let home = Some(SiteId(2));
+                let read = rcp.plan_read(&item(), &placement, home, down);
+                let write = rcp.plan_write_from(&item(), &placement, home, down);
+                for plan in [read, write] {
+                    let targets = plan.targets.clone();
+                    let contacted = plan.collector().contacted().to_vec();
+                    if kind == RcpKind::QuorumConsensus {
+                        assert_eq!(contacted.len(), 3, "{kind} {down:?}");
+                        assert_eq!(targets.len(), 5, "{kind} {down:?}");
+                    } else {
+                        assert_eq!(contacted, targets, "{kind} {down:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -156,9 +156,10 @@ fn main() {
     let mut failures = 0usize;
     let mut runs = 0usize;
 
-    // Disk runs share one root under the system temp dir; `run_nemesis`
-    // gives every (stack, seed) run its own ephemeral subdirectory inside
-    // it and the cluster removes that subdirectory at shutdown.
+    // Disk runs share one prefix under the system temp dir; `run_nemesis`
+    // gives every (stack, seed) run its own ephemeral directory beside it
+    // (`<prefix>-nemesis-<stack>-seed<n>`), which the cluster removes at
+    // shutdown.
     let storage = if args.engine == "disk" {
         StorageConfig::disk(
             std::env::temp_dir().join(format!("rainbow-chaos-{}", std::process::id())),

@@ -87,8 +87,11 @@ fn main() {
         availability.row(&cells);
     }
     println!("{}", availability.render());
-    println!("Expected shape: ROWA wins slightly on failure-free read-heavy message cost;");
-    println!("QC keeps committing writes once copy holders start failing, ROWA drops to ~0%.");
+    println!("Expected shape: ROWA reads one copy and QC a read quorum (the home's copy and");
+    println!("the next holders, the others kept as spares), so ROWA stays cheaper on failure-free");
+    println!("read-heavy traffic and QC's cost grows with the degree, by a majority of the copies");
+    println!("per access rather than all of them. QC keeps committing writes once copy holders");
+    println!("start failing, ROWA drops to ~0%.");
 
     // Study 3: the term project of Section 5 — 2PC vs 3PC, commit-protocol
     // messages by kind (QC + 2PL, write-heavy, degree 3).
@@ -131,4 +134,10 @@ fn main() {
     println!("{}", acp_table.render());
     println!("Expected shape: 3PC adds one PRECOMMIT / PRECOMMIT_ACK round per participant");
     println!("and the response time it costs, in exchange for non-blocking termination.");
+    println!("Three copies on four sites: two conflicting transactions' quorums can meet at one");
+    println!("site for one item and at another for the next, so a lock cycle spans sites and no");
+    println!("site's wait-for graph sees it. At the hedge point (half the quorum timeout) the");
+    println!("rounds ask their spare copies, where the cycle can meet at one site and be broken;");
+    println!("otherwise the quorum times out. The few transactions caught in such a cycle");
+    println!("dominate the mean response time of either protocol.");
 }

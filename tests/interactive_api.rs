@@ -334,6 +334,44 @@ fn one_increment_is_four_client_messages() {
 }
 
 #[test]
+fn one_increment_asks_one_remote_copy_and_leaves_the_spare_alone() {
+    // Three copies, majority quorums, home pinned at site 0: the quorum is
+    // the home's own copy and its ring successor, site 1. Site 2 is a spare
+    // nobody fails over to, so it hears nothing — no copy access, and no
+    // release notice for a lock it never took.
+    let cluster = Cluster::start(ClusterConfig::quick(3, 8, 3).unwrap()).unwrap();
+    let counters = cluster.network_counters();
+    let before = counters.snapshot();
+    let mut client = cluster.client();
+    let mut txn = client.begin_at("increment", SiteId(0));
+    txn.increment("x0", 1).unwrap();
+    txn.commit().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while cluster.open_conversations() > 0 {
+        assert!(Instant::now() < deadline, "the coordinator never retired");
+        std::thread::yield_now();
+    }
+
+    let site = |n| rainbow_net::NodeId::Site(SiteId(n));
+    let remote = |from, to| counters.link(site(from), site(to));
+    assert_eq!(remote(0, 2) + remote(2, 0), 0, "the spare was contacted");
+    // The one remote copy: RCP_READ, RCP_REPLY, then 2PC with it:
+    // ACP_PREPARE, ACP_VOTE, ACP_DECISION, ACP_ACK.
+    assert_eq!(remote(0, 1), 3, "RCP_READ, ACP_PREPARE, ACP_DECISION");
+    assert_eq!(remote(1, 0), 3, "RCP_REPLY, ACP_VOTE, ACP_ACK");
+    // The home's own copy talks to it on loopback, which is not counted.
+    let delta = counters.delta_since(&before);
+    assert_eq!(delta.kind("RCP_READ"), 1, "site 1's copy: {delta:?}");
+    assert_eq!(
+        delta.kind("ACP_DECISION"),
+        1,
+        "no release notice: {delta:?}"
+    );
+    assert_eq!(delta.kind("ACP_ACK"), 1, "{delta:?}");
+    assert_eq!(delta.sent, 10, "6 site and 4 client messages: {delta:?}");
+}
+
+#[test]
 fn one_increment_is_eight_sequential_link_delays() {
     // TxnBegin(op), CopyRead, CopyReply, TxnOpReply, TxnOp(Commit),
     // AcpPrepare, AcpVote, TxnDone (beside the decisions): 8 delays. With a
