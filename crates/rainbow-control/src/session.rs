@@ -33,25 +33,24 @@ pub struct WorkloadReport {
 }
 
 impl WorkloadReport {
+    /// Number of transactions in this workload whose outcome is `outcome`.
+    fn count(&self, outcome: impl Fn(&TxnOutcome) -> bool) -> usize {
+        self.results.iter().filter(|r| outcome(&r.outcome)).count()
+    }
+
     /// Number of committed transactions in this workload.
     pub fn committed(&self) -> usize {
-        self.results.iter().filter(|r| r.committed()).count()
+        self.count(TxnOutcome::is_committed)
     }
 
     /// Number of aborted transactions in this workload.
     pub fn aborted(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.outcome.is_aborted())
-            .count()
+        self.count(TxnOutcome::is_aborted)
     }
 
     /// Number of orphaned transactions in this workload.
     pub fn orphaned(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| r.outcome.is_orphaned())
-            .count()
+        self.count(TxnOutcome::is_orphaned)
     }
 
     /// Transactions that finished, per the single workspace-wide definition
@@ -60,10 +59,7 @@ impl WorkloadReport {
     /// `commit_rate` and `throughput` can never disagree about which
     /// transactions count.
     pub fn finished(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| is_finished(&r.outcome))
-            .count()
+        self.count(is_finished)
     }
 
     /// Commit rate of this workload: committed / [`WorkloadReport::finished`].
@@ -329,7 +325,8 @@ impl Session {
     /// An interactive client of the running core: `begin → read/write →
     /// commit` conversations with typed, layer-attributed errors and a
     /// retry combinator (see `rainbow_core::client`). The one-shot
-    /// `submit*` methods below are adapters over the same conversations.
+    /// `submit*` and `run_*` methods below run the same conversations on a
+    /// client endpoint.
     pub fn client(&self) -> RainbowResult<Client<'_>> {
         Ok(self.cluster()?.client())
     }
@@ -346,7 +343,8 @@ impl Session {
         Ok(specs.into_iter().map(|spec| cluster.submit(spec)).collect())
     }
 
-    /// Generates and runs a workload from explicit generator parameters.
+    /// Generates and runs a workload from explicit generator parameters on
+    /// one client endpoint; an open workload starts each at its arrival.
     pub fn run_params(
         &self,
         params: WorkloadParams,
@@ -354,25 +352,18 @@ impl Session {
     ) -> RainbowResult<WorkloadReport> {
         let cluster = self.cluster()?;
         let specs = WorkloadGenerator::new(params).generate();
-        let started = Instant::now();
-        let results = match arrival {
-            ArrivalProcess::Closed { mpl } => cluster.run_workload(specs, mpl),
-            open => {
-                let delays = open.delays(specs.len(), self.config.seed);
-                let mut receivers = Vec::with_capacity(specs.len());
-                for (spec, delay) in specs.into_iter().zip(delays) {
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    receivers.push(cluster.submit_async(spec));
-                }
-                let timeout = Duration::from_millis(self.config.client_timeout_ms);
-                receivers
-                    .into_iter()
-                    .filter_map(|rx| rx.recv_timeout(timeout).ok())
-                    .collect()
-            }
+        let mpl = match arrival {
+            ArrivalProcess::Closed { mpl } => mpl,
+            _ => usize::MAX,
         };
+        let mut offset = Duration::ZERO;
+        let delays = arrival.delays(specs.len(), self.config.seed).into_iter();
+        let arrivals = delays.zip(specs).map(|(delay, spec)| {
+            offset += delay;
+            (offset, spec)
+        });
+        let started = Instant::now();
+        let results = cluster.run_arrivals(arrivals.collect(), mpl);
         Ok(WorkloadReport {
             results,
             stats: cluster.stats(),
@@ -680,6 +671,25 @@ mod tests {
             )
             .unwrap();
         assert_eq!(report.results.len(), 10);
+    }
+
+    /// Every spec of an open workload is reported, one result each: those
+    /// whose home is down come back orphaned after the client timeout.
+    #[test]
+    fn an_open_arrival_run_reports_every_spec_orphans_included() {
+        let mut session = Session::new();
+        session.configure_sites(3).unwrap();
+        session.configure_uniform_database(4, 100, 3).unwrap();
+        session.set_client_timeout(Duration::from_millis(200));
+        session.start().unwrap();
+        session.crash_site(SiteId(1)).unwrap();
+        let open = ArrivalProcess::Uniform { gap_micros: 500 };
+        let report = session
+            .run_generated(WorkloadProfile::ReadHeavy, 12, open)
+            .unwrap();
+        assert_eq!(report.results.len(), 12);
+        assert!(report.orphaned() > 0, "{:?}", report.results);
+        assert!(report.committed() > 0, "{:?}", report.results);
     }
 
     #[test]

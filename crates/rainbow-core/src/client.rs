@@ -1,4 +1,5 @@
-//! The interactive client API: `Client` / `Txn` handles.
+//! The client: interactive `Client` / `Txn` handles, and the endpoint that
+//! runs one-shot transactions.
 //!
 //! The paper's Rainbow is an *interactive* teaching system — a session
 //! configures the stack, then users drive transactions and watch each layer
@@ -37,9 +38,17 @@
 //! decision reaches them, so a later transaction sees the write or waits for
 //! it.
 //!
-//! One-shot [`TxnSpec`] submission (`Cluster::submit`, the Session API, the
-//! workload runners) is a thin adapter that replays the spec through one of
-//! these conversations — the coordinator has exactly one execution path.
+//! The client is cut the way a site is. A sans-IO `Conversation` holds
+//! one transaction's request id, home, label, assigned id, start time and
+//! the deadline of the answer it awaits; it turns a command into the
+//! message to send, and a message, or a `now` past its deadline, into what
+//! it heard. Two shells drive it on their caller's thread, over one client
+//! node and its mailbox: a [`Txn`] is one conversation that waits in
+//! `recv_timeout` for each answer, and the *endpoint* (`Cluster::submit`,
+//! `run_workload`, `run_arrivals`) drives many one-shot [`TxnSpec`]s keyed
+//! by request id, each from its arrival offset and at most a cap at once.
+//! The node registers when the client or endpoint run is made and leaves
+//! when it is dropped; no thread is created for a request.
 
 use crate::messages::{Msg, NextOp, OpReply};
 use crate::metrics::ProgressMonitor;
@@ -48,8 +57,9 @@ use parking_lot::Mutex;
 use rainbow_common::txn::{AbortCause, TxnError, TxnOutcome, TxnReceipt, TxnResult, TxnSpec};
 use rainbow_common::{ItemId, Operation, SiteId, TxnId, Value};
 use rainbow_net::{Envelope, NetHandle, NodeId};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap};
+use std::iter::Peekable;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,96 +70,313 @@ fn orphan_txn_id() -> TxnId {
     TxnId::new(SiteId(u32::MAX), 0)
 }
 
-/// A client endpoint registered on the simulated network: its node identity,
-/// its mailbox, and everything a conversation needs to reach the cluster.
-/// Cores are pooled by the cluster so repeated `Cluster::client()` /
-/// `Cluster::submit` calls do not grow the network registry without bound.
-pub(crate) struct ClientCore {
-    pub(crate) node: NodeId,
-    pub(crate) mailbox: Receiver<Envelope<Msg>>,
+/// The request a message to a client belongs to.
+fn request_of(msg: &Msg) -> Option<u64> {
+    match msg {
+        Msg::TxnOpReply { request, .. } | Msg::TxnDone { request, .. } => Some(*request),
+        _ => None,
+    }
+}
+
+/// One transaction's conversation with its home site, with no I/O: the
+/// caller sends what [`Conversation::send`] returns, hands it every message
+/// ([`Conversation::step`]) and tells it the time ([`Conversation::tick`]).
+#[derive(Debug)]
+pub(crate) struct Conversation {
+    request: u64,
+    home: SiteId,
+    label: String,
+    /// Assigned by the home site; learned from the first answer.
+    id: Option<TxnId>,
+    started: Instant,
+    /// When the answer to the last command is due.
+    deadline: Instant,
+}
+
+/// What a conversation heard after one command.
+#[derive(Debug)]
+pub(crate) enum Event {
+    /// A non-terminal reply from the coordinator.
+    Reply(OpReply),
+    /// The terminal result, with the transaction's timestamp counter for
+    /// the clients' clock: the transaction is over.
+    Done { result: TxnResult, clock: u64 },
+    /// No coordinator is driving the transaction any more.
+    Gone,
+    /// Nothing within the client timeout (or the network is down).
+    NoAnswer,
+}
+
+impl Conversation {
+    /// The message that carries `op`, whose answer is due by `now +
+    /// timeout`. The first command travels as the `TxnBegin` that opens the
+    /// conversation, stamped with the clients' `clock`.
+    pub(crate) fn send(&mut self, op: NextOp, clock: u64, now: Instant, timeout: Duration) -> Msg {
+        self.deadline = now + timeout;
+        let request = self.request;
+        match self.id {
+            Some(txn) => Msg::TxnOp { request, txn, op },
+            None => Msg::TxnBegin {
+                request,
+                label: self.label.clone(),
+                op,
+                clock,
+            },
+        }
+    }
+
+    /// What `msg` means to this conversation; `None` for a leftover of
+    /// another request (e.g. the `TxnDone` of a dropped handle).
+    pub(crate) fn step(&mut self, msg: Msg) -> Option<Event> {
+        if request_of(&msg) != Some(self.request) {
+            return None;
+        }
+        match msg {
+            Msg::TxnOpReply {
+                reply: OpReply::Gone,
+                ..
+            } => Some(Event::Gone),
+            Msg::TxnOpReply { txn, reply, .. } => {
+                self.id = Some(txn);
+                Some(Event::Reply(reply))
+            }
+            Msg::TxnDone { result, clock, .. } => Some(Event::Done { result, clock }),
+            _ => None,
+        }
+    }
+
+    /// How long the awaited answer still has at `now`; `None` once it is
+    /// overdue, which the conversation hears as [`Event::NoAnswer`].
+    pub(crate) fn tick(&self, now: Instant) -> Option<Duration> {
+        let left = self.deadline.checked_duration_since(now)?;
+        (!left.is_zero()).then_some(left)
+    }
+
+    /// A result the client makes up itself at `now` (an orphan, a
+    /// drop-abort).
+    pub(crate) fn synthetic(&self, outcome: TxnOutcome, now: Instant) -> TxnResult {
+        TxnResult {
+            id: self.id.unwrap_or_else(orphan_txn_id),
+            label: self.label.clone(),
+            outcome,
+            reads: BTreeMap::new(),
+            response_time: now.saturating_duration_since(self.started),
+            restarts: 0,
+            messages: 0,
+        }
+    }
+}
+
+/// What every client of a cluster shares: the way to its sites and the
+/// client timeout, after which an unanswered transaction is orphaned (each
+/// round trip gets a fresh window).
+pub(crate) struct Clients {
     pub(crate) net: NetHandle<Msg>,
     pub(crate) monitor: Arc<ProgressMonitor>,
     pub(crate) sites: Vec<SiteId>,
-    /// Round-robin cursor for home-site selection, shared with the cluster
-    /// so interleaved clients spread load the way `Cluster::submit` always
-    /// did.
-    pub(crate) round_robin: Arc<AtomicU64>,
-    /// Request-id source, shared across every client of the cluster.
-    pub(crate) next_request: Arc<AtomicU64>,
-    /// The clients' Lamport clock (see [`Msg::TxnBegin`]), shared across
-    /// every client of the cluster as by the threads of one process: a
-    /// transaction one client begins after another client's ended is
-    /// stamped after it.
-    pub(crate) clock: Arc<AtomicU64>,
-    /// How long the client waits for any single conversation reply before
-    /// declaring the transaction orphaned. The timeout now spans an open
-    /// conversation: each round trip gets a fresh window.
     pub(crate) timeout: Duration,
+    pub(crate) counters: Counters,
 }
 
-impl ClientCore {
-    /// Picks the next round-robin home site.
-    fn pick_home(&self) -> SiteId {
-        let index = self.round_robin.fetch_add(1, Ordering::Relaxed) as usize % self.sites.len();
-        self.sites[index]
+/// The clients' shared counters.
+#[derive(Default)]
+pub(crate) struct Counters {
+    /// Round-robin cursor for home-site selection.
+    round_robin: AtomicU64,
+    next_request: AtomicU64,
+    /// The clients' Lamport clock (see [`Msg::TxnBegin`]), shared as by the
+    /// threads of one process: a transaction one client begins after
+    /// another client's ended is stamped after it.
+    clock: AtomicU64,
+    /// Client node ids: the next new one, and those of dropped nodes, which
+    /// are reused so that the network's per-link counters stay bounded.
+    next_node: AtomicU32,
+    free_nodes: Mutex<Vec<u32>>,
+}
+
+impl Clients {
+    /// Registers a client node on the network, with its mailbox.
+    pub(crate) fn node(&self) -> ClientCore<'_> {
+        let index = self.counters.free_nodes.lock().pop();
+        let next = || self.counters.next_node.fetch_add(1, Ordering::Relaxed);
+        let node = NodeId::Client(index.unwrap_or_else(next));
+        let mailbox = self.net.register(node);
+        ClientCore {
+            clients: self,
+            node,
+            mailbox,
+        }
+    }
+}
+
+/// One client node on the network and its mailbox; it leaves the network
+/// when dropped.
+pub(crate) struct ClientCore<'a> {
+    clients: &'a Clients,
+    node: NodeId,
+    mailbox: Receiver<Envelope<Msg>>,
+}
+
+impl ClientCore<'_> {
+    /// Opens a conversation *on the client only*: picks the home site
+    /// (round robin unless pinned) and the request id, counts the
+    /// submission, and sends nothing.
+    fn open(&self, label: String, home: Option<SiteId>, now: Instant) -> Conversation {
+        let (clients, counters) = (self.clients, &self.clients.counters);
+        let home = home.unwrap_or_else(|| {
+            let index = counters.round_robin.fetch_add(1, Ordering::Relaxed) as usize;
+            clients.sites[index % clients.sites.len()]
+        });
+        clients.monitor.record_submitted();
+        Conversation {
+            request: counters.next_request.fetch_add(1, Ordering::Relaxed),
+            home,
+            label,
+            id: None,
+            started: now,
+            deadline: now,
+        }
     }
 
-    /// Starts a conversation *on the client only*: picks the home site and
-    /// the request id, counts the submission, and sends nothing. The home
-    /// site first hears of the transaction when the first command arrives,
-    /// inside the opening `TxnBegin`.
-    pub(crate) fn begin_conversation(&mut self, label: &str, home: Option<SiteId>) -> Txn<'_> {
-        let home = home.unwrap_or_else(|| self.pick_home());
-        let request = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.monitor.record_submitted();
+    fn begin(&self, label: String, home: Option<SiteId>) -> Txn<'_> {
         Txn {
             core: self,
-            request,
-            id: None,
-            home,
-            label: label.to_string(),
-            started: Instant::now(),
-            finished: None,
+            conversation: self.open(label, home, Instant::now()),
+            finished: false,
         }
     }
 
-    /// Replays a one-shot [`TxnSpec`] through an interactive conversation —
-    /// the single adapter behind `Cluster::submit`, `Cluster::run_workload`
-    /// and the Session API. Operation semantics match the conversation
-    /// exactly: reads run their quorum immediately, writes buffer until
-    /// commit, increments read-for-update; the first failing operation
-    /// aborts the transaction.
-    pub(crate) fn replay(&mut self, spec: &TxnSpec) -> TxnResult {
-        let mut txn = self.begin_conversation(&spec.label, spec.home);
-        let ops = &spec.operations;
-        let mut index = 0;
-        while index < ops.len() {
-            // Consecutive reads replay as one ReadMany batch, so a one-shot
-            // spec keeps the parallel quorum fan-out it always had.
-            let step = match &ops[index] {
-                Operation::Read { .. } => {
-                    let mut items = Vec::new();
-                    while let Some(Operation::Read { item }) = ops.get(index) {
-                        items.push(item.clone());
-                        index += 1;
-                    }
-                    txn.read_many(items).map(|_| ())
+    /// Sends `op` on `conversation`; false when the network is down.
+    fn send(&self, conversation: &mut Conversation, op: NextOp, now: Instant) -> bool {
+        let clients = self.clients;
+        let clock = clients.counters.clock.load(Ordering::Relaxed);
+        let msg = conversation.send(op, clock, now, clients.timeout);
+        let home = NodeId::Site(conversation.home);
+        clients.net.send(self.node, home, msg).is_ok()
+    }
+
+    /// What `msg` means to `conversation`; a `TxnDone` also moves the
+    /// clients' clock.
+    fn hear(&self, conversation: &mut Conversation, msg: Msg) -> Option<Event> {
+        let event = conversation.step(msg)?;
+        if let Event::Done { clock, .. } = &event {
+            let shared = &self.clients.counters.clock;
+            shared.fetch_max(*clock, Ordering::Relaxed);
+        }
+        Some(event)
+    }
+
+    /// The endpoint: runs one-shot specs as conversations on this node (see
+    /// `Cluster::run_arrivals`).
+    pub(crate) fn run_specs(&self, specs: Vec<(Duration, TxnSpec)>, cap: usize) -> Vec<TxnResult> {
+        let (start, cap) = (Instant::now(), cap.max(1));
+        let mut results = Vec::with_capacity(specs.len());
+        let mut arrivals = specs.into_iter().peekable();
+        let mut open: HashMap<u64, Replay> = HashMap::new();
+        loop {
+            let now = Instant::now();
+            open.retain(|_, replay| {
+                let overdue = replay.conversation.tick(now).is_none();
+                if overdue {
+                    results.extend(self.carry_on(replay, Some(Event::NoAnswer), now));
                 }
-                Operation::Write { item, value } => {
-                    index += 1;
-                    txn.write(item.clone(), value.clone())
+                !overdue
+            });
+            while open.len() < cap {
+                let Some((_, spec)) = arrivals.next_if(|(at, _)| start + *at <= now) else {
+                    break;
+                };
+                let mut replay = Replay {
+                    conversation: self.open(spec.label, spec.home, now),
+                    ops: spec.operations.into_iter().peekable(),
+                    committing: false,
+                };
+                match self.carry_on(&mut replay, None, now) {
+                    Some(result) => results.push(result),
+                    None => _ = open.insert(replay.conversation.request, replay),
                 }
-                Operation::Increment { item, delta } => {
-                    index += 1;
-                    txn.increment(item.clone(), *delta).map(|_| ())
-                }
+            }
+            let next = arrivals.peek().filter(|_| open.len() < cap);
+            let deadlines = open.values().map(|replay| replay.conversation.deadline);
+            let Some(wake) = deadlines.chain(next.map(|(at, _)| start + *at)).min() else {
+                return results;
             };
-            if step.is_err() {
-                return txn.into_result();
+            let Ok(envelope) = self.mailbox.recv_timeout(wake - now) else {
+                continue;
+            };
+            let Some(request) = request_of(&envelope.payload) else {
+                continue;
+            };
+            let Some(replay) = open.get_mut(&request) else {
+                continue;
+            };
+            let event = self.hear(&mut replay.conversation, envelope.payload);
+            if let Some(result) = self.carry_on(replay, event, Instant::now()) {
+                open.remove(&request);
+                results.push(result);
             }
         }
-        let _ = txn.finish_commit();
-        txn.into_result()
+    }
+
+    /// Carries a spec on after `event` (`None`: it has just opened): sends
+    /// its next command and returns `None`, or returns its result when its
+    /// conversation is over.
+    fn carry_on(&self, run: &mut Replay, event: Option<Event>, now: Instant) -> Option<TxnResult> {
+        let result = match event {
+            None | Some(Event::Reply(_)) if !run.committing => {
+                let op = run.next_op();
+                if self.send(&mut run.conversation, op, now) {
+                    return None;
+                }
+                run.conversation.synthetic(TxnOutcome::Orphaned, now)
+            }
+            Some(Event::Done { result, .. }) => result,
+            // A commit answered by a reply, a vanished coordinator, no answer.
+            _ => run.conversation.synthetic(TxnOutcome::Orphaned, now),
+        };
+        self.clients.monitor.record_result(&result);
+        Some(result)
+    }
+}
+
+impl Drop for ClientCore<'_> {
+    fn drop(&mut self) {
+        self.clients.net.unregister(self.node);
+        if let NodeId::Client(index) = self.node {
+            self.clients.counters.free_nodes.lock().push(index);
+        }
+    }
+}
+
+/// A one-shot spec on the endpoint: its conversation, and the operations
+/// it has not sent yet.
+struct Replay {
+    conversation: Conversation,
+    ops: Peekable<std::vec::IntoIter<Operation>>,
+    committing: bool,
+}
+
+impl Replay {
+    /// The next command: consecutive reads go as one `ReadMany` (so a
+    /// one-shot spec keeps its parallel quorum fan-out), and after the last
+    /// operation comes the commit.
+    fn next_op(&mut self) -> NextOp {
+        match self.ops.next() {
+            Some(Operation::Read { item }) => {
+                let mut items = vec![item];
+                let is_read = |op: &Operation| matches!(op, Operation::Read { .. });
+                while let Some(Operation::Read { item }) = self.ops.next_if(is_read) {
+                    items.push(item);
+                }
+                NextOp::ReadMany { items }
+            }
+            Some(Operation::Write { item, value }) => NextOp::BufferWrite { item, value },
+            Some(Operation::Increment { item, delta }) => NextOp::Increment { item, delta },
+            None => {
+                self.committing = true;
+                NextOp::Commit
+            }
+        }
     }
 }
 
@@ -205,49 +432,20 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Shared pool of client endpoints, owned by the cluster. Checked-out cores
-/// return here when their [`Client`] drops, so client nodes are reused
-/// instead of accumulating in the network registry.
-pub(crate) struct ClientPool {
-    cores: Mutex<Vec<ClientCore>>,
-}
-
-impl ClientPool {
-    pub(crate) fn new() -> Self {
-        ClientPool {
-            cores: Mutex::new(Vec::new()),
-        }
-    }
-
-    pub(crate) fn take(&self) -> Option<ClientCore> {
-        self.cores.lock().pop()
-    }
-
-    pub(crate) fn put(&self, core: ClientCore) {
-        self.cores.lock().push(core);
-    }
-}
-
 /// An interactive client of a running cluster. Obtained from
 /// `Cluster::client()`; one client drives one transaction at a time
 /// (enforced by the borrow checker: [`Txn`] borrows the client mutably).
 pub struct Client<'a> {
-    pool: &'a ClientPool,
-    core: Option<ClientCore>,
+    core: ClientCore<'a>,
     retry: RetryPolicy,
 }
 
 impl<'a> Client<'a> {
-    pub(crate) fn new(pool: &'a ClientPool, core: ClientCore) -> Self {
+    pub(crate) fn new(core: ClientCore<'a>) -> Self {
         Client {
-            pool,
-            core: Some(core),
+            core,
             retry: RetryPolicy::default(),
         }
-    }
-
-    fn core_mut(&mut self) -> &mut ClientCore {
-        self.core.as_mut().expect("core present until drop")
     }
 
     /// Replaces the retry policy used by [`Client::run`].
@@ -256,26 +454,19 @@ impl<'a> Client<'a> {
         self
     }
 
-    /// The current retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Begins an interactive transaction at a round-robin-chosen home site.
     ///
     /// Nothing is sent yet, so this cannot fail: the home site is contacted
     /// by the first command, and an unreachable home surfaces there, as
     /// [`TxnError::Orphaned`].
     pub fn begin(&mut self, label: impl Into<String>) -> Txn<'_> {
-        let label = label.into();
-        self.core_mut().begin_conversation(&label, None)
+        self.core.begin(label.into(), None)
     }
 
     /// Begins an interactive transaction pinned to a home site, like the
     /// manual workload panel does. Sends nothing, like [`Client::begin`].
     pub fn begin_at(&mut self, label: impl Into<String>, home: SiteId) -> Txn<'_> {
-        let label = label.into();
-        self.core_mut().begin_conversation(&label, Some(home))
+        self.core.begin(label.into(), Some(home))
     }
 
     /// Runs `body` inside a transaction, committing when it returns `Ok` —
@@ -299,7 +490,7 @@ impl<'a> Client<'a> {
             if attempt > 0 {
                 std::thread::sleep(retry.backoff(attempt));
             }
-            let mut txn = self.core_mut().begin_conversation(&label, None);
+            let mut txn = self.core.begin(label.clone(), None);
             match body(&mut txn) {
                 Ok(value) => match txn.commit() {
                     Ok(mut receipt) => {
@@ -324,21 +515,6 @@ impl<'a> Client<'a> {
         }
         Err(last_error.unwrap_or(TxnError::Finished))
     }
-
-    /// Replays a one-shot [`TxnSpec`] through an interactive conversation
-    /// and returns its full result — the adapter `Cluster::submit` and the
-    /// Session layer are built on.
-    pub fn replay_spec(&mut self, spec: &TxnSpec) -> TxnResult {
-        self.core_mut().replay(spec)
-    }
-}
-
-impl Drop for Client<'_> {
-    fn drop(&mut self) {
-        if let Some(core) = self.core.take() {
-            self.pool.put(core);
-        }
-    }
 }
 
 /// An open interactive transaction. Operations run through the protocol
@@ -348,130 +524,90 @@ impl Drop for Client<'_> {
 /// read-for-update quorum immediately. Dropping an unfinished handle aborts
 /// the transaction so no CCP resource outlives the conversation.
 pub struct Txn<'c> {
-    core: &'c mut ClientCore,
-    request: u64,
-    /// Assigned by the home site; learned from the first answer.
-    id: Option<TxnId>,
-    home: SiteId,
-    label: String,
-    started: Instant,
-    /// The final result, once the conversation terminated (set exactly once;
-    /// also recorded with the progress monitor exactly once).
-    finished: Option<TxnResult>,
-}
-
-/// What the conversation heard back after sending one command; produced by
-/// the single shared send/receive loop (`Txn::send_and_await`).
-enum ConversationEvent {
-    /// A non-terminal reply from the coordinator.
-    Reply(OpReply),
-    /// The terminal result: the transaction is over.
-    Done(TxnResult),
-    /// No coordinator is driving the transaction any more.
-    Gone,
-    /// Nothing within the client timeout (or the network is down).
-    NoAnswer,
+    core: &'c ClientCore<'c>,
+    conversation: Conversation,
+    /// Whether the conversation has terminated (its one result is recorded
+    /// with the progress monitor).
+    finished: bool,
 }
 
 impl Txn<'_> {
     /// The transaction id the home site assigned: `None` until the first
     /// command has been answered.
     pub fn id(&self) -> Option<TxnId> {
-        self.id
+        self.conversation.id
     }
 
     /// The home site coordinating this transaction.
     pub fn home(&self) -> SiteId {
-        self.home
+        self.conversation.home
     }
 
     /// The label the transaction was begun with.
     pub fn label(&self) -> &str {
-        &self.label
+        &self.conversation.label
     }
 
-    /// Terminates the conversation with `result`, recording it with the
-    /// progress monitor (each conversation records exactly one result).
+    /// Terminates the conversation with `result` (each conversation records
+    /// exactly one result).
     fn finish(&mut self, result: TxnResult) {
-        if self.finished.is_none() {
-            self.core.monitor.record_result(&result);
-            self.finished = Some(result);
+        if !self.finished {
+            self.core.clients.monitor.record_result(&result);
+            self.finished = true;
         }
     }
 
     /// Terminates with a client-synthesized outcome (orphan, drop-abort).
     fn finish_synthetic(&mut self, outcome: TxnOutcome) {
-        let result = TxnResult {
-            id: self.id.unwrap_or_else(orphan_txn_id),
-            label: self.label.clone(),
-            outcome,
-            reads: BTreeMap::new(),
-            response_time: self.started.elapsed(),
-            restarts: 0,
-            messages: 0,
-        };
+        let result = self.conversation.synthetic(outcome, Instant::now());
         self.finish(result);
     }
 
-    /// Sends one command and waits for the conversation's next relevant
-    /// event: the coordinator's reply, the terminal `TxnDone`, a `Gone`
-    /// notice, or no answer within the client timeout. This is the single
-    /// send/receive loop every operation shares; callers differ only in how
-    /// they map the event to their outcome. The first command of a
-    /// conversation travels as the `TxnBegin` that opens it.
-    fn send_and_await(&mut self, op: NextOp) -> ConversationEvent {
-        let request = self.request;
-        let msg = match self.id {
-            Some(txn) => Msg::TxnOp { request, txn, op },
-            None => Msg::TxnBegin {
-                request,
-                label: self.label.clone(),
-                op,
-                clock: self.core.clock.load(Ordering::Relaxed),
-            },
-        };
-        let send = self
-            .core
-            .net
-            .send(self.core.node, NodeId::Site(self.home), msg);
-        if send.is_err() {
-            return ConversationEvent::NoAnswer;
+    /// Sends one command and waits for the conversation's next event: the
+    /// coordinator's reply, the terminal `TxnDone`, a `Gone` notice, or no
+    /// answer within the client timeout. Every operation shares this loop;
+    /// callers differ only in how they map the event to their outcome.
+    fn send_and_await(&mut self, op: NextOp) -> Event {
+        let core = self.core;
+        if !core.send(&mut self.conversation, op, Instant::now()) {
+            return Event::NoAnswer;
         }
-        let deadline = Instant::now() + self.core.timeout;
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return ConversationEvent::NoAnswer;
-            }
-            let Ok(envelope) = self.core.mailbox.recv_timeout(remaining) else {
-                return ConversationEvent::NoAnswer;
+            let Some(wait) = self.conversation.tick(Instant::now()) else {
+                return Event::NoAnswer;
             };
-            match envelope.payload {
-                Msg::TxnOpReply {
-                    request: r,
-                    reply: OpReply::Gone,
-                    ..
-                } if r == request => return ConversationEvent::Gone,
-                Msg::TxnOpReply {
-                    request: r,
-                    txn,
-                    reply,
-                } if r == request => {
-                    self.id = Some(txn);
-                    return ConversationEvent::Reply(reply);
-                }
-                Msg::TxnDone {
-                    request: r,
-                    result,
-                    clock,
-                } if r == request => {
-                    self.core.clock.fetch_max(clock, Ordering::Relaxed);
-                    return ConversationEvent::Done(result);
-                }
-                // Leftovers of earlier conversations on this core (e.g. the
-                // TxnDone of a dropped handle): skip.
-                _ => continue,
+            let Ok(envelope) = core.mailbox.recv_timeout(wait) else {
+                return Event::NoAnswer;
+            };
+            if let Some(event) = core.hear(&mut self.conversation, envelope.payload) {
+                return event;
             }
+        }
+    }
+
+    /// Ends the conversation with the coordinator's `result`: its receipt
+    /// when it committed, otherwise why not.
+    fn end(&mut self, result: TxnResult) -> Result<TxnReceipt, TxnError> {
+        let home = self.conversation.home;
+        let ended = match &result.outcome {
+            TxnOutcome::Committed => Ok(TxnReceipt::from_result(&result).expect("committed")),
+            TxnOutcome::Aborted(cause) => Err(TxnError::Aborted(cause.clone())),
+            TxnOutcome::Orphaned => Err(TxnError::Orphaned { home }),
+        };
+        self.finish(result);
+        ended
+    }
+
+    /// Ends the conversation as orphaned after `event` lost it: no answer,
+    /// or (`Expired`) a coordinator that no longer knows the transaction, so
+    /// its fate never became visible to this client.
+    fn lost(&mut self, event: Event) -> TxnError {
+        self.finish_synthetic(TxnOutcome::Orphaned);
+        match event {
+            Event::NoAnswer => TxnError::Orphaned {
+                home: self.conversation.home,
+            },
+            _ => TxnError::Expired,
         }
     }
 
@@ -479,40 +615,21 @@ impl Txn<'_> {
     /// events (a `TxnDone`, a vanished coordinator, a client timeout)
     /// finish the handle and surface as errors.
     fn command(&mut self, op: NextOp) -> Result<OpReply, TxnError> {
-        if self.finished.is_some() {
+        if self.finished {
             return Err(TxnError::Finished);
         }
         match self.send_and_await(op) {
-            ConversationEvent::Reply(reply) => Ok(reply),
-            ConversationEvent::Done(result) => {
-                let error = match &result.outcome {
-                    TxnOutcome::Aborted(cause) => TxnError::Aborted(cause.clone()),
-                    TxnOutcome::Orphaned => TxnError::Orphaned { home: self.home },
-                    // A commit decision can only answer a Commit command,
-                    // which is handled by `finish_commit`.
-                    TxnOutcome::Committed => TxnError::Finished,
-                };
-                self.finish(result);
-                Err(error)
-            }
-            ConversationEvent::Gone => {
-                // The coordinator no longer knows the transaction: its fate
-                // never became visible to this client.
-                self.finish_synthetic(TxnOutcome::Orphaned);
-                Err(TxnError::Expired)
-            }
-            ConversationEvent::NoAnswer => {
-                self.finish_synthetic(TxnOutcome::Orphaned);
-                Err(TxnError::Orphaned { home: self.home })
-            }
+            Event::Reply(reply) => Ok(reply),
+            // A commit decision can only answer a Commit command.
+            Event::Done { result, .. } => Err(self.end(result).err().unwrap_or(TxnError::Finished)),
+            event => Err(self.lost(event)),
         }
     }
 
     /// Reads `item`: the read quorum runs immediately and the observed
     /// (highest-versioned in-quorum) value is returned mid-transaction.
     pub fn read(&mut self, item: impl Into<ItemId>) -> Result<Value, TxnError> {
-        let item = item.into();
-        match self.command(NextOp::Read { item })? {
+        match self.command(NextOp::Read { item: item.into() })? {
             OpReply::Value { value, .. } => Ok(value),
             _ => Err(TxnError::Expired),
         }
@@ -563,46 +680,20 @@ impl Txn<'_> {
         }
     }
 
-    /// Drives the commit and stores the final result; shared by
-    /// [`Txn::commit`] and the spec-replay adapter.
-    fn finish_commit(&mut self) -> Result<(), TxnError> {
-        if self.finished.is_some() {
-            return Err(TxnError::Finished);
-        }
-        match self.send_and_await(NextOp::Commit) {
-            ConversationEvent::Done(result) => {
-                let outcome = match &result.outcome {
-                    TxnOutcome::Committed => Ok(()),
-                    TxnOutcome::Aborted(cause) => Err(TxnError::Aborted(cause.clone())),
-                    TxnOutcome::Orphaned => Err(TxnError::Orphaned { home: self.home }),
-                };
-                self.finish(result);
-                outcome
-            }
-            // A Commit command is only ever answered with TxnDone or Gone;
-            // any other event means the coordinator is unreachable or lost.
-            ConversationEvent::Gone | ConversationEvent::Reply(_) => {
-                self.finish_synthetic(TxnOutcome::Orphaned);
-                Err(TxnError::Expired)
-            }
-            ConversationEvent::NoAnswer => {
-                self.finish_synthetic(TxnOutcome::Orphaned);
-                Err(TxnError::Orphaned { home: self.home })
-            }
-        }
-    }
-
     /// Commits: the buffered writes are installed through their write
     /// quorums, then the atomic commit protocol decides. Consumes the
     /// handle; on success the receipt carries everything the conversation
     /// observed and cost.
     pub fn commit(mut self) -> Result<TxnReceipt, TxnError> {
-        self.finish_commit()?;
-        let result = self
-            .finished
-            .as_ref()
-            .expect("finish_commit set the result");
-        Ok(TxnReceipt::from_result(result).expect("finish_commit Ok means committed"))
+        if self.finished {
+            return Err(TxnError::Finished);
+        }
+        match self.send_and_await(NextOp::Commit) {
+            Event::Done { result, .. } => self.end(result),
+            // A Commit command is only ever answered with TxnDone or Gone;
+            // any other event means the coordinator is unreachable or lost.
+            event => Err(self.lost(event)),
+        }
     }
 
     /// Aborts the transaction, waiting for the coordinator to confirm that
@@ -610,39 +701,20 @@ impl Txn<'_> {
     /// is recorded as an abort anyway and its sites are cleaned by the
     /// janitor).
     pub fn abort(mut self) {
-        self.finish_abort();
-    }
-
-    fn finish_abort(&mut self) {
-        if self.finished.is_some() {
+        if self.finished {
             return;
         }
-        if self.id.is_none() {
+        if self.conversation.id.is_none() {
             // No command was ever sent: there is no confirmation to wait for.
             return self.abandon();
         }
         match self.send_and_await(NextOp::Abort) {
-            ConversationEvent::Done(result) => self.finish(result),
+            Event::Done { result, .. } => self.finish(result),
             // No confirmation: the abort was still initiated (or the
             // coordinator is already gone and the janitor cleans up), so the
             // conversation is truthfully an abort.
-            ConversationEvent::Gone | ConversationEvent::Reply(_) | ConversationEvent::NoAnswer => {
-                self.finish_synthetic(TxnOutcome::Aborted(AbortCause::UserAbort))
-            }
+            _ => self.finish_synthetic(TxnOutcome::Aborted(AbortCause::UserAbort)),
         }
-    }
-
-    /// The final result of the conversation, consuming the handle. An
-    /// unfinished handle is aborted first (like drop, but returning the
-    /// synthesized result). Used by the spec-replay adapter.
-    pub(crate) fn into_result(mut self) -> TxnResult {
-        if self.finished.is_none() {
-            self.abandon();
-        }
-        // Clone instead of take: drop glue still runs on `self`, and it must
-        // keep seeing a finished handle (a taken result would make it record
-        // a second, synthetic abort for the same conversation).
-        self.finished.clone().expect("terminal after abandon")
     }
 
     /// Fire-and-forget abort used by drop paths: the coordinator releases
@@ -650,16 +722,11 @@ impl Txn<'_> {
     /// dropped handle. A handle that never sent a command has nothing to
     /// release anywhere and sends nothing.
     fn abandon(&mut self) {
-        if let Some(txn) = self.id {
-            let _ = self.core.net.send(
-                self.core.node,
-                NodeId::Site(self.home),
-                Msg::TxnOp {
-                    request: self.request,
-                    txn,
-                    op: NextOp::Abort,
-                },
-            );
+        if let Some(txn) = self.conversation.id {
+            let (request, op) = (self.conversation.request, NextOp::Abort);
+            let home = NodeId::Site(self.conversation.home);
+            let msg = Msg::TxnOp { request, txn, op };
+            let _ = self.core.clients.net.send(self.core.node, home, msg);
         }
         self.finish_synthetic(TxnOutcome::Aborted(AbortCause::UserAbort));
     }
@@ -667,7 +734,7 @@ impl Txn<'_> {
 
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
-        if self.finished.is_none() {
+        if !self.finished {
             self.abandon();
         }
     }
@@ -701,5 +768,121 @@ mod tests {
         let b = splitmix64(2);
         assert_ne!(a, b);
         assert_ne!(a & 0xffff, b & 0xffff, "low bits differ too");
+    }
+
+    const SECOND: Duration = Duration::from_secs(1);
+
+    /// Request 7 at site 1, opened at `t0`. These tests hand it messages and
+    /// times: no thread, no network, no clock.
+    fn conversation(t0: Instant) -> Conversation {
+        Conversation {
+            request: 7,
+            home: SiteId(1),
+            label: "t".into(),
+            id: None,
+            started: t0,
+            deadline: t0,
+        }
+    }
+
+    fn done(request: u64, id: TxnId, outcome: TxnOutcome) -> Msg {
+        let result = TxnResult {
+            id,
+            label: "t".into(),
+            outcome,
+            reads: BTreeMap::new(),
+            response_time: Duration::from_millis(3),
+            restarts: 0,
+            messages: 10,
+        };
+        Msg::TxnDone {
+            request,
+            result,
+            clock: 9,
+        }
+    }
+
+    #[test]
+    fn a_stepped_commit_is_answered_by_its_txn_done() {
+        let (t0, txn) = (Instant::now(), TxnId::new(SiteId(1), 3));
+        let mut conversation = conversation(t0);
+        let item = ItemId::new("x");
+        let begin = conversation.send(NextOp::Increment { item, delta: 1 }, 5, t0, SECOND);
+        assert!(
+            matches!(begin, Msg::TxnBegin { request: 7, clock: 5, ref label, .. } if label == "t"),
+            "the first command opens the conversation: {begin:?}"
+        );
+        let value = OpReply::Value {
+            item: ItemId::new("x"),
+            value: Value::Int(100),
+        };
+        let reply = Msg::TxnOpReply {
+            request: 7,
+            txn,
+            reply: value,
+        };
+        let heard = conversation.step(reply);
+        assert!(matches!(heard, Some(Event::Reply(OpReply::Value { .. }))));
+        assert_eq!(
+            conversation.id,
+            Some(txn),
+            "the answer names the transaction"
+        );
+
+        let t1 = t0 + Duration::from_millis(10);
+        let commit = conversation.send(NextOp::Commit, 5, t1, SECOND);
+        assert!(
+            matches!(commit, Msg::TxnOp { request: 7, txn: t, op: NextOp::Commit } if t == txn),
+            "{commit:?}"
+        );
+        let half_way = t1 + SECOND / 2;
+        assert_eq!(conversation.tick(half_way), Some(SECOND / 2));
+        match conversation.step(done(7, txn, TxnOutcome::Committed)) {
+            Some(Event::Done { result, clock: 9 }) => assert!(result.committed()),
+            other => panic!("a commit ends in its TxnDone: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_stepped_conversation_skips_an_earlier_requests_leftovers() {
+        let t0 = Instant::now();
+        let mut conversation = conversation(t0);
+        let item = ItemId::new("x");
+        conversation.send(NextOp::Read { item }, 0, t0, SECOND);
+        // What request 6, an earlier transaction on the same node, left
+        // behind: the TxnDone of a dropped handle, a late Gone.
+        let earlier = TxnId::new(SiteId(1), 2);
+        let dropped = done(6, earlier, TxnOutcome::Aborted(AbortCause::UserAbort));
+        assert!(conversation.step(dropped).is_none());
+        let gone = Msg::TxnOpReply {
+            request: 6,
+            txn: earlier,
+            reply: OpReply::Gone,
+        };
+        assert!(conversation.step(gone).is_none());
+        assert_eq!(conversation.id, None, "a leftover names no transaction");
+
+        let txn = TxnId::new(SiteId(1), 3);
+        let own = done(7, txn, TxnOutcome::Aborted(AbortCause::UserAbort));
+        let heard = conversation.step(own);
+        assert!(matches!(heard, Some(Event::Done { result, .. }) if result.id == txn));
+    }
+
+    #[test]
+    fn a_stepped_lost_reply_times_out_into_an_orphan() {
+        let t0 = Instant::now();
+        let mut conversation = conversation(t0);
+        let item = ItemId::new("x");
+        conversation.send(NextOp::Increment { item, delta: 1 }, 0, t0, SECOND);
+        let almost = t0 + SECOND - Duration::from_millis(1);
+        assert_eq!(conversation.tick(almost), Some(Duration::from_millis(1)));
+        // The reply was lost: at its deadline there is no answer.
+        assert_eq!(conversation.tick(t0 + SECOND), None);
+        assert_eq!(conversation.tick(t0 + 2 * SECOND), None);
+        let orphan = conversation.synthetic(TxnOutcome::Orphaned, t0 + SECOND);
+        assert!(orphan.outcome.is_orphaned());
+        assert_eq!(orphan.id, orphan_txn_id(), "the home never named it");
+        assert_eq!(orphan.response_time, SECOND);
+        assert_eq!(orphan.label, "t");
     }
 }

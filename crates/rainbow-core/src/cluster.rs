@@ -2,17 +2,16 @@
 //!
 //! A [`Cluster`] is the programmatic equivalent of a configured Rainbow
 //! session: a simulated network, the name server, and a set of Rainbow
-//! sites, plus a client endpoint through which transactions are submitted
+//! sites, plus the client nodes through which transactions are submitted
 //! and results collected (the role the GUI + WLGlet/PMlet play in the
 //! paper). The workload generator, the Session API, the examples and every
 //! bench drive the system through this type.
 
-use crate::client::{Client, ClientCore, ClientPool};
+use crate::client::{Client, Clients};
 use crate::messages::Msg;
 use crate::metrics::{ProgressMonitor, SiteMetrics};
 use crate::name_server::NameServer;
 use crate::site::SiteHandle;
-use crossbeam_channel::{bounded, Receiver};
 use parking_lot::Mutex;
 use rainbow_common::config::{DatabaseSchema, DistributionSchema};
 use rainbow_common::history::{History, HistorySink};
@@ -148,12 +147,7 @@ pub struct Cluster {
     #[allow(dead_code)]
     name_server: NameServer,
     sites: BTreeMap<SiteId, SiteHandle>,
-    monitor: Arc<ProgressMonitor>,
-    clients: Arc<ClientPool>,
-    next_client: AtomicU64,
-    next_request: Arc<AtomicU64>,
-    clock: Arc<AtomicU64>,
-    round_robin: Arc<AtomicU64>,
+    clients: Clients,
     shut_down: AtomicBool,
     history: Option<Arc<HistorySink>>,
     tracer: Option<Arc<Tracer>>,
@@ -204,17 +198,19 @@ impl Cluster {
             sites.insert(spec.id, site);
         }
 
+        let clients = Clients {
+            net: network.handle(),
+            monitor,
+            sites: sites.keys().copied().collect(),
+            timeout: config.client_timeout,
+            counters: Default::default(),
+        };
         Ok(Cluster {
             config,
             network,
             name_server,
             sites,
-            monitor,
-            clients: Arc::new(ClientPool::new()),
-            next_client: AtomicU64::new(0),
-            next_request: Arc::new(AtomicU64::new(1)),
-            clock: Arc::new(AtomicU64::new(0)),
-            round_robin: Arc::new(AtomicU64::new(0)),
+            clients,
             shut_down: AtomicBool::new(false),
             history,
             tracer,
@@ -222,34 +218,12 @@ impl Cluster {
         })
     }
 
-    /// Checks a client endpoint out of the pool, registering a fresh one on
-    /// the network when the pool is empty.
-    fn checkout_core(&self) -> ClientCore {
-        if let Some(core) = self.clients.take() {
-            return core;
-        }
-        let index = self.next_client.fetch_add(1, Ordering::Relaxed) as u32;
-        let node = NodeId::Client(index);
-        let mailbox = self.network.register(node);
-        ClientCore {
-            node,
-            mailbox,
-            net: self.network.handle(),
-            monitor: Arc::clone(&self.monitor),
-            sites: self.site_ids(),
-            round_robin: Arc::clone(&self.round_robin),
-            next_request: Arc::clone(&self.next_request),
-            clock: Arc::clone(&self.clock),
-            timeout: self.config.client_timeout,
-        }
-    }
-
     /// An interactive client of this cluster: `begin → read/write → commit`
     /// conversations with typed, layer-attributed errors (see the
-    /// [`crate::client`] module). The endpoint returns to the cluster's pool
-    /// when the client is dropped.
+    /// [`crate::client`] module). Its node leaves the network when the
+    /// client is dropped.
     pub fn client(&self) -> Client<'_> {
-        Client::new(&self.clients, self.checkout_core())
+        Client::new(self.clients.node())
     }
 
     /// The configuration the cluster was built from.
@@ -274,7 +248,7 @@ impl Cluster {
 
     /// The progress monitor.
     pub fn monitor(&self) -> Arc<ProgressMonitor> {
-        Arc::clone(&self.monitor)
+        Arc::clone(&self.clients.monitor)
     }
 
     /// The tracer, or `None` when the cluster was started without
@@ -286,7 +260,7 @@ impl Cluster {
 
     /// The current statistics snapshot (the Figure 5 panel).
     pub fn stats(&self) -> StatsSnapshot {
-        self.monitor.snapshot()
+        self.clients.monitor.snapshot()
     }
 
     /// Total number of stale participant entries the janitors of all sites
@@ -559,66 +533,33 @@ impl Cluster {
         self.network.faults().heal_partition();
     }
 
-    /// Submits a one-shot transaction and returns a receiver for its result.
-    /// The home site is the one named in the spec, or chosen round-robin.
-    ///
-    /// This is an adapter: a background driver replays the spec through an
-    /// interactive [`crate::client::Txn`] conversation, so one-shot and
-    /// interactive transactions share a single execution path.
-    pub fn submit_async(&self, spec: TxnSpec) -> Receiver<TxnResult> {
-        let (tx, rx) = bounded(1);
-        let mut core = self.checkout_core();
-        let pool = Arc::clone(&self.clients);
-        std::thread::Builder::new()
-            .name("rainbow-client-driver".into())
-            .spawn(move || {
-                let result = core.replay(&spec);
-                pool.put(core);
-                let _ = tx.send(result);
-            })
-            .expect("failed to spawn client driver");
-        rx
-    }
-
-    /// Submits a one-shot transaction and waits for its result, replaying
-    /// it through an interactive conversation inline. A transaction whose
-    /// home site never answers (crash, partition) is reported as orphaned
-    /// after the configured client timeout — the paper's "orphan
-    /// transactions" statistic.
+    /// Submits a one-shot transaction and waits for its result. The home
+    /// site is the one named in the spec, or chosen round-robin. A
+    /// transaction whose home site never answers (crash, partition) is
+    /// reported as orphaned after the configured client timeout — the
+    /// paper's "orphan transactions" statistic.
     pub fn submit(&self, spec: TxnSpec) -> TxnResult {
-        let mut core = self.checkout_core();
-        let result = core.replay(&spec);
-        self.clients.put(core);
-        result
+        let mut results = self.run_arrivals(vec![(Duration::ZERO, spec)], 1);
+        results.pop().expect("one result per spec")
     }
 
     /// Runs a batch of transactions with at most `mpl` (multiprogramming
     /// level) outstanding at any time and returns all results.
     pub fn run_workload(&self, specs: Vec<TxnSpec>, mpl: usize) -> Vec<TxnResult> {
-        let mpl = mpl.max(1);
-        let queue = Arc::new(Mutex::new(specs.into_iter().collect::<Vec<_>>()));
-        let results = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|scope| {
-            for _ in 0..mpl {
-                let queue = Arc::clone(&queue);
-                let results = Arc::clone(&results);
-                scope.spawn(move || loop {
-                    let next = queue.lock().pop();
-                    match next {
-                        Some(spec) => {
-                            let result = self.submit(spec);
-                            results.lock().push(result);
-                        }
-                        None => break,
-                    }
-                });
-            }
-        });
-        let mut collected = Arc::try_unwrap(results)
-            .map(|m| m.into_inner())
-            .unwrap_or_default();
-        collected.sort_by_key(|r| r.id);
-        collected
+        let arrivals = specs.into_iter().map(|spec| (Duration::ZERO, spec));
+        let mut results = self.run_arrivals(arrivals.collect(), mpl);
+        results.sort_by_key(|r| r.id);
+        results
+    }
+
+    /// Runs one-shot transactions on one client endpoint, on the calling
+    /// thread (see [`crate::client`]): each spec opens its conversation at
+    /// its offset from the call (offsets in order), or later while `mpl`
+    /// conversations are open. Every spec comes back with exactly one
+    /// result, an unanswered one as orphaned; results are in completion
+    /// order.
+    pub fn run_arrivals(&self, arrivals: Vec<(Duration, TxnSpec)>, mpl: usize) -> Vec<TxnResult> {
+        self.clients.node().run_specs(arrivals, mpl)
     }
 
     /// Stops every component: sites, the name server, the network.

@@ -30,7 +30,9 @@
 //!   hands out [`client::Client`] handles whose `begin → read/write →
 //!   commit` conversations drive the coordinator one operation at a time,
 //!   with typed layer-attributed errors, abort-on-drop safety and a retry
-//!   combinator. One-shot `TxnSpec` submission is an adapter over this;
+//!   combinator. Both a `Txn` and the endpoint that runs one-shot
+//!   `TxnSpec`s drive the same sans-IO conversation on their caller's
+//!   thread;
 //! * [`metrics`] — per-site metrics and the global progress monitor.
 
 #![warn(missing_docs)]

@@ -322,6 +322,20 @@ impl<M: NetMessage> NetHandle<M> {
         });
     }
 
+    /// Registers a node and returns its mailbox (see
+    /// [`SimNetwork::register`]).
+    pub fn register(&self, node: NodeId) -> Receiver<Envelope<M>> {
+        let (tx, rx) = unbounded();
+        self.shared.registry.write().insert(node, tx);
+        rx
+    }
+
+    /// Removes a node from the network: what is sent to it from now on is
+    /// dropped.
+    pub fn unregister(&self, node: NodeId) {
+        self.shared.registry.write().remove(&node);
+    }
+
     /// The traffic counters shared with this network.
     pub fn counters(&self) -> Arc<NetworkCounters> {
         Arc::clone(&self.shared.counters)
@@ -393,14 +407,12 @@ impl<M: NetMessage> SimNetwork<M> {
     /// receiver stops getting messages), which is how a site "reboots" after
     /// a crash with an empty volatile queue.
     pub fn register(&self, node: NodeId) -> Receiver<Envelope<M>> {
-        let (tx, rx) = unbounded();
-        self.shared.registry.write().insert(node, tx);
-        rx
+        self.handle().register(node)
     }
 
     /// Removes a node from the network.
     pub fn unregister(&self, node: NodeId) {
-        self.shared.registry.write().remove(&node);
+        self.handle().unregister(node)
     }
 
     /// Nodes currently registered.

@@ -329,7 +329,8 @@ impl ReplicationControl for AvailableCopies {
 }
 
 /// Tree Quorum (Agrawal & El Abbadi): the copy holders form a logical tree
-/// (sorted site order, heap layout, arity 3 by default).
+/// (sorted site order, heap layout, [`TreeQuorum::ARITY`] children per
+/// node).
 ///
 /// * A **read quorum** is the root alone; when the root is suspected down
 ///   the read degrades to a majority of its children's read quorums,
@@ -339,33 +340,22 @@ impl ReplicationControl for AvailableCopies {
 ///   node) is mandatory, so writes block while the root is down — in
 ///   exchange, reads never pay more than one copy in the failure-free case
 ///   and every read quorum provably intersects every write quorum.
-#[derive(Debug)]
-pub struct TreeQuorum {
-    arity: usize,
-}
-
-impl Default for TreeQuorum {
-    fn default() -> Self {
-        TreeQuorum::new()
-    }
-}
+#[derive(Debug, Default)]
+pub struct TreeQuorum;
 
 impl TreeQuorum {
-    /// Creates the planner with the classic ternary tree.
-    pub fn new() -> Self {
-        TreeQuorum { arity: 3 }
-    }
+    /// Children per node: the classic ternary tree.
+    pub const ARITY: usize = 3;
 
-    /// Overrides the tree arity (minimum 2).
-    pub fn with_arity(mut self, arity: usize) -> Self {
-        self.arity = arity.max(2);
-        self
+    /// Creates the planner.
+    pub fn new() -> Self {
+        TreeQuorum
     }
 
     /// The child indices of node `i` in a heap-shaped tree over `n` nodes.
     fn children(&self, i: usize, n: usize) -> std::ops::Range<usize> {
-        let first = (i * self.arity + 1).min(n);
-        let last = (i * self.arity + self.arity).min(n.saturating_sub(1));
+        let first = (i * Self::ARITY + 1).min(n);
+        let last = (i * Self::ARITY + Self::ARITY).min(n.saturating_sub(1));
         if first >= n {
             first..first
         } else {

@@ -34,16 +34,6 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// The multiprogramming level to use when running this process through a
-    /// closed executor (open processes effectively allow unbounded
-    /// concurrency, bounded here to a large practical value).
-    pub fn effective_mpl(&self) -> usize {
-        match self {
-            ArrivalProcess::Closed { mpl } => (*mpl).max(1),
-            _ => 64,
-        }
-    }
-
     /// Inter-arrival delays for `n` transactions (the first delay is the gap
     /// before the first submission). Closed workloads have no pacing and
     /// return all-zero delays.
@@ -80,9 +70,7 @@ mod tests {
     #[test]
     fn closed_arrivals_have_no_delay_and_keep_mpl() {
         let process = ArrivalProcess::Closed { mpl: 4 };
-        assert_eq!(process.effective_mpl(), 4);
         assert!(process.delays(10, 1).iter().all(|d| d.is_zero()));
-        assert_eq!(ArrivalProcess::Closed { mpl: 0 }.effective_mpl(), 1);
     }
 
     #[test]
@@ -91,7 +79,6 @@ mod tests {
         let delays = process.delays(5, 1);
         assert_eq!(delays.len(), 5);
         assert!(delays.iter().all(|d| *d == Duration::from_micros(250)));
-        assert_eq!(process.effective_mpl(), 64);
     }
 
     #[test]

@@ -24,8 +24,11 @@
 
 use rainbow_common::protocol::{CcpKind, ProtocolStack};
 use rainbow_common::{SiteId, Value};
+use rainbow_control::Session;
 use rainbow_core::{Client, Cluster, ClusterConfig, RetryPolicy, StorageConfig};
+use rainbow_wlg::{ArrivalProcess, WorkloadGenerator, WorkloadProfile};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -99,6 +102,39 @@ fn started_since(before: &BTreeMap<u64, String>) -> BTreeMap<u64, String> {
         }
         std::thread::yield_now();
     }
+}
+
+/// Runs `run` and returns what it returned, with the threads started while
+/// it ran: a watcher polls `threads_by_id` throughout, since a thread that
+/// ended before `run` returned is gone from `started_since` afterwards.
+/// Counted as `started_since` counts: named `rainbow-*`, or not named.
+#[cfg(target_os = "linux")]
+fn threads_started_by<T>(run: impl FnOnce() -> T) -> (T, BTreeMap<u64, String>) {
+    let before = threads_by_id();
+    let creator = std::fs::read_to_string("/proc/thread-self/comm").expect("a comm");
+    let counted = |name: &String| name.starts_with("rainbow-") || name == creator.trim_end();
+    let running = AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        let watcher = std::thread::Builder::new().name("watcher".into());
+        let watcher = watcher.spawn_scoped(scope, || {
+            let me = std::fs::read_link("/proc/thread-self").expect("a thread-self link");
+            let me: u64 = me.file_name().unwrap().to_str().unwrap().parse().unwrap();
+            let mut seen = BTreeMap::new();
+            while running.load(Ordering::Relaxed) {
+                for (id, name) in threads_by_id() {
+                    if id != me && !before.contains_key(&id) && counted(&name) {
+                        seen.insert(id, name);
+                    }
+                }
+                std::thread::yield_now();
+            }
+            seen
+        });
+        let watcher = watcher.expect("a watcher thread");
+        let out = run();
+        running.store(false, Ordering::Relaxed);
+        (out, watcher.join().expect("the watcher ends"))
+    })
 }
 
 /// How often thread `id` has gone to sleep (`voluntary_ctxt_switches`).
@@ -275,6 +311,35 @@ fn a_warm_cluster_creates_no_thread_per_transaction() {
     // a majority of 3 per item touched) was answered the first time.
     assert_eq!(cluster.copy_accesses_parked(), 0);
     assert!(cluster.copy_accesses_inline() - inline_before >= 2 * (300 + 4 * 300));
+}
+
+/// One-shot specs run as conversations on one client endpoint, on the
+/// caller's thread: a closed workload of 8 at a time and an open one (a spec
+/// every 500 µs) start no thread at all, not one per open conversation nor
+/// one per request.
+#[cfg(target_os = "linux")]
+#[test]
+fn one_shot_workloads_start_no_thread() {
+    let _turn = take_turn();
+    let cluster = cluster(ProtocolStack::rainbow_default());
+    let items = cluster.config().database.item_ids();
+    let params = WorkloadProfile::ReadHeavy.params(items, cluster.site_ids(), 40, 1);
+    let specs = WorkloadGenerator::new(params).generate();
+    let (results, started) = threads_started_by(|| cluster.run_workload(specs, 8));
+    assert_eq!(results.len(), 40);
+    let orphans: Vec<_> = results.iter().filter(|r| r.outcome.is_orphaned()).collect();
+    assert!(orphans.is_empty(), "{orphans:?}");
+    assert!(started.is_empty(), "run_workload started {started:?}");
+
+    let mut session = Session::new();
+    session.configure_sites(3).unwrap();
+    session.configure_uniform_database(8, 100, 3).unwrap();
+    session.start().unwrap();
+    let open = ArrivalProcess::Uniform { gap_micros: 500 };
+    let (report, started) =
+        threads_started_by(|| session.run_generated(WorkloadProfile::ReadHeavy, 40, open));
+    assert_eq!(report.unwrap().results.len(), 40, "one result per spec");
+    assert!(started.is_empty(), "open arrivals started {started:?}");
 }
 
 /// T1 holds write access to `x0`; T2's read of `x0` has to wait for it; T3,
