@@ -318,6 +318,15 @@ pub enum Msg {
     Batch(Vec<Msg>),
     /// A site handle's request, run by the site's loop between two messages.
     Call(crate::site::Call),
+    /// The site's syncer to its loop: a sync of the log returned, so every
+    /// group written up to `ticket` is durable — unless `result` says the
+    /// sync failed.
+    Synced {
+        /// The newest group the sync covered.
+        ticket: u64,
+        /// What the sync returned.
+        result: std::io::Result<()>,
+    },
     /// Stops the node whose mailbox it is in.
     Stop,
 }
@@ -380,6 +389,7 @@ impl NetMessage for Msg {
             Msg::AcpStatusReply { .. } => "ACP_STATUS_REPLY",
             Msg::Batch(..) => "BATCH",
             Msg::Call(..) => "CALL",
+            Msg::Synced { .. } => "SYNCED",
             Msg::Stop => "STOP",
         }
     }

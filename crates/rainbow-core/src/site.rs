@@ -12,7 +12,8 @@
 //! it drained, ticks and flushes. When the site's log needs a sync to be
 //! durable (segment files), the shell also starts the site's **syncer**
 //! and joins it at shutdown: the loop writes a group of log records and
-//! keeps serving, the syncer syncs it and tells the loop by a call, and
+//! keeps serving, the syncer syncs it and tells the loop by a
+//! [`Msg::Synced`] message, and
 //! only what must not leave before the record is durable — a YES vote
 //! behind its prepare record, an acknowledgement behind its commit record
 //! — is held until then. Nothing else is ever created or lent, and no
@@ -421,6 +422,7 @@ impl Site {
     pub(crate) fn step(&mut self, now: Instant, envelope: Envelope<Msg>) {
         match envelope.payload {
             Msg::Call(Call(call)) => call(self),
+            Msg::Synced { ticket, result } => self.synced(ticket, result),
             msg => dispatch(&self.shared, &mut self.state, now, envelope.from, msg),
         }
         ask_parked_again(&self.shared, &mut self.state, now);
@@ -779,8 +781,8 @@ type SyncRequest = (u64, SyncHandle);
 
 /// Starts the syncer of site `id`: a thread that waits for the loop's sync
 /// requests, syncs the newest one waiting (a group written while a sync
-/// runs rides the next one), and tells the loop by a call. It ends when
-/// the loop drops the sender.
+/// runs rides the next one), and tells the loop by a [`Msg::Synced`]. It
+/// ends when the loop drops the sender.
 fn start_syncer(id: SiteId, net: NetHandle<Msg>) -> (Sender<SyncRequest>, JoinHandle<()>) {
     let (requests, waiting) = unbounded::<SyncRequest>();
     let syncer = std::thread::Builder::new()
@@ -790,8 +792,7 @@ fn start_syncer(id: SiteId, net: NetHandle<Msg>) -> (Sender<SyncRequest>, JoinHa
                 let newer = std::iter::from_fn(|| waiting.try_recv().ok());
                 let (ticket, segment) = newer.last().unwrap_or(oldest);
                 let result = segment.sync();
-                let synced = Call(Box::new(move |site: &mut Site| site.synced(ticket, result)));
-                net.post(NodeId::Site(id), Msg::Call(synced));
+                net.post(NodeId::Site(id), Msg::Synced { ticket, result });
             }
         })
         .expect("failed to spawn the site's syncer");
@@ -1007,9 +1008,9 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, now: Instant, from: Node
         }
         // Messages a site never receives (or that only matter to clients /
         // the name server) are ignored; those for a machine went to it
-        // above, and a call or a stop never reaches here. The schema
-        // arrived before the loop started: a late answer to a repeated
-        // `NsGetSchema` carries the same one.
+        // above, and a call, a sync's answer or a stop never reaches here.
+        // The schema arrived before the loop started: a late answer to a
+        // repeated `NsGetSchema` carries the same one.
         Msg::TxnOp { .. }
         | Msg::TxnOpReply { .. }
         | Msg::TxnDone { .. }
@@ -1020,6 +1021,7 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, now: Instant, from: Node
         | Msg::AcpPreCommitAck { .. }
         | Msg::AcpAck { .. }
         | Msg::Call(..)
+        | Msg::Synced { .. }
         | Msg::Stop => {}
     }
 }
@@ -2228,6 +2230,13 @@ mod tests {
             Some(ticket)
         }
 
+        /// Tells the site, by the syncer's message, that the sync for
+        /// `ticket` returned.
+        fn synced(&mut self, ticket: u64) {
+            let result = Ok(());
+            self.step(self.t0, Msg::Synced { ticket, result });
+        }
+
         /// Flushes the outbox: the envelopes the coordinator gets. (All of
         /// them have arrived when the flush returns: the network is perfect.)
         fn out(&mut self) -> Vec<Msg> {
@@ -2364,7 +2373,7 @@ mod tests {
         );
         let ticket = one.sync().expect("the prepare waits for a sync");
         assert!(one.out().is_empty(), "synced, but the loop was not told");
-        one.site.synced(ticket, Ok(()));
+        one.synced(ticket);
         let out = one.out();
         let yes = matches!(out.as_slice(), [Msg::AcpVote { txn: t, vote: Vote::Yes }] if *t == txn);
         assert!(yes, "{out:?}");
@@ -2375,7 +2384,7 @@ mod tests {
         let installed = one.site.state.storage.read(&ItemId::new("x0"));
         assert_eq!(installed.unwrap().0, Value::Int(7), "installed at once");
         let ticket = one.sync().expect("the commit waits for a sync");
-        one.site.synced(ticket, Ok(()));
+        one.synced(ticket);
         let out = one.out();
         let acked = matches!(out.as_slice(), [Msg::AcpAck { txn: t }] if *t == txn);
         assert!(acked, "{out:?}");
@@ -2425,11 +2434,28 @@ mod tests {
         let out = one.out();
         let asked = matches!(out.as_slice(), [Msg::AcpStatusQuery { txn: t }] if *t == txn);
         assert!(asked, "{out:?}");
-        one.site.synced(ticket, Ok(()));
+        one.synced(ticket);
         let out = one.out();
         assert!(out.is_empty(), "{out:?}");
         drop(one);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sync that failed takes the site down: the held vote never leaves,
+    /// because nothing can vouch for the pages the failed fsync dropped.
+    #[test]
+    #[should_panic(expected = "sync failed")]
+    fn a_stepped_failed_sync_takes_the_site_down() {
+        let (dir, storage) = segment_files("stepped-failed-sync");
+        let mut one = Stepped::on(quick_stack(), &storage);
+        let t0 = one.t0;
+        one.step(t0, Stepped::prewrite(1, "x0"));
+        one.out();
+        one.step(t0, Stepped::prepare_writing(1, "x0"));
+        let ticket = one.sync().expect("the prepare waits for a sync");
+        let _ = std::fs::remove_dir_all(&dir);
+        let result = Err(std::io::Error::other("the disk is gone"));
+        one.step(t0, Msg::Synced { ticket, result });
     }
 
     /// The node playing a `SteppedHome`'s client.

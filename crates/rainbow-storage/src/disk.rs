@@ -35,12 +35,22 @@
 //! holding the checkpoint state plus every undecided prepare, then removes
 //! all older segments. So the log stays bounded on either medium.
 //!
+//! **Zeroed tails.** A segment file keeps zeroed bytes written ahead of
+//! its write position ([`crate::medium::FileMedium`]), so an append
+//! overwrites bytes the file already has and the vote's `fdatasync` flushes
+//! data only, not the file system's journal: only the first sync after the
+//! file is extended has a size to record. So a segment may end in a run of
+//! zeros after its last frame, sealed or not. The rule is: a frame boundary
+//! from which every remaining byte is zero ends the segment. No frame
+//! starts with such a run, since a record's payload is never empty.
+//!
 //! **Recovery.** [`DiskEngine::recover`] replays the segments in order. A
 //! torn frame (incomplete header or payload) or a bad-CRC frame at the very
-//! tail is the expected signature of a power loss and is truncated away;
-//! damage anywhere *else* — in a sealed segment, or followed by valid
-//! frames — cannot be explained by a torn write and surfaces as
-//! [`RainbowError::CorruptLog`].
+//! tail — before the zero run, if any — is the expected signature of a
+//! power loss and is truncated away, zeros and all; the next append extends
+//! the segment again. Damage anywhere *else* — in a sealed segment, or with
+//! a valid frame after it — cannot be explained by a torn write and
+//! surfaces as [`RainbowError::CorruptLog`].
 //!
 //! **I/O errors.** Write or sync failures on the commit path are
 //! unrecoverable here: after a failed `fsync` the kernel may have dropped
@@ -485,8 +495,13 @@ fn scan_segment(
         ));
     }
 
+    // A segment ends at the frame boundary from which every byte is zero:
+    // the run a file medium writes ahead of its appends (a frame never
+    // starts with a zero run, since its length and checksum are not both
+    // zero).
+    let content = zero_run_start(bytes);
     let mut offset = SEGMENT_HEADER_LEN;
-    while offset < bytes.len() {
+    while offset < content {
         match codec::decode_frame(bytes, offset) {
             Ok((record, next)) => {
                 records.push(record);
@@ -502,7 +517,7 @@ fn scan_segment(
             // power failure. Followed by valid frames it cannot be (later
             // writes imply this one completed long ago): a flipped length
             // can make a mid-log frame look torn, too.
-            Err(err) if valid_frames_follow(bytes, offset) => {
+            Err(err) if valid_frames_follow(bytes, offset, content) => {
                 return Err(corrupt(offset, format!("{err} (valid frames follow)")));
             }
             // The power-loss signature: truncate here.
@@ -512,47 +527,32 @@ fn scan_segment(
     Ok(offset as u64)
 }
 
-/// True when any byte position after the frame at `offset` starts a chain
-/// of valid frames running exactly to the end of the buffer — evidence
-/// that the damage at `offset` sits in the *middle* of the log.
-fn valid_frames_follow(bytes: &[u8], offset: usize) -> bool {
-    // First try the damaged frame's own length field (damage may be
-    // confined to the payload), then every later byte position in case
-    // the length field itself is garbage. Segments are scanned only on
-    // recovery, and this only from a damaged frame to the segment's end, so
-    // the quadratic fallback is acceptable.
-    let mut candidates = Vec::new();
-    if bytes.len() - offset >= FRAME_HEADER_LEN {
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        if let Some(skip) = offset.checked_add(FRAME_HEADER_LEN + len) {
-            if skip < bytes.len() {
-                candidates.push(skip);
-            }
-        }
-    }
-    candidates.extend(offset + 1..bytes.len().saturating_sub(FRAME_HEADER_LEN));
-    candidates.into_iter().any(|start| {
-        let mut cursor = start;
-        let mut decoded = 0usize;
-        while cursor < bytes.len() {
-            match codec::decode_frame(bytes, cursor) {
-                Ok((_, next)) => {
-                    decoded += 1;
-                    cursor = next;
-                }
-                Err(_) => return false,
-            }
-        }
-        decoded >= 1 && cursor == bytes.len()
-    })
+/// Where the run of zeros that ends `bytes` starts: the length of `bytes`
+/// without its trailing zero bytes.
+fn zero_run_start(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |last| last + 1)
+}
+
+/// True when a valid frame starts at any byte position after the damaged
+/// frame at `offset` and before `content`, where the segment's zero run
+/// starts — evidence that the damage sits in the *middle* of the log,
+/// since only the last write can have raced the power failure. Every later
+/// position is tried, not only the damaged frame's own length, because the
+/// length field itself may be garbage. Segments are scanned only on
+/// recovery, and this only from a damaged frame to the segment's end.
+fn valid_frames_follow(bytes: &[u8], offset: usize, content: usize) -> bool {
+    (offset + 1..content).any(|start| codec::decode_frame(bytes, start).is_ok())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::medium::{FileMedium, MemMedium};
+    use crate::medium::{FileMedium, MemMedium, AHEAD};
     use rand::Rng;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static TEST_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -885,10 +885,179 @@ mod tests {
         });
     }
 
-    /// Recovery from any one flipped byte, or from the last segment cut at
-    /// any offset, returns `Ok` or `CorruptLog` and never panics. A flip
-    /// anywhere but the last segment's final frame is caught; a cut
-    /// recovers a prefix of the log, never a history with a hole in it.
+    /// An engine over segment files in a fresh directory, opened.
+    fn on_files(config: &StorageConfig) -> (PathBuf, DiskEngine) {
+        let dir = test_dir();
+        let mut engine = DiskEngine::new(Box::new(FileMedium::new(&dir, None)), config);
+        engine.recover().unwrap();
+        (dir, engine)
+    }
+
+    /// The length of segment file `seq` in `dir`.
+    fn file_len(dir: &Path, seq: u64) -> u64 {
+        let path = dir.join(format!("{seq:06}.seg"));
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    /// Where each frame of a segment starts, and where its frames end.
+    fn frames_of(bytes: &[u8]) -> (Vec<usize>, usize) {
+        let (mut starts, mut offset) = (Vec::new(), SEGMENT_HEADER_LEN);
+        while let Ok((_, next)) = codec::decode_frame(bytes, offset) {
+            starts.push(offset);
+            offset = next;
+        }
+        (starts, offset)
+    }
+
+    /// Sealed segments and the last one end in zeros on files, and each
+    /// recovers exactly its frames; recovery cuts the last one's zeros.
+    #[test]
+    fn zero_tailed_segments_recover_exactly_their_frames() {
+        let config = StorageConfig::memory().with_segment_max_bytes(256);
+        let (dir, mut engine) = on_files(&config);
+        for i in 1..=20 {
+            engine.append_forced_many(vec![commit_record(i, i as i64)]);
+        }
+        engine.power_loss(PowerLossFault::Clean);
+        let segments = engine.medium.segments().unwrap();
+        assert!(segments.len() >= 3, "the log must rotate: {segments:?}");
+        let mut frames = 0;
+        for &seq in &segments {
+            let bytes = engine.medium.read(seq).unwrap();
+            let (starts, end) = frames_of(&bytes);
+            assert!(bytes.len() > end, "segment {seq} has no zeroed tail");
+            assert!(bytes[end..].iter().all(|&b| b == 0), "segment {seq}");
+            frames += starts.len();
+        }
+        assert_eq!(frames, 20);
+
+        let outcome = engine.recover().unwrap();
+        assert_eq!(outcome.replayed_records, 20);
+        assert_eq!(outcome.state.get(&item("x")).unwrap().value, Value::Int(20));
+        let last = *segments.last().unwrap();
+        assert_eq!(
+            file_len(&dir, last),
+            engine.flushed_len,
+            "the zeros are cut"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A power loss tears the frame it was writing inside the zeroed run:
+    /// recovery cuts the torn frame and the zeros behind it.
+    #[test]
+    fn a_torn_final_frame_followed_by_zeros_is_cut() {
+        let (dir, mut engine) = on_files(&StorageConfig::memory());
+        engine.append_forced_many(vec![commit_record(1, 7)]);
+        engine.append_forced_many(vec![commit_record(2, 8)]);
+        engine.power_loss(PowerLossFault::TornWrite);
+        let bytes = engine.medium.read(1).unwrap();
+        let (starts, end) = frames_of(&bytes);
+        assert_eq!(starts.len(), 2);
+        let torn_end = zero_run_start(&bytes);
+        assert!(
+            end < torn_end && torn_end < bytes.len(),
+            "zeros follow the torn frame"
+        );
+
+        let outcome = engine.recover().unwrap();
+        assert_eq!(outcome.replayed_records, 2);
+        assert_eq!(outcome.state.get(&item("x")).unwrap().value, Value::Int(8));
+        assert_eq!(file_len(&dir, 1), end as u64, "cut at the torn frame");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A flip in a frame's length or payload, with valid frames and then
+    /// the zeroed run after it, is mid-log damage, not a torn tail.
+    #[test]
+    fn a_flipped_mid_log_frame_before_valid_frames_and_zeros_is_corrupt() {
+        for at in [0, FRAME_HEADER_LEN + 2] {
+            let (dir, mut engine) = on_files(&StorageConfig::memory());
+            for i in 1..=4 {
+                engine.append_forced_many(vec![commit_record(i, i as i64)]);
+            }
+            engine.power_loss(PowerLossFault::Clean);
+            let bytes = engine.medium.read(1).unwrap();
+            let (starts, end) = frames_of(&bytes);
+            assert!(bytes.len() > end, "the segment has a zeroed tail");
+            damage(&mut engine, 1, |bytes| bytes[starts[1] + at] ^= 0x40);
+
+            let err = engine.recover().unwrap_err();
+            assert!(
+                matches!(err, RainbowError::CorruptLog { segment: 1, .. }),
+                "flip at {at} of the second frame: {err:?}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A group longer than the zeroed run is written whole, with a fresh
+    /// run after it.
+    #[test]
+    fn a_group_larger_than_the_zeroed_run_is_written_whole() {
+        let (dir, mut engine) = on_files(&StorageConfig::memory());
+        let group: Vec<LogRecord> = (1..=3_000).map(|i| commit_record(i, i as i64)).collect();
+        let len: usize = group.iter().map(|r| codec::encode_frame(r).len()).sum();
+        assert!(len as u64 > AHEAD, "{len} bytes");
+        engine.append_forced_many(group);
+        let written = (SEGMENT_HEADER_LEN + len) as u64;
+        assert_eq!(file_len(&dir, 1), written + AHEAD);
+
+        engine.power_loss(PowerLossFault::Clean);
+        let outcome = engine.recover().unwrap();
+        assert_eq!(outcome.replayed_records, 3_000);
+        let x = outcome.state.get(&item("x")).unwrap();
+        assert_eq!(x.value, Value::Int(3_000));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory whose segment has no zeroed tail (every append grew the
+    /// file) recovers, and the next append gives it one.
+    #[test]
+    fn a_segment_without_a_zeroed_tail_recovers_then_grows_one() {
+        let dir = test_dir();
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = segment_header().to_vec();
+        for i in 1..=3 {
+            codec::append_frame(&mut bytes, &commit_record(i, i as i64));
+        }
+        std::fs::write(dir.join("000001.seg"), &bytes).unwrap();
+
+        let medium = Box::new(FileMedium::new(&dir, None));
+        let mut engine = DiskEngine::new(medium, &StorageConfig::memory());
+        assert_eq!(engine.recover().unwrap().replayed_records, 3);
+        assert_eq!(file_len(&dir, 1), bytes.len() as u64);
+        engine.append_forced_many(vec![commit_record(4, 4)]);
+        let frame = codec::encode_frame(&commit_record(4, 4)).len();
+        assert_eq!(file_len(&dir, 1), (bytes.len() + frame) as u64 + AHEAD);
+
+        engine.power_loss(PowerLossFault::Clean);
+        let outcome = engine.recover().unwrap();
+        assert_eq!(outcome.replayed_records, 4);
+        assert_eq!(outcome.state.get(&item("x")).unwrap().value, Value::Int(4));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An append that lands inside the zeroed run overwrites it: the file
+    /// keeps its length, so its sync has no size change to commit.
+    #[test]
+    fn appends_inside_the_zeroed_run_keep_the_file_length() {
+        let (dir, mut engine) = on_files(&StorageConfig::memory());
+        engine.append_forced_many(vec![commit_record(1, 1)]);
+        let len = file_len(&dir, 1);
+        for i in 2..=50 {
+            engine.append_forced_many(vec![commit_record(i, i as i64)]);
+            assert_eq!(file_len(&dir, 1), len, "append {i} grew the file");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Recovery from one to three flipped bytes, or from the last segment
+    /// cut at any offset, with or without zeroed tails on the segments,
+    /// returns `Ok` or `CorruptLog` and never panics. `Ok` keeps only
+    /// undamaged frames and drops only damaged ones: so a single flip
+    /// anywhere but the last segment's final frame (or the zeros after it)
+    /// is caught, and a cut recovers every frame it left whole.
     #[test]
     fn recovery_never_panics_on_a_damaged_medium() {
         let config = StorageConfig::memory().with_segment_max_bytes(160);
@@ -911,60 +1080,98 @@ mod tests {
             records.extend(group.clone());
             engine.append_forced_many(group);
         }
-        let mut pristine = MemMedium::default();
         let segments = engine.medium.segments().unwrap();
-        for &seq in &segments {
-            pristine
-                .create(seq, &engine.medium.read(seq).unwrap())
-                .unwrap();
-        }
-        let last = *segments.last().unwrap();
-        assert!(segments.len() >= 3, "the log must rotate: {segments:?}");
-        // Where the last segment's final frame starts.
-        let last_bytes = pristine.read(last).unwrap();
-        let (mut final_frame, mut offset, mut frames) = (0, SEGMENT_HEADER_LEN, 0);
-        while let Ok((_, next)) = codec::decode_frame(&last_bytes, offset) {
-            (final_frame, offset, frames) = (offset, next, frames + 1);
-        }
+        let pristine: Vec<Vec<u8>> = segments
+            .iter()
+            .map(|&seq| engine.medium.read(seq).unwrap())
+            .collect();
+        let last = segments.len() - 1;
+        assert!(last >= 2, "the log must rotate: {segments:?}");
+        // The last segment's frames, as (start, end), and the records
+        // before them.
+        let (starts, end) = frames_of(&pristine[last]);
+        let ends = starts.iter().skip(1).copied().chain([end]);
+        let last_frames: Vec<(usize, usize)> = starts.iter().copied().zip(ends).collect();
         assert!(
-            frames >= 2,
+            last_frames.len() >= 2,
             "the last segment needs a frame before its final one"
         );
+        let before_last = records.len() - last_frames.len();
 
         let mut rng = rainbow_common::rng::seeded_rng(37);
         for case in 0..2_000 {
-            let mut medium = pristine.clone();
-            let (seq, at, flipped) = if rng.gen_bool(0.5) {
-                let seq = segments[rng.gen_range(0..segments.len())];
-                let mut bytes = medium.read(seq).unwrap();
+            let mut undamaged = pristine.clone();
+            let tailed = rng.gen_bool(0.5);
+            if tailed {
+                for bytes in &mut undamaged {
+                    bytes.resize(bytes.len() + rng.gen_range(1..=200usize), 0);
+                }
+            }
+            let mut damaged = undamaged.clone();
+            let flips = if rng.gen_bool(0.5) {
+                rng.gen_range(1..=3usize)
+            } else {
+                0
+            };
+            let mut cut = None;
+            for _ in 0..flips {
+                let bytes = &mut damaged[rng.gen_range(0..segments.len())];
                 let at = rng.gen_range(0..bytes.len());
                 bytes[at] ^= rng.gen_range(1..=255u8);
-                medium.create(seq, &bytes).unwrap();
-                (seq, at, true)
-            } else {
-                let mut bytes = medium.read(last).unwrap();
-                let at = rng.gen_range(0..=bytes.len());
-                bytes.truncate(at);
-                medium.create(last, &bytes).unwrap();
-                (last, at, false)
-            };
-            let what = format!(
-                "case {case}: {} segment {seq} at {at}",
-                if flipped { "flip" } else { "cut" }
-            );
+            }
+            if flips == 0 {
+                let at = rng.gen_range(0..=damaged[last].len());
+                damaged[last].truncate(at);
+                cut = Some(at);
+            }
+            // The bytes the flips changed (two flips may cancel), as
+            // (segment index, offset).
+            let changed: Vec<(usize, usize)> = (0..segments.len())
+                .flat_map(|index| {
+                    let (old, new) = (&undamaged[index], &damaged[index]);
+                    let differ =
+                        (0..new.len()).filter(move |&at| cut.is_none() && old[at] != new[at]);
+                    differ.map(move |at| (index, at))
+                })
+                .collect();
+            let what =
+                format!("case {case} (zeroed tails: {tailed}): cut {cut:?}, flips {changed:?}");
+
+            let mut medium = MemMedium::default();
+            for (&seq, bytes) in segments.iter().zip(&damaged) {
+                medium.create(seq, bytes).unwrap();
+            }
             let mut engine = DiskEngine::new(Box::new(medium), &config);
             match engine.recover() {
                 Ok(outcome) => {
-                    assert!(
-                        !flipped || (seq == last && at >= final_frame),
-                        "{what}: a flip before the final frame recovered"
-                    );
-                    let prefix = replay(&records[..outcome.replayed_records]);
+                    let kept = outcome.replayed_records;
+                    let prefix = replay(&records[..kept]);
                     assert_eq!(outcome.state, prefix.state, "{what}: not a prefix");
                     assert_eq!(outcome.in_doubt, prefix.in_doubt, "{what}: not a prefix");
+                    assert!(kept >= before_last, "{what}: a sealed segment was cut");
+                    let dropped = &last_frames[kept - before_last..];
+                    if let Some(cut) = cut {
+                        let whole = last_frames.iter().filter(|(_, end)| *end <= cut);
+                        let expected = before_last + whole.count();
+                        assert_eq!(kept, expected, "{what}: a whole frame was dropped");
+                        continue;
+                    }
+                    let kept_end = dropped.first().map_or(end, |(start, _)| *start);
+                    let in_kept = |&(index, at): &(usize, usize)| index != last || at < kept_end;
+                    assert!(
+                        !changed.iter().any(in_kept),
+                        "{what}: a damaged byte recovered (kept to {kept_end})"
+                    );
+                    for &(start, end) in dropped {
+                        let hit = changed.iter().any(|&(_, at)| (start..end).contains(&at));
+                        assert!(hit, "{what}: the whole frame at {start} was dropped");
+                    }
                 }
                 Err(RainbowError::CorruptLog { .. }) => {
-                    assert!(flipped, "{what}: a cut is a torn tail, not corruption");
+                    assert!(
+                        !changed.is_empty(),
+                        "{what}: a cut is a torn tail, not corruption"
+                    );
                 }
                 Err(err) => panic!("{what}: {err:?}"),
             }

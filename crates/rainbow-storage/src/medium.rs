@@ -6,6 +6,9 @@
 //!
 //! * [`FileMedium`] — one file per segment in a site's directory, with real
 //!   `fsync`s. Kill the process and restart from the directory alone.
+//!   Its active segment keeps zeroed bytes written ahead of the write
+//!   position, so an append overwrites bytes the file already has and a
+//!   sync flushes data only (see *Zeroed ahead* below).
 //! * [`MemMedium`] — a map of byte vectors: the same engine at memory
 //!   speed, whose `sync` does nothing.
 //!
@@ -21,11 +24,24 @@
 //! whose sync costs something hands out a [`SyncHandle`] on its active
 //! segment, which syncs what was appended to it from another thread, while
 //! the owner keeps appending.
+//!
+//! **Zeroed ahead.** An append that grows a file makes its `fdatasync`
+//! commit the file system's journal too, to record the new size (and the
+//! new blocks); one that overwrites bytes the file already holds has only
+//! data to flush. So [`FileMedium`] writes 64 KiB of zeros (`AHEAD`) past
+//! the end of the append that would pass the file's end, and later appends
+//! land inside that zeroed run: only the first sync after such an
+//! extension has a size change to commit. (PostgreSQL zero-fills its WAL
+//! segments for the same reason.) A segment file may therefore end in a
+//! run of zeros after its last frame. The log engine reads a zero run at a
+//! frame boundary as the end of the segment, and recovery's
+//! [`Medium::reopen`] cuts it off; the next append extends again.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,13 +101,24 @@ impl SyncHandle {
     }
 }
 
+/// How many zeroed bytes [`FileMedium`] writes past an append that would
+/// pass its active segment's end.
+pub(crate) const AHEAD: u64 = 64 * 1024;
+
+/// What an extension writes past the appended bytes.
+static ZEROS: [u8; AHEAD as usize] = [0; AHEAD as usize];
+
 /// Segment files `000001.seg`, `000002.seg`, ... in one directory.
 #[derive(Debug)]
 pub struct FileMedium {
     dir: PathBuf,
-    /// The active segment, positioned at its end; its sync handles share
-    /// it.
+    /// The active segment; its sync handles share it.
     active: Option<Arc<File>>,
+    /// Where the next append goes in the active segment.
+    pos: u64,
+    /// The active segment file's length: every byte from `pos` to here is
+    /// zero.
+    end: u64,
     tracer: Option<Arc<rainbow_trace::Tracer>>,
 }
 
@@ -103,6 +130,8 @@ impl FileMedium {
         FileMedium {
             dir: dir.into(),
             active: None,
+            pos: 0,
+            end: 0,
             tracer,
         }
     }
@@ -159,12 +188,23 @@ impl Medium for FileMedium {
         file.sync_data()?;
         self.sync_dir();
         self.active = Some(Arc::new(file));
+        (self.pos, self.end) = (bytes.len() as u64, bytes.len() as u64);
         Ok(())
     }
 
+    /// Writes `bytes` at the write position. One that would pass the file's
+    /// end also writes `AHEAD` zeros after it, so the appends behind it
+    /// overwrite bytes the file has and their syncs commit no size change.
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut segment = self.active()?;
-        segment.write_all(bytes)
+        let segment = self.active()?;
+        let stop = self.pos + bytes.len() as u64;
+        segment.write_all_at(bytes, self.pos)?;
+        if stop > self.end {
+            segment.write_all_at(&ZEROS, stop)?;
+            self.end = stop + AHEAD;
+        }
+        self.pos = stop;
+        Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -185,11 +225,11 @@ impl Medium for FileMedium {
     }
 
     fn reopen(&mut self, seq: u64, len: u64) -> io::Result<()> {
-        let path = self.path(seq);
-        let file = OpenOptions::new().write(true).open(&path)?;
+        let file = OpenOptions::new().write(true).open(self.path(seq))?;
         file.set_len(len)?;
         file.sync_data()?;
-        self.active = Some(Arc::new(OpenOptions::new().append(true).open(&path)?));
+        self.active = Some(Arc::new(file));
+        (self.pos, self.end) = (len, len);
         Ok(())
     }
 
