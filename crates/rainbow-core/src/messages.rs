@@ -324,8 +324,9 @@ pub enum Msg {
     Synced {
         /// The newest group the sync covered.
         ticket: u64,
-        /// What the sync returned.
-        result: std::io::Result<()>,
+        /// What the sync returned: the error's text when it failed, so the
+        /// message is plain data.
+        result: Result<(), String>,
     },
     /// Stops the node whose mailbox it is in.
     Stop,

@@ -451,7 +451,7 @@ impl Site {
     /// messages it covers leave at the next flush). A sync that failed
     /// takes the site down: after a failed fsync the kernel may have
     /// dropped the written pages, so nothing can vouch for them.
-    fn synced(&mut self, ticket: u64, result: std::io::Result<()>) {
+    fn synced(&mut self, ticket: u64, result: Result<(), String>) {
         result.expect("log engine: sync failed; cannot guarantee durability");
         self.state.storage.synced(ticket);
     }
@@ -791,7 +791,7 @@ fn start_syncer(id: SiteId, net: NetHandle<Msg>) -> (Sender<SyncRequest>, JoinHa
             while let Ok(oldest) = waiting.recv() {
                 let newer = std::iter::from_fn(|| waiting.try_recv().ok());
                 let (ticket, segment) = newer.last().unwrap_or(oldest);
-                let result = segment.sync();
+                let result = segment.sync().map_err(|e| e.to_string());
                 net.post(NodeId::Site(id), Msg::Synced { ticket, result });
             }
         })
@@ -2454,7 +2454,7 @@ mod tests {
         one.step(t0, Stepped::prepare_writing(1, "x0"));
         let ticket = one.sync().expect("the prepare waits for a sync");
         let _ = std::fs::remove_dir_all(&dir);
-        let result = Err(std::io::Error::other("the disk is gone"));
+        let result = Err("the disk is gone".to_string());
         one.step(t0, Msg::Synced { ticket, result });
     }
 

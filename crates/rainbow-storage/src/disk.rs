@@ -35,22 +35,30 @@
 //! holding the checkpoint state plus every undecided prepare, then removes
 //! all older segments. So the log stays bounded on either medium.
 //!
-//! **Zeroed tails.** A segment file keeps zeroed bytes written ahead of
-//! its write position ([`crate::medium::FileMedium`]), so an append
-//! overwrites bytes the file already has and the vote's `fdatasync` flushes
-//! data only, not the file system's journal: only the first sync after the
-//! file is extended has a size to record. So a segment may end in a run of
-//! zeros after its last frame, sealed or not. The rule is: a frame boundary
-//! from which every remaining byte is zero ends the segment. No frame
-//! starts with such a run, since a record's payload is never empty.
+//! **Zeroed tails.** The active segment file keeps zeroed bytes written
+//! ahead of its write position ([`crate::medium::FileMedium`]), so an
+//! append overwrites bytes the file already has and the vote's `fdatasync`
+//! flushes data only, not the file system's journal: only the first sync
+//! after the file is extended has a size to record. So the last segment
+//! may end in a run of zeros after its last frame, and a frame boundary
+//! from which every remaining byte is zero ends it. No frame starts with
+//! such a run, since a record's payload is never empty. A sealed segment
+//! was cut back to its last frame before the next one was made, so it is
+//! read to its very end.
 //!
-//! **Recovery.** [`DiskEngine::recover`] replays the segments in order. A
-//! torn frame (incomplete header or payload) or a bad-CRC frame at the very
-//! tail — before the zero run, if any — is the expected signature of a
-//! power loss and is truncated away, zeros and all; the next append extends
-//! the segment again. Damage anywhere *else* — in a sealed segment, or with
-//! a valid frame after it — cannot be explained by a torn write and
-//! surfaces as [`RainbowError::CorruptLog`].
+//! **Recovery.** [`DiskEngine::recover`] replays the segments in order. In
+//! the last segment, a torn frame (incomplete header or payload) or a
+//! bad-CRC frame at the very tail — before the zero run, if any — is the
+//! expected signature of a power loss and is truncated away, zeros and
+//! all; the next append extends the segment again. So is damage that shows
+//! bytes no write reached, even with valid frames after it: the sectors of
+//! an unsynced group reach the disk in any order, so a power loss may keep
+//! a later one and leave an earlier one as the zeros written ahead. Its
+//! marks are a frame header of zeros (up to its sector's end) or a whole
+//! aligned sector of zeros; nothing from there on was synced, so nothing
+//! there was acknowledged. Damage anywhere *else* — in a sealed segment,
+//! or with valid frames after it and no such zeros — cannot be explained
+//! by a power loss and surfaces as [`RainbowError::CorruptLog`].
 //!
 //! **I/O errors.** Write or sync failures on the commit path are
 //! unrecoverable here: after a failed `fsync` the kernel may have dropped
@@ -495,34 +503,49 @@ fn scan_segment(
         ));
     }
 
-    // A segment ends at the frame boundary from which every byte is zero:
-    // the run a file medium writes ahead of its appends (a frame never
-    // starts with a zero run, since its length and checksum are not both
-    // zero).
-    let content = zero_run_start(bytes);
+    // The last segment ends at the frame boundary from which every byte is
+    // zero: the run a file medium writes ahead of its appends (a frame
+    // never starts with a zero run, since its length and checksum are not
+    // both zero). A sealed segment was cut to its last frame when the next
+    // one was made, so it is read to its end.
+    let content = if is_last {
+        zero_run_start(bytes)
+    } else {
+        bytes.len()
+    };
     let mut offset = SEGMENT_HEADER_LEN;
     while offset < content {
-        match codec::decode_frame(bytes, offset) {
+        let err = match codec::decode_frame(bytes, offset) {
             Ok((record, next)) => {
                 records.push(record);
                 offset = next;
+                continue;
             }
-            // In a sealed segment any damage is mid-log. A frame whose
-            // checksum matched but that does not parse was produced by no
-            // torn or flipped write: it is a format-level fault.
-            Err(err) if !is_last || matches!(err, FrameError::Malformed(_)) => {
-                return Err(corrupt(offset, err.to_string()));
-            }
-            // A torn or bad-CRC *final* frame is a write that raced the
-            // power failure. Followed by valid frames it cannot be (later
-            // writes imply this one completed long ago): a flipped length
-            // can make a mid-log frame look torn, too.
-            Err(err) if valid_frames_follow(bytes, offset, content) => {
-                return Err(corrupt(offset, format!("{err} (valid frames follow)")));
-            }
-            // The power-loss signature: truncate here.
-            Err(_) => break,
+            Err(err) => err,
+        };
+        // In a sealed segment any damage is mid-log.
+        if !is_last {
+            return Err(corrupt(offset, err.to_string()));
         }
+        let next_frame = next_valid_frame(bytes, offset, content);
+        // Zeros where a frame should be are bytes no write reached: the
+        // sectors of an unsynced group reach the disk in any order, so a
+        // power loss may keep a later one and not an earlier. Nothing from
+        // here on was synced, and nothing was acknowledged: truncate.
+        if never_written(bytes, offset, next_frame.unwrap_or(content)) {
+            break;
+        }
+        // A frame whose checksum matched but that does not parse was
+        // produced by no torn or flipped write: it is a format-level fault.
+        // A torn or bad-CRC frame followed by valid frames is no final
+        // write either (later writes imply this one completed long ago): a
+        // flipped length can make a mid-log frame look torn, too.
+        if matches!(err, FrameError::Malformed(_)) || next_frame.is_some() {
+            return Err(corrupt(offset, err.to_string()));
+        }
+        // A torn or bad-CRC *final* frame is the write that raced the power
+        // failure: truncate here.
+        break;
     }
     Ok(offset as u64)
 }
@@ -536,15 +559,34 @@ fn zero_run_start(bytes: &[u8]) -> usize {
         .map_or(0, |last| last + 1)
 }
 
-/// True when a valid frame starts at any byte position after the damaged
-/// frame at `offset` and before `content`, where the segment's zero run
-/// starts — evidence that the damage sits in the *middle* of the log,
-/// since only the last write can have raced the power failure. Every later
-/// position is tried, not only the damaged frame's own length, because the
-/// length field itself may be garbage. Segments are scanned only on
-/// recovery, and this only from a damaged frame to the segment's end.
-fn valid_frames_follow(bytes: &[u8], offset: usize, content: usize) -> bool {
-    (offset + 1..content).any(|start| codec::decode_frame(bytes, start).is_ok())
+/// Where the first valid frame after the damaged frame at `offset` starts,
+/// before `content`, where the segment's zero run starts: evidence that the
+/// damage sits in the *middle* of the log, since only the last write can
+/// have raced the power failure. Every later position is tried, not only
+/// the damaged frame's own length, because the length field itself may be
+/// garbage. Segments are scanned only on recovery, and this only from a
+/// damaged frame to the segment's end.
+fn next_valid_frame(bytes: &[u8], offset: usize, content: usize) -> Option<usize> {
+    (offset + 1..content).find(|&start| codec::decode_frame(bytes, start).is_ok())
+}
+
+/// The unit a disk writes whole: after a power loss each sector of an
+/// unsynced write holds either its new bytes or its old ones.
+const SECTOR: usize = 512;
+
+/// True when the bytes from the damaged frame at `offset` up to `end`
+/// show a write that never reached the disk, whose sector still holds the
+/// zeros written ahead: the frame's header is zero in every byte that lies
+/// in its own sector (a whole header of zeros is no frame's, since a
+/// record's payload is never empty), or a whole aligned sector is zero (a
+/// record holds one only when one of its values does).
+fn never_written(bytes: &[u8], offset: usize, end: usize) -> bool {
+    let zero = |run: &[u8]| run.iter().all(|&b| b == 0);
+    let sector_end = (offset / SECTOR + 1) * SECTOR;
+    let header_end = (offset + FRAME_HEADER_LEN).min(sector_end).min(bytes.len());
+    let sectors = bytes.get(offset.next_multiple_of(SECTOR)..end);
+    zero(&bytes[offset..header_end])
+        || sectors.is_some_and(|run| run.chunks_exact(SECTOR).any(zero))
 }
 
 #[cfg(test)]
@@ -909,10 +951,11 @@ mod tests {
         (starts, offset)
     }
 
-    /// Sealed segments and the last one end in zeros on files, and each
-    /// recovers exactly its frames; recovery cuts the last one's zeros.
+    /// On files the last segment ends in zeros and a sealed one exactly at
+    /// its last frame; each recovers exactly its frames, and recovery cuts
+    /// the last one's zeros.
     #[test]
-    fn zero_tailed_segments_recover_exactly_their_frames() {
+    fn sealed_segments_end_at_their_last_frame_and_the_last_in_zeros() {
         let config = StorageConfig::memory().with_segment_max_bytes(256);
         let (dir, mut engine) = on_files(&config);
         for i in 1..=20 {
@@ -921,12 +964,17 @@ mod tests {
         engine.power_loss(PowerLossFault::Clean);
         let segments = engine.medium.segments().unwrap();
         assert!(segments.len() >= 3, "the log must rotate: {segments:?}");
+        let last = *segments.last().unwrap();
         let mut frames = 0;
         for &seq in &segments {
             let bytes = engine.medium.read(seq).unwrap();
             let (starts, end) = frames_of(&bytes);
-            assert!(bytes.len() > end, "segment {seq} has no zeroed tail");
-            assert!(bytes[end..].iter().all(|&b| b == 0), "segment {seq}");
+            if seq == last {
+                assert!(bytes.len() > end, "the last segment has no zeroed tail");
+                assert!(bytes[end..].iter().all(|&b| b == 0));
+            } else {
+                assert_eq!(bytes.len(), end, "sealed segment {seq} ends in zeros");
+            }
             frames += starts.len();
         }
         assert_eq!(frames, 20);
@@ -934,13 +982,139 @@ mod tests {
         let outcome = engine.recover().unwrap();
         assert_eq!(outcome.replayed_records, 20);
         assert_eq!(outcome.state.get(&item("x")).unwrap().value, Value::Int(20));
-        let last = *segments.last().unwrap();
         assert_eq!(
             file_len(&dir, last),
             engine.flushed_len,
             "the zeros are cut"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sealed segment whose final frame reads back as zeros lost a
+    /// synced write: that is corruption, not the end of the segment.
+    #[test]
+    fn a_zeroed_final_frame_of_a_sealed_segment_is_corrupt() {
+        let config = StorageConfig::memory().with_segment_max_bytes(128);
+        let (dir, mut engine) = on_files(&config);
+        for i in 1..=10 {
+            engine.append_forced_many(vec![commit_record(i, i as i64)]);
+        }
+        engine.power_loss(PowerLossFault::Clean);
+        assert!(engine.segment_count() > 1, "the log must rotate");
+        let path = dir.join("000001.seg");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (starts, end) = frames_of(&bytes);
+        bytes[*starts.last().unwrap()..end].fill(0);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = engine.recover().unwrap_err();
+        assert!(
+            matches!(err, RainbowError::CorruptLog { segment: 1, .. }),
+            "{err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Frames `from..=to` of commits to `x`, encoded back to back.
+    fn frames(from: u64, to: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for i in from..=to {
+            codec::append_frame(&mut bytes, &commit_record(i, i as i64));
+        }
+        bytes
+    }
+
+    /// Recovers a directory holding one segment file of `bytes`: the
+    /// records replayed, the value of `x` and the file's length after.
+    fn recover_one_segment(bytes: &[u8]) -> (usize, Option<Value>, u64) {
+        let dir = test_dir();
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("000001.seg"), bytes).unwrap();
+        let medium = Box::new(FileMedium::new(&dir, None));
+        let mut engine = DiskEngine::new(medium, &StorageConfig::memory());
+        let outcome = engine.recover().unwrap();
+        let x = outcome.state.get(&item("x")).map(|x| x.value.clone());
+        let len = file_len(&dir, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+        (outcome.replayed_records, x, len)
+    }
+
+    /// A power loss kept a later frame of an unsynced group but not the
+    /// one before it, which still reads as the zeros written ahead:
+    /// recovery keeps the synced frame and cuts the rest.
+    #[test]
+    fn a_missing_frame_between_two_written_ones_is_a_torn_tail() {
+        let mut bytes = segment_header().to_vec();
+        bytes.extend(frames(1, 1));
+        let synced = bytes.len();
+        let missing = frames(2, 2).len();
+        bytes.resize(synced + missing, 0);
+        bytes.extend(frames(3, 3));
+        bytes.resize(bytes.len() + 100, 0);
+        let (replayed, x, len) = recover_one_segment(&bytes);
+        assert_eq!((replayed, x), (1, Some(Value::Int(1))));
+        assert_eq!(len, synced as u64, "cut after the synced frame");
+    }
+
+    /// A power loss kept the sectors of an unsynced group around one that
+    /// never reached the disk, so a frame's header landed but part of its
+    /// payload is zeros, with valid frames after it: recovery keeps the
+    /// frames before the damaged one.
+    #[test]
+    fn a_missing_sector_inside_an_unsynced_group_is_a_torn_tail() {
+        let mut bytes = segment_header().to_vec();
+        bytes.extend(frames(1, 40));
+        assert!(bytes.len() > 3 * SECTOR, "the group spans sectors");
+        let hole = SECTOR..2 * SECTOR;
+        let (starts, _) = frames_of(&bytes);
+        let damaged = starts
+            .iter()
+            .rposition(|&start| start < hole.start)
+            .unwrap();
+        assert!(starts[damaged] + FRAME_HEADER_LEN <= hole.start);
+        bytes[hole].fill(0);
+        bytes.resize(bytes.len() + 100, 0);
+        let (replayed, x, len) = recover_one_segment(&bytes);
+        assert_eq!(replayed, damaged, "the frames before the hole");
+        assert_eq!(x, Some(Value::Int(damaged as i64)));
+        assert_eq!(len, starts[damaged] as u64);
+    }
+
+    /// The sector holding a frame's header missed the disk, and the
+    /// header runs past the sector's end into one that landed: only the
+    /// header's bytes in its own sector are zeros.
+    #[test]
+    fn a_missing_sector_that_cuts_a_frame_header_is_a_torn_tail() {
+        let mut bytes = segment_header().to_vec();
+        let mut i = 0;
+        while bytes.len() + FRAME_HEADER_LEN <= SECTOR || bytes.len() % SECTOR < SECTOR - 4 {
+            i += 1;
+            codec::append_frame(&mut bytes, &commit_record(i, i as i64));
+            assert!(
+                i < 1_000,
+                "no frame starts 1 to 4 bytes before a sector's end"
+            );
+        }
+        let synced = bytes.len();
+        bytes.extend(frames(i + 1, i + 30));
+        bytes[synced..synced.next_multiple_of(SECTOR)].fill(0);
+        bytes.resize(bytes.len() + 100, 0);
+        let (replayed, _, len) = recover_one_segment(&bytes);
+        assert_eq!((replayed, len), (i as usize, synced as u64));
+    }
+
+    /// A stray byte inside the zeros after the last frame is no frame:
+    /// recovery keeps every frame and cuts from the zeros on.
+    #[test]
+    fn a_stray_byte_in_the_zeroed_run_is_a_torn_tail() {
+        let mut bytes = segment_header().to_vec();
+        bytes.extend(frames(1, 3));
+        let end = bytes.len();
+        bytes.resize(end + 300, 0);
+        bytes[end + 100] = 0x5a;
+        let (replayed, x, len) = recover_one_segment(&bytes);
+        assert_eq!((replayed, x), (3, Some(Value::Int(3))));
+        assert_eq!(len, end as u64);
     }
 
     /// A power loss tears the frame it was writing inside the zeroed run:
@@ -1052,12 +1226,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Recovery from one to three flipped bytes, or from the last segment
-    /// cut at any offset, with or without zeroed tails on the segments,
-    /// returns `Ok` or `CorruptLog` and never panics. `Ok` keeps only
-    /// undamaged frames and drops only damaged ones: so a single flip
-    /// anywhere but the last segment's final frame (or the zeros after it)
-    /// is caught, and a cut recovers every frame it left whole.
+    /// How the damaged-medium cases damage a log.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Damage {
+        /// One to three bytes anywhere flipped.
+        Flips,
+        /// The last segment cut at some offset.
+        Cut(usize),
+        /// An unsynced group after the last segment's frames, with one or
+        /// two of its sectors never written.
+        Torn,
+    }
+
+    /// Recovery from one to three flipped bytes, from the last segment cut
+    /// at any offset, or from an unsynced group torn by sectors, with or
+    /// without a zeroed tail on the last segment, returns `Ok` or
+    /// `CorruptLog` and never panics. `Ok` keeps only undamaged frames and
+    /// drops only damaged ones: so a single flip anywhere but the last
+    /// segment's final frame (or the zeros after it) is caught. A cut
+    /// recovers every frame it left whole, and a torn group every frame
+    /// before the first one a missing sector touched.
     #[test]
     fn recovery_never_panics_on_a_damaged_medium() {
         let config = StorageConfig::memory().with_segment_max_bytes(160);
@@ -1097,45 +1285,74 @@ mod tests {
             "the last segment needs a frame before its final one"
         );
         let before_last = records.len() - last_frames.len();
+        // The unsynced group a torn case writes after the last frame, and
+        // where each of its frames ends.
+        let unsynced: Vec<LogRecord> = (100..130).map(|i| commit_record(i, i as i64)).collect();
+        let mut group = Vec::new();
+        let group_ends: Vec<usize> = unsynced
+            .iter()
+            .map(|record| {
+                codec::append_frame(&mut group, record);
+                end + group.len()
+            })
+            .collect();
+        assert!(group.len() > 2 * SECTOR, "the group spans sectors");
+        let all_records: Vec<LogRecord> = records.iter().chain(&unsynced).cloned().collect();
 
         let mut rng = rainbow_common::rng::seeded_rng(37);
         for case in 0..2_000 {
+            let damage = match rng.gen_range(0..4) {
+                0 | 1 => Damage::Flips,
+                2 => Damage::Cut(0),
+                _ => Damage::Torn,
+            };
             let mut undamaged = pristine.clone();
+            if damage == Damage::Torn {
+                undamaged[last].extend_from_slice(&group);
+            }
             let tailed = rng.gen_bool(0.5);
             if tailed {
-                for bytes in &mut undamaged {
-                    bytes.resize(bytes.len() + rng.gen_range(1..=200usize), 0);
-                }
+                let bytes = &mut undamaged[last];
+                bytes.resize(bytes.len() + rng.gen_range(1..=200usize), 0);
             }
             let mut damaged = undamaged.clone();
-            let flips = if rng.gen_bool(0.5) {
-                rng.gen_range(1..=3usize)
-            } else {
-                0
+            let damage = match damage {
+                Damage::Flips => {
+                    for _ in 0..rng.gen_range(1..=3) {
+                        let bytes = &mut damaged[rng.gen_range(0..segments.len())];
+                        let at = rng.gen_range(0..bytes.len());
+                        bytes[at] ^= rng.gen_range(1..=255u8);
+                    }
+                    Damage::Flips
+                }
+                Damage::Cut(_) => {
+                    let at = rng.gen_range(0..=damaged[last].len());
+                    damaged[last].truncate(at);
+                    Damage::Cut(at)
+                }
+                Damage::Torn => {
+                    // A missing sector still holds what it held before
+                    // the group: the synced bytes, then zeros.
+                    let sectors = end / SECTOR..(end + group.len()).div_ceil(SECTOR);
+                    for _ in 0..rng.gen_range(1..=2) {
+                        let sector = rng.gen_range(sectors.clone()) * SECTOR;
+                        let hole = sector.max(end)..(sector + SECTOR).min(end + group.len());
+                        damaged[last][hole].fill(0);
+                    }
+                    Damage::Torn
+                }
             };
-            let mut cut = None;
-            for _ in 0..flips {
-                let bytes = &mut damaged[rng.gen_range(0..segments.len())];
-                let at = rng.gen_range(0..bytes.len());
-                bytes[at] ^= rng.gen_range(1..=255u8);
-            }
-            if flips == 0 {
-                let at = rng.gen_range(0..=damaged[last].len());
-                damaged[last].truncate(at);
-                cut = Some(at);
-            }
-            // The bytes the flips changed (two flips may cancel), as
-            // (segment index, offset).
+            // The bytes the damage changed (two flips may cancel), as
+            // (segment index, offset); a cut changes none.
             let changed: Vec<(usize, usize)> = (0..segments.len())
                 .flat_map(|index| {
                     let (old, new) = (&undamaged[index], &damaged[index]);
-                    let differ =
-                        (0..new.len()).filter(move |&at| cut.is_none() && old[at] != new[at]);
+                    let cut = matches!(damage, Damage::Cut(_));
+                    let differ = (0..new.len()).filter(move |&at| !cut && old[at] != new[at]);
                     differ.map(move |at| (index, at))
                 })
                 .collect();
-            let what =
-                format!("case {case} (zeroed tails: {tailed}): cut {cut:?}, flips {changed:?}");
+            let what = format!("case {case} (zeroed tail: {tailed}): {damage:?}, {changed:?}");
 
             let mut medium = MemMedium::default();
             for (&seq, bytes) in segments.iter().zip(&damaged) {
@@ -1145,17 +1362,24 @@ mod tests {
             match engine.recover() {
                 Ok(outcome) => {
                     let kept = outcome.replayed_records;
-                    let prefix = replay(&records[..kept]);
+                    let prefix = replay(&all_records[..kept]);
                     assert_eq!(outcome.state, prefix.state, "{what}: not a prefix");
                     assert_eq!(outcome.in_doubt, prefix.in_doubt, "{what}: not a prefix");
                     assert!(kept >= before_last, "{what}: a sealed segment was cut");
-                    let dropped = &last_frames[kept - before_last..];
-                    if let Some(cut) = cut {
+                    if let Damage::Cut(cut) = damage {
                         let whole = last_frames.iter().filter(|(_, end)| *end <= cut);
                         let expected = before_last + whole.count();
                         assert_eq!(kept, expected, "{what}: a whole frame was dropped");
                         continue;
                     }
+                    if damage == Damage::Torn {
+                        let first_hit = changed.first().map_or(usize::MAX, |&(_, at)| at);
+                        let whole = group_ends.iter().filter(|&&end| end <= first_hit);
+                        let expected = records.len() + whole.count();
+                        assert_eq!(kept, expected, "{what}: a whole frame was dropped");
+                        continue;
+                    }
+                    let dropped = &last_frames[kept - before_last..];
                     let kept_end = dropped.first().map_or(end, |(start, _)| *start);
                     let in_kept = |&(index, at): &(usize, usize)| index != last || at < kept_end;
                     assert!(
@@ -1168,10 +1392,8 @@ mod tests {
                     }
                 }
                 Err(RainbowError::CorruptLog { .. }) => {
-                    assert!(
-                        !changed.is_empty(),
-                        "{what}: a cut is a torn tail, not corruption"
-                    );
+                    let flipped = damage == Damage::Flips && !changed.is_empty();
+                    assert!(flipped, "{what}: a power loss, not corruption");
                 }
                 Err(err) => panic!("{what}: {err:?}"),
             }

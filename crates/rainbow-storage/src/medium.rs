@@ -32,10 +32,14 @@
 //! the end of the append that would pass the file's end, and later appends
 //! land inside that zeroed run: only the first sync after such an
 //! extension has a size change to commit. (PostgreSQL zero-fills its WAL
-//! segments for the same reason.) A segment file may therefore end in a
-//! run of zeros after its last frame. The log engine reads a zero run at a
-//! frame boundary as the end of the segment, and recovery's
-//! [`Medium::reopen`] cuts it off; the next append extends again.
+//! segments for the same reason.) The active segment file may therefore
+//! end in a run of zeros after its last frame. The log engine reads a zero
+//! run at a frame boundary of the last segment as its end, and recovery's
+//! [`Medium::reopen`] cuts it off; the next append extends again. A
+//! [`Medium::create`] cuts the outgoing segment back to its write position
+//! and syncs it before the new file exists (one journal commit per
+//! rotation or checkpoint), so a sealed segment ends exactly at its last
+//! frame.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -177,7 +181,14 @@ impl Medium for FileMedium {
         Ok(segments)
     }
 
+    /// Cuts the outgoing segment's zeros off, durably, before the new
+    /// segment exists: a segment that is not the last one ends exactly at
+    /// its last frame.
     fn create(&mut self, seq: u64, bytes: &[u8]) -> io::Result<()> {
+        if let Some(outgoing) = self.active.as_deref().filter(|_| self.end > self.pos) {
+            outgoing.set_len(self.pos)?;
+            outgoing.sync_data()?;
+        }
         fs::create_dir_all(&self.dir)?;
         let mut file = OpenOptions::new()
             .create(true)
