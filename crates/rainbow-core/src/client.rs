@@ -43,10 +43,13 @@
 //! the deadline of the answer it awaits; it turns a command into the
 //! message to send, and a message, or a `now` past its deadline, into what
 //! it heard. Two shells drive it on their caller's thread, over one client
-//! node and its mailbox: a [`Txn`] is one conversation that waits in
-//! `recv_timeout` for each answer, and the *endpoint* (`Cluster::submit`,
-//! `run_workload`, `run_arrivals`) drives many one-shot [`TxnSpec`]s keyed
-//! by request id, each from its arrival offset and at most a cap at once.
+//! node and its mailbox: a [`Txn`] is one conversation that waits for each
+//! answer, and the *endpoint* (`Cluster::submit`, `run_workload`,
+//! `run_arrivals`) drives many one-shot [`TxnSpec`]s keyed by request id,
+//! each from its arrival offset and at most a cap at once. Both wait in
+//! `rainbow_net::recv_soon`, which checks the mailbox a few times, yielding
+//! between checks, before it sleeps: an answer usually comes within
+//! microseconds, and a sleeping thread costs a kernel wake-up per answer.
 //! The node registers when the client or endpoint run is made and leaves
 //! when it is dropped; no thread is created for a request.
 
@@ -56,7 +59,7 @@ use crossbeam_channel::Receiver;
 use parking_lot::Mutex;
 use rainbow_common::txn::{AbortCause, TxnError, TxnOutcome, TxnReceipt, TxnResult, TxnSpec};
 use rainbow_common::{ItemId, Operation, SiteId, TxnId, Value};
-use rainbow_net::{Envelope, NetHandle, NodeId};
+use rainbow_net::{recv_soon, Envelope, NetHandle, NodeId};
 use std::collections::{BTreeMap, HashMap};
 use std::iter::Peekable;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -301,7 +304,7 @@ impl ClientCore<'_> {
             let Some(wake) = deadlines.chain(next.map(|(at, _)| start + *at)).min() else {
                 return results;
             };
-            let Ok(envelope) = self.mailbox.recv_timeout(wake - now) else {
+            let Ok(envelope) = recv_soon(&self.mailbox, wake - now) else {
                 continue;
             };
             let Some(request) = request_of(&envelope.payload) else {
@@ -576,7 +579,7 @@ impl Txn<'_> {
             let Some(wait) = self.conversation.tick(Instant::now()) else {
                 return Event::NoAnswer;
             };
-            let Ok(envelope) = core.mailbox.recv_timeout(wait) else {
+            let Ok(envelope) = recv_soon(&core.mailbox, wait) else {
                 return Event::NoAnswer;
             };
             if let Some(event) = core.hear(&mut self.conversation, envelope.payload) {

@@ -58,7 +58,7 @@ use rainbow_common::{
     ItemId, RainbowError, RainbowResult, SiteId, Timestamp, TimestampGenerator, TxnId, Value,
     Version,
 };
-use rainbow_net::{Envelope, NetHandle, NodeId, Outbox};
+use rainbow_net::{recv_soon, Envelope, NetHandle, NodeId, Outbox};
 use rainbow_replication::{make_rcp, ReplicationControl};
 use rainbow_storage::recovery::InDoubtTxn;
 use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig, SyncHandle};
@@ -799,8 +799,10 @@ fn start_syncer(id: SiteId, net: NetHandle<Msg>) -> (Sender<SyncRequest>, JoinHa
     (requests, syncer)
 }
 
-/// The thread shell: sleeps in the mailbox until a message arrives or the
-/// last tick's deadline passes; steps what it drained (at most
+/// The thread shell: waits in the mailbox until a message arrives or the
+/// last tick's deadline passes (`recv_soon`: a few checks with a yield
+/// between them, since the next hop of a transaction usually arrives within
+/// microseconds, then a sleep); steps what it drained (at most
 /// [`MAX_DRAIN`] messages, each at the time it is taken), ticks, asks the
 /// syncer (when there is one) to sync what the drain wrote to the log, and
 /// flushes (and flushes after a step that answered a client, who waits for
@@ -808,7 +810,7 @@ fn start_syncer(id: SiteId, net: NetHandle<Msg>) -> (Sender<SyncRequest>, JoinHa
 fn run(mut site: Site, mailbox: Receiver<Envelope<Msg>>, syncer: Option<Sender<SyncRequest>>) {
     let mut due = Instant::now();
     loop {
-        let first = match mailbox.recv_timeout(due.saturating_duration_since(Instant::now())) {
+        let first = match recv_soon(&mailbox, due.saturating_duration_since(Instant::now())) {
             Ok(envelope) => Some(envelope),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => return site.close(Instant::now()),

@@ -16,6 +16,9 @@
 //!   every message; a delayed message waits in a background delivery
 //!   thread, which sleeps to just before its due time and yields the last
 //!   100 µs, so a 500 µs link takes 500 µs and not a timer's slack more;
+//! * [`mailbox`] — [`mailbox::recv_soon`], the receive of a loop that
+//!   expects its answer within microseconds: it polls the mailbox a few
+//!   times, yielding between checks, before it blocks;
 //! * [`fault`] — the fault injector handle used by experiments and the
 //!   Session API to crash/recover sites and create/heal partitions while a
 //!   workload is running;
@@ -33,6 +36,7 @@ pub mod batch;
 pub mod config;
 pub mod counters;
 pub mod fault;
+pub mod mailbox;
 pub mod network;
 pub mod node;
 
@@ -40,5 +44,6 @@ pub use batch::{FlushStats, Outbox};
 pub use config::{LatencyModel, LinkConfig, LinkOverride, NetworkConfig};
 pub use counters::NetworkCounters;
 pub use fault::FaultController;
+pub use mailbox::recv_soon;
 pub use network::{Envelope, NetHandle, NetMessage, SimNetwork};
 pub use node::NodeId;

@@ -49,6 +49,9 @@ pub enum TryRecvError {
 
 struct State<T> {
     queue: VecDeque<T>,
+    /// Receivers blocked on `readable` (or woken and not yet back in the
+    /// lock): a send notifies only when there is one.
+    waiting: usize,
 }
 
 struct Inner<T> {
@@ -100,6 +103,7 @@ fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let inner = Arc::new(Inner {
         state: Mutex::new(State {
             queue: VecDeque::new(),
+            waiting: 0,
         }),
         readable: Condvar::new(),
         writable: Condvar::new(),
@@ -178,8 +182,11 @@ impl<T> Sender<T> {
             }
         }
         state.queue.push_back(value);
+        let waiting = state.waiting > 0;
         drop(state);
-        self.inner.readable.notify_one();
+        if waiting {
+            self.inner.readable.notify_one();
+        }
         Ok(())
     }
 
@@ -208,11 +215,13 @@ impl<T> Receiver<T> {
             if self.inner.senders.load(Ordering::SeqCst) == 0 {
                 return Err(RecvError);
             }
+            state.waiting += 1;
             state = self
                 .inner
                 .readable
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
         }
     }
 
@@ -233,12 +242,14 @@ impl<T> Receiver<T> {
             if remaining.is_zero() {
                 return Err(RecvTimeoutError::Timeout);
             }
+            state.waiting += 1;
             let (s, _timeout_result) = self
                 .inner
                 .readable
                 .wait_timeout(state, remaining)
                 .unwrap_or_else(PoisonError::into_inner);
             state = s;
+            state.waiting -= 1;
         }
     }
 
@@ -309,6 +320,22 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(1)),
             Err(RecvTimeoutError::Disconnected)
         );
+    }
+
+    #[test]
+    fn a_send_wakes_a_receiver_blocked_in_recv_timeout() {
+        let (tx, rx) = unbounded();
+        let receiver = thread::spawn(move || {
+            let start = Instant::now();
+            let got = rx.recv_timeout(Duration::from_secs(10));
+            (got, start.elapsed())
+        });
+        // Let the receiver block before the send.
+        thread::sleep(Duration::from_millis(50));
+        tx.send(3).unwrap();
+        let (got, waited) = receiver.join().unwrap();
+        assert_eq!(got, Ok(3));
+        assert!(waited < Duration::from_secs(5), "woken after {waited:?}");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   syncs what the loop wrote to the log while the loop keeps serving;
 //! * **an idle site sleeps** — the loop wakes for a message or for its
 //!   next deadline (a parked access's, or the janitor's every 200 ms),
-//!   never on a polling tick;
+//!   never on a polling tick; before it blocks it checks its mailbox a
+//!   bounded number of times, yielding between checks, so an idle site
+//!   uses no processor time;
 //! * **no thread per transaction, contended or not** — uncontended update
 //!   and read transactions park nothing, and neither they nor transactions
 //!   that wait for each other's locks move the process's thread count;
@@ -148,6 +150,20 @@ fn sleeps_of(id: u64) -> u64 {
         .expect("a voluntary_ctxt_switches: line")
 }
 
+/// The processor time thread `id` has used, user and system (`utime` +
+/// `stime` of `/proc/self/task/<id>/stat`, in ticks of 10 ms).
+#[cfg(target_os = "linux")]
+fn cpu_ticks_of(id: u64) -> u64 {
+    let stat =
+        std::fs::read_to_string(format!("/proc/self/task/{id}/stat")).expect("the thread is alive");
+    // The fields after the name, which is in parentheses and may hold
+    // spaces: state is the first of them, utime the 12th and stime the 13th.
+    let (_, fields) = stat.rsplit_once(')').expect("a (comm) field");
+    let fields: Vec<&str> = fields.split_whitespace().collect();
+    let tick = |at: usize| fields[at].parse::<u64>().expect("a tick count");
+    tick(11) + tick(12)
+}
+
 fn cluster(stack: ProtocolStack) -> Cluster {
     let config = ClusterConfig::quick(3, 8, 3).unwrap().with_stack(stack);
     Cluster::start(config).unwrap()
@@ -216,7 +232,11 @@ fn a_site_is_exactly_one_thread() {
 /// a message arrives or its next deadline falls due, and with nothing
 /// parked that is the janitor's, every 200 ms. So the three sites go to
 /// sleep about once each (3 here). Loops polling a 1 ms tick would go to
-/// sleep some 200 times each.
+/// sleep some 200 times each. A loop checks its mailbox a few times, with a
+/// yield between checks, before it blocks; a yield is no voluntary switch,
+/// so a loop that never stopped yielding would pass the count. It shows in
+/// the processor time instead: the idle sites use none of the 200 ms (a
+/// loop that only yields used 37–38 ticks of 10 ms on a 2-core VM).
 #[cfg(target_os = "linux")]
 #[test]
 fn an_idle_site_sleeps() {
@@ -229,16 +249,22 @@ fn an_idle_site_sleeps() {
     let mut site_threads = started_since(&before);
     site_threads.retain(|_, name| !others.contains(&name.as_str()));
     let sleeps = || site_threads.keys().map(|id| sleeps_of(*id)).sum::<u64>();
+    let ticks = || site_threads.keys().map(|id| cpu_ticks_of(*id)).sum::<u64>();
 
     let mut client = cluster.client();
     let mut txn = client.begin("idle");
     txn.read("x0").unwrap();
-    let asleep_before = sleeps();
+    let (asleep_before, ticks_before) = (sleeps(), ticks());
     std::thread::sleep(Duration::from_millis(200));
-    let slept = sleeps() - asleep_before;
+    let (slept, busy) = (sleeps() - asleep_before, ticks() - ticks_before);
     assert!(
         slept < 60,
         "{} site threads went to sleep {slept} times in 200 ms idle",
+        site_threads.len()
+    );
+    assert!(
+        busy <= 2,
+        "{} site threads used {busy} ticks of 10 ms processor time in 200 ms idle",
         site_threads.len()
     );
     txn.commit().unwrap();
