@@ -143,7 +143,10 @@ impl Conversation {
                 self.id = Some(txn);
                 Some(Event::Reply(reply))
             }
-            Msg::TxnDone { result, clock, .. } => Some(Event::Done { result, clock }),
+            Msg::TxnDone { result, clock, .. } => Some(Event::Done {
+                result: *result,
+                clock,
+            }),
             _ => None,
         }
     }
@@ -800,7 +803,7 @@ mod tests {
         };
         Msg::TxnDone {
             request,
-            result,
+            result: Box::new(result),
             clock: 9,
         }
     }

@@ -34,9 +34,11 @@
 //! On three copies with majority quorums it is **ten messages**: the four
 //! client messages, and six between the home and the one remote copy in
 //! its quorum — `CopyRead`, `CopyReply`, `AcpPrepare`, `AcpVote`,
-//! `AcpDecision`, `AcpAck` (the home's own copy answers on loopback, which
-//! is not counted). The third copy hears nothing, unless the second fails
-//! or is slow (`tests/interactive_api.rs`,
+//! `AcpDecision`, `AcpAck`. The home's own copy is asked and answers in
+//! the home's loop: what a site sends itself never enters the network, so
+//! it costs no hop and is not counted, as in the paper. The third copy
+//! hears nothing, unless the second fails or is slow
+//! (`tests/interactive_api.rs`,
 //! `one_increment_asks_one_remote_copy_and_leaves_the_spare_alone`).
 //! The conversation opens with its first command (the site allocates the id
 //! and runs the command in one trip), and the client is answered **at the
@@ -169,9 +171,10 @@ struct TxnExecution {
     /// release notice when the transaction finishes so their resources do
     /// not linger until the janitor.
     contacted: BTreeSet<SiteId>,
-    /// Messages sent on behalf of this transaction (remote only; loopback is
-    /// free, as in the paper's message accounting; client conversation round
-    /// trips are excluded, like `SubmitTxn` round trips were).
+    /// Messages sent on behalf of this transaction (remote only; the home's
+    /// messages to itself are free, as in the paper's message accounting;
+    /// client conversation round trips are excluded, like `SubmitTxn` round
+    /// trips were).
     messages: u64,
     /// Whether the cluster records transaction histories; when false the
     /// two vectors below stay empty and untouched (the default).
@@ -351,7 +354,7 @@ fn start_quorum(
     // in this list — treating them as down would let write sets shrink on
     // both sides of a partition and diverge; instead they stay targets and
     // the quorum times out, aborting the transaction.
-    let suspected_down: Vec<SiteId> = cx.shared.net.faults().crashed_sites();
+    let suspected_down: Vec<SiteId> = cx.shared.faults.crashed_sites();
     let plan = match access {
         QuorumAccess::Read => {
             cx.shared
@@ -1125,8 +1128,8 @@ fn perform_action(
 }
 
 /// Queues one protocol message for each of `targets`, counting the remote
-/// ones towards the transaction's message cost (loopback is free, as in the
-/// paper's accounting).
+/// ones towards the transaction's message cost (the home's own copy is
+/// free, as in the paper's accounting: the home's loop steps it in place).
 fn send_to_sites(
     cx: &mut Cx,
     exec: &mut TxnExecution,
@@ -1210,7 +1213,7 @@ fn answer_client(cx: &mut Cx, exec: &mut TxnExecution, outcome: TxnOutcome) {
         exec.client,
         Msg::TxnDone {
             request: exec.request,
-            result,
+            result: Box::new(result),
             clock: exec.ts.counter,
         },
     );

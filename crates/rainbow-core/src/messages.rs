@@ -181,8 +181,9 @@ pub enum Msg {
     TxnDone {
         /// The client request id from [`Msg::TxnBegin`].
         request: u64,
-        /// The result.
-        result: TxnResult,
+        /// The result, boxed: it is the largest payload of any message,
+        /// and inline it would make every message as big.
+        result: Box<TxnResult>,
         /// The transaction's timestamp counter, for the client's clock.
         clock: u64,
     },

@@ -6,10 +6,12 @@
 //! lands, and `Site::tick(now)` acts on what fell due and says when to tick
 //! it next. Both are told the time and only queue what they send, in the
 //! site's one `Outbox`, so a test can drive a `Site` with no thread and no
-//! clock. **The thread shell** ([`SiteHandle`] and its loop) is the site's
-//! thread, started with the site and joined at shutdown: it sleeps in the
-//! mailbox until a message arrives or `tick`'s deadline passes, steps what
-//! it drained, ticks and flushes. When the site's log needs a sync to be
+//! clock. What a site queues for itself — the home's own copy accesses,
+//! prepares and decisions, and their answers — is handled at the end of
+//! the same step or tick, never sent. **The thread shell** ([`SiteHandle`]
+//! and its loop) is the site's thread, started with the site and joined at
+//! shutdown: it sleeps in the mailbox until a message arrives or `tick`'s
+//! deadline passes, steps what it drained, ticks and flushes. When the site's log needs a sync to be
 //! durable (segment files), the shell also starts the site's **syncer**
 //! and joins it at shutdown: the loop writes a group of log records and
 //! keeps serving, the syncer syncs it and tells the loop by a
@@ -55,15 +57,15 @@ use rainbow_common::history::HistorySink;
 use rainbow_common::protocol::ProtocolStack;
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{
-    ItemId, RainbowError, RainbowResult, SiteId, Timestamp, TimestampGenerator, TxnId, Value,
-    Version,
+    FxHashMap, FxHashSet, ItemId, MessageId, RainbowError, RainbowResult, SiteId, Timestamp,
+    TimestampGenerator, TxnId, Value, Version,
 };
-use rainbow_net::{recv_soon, Envelope, NetHandle, NodeId, Outbox};
+use rainbow_net::{recv_soon, Envelope, FaultController, NetHandle, NodeId, Outbox};
 use rainbow_replication::{make_rcp, ReplicationControl};
 use rainbow_storage::recovery::InDoubtTxn;
 use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig, SyncHandle};
 use rainbow_trace::{Meter, Phase, TraceEvent, Tracer, Track};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -91,10 +93,10 @@ pub(crate) struct ParticipantEntry {
 /// access finds out in O(1) whether its item is in one of their write sets.
 #[derive(Default)]
 pub(crate) struct InDoubt {
-    writes: HashMap<TxnId, WriteSet>,
+    writes: FxHashMap<TxnId, WriteSet>,
     /// Item → the in-doubt transactions whose prepared write set holds it
     /// (more than one is possible under the timestamp protocols).
-    holders: HashMap<ItemId, Vec<TxnId>>,
+    holders: FxHashMap<ItemId, Vec<TxnId>>,
 }
 
 impl InDoubt {
@@ -138,6 +140,9 @@ pub(crate) struct SiteShared {
     /// Fetched at start from the name server, which never changes it.
     pub schema: DatabaseSchema,
     pub net: NetHandle<Msg>,
+    /// The network's fault controller: a site crashed in it drops what it
+    /// sends itself, as the network drops what it sends others.
+    pub faults: Arc<FaultController>,
     pub metrics: Arc<SiteMetrics>,
     /// The cluster-wide history sink the chaos laboratory snoops on, when
     /// history recording is enabled. `None` (the default) keeps every
@@ -196,12 +201,12 @@ struct SiteState {
     clock: TimestampGenerator,
     /// The CCP in force; a restart replaces it.
     ccp: Box<dyn CcProtocol>,
-    participants: HashMap<TxnId, ParticipantEntry>,
+    participants: FxHashMap<TxnId, ParticipantEntry>,
     /// Transactions that have already been decided (or cleaned up) at this
     /// site *as a participant*. Late copy-access requests, prepares and late
     /// lock grants for these transactions are refused so they cannot
     /// resurrect a participant entry that nobody will ever release.
-    finished: HashSet<TxnId>,
+    finished: FxHashSet<TxnId>,
     in_doubt: InDoubt,
     /// The copy accesses waiting at this site, in arrival order: the CCP
     /// said they must wait, so the loop asks again after every message it
@@ -401,8 +406,8 @@ impl Site {
             storage,
             clock: TimestampGenerator::new(id),
             ccp: make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout),
-            participants: HashMap::new(),
-            finished: HashSet::new(),
+            participants: FxHashMap::default(),
+            finished: FxHashSet::default(),
             in_doubt: InDoubt::default(),
             parked: Vec::new(),
             held: VecDeque::new(),
@@ -417,9 +422,16 @@ impl Site {
         })
     }
 
+    /// Handles one message at `now`, then what the site sent itself while
+    /// handling it (see `Site::step_own`).
+    pub(crate) fn step(&mut self, now: Instant, envelope: Envelope<Msg>) {
+        self.handle(now, envelope);
+        self.step_own(now);
+    }
+
     /// Handles one message at `now` (a handle's call runs), then asks the
     /// parked accesses again: the message may have ended their wait.
-    pub(crate) fn step(&mut self, now: Instant, envelope: Envelope<Msg>) {
+    fn handle(&mut self, now: Instant, envelope: Envelope<Msg>) {
         match envelope.payload {
             Msg::Call(Call(call)) => call(self),
             Msg::Synced { ticket, result } => self.synced(ticket, result),
@@ -428,23 +440,67 @@ impl Site {
         ask_parked_again(&self.shared, &mut self.state, now);
     }
 
+    /// Handles at `now` what the site queued for itself — its own copy
+    /// accesses, prepares, decisions and their answers, and the votes and
+    /// acks a sync released — and what that queues for it, until nothing
+    /// is left: the messages of a site to itself never leave its loop.
+    /// They are what the network's loopback would have delivered: one
+    /// envelope per group, a `Msg::Batch` for two or more (so a home's own
+    /// prepares, or commits, are one log group), in the order queued,
+    /// counted nowhere, and dropped while the fault controller reports the
+    /// site crashed. Returns whether it handled any.
+    fn step_own(&mut self, now: Instant) -> bool {
+        let me = NodeId::Site(self.shared.id);
+        let mut handled = false;
+        loop {
+            self.state.release_durable(&self.shared);
+            let Some(mut group) = self.state.home.out.outbox.take(me) else {
+                return handled;
+            };
+            if self.shared.faults.is_crashed(me) {
+                continue;
+            }
+            let payload = match group.len() {
+                1 => group.pop().expect("a group of one"),
+                _ => Msg::Batch(group),
+            };
+            let (id, from, to) = (MessageId(0), me, me);
+            self.handle(
+                now,
+                Envelope {
+                    id,
+                    from,
+                    to,
+                    payload,
+                },
+            );
+            handled = true;
+        }
+    }
+
     /// Acts on what fell due by `now` — the janitor, parked accesses whose
     /// deadline passed, the coordinators' deadlines — reaps the machines
-    /// that are done, and returns when the site wants to be ticked again.
+    /// that are done, handles what that sent the site itself, and returns
+    /// when the site wants to be ticked again.
     pub(crate) fn tick(&mut self, now: Instant) -> Instant {
-        let (shared, state) = (&self.shared, &mut self.state);
         if now >= self.janitor_due {
             self.janitor_due = now + JANITOR_EVERY;
-            run_janitor(shared, state, now);
+            run_janitor(&self.shared, &mut self.state, now);
         }
-        let parked_due = ask_parked_again(shared, state, now);
-        // The machines' deadlines; the machines that are done are reaped.
-        let (machines, out) = (&mut state.home.machines, &mut state.home.out);
-        let on_tick = |machine: &mut TxnMachine| machine.on_tick(&mut Cx { shared, out, now });
-        let machine_due = machines.values_mut().filter_map(on_tick).min();
-        machines.retain(|_, machine| !machine.is_done());
-        let due = parked_due.into_iter().chain(machine_due);
-        due.fold(self.janitor_due, Instant::min)
+        loop {
+            let (shared, state) = (&self.shared, &mut self.state);
+            let parked_due = ask_parked_again(shared, state, now);
+            // The machines' deadlines; the machines that are done are reaped.
+            let (machines, out) = (&mut state.home.machines, &mut state.home.out);
+            let on_tick = |machine: &mut TxnMachine| machine.on_tick(&mut Cx { shared, out, now });
+            let machine_due = machines.values_mut().filter_map(on_tick).min();
+            machines.retain(|_, machine| !machine.is_done());
+            // What the site sent itself may move a deadline: ask again.
+            if !self.step_own(now) {
+                let due = parked_due.into_iter().chain(machine_due);
+                return due.fold(self.janitor_due, Instant::min);
+            }
+        }
     }
 
     /// Notes that a sync made the log durable through `ticket` (the held
@@ -475,8 +531,11 @@ impl Site {
         if let Some(tracer) = tracer.filter(|_| drained > 0) {
             tracer.record_meter(Meter::ReactorQueueDepth, drained);
         }
-        let outbox = &mut self.state.home.out.outbox;
-        let stats = outbox.flush(&shared.net, NodeId::Site(shared.id), Msg::Batch);
+        let (outbox, me) = (&mut self.state.home.out.outbox, NodeId::Site(shared.id));
+        // The loop has stepped everything the site sent itself; only a
+        // closing site leaves some, and nobody is left to handle them.
+        outbox.take(me);
+        let stats = outbox.flush(&shared.net, me, Msg::Batch);
         if let Some(tracer) = tracer.filter(|_| stats.envelopes > 0) {
             tracer.record_meter(Meter::ReactorBatchSize, stats.largest_batch as u64);
         }
@@ -627,6 +686,7 @@ impl SiteHandle {
             rcp: make_rcp(stack.rcp),
             stack,
             schema,
+            faults: net.faults(),
             net,
             metrics: Arc::clone(&metrics),
             history,
@@ -844,7 +904,7 @@ fn run(mut site: Site, mailbox: Receiver<Envelope<Msg>>, syncer: Option<Sender<S
 /// besides themselves.
 #[derive(Default)]
 struct Home {
-    machines: HashMap<TxnId, TxnMachine>,
+    machines: FxHashMap<TxnId, TxnMachine>,
     out: Effects,
     /// The sequence number of the next transaction this site opens.
     next_seq: u64,
@@ -856,7 +916,7 @@ struct Home {
 #[derive(Default)]
 pub(crate) struct Effects {
     pub outbox: Outbox<Msg>,
-    decided: HashMap<TxnId, Decision>,
+    decided: FxHashMap<TxnId, Decision>,
 }
 
 impl Effects {
@@ -1533,6 +1593,7 @@ mod tests {
     use rainbow_common::txn::{TxnOutcome, TxnResult};
     use rainbow_common::MessageId;
     use rainbow_net::{NetworkConfig, SimNetwork};
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn build_site(
@@ -2189,6 +2250,7 @@ mod tests {
                 stack,
                 schema: schema_for(&[SiteId(0)]),
                 net: net.handle(),
+                faults: net.faults(),
                 metrics: Arc::new(SiteMetrics::new()),
                 history: None,
                 tracer: None,
@@ -2464,10 +2526,11 @@ mod tests {
     const CLIENT: NodeId = NodeId::Client(0);
 
     /// A home site — site 0 of three, every item on all three — driven by
-    /// hand like `Stepped`: the test plays the client and sites 1 and 2,
-    /// and what the home sends itself is stepped back in at once.
+    /// hand like `Stepped`: the test plays the client and sites 1 and 2.
+    /// What the home sends itself never reaches its node's mailbox: the
+    /// step handles it in place.
     struct SteppedHome {
-        _net: SimNetwork<Msg>,
+        net: SimNetwork<Msg>,
         own: Receiver<Envelope<Msg>>,
         client: Receiver<Envelope<Msg>>,
         remotes: [Receiver<Envelope<Msg>>; 2],
@@ -2477,6 +2540,10 @@ mod tests {
 
     impl SteppedHome {
         fn new(stack: ProtocolStack) -> Self {
+            Self::on(stack, &StorageConfig::memory())
+        }
+
+        fn on(stack: ProtocolStack, storage: &StorageConfig) -> Self {
             let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
             let own = net.register(NodeId::site(0));
             let remotes = [1, 2].map(|n| net.register(NodeId::site(n)));
@@ -2488,13 +2555,14 @@ mod tests {
                 stack,
                 schema: schema_for(&[SiteId(0), SiteId(1), SiteId(2)]),
                 net: net.handle(),
+                faults: net.faults(),
                 metrics: Arc::new(SiteMetrics::new()),
                 history: None,
                 tracer: None,
             };
-            let site = Site::open(shared, &StorageConfig::memory(), t0).expect("open the site");
+            let site = Site::open(shared, storage, t0).expect("open the site");
             SteppedHome {
-                _net: net,
+                net,
                 own,
                 client,
                 remotes,
@@ -2503,8 +2571,7 @@ mod tests {
             }
         }
 
-        /// Steps `payload` from `from` in at `now`, then what the home sent
-        /// itself, until it sends itself nothing more.
+        /// Steps `payload` from `from` in at `now` and flushes.
         fn step(&mut self, now: Instant, from: NodeId, payload: Msg) {
             let to = NodeId::site(0);
             let id = MessageId(1);
@@ -2517,23 +2584,19 @@ mod tests {
                     payload,
                 },
             );
-            self.settle(now);
+            self.flush();
         }
 
-        /// Ticks at `now`, then settles like `step`.
+        /// Ticks at `now` and flushes.
         fn tick(&mut self, now: Instant) {
             self.site.tick(now);
-            self.settle(now);
+            self.flush();
         }
 
-        fn settle(&mut self, now: Instant) {
-            loop {
-                self.site.flush(0);
-                let Ok(envelope) = self.own.try_recv() else {
-                    return;
-                };
-                self.site.step(now, envelope);
-            }
+        fn flush(&mut self) {
+            self.site.flush(0);
+            let own = self.own.try_recv().map(|envelope| envelope.payload);
+            assert!(own.is_err(), "the home sent itself {own:?}");
         }
 
         /// What site `n` (1 or 2) was sent since last asked, unbatched.
@@ -2699,5 +2762,203 @@ mod tests {
         assert_eq!(home.answers().len(), 1, "the read is answered");
         let sent = home.commit_with_site_2(later, txn);
         assert!(released(&sent, txn), "site 1 may grant late: {sent:?}");
+    }
+
+    /// A client's first command: increment `x0`.
+    fn begin_incrementing_x0() -> Msg {
+        let (item, delta) = (ItemId::new("x0"), 1);
+        let op = NextOp::Increment { item, delta };
+        let (request, label, clock) = (1, "t".to_string(), 0);
+        Msg::TxnBegin {
+            request,
+            label,
+            op,
+            clock,
+        }
+    }
+
+    /// An increment at a home holding a copy asks its own copy in place:
+    /// the flush carries one envelope, the remote copy read, and the home's
+    /// lock is already held. (Sent through the network, the own copy read
+    /// was a second envelope, to the home's own mailbox.)
+    #[test]
+    fn a_stepped_increment_leaves_one_envelope_the_remote_copy_read() {
+        let mut home = SteppedHome::new(quick_stack());
+        let (id, from, to) = (MessageId(1), CLIENT, NodeId::site(0));
+        let payload = begin_incrementing_x0();
+        let begin = Envelope {
+            id,
+            from,
+            to,
+            payload,
+        };
+        home.site.step(home.t0, begin);
+        home.site.flush(0);
+        let own = home.own.try_recv().map(|envelope| envelope.payload);
+        assert!(own.is_err(), "the home sent itself {own:?}");
+        let sent = home.sent_to(1);
+        assert!(
+            matches!(
+                sent.as_slice(),
+                [Msg::CopyRead {
+                    for_update: true,
+                    ..
+                }]
+            ),
+            "{sent:?}"
+        );
+        assert!(home.sent_to(2).is_empty(), "site 2 is a spare");
+        assert!(home.answers().is_empty(), "one grant of two is in");
+        let counters = home.net.counters();
+        assert_eq!((counters.envelopes(), counters.sent()), (1, 1));
+        let held = home.site.state.ccp.active_transactions();
+        assert_eq!(held, 1, "the home's own copy is locked");
+    }
+
+    /// A site the fault controller reports crashed drops what it sent
+    /// itself, as the network drops what it sends the others: a restart
+    /// while crashed asks the home of an in-doubt transaction, itself here,
+    /// in vain, and the janitor asks again once the site is back.
+    #[test]
+    fn a_stepped_crashed_site_drops_what_it_sent_itself() {
+        let mut one = Stepped::new(quick_stack());
+        let (t0, me) = (one.t0, NodeId::site(0));
+        let own = one._net.register(me);
+        let (txn, ts, item) = (
+            TxnId::new(SiteId(0), 1),
+            Timestamp::new(1, 0),
+            ItemId::new("x0"),
+        );
+        one.step(
+            t0,
+            Msg::CopyPrewrite {
+                txn,
+                ts,
+                item: item.clone(),
+            },
+        );
+        let writes = vec![(item.clone(), Value::Int(7), Version(1))];
+        one.step(t0, Msg::AcpPrepare { txn, ts, writes });
+        assert_eq!(one.out().len(), 1, "granted and voted YES");
+
+        one.site.shared.faults.crash(me);
+        let restart = |site: &mut Site| site.power_loss(PowerLossFault::Clean).unwrap();
+        one.step(t0, Msg::Call(Call(Box::new(restart))));
+        let in_doubt = |one: &Stepped| one.site.state.in_doubt.writes.contains_key(&txn);
+        assert!(
+            in_doubt(&one),
+            "the query to itself was dropped, unanswered"
+        );
+        one.site.shared.faults.recover(me);
+        one.site.tick(t0 + JANITOR_EVERY);
+        assert!(!in_doubt(&one), "no decision on record: presumed abort");
+        assert_eq!(
+            one.site.state.storage.read(&item).unwrap().0,
+            Value::Int(100)
+        );
+        assert!(one.out().is_empty());
+        let sent = own.try_recv().map(|envelope| envelope.payload);
+        assert!(sent.is_err(), "the site sent itself {sent:?}");
+    }
+
+    /// On segment files the home's YES vote to itself waits for its
+    /// prepare's sync, like a vote to another site: the client hears the
+    /// commit only once the sync's answer released it.
+    #[test]
+    fn a_stepped_home_on_segment_files_waits_for_its_own_vote_sync() {
+        let (dir, storage) = segment_files("stepped-home-vote");
+        let mut home = SteppedHome::on(quick_stack(), &storage);
+        let (t0, me) = (home.t0, NodeId::site(0));
+        home.step(t0, CLIENT, begin_incrementing_x0());
+        let sent = home.sent_to(1);
+        let [Msg::CopyRead { txn, .. }] = sent.as_slice() else {
+            panic!("site 1 was sent {sent:?}")
+        };
+        let txn = *txn;
+        let (item, prewrite, for_update) = (ItemId::new("x0"), false, true);
+        let (value, version) = (Some(Value::Int(100)), Version(0));
+        let result = CopyAccessResult::Granted { value, version };
+        let granted = Msg::CopyReply {
+            txn,
+            item,
+            prewrite,
+            for_update,
+            result,
+        };
+        home.step(t0, NodeId::site(1), granted);
+        let answers = home.answers();
+        assert!(
+            matches!(answers.as_slice(), [Msg::TxnOpReply { .. }]),
+            "{answers:?}"
+        );
+
+        let (request, op) = (1, NextOp::Commit);
+        home.step(t0, CLIENT, Msg::TxnOp { request, txn, op });
+        let sent = home.sent_to(1);
+        assert!(
+            matches!(sent.as_slice(), [Msg::AcpPrepare { txn: t, .. }] if *t == txn),
+            "{sent:?}"
+        );
+        let vote = Vote::Yes;
+        home.step(t0, NodeId::site(1), Msg::AcpVote { txn, vote });
+        assert!(home.answers().is_empty(), "the home's own vote is held");
+
+        let (ticket, segment) = home.site.state.storage.sync_request().expect("a sync");
+        segment.sync().expect("the segment syncs");
+        let result = Ok(());
+        home.step(t0, me, Msg::Synced { ticket, result });
+        let answers = home.answers();
+        let committed = |result: &TxnResult| result.outcome == TxnOutcome::Committed;
+        assert!(
+            matches!(answers.as_slice(), [Msg::TxnDone { result, .. }] if committed(result)),
+            "{answers:?}"
+        );
+        let sent = home.sent_to(1);
+        let commit = Decision::Commit;
+        assert!(
+            matches!(sent.as_slice(), [Msg::AcpDecision { txn: t, decision }] if *t == txn && *decision == commit),
+            "{sent:?}"
+        );
+        drop(home);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A site's maps iterate in an order fixed by their contents, not by a
+    /// hasher keyed per thread: the same messages stepped into two sites
+    /// built on two threads leave the same outboxes. The janitor's status
+    /// queries come in the participant map's order.
+    #[test]
+    fn two_sites_stepped_alike_on_two_threads_send_alike() {
+        use rainbow_common::protocol::CcpKind;
+        let run = || {
+            let stack = quick_stack().with_ccp(CcpKind::TimestampOrdering);
+            let horizon = stack.janitor_horizon();
+            let mut one = Stepped::new(stack);
+            let t0 = one.t0;
+            let mut outboxes = Vec::new();
+            for n in 1..=32 {
+                let item = format!("x{}", n % 4);
+                one.step(t0, Stepped::prewrite(n, &item));
+                one.step(t0, Stepped::prepare_writing(n, &item));
+                outboxes.push(format!("{:?}", one.out()));
+            }
+            // Every participant is prepared, and its coordinator silent.
+            let due = one.site.tick(t0 + horizon);
+            one.site.tick(due);
+            let queries = one.out();
+            let [Msg::Batch(queries)] = queries.as_slice() else {
+                panic!("{queries:?}")
+            };
+            let asked = queries.iter().filter_map(|query| match query {
+                Msg::AcpStatusQuery { txn } => Some(txn.seq),
+                _ => None,
+            });
+            (outboxes, asked.collect::<Vec<_>>())
+        };
+        let (here, asked_here) = std::thread::spawn(run).join().unwrap();
+        let (there, asked_there) = std::thread::spawn(run).join().unwrap();
+        assert_eq!(asked_here.len(), 32, "{asked_here:?}");
+        assert_eq!(asked_here, asked_there, "the janitor's status queries");
+        assert_eq!(here, there);
     }
 }

@@ -61,6 +61,14 @@ impl<M: NetMessage> Outbox<M> {
         }
     }
 
+    /// Takes the messages queued for `to` out of the outbox, in the order
+    /// they were queued; `None` when nothing is. A loop that steps its own
+    /// messages in place takes them with its own node.
+    pub fn take(&mut self, to: NodeId) -> Option<Vec<M>> {
+        let at = self.queued.iter().position(|(node, _)| *node == to)?;
+        Some(self.queued.remove(at).1)
+    }
+
     /// Number of queued logical messages.
     pub fn len(&self) -> usize {
         self.queued.iter().map(|(_, msgs)| msgs.len()).sum()
@@ -179,6 +187,20 @@ mod tests {
         let stats = outbox.flush(&handle, from, TestMsg::Many);
         assert_eq!(stats, FlushStats::default());
         network.shutdown();
+    }
+
+    #[test]
+    fn take_removes_one_destinations_group_in_queue_order() {
+        let (a, b) = (NodeId::site(0), NodeId::site(1));
+        let mut outbox = Outbox::new();
+        outbox.push(a, TestMsg::One(1));
+        outbox.push(b, TestMsg::One(2));
+        outbox.push(a, TestMsg::One(3));
+        assert_eq!(outbox.take(a), Some(vec![TestMsg::One(1), TestMsg::One(3)]));
+        assert_eq!(outbox.take(a), None);
+        assert_eq!(outbox.len(), 1, "the other group stays");
+        assert_eq!(outbox.take(b), Some(vec![TestMsg::One(2)]));
+        assert!(outbox.is_empty());
     }
 
     #[test]

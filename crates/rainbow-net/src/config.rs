@@ -61,6 +61,16 @@ impl LatencyModel {
         }
     }
 
+    /// The delay, when the model draws none at random (no delay, or a
+    /// constant one); `None` for the models [`LatencyModel::sample`] draws.
+    pub fn fixed(&self) -> Option<Duration> {
+        match *self {
+            LatencyModel::None => Some(Duration::ZERO),
+            LatencyModel::Constant { micros } => Some(Duration::from_micros(micros)),
+            LatencyModel::Uniform { .. } | LatencyModel::Normal { .. } => None,
+        }
+    }
+
     /// Draws one delay sample.
     pub fn sample(&self, rng: &mut impl Rng) -> Duration {
         match *self {
@@ -267,6 +277,20 @@ mod tests {
             LatencyModel::normal(Duration::from_micros(150), Duration::from_micros(10)).mean(),
             Duration::from_micros(150)
         );
+    }
+
+    #[test]
+    fn only_the_random_models_have_no_fixed_delay() {
+        let mut rng = seeded_rng(1);
+        for model in [
+            LatencyModel::None,
+            LatencyModel::constant(Duration::from_micros(500)),
+        ] {
+            assert_eq!(model.fixed(), Some(model.sample(&mut rng)), "{model:?}");
+        }
+        let (lo, hi) = (Duration::from_micros(1), Duration::from_micros(2));
+        assert_eq!(LatencyModel::uniform(lo, lo).fixed(), None);
+        assert_eq!(LatencyModel::normal(lo, hi).fixed(), None);
     }
 
     #[test]

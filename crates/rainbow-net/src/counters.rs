@@ -10,12 +10,152 @@
 //! `research_study` example), the benchmark's `*_msgs_per_commit` metrics
 //! and the paper's "total number of messages generated per time unit"
 //! statistic read these counters.
+//!
+//! Every sender counts each message it sends, so counting takes no lock:
+//! the per-kind and per-link counts are atomics in a [`CountTable`], an
+//! insert-only open-addressing table whose keys, once written, never move.
+//! A kind is keyed by its `&'static str` and found by content, so two
+//! equal labels at different addresses are one kind; nothing is allocated
+//! per message.
 
 use crate::node::NodeId;
-use parking_lot::Mutex;
+use rainbow_common::fxhash::FxHasher;
 use rainbow_common::stats::MessageStats;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+/// How many slots a key may try in one level of a [`CountTable`] before
+/// it goes to the next level.
+const PROBES: usize = 16;
+
+/// One key's count. The key is written once, by the first sender of a
+/// message under it, and never changes.
+struct Slot<K> {
+    key: OnceLock<K>,
+    count: AtomicU64,
+}
+
+/// Counts per key without a lock: a key hashes to a slot and probes up to
+/// [`PROBES`] slots from there, taking the first that holds it or is free.
+/// Keys are never removed (a reset zeroes the counts), so a key that found
+/// its slot always finds it again, and two senders of a new key agree on
+/// one slot: the one whose key write wins. A level whose probe window for a
+/// key is full passes the key to the next level, four times larger, which
+/// is made once when first needed.
+struct CountTable<K> {
+    slots: Box<[Slot<K>]>,
+    /// The slot index is the hash's top `bits` bits.
+    bits: u32,
+    next: OnceLock<Box<CountTable<K>>>,
+}
+
+/// The first level has 256 slots: a protocol has a few dozen kinds, and a
+/// cluster's links grow with its clients, whose node ids are reused.
+impl<K: Eq + Hash + Copy> Default for CountTable<K> {
+    fn default() -> Self {
+        CountTable::new(8)
+    }
+}
+
+impl<K: Eq + Hash + Copy + std::fmt::Debug> std::fmt::Debug for CountTable<K> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.counts()).finish()
+    }
+}
+
+impl<K: Eq + Hash + Copy> CountTable<K> {
+    /// A table with `2^bits` slots in its first level.
+    fn new(bits: u32) -> Self {
+        let slots = (0..1usize << bits).map(|_| Slot {
+            key: OnceLock::new(),
+            count: AtomicU64::new(0),
+        });
+        CountTable {
+            slots: slots.collect(),
+            bits,
+            next: OnceLock::new(),
+        }
+    }
+
+    /// The hash of a key, or of what it borrows as (a kind's `str`).
+    fn hash<Q: Hash + ?Sized>(key: &Q) -> u64 {
+        let mut hasher = FxHasher::default();
+        key.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// The slots `key` may use in this level, in probe order.
+    fn window(&self, hash: u64) -> impl Iterator<Item = &Slot<K>> {
+        let (start, mask) = ((hash >> (64 - self.bits)) as usize, self.slots.len() - 1);
+        (0..PROBES.min(self.slots.len())).map(move |i| &self.slots[(start + i) & mask])
+    }
+
+    /// Adds `n` to `key`'s count, claiming a slot for it if it has none.
+    fn add(&self, key: K, n: u64) {
+        let (hash, mut table) = (Self::hash(&key), self);
+        loop {
+            for slot in table.window(hash) {
+                // A free slot is claimed; a lost race leaves the winner's key.
+                if *slot.key.get_or_init(|| key) == key {
+                    slot.count.fetch_add(n, Ordering::Relaxed);
+                    return;
+                }
+            }
+            let bits = table.bits + 2;
+            table = table.next.get_or_init(|| Box::new(CountTable::new(bits)));
+        }
+    }
+
+    /// `key`'s count; 0 for a key never counted.
+    fn get<Q>(&self, key: &Q) -> u64
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let hash = Self::hash(key);
+        for table in self.levels() {
+            for slot in table.window(hash) {
+                match slot.key.get() {
+                    Some(held) if held.borrow() == key => {
+                        return slot.count.load(Ordering::Relaxed)
+                    }
+                    Some(_) => {}
+                    // A key is never stored past a free slot.
+                    None => return 0,
+                }
+            }
+        }
+        0
+    }
+
+    /// This level and the ones made after it, in order.
+    fn levels(&self) -> impl Iterator<Item = &CountTable<K>> {
+        std::iter::successors(Some(self), |table| table.next.get().map(|next| &**next))
+    }
+
+    /// The slots of every level.
+    fn slots(&self) -> impl Iterator<Item = &Slot<K>> {
+        self.levels().flat_map(|table| table.slots.iter())
+    }
+
+    /// Every key whose count is not zero, with its count.
+    fn counts(&self) -> impl Iterator<Item = (K, u64)> + '_ {
+        self.slots().filter_map(|slot| {
+            let count = slot.count.load(Ordering::Relaxed);
+            Some((*slot.key.get()?, count)).filter(|_| count > 0)
+        })
+    }
+
+    /// Zeroes every count; the keys keep their slots.
+    fn reset(&self) {
+        for slot in self.slots() {
+            slot.count.store(0, Ordering::Relaxed);
+        }
+    }
+}
 
 /// Shared, thread-safe message counters. Cloning the handle (via `Arc`)
 /// shares the same underlying counters.
@@ -29,8 +169,8 @@ pub struct NetworkCounters {
     dropped_crash: AtomicU64,
     bytes: AtomicU64,
     round_trips: AtomicU64,
-    by_kind: Mutex<BTreeMap<String, u64>>,
-    by_link: Mutex<BTreeMap<(NodeId, NodeId), u64>>,
+    by_kind: CountTable<&'static str>,
+    by_link: CountTable<(NodeId, NodeId)>,
 }
 
 impl NetworkCounters {
@@ -41,18 +181,11 @@ impl NetworkCounters {
 
     /// Records a message handed to the simulator (on its own, or carried by
     /// a batch envelope).
-    pub fn record_sent(&self, from: NodeId, to: NodeId, kind: &str, bytes: usize) {
+    pub fn record_sent(&self, from: NodeId, to: NodeId, kind: &'static str, bytes: usize) {
         self.sent.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        {
-            // Only the first message of a kind pays for the owned key.
-            let mut by_kind = self.by_kind.lock();
-            match by_kind.get_mut(kind) {
-                Some(count) => *count += 1,
-                None => _ = by_kind.insert(kind.to_owned(), 1),
-            }
-        }
-        *self.by_link.lock().entry((from, to)).or_insert(0) += 1;
+        self.by_kind.add(kind, 1);
+        self.by_link.add((from, to), 1);
     }
 
     /// Records one envelope handed to the simulator, whatever it carries.
@@ -108,19 +241,32 @@ impl NetworkCounters {
 
     /// Total messages dropped so far (all reasons).
     pub fn dropped(&self) -> u64 {
+        self.dropped_loss() + self.dropped_partition() + self.dropped_crash()
+    }
+
+    /// Messages dropped so far by random loss.
+    pub fn dropped_loss(&self) -> u64 {
         self.dropped_loss.load(Ordering::Relaxed)
-            + self.dropped_partition.load(Ordering::Relaxed)
-            + self.dropped_crash.load(Ordering::Relaxed)
+    }
+
+    /// Messages dropped so far because a partition separated their ends.
+    pub fn dropped_partition(&self) -> u64 {
+        self.dropped_partition.load(Ordering::Relaxed)
+    }
+
+    /// Messages dropped so far because an end was crashed.
+    pub fn dropped_crash(&self) -> u64 {
+        self.dropped_crash.load(Ordering::Relaxed)
     }
 
     /// Messages of one kind sent so far.
     pub fn kind(&self, kind: &str) -> u64 {
-        self.by_kind.lock().get(kind).copied().unwrap_or(0)
+        self.by_kind.get(kind)
     }
 
     /// Messages sent on one directed link so far.
     pub fn link(&self, from: NodeId, to: NodeId) -> u64 {
-        self.by_link.lock().get(&(from, to)).copied().unwrap_or(0)
+        self.by_link.get(&(from, to))
     }
 
     /// Completed round trips so far.
@@ -136,7 +282,11 @@ impl NetworkCounters {
             delivered: self.delivered(),
             dropped: self.dropped(),
             bytes: self.bytes.load(Ordering::Relaxed),
-            by_kind: self.by_kind.lock().clone(),
+            by_kind: self
+                .by_kind
+                .counts()
+                .map(|(kind, n)| (kind.to_owned(), n))
+                .collect(),
             round_trips: self.round_trips(),
         }
     }
@@ -172,8 +322,8 @@ impl NetworkCounters {
         self.dropped_crash.store(0, Ordering::Relaxed);
         self.bytes.store(0, Ordering::Relaxed);
         self.round_trips.store(0, Ordering::Relaxed);
-        self.by_kind.lock().clear();
-        self.by_link.lock().clear();
+        self.by_kind.reset();
+        self.by_link.reset();
     }
 }
 
@@ -213,9 +363,11 @@ mod tests {
     fn drop_reasons_all_count_toward_dropped() {
         let c = NetworkCounters::new();
         c.record_dropped_loss(1);
-        c.record_dropped_partition(1);
-        c.record_dropped_crash(1);
-        assert_eq!(c.dropped(), 3);
+        c.record_dropped_partition(2);
+        c.record_dropped_crash(4);
+        assert_eq!(c.dropped(), 7);
+        let reasons = (c.dropped_loss(), c.dropped_partition(), c.dropped_crash());
+        assert_eq!(reasons, (1, 2, 4));
     }
 
     #[test]
@@ -224,6 +376,7 @@ mod tests {
         let a = NodeId::site(0);
         let b = NodeId::site(1);
         c.record_sent(a, b, "QC_READ", 10);
+        c.record_sent(a, b, "QC_OLD", 10);
         let before = c.snapshot();
         c.record_sent(a, b, "QC_READ", 10);
         c.record_sent(a, b, "QC_WRITE", 10);
@@ -231,21 +384,113 @@ mod tests {
         let delta = c.delta_since(&before);
         assert_eq!(delta.sent, 2);
         assert_eq!(delta.delivered, 1);
+        assert_eq!(delta.bytes, 20);
         assert_eq!(delta.kind("QC_READ"), 1);
         assert_eq!(delta.kind("QC_WRITE"), 1);
+        let kinds: Vec<&str> = delta.by_kind.keys().map(String::as_str).collect();
+        assert_eq!(
+            kinds,
+            ["QC_READ", "QC_WRITE"],
+            "a kind with no new traffic is left out"
+        );
     }
 
     #[test]
     fn reset_zeroes_everything() {
         let c = NetworkCounters::new();
-        c.record_sent(NodeId::site(0), NodeId::site(1), "X", 5);
+        let (a, b) = (NodeId::site(0), NodeId::site(1));
+        c.record_sent(a, b, "X", 5);
+        c.record_sent(b, a, "Y", 5);
         c.record_envelope();
         c.record_delivered(1);
+        c.record_dropped_loss(1);
+        c.record_dropped_partition(1);
+        c.record_dropped_crash(1);
+        c.record_round_trip();
         c.reset();
         assert_eq!(c.sent(), 0);
         assert_eq!(c.envelopes(), 0);
         assert_eq!(c.delivered(), 0);
-        assert_eq!(c.kind("X"), 0);
-        assert_eq!(c.snapshot().bytes, 0);
+        assert_eq!(c.dropped(), 0);
+        assert_eq!(c.round_trips(), 0);
+        assert_eq!((c.kind("X"), c.kind("Y")), (0, 0));
+        assert_eq!((c.link(a, b), c.link(b, a)), (0, 0));
+        let snapshot = c.snapshot();
+        assert_eq!(snapshot.bytes, 0);
+        assert!(snapshot.by_kind.is_empty(), "{:?}", snapshot.by_kind);
+        // Counting starts again from zero under the same keys.
+        c.record_sent(a, b, "X", 5);
+        assert_eq!((c.kind("X"), c.link(a, b), c.sent()), (1, 1, 1));
+        assert_eq!(c.snapshot().by_kind.len(), 1);
+    }
+
+    #[test]
+    fn a_kind_is_counted_by_its_content_not_its_address() {
+        let c = NetworkCounters::new();
+        let (a, b) = (NodeId::site(0), NodeId::site(1));
+        let elsewhere: &'static str = Box::leak(String::from("2PC_VOTE").into_boxed_str());
+        assert!(!std::ptr::eq(elsewhere, "2PC_VOTE"));
+        c.record_sent(a, b, "2PC_VOTE", 10);
+        c.record_sent(a, b, elsewhere, 10);
+        assert_eq!(c.kind("2PC_VOTE"), 2);
+        assert_eq!(c.kind(&String::from("2PC_VOTE")), 2);
+        let kinds = c.snapshot().by_kind;
+        assert_eq!(
+            kinds.into_iter().collect::<Vec<_>>(),
+            vec![("2PC_VOTE".to_string(), 2)]
+        );
+    }
+
+    #[test]
+    fn senders_on_four_threads_lose_no_count() {
+        const KINDS: [&str; 5] = ["A", "BB", "CCC", "2PC_PREPARE", "QC_READ_REQ"];
+        const PER_THREAD: u64 = 20_000;
+        let c = NetworkCounters::new();
+        let nodes = [
+            NodeId::site(0),
+            NodeId::site(1),
+            NodeId::site(2),
+            NodeId::NameServer,
+            NodeId::Client(0),
+            NodeId::Client(1),
+        ];
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (c, nodes) = (&c, &nodes);
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let n = (i * 7 + t) as usize;
+                        let (from, to) = (nodes[n % nodes.len()], nodes[(n / 3) % nodes.len()]);
+                        c.record_sent(from, to, KINDS[n % KINDS.len()], 1);
+                    }
+                });
+            }
+        });
+        let kinds: u64 = KINDS.iter().map(|kind| c.kind(kind)).sum();
+        let pairs = nodes
+            .iter()
+            .flat_map(|a| nodes.iter().map(move |b| (*a, *b)));
+        let links: u64 = pairs.map(|(a, b)| c.link(a, b)).sum();
+        assert_eq!(c.sent(), 4 * PER_THREAD);
+        assert_eq!(kinds, c.sent());
+        assert_eq!(links, c.sent());
+        assert_eq!(c.snapshot().by_kind.values().sum::<u64>(), c.sent());
+    }
+
+    #[test]
+    fn links_past_the_first_level_keep_their_own_counts() {
+        let c = NetworkCounters::new();
+        let links = (0..3u32).flat_map(|s| (0..2_000u32).map(move |n| (s, n)));
+        for (site, client) in links.clone() {
+            let (from, to) = (NodeId::site(site), NodeId::Client(client));
+            for _ in 0..=(client % 3) {
+                c.record_sent(from, to, "X", 1);
+            }
+        }
+        for (site, client) in links {
+            let (from, to) = (NodeId::site(site), NodeId::Client(client));
+            assert_eq!(c.link(from, to), u64::from(client % 3) + 1);
+            assert_eq!(c.link(to, from), 0);
+        }
     }
 }

@@ -5,12 +5,17 @@
 //! programmatic version of that panel. The controller is shared between the
 //! network simulator (which consults it on every send/delivery) and the
 //! Session API / experiment scripts (which mutate it).
+//!
+//! The network asks on every message and a fault is rare, so the
+//! controller keeps a summary in atomics beside its locked sets — how many
+//! nodes are crashed, whether a partition exists — and a question about a
+//! healthy network is answered from the summary, taking no lock.
 
 use crate::node::NodeId;
 use parking_lot::RwLock;
 use rainbow_common::SiteId;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Shared fault state: crashed nodes and network partitions.
 ///
@@ -22,6 +27,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct FaultController {
     crashed: RwLock<BTreeSet<NodeId>>,
     partition: RwLock<BTreeMap<NodeId, u32>>,
+    /// `crashed.len()`, stored under `crashed`'s write lock: 0 answers
+    /// `is_crashed` without the lock.
+    crashed_count: AtomicUsize,
+    /// `!partition.is_empty()`, stored under `partition`'s write lock.
+    partitioned: AtomicBool,
     /// Epoch bumped on every crash, used by sites to detect that they were
     /// restarted (volatile state must be discarded on recovery).
     crash_epochs: RwLock<BTreeMap<NodeId, u64>>,
@@ -42,6 +52,7 @@ impl FaultController {
     pub fn crash(&self, node: NodeId) {
         let mut crashed = self.crashed.write();
         if crashed.insert(node) {
+            self.crashed_count.store(crashed.len(), Ordering::SeqCst);
             *self.crash_epochs.write().entry(node).or_insert(0) += 1;
             self.injected_crashes.fetch_add(1, Ordering::Relaxed);
         }
@@ -51,13 +62,19 @@ impl FaultController {
     pub fn recover(&self, node: NodeId) {
         let mut crashed = self.crashed.write();
         if crashed.remove(&node) {
+            self.crashed_count.store(crashed.len(), Ordering::SeqCst);
             self.injected_recoveries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
+    /// Whether any node is crashed; false takes no lock.
+    fn any_crashed(&self) -> bool {
+        self.crashed_count.load(Ordering::SeqCst) > 0
+    }
+
     /// Whether a node is currently crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.read().contains(&node)
+        self.any_crashed() && self.crashed.read().contains(&node)
     }
 
     /// Currently crashed nodes.
@@ -72,6 +89,9 @@ impl FaultController {
     /// use; partitions are intentionally excluded (see
     /// [`FaultController::unreachable_from`]).
     pub fn crashed_sites(&self) -> Vec<SiteId> {
+        if !self.any_crashed() {
+            return Vec::new();
+        }
         self.crashed
             .read()
             .iter()
@@ -107,8 +127,16 @@ impl FaultController {
                 map.insert(*node, i as u32 + 1);
             }
         }
-        *self.partition.write() = map;
+        self.set_partition(map);
         self.injected_partitions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Replaces the partition map, and its summary with it.
+    fn set_partition(&self, map: BTreeMap<NodeId, u32>) {
+        let mut partition = self.partition.write();
+        *partition = map;
+        self.partitioned
+            .store(!partition.is_empty(), Ordering::SeqCst);
     }
 
     /// Isolates a single node from everyone else (a common experiment step).
@@ -118,18 +146,15 @@ impl FaultController {
 
     /// Heals all partitions.
     pub fn heal_partition(&self) {
-        self.partition.write().clear();
+        self.set_partition(BTreeMap::new());
     }
 
     /// Whether a partition currently separates `a` from `b`.
     pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        if a == b {
+        if a == b || !self.partitioned.load(Ordering::SeqCst) {
             return false;
         }
         let map = self.partition.read();
-        if map.is_empty() {
-            return false;
-        }
         let ga = map.get(&a).copied().unwrap_or(0);
         let gb = map.get(&b).copied().unwrap_or(0);
         ga != gb
@@ -152,12 +177,13 @@ impl FaultController {
         let mut crashed = self.crashed.write();
         let recovered = crashed.len() as u64;
         crashed.clear();
+        self.crashed_count.store(0, Ordering::SeqCst);
         drop(crashed);
         if recovered > 0 {
             self.injected_recoveries
                 .fetch_add(recovered, Ordering::Relaxed);
         }
-        self.partition.write().clear();
+        self.heal_partition();
     }
 
     /// Total crash events injected so far.
@@ -302,5 +328,77 @@ mod tests {
         let f = FaultController::new();
         assert!(!f.is_partitioned(NodeId::site(0), NodeId::Client(1)));
         assert!(f.can_communicate(NodeId::NameServer, NodeId::Client(0)));
+    }
+
+    /// The answers read from the locked sets alone, summary ignored.
+    fn locked_answers(
+        f: &FaultController,
+        nodes: &[NodeId],
+    ) -> (Vec<bool>, Vec<bool>, Vec<SiteId>) {
+        let crashed = f.crashed.read().clone();
+        let partition = f.partition.read().clone();
+        let group = |n: &NodeId| partition.get(n).copied().unwrap_or(0);
+        let mut partitioned = Vec::new();
+        let mut reachable = Vec::new();
+        for a in nodes {
+            for b in nodes {
+                let apart = a != b && group(a) != group(b);
+                partitioned.push(apart);
+                reachable.push(!crashed.contains(a) && !crashed.contains(b) && !apart);
+            }
+        }
+        let sites = crashed.iter().filter_map(|n| n.as_site()).collect();
+        (partitioned, reachable, sites)
+    }
+
+    #[test]
+    fn the_summary_answers_what_the_locked_sets_answer_after_every_step() {
+        use rand::Rng;
+        let nodes = [
+            NodeId::site(0),
+            NodeId::site(1),
+            NodeId::site(2),
+            NodeId::NameServer,
+            NodeId::Client(0),
+        ];
+        let mut rng = rainbow_common::rng::seeded_rng(44);
+        let f = FaultController::new();
+        let (mut faulty, mut healthy) = (0, 0);
+        for _ in 0..2_000 {
+            let node = nodes[rng.gen_range(0..nodes.len())];
+            match rng.gen_range(0..6) {
+                0 => f.crash(node),
+                1 => f.recover(node),
+                2 => f.clear(),
+                3 => {
+                    let other = nodes[rng.gen_range(0..nodes.len())];
+                    f.partition(&[vec![node], vec![other]]);
+                }
+                4 => f.isolate(node),
+                _ => f.heal_partition(),
+            }
+            let (partitioned, reachable, sites) = locked_answers(&f, &nodes);
+            let crashed = f.crashed.read().clone();
+            for n in &nodes {
+                assert_eq!(f.is_crashed(*n), crashed.contains(n));
+            }
+            let pairs = nodes
+                .iter()
+                .flat_map(|a| nodes.iter().map(move |b| (*a, *b)));
+            for ((a, b), (apart, reach)) in pairs.zip(partitioned.into_iter().zip(reachable)) {
+                assert_eq!(f.is_partitioned(a, b), apart, "{a} / {b}");
+                assert_eq!(f.can_communicate(a, b), reach, "{a} -> {b}");
+            }
+            assert_eq!(f.crashed_sites(), sites);
+            if crashed.is_empty() && f.partition.read().is_empty() {
+                healthy += 1;
+            } else {
+                faulty += 1;
+            }
+        }
+        assert!(
+            healthy > 100 && faulty > 100,
+            "{healthy} healthy, {faulty} faulty"
+        );
     }
 }

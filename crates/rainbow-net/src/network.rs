@@ -6,14 +6,23 @@
 //! every message. All traffic is counted in [`NetworkCounters`] so
 //! experiments can report message costs exactly.
 //!
-//! A message on a link with no latency is handed over inside `send`; only
-//! a delayed one goes to the delivery thread, which holds it in a heap by
-//! due time. The thread sleeps until a short margin before the earliest
+//! A message on a link with no latency is handed over inside `send`, past
+//! one check of the faults. Only a delayed one goes to the delivery thread,
+//! which checks the faults again when it is due. It holds delayed messages
+//! in a heap by due time, sleeps until a short margin before the earliest
 //! due time and yields the rest of the wait, because a timed sleep wakes
 //! late by the kernel's timer slack and wake-up latency (75–135 µs on a
 //! 500 µs link). It delivers nothing before its due time. Holding nothing,
 //! it blocks until a message or a stop job comes, so an idle network does
 //! not poll and a shutdown does not wait.
+//!
+//! On a healthy network the only lock a message takes before its
+//! receiver's mailbox is the registry's read lock that finds that mailbox:
+//! the fault controller answers from an atomic summary, the counters are
+//! atomics, and the seeded generator is locked only for a link that draws
+//! (a loss probability, or a uniform or normal latency). A node's message to itself is loopback, handed over and
+//! not counted: in the paper only inter-site messages count. A site does
+//! not even send those; its loop steps its own messages in place.
 //!
 //! The payload type is generic: `rainbow-core` instantiates the network with
 //! its protocol message enum. The only requirement is the [`NetMessage`]
@@ -155,9 +164,9 @@ impl<M: NetMessage> Shared<M> {
         MessageId(self.next_id.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Hands the envelope to the receiver's channel if the receiver is still
-    /// registered and reachable.
-    fn deliver_now(&self, envelope: Envelope<M>) {
+    /// Hands a delayed envelope, now due, to the receiver's channel if the
+    /// receiver is still registered and reachable.
+    fn deliver_due(&self, envelope: Envelope<M>) {
         let messages = logical(&envelope.payload).len() as u64;
         // Re-check faults at delivery time: the receiver may have crashed or
         // been partitioned away while the message was "on the wire".
@@ -169,11 +178,17 @@ impl<M: NetMessage> Shared<M> {
             self.counters.record_dropped_partition(messages);
             return;
         }
+        self.deliver(envelope, messages);
+    }
+
+    /// Hands `envelope`, carrying `messages` messages, to its receiver's
+    /// channel. An unregistered destination drops it silently (not counted
+    /// as a fault drop — it is a configuration situation, e.g. a site not
+    /// yet started).
+    fn deliver(&self, envelope: Envelope<M>, messages: u64) {
         if self.hand_over(envelope) {
             self.counters.record_delivered(messages);
         }
-        // Unregistered destination: silently dropped (not counted as a fault
-        // drop — it is a configuration situation, e.g. a site not yet started).
     }
 
     /// Puts `envelope` into its receiver's mailbox; false when nobody takes
@@ -218,8 +233,9 @@ impl<M: NetMessage> NetHandle<M> {
         };
 
         // Loopback: a node talking to itself does not use the network, so
-        // local copy accesses cost no messages (Rainbow counts only
-        // inter-site traffic).
+        // it costs and counts no message (Rainbow counts only inter-site
+        // traffic). A site never comes here: its loop steps what it sends
+        // itself in place (`rainbow-core`'s `site.rs`).
         if from == to {
             if !shared.faults.is_crashed(to) {
                 shared.hand_over(envelope);
@@ -237,7 +253,8 @@ impl<M: NetMessage> NetHandle<M> {
         }
         let messages = messages.len() as u64;
 
-        // Crash / partition checks at send time.
+        // Crash / partition checks at send time; the only ones a message
+        // on a link with no latency meets.
         if shared.faults.is_crashed(from) || shared.faults.is_crashed(to) {
             shared.counters.record_dropped_crash(messages);
             return Ok(id);
@@ -247,12 +264,16 @@ impl<M: NetMessage> NetHandle<M> {
             return Ok(id);
         }
 
+        // Only a lossy link or a random delay draws, so only they take the
+        // generator: the draws, and the seeded stream, are what they were.
         let link = shared.config.link(from, to);
-        let (lost, latency) = {
-            let mut rng = shared.rng.lock();
-            let lost = link.loss_probability > 0.0 && rng.gen::<f64>() < link.loss_probability;
-            let latency = link.latency.sample(&mut *rng);
-            (lost, latency)
+        let (lost, latency) = match link.latency.fixed() {
+            Some(latency) if link.loss_probability <= 0.0 => (false, latency),
+            _ => {
+                let mut rng = shared.rng.lock();
+                let lost = link.loss_probability > 0.0 && rng.gen::<f64>() < link.loss_probability;
+                (lost, link.latency.sample(&mut *rng))
+            }
         };
         if lost {
             shared.counters.record_dropped_loss(messages);
@@ -270,7 +291,7 @@ impl<M: NetMessage> NetHandle<M> {
             if let Some((txn, enqueued_us)) = trace {
                 shared.trace_delivery(&envelope, txn, enqueued_us);
             }
-            shared.deliver_now(envelope);
+            shared.deliver(envelope, messages);
         } else {
             let job = Job::Deliver(ScheduledDelivery {
                 deliver_at: Instant::now() + latency,
@@ -527,7 +548,7 @@ fn delivery_loop<M: NetMessage>(shared: Arc<Shared<M>>, rx: Receiver<Job<M>>) {
             if let Some((txn, enqueued_us)) = job.trace {
                 shared.trace_delivery(&job.envelope, txn, enqueued_us);
             }
-            shared.deliver_now(job.envelope);
+            shared.deliver_due(job.envelope);
         }
     }
 }
@@ -719,6 +740,37 @@ mod tests {
         net.faults().recover(b);
         net.handle().send(a, b, TestMsg::Ping(2)).unwrap();
         assert!(recv_with_timeout(&rx_b, 500).is_some());
+    }
+
+    /// A message on a link with no latency meets the faults once, at
+    /// `send`: it is dropped there, under the reason that dropped it.
+    #[test]
+    fn a_zero_latency_message_meets_the_faults_and_is_dropped_by_reason() {
+        let net = SimNetwork::<TestMsg>::new(NetworkConfig::perfect());
+        let (a, b, c) = (NodeId::site(0), NodeId::site(1), NodeId::site(2));
+        let _rx_a = net.register(a);
+        let rx_b = net.register(b);
+        let rx_c = net.register(c);
+        let (handle, counters) = (net.handle(), net.counters());
+        let batch = TestMsg::Batch(vec![TestMsg::Ping(1), TestMsg::Pong(2)]);
+
+        net.faults().crash(b);
+        handle.send(a, b, TestMsg::Ping(1)).unwrap();
+        handle.send(b, c, batch.clone()).unwrap();
+        assert_eq!(counters.dropped_crash(), 3, "to and from a crashed node");
+        net.faults().recover(b);
+
+        net.faults().partition(&[vec![a], vec![b, c]]);
+        handle.send(a, c, batch).unwrap();
+        handle.send(b, c, TestMsg::Pong(3)).unwrap();
+        assert_eq!(counters.dropped_partition(), 2, "across the partition");
+        assert_eq!((counters.dropped_crash(), counters.dropped_loss()), (3, 0));
+        assert!(rx_b.try_recv().is_err());
+        let delivered = rx_c.try_recv().expect("same-group traffic flows");
+        assert_eq!(delivered.payload, TestMsg::Pong(3));
+        assert!(rx_c.try_recv().is_err());
+        assert_eq!(counters.delivered(), 1);
+        assert_eq!(counters.sent(), 6);
     }
 
     #[test]

@@ -359,7 +359,7 @@ fn one_increment_asks_one_remote_copy_and_leaves_the_spare_alone() {
     // ACP_PREPARE, ACP_VOTE, ACP_DECISION, ACP_ACK.
     assert_eq!(remote(0, 1), 3, "RCP_READ, ACP_PREPARE, ACP_DECISION");
     assert_eq!(remote(1, 0), 3, "RCP_REPLY, ACP_VOTE, ACP_ACK");
-    // The home's own copy talks to it on loopback, which is not counted.
+    // The home's own copy is asked in the home's loop, and not counted.
     let delta = counters.delta_since(&before);
     assert_eq!(delta.kind("RCP_READ"), 1, "site 1's copy: {delta:?}");
     assert_eq!(

@@ -108,8 +108,8 @@ fn a_site_read_outside_the_write_quorum_is_sent_no_decision() {
     // Site 2 heard the copy read and the prepare, nothing after its vote.
     assert_eq!(to_reader() - sent_to_reader, 2);
     assert_eq!(cluster.votes_read_only(), 1);
-    // The decision and its ack went between sites 0 and 1 only (loopback
-    // is free).
+    // The decision and its ack went between sites 0 and 1 only (the
+    // home's own are stepped in its loop, and free).
     let delta = counters.delta_since(&before);
     assert_eq!(delta.kind("ACP_DECISION"), 1, "{delta:?}");
     assert_eq!(delta.kind("ACP_ACK"), 1, "{delta:?}");
