@@ -15,8 +15,7 @@
 
 use crate::types::{CcDecision, CcProtocol, TxnContext};
 use rainbow_common::txn::AbortCause;
-use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
-use std::collections::{HashMap, HashSet};
+use rainbow_common::{FxHashMap, FxHashSet, ItemId, Timestamp, TxnId, Value, Version};
 use std::time::Duration;
 
 #[derive(Debug, Clone)]
@@ -38,7 +37,7 @@ struct ItemVersions {
     /// Committed versions ordered by `wts` ascending.
     versions: Vec<VersionEntry>,
     /// Pending writes: txn → timestamp (decided at commit).
-    pending_writes: HashMap<TxnId, Timestamp>,
+    pending_writes: FxHashMap<TxnId, Timestamp>,
 }
 
 impl ItemVersions {
@@ -67,10 +66,10 @@ impl ItemVersions {
 /// Multi-version timestamp ordering for one site.
 #[derive(Debug, Default)]
 pub struct MultiversionTimestampOrdering {
-    items: HashMap<ItemId, ItemVersions>,
+    items: FxHashMap<ItemId, ItemVersions>,
     /// Items touched by each active transaction (so abort/commit can clean
     /// pending entries without scanning every item).
-    touched: HashMap<TxnId, HashSet<ItemId>>,
+    touched: FxHashMap<TxnId, FxHashSet<ItemId>>,
     /// Post-recovery admission floor (see
     /// [`CcProtocol::install_recovery_floor`]): a crash loses the version
     /// chains and their `rts` marks, and the rebuilt chain seeds the

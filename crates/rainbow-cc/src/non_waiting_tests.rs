@@ -8,8 +8,7 @@ use crate::types::{CcDecision, CcProtocol, TxnContext};
 use crate::{MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking};
 use rainbow_common::protocol::DeadlockPolicy;
 use rainbow_common::rng::{seeded_rng, AccessDistribution, ItemSampler};
-use rainbow_common::{ItemId, SiteId, Timestamp, TxnId, Value, Version};
-use std::collections::{HashMap, HashSet};
+use rainbow_common::{FxHashMap, FxHashSet, ItemId, SiteId, Timestamp, TxnId, Value, Version};
 use std::time::Duration;
 
 /// Joins `lines` in sorted order: the canonical form of an unordered
@@ -21,7 +20,7 @@ pub(crate) fn canonical(lines: impl IntoIterator<Item = String>) -> String {
 }
 
 /// The canonical form of a timestamp protocol's `touched` map.
-pub(crate) fn canonical_touched(touched: &HashMap<TxnId, HashSet<ItemId>>) -> String {
+pub(crate) fn canonical_touched(touched: &FxHashMap<TxnId, FxHashSet<ItemId>>) -> String {
     canonical(touched.iter().map(|(txn, items)| {
         let items = canonical(items.iter().map(|item| item.to_string()));
         format!("{txn:?} touched [{items}]")
@@ -265,4 +264,52 @@ fn a_prewrite_granted_twice_equals_one_granted_once() {
     }
     granting_a_prewrite_twice_equals_once(timestamp_ordering());
     granting_a_prewrite_twice_equals_once(multiversion());
+}
+
+/// Plays a seeded history of accesses, commits and aborts into `cc`, and
+/// returns each answer with what the protocol remembers after each step, as
+/// its `Debug` form prints it: in its tables' iteration order.
+fn fed_alike<P: CcProtocol + std::fmt::Debug>(mut cc: P) -> Vec<String> {
+    const TXNS: usize = 16;
+    let items: Vec<ItemId> = (0..8).map(|i| ItemId::new(format!("i{i}"))).collect();
+    let txn = |slot: usize| ctx(slot as u64, 10 * (slot as u64 + 1));
+    let mut writes: Vec<Vec<ItemId>> = vec![Vec::new(); TXNS];
+    let mut out = Vec::new();
+    for step in random_steps(7, 400, TXNS, items.len()) {
+        match step {
+            Step::Access(slot, item, access) => {
+                let answer = access.ask(&mut cc, &txn(slot), &items[item]);
+                if granted(answer.clone()) && !matches!(access, Access::Read) {
+                    writes[slot].push(items[item].clone());
+                }
+                out.push(format!("{answer:?}"));
+            }
+            Step::Commit(slot) => {
+                let installed = std::mem::take(&mut writes[slot]).into_iter();
+                let installed: Vec<_> = installed
+                    .map(|item| (item, Value::Int(slot as i64), Version(slot as u64)))
+                    .collect();
+                cc.commit(&txn(slot), &installed);
+            }
+            Step::Abort(slot) => {
+                writes[slot].clear();
+                cc.abort(&txn(slot));
+            }
+        }
+        out.push(format!("{cc:?}"));
+    }
+    out
+}
+
+/// A timestamp protocol's tables iterate in an order fixed by their
+/// contents, not by a hasher keyed per thread: the same history played into
+/// a TSO and an MVTO instance on two threads leaves the same answers and
+/// the same tables, step by step.
+#[test]
+fn tso_and_mvto_fed_alike_on_two_threads_answer_and_remember_alike() {
+    let tso = || fed_alike(TimestampOrdering::new().with_wait_budget(WAIT));
+    let mvto = || fed_alike(MultiversionTimestampOrdering::new().with_wait_budget(WAIT));
+    let on_a_thread = |play: fn() -> Vec<String>| std::thread::spawn(play).join().unwrap();
+    assert_eq!(on_a_thread(tso), on_a_thread(tso), "TSO");
+    assert_eq!(on_a_thread(mvto), on_a_thread(mvto), "MVTO");
 }

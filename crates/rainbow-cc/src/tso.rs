@@ -33,8 +33,8 @@
 
 use crate::types::{CcDecision, CcProtocol, TxnContext};
 use rainbow_common::txn::AbortCause;
-use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use rainbow_common::{FxHashMap, FxHashSet, ItemId, Timestamp, TxnId, Value, Version};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 #[derive(Debug, Default, Clone)]
@@ -50,10 +50,10 @@ struct ItemTimestamps {
 /// Basic timestamp-ordering concurrency control for one site.
 #[derive(Debug, Default)]
 pub struct TimestampOrdering {
-    items: HashMap<ItemId, ItemTimestamps>,
+    items: FxHashMap<ItemId, ItemTimestamps>,
     /// Items touched by each active transaction (so abort/commit can clean
     /// pending entries without scanning every item).
-    touched: HashMap<TxnId, HashSet<ItemId>>,
+    touched: FxHashMap<TxnId, FxHashSet<ItemId>>,
     /// Post-recovery admission floor (see
     /// [`CcProtocol::install_recovery_floor`]): operations below it are
     /// rejected because the pre-crash `rts`/`wts` they might conflict with

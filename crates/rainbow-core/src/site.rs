@@ -11,15 +11,18 @@
 //! the same step or tick, never sent. **The thread shell** ([`SiteHandle`]
 //! and its loop) is the site's thread, started with the site and joined at
 //! shutdown: it sleeps in the mailbox until a message arrives or `tick`'s
-//! deadline passes, steps what it drained, ticks and flushes. When the site's log needs a sync to be
-//! durable (segment files), the shell also starts the site's **syncer**
-//! and joins it at shutdown: the loop writes a group of log records and
-//! keeps serving, the syncer syncs it and tells the loop by a
-//! [`Msg::Synced`] message, and
-//! only what must not leave before the record is durable — a YES vote
-//! behind its prepare record, an acknowledgement behind its commit record
-//! — is held until then. Nothing else is ever created or lent, and no
-//! thread is ever created for a transaction.
+//! deadline passes, steps what it drained, ticks and flushes. When the
+//! site's log needs a sync to be durable (segment files), the shell also
+//! starts the site's **syncer** and joins it at shutdown: the loop writes a
+//! group of log records and keeps serving, the syncer syncs it and tells
+//! the loop by a [`Msg::Synced`] message, and only what must not leave
+//! before the record is durable — a YES vote behind its prepare record, an
+//! acknowledgement behind its commit record — is held until then. A vote
+//! asks for its sync at once; a group only acknowledgements wait for rides
+//! on the next vote's sync while a participant here is still to vote or a
+//! sync runs (nobody on a client's path waits for an acknowledgement), and
+//! asks for one of its own at a bound (`Site::sync_request`). Nothing else is ever
+//! created or lent, and no thread is ever created for a transaction.
 //!
 //! * requests from coordinators — its own or other sites' — are served at
 //!   once. The site never waits: a copy access asks the CCP, which never
@@ -76,6 +79,14 @@ const MAX_DRAIN: usize = 512;
 
 /// How often the janitor runs.
 const JANITOR_EVERY: Duration = Duration::from_millis(200);
+
+/// How long a group only acknowledgements wait for rides on the next
+/// vote's sync before it asks for a sync of its own (see
+/// `SiteState::sync_due`): a tenth of the commit timeout, at which the
+/// coordinator stops waiting for acknowledgements.
+fn ack_ride(stack: &ProtocolStack) -> Duration {
+    stack.commit_timeout / 10
+}
 
 /// The writes of one transaction destined for (or recovered at) this site.
 pub(crate) type WriteSet = Vec<(ItemId, Value, Version)>;
@@ -202,6 +213,11 @@ struct SiteState {
     /// The CCP in force; a restart replaces it.
     ccp: Box<dyn CcProtocol>,
     participants: FxHashMap<TxnId, ParticipantEntry>,
+    /// How many of `participants` are still to vote: they accessed a copy
+    /// here and have had no `AcpPrepare` yet. Kept at the participant
+    /// transitions; while it is not 0, a vote is likely to ask for a sync
+    /// soon, and a group only acknowledgements wait for rides on it.
+    to_vote: usize,
     /// Transactions that have already been decided (or cleaned up) at this
     /// site *as a participant*. Late copy-access requests, prepares and late
     /// lock grants for these transactions are refused so they cannot
@@ -223,6 +239,8 @@ struct SiteState {
 /// A message in `SiteState::held`.
 struct Held {
     ticket: u64,
+    /// When it was held.
+    since: Instant,
     to: NodeId,
     msg: Msg,
     /// A YES vote's `acp:vote` span, which ends when the vote leaves.
@@ -277,6 +295,7 @@ impl SiteState {
         self.held.clear();
         self.finished
             .extend(self.participants.drain().map(|(txn, _)| txn));
+        self.to_vote = 0;
         self.in_doubt = InDoubt::default();
         for InDoubtTxn { txn, writes } in in_doubt {
             self.in_doubt.insert(txn, writes);
@@ -291,10 +310,12 @@ impl SiteState {
 
     /// Queues a message that may leave only once the log is durable
     /// through `ticket`: at the first flush after that, or with the drain
-    /// when `ticket` is `None`. A vote's span ends when the vote leaves.
+    /// when `ticket` is `None`; `now` is when it is held. A vote's span
+    /// ends when the vote leaves.
     fn send_when_durable(
         &mut self,
         shared: &SiteShared,
+        now: Instant,
         ticket: Option<u64>,
         to: NodeId,
         msg: Msg,
@@ -303,12 +324,64 @@ impl SiteState {
         match ticket {
             Some(ticket) => self.held.push_back(Held {
                 ticket,
+                since: now,
                 to,
                 msg,
                 vote,
             }),
             None => self.release(shared, to, msg, vote),
         }
+    }
+
+    /// When the groups written since the last sync request should be asked
+    /// a sync for, given `now`; `None` when no held message waits for one.
+    ///
+    /// * a YES vote waits among them: `now`, since the vote's coordinator
+    ///   waits for it. The request covers every written group, so the
+    ///   acknowledgements written before ride with it;
+    /// * only acknowledgements wait, no participant here is still to vote
+    ///   and no sync runs: `now`, since no vote is coming to ride on;
+    /// * only acknowledgements wait, and a participant is still to vote or
+    ///   a sync runs: `ride` after the oldest of them was held. Nobody on a
+    ///   client's path waits for an acknowledgement (the client was
+    ///   answered at the decision, the locks went when it arrived), so it
+    ///   waits for the next vote's sync, and asks for one of its own only
+    ///   at that bound. A running sync's answer comes well before: the
+    ///   choice is made again then, and a participant that arrived
+    ///   meanwhile keeps the acknowledgements waiting for its vote (asked
+    ///   at once, they would have waited for that sync all the same, and
+    ///   then been synced alone).
+    fn sync_due(&self, now: Instant, ride: Duration) -> Option<Instant> {
+        if self.held.is_empty() {
+            return None;
+        }
+        let asked = self.storage.requested();
+        let waiting = self
+            .held
+            .iter()
+            .rev()
+            .take_while(|held| held.ticket > asked);
+        let (mut oldest, mut vote) = (None, false);
+        for held in waiting {
+            vote |= matches!(held.msg, Msg::AcpVote { .. });
+            oldest = Some(held.since);
+        }
+        let oldest = oldest?;
+        let syncing = asked > self.storage.durable();
+        Some(if vote || (self.to_vote == 0 && !syncing) {
+            now
+        } else {
+            (oldest + ride).max(now)
+        })
+    }
+
+    /// Removes `txn`'s participant entry, if it has one.
+    fn remove_participant(&mut self, txn: TxnId) -> Option<ParticipantEntry> {
+        let entry = self.participants.remove(&txn)?;
+        if entry.machine.state() == ParticipantState::Working {
+            self.to_vote -= 1;
+        }
+        Some(entry)
     }
 
     /// Moves every held message whose ticket is durable into the outbox.
@@ -360,16 +433,19 @@ impl SiteState {
         ts: Timestamp,
         coordinator: NodeId,
     ) -> TxnContext {
-        let participants = &mut self.participants;
-        let entry = participants.entry(txn).or_insert_with(|| ParticipantEntry {
-            machine: Participant::new(
-                txn,
-                coordinator.as_site().unwrap_or(shared.id),
-                shared.stack.acp,
-            ),
-            ctx: TxnContext::new(txn, ts),
-            coordinator,
-            last_activity: now,
+        let (participants, to_vote) = (&mut self.participants, &mut self.to_vote);
+        let entry = participants.entry(txn).or_insert_with(|| {
+            *to_vote += 1;
+            ParticipantEntry {
+                machine: Participant::new(
+                    txn,
+                    coordinator.as_site().unwrap_or(shared.id),
+                    shared.stack.acp,
+                ),
+                ctx: TxnContext::new(txn, ts),
+                coordinator,
+                last_activity: now,
+            }
         });
         entry.last_activity = now;
         entry.ctx
@@ -407,6 +483,7 @@ impl Site {
             clock: TimestampGenerator::new(id),
             ccp: make_ccp(stack.ccp, stack.deadlock, stack.lock_wait_timeout),
             participants: FxHashMap::default(),
+            to_vote: 0,
             finished: FxHashSet::default(),
             in_doubt: InDoubt::default(),
             parked: Vec::new(),
@@ -481,7 +558,9 @@ impl Site {
     /// Acts on what fell due by `now` — the janitor, parked accesses whose
     /// deadline passed, the coordinators' deadlines — reaps the machines
     /// that are done, handles what that sent the site itself, and returns
-    /// when the site wants to be ticked again.
+    /// when the site wants to be ticked again (at the latest when held
+    /// acknowledgements stop riding on a vote's sync: see
+    /// [`Site::sync_request`]).
     pub(crate) fn tick(&mut self, now: Instant) -> Instant {
         if now >= self.janitor_due {
             self.janitor_due = now + JANITOR_EVERY;
@@ -497,10 +576,34 @@ impl Site {
             machines.retain(|_, machine| !machine.is_done());
             // What the site sent itself may move a deadline: ask again.
             if !self.step_own(now) {
-                let due = parked_due.into_iter().chain(machine_due);
+                let ride = ack_ride(&self.shared.stack);
+                let sync_due = self.state.sync_due(now, ride).filter(|due| *due > now);
+                let due = parked_due.into_iter().chain(machine_due).chain(sync_due);
                 return due.fold(self.janitor_due, Instant::min);
             }
         }
+    }
+
+    /// The sync to ask the syncer for at `now`, if any: the newest written
+    /// group's ticket and a handle that syncs its segment, when a held
+    /// message waits for a group no sync was asked for yet — at once for a
+    /// YES vote, and for acknowledgements when no participant here is
+    /// still to vote and no sync runs; otherwise the acknowledgements ride
+    /// on the next vote's sync, or ask at their bound
+    /// (`SiteState::sync_due`).
+    pub(crate) fn sync_request(&mut self, now: Instant) -> Option<(u64, SyncHandle)> {
+        let state = &self.state;
+        debug_assert_eq!(
+            state.to_vote,
+            state
+                .participants
+                .values()
+                .filter(|entry| entry.machine.state() == ParticipantState::Working)
+                .count(),
+            "participants still to vote"
+        );
+        let due = state.sync_due(now, ack_ride(&self.shared.stack))?;
+        (due <= now).then(|| state.storage.sync_request()).flatten()
     }
 
     /// Notes that a sync made the log durable through `ticket` (the held
@@ -841,8 +944,9 @@ type SyncRequest = (u64, SyncHandle);
 
 /// Starts the syncer of site `id`: a thread that waits for the loop's sync
 /// requests, syncs the newest one waiting (a group written while a sync
-/// runs rides the next one), and tells the loop by a [`Msg::Synced`]. It
-/// ends when the loop drops the sender.
+/// runs rides the next one, and so does a group the loop asked no sync for:
+/// acknowledgements waiting for a vote's), and tells the loop by a
+/// [`Msg::Synced`]. It ends when the loop drops the sender.
 fn start_syncer(id: SiteId, net: NetHandle<Msg>) -> (Sender<SyncRequest>, JoinHandle<()>) {
     let (requests, waiting) = unbounded::<SyncRequest>();
     let syncer = std::thread::Builder::new()
@@ -864,9 +968,12 @@ fn start_syncer(id: SiteId, net: NetHandle<Msg>) -> (Sender<SyncRequest>, JoinHa
 /// between them, since the next hop of a transaction usually arrives within
 /// microseconds, then a sleep); steps what it drained (at most
 /// [`MAX_DRAIN`] messages, each at the time it is taken), ticks, asks the
-/// syncer (when there is one) to sync what the drain wrote to the log, and
-/// flushes (and flushes after a step that answered a client, who waits for
-/// it). `Msg::Stop`, or a mailbox nobody can send to, closes the site.
+/// syncer (when there is one) for the sync [`Site::sync_request`] says is
+/// due — what the drain wrote for a YES vote at once, a group only
+/// acknowledgements wait for on the next vote's sync or at its bound,
+/// which the tick's deadline covers — and flushes (and flushes after a
+/// step that answered a client, who waits for it). `Msg::Stop`, or a
+/// mailbox nobody can send to, closes the site.
 fn run(mut site: Site, mailbox: Receiver<Envelope<Msg>>, syncer: Option<Sender<SyncRequest>>) {
     let mut due = Instant::now();
     loop {
@@ -889,9 +996,10 @@ fn run(mut site: Site, mailbox: Receiver<Envelope<Msg>>, syncer: Option<Sender<S
                 site.flush(0);
             }
         }
-        due = site.tick(Instant::now());
+        let now = Instant::now();
+        due = site.tick(now);
         if let Some(syncer) = &syncer {
-            if let Some(request) = site.state.storage.sync_request() {
+            if let Some(request) = site.sync_request(now) {
                 let _ = syncer.send(request);
             }
         }
@@ -930,7 +1038,7 @@ impl Effects {
     /// the decision, so a path that skipped this would promise a commit
     /// that a recovering participant, asking later, is told was aborted.
     /// Today the record is an in-memory map; this is the single place
-    /// ROADMAP 5(a) turns into a forced WAL append.
+    /// ROADMAP 11 turns into a forced WAL append.
     pub fn record_decision(&mut self, txn: TxnId, decision: Decision) {
         self.decided.insert(txn, decision);
     }
@@ -1026,7 +1134,7 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, now: Instant, from: Node
         Msg::AcpDecision {
             txn,
             decision: Decision::Commit,
-        } => handle_decision_commit_batch(shared, state, from, vec![txn]),
+        } => handle_decision_commit_batch(shared, state, now, from, vec![txn]),
         Msg::AcpDecision {
             txn,
             decision: Decision::Abort,
@@ -1062,7 +1170,7 @@ fn dispatch(shared: &SiteShared, state: &mut SiteState, now: Instant, from: Node
                 handle_prepare_batch(shared, state, now, from, prepares);
             }
             if !commits.is_empty() {
-                handle_decision_commit_batch(shared, state, from, commits);
+                handle_decision_commit_batch(shared, state, now, from, commits);
             }
             for msg in rest {
                 dispatch(shared, state, now, from, msg);
@@ -1382,6 +1490,10 @@ fn handle_prepare_batch(
         let entry = state.participants.get_mut(&txn);
         let entry = entry.expect("entry ensured above");
         entry.last_activity = now;
+        if entry.machine.state() == ParticipantState::Working {
+            // Its first prepare: whatever it votes, it is no longer to vote.
+            state.to_vote -= 1;
+        }
         if let ParticipantAction::SendVote(vote) = entry.machine.on_prepare(vote) {
             match vote {
                 Vote::Yes => {}
@@ -1393,7 +1505,7 @@ fn handle_prepare_batch(
                 Vote::ReadOnly => {
                     SiteMetrics::bump(&shared.metrics.votes_read_only);
                     state.finished.insert(txn);
-                    state.participants.remove(&txn);
+                    state.remove_participant(txn);
                     state.ccp.commit(&ctx, &[]);
                 }
             }
@@ -1404,7 +1516,7 @@ fn handle_prepare_batch(
             };
             let ticket = ticket.filter(|_| vote == Vote::Yes);
             let msg = Msg::AcpVote { txn, vote };
-            state.send_when_durable(shared, ticket, from, msg, Some(span));
+            state.send_when_durable(shared, now, ticket, from, msg, Some(span));
         }
     }
 }
@@ -1414,10 +1526,12 @@ fn handle_prepare_batch(
 /// all the commit records are written with a single
 /// [`rainbow_storage::SiteStorage::commit_group`] group append, which
 /// installs the writes and releases the locks. The acks leave once the
-/// group is durable, in one envelope to the coordinator node.
+/// group is durable, in one envelope to the coordinator node; `now` is
+/// when they are held.
 fn handle_decision_commit_batch(
     shared: &SiteShared,
     state: &mut SiteState,
+    now: Instant,
     from: NodeId,
     txns: Vec<TxnId>,
 ) {
@@ -1426,7 +1540,7 @@ fn handle_decision_commit_batch(
     let mut to_apply: Vec<(TxnId, TxnContext)> = Vec::with_capacity(group);
     for &txn in &txns {
         state.finished.insert(txn);
-        if let Some(mut entry) = state.participants.remove(&txn) {
+        if let Some(mut entry) = state.remove_participant(txn) {
             match entry.machine.on_decision(Decision::Commit) {
                 ParticipantAction::ApplyAndAck(Decision::Commit) => {
                     to_apply.push((txn, entry.ctx));
@@ -1446,7 +1560,7 @@ fn handle_decision_commit_batch(
     // crashed and recovered — then the decision may be the answer an
     // in-doubt transaction is waiting for), so the coordinator can finish.
     for txn in txns {
-        state.send_when_durable(shared, ticket, from, Msg::AcpAck { txn }, None);
+        state.send_when_durable(shared, now, ticket, from, Msg::AcpAck { txn }, None);
     }
     for ((txn, ctx), writes) in to_apply.iter().zip(write_sets.iter()) {
         state.ccp.commit(ctx, writes);
@@ -1477,7 +1591,7 @@ fn handle_precommit(state: &mut SiteState, now: Instant, from: NodeId, txn: TxnI
 /// Handles the coordinator's ABORT decision (or release notice).
 fn handle_abort_decision(shared: &SiteShared, state: &mut SiteState, from: NodeId, txn: TxnId) {
     state.finished.insert(txn);
-    match state.participants.remove(&txn) {
+    match state.remove_participant(txn) {
         Some(mut entry) => {
             let action = entry.machine.on_decision(Decision::Abort);
             if let ParticipantAction::ApplyAndAck(applied) = action {
@@ -1502,7 +1616,7 @@ fn handle_status_reply(shared: &SiteShared, state: &mut SiteState, txn: TxnId, d
     }
 
     // Case 2: a blocked (prepared) participant resolving via its coordinator.
-    if let Some(mut entry) = state.participants.remove(&txn) {
+    if let Some(mut entry) = state.remove_participant(txn) {
         state.finished.insert(txn);
         if let ParticipantAction::ApplyAndAck(applied) = entry.machine.on_decision(decision) {
             apply_decision(shared, state, &entry.ctx, applied);
@@ -1554,6 +1668,7 @@ fn run_janitor(shared: &SiteShared, state: &mut SiteState, now: Instant) {
         match entry.machine.state() {
             ParticipantState::Working => {
                 stale_working.push((*txn, entry.ctx));
+                state.to_vote -= 1;
                 false
             }
             ParticipantState::Prepared | ParticipantState::PreCommitted => {
@@ -2286,10 +2401,16 @@ mod tests {
             Msg::AcpPrepare { txn, ts, writes }
         }
 
-        /// What the log waits for: the ticket of the sync asked for, once
-        /// the sync through its handle has returned.
+        /// What the loop asks its syncer for after a drain at `t0`: the
+        /// ticket of the sync asked for, once the sync through its handle
+        /// has returned.
         fn sync(&mut self) -> Option<u64> {
-            let (ticket, segment) = self.site.state.storage.sync_request()?;
+            self.sync_at(self.t0)
+        }
+
+        /// What the loop asks its syncer for after a drain at `now`.
+        fn sync_at(&mut self, now: Instant) -> Option<u64> {
+            let (ticket, segment) = self.site.sync_request(now)?;
             segment.sync().expect("the segment syncs");
             Some(ticket)
         }
@@ -2505,6 +2626,177 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// T1 and T2 pre-write x0 and x1; T1 is prepared, votes YES and
+    /// commits, and its acknowledgement waits in `held` for its commit
+    /// record while T2 is still to vote. Returns T1 and T2.
+    fn commit_t1_while_t2_is_to_vote(one: &mut Stepped) -> (TxnId, TxnId) {
+        let (t0, t1, t2) = (one.t0, OneSite::txn(1).0, OneSite::txn(2).0);
+        one.step(t0, Stepped::prewrite(1, "x0"));
+        one.step(t0, Stepped::prewrite(2, "x1"));
+        one.out();
+        one.step(t0, Stepped::prepare_writing(1, "x0"));
+        let ticket = one.sync().expect("T1's YES vote asks for its sync at once");
+        one.synced(ticket);
+        let out = one.out();
+        let yes = matches!(out.as_slice(), [Msg::AcpVote { txn, vote: Vote::Yes }] if *txn == t1);
+        assert!(yes, "{out:?}");
+        let decision = Decision::Commit;
+        one.step(t0, Msg::AcpDecision { txn: t1, decision });
+        assert_eq!(one.sync(), None, "T2 is still to vote: T1's ack rides");
+        assert!(one.out().is_empty(), "the ack waits for its commit record");
+        let installed = one.site.state.storage.read(&ItemId::new("x0"));
+        assert_eq!(installed.unwrap().0, Value::Int(7), "installed at once");
+        (t1, t2)
+    }
+
+    /// On segment files an acknowledgement's group asks for no sync while
+    /// a participant here is still to vote: the next YES vote's one sync
+    /// makes both groups durable, and the ack and the vote leave together.
+    /// (An ack's group synced on its own costs a second sync.)
+    #[test]
+    fn a_stepped_ack_rides_on_the_next_yes_votes_sync() {
+        let (dir, storage) = segment_files("stepped-ride");
+        let mut one = Stepped::on(quick_stack(), &storage);
+        let t0 = one.t0;
+        let (t1, t2) = commit_t1_while_t2_is_to_vote(&mut one);
+        let forces = one.site.state.storage.force_count();
+        one.step(t0, Stepped::prepare_writing(2, "x1"));
+        let ticket = one.sync().expect("T2's YES vote asks for its sync at once");
+        assert_eq!(one.sync(), None, "one sync covers both groups");
+        assert!(one.out().is_empty(), "both wait for the sync");
+        one.synced(ticket);
+        assert_eq!(one.site.state.storage.force_count(), forces + 1);
+        let out = one.out();
+        let [Msg::Batch(both)] = out.as_slice() else {
+            panic!("{out:?}")
+        };
+        assert!(
+            matches!(both.as_slice(), [Msg::AcpAck { txn: a }, Msg::AcpVote { txn: v, vote: Vote::Yes }] if *a == t1 && *v == t2),
+            "{both:?}"
+        );
+        drop(one);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An acknowledgement waiting for a vote that does not come asks for
+    /// its sync at its bound, which the tick returns so the loop sleeps
+    /// until then; and at once when the last participant still to vote
+    /// leaves without voting.
+    #[test]
+    fn a_stepped_ack_asks_for_its_sync_at_its_bound_or_when_no_vote_is_coming() {
+        let (dir, storage) = segment_files("stepped-ride-bound");
+        let stack = quick_stack();
+        let bound = ack_ride(&stack);
+        let mut one = Stepped::on(stack.clone(), &storage);
+        let t0 = one.t0;
+        let (t1, _) = commit_t1_while_t2_is_to_vote(&mut one);
+        let before = t0 + bound - Duration::from_micros(1);
+        assert_eq!(one.site.tick(before), t0 + bound, "the tick's deadline");
+        assert_eq!(one.sync_at(before), None, "too early");
+        let ticket = one.sync_at(t0 + bound).expect("the bound passed");
+        one.synced(ticket);
+        let out = one.out();
+        let acked = matches!(out.as_slice(), [Msg::AcpAck { txn }] if *txn == t1);
+        assert!(acked, "{out:?}");
+        drop(one);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let (dir, storage) = segment_files("stepped-ride-release");
+        let mut one = Stepped::on(stack, &storage);
+        let (t0, (t1, t2)) = (one.t0, commit_t1_while_t2_is_to_vote(&mut one));
+        let decision = Decision::Abort;
+        one.step(t0, Msg::AcpDecision { txn: t2, decision });
+        let ticket = one
+            .sync()
+            .expect("T2 left without voting: no vote is coming");
+        one.synced(ticket);
+        let out = one.out();
+        let acks: Vec<TxnId> = out
+            .into_iter()
+            .flat_map(|msg| match msg {
+                Msg::Batch(msgs) => msgs,
+                msg => vec![msg],
+            })
+            .filter_map(|msg| match msg {
+                Msg::AcpAck { txn } => Some(txn),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            acks,
+            [t2, t1],
+            "T2's abort is acked at once, T1's commit once synced"
+        );
+        drop(one);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// T1 and T2 pre-write x0 and x1 and are prepared; T1's vote is synced
+    /// and sent, T2's sync is asked for and still runs when T1's commit
+    /// decision arrives, so T1's ack is written while a sync runs and no
+    /// participant is still to vote. Returns T1, T2 and the running sync.
+    fn commit_t1_while_t2s_sync_runs(one: &mut Stepped) -> (TxnId, TxnId, u64) {
+        let (t0, t1, t2) = (one.t0, OneSite::txn(1).0, OneSite::txn(2).0);
+        one.step(t0, Stepped::prewrite(1, "x0"));
+        one.step(t0, Stepped::prewrite(2, "x1"));
+        one.step(t0, Stepped::prepare_writing(1, "x0"));
+        let ticket = one.sync().expect("T1's YES vote asks at once");
+        one.synced(ticket);
+        one.out();
+        one.step(t0, Stepped::prepare_writing(2, "x1"));
+        let running = one.sync().expect("T2's YES vote asks at once");
+        let decision = Decision::Commit;
+        one.step(t0, Msg::AcpDecision { txn: t1, decision });
+        assert_eq!(one.sync(), None, "T1's ack waits for the running sync");
+        (t1, t2, running)
+    }
+
+    /// An acknowledgement written while a sync runs waits for that sync's
+    /// answer before its group asks for one, even with no participant here
+    /// still to vote (asked at once, it would have waited for the running
+    /// sync all the same). At the answer it asks, or, if a participant
+    /// arrived meanwhile, rides on that participant's vote.
+    #[test]
+    fn a_stepped_ack_written_while_a_sync_runs_chooses_at_its_answer() {
+        let (dir, storage) = segment_files("stepped-ride-running");
+        let mut one = Stepped::on(quick_stack(), &storage);
+        let (t1, t2, running) = commit_t1_while_t2s_sync_runs(&mut one);
+        one.synced(running);
+        let out = one.out();
+        let yes = matches!(out.as_slice(), [Msg::AcpVote { txn, vote: Vote::Yes }] if *txn == t2);
+        assert!(yes, "{out:?}");
+        let ticket = one.sync().expect("no sync runs and no vote is coming");
+        one.synced(ticket);
+        let out = one.out();
+        let acked = matches!(out.as_slice(), [Msg::AcpAck { txn }] if *txn == t1);
+        assert!(acked, "{out:?}");
+        drop(one);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let (dir, storage) = segment_files("stepped-ride-arrival");
+        let mut one = Stepped::on(quick_stack(), &storage);
+        let t0 = one.t0;
+        let (t1, _, running) = commit_t1_while_t2s_sync_runs(&mut one);
+        one.step(t0, Stepped::prewrite(3, "x2"));
+        one.synced(running);
+        assert_eq!(one.sync(), None, "T3 arrived: T1's ack rides on its vote");
+        one.out();
+        one.step(t0, Stepped::prepare_writing(3, "x2"));
+        let ticket = one.sync().expect("T3's YES vote asks at once");
+        one.synced(ticket);
+        let out = one.out();
+        let t3 = OneSite::txn(3).0;
+        let [Msg::Batch(both)] = out.as_slice() else {
+            panic!("{out:?}")
+        };
+        assert!(
+            matches!(both.as_slice(), [Msg::AcpAck { txn: a }, Msg::AcpVote { txn: v, .. }] if *a == t1 && *v == t3),
+            "{both:?}"
+        );
+        drop(one);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A sync that failed takes the site down: the held vote never leaves,
     /// because nothing can vouch for the pages the failed fsync dropped.
     #[test]
@@ -2649,6 +2941,48 @@ mod tests {
                 result,
             };
             self.step(now, NodeId::site(n), reply);
+        }
+
+        /// Increments `x0` at `t0` in a transaction whose copies are the
+        /// home's and site 1's, and commits it up to the home's own vote:
+        /// site 1 grants and votes YES, and the home's vote to itself is
+        /// held for its prepare record. Returns the transaction.
+        fn increment_x0_to_its_own_vote(&mut self) -> TxnId {
+            let t0 = self.t0;
+            self.step(t0, CLIENT, begin_incrementing_x0());
+            let sent = self.sent_to(1);
+            let [Msg::CopyRead { txn, .. }] = sent.as_slice() else {
+                panic!("site 1 was sent {sent:?}")
+            };
+            let txn = *txn;
+            let (item, prewrite, for_update) = (ItemId::new("x0"), false, true);
+            let (value, version) = (Some(Value::Int(100)), Version(0));
+            let result = CopyAccessResult::Granted { value, version };
+            let granted = Msg::CopyReply {
+                txn,
+                item,
+                prewrite,
+                for_update,
+                result,
+            };
+            self.step(t0, NodeId::site(1), granted);
+            let answers = self.answers();
+            assert!(
+                matches!(answers.as_slice(), [Msg::TxnOpReply { .. }]),
+                "{answers:?}"
+            );
+
+            let (request, op) = (1, NextOp::Commit);
+            self.step(t0, CLIENT, Msg::TxnOp { request, txn, op });
+            let sent = self.sent_to(1);
+            assert!(
+                matches!(sent.as_slice(), [Msg::AcpPrepare { txn: t, .. }] if *t == txn),
+                "{sent:?}"
+            );
+            let vote = Vote::Yes;
+            self.step(t0, NodeId::site(1), Msg::AcpVote { txn, vote });
+            assert!(self.answers().is_empty(), "the home's own vote is held");
+            txn
         }
 
         /// Commits `txn`, whose read quorum was the home and site 2: site 2
@@ -2869,39 +3203,7 @@ mod tests {
         let (dir, storage) = segment_files("stepped-home-vote");
         let mut home = SteppedHome::on(quick_stack(), &storage);
         let (t0, me) = (home.t0, NodeId::site(0));
-        home.step(t0, CLIENT, begin_incrementing_x0());
-        let sent = home.sent_to(1);
-        let [Msg::CopyRead { txn, .. }] = sent.as_slice() else {
-            panic!("site 1 was sent {sent:?}")
-        };
-        let txn = *txn;
-        let (item, prewrite, for_update) = (ItemId::new("x0"), false, true);
-        let (value, version) = (Some(Value::Int(100)), Version(0));
-        let result = CopyAccessResult::Granted { value, version };
-        let granted = Msg::CopyReply {
-            txn,
-            item,
-            prewrite,
-            for_update,
-            result,
-        };
-        home.step(t0, NodeId::site(1), granted);
-        let answers = home.answers();
-        assert!(
-            matches!(answers.as_slice(), [Msg::TxnOpReply { .. }]),
-            "{answers:?}"
-        );
-
-        let (request, op) = (1, NextOp::Commit);
-        home.step(t0, CLIENT, Msg::TxnOp { request, txn, op });
-        let sent = home.sent_to(1);
-        assert!(
-            matches!(sent.as_slice(), [Msg::AcpPrepare { txn: t, .. }] if *t == txn),
-            "{sent:?}"
-        );
-        let vote = Vote::Yes;
-        home.step(t0, NodeId::site(1), Msg::AcpVote { txn, vote });
-        assert!(home.answers().is_empty(), "the home's own vote is held");
+        let txn = home.increment_x0_to_its_own_vote();
 
         let (ticket, segment) = home.site.state.storage.sync_request().expect("a sync");
         segment.sync().expect("the segment syncs");
@@ -2919,6 +3221,68 @@ mod tests {
             matches!(sent.as_slice(), [Msg::AcpDecision { txn: t, decision }] if *t == txn && *decision == commit),
             "{sent:?}"
         );
+        drop(home);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A held acknowledgement dies with its site. The home commits T1 while
+    /// T2, which site 2 coordinates, is still to vote there, so the home's
+    /// ack to itself rides on a vote that has not come when the home
+    /// crashes. The restart drops the ack, never delivered; T1's machine
+    /// retires when its wait for acknowledgements times out; and the
+    /// recovered home holds T1's write, from its commit record or from the
+    /// answer to its status query.
+    #[test]
+    fn a_stepped_crash_drops_a_held_ack_and_its_coordinator_retires_at_the_timeout() {
+        let (dir, storage) = segment_files("stepped-held-ack-crash");
+        let stack = quick_stack();
+        let mut home = SteppedHome::on(stack.clone(), &storage);
+        let (t0, me, item) = (home.t0, NodeId::site(0), ItemId::new("x1"));
+        let (t2, ts) = (TxnId::new(SiteId(2), 1), Timestamp::new(1, 2));
+        home.step(t0, NodeId::site(2), Msg::CopyPrewrite { txn: t2, ts, item });
+        let sent = home.sent_to(2);
+        assert!(
+            matches!(sent.as_slice(), [Msg::CopyReply { .. }]),
+            "{sent:?}"
+        );
+
+        let txn = home.increment_x0_to_its_own_vote();
+        let (ticket, segment) = home.site.sync_request(t0).expect("a YES vote asks at once");
+        segment.sync().expect("the segment syncs");
+        let result = Ok(());
+        home.step(t0, me, Msg::Synced { ticket, result });
+        let answers = home.answers();
+        assert!(
+            matches!(answers.as_slice(), [Msg::TxnDone { .. }]),
+            "{answers:?}"
+        );
+        home.step(t0, NodeId::site(1), Msg::AcpAck { txn });
+        let held = |home: &SteppedHome| home.site.state.held.len();
+        let machines = |home: &SteppedHome| home.site.state.home.machines.len();
+        assert!(home.site.sync_request(t0).is_none(), "T2 is still to vote");
+        assert_eq!(held(&home), 1, "the home's ack to itself waits");
+        assert_eq!(machines(&home), 1, "T1's machine waits for it");
+        let durable = home.site.state.storage.durable();
+        assert_eq!(
+            durable, ticket,
+            "the commit record, written after the vote's, is not"
+        );
+
+        home.site.shared.faults.crash(me);
+        home.site.power_loss(PowerLossFault::Clean).unwrap();
+        assert_eq!(held(&home), 0, "the restart drops the held ack");
+        home.site.shared.faults.recover(me);
+        home.tick(t0 + JANITOR_EVERY);
+        let x0 = home.site.state.storage.read(&ItemId::new("x0")).unwrap();
+        assert_eq!(x0.0, Value::Int(101), "T1's write survives the crash");
+
+        let timeout = t0 + stack.commit_timeout;
+        home.tick(timeout - Duration::from_micros(1));
+        assert_eq!(machines(&home), 1, "the ack never arrived");
+        home.tick(timeout);
+        assert_eq!(machines(&home), 0, "T1's machine retires at its timeout");
+        let acked = |sent: Vec<Msg>| sent.iter().any(|msg| matches!(msg, Msg::AcpAck { .. }));
+        assert!(!acked(home.sent_to(1)) && !acked(home.sent_to(2)));
         drop(home);
         let _ = std::fs::remove_dir_all(&dir);
     }

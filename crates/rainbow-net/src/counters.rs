@@ -12,7 +12,7 @@
 //! statistic read these counters.
 //!
 //! Every sender counts each message it sends, so counting takes no lock:
-//! the per-kind and per-link counts are atomics in a [`CountTable`], an
+//! the per-kind and per-link counts are atomics in a `CountTable`, an
 //! insert-only open-addressing table whose keys, once written, never move.
 //! A kind is keyed by its `&'static str` and found by content, so two
 //! equal labels at different addresses are one kind; nothing is allocated

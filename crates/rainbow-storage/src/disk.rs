@@ -295,6 +295,12 @@ impl DiskEngine {
         self.durable
     }
 
+    /// The newest ticket a sync was asked for or made durable: a
+    /// [`DiskEngine::sync_request`] now would cover the groups after it.
+    pub fn requested(&self) -> u64 {
+        self.requested.max(self.durable)
+    }
+
     /// Number of syncs performed. A forced group
     /// ([`DiskEngine::append_forced_many`]) counts once, and so does a sync
     /// that made several written groups durable.

@@ -559,6 +559,12 @@ impl SiteStorage {
         self.parts.borrow().engine.durable()
     }
 
+    /// The newest ticket a sync was asked for or made durable: a
+    /// [`SiteStorage::sync_request`] now would cover the groups after it.
+    pub fn requested(&self) -> u64 {
+        self.parts.borrow().engine.requested()
+    }
+
     /// Whether the log's medium needs a sync for a written group to be
     /// durable; when it does not, a group is durable once written and
     /// nobody waits for a ticket.

@@ -270,6 +270,67 @@ fn an_idle_site_sleeps() {
     txn.commit().unwrap();
 }
 
+/// The disk leg, with a held acknowledgement: T1 reads `x0` at site 0 and
+/// stays open, so it is still to vote at the sites it read from; T2
+/// increments `x1` there and commits. Its acks wait for a vote to ride on
+/// (T1's never comes) and ask for their sync on their own at their bound, a
+/// tenth of the 500 ms commit timeout: T2's machine retires 50 ms after the
+/// commit, long before the janitor's next run, which is ≈ 200 ms after the
+/// cluster started (an ack that waited for the next wake-up rather than its
+/// deadline would still be held at 90 ms). Over the 200 ms the site loops
+/// and their syncers sleep as the memory leg's do.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_disk_site_holding_an_ack_sleeps_and_sends_it_at_its_bound() {
+    let _turn = take_turn();
+    let dir = std::env::temp_dir().join(format!("rainbow-idle-ack-{}", std::process::id()));
+    let disk = StorageConfig {
+        ephemeral: true,
+        ..StorageConfig::disk(dir)
+    };
+    let before = threads_by_id();
+    let cluster = cluster_on(disk);
+    let others = ["rainbow-nameser", "rainbow-net-del"];
+    let mut site_threads = started_since(&before);
+    site_threads.retain(|_, name| !others.contains(&name.as_str()));
+    let sleeps = || site_threads.keys().map(|id| sleeps_of(*id)).sum::<u64>();
+    let ticks = || site_threads.keys().map(|id| cpu_ticks_of(*id)).sum::<u64>();
+    let bound = cluster.config().stack.commit_timeout / 10;
+
+    let (mut voter, mut acked) = (cluster.client(), cluster.client());
+    let mut t1 = voter.begin_at("to-vote", SiteId(0));
+    t1.read("x0").unwrap();
+    let mut t2 = acked.begin_at("acked", SiteId(0));
+    t2.increment("x1", 1).unwrap();
+    t2.commit().unwrap();
+    let committed = Instant::now();
+    let (asleep_before, ticks_before) = (sleeps(), ticks());
+    let open = cluster.open_conversations();
+    if committed.elapsed() < bound / 2 {
+        assert_eq!(open, 2, "T2's machine waits for its acks");
+    }
+    let until = |at: Instant| std::thread::sleep(at.saturating_duration_since(Instant::now()));
+    until(committed + bound + Duration::from_millis(40));
+    assert_eq!(
+        cluster.open_conversations(),
+        1,
+        "T2's acks left at their bound"
+    );
+    until(committed + Duration::from_millis(200));
+    let (slept, busy) = (sleeps() - asleep_before, ticks() - ticks_before);
+    assert!(
+        slept < 60,
+        "{} site threads went to sleep {slept} times in 200 ms",
+        site_threads.len()
+    );
+    assert!(
+        busy <= 2,
+        "{} site threads used {busy} ticks of 10 ms processor time in 200 ms",
+        site_threads.len()
+    );
+    t1.commit().unwrap();
+}
+
 /// 200 ms of nothing on a perfect network: its delivery thread holds no
 /// message, so it blocks until one is sent and does not go to sleep again.
 /// A delivery thread polling every 50 ms would sleep about 4 times.
