@@ -195,7 +195,9 @@ pub(crate) struct Counters {
     /// another client's ended is stamped after it.
     clock: AtomicU64,
     /// Client node ids: the next new one, and those of dropped nodes, which
-    /// are reused so that the network's per-link counters stay bounded.
+    /// are reused, so the ids in use are as few as the clients alive at
+    /// once (a link override for `NodeId::Client(0)` reaches every one-shot
+    /// client of a serial run).
     next_node: AtomicU32,
     free_nodes: Mutex<Vec<u32>>,
 }

@@ -144,7 +144,6 @@ impl ClusterConfig {
 pub struct Cluster {
     config: ClusterConfig,
     network: SimNetwork<Msg>,
-    #[allow(dead_code)]
     name_server: NameServer,
     sites: BTreeMap<SiteId, SiteHandle>,
     clients: Clients,

@@ -253,12 +253,7 @@ mod tests {
     #[test]
     fn network_counters_are_included() {
         let counters = Arc::new(NetworkCounters::new());
-        counters.record_sent(
-            rainbow_net::NodeId::site(0),
-            rainbow_net::NodeId::site(1),
-            "X",
-            10,
-        );
+        counters.record_sent("X", 10);
         let monitor = ProgressMonitor::new(Arc::clone(&counters));
         assert_eq!(monitor.snapshot().messages.sent, 1);
     }

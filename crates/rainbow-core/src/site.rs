@@ -1242,7 +1242,6 @@ impl CopyRequest {
         }
     }
 
-    /// Turns the CCP's decision on the access into the reply.
     /// Turns the CCP's decision on the access, at `now`, into the reply.
     fn finish(
         self,
@@ -1655,7 +1654,6 @@ fn apply_decision(
 /// Cleans up transactions whose coordinator never came back, so their locks
 /// do not wedge the site forever. Prepared participants ask the coordinator
 /// for the decision (cooperative termination); working participants are
-/// aborted unilaterally.
 /// aborted unilaterally. `now` is when it runs.
 fn run_janitor(shared: &SiteShared, state: &mut SiteState, now: Instant) {
     let horizon = shared.stack.janitor_horizon();

@@ -1,159 +1,106 @@
 //! Message-traffic accounting.
 //!
 //! Every message that enters the simulator is counted here: totals, per
-//! message kind (e.g. `"2PC_PREPARE"`, `"QC_READ_REQ"`), per directed link,
-//! plus drop counts. All of them count *logical* messages: what a batch
-//! envelope carries is counted message by message, under each message's own
-//! kind and size, and the envelopes themselves — the trips through the
-//! simulator — have a counter of their own, never a kind, so summing the
-//! kinds gives the total. The quorum message-traffic study (the
-//! `research_study` example), the benchmark's `*_msgs_per_commit` metrics
-//! and the paper's "total number of messages generated per time unit"
-//! statistic read these counters.
+//! message kind (e.g. `"2PC_PREPARE"`, `"QC_READ_REQ"`), plus drop counts.
+//! All of them count *logical* messages: what a batch envelope carries is
+//! counted message by message, under each message's own kind and size, and
+//! the envelopes themselves — the trips through the simulator — have a
+//! counter of their own, never a kind, so summing the kinds gives the
+//! total. The quorum message-traffic study (the `research_study` example),
+//! the benchmark's `*_msgs_per_commit` metrics and the paper's "total
+//! number of messages generated per time unit" statistic read these
+//! counters.
 //!
 //! Every sender counts each message it sends, so counting takes no lock:
-//! the per-kind and per-link counts are atomics in a `CountTable`, an
-//! insert-only open-addressing table whose keys, once written, never move.
-//! A kind is keyed by its `&'static str` and found by content, so two
-//! equal labels at different addresses are one kind; nothing is allocated
-//! per message.
+//! the per-kind counts are atomics in a `CountTable`, a fixed
+//! open-addressing table whose keys, once written, never move. A kind is
+//! keyed by its `&'static str` and found by content, so two equal labels
+//! at different addresses are one kind; nothing is allocated per message.
 
-use crate::node::NodeId;
 use rainbow_common::fxhash::FxHasher;
 use rainbow_common::stats::MessageStats;
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// How many slots a key may try in one level of a [`CountTable`] before
-/// it goes to the next level.
-const PROBES: usize = 16;
+/// How many kinds a [`CountTable`] holds: `2^KIND_BITS`. A protocol has a
+/// few dozen (`rainbow-core`'s messages have 21).
+const KIND_BITS: u32 = 6;
+const KINDS: usize = 1 << KIND_BITS;
 
-/// One key's count. The key is written once, by the first sender of a
-/// message under it, and never changes.
-struct Slot<K> {
-    key: OnceLock<K>,
+/// One kind's count. The kind is written once, by the first sender of a
+/// message of that kind, and never changes.
+#[derive(Default)]
+struct Slot {
+    kind: OnceLock<&'static str>,
     count: AtomicU64,
 }
 
-/// Counts per key without a lock: a key hashes to a slot and probes up to
-/// [`PROBES`] slots from there, taking the first that holds it or is free.
-/// Keys are never removed (a reset zeroes the counts), so a key that found
-/// its slot always finds it again, and two senders of a new key agree on
-/// one slot: the one whose key write wins. A level whose probe window for a
-/// key is full passes the key to the next level, four times larger, which
-/// is made once when first needed.
-struct CountTable<K> {
-    slots: Box<[Slot<K>]>,
-    /// The slot index is the hash's top `bits` bits.
-    bits: u32,
-    next: OnceLock<Box<CountTable<K>>>,
+/// Counts per message kind without a lock: a kind hashes to a slot and
+/// probes from there, taking the first slot that holds it or is free.
+/// Kinds are never removed, so a kind that found its slot always finds it
+/// again, and two senders of a new kind agree on one slot: the one whose
+/// kind write wins. A kind past [`KINDS`] finds no slot and panics.
+struct CountTable {
+    slots: [Slot; KINDS],
 }
 
-/// The first level has 256 slots: a protocol has a few dozen kinds, and a
-/// cluster's links grow with its clients, whose node ids are reused.
-impl<K: Eq + Hash + Copy> Default for CountTable<K> {
+impl Default for CountTable {
     fn default() -> Self {
-        CountTable::new(8)
+        CountTable {
+            slots: std::array::from_fn(|_| Slot::default()),
+        }
     }
 }
 
-impl<K: Eq + Hash + Copy + std::fmt::Debug> std::fmt::Debug for CountTable<K> {
+impl std::fmt::Debug for CountTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_map().entries(self.counts()).finish()
     }
 }
 
-impl<K: Eq + Hash + Copy> CountTable<K> {
-    /// A table with `2^bits` slots in its first level.
-    fn new(bits: u32) -> Self {
-        let slots = (0..1usize << bits).map(|_| Slot {
-            key: OnceLock::new(),
-            count: AtomicU64::new(0),
-        });
-        CountTable {
-            slots: slots.collect(),
-            bits,
-            next: OnceLock::new(),
-        }
-    }
-
-    /// The hash of a key, or of what it borrows as (a kind's `str`).
-    fn hash<Q: Hash + ?Sized>(key: &Q) -> u64 {
+impl CountTable {
+    /// The slots `kind` may use, in probe order: every slot, starting at
+    /// the one its hash's top bits name.
+    fn window(&self, kind: &str) -> impl Iterator<Item = &Slot> {
         let mut hasher = FxHasher::default();
-        key.hash(&mut hasher);
-        hasher.finish()
+        kind.hash(&mut hasher);
+        let start = (hasher.finish() >> (64 - KIND_BITS)) as usize;
+        (0..KINDS).map(move |i| &self.slots[(start + i) % KINDS])
     }
 
-    /// The slots `key` may use in this level, in probe order.
-    fn window(&self, hash: u64) -> impl Iterator<Item = &Slot<K>> {
-        let (start, mask) = ((hash >> (64 - self.bits)) as usize, self.slots.len() - 1);
-        (0..PROBES.min(self.slots.len())).map(move |i| &self.slots[(start + i) & mask])
-    }
-
-    /// Adds `n` to `key`'s count, claiming a slot for it if it has none.
-    fn add(&self, key: K, n: u64) {
-        let (hash, mut table) = (Self::hash(&key), self);
-        loop {
-            for slot in table.window(hash) {
-                // A free slot is claimed; a lost race leaves the winner's key.
-                if *slot.key.get_or_init(|| key) == key {
-                    slot.count.fetch_add(n, Ordering::Relaxed);
-                    return;
-                }
+    /// Adds `n` to `kind`'s count, claiming a slot for it if it has none.
+    fn add(&self, kind: &'static str, n: u64) {
+        for slot in self.window(kind) {
+            // A free slot is claimed; a lost race leaves the winner's kind.
+            if *slot.kind.get_or_init(|| kind) == kind {
+                slot.count.fetch_add(n, Ordering::Relaxed);
+                return;
             }
-            let bits = table.bits + 2;
-            table = table.next.get_or_init(|| Box::new(CountTable::new(bits)));
         }
+        panic!("more than {KINDS} message kinds: no slot left for {kind:?}");
     }
 
-    /// `key`'s count; 0 for a key never counted.
-    fn get<Q>(&self, key: &Q) -> u64
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let hash = Self::hash(key);
-        for table in self.levels() {
-            for slot in table.window(hash) {
-                match slot.key.get() {
-                    Some(held) if held.borrow() == key => {
-                        return slot.count.load(Ordering::Relaxed)
-                    }
-                    Some(_) => {}
-                    // A key is never stored past a free slot.
-                    None => return 0,
-                }
+    /// `kind`'s count; 0 for a kind never counted.
+    fn get(&self, kind: &str) -> u64 {
+        for slot in self.window(kind) {
+            match slot.kind.get() {
+                Some(held) if *held == kind => return slot.count.load(Ordering::Relaxed),
+                Some(_) => {}
+                // A kind is never stored past a free slot.
+                None => return 0,
             }
         }
         0
     }
 
-    /// This level and the ones made after it, in order.
-    fn levels(&self) -> impl Iterator<Item = &CountTable<K>> {
-        std::iter::successors(Some(self), |table| table.next.get().map(|next| &**next))
-    }
-
-    /// The slots of every level.
-    fn slots(&self) -> impl Iterator<Item = &Slot<K>> {
-        self.levels().flat_map(|table| table.slots.iter())
-    }
-
-    /// Every key whose count is not zero, with its count.
-    fn counts(&self) -> impl Iterator<Item = (K, u64)> + '_ {
-        self.slots().filter_map(|slot| {
+    /// Every kind whose count is not zero, with its count.
+    fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.slots.iter().filter_map(|slot| {
             let count = slot.count.load(Ordering::Relaxed);
-            Some((*slot.key.get()?, count)).filter(|_| count > 0)
+            Some((*slot.kind.get()?, count)).filter(|_| count > 0)
         })
-    }
-
-    /// Zeroes every count; the keys keep their slots.
-    fn reset(&self) {
-        for slot in self.slots() {
-            slot.count.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -169,8 +116,7 @@ pub struct NetworkCounters {
     dropped_crash: AtomicU64,
     bytes: AtomicU64,
     round_trips: AtomicU64,
-    by_kind: CountTable<&'static str>,
-    by_link: CountTable<(NodeId, NodeId)>,
+    by_kind: CountTable,
 }
 
 impl NetworkCounters {
@@ -181,11 +127,10 @@ impl NetworkCounters {
 
     /// Records a message handed to the simulator (on its own, or carried by
     /// a batch envelope).
-    pub fn record_sent(&self, from: NodeId, to: NodeId, kind: &'static str, bytes: usize) {
+    pub fn record_sent(&self, kind: &'static str, bytes: usize) {
         self.sent.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         self.by_kind.add(kind, 1);
-        self.by_link.add((from, to), 1);
     }
 
     /// Records one envelope handed to the simulator, whatever it carries.
@@ -264,11 +209,6 @@ impl NetworkCounters {
         self.by_kind.get(kind)
     }
 
-    /// Messages sent on one directed link so far.
-    pub fn link(&self, from: NodeId, to: NodeId) -> u64 {
-        self.by_link.get(&(from, to))
-    }
-
     /// Completed round trips so far.
     pub fn round_trips(&self) -> u64 {
         self.round_trips.load(Ordering::Relaxed)
@@ -311,20 +251,6 @@ impl NetworkCounters {
             round_trips: now.round_trips.saturating_sub(earlier.round_trips),
         }
     }
-
-    /// Resets everything to zero (used between experiment repetitions).
-    pub fn reset(&self) {
-        self.sent.store(0, Ordering::Relaxed);
-        self.envelopes.store(0, Ordering::Relaxed);
-        self.delivered.store(0, Ordering::Relaxed);
-        self.dropped_loss.store(0, Ordering::Relaxed);
-        self.dropped_partition.store(0, Ordering::Relaxed);
-        self.dropped_crash.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        self.round_trips.store(0, Ordering::Relaxed);
-        self.by_kind.reset();
-        self.by_link.reset();
-    }
 }
 
 #[cfg(test)]
@@ -334,11 +260,9 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let c = NetworkCounters::new();
-        let a = NodeId::site(0);
-        let b = NodeId::site(1);
-        c.record_sent(a, b, "2PC_PREPARE", 100);
-        c.record_sent(a, b, "2PC_PREPARE", 100);
-        c.record_sent(b, a, "2PC_VOTE", 20);
+        c.record_sent("2PC_PREPARE", 100);
+        c.record_sent("2PC_PREPARE", 100);
+        c.record_sent("2PC_VOTE", 20);
         c.record_delivered(2);
         c.record_dropped_loss(1);
         c.record_round_trip();
@@ -349,8 +273,6 @@ mod tests {
         assert_eq!(c.kind("2PC_PREPARE"), 2);
         assert_eq!(c.kind("2PC_VOTE"), 1);
         assert_eq!(c.kind("missing"), 0);
-        assert_eq!(c.link(a, b), 2);
-        assert_eq!(c.link(b, a), 1);
         assert_eq!(c.round_trips(), 1);
 
         let snap = c.snapshot();
@@ -373,13 +295,11 @@ mod tests {
     #[test]
     fn delta_since_reports_only_new_traffic() {
         let c = NetworkCounters::new();
-        let a = NodeId::site(0);
-        let b = NodeId::site(1);
-        c.record_sent(a, b, "QC_READ", 10);
-        c.record_sent(a, b, "QC_OLD", 10);
+        c.record_sent("QC_READ", 10);
+        c.record_sent("QC_OLD", 10);
         let before = c.snapshot();
-        c.record_sent(a, b, "QC_READ", 10);
-        c.record_sent(a, b, "QC_WRITE", 10);
+        c.record_sent("QC_READ", 10);
+        c.record_sent("QC_WRITE", 10);
         c.record_delivered(1);
         let delta = c.delta_since(&before);
         assert_eq!(delta.sent, 2);
@@ -396,42 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let c = NetworkCounters::new();
-        let (a, b) = (NodeId::site(0), NodeId::site(1));
-        c.record_sent(a, b, "X", 5);
-        c.record_sent(b, a, "Y", 5);
-        c.record_envelope();
-        c.record_delivered(1);
-        c.record_dropped_loss(1);
-        c.record_dropped_partition(1);
-        c.record_dropped_crash(1);
-        c.record_round_trip();
-        c.reset();
-        assert_eq!(c.sent(), 0);
-        assert_eq!(c.envelopes(), 0);
-        assert_eq!(c.delivered(), 0);
-        assert_eq!(c.dropped(), 0);
-        assert_eq!(c.round_trips(), 0);
-        assert_eq!((c.kind("X"), c.kind("Y")), (0, 0));
-        assert_eq!((c.link(a, b), c.link(b, a)), (0, 0));
-        let snapshot = c.snapshot();
-        assert_eq!(snapshot.bytes, 0);
-        assert!(snapshot.by_kind.is_empty(), "{:?}", snapshot.by_kind);
-        // Counting starts again from zero under the same keys.
-        c.record_sent(a, b, "X", 5);
-        assert_eq!((c.kind("X"), c.link(a, b), c.sent()), (1, 1, 1));
-        assert_eq!(c.snapshot().by_kind.len(), 1);
-    }
-
-    #[test]
     fn a_kind_is_counted_by_its_content_not_its_address() {
         let c = NetworkCounters::new();
-        let (a, b) = (NodeId::site(0), NodeId::site(1));
         let elsewhere: &'static str = Box::leak(String::from("2PC_VOTE").into_boxed_str());
         assert!(!std::ptr::eq(elsewhere, "2PC_VOTE"));
-        c.record_sent(a, b, "2PC_VOTE", 10);
-        c.record_sent(a, b, elsewhere, 10);
+        c.record_sent("2PC_VOTE", 10);
+        c.record_sent(elsewhere, 10);
         assert_eq!(c.kind("2PC_VOTE"), 2);
         assert_eq!(c.kind(&String::from("2PC_VOTE")), 2);
         let kinds = c.snapshot().by_kind;
@@ -446,51 +336,42 @@ mod tests {
         const KINDS: [&str; 5] = ["A", "BB", "CCC", "2PC_PREPARE", "QC_READ_REQ"];
         const PER_THREAD: u64 = 20_000;
         let c = NetworkCounters::new();
-        let nodes = [
-            NodeId::site(0),
-            NodeId::site(1),
-            NodeId::site(2),
-            NodeId::NameServer,
-            NodeId::Client(0),
-            NodeId::Client(1),
-        ];
         std::thread::scope(|scope| {
             for t in 0..4u64 {
-                let (c, nodes) = (&c, &nodes);
+                let c = &c;
                 scope.spawn(move || {
                     for i in 0..PER_THREAD {
                         let n = (i * 7 + t) as usize;
-                        let (from, to) = (nodes[n % nodes.len()], nodes[(n / 3) % nodes.len()]);
-                        c.record_sent(from, to, KINDS[n % KINDS.len()], 1);
+                        c.record_sent(KINDS[n % KINDS.len()], 1);
                     }
                 });
             }
         });
         let kinds: u64 = KINDS.iter().map(|kind| c.kind(kind)).sum();
-        let pairs = nodes
-            .iter()
-            .flat_map(|a| nodes.iter().map(move |b| (*a, *b)));
-        let links: u64 = pairs.map(|(a, b)| c.link(a, b)).sum();
         assert_eq!(c.sent(), 4 * PER_THREAD);
         assert_eq!(kinds, c.sent());
-        assert_eq!(links, c.sent());
         assert_eq!(c.snapshot().by_kind.values().sum::<u64>(), c.sent());
     }
 
+    /// The table holds [`KINDS`] kinds, each under its own count; one more
+    /// has no slot, and says how many there may be.
     #[test]
-    fn links_past_the_first_level_keep_their_own_counts() {
+    #[should_panic(expected = "more than 64 message kinds")]
+    fn a_kind_past_the_tables_capacity_panics_naming_the_limit() {
         let c = NetworkCounters::new();
-        let links = (0..3u32).flat_map(|s| (0..2_000u32).map(move |n| (s, n)));
-        for (site, client) in links.clone() {
-            let (from, to) = (NodeId::site(site), NodeId::Client(client));
-            for _ in 0..=(client % 3) {
-                c.record_sent(from, to, "X", 1);
+        let kinds: Vec<&'static str> = (0..=KINDS)
+            .map(|i| &*Box::leak(format!("KIND_{i}").into_boxed_str()))
+            .collect();
+        let (fitting, past) = kinds.split_at(KINDS);
+        for (i, kind) in fitting.iter().enumerate() {
+            for _ in 0..=i {
+                c.record_sent(kind, 1);
             }
         }
-        for (site, client) in links {
-            let (from, to) = (NodeId::site(site), NodeId::Client(client));
-            assert_eq!(c.link(from, to), u64::from(client % 3) + 1);
-            assert_eq!(c.link(to, from), 0);
+        for (i, kind) in fitting.iter().enumerate() {
+            assert_eq!(c.kind(kind), i as u64 + 1, "{kind}");
         }
+        assert_eq!(c.snapshot().by_kind.len(), KINDS);
+        c.record_sent(past[0], 1);
     }
 }

@@ -22,7 +22,7 @@
 //! * [`fault`] — the fault injector handle used by experiments and the
 //!   Session API to crash/recover sites and create/heal partitions while a
 //!   workload is running;
-//! * [`counters`] — message-traffic accounting (total, per kind, per link)
+//! * [`counters`] — message-traffic accounting (total and per kind)
 //!   feeding the paper's "total number of messages generated per time unit"
 //!   and the quorum message-traffic experiments.
 //!

@@ -249,7 +249,7 @@ impl<M: NetMessage> NetHandle<M> {
         for message in messages {
             shared
                 .counters
-                .record_sent(from, to, message.kind(), message.size_hint());
+                .record_sent(message.kind(), message.size_hint());
         }
         let messages = messages.len() as u64;
 
@@ -307,25 +307,6 @@ impl<M: NetMessage> NetHandle<M> {
         Ok(id)
     }
 
-    /// Broadcasts `payload` from `from` to every node in `targets`,
-    /// returning the number of sends attempted.
-    pub fn broadcast(
-        &self,
-        from: NodeId,
-        targets: impl IntoIterator<Item = NodeId>,
-        payload: M,
-    ) -> RainbowResult<usize>
-    where
-        M: Clone,
-    {
-        let mut sent = 0;
-        for to in targets {
-            self.send(from, to, payload.clone())?;
-            sent += 1;
-        }
-        Ok(sent)
-    }
-
     /// The fault controller shared with this network.
     pub fn faults(&self) -> Arc<FaultController> {
         Arc::clone(&self.shared.faults)
@@ -377,32 +358,17 @@ pub struct SimNetwork<M: NetMessage> {
 impl<M: NetMessage> SimNetwork<M> {
     /// Builds a network from a configuration, spawning the delivery thread.
     pub fn new(config: NetworkConfig) -> Self {
-        Self::with_faults(config, Arc::new(FaultController::new()))
+        Self::traced(config, None)
     }
 
     /// Builds a network that records every transaction message's queue
     /// delay into `tracer` (`None` behaves exactly like [`SimNetwork::new`]).
     pub fn traced(config: NetworkConfig, tracer: Option<Arc<Tracer>>) -> Self {
-        Self::build(config, Arc::new(FaultController::new()), tracer)
-    }
-
-    /// Builds a network sharing an externally created fault controller
-    /// (useful when an experiment script wants to hold the controller
-    /// independently of the network's lifetime).
-    pub fn with_faults(config: NetworkConfig, faults: Arc<FaultController>) -> Self {
-        Self::build(config, faults, None)
-    }
-
-    fn build(
-        config: NetworkConfig,
-        faults: Arc<FaultController>,
-        tracer: Option<Arc<Tracer>>,
-    ) -> Self {
         let (tx, rx) = unbounded::<Job<M>>();
         let seed = config.seed;
         let shared = Arc::new(Shared {
             config,
-            faults,
+            faults: Arc::new(FaultController::new()),
             counters: Arc::new(NetworkCounters::new()),
             registry: RwLock::new(HashMap::new()),
             scheduler: tx,
@@ -434,13 +400,6 @@ impl<M: NetMessage> SimNetwork<M> {
     /// Removes a node from the network.
     pub fn unregister(&self, node: NodeId) {
         self.handle().unregister(node)
-    }
-
-    /// Nodes currently registered.
-    pub fn registered_nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.shared.registry.read().keys().copied().collect();
-        nodes.sort();
-        nodes
     }
 
     /// A cloneable sending handle.
@@ -631,7 +590,6 @@ mod tests {
         assert_eq!(counters.kind("PING"), 1);
         assert_eq!(counters.kind("PONG"), 1);
         assert_eq!(counters.kind("BATCH"), 0, "an envelope is not a kind");
-        assert_eq!(counters.link(a, b), 2);
         assert_eq!(counters.delivered(), 2);
         assert_eq!(counters.snapshot().bytes, 32, "each under its own size");
 
@@ -839,30 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_every_target() {
-        let net = SimNetwork::<TestMsg>::new(NetworkConfig::perfect());
-        let sender = NodeId::NameServer;
-        net.register(sender);
-        let receivers: Vec<_> = (0..4)
-            .map(|i| (NodeId::site(i), net.register(NodeId::site(i))))
-            .collect();
-        let n = net
-            .handle()
-            .broadcast(
-                sender,
-                receivers.iter().map(|(id, _)| *id),
-                TestMsg::Pong(9),
-            )
-            .unwrap();
-        assert_eq!(n, 4);
-        for (_, rx) in &receivers {
-            let env = recv_with_timeout(rx, 500).expect("broadcast target missed the message");
-            assert_eq!(env.payload, TestMsg::Pong(9));
-        }
-        assert_eq!(net.counters().sent(), 4);
-    }
-
-    #[test]
     fn unregistered_destination_is_silently_dropped() {
         let net = SimNetwork::<TestMsg>::new(NetworkConfig::perfect());
         let a = NodeId::site(0);
@@ -886,9 +820,10 @@ mod tests {
         net.handle().send(a, b, TestMsg::Ping(5)).unwrap();
         assert!(recv_with_timeout(&rx_new, 500).is_some());
         assert!(recv_with_timeout(&rx_old, 50).is_none());
-        assert_eq!(net.registered_nodes(), vec![a, b]);
         net.unregister(b);
-        assert_eq!(net.registered_nodes(), vec![a]);
+        net.handle().send(a, b, TestMsg::Ping(6)).unwrap();
+        assert!(recv_with_timeout(&rx_new, 50).is_none());
+        assert_eq!(net.counters().delivered(), 1);
     }
 
     #[test]

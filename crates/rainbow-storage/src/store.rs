@@ -4,11 +4,11 @@
 //! A site's storage has one owner, the site's state, which its event loop
 //! holds one drain at a time. So the store is a plain value, and
 //! [`SiteStorage`] keeps it and its engine in one `RefCell` rather than
-//! behind a lock. Every forced write is a group: a lone prepare or commit
-//! is [`SiteStorage::prepare_many`] or [`SiteStorage::commit_many`] of one
-//! transaction, and so is the commit of a transaction that crash recovery
-//! found in doubt (its recovered writes are staged, then committed). Those
-//! return once the group is durable. [`SiteStorage::prepare_group`] and
+//! behind a lock. Every forced write is a group: [`SiteStorage::prepare`]
+//! and [`SiteStorage::commit`] are groups of one transaction, and so is the
+//! commit of a transaction that crash recovery found in doubt (its
+//! recovered writes are staged, then committed). Those return once the
+//! group is durable. [`SiteStorage::prepare_group`] and
 //! [`SiteStorage::commit_group`] only write it, and return the ticket to
 //! wait for ([`crate::disk::DiskEngine::append_group`]).
 
@@ -388,7 +388,7 @@ impl SiteStorage {
     }
 
     /// Number of force (sync) operations the log performed. A
-    /// [`SiteStorage::prepare_many`] or [`SiteStorage::commit_many`] group
+    /// [`SiteStorage::prepare_group`] or [`SiteStorage::commit_group`]
     /// counts once, and so does one sync that made several written groups
     /// durable.
     pub fn force_count(&self) -> u64 {
@@ -439,29 +439,20 @@ impl SiteStorage {
     }
 
     /// Durably prepares a transaction, a group of one
-    /// ([`SiteStorage::prepare_many`]). Returns the prepared writes.
+    /// ([`SiteStorage::prepare_group`]) synced in place, so a crash after
+    /// voting YES cannot lose its writes. Returns the prepared writes.
     pub fn prepare(&self, txn: TxnId) -> WriteSet {
-        self.prepare_many(&[txn])
-            .pop()
-            .expect("one write set per transaction")
-    }
-
-    /// Commits a transaction, a group of one ([`SiteStorage::commit_many`]).
-    /// Returns the installed writes.
-    pub fn commit(&self, txn: TxnId) -> WriteSet {
-        self.commit_many(&[txn])
-            .pop()
-            .expect("one write set per transaction")
-    }
-
-    /// Durably prepares a batch of transactions: every transaction's staged
-    /// writes go into the log as its prepare record, then the engine pays a
-    /// single force for the lot, so a crash after voting YES cannot lose
-    /// them. Returns each transaction's prepared writes, in input order.
-    pub fn prepare_many(&self, txns: &[TxnId]) -> Vec<WriteSet> {
-        let (prepared, ticket) = self.prepare_group(txns);
+        let (mut prepared, ticket) = self.prepare_group(&[txn]);
         self.sync_for(ticket);
-        prepared
+        prepared.pop().expect("one write set per transaction")
+    }
+
+    /// Commits a transaction, a group of one ([`SiteStorage::commit_group`])
+    /// synced in place. Returns the installed writes.
+    pub fn commit(&self, txn: TxnId) -> WriteSet {
+        let (mut installed, ticket) = self.commit_group(&[txn]);
+        self.sync_for(ticket);
+        installed.pop().expect("one write set per transaction")
     }
 
     /// Writes the prepare records of a batch of transactions to the log as
@@ -487,15 +478,6 @@ impl SiteStorage {
         let ticket = parts.engine.append_group(records);
         self.trace_group(&mut parts, ticket, start_us, "prepare", txns);
         (prepared, ticket)
-    }
-
-    /// Commits a batch of transactions: every transaction's staged writes
-    /// are installed, then all commit records ride a single force. Returns
-    /// each transaction's installed writes, in input order.
-    pub fn commit_many(&self, txns: &[TxnId]) -> Vec<WriteSet> {
-        let (installed, ticket) = self.commit_group(txns);
-        self.sync_for(ticket);
-        installed
     }
 
     /// Installs the staged writes of a batch of transactions and writes
@@ -972,13 +954,15 @@ mod tests {
         storage.stage_write(txn(3), item("z"), Value::Int(3), Version(1));
 
         let before = storage.force_count();
-        let prepared = storage.prepare_many(&[txn(1), txn(2), txn(3)]);
+        let (prepared, ticket) = storage.prepare_group(&[txn(1), txn(2), txn(3)]);
+        assert_eq!(ticket, None, "a memory medium syncs in the write");
         assert_eq!(storage.force_count(), before + 1, "one force per group");
         assert_eq!(prepared.len(), 3);
         assert_eq!(prepared[1], vec![(item("y"), Value::Int(2), Version(1))]);
 
         let before = storage.force_count();
-        let installed = storage.commit_many(&[txn(1), txn(2), txn(3)]);
+        let (installed, ticket) = storage.commit_group(&[txn(1), txn(2), txn(3)]);
+        assert_eq!(ticket, None, "a memory medium syncs in the write");
         assert_eq!(storage.force_count(), before + 1, "one force per group");
         assert_eq!(installed.len(), 3);
         assert_eq!(
@@ -1039,8 +1023,8 @@ mod tests {
     fn empty_batches_are_no_ops() {
         let storage = SiteStorage::new(SiteId(0));
         let before = storage.force_count();
-        assert!(storage.prepare_many(&[]).is_empty());
-        assert!(storage.commit_many(&[]).is_empty());
+        assert_eq!(storage.prepare_group(&[]), (vec![], None));
+        assert_eq!(storage.commit_group(&[]), (vec![], None));
         assert_eq!(storage.force_count(), before);
     }
 

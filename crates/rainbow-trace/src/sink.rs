@@ -81,12 +81,6 @@ impl TraceConfig {
         self.sample_one_in = one_in;
         self
     }
-
-    /// Sets the worst-N ring capacity.
-    pub fn with_slowest_capacity(mut self, n: usize) -> Self {
-        self.slowest_capacity = n;
-        self
-    }
 }
 
 /// Worst-N ring: the ids and total durations of the slowest transactions

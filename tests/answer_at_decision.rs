@@ -15,7 +15,7 @@
 use rainbow_common::protocol::{CcpKind, ProtocolStack};
 use rainbow_common::{ItemId, SiteId, Value};
 use rainbow_core::{Cluster, ClusterConfig};
-use rainbow_net::{LatencyModel, LinkConfig, NetworkConfig, NodeId};
+use rainbow_net::{LatencyModel, LinkConfig, NetworkConfig};
 use std::time::{Duration, Instant};
 
 const CCPS: [CcpKind; 3] = [
@@ -92,8 +92,8 @@ fn a_participant_crashed_between_its_vote_and_the_decision_still_commits() {
         let cluster = cluster(ccp, network);
         let home = SiteId(0);
         let counters = cluster.network_counters();
-        let sent_home = |site: SiteId| counters.link(NodeId::Site(site), NodeId::Site(home));
-        let remotes = [SiteId(1), SiteId(2)].map(|site| (site, sent_home(site)));
+        let served = |site: SiteId| cluster.stats().load.served_requests[&site.0];
+        let remotes = [SiteId(1), SiteId(2)].map(|site| (site, served(site)));
 
         let victim = std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
@@ -102,14 +102,14 @@ fn a_participant_crashed_between_its_vote_and_the_decision_still_commits() {
                 txn.increment(item.clone(), 5).unwrap();
                 txn.commit()
             });
-            // A participant has sent the home site two messages: its copy
-            // reply and its vote. (A site whose grant came after the quorum
-            // assembled sends only the first.)
-            let victim = wait_for("a remote vote", || {
-                let voted = |(site, before): &(SiteId, u64)| sent_home(*site) - before >= 2;
+            // A participant has served the home site two requests: its copy
+            // access and the prepare. (A site whose grant came after the
+            // quorum assembled serves only the first.)
+            let victim = wait_for("a remote prepare", || {
+                let prepared = |(site, before): &(SiteId, u64)| served(*site) - before >= 2;
                 remotes
                     .iter()
-                    .find(|remote| voted(remote))
+                    .find(|remote| prepared(remote))
                     .map(|(site, _)| *site)
             });
             // The decision leaves once the votes are in and is on the wire

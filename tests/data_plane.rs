@@ -1,37 +1,42 @@
 //! Property and differential tests for the data-plane hot path: interned
 //! item ids and the quorum fan-out.
 
-use proptest::prelude::*;
 use rainbow_common::protocol::{ProtocolStack, RcpKind};
+use rainbow_common::rng::{derive_seed, seeded_rng};
 use rainbow_common::txn::TxnSpec;
 use rainbow_common::{ItemId, Operation, Value};
 use rainbow_control::{Session, WorkloadRunner};
+use rand::Rng;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Interned ids round-trip through strings and JSON, and equality /
-    /// ordering / hashing agree with the underlying names.
-    #[test]
-    fn interned_item_ids_round_trip_and_order(names in prop::collection::vec((0u32..50, 0u32..4), 1..30)) {
-        let ids: Vec<ItemId> = names
-            .iter()
-            .map(|(n, pad)| ItemId::new(format!("prop.{n}.{}", "x".repeat(*pad as usize))))
+/// Interned ids round-trip through strings and JSON, and equality /
+/// ordering / hashing agree with the underlying names (64 seeded cases).
+#[test]
+fn interned_item_ids_round_trip_and_order() {
+    for case in 0..64 {
+        let mut rng = seeded_rng(derive_seed(case, "interned_item_ids_round_trip_and_order"));
+        let ids: Vec<ItemId> = (0..rng.gen_range(1..30))
+            .map(|_| (rng.gen_range(0..50), rng.gen_range(0..4)))
+            .map(|(n, pad): (u32, usize)| ItemId::new(format!("prop.{n}.{}", "x".repeat(pad))))
             .collect();
         for (i, id) in ids.iter().enumerate() {
             // String round-trip.
-            prop_assert_eq!(ItemId::new(id.name()), id.clone());
+            assert_eq!(ItemId::new(id.name()), *id, "case {case}");
             // Serde round-trip through JSON.
             let json = serde_json::to_string(id).unwrap();
             let back: ItemId = serde_json::from_str(&json).unwrap();
-            prop_assert_eq!(&back, id);
+            assert_eq!(back, *id, "case {case}: {json}");
             // Equality agrees with names; ordering agrees with names.
             for other in &ids[i..] {
-                prop_assert_eq!(id == other, id.name() == other.name());
-                prop_assert_eq!(id.cmp(other), id.name().cmp(other.name()));
-                prop_assert_eq!(id.token() == other.token(), id.name() == other.name());
+                let (a, b) = (id.name(), other.name());
+                assert_eq!(id == other, a == b, "case {case}: {a} vs {b}");
+                assert_eq!(id.cmp(other), a.cmp(b), "case {case}: {a} vs {b}");
+                assert_eq!(
+                    id.token() == other.token(),
+                    a == b,
+                    "case {case}: {a} vs {b}"
+                );
             }
         }
         // Sorting ids sorts their names.
@@ -40,7 +45,7 @@ proptest! {
         let mut names_sorted: Vec<String> = ids.iter().map(|i| i.name().to_string()).collect();
         names_sorted.sort();
         let sorted_names: Vec<String> = sorted.iter().map(|i| i.name().to_string()).collect();
-        prop_assert_eq!(sorted_names, names_sorted);
+        assert_eq!(sorted_names, names_sorted, "case {case}");
     }
 }
 

@@ -95,8 +95,8 @@ fn a_site_read_outside_the_write_quorum_is_sent_no_decision() {
     let cluster = read_here_write_there(NetworkConfig::perfect());
     let counters = cluster.network_counters();
     let before = counters.snapshot();
-    let to_reader = || counters.link(NodeId::site(0), NodeId::site(2));
-    let sent_to_reader = to_reader();
+    let served_by_reader = || cluster.stats().load.served_requests[&2];
+    let reader_served_before = served_by_reader();
 
     let mut client = cluster.client();
     let mut txn = client.begin_at("read-here-write-there", SiteId(0));
@@ -105,12 +105,14 @@ fn a_site_read_outside_the_write_quorum_is_sent_no_decision() {
     txn.commit().unwrap();
     retired(&cluster);
 
-    // Site 2 heard the copy read and the prepare, nothing after its vote.
-    assert_eq!(to_reader() - sent_to_reader, 2);
+    // Site 2 served the copy read and the prepare, and voted READ-ONLY.
+    assert_eq!(served_by_reader() - reader_served_before, 2);
     assert_eq!(cluster.votes_read_only(), 1);
-    // The decision and its ack went between sites 0 and 1 only (the
-    // home's own are stepped in its loop, and free).
+    // The one decision and its ack went between sites 0 and 1, the YES
+    // voter (the home's own are stepped in its loop, and free): nothing
+    // reached site 2 after its vote.
     let delta = counters.delta_since(&before);
+    assert_eq!(delta.kind("ACP_PREPARE"), 2, "{delta:?}");
     assert_eq!(delta.kind("ACP_DECISION"), 1, "{delta:?}");
     assert_eq!(delta.kind("ACP_ACK"), 1, "{delta:?}");
 }
@@ -157,9 +159,6 @@ fn crashing_a_read_only_site_right_after_its_vote_neither_blocks_nor_aborts() {
     let slow = LinkConfig::with_latency(LatencyModel::constant(Duration::from_millis(100)));
     let network = NetworkConfig::perfect().override_link(NodeId::site(1), NodeId::site(0), slow);
     let cluster = read_here_write_there(network);
-    let counters = cluster.network_counters();
-    let reader_sent_home = || counters.link(NodeId::site(2), NodeId::site(0));
-    let sent_before = reader_sent_home();
 
     let commit_took = std::thread::scope(|scope| {
         let writer = scope.spawn(|| {
@@ -170,9 +169,10 @@ fn crashing_a_read_only_site_right_after_its_vote_neither_blocks_nor_aborts() {
             let committing = Instant::now();
             txn.commit().map(|_| committing.elapsed())
         });
-        // Site 2 has sent home its copy reply and its vote.
+        // Site 2 has voted READ-ONLY; the vote leaves with the drain's
+        // flush, well within the 10 ms before the crash.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while reader_sent_home() - sent_before < 2 {
+        while cluster.votes_read_only() == 0 {
             assert!(Instant::now() < deadline, "site 2 never voted");
             std::thread::yield_now();
         }

@@ -2,9 +2,10 @@
 //!
 //! Two families of guarantees live here:
 //!
-//! * **Properties** (proptest): any record round-trips through the frame
-//!   codec; any single flipped byte and any truncation of a frame is
-//!   *detected* — a damaged frame is never silently decoded.
+//! * **Properties** (192 seeded cases each, a failure naming its case):
+//!   any record round-trips through the frame codec; any single flipped
+//!   byte and any truncation of a frame is *detected* — a damaged frame is
+//!   never silently decoded.
 //! * **Format stability** (fixture): `tests/fixtures/segment_v1.seg` is a
 //!   checked-in format-version-1 segment file. Recovery must parse it to
 //!   exactly the expected records forever; a codec change that breaks this
@@ -12,11 +13,13 @@
 //!   update. Regenerate deliberately with
 //!   `RAINBOW_REGEN_FIXTURES=1 cargo test --test storage_codec`.
 
-use proptest::prelude::*;
+use rainbow_common::rng::{derive_seed, seeded_rng};
 use rainbow_common::{ItemId, SiteId, TxnId, Value, Version};
 use rainbow_storage::codec::{crc32, decode_frame, encode_frame, FRAME_HEADER_LEN};
 use rainbow_storage::disk::{SEGMENT_FORMAT_VERSION, SEGMENT_HEADER_LEN, SEGMENT_MAGIC};
 use rainbow_storage::{replay, LogRecord};
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::path::PathBuf;
 
 /// Builds a `Value` from fuzz integers, covering every variant.
@@ -55,65 +58,70 @@ fn record_from(tag: u8, home: u32, seq: u64, writes: &[(u8, i64, u64)]) -> LogRe
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+/// Cases each property runs.
+const CASES: u64 = 192;
 
-    /// encode → decode is the identity, and the decoded length consumes the
-    /// whole frame.
-    #[test]
-    fn frame_round_trips(
-        tag in 0u8..5,
-        home in 0u32..64,
-        seq in any::<u64>(),
-        writes in prop::collection::vec((any::<u8>(), any::<i64>(), any::<u64>()), 0..6),
-    ) {
-        let record = record_from(tag, home, seq, &writes);
+/// The cases of the property `name`: each case's number and its generator.
+fn cases(name: &'static str) -> impl Iterator<Item = (u64, StdRng)> {
+    (0..CASES).map(move |case| (case, seeded_rng(derive_seed(case, name))))
+}
+
+/// A record of any kind, with fewer than `max_writes` writes of any values.
+fn any_record(rng: &mut StdRng, max_writes: usize) -> LogRecord {
+    let (tag, home, seq) = (rng.gen_range(0..5), rng.gen_range(0..64), rng.gen());
+    let writes: Vec<(u8, i64, u64)> = (0..rng.gen_range(0..max_writes))
+        .map(|_| (rng.gen_range(0..=u8::MAX), rng.gen(), rng.gen()))
+        .collect();
+    record_from(tag, home, seq, &writes)
+}
+
+/// encode → decode is the identity, and the decoded length consumes the
+/// whole frame.
+#[test]
+fn frame_round_trips() {
+    for (case, mut rng) in cases("frame_round_trips") {
+        let record = any_record(&mut rng, 6);
         let frame = encode_frame(&record);
-        let (decoded, consumed) = decode_frame(&frame, 0).expect("fresh frame decodes");
-        prop_assert_eq!(&decoded, &record);
-        prop_assert_eq!(consumed, frame.len());
+        let decoded = decode_frame(&frame, 0);
+        let (decoded, consumed) = decoded.unwrap_or_else(|err| panic!("case {case}: {err}"));
+        assert_eq!(decoded, record, "case {case}");
+        assert_eq!(consumed, frame.len(), "case {case}");
     }
+}
 
-    /// Every single-byte corruption anywhere in a frame is detected: the
-    /// decoder errors, it never silently returns a (possibly different)
-    /// record.
-    #[test]
-    fn any_flipped_byte_is_detected(
-        tag in 0u8..5,
-        home in 0u32..64,
-        seq in any::<u64>(),
-        writes in prop::collection::vec((any::<u8>(), any::<i64>(), any::<u64>()), 0..4),
-        flip in any::<u8>(),
-        pos_seed in any::<u64>(),
-    ) {
-        let record = record_from(tag, home, seq, &writes);
+/// Every single-byte corruption anywhere in a frame is detected: the
+/// decoder errors, it never silently returns a (possibly different) record.
+#[test]
+fn any_flipped_byte_is_detected() {
+    for (case, mut rng) in cases("any_flipped_byte_is_detected") {
+        let record = any_record(&mut rng, 4);
         let frame = encode_frame(&record);
-        let pos = (pos_seed % frame.len() as u64) as usize;
-        let flip = if flip == 0 { 0xA5 } else { flip };
+        let pos = rng.gen_range(0..frame.len());
+        let flip = rng.gen_range(1..=u8::MAX);
         let mut damaged = frame.clone();
         damaged[pos] ^= flip;
-        prop_assert!(
+        assert!(
             decode_frame(&damaged, 0).is_err(),
-            "flipping byte {} (of {}) went undetected", pos, frame.len()
+            "case {case}: flipping byte {pos} (of {}) went undetected",
+            frame.len()
         );
     }
+}
 
-    /// Every strict prefix of a frame reads as torn (incomplete), the state
-    /// power loss leaves behind — recovery truncates it, never misparses it.
-    #[test]
-    fn any_truncation_reads_as_torn(
-        tag in 0u8..5,
-        home in 0u32..64,
-        seq in any::<u64>(),
-        writes in prop::collection::vec((any::<u8>(), any::<i64>(), any::<u64>()), 0..4),
-        cut_seed in any::<u64>(),
-    ) {
-        let record = record_from(tag, home, seq, &writes);
+/// Every strict prefix of a frame reads as torn (incomplete), the state
+/// power loss leaves behind — recovery truncates it, never misparses it.
+#[test]
+fn any_truncation_reads_as_torn() {
+    for (case, mut rng) in cases("any_truncation_reads_as_torn") {
+        let record = any_record(&mut rng, 4);
         let frame = encode_frame(&record);
-        let cut = (cut_seed % frame.len() as u64) as usize;
+        let cut = rng.gen_range(0..frame.len());
         match decode_frame(&frame[..cut], 0) {
-            Err(err) => prop_assert!(err.is_torn(), "cut at {}: {} is not torn", cut, err),
-            Ok(_) => prop_assert!(false, "decoded from a {}-byte prefix", cut),
+            Err(err) => assert!(
+                err.is_torn(),
+                "case {case}: cut at {cut}: {err} is not torn"
+            ),
+            Ok(_) => panic!("case {case}: decoded from a {cut}-byte prefix"),
         }
     }
 }
